@@ -58,6 +58,10 @@ bench-rfs:
 # benches ride along: the histogram/counter record paths sit inside the
 # same hot loops, so they must stay allocation-free (and the histogram
 # under ~30ns) for the instrumented paths to stay zero-alloc.
+# Reference points at 1 client (64 KB = one packet train since PR 15):
+# ReadLarge64K 8 allocs/op on mem, 142 on udp (was 99 / ~400 when a read
+# was sixteen 4 KB MoveTos and most data packets went out twice);
+# WriteLarge64K wb 33 on mem, 165 on udp (was 133 / ~430).
 bench-alloc:
 	$(GO) test -run=- -bench='BenchmarkPageRead|BenchmarkPageWrite|BenchmarkReadLarge64K|BenchmarkWriteLarge64K|BenchmarkParallel' \
 		-benchmem -benchtime=$(BENCHTIME) ./internal/ipc/ ./internal/rfs/

@@ -62,7 +62,7 @@ func main() {
 		peers        peerList
 		transport    = flag.String("transport", "udp", "wire transport: udp (per-datagram) or batched (recvmmsg/sendmmsg, reuseport shards, hot-peer sockets)")
 		rxshards     = flag.Int("rxshards", 0, "batched: SO_REUSEPORT rx shard sockets (0 = per-CPU default, capped at 4)")
-		udpqueue     = flag.Int("udpqueue", 0, "dispatch queue depth between socket reads and handler workers (0 = default 512)")
+		udpqueue     = flag.Int("udpqueue", 0, "dispatch queue depth between socket reads and each handler worker (0 = default 512)")
 		udpworkers   = flag.Int("udpworkers", 0, "packet-dispatch worker goroutines (0 = per-CPU default, capped at 16)")
 		adaptiveRTO  = flag.Bool("adaptiverto", false, "per-peer adaptive retransmission timing (smoothed RTT/RTTVAR) instead of the fixed timeout")
 		metricsAddr  = flag.String("metrics", "", "serve the node's metrics registry over HTTP at this address (expvar JSON at /debug/vars, pprof under /debug/pprof/); empty = off")

@@ -178,13 +178,14 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 	b.WriteString("\n")
 
 	ker := stats.Table{ID: "vstat-3", Title: "kernel and transport", Unit: "srtt/rto in us",
-		Columns: []string{"net_tx", "net_rx", "replies", "retrans", "dups", "nacks", "sheds", "srtt", "rto"}}
+		Columns: []string{"net_tx", "net_rx", "replies", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo", "srtt", "rto"}}
 	for _, s := range snaps {
 		ker.AddRow(s.Node,
 			count(s.Counters["net.sends"]), count(s.Counters["net.recvs"]),
 			count(s.Counters["ipc.remote_replies"]), count(s.Counters["ipc.retransmits"]),
 			count(s.Counters["ipc.dups_filtered"]), count(s.Counters["ipc.nacks_sent"]),
 			count(s.Counters["ipc.overload_sheds"]),
+			count(s.Counters["ipc.move_resumes"]), count(s.Counters["ipc.move_ooo_drops"]),
 			stats.M(float64(s.Gauges["ipc.srtt_ns"])/1e3), stats.M(float64(s.Gauges["ipc.rto_ns"])/1e3))
 	}
 	b.WriteString(ker.Render())

@@ -6,8 +6,8 @@
 // have no configuration beyond the peer table — they locate each volume
 // through the name service (GetPid on LogicalVolumeBase+volume) via an
 // rfs.Router, so moving a volume to another server would need no client
-// changes at all. Program loading is a MoveTo stream in transfer-unit
-// chunks (§6.3); page reads are one Send/Reply exchange each.
+// changes at all. Program loading is a MoveTo stream, one train per
+// 64 KB (§6.3); page reads are one Send/Reply exchange each.
 package main
 
 import (

@@ -109,7 +109,9 @@ func (c *checker) callee(info *types.Info, call *ast.CallExpr) (declSite, bool) 
 	if obj == nil {
 		return declSite{}, false
 	}
-	site, ok := c.decls[obj]
+	// A method of an instantiated generic type is its own object; the
+	// declaration belongs to its origin.
+	site, ok := c.decls[obj.Origin()]
 	return site, ok
 }
 

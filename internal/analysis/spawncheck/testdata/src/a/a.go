@@ -75,3 +75,27 @@ func viaBadCallee(p *pool) {
 func dynamic(fn func()) {
 	go fn() // want "dynamic function value"
 }
+
+type genericPool[T any] struct {
+	wg   sync.WaitGroup
+	jobs chan T
+}
+
+func (p *genericPool[T]) work() {
+	defer p.wg.Done()
+	for range p.jobs {
+	}
+}
+
+func (p *genericPool[T]) idle() {
+	for range p.jobs {
+	}
+}
+
+// viaGenericMethod spawns methods of an instantiated generic type: the
+// analyzer chases them to the generic declaration.
+func viaGenericMethod(p *genericPool[int]) {
+	p.wg.Add(1)
+	go p.work()
+	go p.idle() // want "goroutine is not accounted"
+}

@@ -165,6 +165,13 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // Transport moves encoded interkernel packets between nodes. Delivery may
 // drop, duplicate or reorder packets; the protocol recovers.
 //
+// Ordering: a transport adds no reordering of its own within a flow.
+// Packets of one (src pid, dst pid) pair reach the handler one at a time,
+// in the order the network delivered them, even though the handler runs
+// on several workers at once (see dispatcher). The bulk-transfer
+// receivers lean on this: a §3.3 packet train is one flow, and accepting
+// it in a single pass needs its packets in order.
+//
 // Buffer ownership: Send and Broadcast borrow pkt only for the duration
 // of the call — the caller may recycle it as soon as they return. On the
 // receive side the transport owns each frame: it holds one reference
@@ -177,8 +184,9 @@ type Transport interface {
 	// Broadcast transmits to all nodes, best effort.
 	Broadcast(pkt []byte) error
 	// SetHandler installs the receive upcall. The transport may call it
-	// serially or concurrently; the node handles its own locking. The
-	// frame is valid for the duration of the call unless retained.
+	// concurrently for different flows, never for one flow; the node
+	// handles its own locking. The frame is valid for the duration of the
+	// call unless retained.
 	SetHandler(h func(frame *bufpool.Buf))
 	// Close releases transport resources.
 	Close() error

@@ -22,12 +22,13 @@ type FaultConfig struct {
 // deterministic-seeded fault injection. It is the test double for the UDP
 // transport.
 //
-// Deliveries run on a bounded pool of worker goroutines (instead of one
-// goroutine per packet), so handlers are invoked concurrently — as the UDP
-// transport's worker pool does — without unbounded goroutine growth under
-// load. The queue feeding the pool is unbounded because handlers send
-// packets themselves (replies, acks): a worker blocking on a full queue
-// while every other worker does the same would deadlock the mesh.
+// Deliveries run on the same flow-ordered dispatcher as the UDP
+// transports' (instead of one goroutine per packet), so handlers are
+// invoked concurrently but a fault-free mesh hands each flow's packets
+// over in the order they were sent; only injected delay reorders. The
+// dispatcher's queues are unbounded because handlers send packets
+// themselves (replies, acks): a worker blocking on a full queue while
+// every other worker does the same would deadlock the mesh.
 type MemNetwork struct {
 	mu     sync.Mutex
 	cfg    FaultConfig
@@ -36,43 +37,7 @@ type MemNetwork struct {
 	ports  map[LogicalHost]*memPort
 	closed bool
 	wg     sync.WaitGroup // in-flight deliveries, Done after the handler returns
-
-	qmu     sync.Mutex
-	qcond   *sync.Cond
-	queue   ringQueue
-	stopped bool
-	workers sync.WaitGroup
-}
-
-// ringQueue is a growable circular buffer of deliveries. The steady-state
-// enqueue/dequeue cycle reuses one backing array instead of appending to
-// (and re-allocating) a slice whose consumed front can never be reclaimed
-// — the mesh's per-packet allocation cost is zero once warmed.
-type ringQueue struct {
-	buf  []memDelivery
-	head int
-	n    int
-}
-
-func (q *ringQueue) push(d memDelivery) {
-	if q.n == len(q.buf) {
-		grown := make([]memDelivery, max(64, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = grown
-		q.head = 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = d
-	q.n++
-}
-
-func (q *ringQueue) pop() memDelivery {
-	d := q.buf[q.head]
-	q.buf[q.head] = memDelivery{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return d
+	rx     *dispatcher[memDelivery]
 }
 
 type memDelivery struct {
@@ -101,12 +66,8 @@ func NewMemNetwork(seed int64, cfg FaultConfig) *MemNetwork {
 		rng:   rand.New(rand.NewSource(seed)),
 		ports: make(map[LogicalHost]*memPort),
 	}
-	m.qcond = sync.NewCond(&m.qmu)
-	workers := dispatchWorkers(0) // uncapped: meshes are per-test
-	m.workers.Add(workers)
-	for i := 0; i < workers; i++ {
-		go m.worker()
-	}
+	// Workers uncapped: meshes are per-test.
+	m.rx = newDispatcher(dispatchWorkers(0), 0, m.handle)
 	return m
 }
 
@@ -136,7 +97,7 @@ func (m *MemNetwork) Transport(host LogicalHost) Transport {
 func (m *MemNetwork) Wait() { m.wg.Wait() }
 
 // Close tears the mesh down: it waits for in-flight deliveries, then
-// stops the worker pool.
+// stops the dispatcher.
 func (m *MemNetwork) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -146,39 +107,22 @@ func (m *MemNetwork) Close() {
 	m.closed = true
 	m.mu.Unlock()
 	m.wg.Wait()
-	m.qmu.Lock()
-	m.stopped = true
-	m.qcond.Broadcast()
-	m.qmu.Unlock()
-	m.workers.Wait()
+	m.rx.close()
 }
 
-// worker drains the delivery queue, handing packets to their ports.
-func (m *MemNetwork) worker() {
-	defer m.workers.Done()
-	for {
-		m.qmu.Lock()
-		for m.queue.n == 0 && !m.stopped {
-			m.qcond.Wait()
-		}
-		if m.queue.n == 0 && m.stopped {
-			m.qmu.Unlock()
-			return
-		}
-		d := m.queue.pop()
-		m.qmu.Unlock()
+// handle is the dispatcher's run function: it hands packets to their
+// ports.
+func (m *MemNetwork) handle(_ int, batch []memDelivery) {
+	for _, d := range batch {
 		d.port.handle(d.buf)
 		d.buf.Release()
 		m.wg.Done()
 	}
 }
 
-// enqueue appends one delivery for the worker pool.
+// enqueue queues one delivery on the worker its flow belongs to.
 func (m *MemNetwork) enqueue(d memDelivery) {
-	m.qmu.Lock()
-	m.queue.push(d)
-	m.qcond.Signal()
-	m.qmu.Unlock()
+	m.rx.enqueue(m.rx.workerOf(d.buf.Data), []memDelivery{d})
 }
 
 // deliver applies fault injection and schedules the packet for the target.

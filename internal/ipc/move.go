@@ -12,10 +12,25 @@ import (
 // single completion acknowledgement, and retransmission that resumes from
 // the last correctly received byte.
 //
+// The receivers are go-back-N, as in the paper: a data packet is accepted
+// only at the offset the receiver expects, anything else is discarded
+// (ipc.move_ooo_drops) and the train's last packet then asks the mover to
+// resume from the gap (ipc.move_resumes). That is cheap exactly as long
+// as a train arrives in the order it was sent, which the Transport
+// contract's per-flow ordering provides: one train is one (src pid, dst
+// pid) flow, so on a network that does not reorder both counters stay 0.
+//
+// Every move packet names the exchange it belongs to: the mover stamps
+// the seq of the Send it is serving (wordMoveSend) and the granting node
+// looks the pending Send up by it, so a late packet of an earlier
+// exchange between the same two processes cannot touch the segment of
+// the current one.
+//
 // Concurrency: outgoing operations live in the node's moveTable (lifecycle
-// under its lock, buffer writes under the per-op lock); inbound MoveTo
-// streams reassemble under a per-stream lock so transfers from different
-// peers land in their granted segments in parallel.
+// under its lock, buffer writes under the per-op lock); an inbound MoveTo
+// stream reassembles under its exchange's own lock (pendingSend.rx) so
+// transfers from different peers land in their granted segments in
+// parallel.
 
 type moveKind int
 
@@ -32,11 +47,12 @@ type moveOp struct {
 	// vec is the transfer's slice list: for moveTo the gather list of
 	// source slices streamed in order, for moveFrom the scatter list of
 	// destination slices filled in order.
-	vec   [][]byte
-	size  uint32 // total transfer size in bytes
-	base  uint32 // offset within the peer's granted segment
-	ackCh chan moveResult
-	timer *time.Timer
+	vec     [][]byte
+	size    uint32 // total transfer size in bytes
+	base    uint32 // offset within the peer's granted segment
+	sendSeq uint32 // seq of the peer's Send this transfer serves
+	ackCh   chan moveResult
+	timer   *time.Timer
 
 	// Guarded by the moveTable lock.
 	retries int
@@ -65,10 +81,15 @@ type moveResult struct {
 	err error
 }
 
-// moveRxState reassembles one inbound MoveTo stream; mu serializes the
-// contiguity check and the copy into the granted segment per stream.
-type moveRxState struct {
+// moveRx reassembles the inbound MoveTo streams of one exchange, one at
+// a time (the mover blocks on each); mu serializes the contiguity check
+// and the copy into the granted segment. It lives in the pendingSend, so
+// it goes when the exchange does. Once a stream completes, expected stays
+// at its size, which is how a retransmitted last packet (the ack was
+// lost) is recognised and re-acked.
+type moveRx struct {
 	mu       sync.Mutex
+	seq      uint32 // the stream being reassembled (the mover's op seq); 0 = none yet
 	expected uint32
 }
 
@@ -121,13 +142,14 @@ func (p *Proc) MoveToVec(dst Pid, destOff uint32, srcs ...[]byte) error {
 		return ErrBadAddress
 	}
 	op := &moveOp{
-		kind:  moveTo,
-		proc:  p,
-		peer:  dst,
-		vec:   srcs,
-		size:  uint32(total),
-		base:  destOff,
-		ackCh: make(chan moveResult, 1),
+		kind:    moveTo,
+		proc:    p,
+		peer:    dst,
+		vec:     srcs,
+		size:    uint32(total),
+		base:    destOff,
+		sendSeq: env.alien.seq,
+		ackCh:   make(chan moveResult, 1),
 	}
 	return p.node.runMove(op)
 }
@@ -179,13 +201,14 @@ func (p *Proc) MoveFromVec(src Pid, srcOff uint32, dsts ...[]byte) error {
 		return ErrBadAddress
 	}
 	op := &moveOp{
-		kind:  moveFrom,
-		proc:  p,
-		peer:  src,
-		vec:   dsts,
-		size:  uint32(total),
-		base:  srcOff,
-		ackCh: make(chan moveResult, 1),
+		kind:    moveFrom,
+		proc:    p,
+		peer:    src,
+		vec:     dsts,
+		size:    uint32(total),
+		base:    srcOff,
+		sendSeq: env.alien.seq,
+		ackCh:   make(chan moveResult, 1),
 	}
 	return p.node.runMove(op)
 }
@@ -274,6 +297,7 @@ func (n *Node) streamMoveTo(op *moveOp, from uint32) {
 			Count:  count,
 		}
 		pkt.Msg.SetWord(wordMoveBase, op.base)
+		pkt.Msg.SetWord(wordMoveSend, op.sendSeq)
 		if off+m == count {
 			pkt.Flags |= vproto.FlagLast
 		}
@@ -298,6 +322,7 @@ func (n *Node) sendMoveFromReq(op *moveOp, got uint32) {
 		Count:  op.size,
 	}
 	pkt.Msg.SetWord(wordMoveBase, op.base)
+	pkt.Msg.SetWord(wordMoveSend, op.sendSeq)
 	n.send(pkt, op.peer.Host())
 }
 
@@ -336,16 +361,19 @@ func (n *Node) moveTimeout(op *moveOp) {
 	op.timer.Reset(n.rtoFor(op.peer.Host()))
 }
 
-// moveToTargetLocked locates the pending Send whose process granted the
-// segment an inbound transfer writes to (or reads from). Caller holds the
-// pendingTable lock.
-func (n *Node) moveToTargetLocked(dst, src Pid) *pendingSend {
-	for _, ps := range n.pending.m {
-		if !ps.done && ps.proc.pid == dst && ps.dst == src {
-			return ps
-		}
+// moveTargetLocked locates the pending Send an inbound move packet
+// serves: the one whose seq the mover stamped, between exactly this pair
+// of processes, granting the access wanted over the range the packet
+// names. Anything else is a stray (a late packet of an earlier exchange,
+// a forgery) and gets nil. Caller holds the pendingTable lock.
+func (n *Node) moveTargetLocked(pkt *vproto.Packet, access byte) *pendingSend {
+	ps := n.pending.m[pkt.Msg.Word(wordMoveSend)]
+	if ps == nil || ps.done || ps.proc.pid != pkt.Dst || ps.dst != pkt.Src ||
+		ps.seg == nil || ps.seg.Access&access == 0 ||
+		uint64(pkt.Msg.Word(wordMoveBase))+uint64(pkt.Count) > uint64(len(ps.seg.Data)) {
+		return nil
 	}
-	return nil
+	return ps
 }
 
 // handleMoveToData runs on the node of the process receiving a MoveTo:
@@ -353,15 +381,8 @@ func (n *Node) moveToTargetLocked(dst, src Pid) *pendingSend {
 func (n *Node) handleMoveToData(pkt *vproto.Packet) {
 	pt := &n.pending
 	pt.mu.Lock()
-	ps := n.moveToTargetLocked(pkt.Dst, pkt.Src)
-	if ps == nil || ps.seg == nil || ps.seg.Access&SegWrite == 0 {
-		pt.mu.Unlock()
-		n.stats.badPackets.Add(1)
-		return
-	}
-	base := pkt.Msg.Word(wordMoveBase)
-	if uint64(base)+uint64(pkt.Count) > uint64(len(ps.seg.Data)) ||
-		uint64(pkt.Offset)+uint64(len(pkt.Data)) > uint64(pkt.Count) {
+	ps := n.moveTargetLocked(pkt, SegWrite)
+	if ps == nil || uint64(pkt.Offset)+uint64(len(pkt.Data)) > uint64(pkt.Count) {
 		pt.mu.Unlock()
 		n.stats.badPackets.Add(1)
 		return
@@ -372,41 +393,25 @@ func (n *Node) handleMoveToData(pkt *vproto.Packet) {
 	pt.mu.Unlock()
 	defer ps.io.RUnlock()
 
-	mt := &n.moves
-	key := moveKey{src: pkt.Src, seq: pkt.Seq}
-	mt.rxMu.Lock()
-	st := mt.rx[key]
-	if st == nil {
-		if d, ok := mt.done[pkt.Src]; ok && d.seq == pkt.Seq {
-			mt.rxMu.Unlock()
-			if pkt.Flags&vproto.FlagLast != 0 {
-				n.sendMoveAck(pkt, d.count, true)
-			}
-			return
-		}
-		st = &moveRxState{}
-		mt.rx[key] = st
+	rx := &ps.rx
+	rx.mu.Lock()
+	if age := int32(pkt.Seq - rx.seq); rx.seq == 0 || age > 0 {
+		rx.seq, rx.expected = pkt.Seq, 0 // the mover's next stream
+	} else if age < 0 {
+		rx.mu.Unlock()
+		return // straggler of a stream the mover has finished with
 	}
-	mt.rxMu.Unlock()
+	if pkt.Offset == rx.expected {
+		copy(ps.seg.Data[pkt.Msg.Word(wordMoveBase)+pkt.Offset:], pkt.Data)
+		rx.expected += uint32(len(pkt.Data))
+	} else {
+		n.stats.moveOOODrops.Add(1)
+	}
+	received := rx.expected
+	rx.mu.Unlock()
 
-	st.mu.Lock()
-	if pkt.Offset == st.expected {
-		copy(ps.seg.Data[base+pkt.Offset:], pkt.Data)
-		st.expected += uint32(len(pkt.Data))
-	}
-	last := pkt.Flags&vproto.FlagLast != 0
-	complete := st.expected >= pkt.Count
-	received := st.expected
-	st.mu.Unlock()
-
-	if last && complete {
-		mt.rxMu.Lock()
-		mt.done[pkt.Src] = doneTransfer{seq: pkt.Seq, count: pkt.Count}
-		delete(mt.rx, key)
-		mt.rxMu.Unlock()
-	}
-	if last {
-		n.sendMoveAck(pkt, received, complete)
+	if pkt.Flags&vproto.FlagLast != 0 {
+		n.sendMoveAck(pkt, received, received >= pkt.Count)
 	}
 }
 
@@ -446,6 +451,7 @@ func (n *Node) handleMoveAck(pkt *vproto.Packet) {
 	resume := pkt.Offset
 	op.io.RLock()
 	t.mu.Unlock()
+	n.stats.moveResumes.Add(1)
 	n.streamMoveTo(op, resume)
 	op.io.RUnlock()
 	op.timer.Reset(n.rtoFor(op.peer.Host()))
@@ -456,14 +462,8 @@ func (n *Node) handleMoveAck(pkt *vproto.Packet) {
 func (n *Node) handleMoveFromReq(pkt *vproto.Packet) {
 	pt := &n.pending
 	pt.mu.Lock()
-	ps := n.moveToTargetLocked(pkt.Dst, pkt.Src)
-	if ps == nil || ps.seg == nil || ps.seg.Access&SegRead == 0 {
-		pt.mu.Unlock()
-		n.stats.badPackets.Add(1)
-		return
-	}
-	base := pkt.Msg.Word(wordMoveBase)
-	if uint64(base)+uint64(pkt.Count) > uint64(len(ps.seg.Data)) {
+	ps := n.moveTargetLocked(pkt, SegRead)
+	if ps == nil {
 		pt.mu.Unlock()
 		n.stats.badPackets.Add(1)
 		return
@@ -473,6 +473,7 @@ func (n *Node) handleMoveFromReq(pkt *vproto.Packet) {
 	ps.io.RLock()
 	pt.mu.Unlock()
 	defer ps.io.RUnlock()
+	base := pkt.Msg.Word(wordMoveBase)
 	src := ps.seg.Data[base : base+pkt.Count]
 
 	chunk := uint32(n.cfg.ChunkSize)
@@ -515,7 +516,9 @@ func (n *Node) handleMoveFromData(pkt *vproto.Packet) {
 	t.mu.Unlock()
 
 	op.mu.Lock()
-	if pkt.Offset == op.got && uint64(pkt.Offset)+uint64(len(pkt.Data)) <= uint64(op.size) {
+	if pkt.Offset != op.got {
+		n.stats.moveOOODrops.Add(1)
+	} else if uint64(pkt.Offset)+uint64(len(pkt.Data)) <= uint64(op.size) {
 		scatterCopy(op.vec, pkt.Offset, pkt.Data)
 		op.got += uint32(len(pkt.Data))
 	}
@@ -540,6 +543,7 @@ func (n *Node) handleMoveFromData(pkt *vproto.Packet) {
 		op.retries = 0
 		t.mu.Unlock()
 		// Gap at end of stream: re-request from the last received byte.
+		n.stats.moveResumes.Add(1)
 		n.sendMoveFromReq(op, got)
 		op.timer.Reset(n.rtoFor(op.peer.Host()))
 	}

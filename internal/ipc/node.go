@@ -119,6 +119,7 @@ type pendingSend struct {
 	frame   *bufpool.Buf // the encoded Send, held for retransmission; owned by the sending goroutine, released after the result
 	seg     *Segment
 	io      sync.RWMutex
+	rx      moveRx // inbound MoveTo reassembly; reset per exchange like the fields above
 	replyCh chan sendResult
 	retries int
 	timer   *time.Timer
@@ -150,16 +151,6 @@ type sendResult struct {
 	data  []byte // ReplyWithSegment payload (aliases frame)
 	off   uint32
 	frame *bufpool.Buf // retained receive frame backing data; receiver releases
-}
-
-type moveKey struct {
-	src Pid
-	seq uint32
-}
-
-type doneTransfer struct {
-	seq   uint32
-	count uint32
 }
 
 // NewNode creates a node with the given logical host id on a transport.

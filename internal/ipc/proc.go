@@ -294,6 +294,7 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 		ps.seg = seg
 		ps.retries = 0
 		ps.done = false
+		ps.rx.seq, ps.rx.expected = 0, 0
 		ps.sentAt = sentAt
 		ps.retransmitted = false
 		return p.armResend(ps)

@@ -14,5 +14,8 @@ const (
 	// KindMoveToData / KindMoveFromReq: word 1 carries the transfer's
 	// base byte offset within the target segment; each fragment's own
 	// offset rides in the packet header and is applied relative to it.
+	// Word 2 carries the seq of the Send the mover is serving, which is
+	// how the granting node finds the exchange (and only that exchange).
 	wordMoveBase = 1
+	wordMoveSend = 2
 )

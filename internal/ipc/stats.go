@@ -19,6 +19,8 @@ type nodeCounters struct {
 	badPackets        *obs.Counter
 	moveOps           *obs.Counter
 	moveBytes         *obs.Counter
+	moveResumes       *obs.Counter // trains resumed from a gap (non-final MoveToAck, re-issued MoveFromReq)
+	moveOOODrops      *obs.Counter // data packets discarded for arriving at the wrong offset
 	rttSamples        *obs.Counter
 }
 
@@ -40,6 +42,8 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		badPackets:        r.Counter("ipc.bad_packets"),
 		moveOps:           r.Counter("ipc.move_ops"),
 		moveBytes:         r.Counter("ipc.move_bytes"),
+		moveResumes:       r.Counter("ipc.move_resumes"),
+		moveOOODrops:      r.Counter("ipc.move_ooo_drops"),
 		rttSamples:        r.Counter("ipc.rtt_samples"),
 	}
 }

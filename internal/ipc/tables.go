@@ -231,24 +231,15 @@ func (t *pendingTable) drain() []*pendingSend {
 	return out
 }
 
-// moveTable owns the outgoing bulk-transfer operations and, under a
-// separate lock, the receive-side stream-reassembly state, so inbound
-// data packets never contend with outbound transfers.
+// moveTable owns the outgoing bulk-transfer operations. (Receive-side
+// reassembly state lives with the exchange it serves, in pendingSend.rx.)
 type moveTable struct {
 	mu     sync.Mutex
 	m      map[uint32]*moveOp
 	closed bool
-
-	rxMu sync.Mutex
-	rx   map[moveKey]*moveRxState
-	done map[Pid]doneTransfer
 }
 
-func (t *moveTable) init() {
-	t.m = make(map[uint32]*moveOp)
-	t.rx = make(map[moveKey]*moveRxState)
-	t.done = make(map[Pid]doneTransfer)
-}
+func (t *moveTable) init() { t.m = make(map[uint32]*moveOp) }
 
 // add registers op and arms its timeout atomically (see pendingTable.add).
 func (t *moveTable) add(op *moveOp, arm func() *time.Timer) error {

@@ -3,7 +3,6 @@ package ipc
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,11 +12,24 @@ import (
 )
 
 // udpQueueDepth bounds datagrams buffered between the socket read loop
-// and the handler workers; when full, the read loop blocks and further
-// arrivals spill into the kernel socket buffer (and are eventually
-// dropped — the protocol recovers by retransmission, as it does for any
-// datagram loss).
+// and each dispatch worker; when a worker's queue is full, the read loop
+// blocks and further arrivals spill into the kernel socket buffer (and
+// are eventually dropped — the protocol recovers by retransmission, as it
+// does for any datagram loss).
 const udpQueueDepth = 512
+
+// udpSockBuf is the kernel buffer both UDP transports ask for on every
+// socket, best effort: a 64 KB train is 64 back-to-back datagrams, and
+// two of them converging on one socket overflow the ~208 KB Linux
+// default — each loss then costs a retransmit timeout, not a resume.
+const udpSockBuf = 1 << 20
+
+// sizeSockBufs applies udpSockBuf to a socket. Errors are ignored: the
+// kernel clamps to its own limits and the protocol survives loss.
+func sizeSockBufs(conn *net.UDPConn) {
+	_ = conn.SetReadBuffer(udpSockBuf)
+	_ = conn.SetWriteBuffer(udpSockBuf)
+}
 
 // UDPConfig tunes a UDPTransport; the zero value gets the defaults that
 // used to be compile-time constants.
@@ -28,9 +40,9 @@ type UDPConfig struct {
 	// Nil gets a private registry.
 	Metrics *obs.Registry
 	// QueueDepth bounds datagrams buffered between the socket read loop
-	// and the handler workers (0 = 512).
+	// and each dispatch worker (0 = 512).
 	QueueDepth int
-	// Workers sizes the packet-dispatch pool (0 = one per CPU, min 2,
+	// Workers is the number of dispatch workers (0 = one per CPU, min 2,
 	// capped at 16).
 	Workers int
 }
@@ -45,36 +57,24 @@ func (c UDPConfig) withDefaults() UDPConfig {
 	return c
 }
 
-// dispatchWorkers sizes a packet-dispatch pool: one worker per available
-// CPU, at least 2, and at most limit when limit > 0 (so a large host does
-// not hold dozens of idle goroutines per transport).
-func dispatchWorkers(limit int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w < 2 {
-		w = 2
-	}
-	if limit > 0 && w > limit {
-		w = limit
-	}
-	return w
-}
-
 // UDPTransport carries interkernel packets in UDP datagrams — the modern
 // stand-in for the paper's "raw Ethernet data link level": an unreliable,
 // unordered datagram service with no transport layer on top. Peers are
 // registered explicitly (the analogue of the §3.1 logical-host-to-network
 // address table); Broadcast sends to every registered peer.
 //
-// Received datagrams are dispatched to a bounded worker pool rather than
-// handled inline in the single socket read loop, so one host's packet
-// processing scales across cores; the handler must therefore be safe for
-// concurrent invocation (Node is).
+// Received datagrams go through a dispatcher rather than being handled
+// inline in the single socket read loop, so one host's packet processing
+// scales across cores; the handler must therefore be safe for concurrent
+// invocation (Node is). The dispatcher keeps each (src pid, dst pid)
+// flow on one worker, so the handler sees a flow's packets in the order
+// the socket delivered them — see the Transport contract.
 //
 // Receive buffers are pooled and reference counted. The read loop fills a
 // fresh pooled frame per datagram and transfers its single reference to
-// the queue; the worker that dequeues it owns that reference across the
-// handler upcall and releases it when the handler returns. The read loop
-// never touches a frame after handing it off, so a worker can never
+// the dispatcher; the worker that dequeues it owns that reference across
+// the handler upcall and releases it when the handler returns. The read
+// loop never touches a frame after handing it off, so a worker can never
 // observe a recycled buffer mid-dispatch — the lifetime audit is the ref
 // count.
 //
@@ -83,18 +83,18 @@ func dispatchWorkers(limit int) int {
 // recvmmsg/sendmmsg vectors on Linux.
 type UDPTransport struct {
 	conn    *net.UDPConn
-	cfg     UDPConfig
 	handler atomic.Pointer[func(*bufpool.Buf)]
 	peers   peerTable
 
 	sends *obs.Counter // set once at construction
 	recvs *obs.Counter
 
+	rx *dispatcher[*bufpool.Buf]
+
 	mu      sync.Mutex
 	closed  bool
 	started bool
-	queue   chan *bufpool.Buf
-	wg      sync.WaitGroup
+	reader  sync.WaitGroup // the read loop
 }
 
 // NewUDPTransport opens a UDP socket on the given address (use
@@ -121,14 +121,14 @@ func NewUDPTransportConfig(listen string, cfg UDPConfig) (*UDPTransport, error) 
 	if reg == nil {
 		reg = obs.New()
 	}
+	sizeSockBufs(conn)
 	t := &UDPTransport{
 		conn:  conn,
-		cfg:   cfg,
-		queue: make(chan *bufpool.Buf, cfg.QueueDepth),
 		sends: reg.Counter("net.sends"),
 		recvs: reg.Counter("net.recvs"),
 	}
 	t.peers.init()
+	t.rx = newDispatcher(cfg.Workers, cfg.QueueDepth, t.handle)
 	return t, nil
 }
 
@@ -140,8 +140,8 @@ func (t *UDPTransport) AddPeer(host LogicalHost, addr *net.UDPAddr) {
 	t.peers.add(host, addr)
 }
 
-// readLoop pulls datagrams off the socket and feeds the worker pool. It
-// owns the queue and closes it on socket shutdown. The socket read lands
+// readLoop pulls datagrams off the socket and feeds the dispatcher, each
+// to the worker its flow belongs to. The socket read lands
 // in a loop-owned scratch buffer, not a pooled frame: a pooled frame
 // posted before the blocking read would stay checked out for as long as
 // the socket sits idle, so an idle transport would pin pool memory
@@ -153,8 +153,7 @@ func (t *UDPTransport) AddPeer(host LogicalHost, addr *net.UDPAddr) {
 // interkernel packet are truncated and fail the decode checksum, as any
 // non-protocol traffic does.
 func (t *UDPTransport) readLoop() {
-	defer t.wg.Done()
-	defer close(t.queue)
+	defer t.reader.Done()
 	scratch := make([]byte, vproto.MaxWireSize)
 	for {
 		n, from, err := t.conn.ReadFromUDP(scratch)
@@ -165,17 +164,17 @@ func (t *UDPTransport) readLoop() {
 		copy(f.Data, scratch[:n])
 		t.peers.learn(f.Data, from)
 		t.recvs.Add(1)
-		t.queue <- f
+		t.rx.enqueue(t.rx.workerOf(f.Data), []*bufpool.Buf{f})
 	}
 }
 
-// worker drains the queue, invoking the handler on each frame and
-// returning the queue's reference afterwards. The handler is an atomic
-// pointer rather than a field under t.mu, so dispatch never contends on
-// the transport mutex and later SetHandler calls still take effect.
-func (t *UDPTransport) worker() {
-	defer t.wg.Done()
-	for f := range t.queue {
+// handle is the dispatcher's run function: it invokes the handler on
+// each frame and returns the queue's reference afterwards. The handler is
+// an atomic pointer rather than a field under t.mu, so dispatch never
+// contends on the transport mutex and later SetHandler calls still take
+// effect.
+func (t *UDPTransport) handle(_ int, batch []*bufpool.Buf) {
+	for _, f := range batch {
 		if h := t.handler.Load(); h != nil {
 			(*h)(f)
 		}
@@ -223,28 +222,24 @@ func (t *UDPTransport) Broadcast(pkt []byte) error {
 	return first
 }
 
-// SetHandler implements Transport. The first call starts the read loop
-// and worker pool; installing the handler before any packet can be read
-// closes the seed's startup race where early datagrams were dropped.
+// SetHandler implements Transport. The first call starts the read loop;
+// installing the handler before any packet can be read closes the seed's
+// startup race where early datagrams were dropped.
 func (t *UDPTransport) SetHandler(h func(*bufpool.Buf)) {
 	if h == nil {
 		t.handler.Store(nil)
 	} else {
 		t.handler.Store(&h)
 	}
-	workers := t.cfg.Workers
 	t.mu.Lock()
 	start := !t.started && !t.closed
 	if start {
 		t.started = true
-		t.wg.Add(1 + workers)
+		t.reader.Add(1)
 	}
 	t.mu.Unlock()
 	if start {
 		go t.readLoop()
-		for i := 0; i < workers; i++ {
-			go t.worker()
-		}
 	}
 }
 
@@ -258,6 +253,7 @@ func (t *UDPTransport) Close() error {
 	t.closed = true
 	t.mu.Unlock()
 	err := t.conn.Close()
-	t.wg.Wait() // read loop exits on the closed socket; workers drain
+	t.reader.Wait() // the read loop exits on the closed socket
+	t.rx.close()    // the workers drain what it queued
 	return err
 }

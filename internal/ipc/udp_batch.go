@@ -26,10 +26,10 @@ type BatchConfig struct {
 	// Batch bounds the recvmmsg/sendmmsg vector length: how many
 	// datagrams one kernel crossing can move (0 = 32).
 	Batch int
-	// QueueDepth bounds receive batches buffered between the rx loops
-	// and the handler workers (0 = 512, as for UDPTransport).
+	// QueueDepth bounds datagrams buffered between the rx loops and
+	// each dispatch worker (0 = 512, as for UDPTransport).
 	QueueDepth int
-	// Workers sizes the packet-dispatch pool (0 = one per CPU, min 2,
+	// Workers is the number of dispatch workers (0 = one per CPU, min 2,
 	// capped at 16).
 	Workers int
 	// HotPeers bounds the connected per-peer sockets: a peer promoted
@@ -94,8 +94,8 @@ type BatchStats struct {
 //
 //   - Receive: each of Shards SO_REUSEPORT sockets runs an rx loop
 //     pulling up to Batch datagrams per recvmmsg call into pooled
-//     frames, dispatched to the shared worker pool exactly like
-//     UDPTransport's (same ownership rules: one reference rides the
+//     frames, dispatched by flow exactly like UDPTransport's (same
+//     per-flow ordering, same ownership rules: one reference rides the
 //     queue; the handler must Retain to keep bytes past its return).
 //   - Send: concurrent Sends coalesce into sendmmsg vectors. A Send
 //     that finds the socket idle transmits immediately — solo traffic
@@ -118,15 +118,16 @@ type BatchedUDPTransport struct {
 	stats   batchCounters
 	rxBurst atomic.Int32 // decaying ingress-burstiness gauge, fed by the rx loops
 
-	mu       sync.Mutex
-	closed   bool
-	started  bool
-	hot      map[LogicalHost]*batchSock
-	sendsTo  map[LogicalHost]int
-	hotOff   bool // hot-socket dialing failed; stop trying
-	queue    chan []*bufpool.Buf
-	rxWG     sync.WaitGroup
-	workerWG sync.WaitGroup
+	rx     *dispatcher[*bufpool.Buf]
+	corked [][]*batchSock // per dispatch worker: scratch for cork
+
+	mu      sync.Mutex
+	closed  bool
+	started bool
+	hot     map[LogicalHost]*batchSock
+	sendsTo map[LogicalHost]int
+	hotOff  bool // hot-socket dialing failed; stop trying
+	rxWG    sync.WaitGroup
 }
 
 // batchCounters are the transport's batching statistics, named net.*
@@ -192,17 +193,19 @@ func NewBatchedUDPTransport(listen string, cfg BatchConfig) (*BatchedUDPTranspor
 		addr:    conns[0].LocalAddr().(*net.UDPAddr),
 		hot:     make(map[LogicalHost]*batchSock),
 		sendsTo: make(map[LogicalHost]int),
-		queue:   make(chan []*bufpool.Buf, cfg.QueueDepth),
 		stats:   newBatchCounters(reg),
+		corked:  make([][]*batchSock, cfg.Workers),
 	}
 	t.peers.init()
 	for _, c := range conns {
 		t.socks = append(t.socks, newBatchSock(t, c, nil))
 	}
+	t.rx = newDispatcher(cfg.Workers, cfg.QueueDepth, t.handle)
 	return t, nil
 }
 
 func newBatchSock(t *BatchedUDPTransport, conn *net.UDPConn, peer *net.UDPAddr) *batchSock {
+	sizeSockBufs(conn)
 	s := &batchSock{t: t, conn: conn, peer: peer}
 	s.mm.init(conn, t.cfg.Batch, peer != nil)
 	return s
@@ -461,8 +464,10 @@ func (s *batchSock) readOne(scratch [][]byte, lens []int, peers *peerTable) (int
 // rxLoop drives one socket: each iteration pulls up to Batch datagrams
 // in one kernel crossing into loop-owned scratch slabs, wraps each in a
 // right-sized pooled frame, and hands the frames' single references to
-// the dispatch queue as one batch (one channel operation per kernel
-// crossing, not per datagram). The recvmmsg vector is backed by the
+// the dispatcher, split by flow into one sub-batch per worker (one queue
+// operation per worker and kernel crossing, not per datagram, and a
+// worker still sees the multi-frame batches that arm its corking). The
+// recvmmsg vector is backed by the
 // scratch slabs, not pooled frames: recvmmsg needs its buffers posted
 // before the blocking read, and a pooled vector posted that way would
 // stay checked out of the pool for as long as the socket sits idle —
@@ -476,6 +481,7 @@ func (t *BatchedUDPTransport) rxLoop(s *batchSock) {
 		scratch[i] = make([]byte, vproto.MaxWireSize)
 	}
 	lens := make([]int, t.cfg.Batch)
+	sub := make([][]*bufpool.Buf, t.cfg.Workers)
 	for {
 		n, err := s.readBatch(scratch, lens, &t.peers)
 		if err != nil {
@@ -490,40 +496,44 @@ func (t *BatchedUDPTransport) rxLoop(s *batchSock) {
 		} else if v := t.rxBurst.Load(); v > 0 {
 			t.rxBurst.Store(v - 1)
 		}
-		batch := make([]*bufpool.Buf, n)
 		for i := 0; i < n; i++ {
 			f := bufpool.Get(lens[i])
 			copy(f.Data, scratch[i][:lens[i]])
-			batch[i] = f
+			w := t.rx.workerOf(f.Data)
+			sub[w] = append(sub[w], f)
 		}
-		t.queue <- batch
+		for w, frames := range sub {
+			if len(frames) > 0 {
+				t.rx.enqueue(w, frames)
+				clear(frames)
+				sub[w] = frames[:0]
+			}
+		}
 	}
 }
 
-// worker drains the queue batch by batch: upcall and release each
-// frame, as UDPTransport's workers do — but around a multi-datagram
+// handle is the dispatcher's run function for worker w: upcall and
+// release each frame, as UDPTransport does — but around a multi-datagram
 // batch the tx sockets are corked, so the replies the handlers generate
 // coalesce into sendmmsg vectors instead of paying one kernel crossing
 // each. Request traffic arriving in batches is exactly the traffic
 // whose responses leave in batches.
-func (t *BatchedUDPTransport) worker() {
-	defer t.workerWG.Done()
-	var corked []*batchSock
-	for batch := range t.queue {
-		if len(batch) > 1 {
-			corked = t.cork(corked[:0])
-		}
-		for _, f := range batch {
-			if h := t.handler.Load(); h != nil {
-				(*h)(f)
-			}
-			f.Release()
-		}
-		for _, s := range corked {
-			s.drain()
-		}
-		corked = corked[:0]
+func (t *BatchedUDPTransport) handle(w int, batch []*bufpool.Buf) {
+	corked := t.corked[w][:0]
+	if len(batch) > 1 {
+		corked = t.cork(corked)
 	}
+	for _, f := range batch {
+		if h := t.handler.Load(); h != nil {
+			(*h)(f)
+		}
+		f.Release()
+	}
+	for _, s := range corked {
+		s.drain()
+	}
+	clear(corked)
+	t.corked[w] = corked
 }
 
 // cork claims flusher duty on every socket that has no active flusher,
@@ -553,8 +563,7 @@ func (t *BatchedUDPTransport) cork(dst []*batchSock) []*batchSock {
 	return all[:n]
 }
 
-// SetHandler implements Transport; the first call starts the rx loops
-// and worker pool.
+// SetHandler implements Transport; the first call starts the rx loops.
 func (t *BatchedUDPTransport) SetHandler(h func(*bufpool.Buf)) {
 	if h == nil {
 		t.handler.Store(nil)
@@ -573,21 +582,15 @@ func (t *BatchedUDPTransport) SetHandler(h func(*bufpool.Buf)) {
 			}
 		}
 		t.rxWG.Add(len(socks))
-		t.workerWG.Add(t.cfg.Workers)
 	}
 	t.mu.Unlock()
-	if start {
-		for _, s := range socks {
-			go t.rxLoop(s)
-		}
-		for i := 0; i < t.cfg.Workers; i++ {
-			go t.worker()
-		}
+	for _, s := range socks {
+		go t.rxLoop(s)
 	}
 }
 
 // Close implements Transport: close every socket (shards and hot
-// peers), wait for the rx loops, then drain and stop the workers.
+// peers), wait for the rx loops, then drain and stop the dispatcher.
 func (t *BatchedUDPTransport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -595,7 +598,6 @@ func (t *BatchedUDPTransport) Close() error {
 		return nil
 	}
 	t.closed = true
-	started := t.started
 	conns := make([]*net.UDPConn, 0, len(t.socks)+len(t.hot))
 	for _, s := range t.socks {
 		conns = append(conns, s.conn)
@@ -613,9 +615,6 @@ func (t *BatchedUDPTransport) Close() error {
 		}
 	}
 	t.rxWG.Wait()
-	if started {
-		close(t.queue)
-	}
-	t.workerWG.Wait()
+	t.rx.close()
 	return first
 }

@@ -2,6 +2,8 @@ package rfs
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +13,7 @@ import (
 
 // Throughput benchmarks for the real file service: §3.4 page reads (one
 // Send/Reply exchange, page in the reply packet) and §6.3 64 KB streamed
-// reads (MoveTo in transfer-unit chunks) at 1, 4 and 16 concurrent
+// reads (one MoveTo train) at 1, 4 and 16 concurrent
 // clients, over both the in-memory mesh and loopback UDP sockets. The
 // custom ops/s metric is the figure of merit — on a multi-core host it
 // must grow with client count, since the server handles requests on a
@@ -166,10 +168,9 @@ func BenchmarkReadLarge64K(b *testing.B) {
 }
 
 // BenchmarkWriteLarge64K measures streamed 64 KB writes (pulled by the
-// server in transfer-unit chunks) versus client concurrency, in both
-// modes: write-behind scatters each chunk straight into cache blocks
-// with MoveFromVec and overlaps the pull of chunk N+1 with absorbing
-// chunk N; write-through is the serial pull-then-store baseline. Each
+// server as one MoveFrom train) versus client concurrency, in both
+// modes: write-behind scatters the train straight into cache blocks
+// with MoveFromVec; write-through is the pull-then-store baseline. Each
 // client writes its own file, the program-installation shape of §6.3.
 func BenchmarkWriteLarge64K(b *testing.B) {
 	const size = 64 * 1024
@@ -185,5 +186,74 @@ func BenchmarkWriteLarge64K(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkPageReadBesideStream measures what a pager pays for sharing
+// its workstation with a streamer: the median page-read latency of one
+// client process, alone and while a second process on the same node
+// loops 64 KB WriteLarge — whose MoveFrom trains the client node's
+// dispatch workers stream out, 64 packets at a time. "same-worker" puts
+// the two processes' flows on one dispatch worker (their pids differ by
+// the worker count), the worst case; "other-worker" is what consecutive
+// Attach calls give.
+func BenchmarkPageReadBesideStream(b *testing.B) {
+	workers := min(max(runtime.GOMAXPROCS(0), 2), 16) // ipc's dispatcher sizing
+	for _, tc := range []struct {
+		name   string
+		stream bool
+		gap    int // processes attached between pager and streamer
+	}{
+		{"solo", false, 0},
+		{"other-worker", true, 0},
+		{"same-worker", true, workers - 1},
+	} {
+		b.Run("udp/"+tc.name, func(b *testing.B) {
+			e := benchEnv(b, "udp")
+			pager := e.client(b, "pager")
+			for i := 0; i < tc.gap; i++ {
+				e.client(b, "spacer")
+			}
+			streamer := e.client(b, "streamer")
+			stop := make(chan struct{})
+			done := make(chan error, 1)
+			if tc.stream {
+				image := pattern(9, 64*1024)
+				go func() {
+					for {
+						select {
+						case <-stop:
+							done <- nil
+							return
+						default:
+						}
+						if err := streamer.WriteLarge(1000, 0, image); err != nil {
+							done <- err
+							return
+						}
+					}
+				}()
+			}
+			page := make([]byte, 512)
+			lat := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range lat {
+				t0 := time.Now()
+				if _, err := pager.ReadBlock(benchFile, uint32(i%256), page); err != nil {
+					b.Fatal(err)
+				}
+				lat[i] = time.Since(t0)
+			}
+			b.StopTimer()
+			close(stop)
+			if tc.stream {
+				if err := <-done; err != nil {
+					b.Fatal(err)
+				}
+			}
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			b.ReportMetric(float64(lat[len(lat)/2])/1e3, "p50-µs")
+			b.ReportMetric(float64(lat[len(lat)*99/100])/1e3, "p99-µs")
+		})
 	}
 }

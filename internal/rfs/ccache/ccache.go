@@ -142,6 +142,10 @@ func (c *Cache) Contains(file, block uint32) bool {
 // insert is refused when data is not a whole page, when the cache is
 // closed, or when the block was invalidated since gen was snapshotted —
 // the bytes predate a concurrent write and would be a stale resurrection.
+// That last refusal also drops whatever the cache holds for the block:
+// when the caller was refreshing its copy after its own write, the copy
+// still cached is older than both writes and must not outlive the
+// refresh that failed.
 func (c *Cache) Insert(file, block uint32, data []byte, gen uint64) {
 	if len(data) != c.cfg.BlockSize {
 		return
@@ -154,6 +158,9 @@ func (c *Cache) Insert(file, block uint32, data []byte, gen uint64) {
 	}
 	if c.genOf(k).Load() != gen {
 		c.staleDrops.Add(1)
+		if el, ok := c.entries[k]; ok {
+			c.removeLocked(el)
+		}
 		return
 	}
 	c.inserts.Add(1)

@@ -99,6 +99,31 @@ func TestStaleInsertDropped(t *testing.T) {
 	b.Release()
 }
 
+// TestRefusedRefreshDropsOldCopy is the write-refresh variant of the
+// same race: the block is already cached, its owner rewrites it, and an
+// invalidation of a neighbour sharing the generation shard lands before
+// the refresh. The refresh is refused — and the copy it was replacing,
+// now two writes old, must go with it.
+func TestRefusedRefreshDropsOldCopy(t *testing.T) {
+	leakCheck(t)
+	c := New(Config{Blocks: 4, BlockSize: 64})
+	defer c.Close()
+	c.Insert(7, 3, page(1, 64), c.Snapshot(7, 3))
+	neighbour := uint32(4)
+	for c.genOf(key{7, neighbour}) != c.genOf(key{7, 3}) {
+		neighbour++
+	}
+	gen := c.Snapshot(7, 3)
+	c.Invalidate(7, neighbour, 1) // leaves block 3 cached, moves its stamp
+	c.Insert(7, 3, page(2, 64), gen)
+	if c.Contains(7, 3) {
+		t.Fatal("a refused refresh left the pre-write copy cached")
+	}
+	if st := c.Stats(); st.StaleDrops != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
 func TestInvalidateRangeAndFile(t *testing.T) {
 	leakCheck(t)
 	c := New(Config{Blocks: 32, BlockSize: 64})

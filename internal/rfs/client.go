@@ -344,7 +344,7 @@ func (c *Client) WriteBlock(file, block uint32, data []byte) error {
 }
 
 // ReadLarge reads up to len(dst) bytes starting at byte offset off into
-// dst. The server streams the data with MoveTo in transfer-unit chunks
+// dst. The server streams the data with MoveTo, one train per 64 KB
 // (§6.3); the count returned is how many bytes the file held.
 func (c *Client) ReadLarge(file, off uint32, dst []byte) (int, error) {
 	m := c.request(OpReadLarge, file, off, uint32(len(dst)))
@@ -359,7 +359,7 @@ func (c *Client) ReadLarge(file, off uint32, dst []byte) (int, error) {
 }
 
 // WriteLarge writes data to the file at byte offset off; the server pulls
-// it with scatter MoveFrom in transfer-unit chunks.
+// it with scatter MoveFrom, one train per 64 KB.
 func (c *Client) WriteLarge(file, off uint32, data []byte) error {
 	m := c.request(OpWriteLarge, file, off, uint32(len(data)))
 	return c.exchangeOp(&m, c.segment(data, ipc.SegRead))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,6 +217,66 @@ func TestClientCacheLargeWriteInvalidates(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("byte %d nonzero after acked truncate", i)
 		}
+	}
+}
+
+// hookStore runs a test-supplied function before each WriteAt — that is,
+// with a write-through server, in the middle of the client's write
+// exchange.
+type hookStore struct {
+	Store
+	before atomic.Pointer[func()]
+}
+
+func (h *hookStore) WriteAt(file uint32, p []byte, off int64) error {
+	if f := h.before.Load(); f != nil {
+		(*f)()
+	}
+	return h.Store.WriteAt(file, p, off)
+}
+
+// TestClientCacheWriteRefreshRefused: a client rewrites a page it has
+// cached while an invalidation for a neighbouring block (one sharing the
+// cache's generation shard) lands between the Snapshot and the Insert of
+// WriteBlock. The refresh is refused; the client must then read its own
+// write back from the server, not the copy it cached before.
+func TestClientCacheWriteRefreshRefused(t *testing.T) {
+	store := &hookStore{Store: NewMemStore()}
+	e := memEnvStore(t, store, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{WriteThrough: true})
+	c := e.cachingClient(t, "app", CacheClientConfig{})
+
+	const file, block = 40, 3
+	neighbour := uint32(block + 1)
+	for {
+		before := c.cache.Snapshot(file, block)
+		c.cache.Invalidate(file, neighbour, 1)
+		if c.cache.Snapshot(file, block) != before {
+			break
+		}
+		neighbour++
+	}
+	if err := c.WriteBlock(file, block, versionedPage(block, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.cache.Contains(file, block) {
+		t.Fatal("a whole-page write did not leave the page cached")
+	}
+
+	// What the callback process does when another client writes the
+	// neighbour, timed to land while our write is at the server.
+	callback := func() { c.cache.Invalidate(file, neighbour, 1) }
+	store.before.Store(&callback)
+	if err := c.WriteBlock(file, block, versionedPage(block, 2)); err != nil {
+		t.Fatal(err)
+	}
+	store.before.Store(nil)
+
+	got := make([]byte, 512)
+	if _, err := c.ReadBlock(file, block, got); err != nil {
+		t.Fatal(err)
+	}
+	if v := pageVersion(got); v != 2 {
+		t.Fatalf("read back version %d of the page after writing version 2", v)
 	}
 }
 

@@ -56,7 +56,12 @@ func TestTracedWriteMultiNodeTimeline(t *testing.T) {
 		t.Fatalf("primary ring has no rfs.write_block span for trace %06x: %+v",
 			trace, primary.Srv.Metrics().Trace().Events())
 	}
+	// Writes acked before the replica enrolled are not pushed (it catches
+	// up from a snapshot), so keep writing until one is.
 	waitUntil(t, 5*time.Second, "replication push span on the primary", func() bool {
+		if err := cl.WriteBlock(7, 0, page); err != nil {
+			t.Fatalf("write block 0: %v", err)
+		}
 		return has(primary, "repl.push")
 	})
 	waitUntil(t, 5*time.Second, "apply span on the replica", func() bool {

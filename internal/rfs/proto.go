@@ -12,8 +12,8 @@
 //     Send packet (§3.4's read-segment prefix); any remainder beyond the
 //     inline allowance is pulled with MoveFrom.
 //   - Reads larger than a page (program loading, §6.3) are streamed with
-//     MoveTo in TransferUnit chunks; large writes are pulled with
-//     MoveFrom.
+//     MoveTo, one packet train and one acknowledgement per 64 KB
+//     (maxTrain); large writes are pulled with MoveFrom the same way.
 //
 // The server owns a byte-addressed block store (in-memory or file-backed)
 // behind an LRU block cache with optional read-ahead, and handles

@@ -27,8 +27,10 @@ import (
 // answering, and in-sync replicas are never stale at all — the primary
 // acks a write only after they applied it.
 
-// repPullGrant sizes the catch-up pull and snapshot-resync buffers.
-const repPullGrant = 64 << 10
+// repPullGrant sizes the catch-up pull and snapshot-resync buffers. A
+// pull batch must have room for the longest record (one maxTrain of a
+// large write) and its header.
+const repPullGrant = 2 * maxTrain
 
 // errReplicaStopped reports the control loop was asked to shut down.
 var errReplicaStopped = errors.New("rfs: replica stopped")
@@ -128,10 +130,12 @@ func (rv *replicaVol) sleepStop(d time.Duration) bool {
 // applyLoop receives pushed records from the primary's sender. Each
 // push is one exchange: data inline with the Send, remainder pulled
 // with MoveFrom (the page-write pattern), applied in sequence order,
-// acked with the replica's last applied sequence.
+// acked with the replica's last applied sequence. The receive buffer
+// holds what a Send can carry inline; a record longer than that (one
+// train of a large write) trades it for one its own size.
 func (rv *replicaVol) applyLoop(p *ipc.Proc) {
 	for {
-		f := bufpool.Get(rv.s.cfg.TransferUnit)
+		f := bufpool.Get(vproto.MaxData)
 		msg, src, n, err := p.ReceiveWithSegment(f.Data)
 		if err != nil {
 			f.Release()
@@ -146,10 +150,13 @@ func (rv *replicaVol) applyLoop(p *ipc.Proc) {
 			// We are the primary now; a push means a stale ex-primary is
 			// still alive. Refuse so its sender drops the connection.
 			status = StatusNoVolume
-		case op == OpReplicate && int(count) <= len(f.Data):
-			got := uint32(n)
-			if got > count {
-				got = count
+		case op == OpReplicate && count <= maxTrain:
+			got := min(uint32(n), count)
+			if int(count) > len(f.Data) {
+				whole := bufpool.Get(int(count))
+				copy(whole.Data, f.Data[:got])
+				f.Release()
+				f = whole
 			}
 			status = StatusOK
 			if got < count {

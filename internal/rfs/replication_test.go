@@ -277,6 +277,11 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	cfg := replConfig(false)
 	cfg.Shards = 3
 	cfg.Replicas = 2
+	// Replica 1 must stay enrolled through the backlog (its membership is
+	// what keeps the log): on a loaded machine one late ack inside the
+	// fixture's 50 ms would drop it, empty the log and turn the rejoin
+	// below into a snapshot resync.
+	cfg.Server.ReplicaAckTimeout = 500 * time.Millisecond
 	// A 1ms-per-op store stretches the catch-up so the test can reliably
 	// kill the replica while the pull is in progress.
 	cfg.NewStore = func(uint32) Store { return NewDelayStore(NewMemStore(), time.Millisecond) }

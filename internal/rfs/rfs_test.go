@@ -202,7 +202,7 @@ func TestLargeWriteThenRead(t *testing.T) {
 	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
 	c := e.client(t, "app")
 
-	const size = 100_000 // many transfer units, partial tail block
+	const size = 100_000 // two trains, partial tail block
 	data := pattern(9, size)
 	if err := c.WriteLarge(9, 0, data); err != nil {
 		t.Fatal(err)
@@ -473,6 +473,43 @@ func TestUDPConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestUDPConcurrentTrains: sixteen workstations each write a 64 KB file
+// and read it back, over and over, against one server on loopback UDP —
+// sixteen packet trains at a time converging on the server's socket on
+// the way in and leaving it on the way out. Every byte must be right,
+// and (the environment's leak check) every pooled buffer back in the
+// pool after close.
+func TestUDPConcurrentTrains(t *testing.T) {
+	e := udpEnv(t, Config{})
+	const clients, rounds, size = 16, 8, 64 * 1024
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		c := e.client(t, fmt.Sprintf("ws%d", i))
+		file := uint32(100 + i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]byte, size)
+			for r := 0; r < rounds; r++ {
+				image := pattern(file+uint32(r), size)
+				if err := c.WriteLarge(file, 0, image); err != nil {
+					t.Errorf("file %d round %d: write: %v", file, r, err)
+					return
+				}
+				if n, err := c.ReadLarge(file, 0, got); err != nil || n != size {
+					t.Errorf("file %d round %d: read: n=%d err=%v", file, r, n, err)
+					return
+				}
+				if !bytes.Equal(got, image) {
+					t.Errorf("file %d round %d: read back other bytes than were written", file, r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestFileStore runs the protocol against the durable, directory-backed

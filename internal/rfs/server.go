@@ -39,9 +39,6 @@ type Config struct {
 	CacheBlocks int
 	// ReadAhead prefetches block N+1 after serving block N of a file.
 	ReadAhead bool
-	// TransferUnit bounds each MoveTo/MoveFrom chunk of a large transfer
-	// (§6.3; the paper's VAX server moved at most 4 KB at a time). 0 → 4096.
-	TransferUnit int
 	// Workers sizes the request worker pool (0 → one per CPU, 2..16).
 	Workers int
 	// QueueDepth bounds requests buffered between the receive loop and
@@ -121,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBlocks <= 0 {
 		c.CacheBlocks = 1024
-	}
-	if c.TransferUnit <= 0 {
-		c.TransferUnit = 4096
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -1284,9 +1278,16 @@ func (s *Server) stageBlock(v *volume, id blockID, buf *bufpool.Buf, payStart, p
 	}
 }
 
+// maxTrain is the most one MoveTo/MoveFrom of a large transfer moves: a
+// request of up to 64 KB is one §3.3 packet train with one
+// acknowledgement, the largest transfer unit of Table 6-3 (the paper's
+// VAX server could buffer only 4 KB at a time; its cost per kilobyte kept
+// falling up to 64).
+const maxTrain = 64 << 10
+
 // largeRead serves OpReadLarge: count bytes from byte offset off, moved
-// into the client's granted buffer in TransferUnit chunks (§6.3 program
-// loading). Each chunk is streamed directly from cache memory: the
+// into the client's granted buffer in trains of up to maxTrain (§6.3
+// program loading). Each train is streamed directly from cache memory: the
 // cached blocks covering it are lent to a gather MoveTo (MoveToVec), so
 // the bytes are copied exactly once — from the cache into the wire
 // frames — with no staging buffer. The blocks stay referenced until the
@@ -1307,9 +1308,9 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 		n = uint32(size - int64(off))
 	}
 	bs := uint32(s.cfg.BlockSize)
-	unit := uint32(s.cfg.TransferUnit)
-	blocks := make([]*bufpool.Buf, 0, unit/bs+2)
-	parts := make([][]byte, 0, unit/bs+2)
+	perTrain := min(n, maxTrain)/bs + 2
+	blocks := make([]*bufpool.Buf, 0, perTrain)
+	parts := make([][]byte, 0, perTrain)
 	release := func() {
 		for _, b := range blocks {
 			b.Release()
@@ -1318,10 +1319,7 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 		parts = parts[:0]
 	}
 	for done := uint32(0); done < n; {
-		m := n - done
-		if m > unit {
-			m = unit
-		}
+		m := min(n-done, maxTrain)
 		// Gather the chunk as views into cached blocks.
 		for fill := uint32(0); fill < m; {
 			pos := off + done + fill
@@ -1428,7 +1426,7 @@ func releaseSpans(spans []span) {
 }
 
 // largeWrite serves OpWriteLarge: count bytes pulled from the client's
-// granted buffer in TransferUnit chunks. The first bytes arrived inline
+// granted buffer in trains of up to maxTrain. The first bytes arrived inline
 // with the Send (§3.4) and are not pulled again.
 //
 // Write-behind (the default) scatters each chunk straight into
@@ -1447,8 +1445,6 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 	if pre > count {
 		pre = count
 	}
-	unit := uint32(s.cfg.TransferUnit)
-
 	// At most one absorb is in flight, so two span/slice buffers
 	// alternate between the chunk being pulled and the chunk being
 	// absorbed, and one reusable channel carries the handoff.
@@ -1483,10 +1479,7 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 		done = pre
 	}
 	for done < count {
-		m := count - done
-		if m > unit {
-			m = unit
-		}
+		m := min(count-done, maxTrain)
 		spans, slices := s.buildSpans(file, off+done, m, spanBuf[which], sliceBuf[which])
 		spanBuf[which], sliceBuf[which] = spans, slices
 		if err := s.proc.MoveFromVec(req.src, done, slices...); err != nil {
@@ -1547,14 +1540,10 @@ func (s *Server) largeWriteThrough(v *volume, req *request, file, off, count uin
 		}
 		s.replicateAppend(v, repKindWrite, file, off, req.trace, req.buf[:pre])
 	}
-	unit := uint32(s.cfg.TransferUnit)
-	staging := bufpool.Get(int(unit))
+	staging := bufpool.Get(int(min(count, maxTrain)))
 	defer staging.Release()
 	for done := pre; done < count; {
-		m := count - done
-		if m > unit {
-			m = unit
-		}
+		m := min(count-done, maxTrain)
 		if err := s.proc.MoveFrom(req.src, done, staging.Data[:m]); err != nil {
 			s.replyStatus(req.src, StatusBadRequest, done)
 			return
