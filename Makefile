@@ -35,9 +35,10 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The batched transport's recvmmsg/sendmmsg path is Linux-only behind
-# build tags; cross-compiling for darwin proves the portable fallback
-# keeps every platform building.
+# The batched transport's recvmmsg/sendmmsg path and UDPTransport's
+# UDP_SEGMENT/UDP_GRO control messages are Linux-only behind build tags;
+# cross-compiling for darwin proves the portable fallbacks keep every
+# platform building.
 crosscheck:
 	GOOS=darwin $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
@@ -58,10 +59,11 @@ bench-rfs:
 # benches ride along: the histogram/counter record paths sit inside the
 # same hot loops, so they must stay allocation-free (and the histogram
 # under ~30ns) for the instrumented paths to stay zero-alloc.
-# Reference points at 1 client (64 KB = one packet train since PR 15):
-# ReadLarge64K 8 allocs/op on mem, 142 on udp (was 99 / ~400 when a read
-# was sixteen 4 KB MoveTos and most data packets went out twice);
-# WriteLarge64K wb 33 on mem, 165 on udp (was 133 / ~430).
+# Reference points at 1 client (64 KB = one packet train, sent and
+# received as two train frames on udp): ReadLarge64K 9 allocs/op on mem,
+# 13 on udp (was 8 / 142 when every packet of the train was its own
+# sendto, recvfrom and pooled frame hand-off); WriteLarge64K wb 34 on
+# mem, 39 on udp (was 33 / 165).
 bench-alloc:
 	$(GO) test -run=- -bench='BenchmarkPageRead|BenchmarkPageWrite|BenchmarkReadLarge64K|BenchmarkWriteLarge64K|BenchmarkParallel' \
 		-benchmem -benchtime=$(BENCHTIME) ./internal/ipc/ ./internal/rfs/

@@ -77,10 +77,10 @@ func BenchmarkSec34(b *testing.B) { benchExperiment(b, "sec34") }
 
 // TestAllExperimentsWithinTolerance is the repo's headline regression: every
 // published cell the harness reproduces must stay within 35 % of the paper,
-// and the flagship tables much closer (see EXPERIMENTS.md for the
-// per-table accounting; elapsed-time columns are all within a few percent,
-// the paper's internally inconsistent bulk-transfer CPU columns dominate
-// the tail).
+// and the flagship tables much closer (README "Benchmarks": `make bench`
+// prints the per-table accounting; elapsed-time columns are all within a
+// few percent, the paper's internally inconsistent bulk-transfer CPU
+// columns dominate the tail).
 func TestAllExperimentsWithinTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments take ~2s total")

@@ -13,7 +13,8 @@ type Result struct {
 	Notes  []string
 }
 
-// Experiment couples an id from DESIGN.md's index with its runner.
+// Experiment couples an id (the names the root benchmarks and
+// `cmd/vbench <id>` run, README "Benchmarks") with its runner.
 type Experiment struct {
 	ID    string
 	Title string

@@ -234,13 +234,7 @@ func moveBothWays(t *testing.T, client *Node, server Pid, data []byte, rounds in
 	}
 }
 
-func trainData() []byte {
-	data := make([]byte, 64<<10)
-	for i := range data {
-		data[i] = byte(i*7 + i>>10)
-	}
-	return data
-}
+func trainData() []byte { return patterned(64 << 10) }
 
 // TestTrainsNeedNoResume: on a network that neither loses nor reorders,
 // a 64 KB transfer in either direction is one train and one

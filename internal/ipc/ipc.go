@@ -172,8 +172,9 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // receivers lean on this: a §3.3 packet train is one flow, and accepting
 // it in a single pass needs its packets in order.
 //
-// Buffer ownership: Send and Broadcast borrow pkt only for the duration
-// of the call — the caller may recycle it as soon as they return. On the
+// Buffer ownership: Send and Broadcast (and the optional SendTrain, see
+// TrainSender) borrow pkt only for the duration of the call — the caller
+// may recycle it as soon as they return. On the
 // receive side the transport owns each frame: it holds one reference
 // across the handler upcall and releases it when the handler returns, so
 // a handler that needs frame bytes past its return (zero-copy dispatch)
@@ -192,13 +193,32 @@ type Transport interface {
 	Close() error
 }
 
+// TrainSender is an optional Transport capability for §3.3 packet trains
+// (resolved once in NewNode, like BufSender). frame holds two or more
+// encoded packets back to back, each segSize bytes long except a possibly
+// shorter last one, all for one host; SendTrain puts each on the wire as
+// its own datagram, in order, in a single kernel crossing — all of them or,
+// with an error, none, and the node then sends them one by one. frame is
+// borrowed for the duration of the call exactly as Send borrows pkt: the
+// mover owns it and recycles it the moment SendTrain returns. It never
+// exceeds trainMaxSegs segments or trainMaxBytes bytes.
+type TrainSender interface {
+	SendTrain(to LogicalHost, frame []byte, segSize int) error
+}
+
+// What one UDP send can carry: UDP_MAX_SEGMENTS of the oldest kernel with
+// UDP_SEGMENT, and the largest UDP payload.
+const (
+	trainMaxSegs  = 64
+	trainMaxBytes = 65507
+)
+
 // BufSender is an optional Transport fast path for senders whose frames
 // already live in pooled buffers. SendBuf borrows f for the duration of
 // the call exactly like Send borrows its slice — the caller keeps its
 // reference and releases it on its own schedule — but a transport that
 // defers the transmit (egress coalescing) retains f across the queue
-// instead of copying the bytes into a fresh frame. For bulk-transfer
-// chunk trains that removes a full payload copy per datagram.
+// instead of copying the bytes into a fresh frame.
 type BufSender interface {
 	SendBuf(to LogicalHost, f *bufpool.Buf) error
 }

@@ -201,7 +201,7 @@ func (s *batchSock) readBatch(scratch [][]byte, lens []int, peers *peerTable) (i
 		if !st.connected && !sameRawName(&st.rnames[i], &st.lastName) {
 			st.lastName = st.rnames[i]
 			if from := rawToUDPAddr(&st.rnames[i]); from != nil {
-				peers.learn(scratch[i][:lens[i]], from)
+				peers.learn(scratch[i][:lens[i]], from.AddrPort())
 			}
 		}
 	}

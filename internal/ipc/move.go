@@ -273,41 +273,56 @@ func scatterCopy(vec [][]byte, off uint32, src []byte) {
 	}
 }
 
-// streamMoveTo transmits data packets from offset from. Each packet is
-// assembled once: source bytes are gathered straight into a pooled wire
-// frame around which the header is then written (EncodePrefilled), so the
-// only copy between the caller's memory and the transport is the wire
-// serialization itself.
-func (n *Node) streamMoveTo(op *moveOp, from uint32) {
+// streamTrain transmits the data packets of one transfer from byte offset
+// from. pkt carries what they all share (kind, seq, pids, Count = the
+// transfer size, message words); vec is the source gather list. Each
+// packet is assembled once, source bytes gathered straight into place and
+// the header written around them (EncodePrefilled) — but not into a frame
+// of its own: as many equal-size segments as one train frame may hold are
+// laid back to back in one pooled frame and handed to the transport
+// together, so a transport with the TrainSender capability crosses into
+// the kernel once per frame instead of once per packet.
+func (n *Node) streamTrain(pkt vproto.Packet, vec [][]byte, from uint32) {
+	const overhead = vproto.HeaderSize + vproto.MessageSize
 	chunk := uint32(n.cfg.ChunkSize)
-	count := op.size
-	for off := from; off < count; off += chunk {
-		m := count - off
-		if m > chunk {
-			m = chunk
+	segSize := overhead + int(chunk)
+	perFrame := uint32(min(trainMaxSegs, trainMaxBytes/segSize))
+	for off := from; off < pkt.Count; {
+		segs := min((pkt.Count-off-1)/chunk+1, perFrame)
+		f := bufpool.Get(int(segs) * segSize)
+		at := 0
+		for ; segs > 0; segs-- {
+			m := min(chunk, pkt.Count-off)
+			pkt.Offset, pkt.Flags = off, 0
+			if off+m == pkt.Count {
+				pkt.Flags = vproto.FlagLast
+			}
+			gatherCopy(f.Data[at+overhead:at+overhead+int(m)], vec, off)
+			size, err := pkt.EncodePrefilled(f.Data[at:], int(m))
+			if err != nil {
+				f.Release()
+				panic("ipc: " + err.Error())
+			}
+			at += size
+			off += m
 		}
-		f := bufpool.Get(vproto.HeaderSize + vproto.MessageSize + int(m))
-		gatherCopy(f.Data[vproto.HeaderSize+vproto.MessageSize:], op.vec, off)
-		pkt := &vproto.Packet{
-			Kind:   vproto.KindMoveToData,
-			Seq:    op.seq,
-			Src:    op.proc.pid,
-			Dst:    op.peer,
-			Offset: off,
-			Count:  count,
-		}
-		pkt.Msg.SetWord(wordMoveBase, op.base)
-		pkt.Msg.SetWord(wordMoveSend, op.sendSeq)
-		if off+m == count {
-			pkt.Flags |= vproto.FlagLast
-		}
-		if _, err := pkt.EncodePrefilled(f.Data, int(m)); err != nil {
-			f.Release()
-			panic("ipc: " + err.Error())
-		}
-		n.xmit(op.peer.Host(), f)
+		n.sendTrain(pkt.Dst.Host(), f.Data[:at], segSize)
 		f.Release()
 	}
+}
+
+// streamMoveTo (re)transmits an outgoing MoveTo from offset from.
+func (n *Node) streamMoveTo(op *moveOp, from uint32) {
+	hdr := vproto.Packet{
+		Kind:  vproto.KindMoveToData,
+		Seq:   op.seq,
+		Src:   op.proc.pid,
+		Dst:   op.peer,
+		Count: op.size,
+	}
+	hdr.Msg.SetWord(wordMoveBase, op.base)
+	hdr.Msg.SetWord(wordMoveSend, op.sendSeq)
+	n.streamTrain(hdr, op.vec, from)
 }
 
 // sendMoveFromReq requests the remainder of a pull transfer, starting at
@@ -474,28 +489,13 @@ func (n *Node) handleMoveFromReq(pkt *vproto.Packet) {
 	pt.mu.Unlock()
 	defer ps.io.RUnlock()
 	base := pkt.Msg.Word(wordMoveBase)
-	src := ps.seg.Data[base : base+pkt.Count]
-
-	chunk := uint32(n.cfg.ChunkSize)
-	for off := pkt.Offset; off < pkt.Count; off += chunk {
-		m := pkt.Count - off
-		if m > chunk {
-			m = chunk
-		}
-		out := &vproto.Packet{
-			Kind:   vproto.KindMoveFromData,
-			Seq:    pkt.Seq,
-			Src:    pkt.Dst,
-			Dst:    pkt.Src,
-			Offset: off,
-			Count:  pkt.Count,
-			Data:   src[off : off+m],
-		}
-		if off+m == pkt.Count {
-			out.Flags |= vproto.FlagLast
-		}
-		n.send(out, pkt.Src.Host())
-	}
+	n.streamTrain(vproto.Packet{
+		Kind:  vproto.KindMoveFromData,
+		Seq:   pkt.Seq,
+		Src:   pkt.Dst,
+		Dst:   pkt.Src,
+		Count: pkt.Count,
+	}, [][]byte{ps.seg.Data[base : base+pkt.Count]}, pkt.Offset)
 }
 
 // handleMoveFromData accumulates streamed bytes into the requester's

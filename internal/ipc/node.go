@@ -28,6 +28,8 @@ type Node struct {
 	// sendBuf is the transport's zero-copy frame path, nil when the
 	// transport only takes byte slices (resolved once at construction).
 	sendBuf BufSender
+	// trains is the transport's packet-train path, nil when it has none.
+	trains TrainSender
 
 	closed    atomic.Bool
 	nextLocal atomic.Uint32
@@ -168,6 +170,7 @@ func NewNode(host LogicalHost, tr Transport, cfg NodeConfig) *Node {
 	n.exchangeNs = n.metrics.Histogram("ipc.exchange_ns")
 	n.registerRTTGauges()
 	n.sendBuf, _ = tr.(BufSender)
+	n.trains, _ = tr.(TrainSender)
 	n.procs.init()
 	n.aliens.init()
 	n.pending.init()
@@ -316,6 +319,20 @@ func (n *Node) xmit(to LogicalHost, f *bufpool.Buf) {
 		return
 	}
 	_ = n.transport.Send(to, f.Data)
+}
+
+// sendTrain transmits a frame of back-to-back encoded packets (see
+// TrainSender): together if the transport can, else one by one — the one
+// place a train is unrolled, whichever transport declined it and why.
+func (n *Node) sendTrain(to LogicalHost, frame []byte, segSize int) {
+	if n.trains != nil && len(frame) > segSize && n.trains.SendTrain(to, frame, segSize) == nil {
+		return
+	}
+	for len(frame) > 0 {
+		seg := frame[:min(segSize, len(frame))]
+		_ = n.transport.Send(to, seg)
+		frame = frame[len(seg):]
+	}
 }
 
 // handlePacket is the transport upcall. Transports may invoke it from

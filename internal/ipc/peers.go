@@ -3,6 +3,7 @@ package ipc
 import (
 	"encoding/binary"
 	"net"
+	"net/netip"
 	"sync"
 
 	"vkernel/internal/vproto"
@@ -68,7 +69,7 @@ func (pt *peerTable) snapshot() []*net.UDPAddr {
 // stale AddPeer entry. Packets too short to carry a header, packets of
 // a different protocol version, and host-0 sources (an unset pid field
 // in a malformed packet) teach nothing.
-func (pt *peerTable) learn(pkt []byte, from *net.UDPAddr) {
+func (pt *peerTable) learn(pkt []byte, from netip.AddrPort) {
 	if len(pkt) < 12 || pkt[1] != vproto.Version {
 		return
 	}
@@ -77,7 +78,14 @@ func (pt *peerTable) learn(pkt []byte, from *net.UDPAddr) {
 	if host == 0 {
 		return
 	}
-	pt.add(host, from)
+	// Runs once per received datagram: compare in place, and build a
+	// *net.UDPAddr only for a sender that is new or has moved.
+	pt.mu.Lock()
+	if cur := pt.peers[host]; cur == nil || cur.AddrPort() != from {
+		pt.peers[host] = net.UDPAddrFromAddrPort(from)
+		pt.snap = nil
+	}
+	pt.mu.Unlock()
 }
 
 // sameUDPAddr reports whether two addresses name the same endpoint.

@@ -31,7 +31,7 @@ func addrOf(t *testing.T, s string) *net.UDPAddr {
 func TestLearnRejectsGarbage(t *testing.T) {
 	var pt peerTable
 	pt.init()
-	from := addrOf(t, "127.0.0.1:9000")
+	from := addrOf(t, "127.0.0.1:9000").AddrPort()
 
 	pt.learn(nil, from)                                 // empty
 	pt.learn([]byte{1, 2, 3}, from)                     // truncated: no header
@@ -51,7 +51,7 @@ func TestLearnAddsPeer(t *testing.T) {
 	var pt peerTable
 	pt.init()
 	from := addrOf(t, "127.0.0.1:9001")
-	pt.learn(encodeFrom(t, vproto.MakePid(3, 5)), from)
+	pt.learn(encodeFrom(t, vproto.MakePid(3, 5)), from.AddrPort())
 	if got := pt.get(3); !sameUDPAddr(got, from) {
 		t.Fatalf("get(3) = %v, want %v", got, from)
 	}
@@ -66,7 +66,7 @@ func TestLearnOverridesStaleAddPeer(t *testing.T) {
 	stale := addrOf(t, "127.0.0.1:9002")
 	fresh := addrOf(t, "127.0.0.1:9003")
 	pt.add(3, stale)
-	pt.learn(encodeFrom(t, vproto.MakePid(3, 5)), fresh)
+	pt.learn(encodeFrom(t, vproto.MakePid(3, 5)), fresh.AddrPort())
 	if got := pt.get(3); !sameUDPAddr(got, fresh) {
 		t.Fatalf("get(3) = %v, want rebound address %v", got, fresh)
 	}
@@ -85,7 +85,7 @@ func TestSnapshotCaching(t *testing.T) {
 	pt.add(3, a3)
 
 	s1 := pt.snapshot()
-	pt.learn(encodeFrom(t, vproto.MakePid(3, 5)), addrOf(t, "127.0.0.1:9004"))
+	pt.learn(encodeFrom(t, vproto.MakePid(3, 5)), addrOf(t, "127.0.0.1:9004").AddrPort())
 	s2 := pt.snapshot()
 	if &s1[0] != &s2[0] {
 		t.Fatal("re-learning a known peer invalidated the snapshot")

@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -8,7 +9,6 @@ import (
 
 	"vkernel/internal/bufpool"
 	"vkernel/internal/obs"
-	"vkernel/internal/vproto"
 )
 
 // udpQueueDepth bounds datagrams buffered between the socket read loop
@@ -24,6 +24,9 @@ const udpQueueDepth = 512
 // default — each loss then costs a retransmit timeout, not a resume.
 const udpSockBuf = 1 << 20
 
+// errNoGSO declines a train: the kernel will not segment for this socket.
+var errNoGSO = errors.New("ipc: no UDP segmentation offload")
+
 // sizeSockBufs applies udpSockBuf to a socket. Errors are ignored: the
 // kernel clamps to its own limits and the protocol survives loss.
 func sizeSockBufs(conn *net.UDPConn) {
@@ -31,13 +34,61 @@ func sizeSockBufs(conn *net.UDPConn) {
 	_ = conn.SetWriteBuffer(udpSockBuf)
 }
 
+// rxBatch gathers the packets of one kernel crossing per dispatch worker,
+// so a read loop pays one queue operation and one wake-up per worker and
+// crossing, not per packet, and each flow stays in arrival order. Both UDP
+// transports' read loops own one.
+type rxBatch struct {
+	rx  *dispatcher[*bufpool.Buf]
+	sub [][]*bufpool.Buf // per worker
+}
+
+func newRxBatch(rx *dispatcher[*bufpool.Buf]) *rxBatch {
+	return &rxBatch{rx: rx, sub: make([][]*bufpool.Buf, len(rx.queues))}
+}
+
+// add copies one received packet into a pooled frame sized to it; the
+// frame's single reference rides the batch, then the queue, to a worker.
+func (b *rxBatch) add(pkt []byte) {
+	f := bufpool.Get(len(pkt))
+	copy(f.Data, pkt)
+	w := b.rx.workerOf(f.Data)
+	b.sub[w] = append(b.sub[w], f)
+}
+
+// addSegments adds one received datagram and returns how many packets it
+// held: with segSize > 0 a train the kernel coalesced (UDP_GRO), segSize
+// bytes per packet, the last one possibly shorter — and possibly of more
+// than one flow, since receive offload merges by socket pair.
+func (b *rxBatch) addSegments(dgram []byte, segSize int) int {
+	if segSize <= 0 {
+		segSize = len(dgram)
+	}
+	for n := 1; ; n++ {
+		seg := dgram[:min(segSize, len(dgram))]
+		b.add(seg)
+		if dgram = dgram[len(seg):]; len(dgram) == 0 {
+			return n
+		}
+	}
+}
+
+// flush hands the gathered frames to their workers.
+func (b *rxBatch) flush() {
+	for w, frames := range b.sub {
+		if len(frames) > 0 {
+			b.rx.enqueue(w, frames)
+			clear(frames)
+			b.sub[w] = frames[:0]
+		}
+	}
+}
+
 // UDPConfig tunes a UDPTransport; the zero value gets the defaults that
 // used to be compile-time constants.
 type UDPConfig struct {
 	// Metrics is the observability registry for the transport's net.*
-	// counters (same names as BatchedUDPTransport's, minus the batching
-	// ones — this transport moves one datagram per kernel crossing).
-	// Nil gets a private registry.
+	// counters (see UDPTransport). Nil gets a private registry.
 	Metrics *obs.Registry
 	// QueueDepth bounds datagrams buffered between the socket read loop
 	// and each dispatch worker (0 = 512).
@@ -71,28 +122,42 @@ func (c UDPConfig) withDefaults() UDPConfig {
 // the socket delivered them — see the Transport contract.
 //
 // Receive buffers are pooled and reference counted. The read loop fills a
-// fresh pooled frame per datagram and transfers its single reference to
+// fresh pooled frame per packet and transfers its single reference to
 // the dispatcher; the worker that dequeues it owns that reference across
 // the handler upcall and releases it when the handler returns. The read
 // loop never touches a frame after handing it off, so a worker can never
 // observe a recycled buffer mid-dispatch — the lifetime audit is the ref
 // count.
 //
-// This transport pays one kernel crossing per datagram in each
-// direction; BatchedUDPTransport amortizes those crossings with
-// recvmmsg/sendmmsg vectors on Linux.
+// A packet costs one kernel crossing in each direction; a §3.3 train
+// (SendTrain) costs one per train frame where the kernel has UDP generic
+// segmentation offload. The sender passes the frame down whole with a
+// UDP_SEGMENT control message and the kernel cuts it into datagrams below
+// the stack; a receiving socket with UDP_GRO gets the train back in one
+// read, which the read loop splits. Nothing is configured: the socket asks
+// for UDP_GRO best effort, and the first train the kernel refuses (no
+// checksum offload on the route, an MTU below the segment size, no
+// UDP_SEGMENT) is the last one offered — trains go out per datagram after.
+//
+// net.sends / net.recvs count kernel crossings, net.tx_packets /
+// net.rx_packets the packets they carried, net.gso_refused the refusals.
 type UDPTransport struct {
 	conn    *net.UDPConn
 	handler atomic.Pointer[func(*bufpool.Buf)]
 	peers   peerTable
 
-	sends *obs.Counter // set once at construction
-	recvs *obs.Counter
+	// set once at construction
+	sends, recvs         *obs.Counter
+	txPackets, rxPackets *obs.Counter
+	gsoRefusals          *obs.Counter
+	// sendGSO is writeGSO; tests substitute a kernel that refuses.
+	sendGSO func(conn *net.UDPConn, frame []byte, segSize int, to *net.UDPAddr) error
+	gsoOff  atomic.Bool // a train send was refused: loop from now on
 
 	rx *dispatcher[*bufpool.Buf]
 
+	closed  atomic.Bool // written under mu, read by every send
 	mu      sync.Mutex
-	closed  bool
 	started bool
 	reader  sync.WaitGroup // the read loop
 }
@@ -122,10 +187,15 @@ func NewUDPTransportConfig(listen string, cfg UDPConfig) (*UDPTransport, error) 
 		reg = obs.New()
 	}
 	sizeSockBufs(conn)
+	enableGRO(conn)
 	t := &UDPTransport{
-		conn:  conn,
-		sends: reg.Counter("net.sends"),
-		recvs: reg.Counter("net.recvs"),
+		conn:        conn,
+		sends:       reg.Counter("net.sends"),
+		recvs:       reg.Counter("net.recvs"),
+		txPackets:   reg.Counter("net.tx_packets"),
+		rxPackets:   reg.Counter("net.rx_packets"),
+		gsoRefusals: reg.Counter("net.gso_refused"),
+		sendGSO:     writeGSO,
 	}
 	t.peers.init()
 	t.rx = newDispatcher(cfg.Workers, cfg.QueueDepth, t.handle)
@@ -141,30 +211,30 @@ func (t *UDPTransport) AddPeer(host LogicalHost, addr *net.UDPAddr) {
 }
 
 // readLoop pulls datagrams off the socket and feeds the dispatcher, each
-// to the worker its flow belongs to. The socket read lands
-// in a loop-owned scratch buffer, not a pooled frame: a pooled frame
-// posted before the blocking read would stay checked out for as long as
-// the socket sits idle, so an idle transport would pin pool memory
-// forever (and read as a leak to anything auditing Outstanding). Only
-// once a datagram has actually arrived is a pooled frame taken — sized
-// to the datagram, so small packets draw from the small size classes —
-// and its single reference rides the queue to a worker, with no reuse
-// until that worker's release. Datagrams larger than a maximal
-// interkernel packet are truncated and fail the decode checksum, as any
-// non-protocol traffic does.
+// packet to the worker its flow belongs to. The socket read lands in a
+// loop-owned scratch buffer, not a pooled frame: a pooled frame posted
+// before the blocking read would stay checked out for as long as the
+// socket sits idle, so an idle transport would pin pool memory forever
+// (and read as a leak to anything auditing Outstanding). Only once a
+// datagram has actually arrived are pooled frames taken — one per packet,
+// sized to it, so small packets draw from the small size classes. The
+// scratch holds a maximal UDP datagram because a coalesced train is one;
+// a lone datagram larger than a maximal interkernel packet fails the
+// decode, as any non-protocol traffic does.
 func (t *UDPTransport) readLoop() {
 	defer t.reader.Done()
-	scratch := make([]byte, vproto.MaxWireSize)
+	scratch := make([]byte, 1<<16)
+	oob := make([]byte, groOOBSize)
+	batch := newRxBatch(t.rx)
 	for {
-		n, from, err := t.conn.ReadFromUDP(scratch)
+		n, oobn, _, from, err := t.conn.ReadMsgUDPAddrPort(scratch, oob)
 		if err != nil {
 			return // closed
 		}
-		f := bufpool.Get(n)
-		copy(f.Data, scratch[:n])
-		t.peers.learn(f.Data, from)
+		t.peers.learn(scratch[:n], from)
 		t.recvs.Add(1)
-		t.rx.enqueue(t.rx.workerOf(f.Data), []*bufpool.Buf{f})
+		t.rxPackets.Add(int64(batch.addSegments(scratch[:n], groSegSize(oob[:oobn]))))
+		batch.flush()
 	}
 }
 
@@ -184,10 +254,7 @@ func (t *UDPTransport) handle(_ int, batch []*bufpool.Buf) {
 
 // Send implements Transport.
 func (t *UDPTransport) Send(to LogicalHost, pkt []byte) error {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.closed.Load() {
 		return ErrClosed
 	}
 	addr := t.peers.get(to)
@@ -196,7 +263,29 @@ func (t *UDPTransport) Send(to LogicalHost, pkt []byte) error {
 		return t.Broadcast(pkt)
 	}
 	t.sends.Add(1)
+	t.txPackets.Add(1)
 	_, err := t.conn.WriteToUDP(pkt, addr)
+	return err
+}
+
+// SendTrain implements TrainSender: one sendmsg, the kernel segmenting.
+// A refusal is remembered, and every train after it is declined unsent.
+func (t *UDPTransport) SendTrain(to LogicalHost, frame []byte, segSize int) error {
+	if t.closed.Load() {
+		return ErrClosed
+	}
+	addr := t.peers.get(to)
+	if addr == nil || t.gsoOff.Load() {
+		return errNoGSO
+	}
+	t.sends.Add(1)
+	err := t.sendGSO(t.conn, frame, segSize, addr)
+	if err == nil {
+		t.txPackets.Add(int64((len(frame) + segSize - 1) / segSize))
+	} else if gsoRefused(err) {
+		t.gsoOff.Store(true)
+		t.gsoRefusals.Add(1)
+	}
 	return err
 }
 
@@ -207,14 +296,14 @@ func (t *UDPTransport) Send(to LogicalHost, pkt []byte) error {
 // returned. The address snapshot is cached in the peer table and reused
 // until AddPeer or learning actually changes the peer set.
 func (t *UDPTransport) Broadcast(pkt []byte) error {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.closed.Load() {
 		return ErrClosed
 	}
 	var first error
-	for _, a := range t.peers.snapshot() {
+	peers := t.peers.snapshot()
+	t.sends.Add(int64(len(peers)))
+	t.txPackets.Add(int64(len(peers)))
+	for _, a := range peers {
 		if _, err := t.conn.WriteToUDP(pkt, a); err != nil && first == nil {
 			first = err
 		}
@@ -232,7 +321,7 @@ func (t *UDPTransport) SetHandler(h func(*bufpool.Buf)) {
 		t.handler.Store(&h)
 	}
 	t.mu.Lock()
-	start := !t.started && !t.closed
+	start := !t.started && !t.closed.Load()
 	if start {
 		t.started = true
 		t.reader.Add(1)
@@ -246,12 +335,11 @@ func (t *UDPTransport) SetHandler(h func(*bufpool.Buf)) {
 // Close implements Transport.
 func (t *UDPTransport) Close() error {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	already := t.closed.Swap(true)
+	t.mu.Unlock()
+	if already {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
 	err := t.conn.Close()
 	t.reader.Wait() // the read loop exits on the closed socket
 	t.rx.close()    // the workers drain what it queued

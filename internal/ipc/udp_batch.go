@@ -240,8 +240,8 @@ func (t *BatchedUDPTransport) Send(to LogicalHost, pkt []byte) error {
 
 // SendBuf implements BufSender: like Send, but a deferred transmit
 // retains the caller's pooled frame across the egress queue instead of
-// copying the bytes — the zero-copy path for reply and bulk-chunk
-// frames that already live in the pool.
+// copying the bytes — the zero-copy path for reply frames, which
+// already live in the pool.
 func (t *BatchedUDPTransport) SendBuf(to LogicalHost, f *bufpool.Buf) error {
 	return t.sendPkt(to, f.Data, f)
 }
@@ -288,7 +288,11 @@ func (t *BatchedUDPTransport) sockFor(to LogicalHost, addr *net.UDPAddr) *batchS
 		return t.socks[0]
 	}
 	t.sendsTo[to]++
-	if t.sendsTo[to] < t.cfg.HotThreshold {
+	// A peer moved to a new socket mid-flow would have its next packets
+	// overtake those still queued for it on this one (a corked worker
+	// streaming a train queues all of it): promote on a send that finds
+	// the shard socket's backlog empty.
+	if t.sendsTo[to] < t.cfg.HotThreshold || t.socks[0].backlogged() {
 		t.mu.Unlock()
 		return t.socks[0]
 	}
@@ -375,6 +379,13 @@ func (s *batchSock) send(pkt []byte, f *bufpool.Buf, addr *net.UDPAddr) error {
 	return nil
 }
 
+// backlogged reports whether deferred transmits are waiting on s.
+func (s *batchSock) backlogged() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pending) > 0
+}
+
 // queuedTx builds the backlog entry for a deferred transmit: callers
 // that hand over a pooled frame lend a reference (released by drain);
 // bare byte slices are only valid until send returns, so they are
@@ -452,7 +463,7 @@ func (s *batchSock) writeOne(pkt []byte, addr *net.UDPAddr) error {
 // the fallback when the raw descriptor is unavailable: fill scratch[0],
 // record its length, learn the sender, report one datagram.
 func (s *batchSock) readOne(scratch [][]byte, lens []int, peers *peerTable) (int, error) {
-	n, from, err := s.conn.ReadFromUDP(scratch[0])
+	n, from, err := s.conn.ReadFromUDPAddrPort(scratch[0])
 	if err != nil {
 		return 0, err
 	}
@@ -462,18 +473,13 @@ func (s *batchSock) readOne(scratch [][]byte, lens []int, peers *peerTable) (int
 }
 
 // rxLoop drives one socket: each iteration pulls up to Batch datagrams
-// in one kernel crossing into loop-owned scratch slabs, wraps each in a
-// right-sized pooled frame, and hands the frames' single references to
-// the dispatcher, split by flow into one sub-batch per worker (one queue
-// operation per worker and kernel crossing, not per datagram, and a
-// worker still sees the multi-frame batches that arm its corking). The
-// recvmmsg vector is backed by the
-// scratch slabs, not pooled frames: recvmmsg needs its buffers posted
-// before the blocking read, and a pooled vector posted that way would
-// stay checked out of the pool for as long as the socket sits idle —
-// Batch frames pinned per socket, reading as a leak to anything
-// auditing bufpool.Outstanding. Pool frames are taken only for
-// datagrams that actually arrived.
+// in one kernel crossing into loop-owned scratch slabs and hands them to
+// the dispatcher through an rxBatch (so a worker still sees the
+// multi-frame batches that arm its corking). The recvmmsg vector is
+// backed by the scratch slabs, not pooled frames: recvmmsg needs its
+// buffers posted before the blocking read, and a pooled vector posted
+// that way would stay checked out of the pool for as long as the socket
+// sits idle, reading as a leak to anything auditing bufpool.Outstanding.
 func (t *BatchedUDPTransport) rxLoop(s *batchSock) {
 	defer t.rxWG.Done()
 	scratch := make([][]byte, t.cfg.Batch)
@@ -481,7 +487,7 @@ func (t *BatchedUDPTransport) rxLoop(s *batchSock) {
 		scratch[i] = make([]byte, vproto.MaxWireSize)
 	}
 	lens := make([]int, t.cfg.Batch)
-	sub := make([][]*bufpool.Buf, t.cfg.Workers)
+	batch := newRxBatch(t.rx)
 	for {
 		n, err := s.readBatch(scratch, lens, &t.peers)
 		if err != nil {
@@ -497,18 +503,9 @@ func (t *BatchedUDPTransport) rxLoop(s *batchSock) {
 			t.rxBurst.Store(v - 1)
 		}
 		for i := 0; i < n; i++ {
-			f := bufpool.Get(lens[i])
-			copy(f.Data, scratch[i][:lens[i]])
-			w := t.rx.workerOf(f.Data)
-			sub[w] = append(sub[w], f)
+			batch.add(scratch[i][:lens[i]])
 		}
-		for w, frames := range sub {
-			if len(frames) > 0 {
-				t.rx.enqueue(w, frames)
-				clear(frames)
-				sub[w] = frames[:0]
-			}
-		}
+		batch.flush()
 	}
 }
 

@@ -479,3 +479,69 @@ func TestBatchedHotPeerRebind(t *testing.T) {
 		t.Fatal("sends never followed the peer to its new address")
 	}
 }
+
+// TestBatchedPromotionKeepsFlowOrder: a peer crossing the hot threshold
+// while a corked worker has part of a train queued for it on the shard
+// socket must not get the rest of the train through the new connected
+// socket first. (It did: the queued packets went out when the worker
+// uncorked, after the later ones — a resume on a network that never
+// reordered.)
+func TestBatchedPromotionKeepsFlowOrder(t *testing.T) {
+	if !batchingAvailable {
+		t.Skip("no hot-peer sockets on this platform")
+	}
+	src, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{HotThreshold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = src.Close()
+		_ = dst.Close()
+	})
+	src.AddPeer(2, dst.Addr())
+	const packets = 10
+	got := make(chan uint32, 2*packets)
+	dst.SetHandler(func(f *bufpool.Buf) {
+		var pkt vproto.Packet
+		if vproto.DecodeInto(&pkt, f.Data) == nil {
+			got <- pkt.Offset
+		}
+	})
+	src.SetHandler(func(*bufpool.Buf) {})
+
+	send := func(from, to uint32) {
+		for k := from; k < to; k++ {
+			pkt := vproto.Packet{Kind: vproto.KindMoveToData, Seq: 1, Src: vproto.MakePid(1, 1), Dst: vproto.MakePid(2, 1), Offset: k}
+			wire, err := pkt.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Send(2, wire); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	corked := src.cork(nil) // as a worker handling a multi-frame batch does
+	send(0, packets)        // crosses the threshold with packets queued
+	for _, s := range corked {
+		s.drain()
+	}
+	send(packets, 2*packets) // promoted by now: the flow moves sockets cleanly
+	for want := uint32(0); want < 2*packets; want++ {
+		select {
+		case off := <-got:
+			if off != want {
+				t.Fatalf("packet %d arrived in position %d", off, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("packet %d never arrived", want)
+		}
+	}
+	if src.Stats().HotPromotion != 1 {
+		t.Errorf("hot promotions = %d, want 1 once the backlog had drained", src.Stats().HotPromotion)
+	}
+}

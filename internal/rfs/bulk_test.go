@@ -1,0 +1,203 @@
+package rfs
+
+import (
+	"bytes"
+	"sync/atomic"
+	"testing"
+
+	"vkernel/internal/ipc"
+)
+
+// countStore counts ReadAt calls and can run a hook once the inner read
+// has returned — for a miss fill, between its generation snapshot and its
+// insert into the cache.
+type countStore struct {
+	Store
+	reads     atomic.Int64
+	afterRead atomic.Pointer[func()]
+}
+
+func (c *countStore) ReadAt(file uint32, p []byte, off int64) (int, error) {
+	n, err := c.Store.ReadAt(file, p, off)
+	c.reads.Add(1)
+	if f := c.afterRead.Swap(nil); f != nil {
+		(*f)()
+	}
+	return n, err
+}
+
+// seed puts image into the store behind the server's back, so the cache
+// is cold for it.
+func seed(t *testing.T, s Store, file uint32, image []byte) {
+	t.Helper()
+	if err := s.WriteAt(file, image, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readLarge reads len(want) bytes at off, checks them, and returns how
+// many store reads that cost.
+func readLarge(t *testing.T, c *Client, cs *countStore, file, off uint32, want []byte) int64 {
+	t.Helper()
+	before := cs.reads.Load()
+	got := make([]byte, len(want))
+	if n, err := c.ReadLarge(file, off, got); err != nil || n != len(want) {
+		t.Fatalf("ReadLarge(file %d, off %d): n=%d err=%v, want %d bytes", file, off, n, err, len(want))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("ReadLarge(file %d, off %d) returned other bytes than the file holds", file, off)
+	}
+	return cs.reads.Load() - before
+}
+
+// TestRunFillStoreReads: a 64 KB read of uncached blocks costs one store
+// read, not one per block; cached blocks cost none and split the runs
+// around them — and a cached block that is dirty is served as staged.
+func TestRunFillStoreReads(t *testing.T) {
+	const size = 64 << 10
+	mem := NewMemStore()
+	seed(t, mem, 7, pattern(7, size))
+	seed(t, mem, 8, pattern(8, size))
+	gated := newGatedStore(mem) // writes wait: staged blocks stay dirty
+	cs := &countStore{Store: gated}
+	e := memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	t.Cleanup(gated.open)
+	c := e.client(t, "app")
+
+	if got := readLarge(t, c, cs, 7, 0, pattern(7, size)); got != 1 {
+		t.Errorf("cold 64 KB read cost %d store reads, want 1", got)
+	}
+	if got := readLarge(t, c, cs, 7, 0, pattern(7, size)); got != 0 {
+		t.Errorf("warm 64 KB read cost %d store reads, want 0", got)
+	}
+
+	// A whole-page write lands block 64 of the second file in the cache,
+	// dirty (the store is gated), without reading anything.
+	want := pattern(8, size)
+	page := pattern(99, 512)
+	copy(want[64*512:], page)
+	before := cs.reads.Load()
+	if err := c.WriteBlock(8, 64, page); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.srv.Stats(); st.DirtyBlocks != 1 || cs.reads.Load() != before {
+		t.Fatalf("fixture: dirty blocks = %d, store reads = %d, want 1 staged page and no read", st.DirtyBlocks, cs.reads.Load()-before)
+	}
+	if got := readLarge(t, c, cs, 8, 0, want); got != 2 {
+		t.Errorf("64 KB read around one staged block cost %d store reads, want 2", got)
+	}
+}
+
+// TestRunFillAtEOF: a read reaching past the end of the file returns the
+// file's bytes and no more, and the last block it cached is zero past the
+// end, as a block filled on its own is.
+func TestRunFillAtEOF(t *testing.T) {
+	const size = 64<<10 - 300
+	cs := &countStore{Store: NewMemStore()}
+	seed(t, cs, 7, pattern(7, size))
+	e := memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	c := e.client(t, "app")
+
+	got := bytes.Repeat([]byte{0xEE}, 64<<10)
+	n, err := c.ReadLarge(7, 512, got)
+	if err != nil || n != size-512 {
+		t.Fatalf("ReadLarge to past EOF: n=%d err=%v, want %d", n, err, size-512)
+	}
+	if !bytes.Equal(got[:n], pattern(7, size)[512:]) {
+		t.Fatal("ReadLarge to past EOF returned other bytes than the file holds")
+	}
+	if !bytes.Equal(got[n:], bytes.Repeat([]byte{0xEE}, len(got)-n)) {
+		t.Fatal("ReadLarge wrote past the end of the file's bytes")
+	}
+	if reads := cs.reads.Load(); reads != 1 {
+		t.Errorf("the read cost %d store reads, want 1", reads)
+	}
+	last := make([]byte, 512)
+	if _, err := c.ReadBlock(7, size/512, last); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(last[:size%512], pattern(7, size)[size/512*512:]) || !bytes.Equal(last[size%512:], make([]byte, 512-size%512)) {
+		t.Error("the block straddling EOF is not the file's tail followed by zeros")
+	}
+	if reads := cs.reads.Load(); reads != 1 {
+		t.Errorf("the cached tail block cost another store read (%d in all)", reads)
+	}
+}
+
+// TestRunFillLosesToConcurrentWrite: a page written after the fill took
+// its snapshots and read the store, but before it inserted what it read,
+// must survive — the stale fill may not replace it.
+func TestRunFillLosesToConcurrentWrite(t *testing.T) {
+	const size = 64 << 10
+	cs := &countStore{Store: NewMemStore()}
+	seed(t, cs, 7, pattern(7, size))
+	e := memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	c, writer := e.client(t, "reader"), e.client(t, "writer")
+
+	page := pattern(99, 512)
+	write := func() {
+		if err := writer.WriteBlock(7, 10, page); err != nil {
+			t.Errorf("concurrent write: %v", err)
+		}
+	}
+	cs.afterRead.Store(&write)
+	got := make([]byte, size)
+	if n, err := c.ReadLarge(7, 0, got); err != nil || n != size {
+		t.Fatalf("ReadLarge: n=%d err=%v", n, err)
+	}
+	// The read raced the write and may return either page; what the
+	// server holds afterwards may not be the old one.
+	want := pattern(7, size)
+	copy(want[10*512:], page)
+	if reads := readLarge(t, c, cs, 7, 0, want); reads != 0 {
+		t.Errorf("second read cost %d store reads, want 0 (everything cached)", reads)
+	}
+}
+
+// TestBulkTransferCrossings: with segmentation offload a 64 KB transfer
+// crosses into the kernel a handful of times on each side, though it
+// still puts 64 data packets on the wire. Where the kernel refuses the
+// offload the transport falls back to a crossing per packet, so only the
+// packet count is asserted there.
+func TestBulkTransferCrossings(t *testing.T) {
+	c := startCluster(t, ClusterConfig{UDP: true, Volumes: []uint32{DefaultVolume}})
+	node := clientNode(t, c)
+	client := NewClient(attach(t, node, "app"), c.Servers[0].Srv.Pid())
+	srvReg, cliReg := c.Servers[0].Srv.Metrics(), node.Metrics()
+
+	const size, ops = 64 << 10, 20
+	image := pattern(3, size)
+	if err := client.WriteLarge(3, 0, image); err != nil { // warm: peers learned, file cached
+		t.Fatal(err)
+	}
+	got := make([]byte, size)
+	run := func(name string, sender, receiver func(string) int64, op func() error) {
+		sends, pkts, recvs := sender("net.sends"), sender("net.tx_packets"), receiver("net.recvs")
+		for i := 0; i < ops; i++ {
+			if err := op(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		sends, pkts, recvs = sender("net.sends")-sends, sender("net.tx_packets")-pkts, receiver("net.recvs")-recvs
+		if pkts < 64*ops {
+			t.Errorf("%s: %d packets sent by the data's source over %d ops, want at least 64 each", name, pkts, ops)
+		}
+		if refused := sender("net.gso_refused"); refused > 0 {
+			t.Logf("%s: kernel refused UDP_SEGMENT; %d sends for %d packets", name, sends, pkts)
+			return
+		}
+		if sends > 6*ops || recvs > 6*ops {
+			t.Errorf("%s: %d sends at the source and %d recvs at the sink over %d ops, want at most 6 each per op", name, sends, recvs, ops)
+		}
+	}
+	srv := func(name string) int64 { return srvReg.Counter(name).Load() }
+	cli := func(name string) int64 { return cliReg.Counter(name).Load() }
+	run("ReadLarge", srv, cli, func() error {
+		_, err := client.ReadLarge(3, 0, got)
+		return err
+	})
+	if !bytes.Equal(got, image) {
+		t.Error("ReadLarge returned other bytes than were written")
+	}
+	run("WriteLarge", cli, srv, func() error { return client.WriteLarge(3, 0, image) })
+}

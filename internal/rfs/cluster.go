@@ -180,15 +180,21 @@ func (c *Cluster) boot(cs *ClusterServer) error {
 // ClientNode adds a client node to the cluster's network. Over UDP the
 // node gets every shard's address as a peer; shard addresses survive
 // Restart, so clients made before a crash keep working after recovery.
-// The node is closed by Cluster.Close.
+// The node's transport counts into the node's registry (Node.Metrics),
+// so both ends of an exchange can be scraped. The node is closed by
+// Cluster.Close.
 func (c *Cluster) ClientNode() (*ipc.Node, error) {
 	c.mu.Lock()
 	host := c.nextHost
 	c.nextHost++
 	c.mu.Unlock()
+	nodeCfg := c.cfg.Node
+	if nodeCfg.Metrics == nil {
+		nodeCfg.Metrics = obs.New()
+	}
 	var tr ipc.Transport
 	if c.cfg.UDP {
-		utr, err := ipc.NewUDPTransport("127.0.0.1:0")
+		utr, err := ipc.NewUDPTransportConfig("127.0.0.1:0", ipc.UDPConfig{Metrics: nodeCfg.Metrics})
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +205,7 @@ func (c *Cluster) ClientNode() (*ipc.Node, error) {
 	} else {
 		tr = c.Mesh.Transport(host)
 	}
-	node := ipc.NewNode(host, tr, c.cfg.Node)
+	node := ipc.NewNode(host, tr, nodeCfg)
 	c.mu.Lock()
 	c.clients = append(c.clients, node)
 	c.mu.Unlock()

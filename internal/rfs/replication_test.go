@@ -290,6 +290,13 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	r := newRouter(t, node)
 	w := NewVolumeClient(attach(t, node, "writer"), r, 1)
 
+	// Both replicas must be enrolled before the first write: one written
+	// to an empty membership is not logged, and a log that starts after
+	// sequence 1 cannot cover the restarted replica below — its rejoin
+	// would be a snapshot resync, not the pull under test.
+	waitUntil(t, 10*time.Second, "both replicas to enroll", func() bool {
+		return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 2
+	})
 	if err := w.WriteBlock(9, 0, versionedPage(0, 1)); err != nil {
 		t.Fatal(err)
 	}

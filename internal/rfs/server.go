@@ -1054,10 +1054,15 @@ func statusFor(err error) uint32 {
 // still-unflushed blocks reads as zeros outside them — those blocks are
 // holes the flusher has not yet materialized.
 func (s *Server) getBlock(v *volume, file, block uint32) (*bufpool.Buf, int, error) {
-	id := blockID{file: file, block: block}
-	if b, end, ok := v.cache.getEnd(id); ok {
+	if b, end, ok := v.cache.getEnd(blockID{file: file, block: block}); ok {
 		return b, end, nil
 	}
+	return s.fillBlock(v, file, block)
+}
+
+// fillBlock is getBlock's miss path: one store read of one block.
+func (s *Server) fillBlock(v *volume, file, block uint32) (*bufpool.Buf, int, error) {
+	id := blockID{file: file, block: block}
 	gen := v.cache.snapshot(id)
 	// Snapshot the staged size BEFORE the store read: if the file exists
 	// only as staged blocks and its first flush creates the store file
@@ -1285,15 +1290,51 @@ func (s *Server) stageBlock(v *volume, id blockID, buf *bufpool.Buf, payStart, p
 // falling up to 64).
 const maxTrain = 64 << 10
 
+// fillRun fetches a run of consecutive uncached blocks of file, starting
+// at block first, one into each slot of out. Two or more cost a single
+// store read through a pooled staging buffer, each block then inserted
+// under a generation snapshotted before the read, exactly as a fillBlock
+// miss is, so a write that lands meanwhile is never clobbered by the
+// stale fill. A lone block, or all of them when the read fails, goes
+// through fillBlock, which knows the special cases.
+func (s *Server) fillRun(v *volume, file, first uint32, out []*bufpool.Buf) error {
+	bs := s.cfg.BlockSize
+	if len(out) > 1 {
+		gens := make([]uint64, len(out))
+		for i := range gens {
+			gens[i] = v.cache.snapshot(blockID{file: file, block: first + uint32(i)})
+		}
+		stage := bufpool.Get(len(out) * bs)
+		if n, err := v.store.ReadAt(file, stage.Data, int64(first)*int64(bs)); err == nil {
+			for i := range out {
+				out[i] = bufpool.Get(bs)
+				copy(out[i].Data, stage.Data[i*bs:])
+				v.cache.put(blockID{file: file, block: first + uint32(i)}, out[i], gens[i], max(0, min(bs, n-i*bs)))
+			}
+		}
+		stage.Release()
+	}
+	for i := range out {
+		if out[i] == nil {
+			var err error
+			if out[i], _, err = s.fillBlock(v, file, first+uint32(i)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // largeRead serves OpReadLarge: count bytes from byte offset off, moved
 // into the client's granted buffer in trains of up to maxTrain (§6.3
 // program loading). Each train is streamed directly from cache memory: the
 // cached blocks covering it are lent to a gather MoveTo (MoveToVec), so
 // the bytes are copied exactly once — from the cache into the wire
-// frames — with no staging buffer. The blocks stay referenced until the
-// transfer completes; a concurrent write invalidates the cache entry but
-// cannot recycle a lent block. The reply reports how many bytes the file
-// actually held.
+// frames — with no staging buffer. Blocks the cache does not hold are
+// fetched first, each maximal run of them in one store read (fillRun).
+// The blocks stay referenced until the transfer completes; a concurrent
+// write invalidates the cache entry but cannot recycle a lent block. The
+// reply reports how many bytes the file actually held.
 func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 	s.stats.largeReads.Add(1)
 	size, err := s.sizeOf(v, file)
@@ -1315,32 +1356,42 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 		for _, b := range blocks {
 			b.Release()
 		}
-		blocks = blocks[:0]
-		parts = parts[:0]
 	}
 	for done := uint32(0); done < n; {
 		m := min(n-done, maxTrain)
-		// Gather the chunk as views into cached blocks.
-		for fill := uint32(0); fill < m; {
-			pos := off + done + fill
-			blk := pos / bs
-			in := pos % bs
-			c := bs - in
-			if c > m-fill {
-				c = m - fill
+		pos := off + done
+		first := pos / bs
+		blocks = blocks[:(pos+m-1)/bs-first+1]
+		for i := range blocks {
+			blocks[i], _, _ = v.cache.getEnd(blockID{file: file, block: first + uint32(i)})
+		}
+		// Fetch the misses, each run of them (up to one staging buffer's
+		// worth) at once.
+		for i, j := 0, 0; i < len(blocks); i = j {
+			for j = i; j < len(blocks) && blocks[j] == nil && uint32(j-i) < maxTrain/bs; j++ {
 			}
-			b, _, err := s.getBlock(v, file, blk)
-			if err != nil {
+			if j == i {
+				j++ // cached
+			} else if err := s.fillRun(v, file, first+uint32(i), blocks[i:j]); err != nil {
 				release()
 				s.replyStatus(req.src, statusFor(err), done)
 				return
 			}
-			blocks = append(blocks, b)
-			parts = append(parts, b.Data[in:in+c])
-			fill += c
+		}
+		// Gather the train as views into the blocks.
+		parts = parts[:0]
+		for i, b := range blocks {
+			lo, hi := uint32(0), bs
+			if i == 0 {
+				lo = pos % bs
+			}
+			if i == len(blocks)-1 {
+				hi = (pos+m-1)%bs + 1
+			}
+			parts = append(parts, b.Data[lo:hi])
 		}
 		if s.cfg.ReadAhead {
-			s.readAhead(v, file, (off+done+m)/bs)
+			s.readAhead(v, file, (pos+m)/bs)
 		}
 		err := s.proc.MoveToVec(req.src, done, parts...)
 		release() // MoveToVec borrows only for the duration of the call

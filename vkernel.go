@@ -26,8 +26,8 @@
 //     or an in-memory transport with fault injection.
 //
 // The facade re-exports the pieces a downstream user needs; see README.md
-// and DESIGN.md for the architecture and EXPERIMENTS.md for
-// paper-vs-measured results.
+// ("Package map" for the architecture, "Benchmarks" for how the
+// paper-vs-measured tables are regenerated).
 package vkernel
 
 import (
