@@ -9,7 +9,7 @@ GO ?= go
 # stable local numbers.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache bench-shard bench-transport bench-replica obs-smoke check
+.PHONY: all build test race vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache loc obs-smoke check
 
 all: build test
 
@@ -53,16 +53,16 @@ bench-rfs:
 	$(GO) test -run 'TestNothing' -bench=. -benchmem ./internal/rfs/
 
 # Allocation pressure on the zero-copy data path: page reads and writes,
-# streamed 64 KB reads and writes (write-behind and write-through modes)
-# and the parallel IPC transactions report allocs/op and B/op at 1/4/16
-# clients so pooling regressions are visible at a glance. The obs
-# benches ride along: the histogram/counter record paths sit inside the
-# same hot loops, so they must stay allocation-free (and the histogram
-# under ~30ns) for the instrumented paths to stay zero-alloc.
+# streamed 64 KB reads and writes and the parallel IPC transactions
+# report allocs/op and B/op at 1/4/16 clients so pooling regressions are
+# visible at a glance. The obs benches ride along: the histogram/counter
+# record paths sit inside the same hot loops, so they must stay
+# allocation-free (and the histogram under ~30ns) for the instrumented
+# paths to stay zero-alloc.
 # Reference points at 1 client (64 KB = one packet train, sent and
 # received as two train frames on udp): ReadLarge64K 9 allocs/op on mem,
 # 13 on udp (was 8 / 142 when every packet of the train was its own
-# sendto, recvfrom and pooled frame hand-off); WriteLarge64K wb 34 on
+# sendto, recvfrom and pooled frame hand-off); WriteLarge64K 34 on
 # mem, 39 on udp (was 33 / 165).
 bench-alloc:
 	$(GO) test -run=- -bench='BenchmarkPageRead|BenchmarkPageWrite|BenchmarkReadLarge64K|BenchmarkWriteLarge64K|BenchmarkParallel' \
@@ -75,36 +75,12 @@ bench-alloc:
 bench-ccache:
 	$(GO) test -run=- -bench='BenchmarkCCache' -benchmem -benchtime=$(BENCHTIME) ./internal/rfs/
 
-# Volume-sharding scaling: 16 clients against 1/2/4 shards, each volume
-# backed by a serialized ~1ms device; aggregate page read/write ops/s and
-# allocs/op land in BENCH_shard.json. SHARDTIME is the per-phase window
-# (300ms in CI smoke runs; the default 1.5s for committed numbers).
-SHARDTIME ?= 1500ms
-bench-shard:
-	$(GO) run ./cmd/vbench -shard -shard-duration $(SHARDTIME) -shard-out BENCH_shard.json
-
-# Batched vs. per-datagram UDP transport: page read/write and streamed
-# 64 KB reads at 1/4/16 clients, paired interleaved trials, median
-# batched/udp ratios and allocs/op land in BENCH_transport.json.
-# TRANSPORTTIME is the per-phase window and TRANSPORTTRIALS the paired
-# trial count (shrunk in CI smoke runs; defaults for committed numbers).
-TRANSPORTTIME ?= 1s
-TRANSPORTTRIALS ?= 5
-bench-transport:
-	$(GO) run ./cmd/vbench -transport -transport-duration $(TRANSPORTTIME) \
-		-transport-trials $(TRANSPORTTRIALS) -transport-out BENCH_transport.json
-
-# Replication: device-bound read throughput at 1/2/3 copies of one
-# volume (reads spread over the in-sync set) plus kill-the-primary
-# failover gaps — time from the kill to the first successful read and
-# write. REPLICATIME is the per-point read window and REPLICATRIALS the
-# failover trial count (shrunk in CI smoke runs; defaults for committed
-# numbers in BENCH_replica.json).
-REPLICATIME ?= 1500ms
-REPLICATRIALS ?= 3
-bench-replica:
-	$(GO) run ./cmd/vbench -replica -replica-duration $(REPLICATIME) \
-		-replica-trials $(REPLICATRIALS) -replica-out BENCH_replica.json
+# Non-test Go lines in the product (the north star's "line count goes
+# down" figure), per directory and in total.
+loc:
+	@for d in internal/ipc internal/rfs cmd; do \
+		printf '%-14s %s\n' $$d $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); done
+	@printf '%-14s %s\n' total $$(find internal/ipc internal/rfs cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
 
 # Observability smoke: boot a two-shard replicated cluster in-process
 # (in-memory mesh and loopback UDP), run traced traffic, scrape every

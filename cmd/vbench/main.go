@@ -7,8 +7,6 @@
 //	vbench -list      # list experiment ids
 //	vbench table51    # run selected experiments
 //	vbench -max-dev   # also print each table's max deviation from the paper
-//	vbench -shard     # volume-sharding scaling benchmark (BENCH_shard.json)
-//	vbench -replica   # replication read-scaling + failover-gap benchmark (BENCH_replica.json)
 package main
 
 import (
@@ -23,67 +21,7 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	maxDev := flag.Bool("max-dev", false, "print each table's maximum deviation from the paper")
-	shard := flag.Bool("shard", false, "run the volume-sharding scaling benchmark instead of the paper tables")
-	shardOut := flag.String("shard-out", "BENCH_shard.json", "artifact path for -shard (empty: stdout only)")
-	shardDur := flag.Duration("shard-duration", 1500*time.Millisecond, "per-phase window for -shard")
-	shardClients := flag.Int("shard-clients", 16, "concurrent clients for -shard")
-	shardDelay := flag.Duration("shard-delay", time.Millisecond, "per-op device service time for -shard")
-	transport := flag.Bool("transport", false, "run the wire-transport batching benchmark instead of the paper tables")
-	transportOut := flag.String("transport-out", "BENCH_transport.json", "artifact path for -transport (empty: stdout only)")
-	transportDur := flag.Duration("transport-duration", time.Second, "per-phase window for -transport")
-	transportTrials := flag.Int("transport-trials", 3, "trials per phase for -transport; the fastest is kept")
-	replica := flag.Bool("replica", false, "run the replication read-scaling and failover benchmark instead of the paper tables")
-	replicaOut := flag.String("replica-out", "BENCH_replica.json", "artifact path for -replica (empty: stdout only)")
-	replicaDur := flag.Duration("replica-duration", 1500*time.Millisecond, "per-point read window for -replica")
-	replicaClients := flag.Int("replica-clients", 16, "concurrent readers for -replica")
-	replicaDelay := flag.Duration("replica-delay", time.Millisecond, "per-op device service time for -replica")
-	replicaTrials := flag.Int("replica-trials", 3, "failover kill/promote trials for -replica")
 	flag.Parse()
-
-	if *replica {
-		err := runReplica(replicaConfig{
-			replicas: []int{0, 1, 2},
-			clients:  *replicaClients,
-			duration: *replicaDur,
-			delay:    *replicaDelay,
-			trials:   *replicaTrials,
-			out:      *replicaOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vbench: replica benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *transport {
-		err := runTransport(transportConfig{
-			clients:  []int{1, 4, 16},
-			duration: *transportDur,
-			trials:   *transportTrials,
-			out:      *transportOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vbench: transport benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *shard {
-		err := runShard(shardConfig{
-			shards:   []int{1, 2, 4},
-			clients:  *shardClients,
-			duration: *shardDur,
-			delay:    *shardDelay,
-			out:      *shardOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vbench: shard benchmark failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.Registry {

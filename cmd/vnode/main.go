@@ -57,37 +57,32 @@ import (
 
 func main() {
 	var (
-		host         = flag.Int("host", 1, "logical host id of this node")
-		listen       = flag.String("listen", "127.0.0.1:0", "UDP listen address")
-		peers        peerList
-		transport    = flag.String("transport", "udp", "wire transport: udp (per-datagram) or batched (recvmmsg/sendmmsg, reuseport shards, hot-peer sockets)")
-		rxshards     = flag.Int("rxshards", 0, "batched: SO_REUSEPORT rx shard sockets (0 = per-CPU default, capped at 4)")
-		udpqueue     = flag.Int("udpqueue", 0, "dispatch queue depth between socket reads and each handler worker (0 = default 512)")
-		udpworkers   = flag.Int("udpworkers", 0, "packet-dispatch worker goroutines (0 = per-CPU default, capped at 16)")
-		adaptiveRTO  = flag.Bool("adaptiverto", false, "per-peer adaptive retransmission timing (smoothed RTT/RTTVAR) instead of the fixed timeout")
-		metricsAddr  = flag.String("metrics", "", "serve the node's metrics registry over HTTP at this address (expvar JSON at /debug/vars, pprof under /debug/pprof/); empty = off")
-		timing       = flag.Bool("timing", false, "enable latency timing (per-op histograms); off by default so the hot paths cost one atomic load")
-		slowOp       = flag.Duration("slowop", 0, "server: auto-capture a trace span for any request slower than this (implies -timing); 0 = off")
-		serve        = flag.Bool("serve", false, "run the file server")
-		volumes      = flag.String("volumes", "", "server: comma-separated volumes to host — 'id' for a primary, 'id:rid' for read replica rid of volume id (empty = the single default volume)")
-		nreplicas    = flag.Int("replicas", 0, "server: read replicas each hosted primary keeps in sync (0 = replication off)")
-		rejoin       = flag.Bool("rejoin", false, "server: primaries probe the name service first and demote to replicas if another server already owns the volume (restart after failover)")
-		storeDir     = flag.String("store", "", "server: directory for the file-backed store (empty = in-memory)")
-		cacheBlks    = flag.Int("cache", 1024, "server: block-cache capacity in blocks")
-		readahead    = flag.Bool("readahead", false, "server: prefetch the next block after each page read")
-		writeThrough = flag.Bool("writethrough", false, "server: synchronous write-through instead of write-behind")
-		dirtyBudget  = flag.Int("dirtybudget", 0, "server: max staged-but-unflushed blocks (0 = default)")
-		flushers     = flag.Int("flushers", 0, "server: write-behind flusher goroutines (0 = default)")
-		maxDirtyAge  = flag.Duration("maxdirtyage", 0, "server: scheduled flushing — flush blocks dirty longer than this (0 = eager flushers)")
-		lease        = flag.Duration("lease", 0, "server: client-cache registration lease (0 = default 2s)")
-		fileID       = flag.Uint("file", 1, "client: file id to exercise")
-		reads        = flag.Int("reads", 100, "client: number of page reads")
-		writes       = flag.Int("writes", 0, "client: also time this many page writes (ends with a sync)")
-		large        = flag.Int("large", 0, "client: also stream a large read of this many bytes")
-		clientCache  = flag.Bool("clientcache", false, "client: enable the local block cache with server-driven invalidation")
-		ccBlocks     = flag.Int("ccblocks", 0, "client: local cache capacity in blocks (0 = default 256)")
-		volumeID     = flag.Int("volume", -1, "client: route to this volume id via the name service (-1 = legacy single-server discovery)")
-		spreadReads  = flag.Bool("spreadreads", false, "client: round-robin reads over the volume's in-sync replica set (requires -volume)")
+		host        = flag.Int("host", 1, "logical host id of this node")
+		listen      = flag.String("listen", "127.0.0.1:0", "UDP listen address")
+		peers       peerList
+		transport   = flag.String("transport", "udp", "wire transport: udp (per-datagram) or batched (recvmmsg/sendmmsg, reuseport shards, hot-peer sockets)")
+		adaptiveRTO = flag.Bool("adaptiverto", false, "per-peer adaptive retransmission timing (smoothed RTT/RTTVAR) instead of the fixed timeout")
+		metricsAddr = flag.String("metrics", "", "serve the node's metrics registry over HTTP at this address (expvar JSON at /debug/vars, pprof under /debug/pprof/); empty = off")
+		timing      = flag.Bool("timing", false, "enable latency timing (per-op histograms); off by default so the hot paths cost one atomic load")
+		slowOp      = flag.Duration("slowop", 0, "server: auto-capture a trace span for any request slower than this (implies -timing); 0 = off")
+		serve       = flag.Bool("serve", false, "run the file server")
+		volumes     = flag.String("volumes", "", "server: comma-separated volumes to host — 'id' for a primary, 'id:rid' for read replica rid of volume id (empty = the single default volume)")
+		nreplicas   = flag.Int("replicas", 0, "server: read replicas each hosted primary keeps in sync (0 = replication off)")
+		rejoin      = flag.Bool("rejoin", false, "server: primaries probe the name service first and demote to replicas if another server already owns the volume (restart after failover)")
+		storeDir    = flag.String("store", "", "server: directory for the file-backed store (empty = in-memory)")
+		cacheBlks   = flag.Int("cache", 1024, "server: block-cache capacity in blocks")
+		readahead   = flag.Bool("readahead", false, "server: prefetch the next block after each page read")
+		dirtyBudget = flag.Int("dirtybudget", 0, "server: max staged-but-unflushed blocks (0 = default)")
+		flushers    = flag.Int("flushers", 0, "server: write-behind flusher goroutines (0 = default)")
+		lease       = flag.Duration("lease", 0, "server: client-cache registration lease (0 = default 2s)")
+		fileID      = flag.Uint("file", 1, "client: file id to exercise")
+		reads       = flag.Int("reads", 100, "client: number of page reads")
+		writes      = flag.Int("writes", 0, "client: also time this many page writes (ends with a sync)")
+		large       = flag.Int("large", 0, "client: also stream a large read of this many bytes")
+		clientCache = flag.Bool("clientcache", false, "client: enable the local block cache with server-driven invalidation")
+		ccBlocks    = flag.Int("ccblocks", 0, "client: local cache capacity in blocks (0 = default 256)")
+		volumeID    = flag.Int("volume", -1, "client: route to this volume id via the name service (-1 = legacy single-server discovery)")
+		spreadReads = flag.Bool("spreadreads", false, "client: round-robin reads over the volume's in-sync replica set (requires -volume)")
 	)
 	flag.Var(&peers, "peer", "host=addr peer entry; repeatable, and each may be a comma-separated list")
 	flag.Parse()
@@ -112,18 +107,9 @@ func main() {
 	var err error
 	switch *transport {
 	case "udp":
-		tr, err = ipc.NewUDPTransportConfig(*listen, ipc.UDPConfig{
-			Metrics:    reg,
-			QueueDepth: *udpqueue,
-			Workers:    *udpworkers,
-		})
+		tr, err = ipc.NewUDPTransportConfig(*listen, ipc.UDPConfig{Metrics: reg})
 	case "batched":
-		tr, err = ipc.NewBatchedUDPTransport(*listen, ipc.BatchConfig{
-			Metrics:    reg,
-			Shards:     *rxshards,
-			QueueDepth: *udpqueue,
-			Workers:    *udpworkers,
-		})
+		tr, err = ipc.NewBatchedUDPTransport(*listen, ipc.BatchConfig{Metrics: reg})
 	default:
 		err = fmt.Errorf("unknown -transport %q (want udp or batched)", *transport)
 	}
@@ -148,15 +134,13 @@ func main() {
 
 	if *serve {
 		runServer(node, *volumes, *storeDir, *nreplicas, *rejoin, rfs.Config{
-			Metrics:      reg,
-			SlowOp:       *slowOp,
-			CacheBlocks:  *cacheBlks,
-			ReadAhead:    *readahead,
-			WriteThrough: *writeThrough,
-			DirtyBudget:  *dirtyBudget,
-			Flushers:     *flushers,
-			MaxDirtyAge:  *maxDirtyAge,
-			CacheLease:   *lease,
+			Metrics:     reg,
+			SlowOp:      *slowOp,
+			CacheBlocks: *cacheBlks,
+			ReadAhead:   *readahead,
+			DirtyBudget: *dirtyBudget,
+			Flushers:    *flushers,
+			CacheLease:  *lease,
 		})
 		return
 	}
@@ -275,12 +259,8 @@ func runServer(node *ipc.Node, volumeSpec, storeDir string, nreplicas int, rejoi
 	srv, err := rfs.StartVolumes(node, vols, cfg)
 	fatalIf(err)
 	defer srv.Close()
-	mode := "write-behind"
-	if cfg.WriteThrough {
-		mode = "write-through"
-	}
-	fmt.Printf("vnode: file server %v registered as logical id %d, volumes at %d+id (%s)\n",
-		srv.Pid(), rfs.LogicalFileServer, rfs.LogicalVolumeBase, mode)
+	fmt.Printf("vnode: file server %v registered as logical id %d, volumes at %d+id\n",
+		srv.Pid(), rfs.LogicalFileServer, rfs.LogicalVolumeBase)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

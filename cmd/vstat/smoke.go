@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"vkernel/internal/obs"
@@ -101,6 +102,9 @@ func smokeCluster(udp bool) error {
 		return snaps, nil
 	}
 
+	if err := waitInSync(cl, 10*time.Second); err != nil {
+		return err
+	}
 	if err := traffic(); err != nil {
 		return err
 	}
@@ -126,6 +130,31 @@ func smokeCluster(udp bool) error {
 		return fmt.Errorf("second scrape: %w", err)
 	}
 	return checkMonotonic(first, second)
+}
+
+// waitInSync polls the shards' registries until every volume's
+// rfs.vol<id>.repl_insync gauge reads at least 1. A write that reaches a
+// primary before its replica has enrolled is not logged and never
+// pushed, so traced traffic any earlier can leave no repl.push span.
+func waitInSync(cl *rfs.Cluster, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		ready := 0
+		for _, cs := range cl.Servers {
+			cs.Srv.Metrics().Do(nil, func(name string, v int64) {
+				if strings.HasSuffix(name, ".repl_insync") && v >= 1 {
+					ready++
+				}
+			}, nil)
+		}
+		if ready == len(cl.Volumes) {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%d of %d volumes have an in-sync replica after %v", ready, len(cl.Volumes), timeout)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // checkPresent asserts the metric families every layer should have

@@ -41,7 +41,6 @@ var LockOrder = []string{
 	"rfs.cacheRegistry.mu",
 	"rfs.FileStore.mu",
 	"rfs.MemStore.mu",
-	"rfs.DelayStore.mu",
 }
 
 // Analyzers returns the full suite in reporting order.

@@ -84,28 +84,12 @@ func (b *rxBatch) flush() {
 	}
 }
 
-// UDPConfig tunes a UDPTransport; the zero value gets the defaults that
-// used to be compile-time constants.
+// UDPConfig configures a UDPTransport. Dispatch is sized by the
+// transport itself: one worker per CPU (2..16), udpQueueDepth each.
 type UDPConfig struct {
 	// Metrics is the observability registry for the transport's net.*
 	// counters (see UDPTransport). Nil gets a private registry.
 	Metrics *obs.Registry
-	// QueueDepth bounds datagrams buffered between the socket read loop
-	// and each dispatch worker (0 = 512).
-	QueueDepth int
-	// Workers is the number of dispatch workers (0 = one per CPU, min 2,
-	// capped at 16).
-	Workers int
-}
-
-func (c UDPConfig) withDefaults() UDPConfig {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = udpQueueDepth
-	}
-	if c.Workers <= 0 {
-		c.Workers = dispatchWorkers(16)
-	}
-	return c
 }
 
 // UDPTransport carries interkernel packets in UDP datagrams — the modern
@@ -170,8 +154,8 @@ func NewUDPTransport(listen string) (*UDPTransport, error) {
 	return NewUDPTransportConfig(listen, UDPConfig{})
 }
 
-// NewUDPTransportConfig is NewUDPTransport with explicit queue and
-// worker-pool tuning.
+// NewUDPTransportConfig is NewUDPTransport with a caller-supplied
+// metrics registry.
 func NewUDPTransportConfig(listen string, cfg UDPConfig) (*UDPTransport, error) {
 	addr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
@@ -181,7 +165,6 @@ func NewUDPTransportConfig(listen string, cfg UDPConfig) (*UDPTransport, error) 
 	if err != nil {
 		return nil, fmt.Errorf("ipc: listen %q: %w", listen, err)
 	}
-	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.New()
@@ -198,7 +181,7 @@ func NewUDPTransportConfig(listen string, cfg UDPConfig) (*UDPTransport, error) 
 		sendGSO:     writeGSO,
 	}
 	t.peers.init()
-	t.rx = newDispatcher(cfg.Workers, cfg.QueueDepth, t.handle)
+	t.rx = newDispatcher(dispatchWorkers(16), udpQueueDepth, t.handle)
 	return t, nil
 }
 

@@ -8,13 +8,19 @@ import (
 	"vkernel/internal/ipc"
 )
 
-// countStore counts ReadAt calls and can run a hook once the inner read
-// has returned — for a miss fill, between its generation snapshot and its
-// insert into the cache.
+// countStore counts ReadAt and WriteAt calls and can run a hook once the
+// inner read has returned — for a miss fill, between its generation
+// snapshot and its insert into the cache.
 type countStore struct {
 	Store
 	reads     atomic.Int64
+	writes    atomic.Int64
 	afterRead atomic.Pointer[func()]
+}
+
+func (c *countStore) WriteAt(file uint32, p []byte, off int64) error {
+	c.writes.Add(1)
+	return c.Store.WriteAt(file, p, off)
 }
 
 func (c *countStore) ReadAt(file uint32, p []byte, off int64) (int, error) {

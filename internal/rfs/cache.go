@@ -42,7 +42,7 @@ const (
 )
 
 // blockCache is the server's in-memory block cache with LRU replacement
-// and (optionally) write-behind dirty-block tracking.
+// and write-behind dirty-block tracking.
 //
 // Blocks are pooled, reference-counted buffers. The cache holds one
 // reference per entry; get hands the caller another, so a block lent to
@@ -97,19 +97,6 @@ type blockCache struct {
 	write          func(file uint32, off int64, p []byte) error
 	flushWG        sync.WaitGroup
 
-	// Flush scheduling. With maxDirtyAge == 0 flushers are eager: they
-	// claim dirty blocks the moment they appear. A positive maxDirtyAge
-	// holds dirty blocks back for coalescing until (a) the dirty count
-	// reaches half the budget, (b) a drain (sync/close) is waiting —
-	// drainWaiters counts those — or (c) the trickler finds blocks dirty
-	// longer than maxDirtyAge, which bounds the data-loss window under
-	// light load. now is the trickle's clock (tests fake it to age blocks
-	// without sleeping).
-	maxDirtyAge  time.Duration
-	drainWaiters int
-	now          func() time.Time
-	trickleDone  chan struct{}
-
 	gens [256]atomic.Uint64 // invalidation stamps, sharded by block id
 
 	// ring, when set (the server wires its registry's trace ring in),
@@ -136,9 +123,6 @@ type cacheEntry struct {
 	// flusher that writes the entry back logs the flush under it, so a
 	// traced write's timeline covers its asynchronous write-back too.
 	trace uint32
-	// dirtiedAt is when the entry's current unflushed bytes entered the
-	// cache (maintained only under scheduled flushing, maxDirtyAge > 0).
-	dirtiedAt time.Time
 }
 
 // flushItem is one claimed block of a flush run: the entry plus a
@@ -151,10 +135,9 @@ type flushItem struct {
 	trace uint32
 }
 
-// newBlockCache builds the cache. write is the store write-back hook for
-// the flushers; flushers == 0 disables write-behind entirely (stage must
-// not be called) — the write-through server runs the cache that way.
-func newBlockCache(capacity, blockSize, budget, flushers int, maxDirtyAge time.Duration, write func(file uint32, off int64, p []byte) error) *blockCache {
+// newBlockCache builds the cache and starts its flushers; write is their
+// store write-back hook.
+func newBlockCache(capacity, blockSize, budget, flushers int, write func(file uint32, off int64, p []byte) error) *blockCache {
 	c := &blockCache{
 		capacity:       capacity,
 		blockSize:      blockSize,
@@ -167,31 +150,13 @@ func newBlockCache(capacity, blockSize, budget, flushers int, maxDirtyAge time.D
 		staged:         make(map[uint32]int64),
 		flushErrByFile: make(map[uint32]error),
 		write:          write,
-		maxDirtyAge:    maxDirtyAge,
-		now:            time.Now,
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if flushers == 0 {
-		c.maxDirtyAge = 0 // write-through: nothing is ever dirty
-	}
 	for i := 0; i < flushers; i++ {
 		c.flushWG.Add(1)
 		go c.flusher()
 	}
-	if c.maxDirtyAge > 0 {
-		c.trickleDone = make(chan struct{})
-		c.flushWG.Add(1)
-		go c.trickler()
-	}
 	return c
-}
-
-// setNow substitutes the scheduling clock (tests age blocks without
-// sleeping).
-func (c *blockCache) setNow(f func() time.Time) {
-	c.mu.Lock()
-	c.now = f
-	c.mu.Unlock()
 }
 
 // get returns the cached block with a reference for the caller (Release
@@ -350,18 +315,14 @@ func (c *blockCache) stage(id blockID, buf *bufpool.Buf, payStart, payEnd int, s
 			e.state = stateDirty
 			c.dirty[id] = e
 			c.addNonCleanLocked(id.file)
-			c.stampDirtiedLocked(e)
 		case stateDirty:
-			// already queued (the flusher will pick up the newer buffer);
-			// dirtiedAt keeps the age of the oldest unflushed write
+			// already queued (the flusher will pick up the newer buffer)
 		case stateFlushing:
 			e.redirty = true
-			c.stampDirtiedLocked(e) // the superseding bytes' age starts now
 		}
 		c.lru.MoveToFront(el)
 	} else {
 		e := &cacheEntry{id: id, buf: buf.Retain(), end: end, state: stateDirty, trace: trace}
-		c.stampDirtiedLocked(e)
 		c.entries[id] = c.lru.PushFront(e)
 		c.dirty[id] = e
 		c.addNonCleanLocked(id.file)
@@ -422,7 +383,7 @@ func (c *blockCache) evictExcessLocked() {
 	}
 }
 
-// invalidate drops a block (a write-through or truncate made it stale)
+// invalidate drops a block (a replica's store-first apply made it stale)
 // and stamps the invalidation so in-flight miss fills cannot resurrect
 // it. Borrowers of the block are unaffected: only the cache's reference
 // is dropped. A staged-but-unflushed block is discarded outright — the
@@ -512,95 +473,21 @@ func (c *blockCache) truncate(file uint32, create func() error) error {
 	return create()
 }
 
-// stampDirtiedLocked records when an entry's current unflushed bytes
-// arrived; only scheduled flushing reads the stamp, so eager mode skips
-// the clock call on the write hot path. Caller holds c.mu.
-func (c *blockCache) stampDirtiedLocked(e *cacheEntry) {
-	if c.maxDirtyAge > 0 {
-		e.dirtiedAt = c.now()
-	}
-}
-
-// claimableLocked reports whether a flusher should claim work now. Eager
-// mode (maxDirtyAge == 0) claims any dirty block immediately; scheduled
-// mode holds blocks for coalescing until a drain waits, the dirty count
-// reaches half the budget, or the cache is closing. Caller holds c.mu.
-func (c *blockCache) claimableLocked() bool {
-	if len(c.dirty) == 0 {
-		return false
-	}
-	if c.maxDirtyAge == 0 || c.closed || c.drainWaiters > 0 {
-		return true
-	}
-	return 2*c.dirtyCount >= c.budget
-}
-
 // flusher is one write-behind worker: it claims runs of consecutive dirty
 // blocks of one file and writes each run back with a single store write.
 func (c *blockCache) flusher() {
 	defer c.flushWG.Done()
 	for {
 		c.mu.Lock()
-		for !c.closed && !c.claimableLocked() {
+		for !c.closed && len(c.dirty) == 0 {
 			c.cond.Wait()
 		}
-		if !c.claimableLocked() {
+		if len(c.dirty) == 0 {
 			// Closed with nothing left to drain.
 			c.mu.Unlock()
 			return
 		}
 		file, start, items := c.claimRunLocked()
-		c.mu.Unlock()
-		c.flushRun(file, start, items)
-	}
-}
-
-// trickler is the age pass of scheduled flushing: on a timer it forces
-// out blocks dirty longer than maxDirtyAge, so light write loads that
-// never build budget pressure still reach the store within a bounded
-// window.
-func (c *blockCache) trickler() {
-	defer c.flushWG.Done()
-	interval := c.maxDirtyAge / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.trickleDone:
-			return
-		case <-t.C:
-			c.tricklePass()
-		}
-	}
-}
-
-// tricklePass flushes every block that has been dirty longer than
-// maxDirtyAge (runs extend to adjacent dirty blocks — coalescing is
-// preserved). Exposed to tests as the deterministic trickle entry point,
-// driven by the fake clock installed with setNow.
-func (c *blockCache) tricklePass() {
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		cutoff := c.now().Add(-c.maxDirtyAge)
-		var seed *cacheEntry
-		for _, e := range c.dirty {
-			if !e.dirtiedAt.After(cutoff) {
-				seed = e
-				break
-			}
-		}
-		if seed == nil {
-			c.mu.Unlock()
-			return
-		}
-		file, start, items := c.claimRunFromLocked(seed)
 		c.mu.Unlock()
 		c.flushRun(file, start, items)
 	}
@@ -726,14 +613,10 @@ func (c *blockCache) flushRun(file uint32, start uint32, items []flushItem) {
 // staged while the drain runs do NOT extend it: a sync promises
 // durability for the writes acknowledged before it, so a drain
 // terminates even while other clients keep writing. The server's
-// Flush/OpSync and Close call this; with write-behind disabled it
-// returns immediately.
+// Flush/OpSync and Close call this.
 func (c *blockCache) flushAll() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainWaiters++
-	c.cond.Broadcast() // scheduled flushers claim while a drain waits
-	defer func() { c.drainWaiters-- }()
 	for _, sn := range c.drainSnapshotLocked(0) {
 		for {
 			el, ok := c.entries[sn.e.id]
@@ -795,9 +678,6 @@ func (c *blockCache) drainSnapshotLocked(file uint32) []drainSnap {
 func (c *blockCache) flushFile(file uint32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.drainWaiters++
-	c.cond.Broadcast()
-	defer func() { c.drainWaiters-- }()
 	for _, sn := range c.drainSnapshotLocked(file) {
 		for {
 			el, ok := c.entries[sn.e.id]
@@ -828,9 +708,6 @@ func (c *blockCache) close() {
 	c.closed = true
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if c.trickleDone != nil {
-		close(c.trickleDone)
-	}
 	c.flushWG.Wait()
 	c.mu.Lock()
 	for el := c.lru.Front(); el != nil; el = el.Next() {

@@ -220,19 +220,34 @@ func TestClientCacheLargeWriteInvalidates(t *testing.T) {
 	}
 }
 
-// hookStore runs a test-supplied function before each WriteAt — that is,
-// with a write-through server, in the middle of the client's write
-// exchange.
-type hookStore struct {
-	Store
-	before atomic.Pointer[func()]
-}
-
-func (h *hookStore) WriteAt(file uint32, p []byte, off int64) error {
-	if f := h.before.Load(); f != nil {
-		(*f)()
+// hookedWatcher registers a second client-cache watcher for file whose
+// callback process runs hook before it replies to each OpInvalidate. The
+// server awaits that reply before it acknowledges the writer, so hook
+// runs in the middle of the writer's exchange.
+func hookedWatcher(t testing.TB, e *env, file uint32, hook func()) {
+	t.Helper()
+	cb, err := e.clientNode.Attach("hooked-cb")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return h.Store.WriteAt(file, p, off)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			_, src, err := cb.Receive()
+			if err != nil {
+				return
+			}
+			hook()
+			reply := buildReply(StatusOK, 0)
+			_ = cb.Reply(&reply, src)
+		}
+	}()
+	t.Cleanup(func() { e.clientNode.Detach(cb); <-done })
+	m := buildRequest(DefaultVolume, OpRegisterCache, file, uint32(cb.Pid()), 0)
+	if err := e.client(t, "hooked-owner").exchange(&m, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestClientCacheWriteRefreshRefused: a client rewrites a page it has
@@ -241,8 +256,7 @@ func (h *hookStore) WriteAt(file uint32, p []byte, off int64) error {
 // WriteBlock. The refresh is refused; the client must then read its own
 // write back from the server, not the copy it cached before.
 func TestClientCacheWriteRefreshRefused(t *testing.T) {
-	store := &hookStore{Store: NewMemStore()}
-	e := memEnvStore(t, store, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{WriteThrough: true})
+	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
 	c := e.cachingClient(t, "app", CacheClientConfig{})
 
 	const file, block = 40, 3
@@ -264,12 +278,14 @@ func TestClientCacheWriteRefreshRefused(t *testing.T) {
 
 	// What the callback process does when another client writes the
 	// neighbour, timed to land while our write is at the server.
-	callback := func() { c.cache.Invalidate(file, neighbour, 1) }
-	store.before.Store(&callback)
+	var ran atomic.Bool
+	hookedWatcher(t, e, file, func() { ran.Store(true); c.cache.Invalidate(file, neighbour, 1) })
 	if err := c.WriteBlock(file, block, versionedPage(block, 2)); err != nil {
 		t.Fatal(err)
 	}
-	store.before.Store(nil)
+	if !ran.Load() {
+		t.Fatal("the write was acknowledged before the other watcher's callback ran")
+	}
 
 	got := make([]byte, 512)
 	if _, err := c.ReadBlock(file, block, got); err != nil {

@@ -67,6 +67,66 @@ func tightNode() ipc.NodeConfig {
 	}
 }
 
+// TestShardedDeviceWorkDividesByK is the sharding capacity claim as exact
+// counts: the same user traffic — n cold page reads, n page writes and a
+// sync, spread evenly over four volumes — costs the same device
+// operations in total however many shards host the volumes, and each of
+// K shards does exactly 1/K of them. Written blocks are never adjacent,
+// so no flush run coalesces two of them and a page write is one store
+// write.
+func TestShardedDeviceWorkDividesByK(t *testing.T) {
+	const n, file = 64, 9
+	vols := []uint32{1, 2, 3, 4}
+	perVol := n / len(vols)
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			c := startCluster(t, ClusterConfig{
+				Shards:  k,
+				Volumes: vols,
+				NewStore: func(vol uint32) Store {
+					mem := NewMemStore()
+					seed(t, mem, file, pattern(vol, 2*perVol*512)) // behind the server: cold
+					return &countStore{Store: mem}
+				},
+			})
+			node := clientNode(t, c)
+			r := newRouter(t, node)
+			page := make([]byte, 512)
+			for _, vol := range vols {
+				cl := NewVolumeClient(attach(t, node, fmt.Sprintf("app%d", vol)), r, vol)
+				image := pattern(vol, 2*perVol*512)
+				for i := 0; i < perVol; i++ {
+					b := uint32(2 * i)
+					if _, err := cl.ReadBlock(file, b, page); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(page, image[b*512:(b+1)*512]) {
+						t.Fatalf("volume %d block %d: wrong bytes", vol, b)
+					}
+					if err := cl.WriteBlock(file, b+1, versionedPage(b+1, 1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := cl.Sync(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, cs := range c.Servers {
+				var reads, writes int64
+				for _, spec := range cs.Specs {
+					st := spec.Store.(*countStore)
+					reads += st.reads.Load()
+					writes += st.writes.Load()
+				}
+				if reads != n/int64(k) || writes != n/int64(k) {
+					t.Errorf("shard %d of %d: %d store reads, %d store writes, want %d of each",
+						cs.Index, k, reads, writes, n/k)
+				}
+			}
+		})
+	}
+}
+
 // TestRegistryReapOnRegister: an idle file's lease-expired registration
 // must be reaped by any later registration traffic — not only by a write
 // to that same file. (Regression: reaping used to happen solely on the

@@ -177,9 +177,9 @@ func (rv *replicaVol) applyLoop(p *ipc.Proc) {
 }
 
 // applyRecord applies one record to the replicated store: writes go
-// store-first then invalidate the cached blocks (the write-through
-// pattern; the cache's generation stamps keep a racing read fill from
-// caching pre-write bytes), creates truncate through the cache.
+// store-first then invalidate the cached blocks (the cache's generation
+// stamps keep a racing read fill from caching pre-write bytes), creates
+// truncate through the cache.
 // Duplicates (a retransmitted push) ack silently; a sequence gap is
 // refused — the primary drops the connection and the replica pulls.
 // A traced record logs a span event on the replica's own trace ring —

@@ -17,10 +17,9 @@ import (
 )
 
 // Config tunes the file server; the zero value gets defaults. Cache
-// sizing (CacheBlocks, DirtyBudget, Flushers, MaxDirtyAge) is per
-// volume: each volume a server hosts gets its own block cache, dirty
-// budget and flusher pool, so one volume's write backlog never starves
-// another's.
+// sizing (CacheBlocks, DirtyBudget, Flushers) is per volume: each volume
+// a server hosts gets its own block cache, dirty budget and flusher
+// pool, so one volume's write backlog never starves another's.
 type Config struct {
 	// Metrics is the observability registry the server registers its
 	// rfs.* counters, per-op latency histograms and per-volume gauges
@@ -52,30 +51,18 @@ type Config struct {
 	// growing memory without limit. 0 → a generous 1024; negative
 	// disables the bound.
 	ReceiveQueueDepth int
-	// WriteThrough disables write-behind: page and large writes go
-	// synchronously to the Store and invalidate cached blocks before the
-	// reply, the pre-overhaul baseline the §6.2 comparison measures
-	// against. Default off: writes are staged as dirty cache blocks,
-	// acknowledged immediately, and flushed asynchronously (OpSync /
-	// Server.Flush force the write-back).
-	WriteThrough bool
-	// DirtyBudget bounds the staged-but-unflushed blocks a write-behind
-	// server will hold; writers past the bound block until the flushers
-	// catch up (backpressure). 0 → 256, capped at CacheBlocks; negative
-	// → 1 (effectively synchronous, but still off the request path).
+	// DirtyBudget bounds the staged-but-unflushed blocks the server will
+	// hold: writes are staged as dirty cache blocks, acknowledged at once
+	// and flushed asynchronously (OpSync / Server.Flush force the
+	// write-back); writers past the bound block until the flushers catch
+	// up (backpressure). 0 → 256, capped at CacheBlocks; negative → 1
+	// (effectively synchronous, but still off the request path: at most
+	// one acknowledged block is ever unflushed).
 	DirtyBudget int
 	// Flushers sizes the write-behind flusher pool (0 → 2). Each flusher
-	// claims runs of consecutive dirty blocks of one file and writes a
-	// run back with a single store write.
+	// claims a run of consecutive dirty blocks of one file as soon as it
+	// is free and writes the run back with a single store write.
 	Flushers int
-	// MaxDirtyAge, when positive, switches the flushers from eager to
-	// scheduled: dirty blocks are held for coalescing until half the
-	// dirty budget fills, a sync drains them, or they have been dirty
-	// longer than MaxDirtyAge — the age trickle that bounds the
-	// data-loss window under light load. 0 (the default) keeps the
-	// flushers eager: every staged block is claimed as soon as a flusher
-	// is free.
-	MaxDirtyAge time.Duration
 	// CacheLease bounds a client-cache registration (0 → 2s). It is also
 	// the staleness bound of the consistency protocol: a client whose
 	// invalidation callbacks are lost can serve stale cached bytes for at
@@ -461,10 +448,6 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 	for op := OpReadBlock; op <= OpSync; op++ {
 		s.opHists[op] = s.metrics.Histogram("rfs.op." + opName(op))
 	}
-	flushers := s.cfg.Flushers
-	if s.cfg.WriteThrough {
-		flushers = 0 // write-behind machinery idle; writes invalidate instead
-	}
 	cleanup := func() {
 		for _, v := range s.volumes {
 			if v.rv != nil {
@@ -491,8 +474,7 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 		}
 		v := &volume{id: spec.ID, store: spec.Store}
 		v.role.Store(int32(spec.Role))
-		v.cache = newBlockCache(s.cfg.CacheBlocks, s.cfg.BlockSize, s.cfg.DirtyBudget, flushers,
-			s.cfg.MaxDirtyAge,
+		v.cache = newBlockCache(s.cfg.CacheBlocks, s.cfg.BlockSize, s.cfg.DirtyBudget, s.cfg.Flushers,
 			func(file uint32, off int64, p []byte) error { return v.store.WriteAt(file, p, off) })
 		v.cache.ring = s.metrics.Trace()
 		s.volumes[spec.ID] = v
@@ -1170,12 +1152,10 @@ func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 
 // pageWrite serves OpWriteBlock: the data arrived inline with the Send
 // (§3.4); any remainder beyond the inline allowance is pulled with
-// MoveFrom. Write-behind (the default) lands the page in a fresh block
-// buffer — the pull scatters straight into it, no staging — stages it
-// dirty in the cache and acknowledges immediately; the flushers write it
-// back asynchronously (§6.2's server-side write buffering). With
-// Config.WriteThrough the write goes synchronously to the store and
-// invalidates the cached block before the reply, as before.
+// MoveFrom. The page lands in a fresh block buffer — the pull scatters
+// straight into it, no staging — is staged dirty in the cache and
+// acknowledged immediately; the flushers write it back asynchronously
+// (§6.2's server-side write buffering).
 func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
 	s.stats.pageWrites.Add(1)
 	bs := uint32(s.cfg.BlockSize)
@@ -1187,30 +1167,11 @@ func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
 	if got > count {
 		got = count
 	}
-	if s.cfg.WriteThrough {
-		if got < count {
-			if err := s.proc.MoveFrom(req.src, got, req.buf[got:count]); err != nil {
-				s.replyStatus(req.src, StatusBadRequest, 0)
-				return
-			}
-		}
-		if err := v.store.WriteAt(file, req.buf[:count], int64(block)*int64(s.cfg.BlockSize)); err != nil {
-			s.replyStatus(req.src, StatusIOError, 0)
-			return
-		}
-		v.cache.invalidate(blockID{file: file, block: block})
-		s.replicate(v, repKindWrite, file, block*bs, req.trace, req.buf[:count])
-		s.stats.bytesWrite.Add(int64(count))
-		ver, tracked := s.registry.invalidate(v.id, file, block, 1, req.src, req.trace)
-		s.replyWritten(req.src, count, ver, tracked)
-		return
-	}
-
 	if count == 0 {
-		// Degenerate zero-length write: nothing to defer. Write through
-		// so the file is created/extended exactly as the write-through
-		// path would — staging an empty dirty block would raise the
-		// staged size only until its (empty) flush pruned it again.
+		// Degenerate zero-length write: nothing to defer. Go to the store
+		// so the file is created/extended there — staging an empty dirty
+		// block would raise the staged size only until its (empty) flush
+		// pruned it again.
 		if err := v.store.WriteAt(file, nil, int64(block)*int64(s.cfg.BlockSize)); err != nil {
 			s.replyStatus(req.src, StatusIOError, 0)
 			return
@@ -1480,18 +1441,13 @@ func releaseSpans(spans []span) {
 // granted buffer in trains of up to maxTrain. The first bytes arrived inline
 // with the Send (§3.4) and are not pulled again.
 //
-// Write-behind (the default) scatters each chunk straight into
-// block-aligned cache buffers with MoveFromVec — zero staging copies —
-// and pipelines: while one chunk's blocks are absorbed into the cache
-// (which may block on the dirty budget or, transitively, the store), the
-// next chunk's pull is already on the wire. With Config.WriteThrough the
-// old serial pull-then-write-through loop runs instead, as the baseline.
+// Each chunk is scattered straight into block-aligned cache buffers with
+// MoveFromVec — zero staging copies — and pipelined: while one chunk's
+// blocks are absorbed into the cache (which may block on the dirty budget
+// or, transitively, the store), the next chunk's pull is already on the
+// wire.
 func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 	s.stats.largeWrites.Add(1)
-	if s.cfg.WriteThrough {
-		s.largeWriteThrough(v, req, file, off, count)
-		return
-	}
 	pre := uint32(req.inline)
 	if pre > count {
 		pre = count
@@ -1556,63 +1512,12 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 	// for the in-sync replicas to ack the lot.
 	s.replicateSync(v)
 	s.stats.bytesWrite.Add(int64(count))
-	ver, tracked := s.invalidateRange(v, req.src, file, off, count, req.trace)
-	s.replyWritten(req.src, count, ver, tracked)
-}
-
-// invalidateRange runs the client-cache fan-out for a byte-range write;
-// both large-write modes share its block-range arithmetic. The returned
-// version/tracked pair feeds replyWritten.
-func (s *Server) invalidateRange(v *volume, src ipc.Pid, file, off, count uint32, trace uint32) (uint32, bool) {
 	bs := uint32(s.cfg.BlockSize)
 	first := off / bs
 	nblocks := uint32(0)
 	if count > 0 {
 		nblocks = (off+count-1)/bs - first + 1
 	}
-	return s.registry.invalidate(v.id, file, first, nblocks, src, trace)
-}
-
-// largeWriteThrough is the pre-overhaul §6.2 baseline: chunks pulled
-// serially into one staging buffer with MoveFrom, each written through
-// to the store before the next pull, cached blocks invalidated at the
-// end. Kept runnable (Config.WriteThrough) so the write-behind win stays
-// measurable.
-func (s *Server) largeWriteThrough(v *volume, req *request, file, off, count uint32) {
-	bs := uint32(s.cfg.BlockSize)
-	pre := uint32(req.inline)
-	if pre > count {
-		pre = count
-	}
-	if pre > 0 {
-		if err := v.store.WriteAt(file, req.buf[:pre], int64(off)); err != nil {
-			s.replyStatus(req.src, StatusIOError, 0)
-			return
-		}
-		s.replicateAppend(v, repKindWrite, file, off, req.trace, req.buf[:pre])
-	}
-	staging := bufpool.Get(int(min(count, maxTrain)))
-	defer staging.Release()
-	for done := pre; done < count; {
-		m := min(count-done, maxTrain)
-		if err := s.proc.MoveFrom(req.src, done, staging.Data[:m]); err != nil {
-			s.replyStatus(req.src, StatusBadRequest, done)
-			return
-		}
-		if err := v.store.WriteAt(file, staging.Data[:m], int64(off)+int64(done)); err != nil {
-			s.replyStatus(req.src, StatusIOError, done)
-			return
-		}
-		s.replicateAppend(v, repKindWrite, file, off+done, req.trace, staging.Data[:m])
-		done += m
-	}
-	if count > 0 {
-		for blk := off / bs; blk <= (off+count-1)/bs; blk++ {
-			v.cache.invalidate(blockID{file: file, block: blk})
-		}
-	}
-	s.replicateSync(v)
-	s.stats.bytesWrite.Add(int64(count))
-	ver, tracked := s.invalidateRange(v, req.src, file, off, count, req.trace)
+	ver, tracked := s.registry.invalidate(v.id, file, first, nblocks, req.src, req.trace)
 	s.replyWritten(req.src, count, ver, tracked)
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // ErrNoFile is returned by stores for unknown file ids.
@@ -113,61 +112,6 @@ func (s *MemStore) Files() ([]uint32, error) {
 
 // Close implements Store.
 func (s *MemStore) Close() error { return nil }
-
-// DelayStore wraps a Store as a model of one disk: every read, write and
-// create holds the (single) device for a fixed service time before the
-// inner operation runs, so at most one operation is in service at once
-// and sustained throughput is bounded by 1/delay regardless of how many
-// server workers pile in. The shard-scaling benchmark gives each volume
-// its own DelayStore — aggregate device bandwidth then grows with the
-// shard count, which is exactly the capacity story volume sharding is
-// for (and it keeps the benchmark honest on a single-CPU host, where
-// extra servers cannot add compute, only devices). Size is served
-// without delay, like a cached inode.
-type DelayStore struct {
-	inner Store
-	delay time.Duration
-	mu    sync.Mutex // the device: one op in service at a time
-}
-
-// NewDelayStore wraps inner with a per-operation device latency.
-func NewDelayStore(inner Store, delay time.Duration) *DelayStore {
-	return &DelayStore{inner: inner, delay: delay}
-}
-
-// occupy holds the device for one service time.
-func (s *DelayStore) occupy() {
-	s.mu.Lock()
-	time.Sleep(s.delay)
-	s.mu.Unlock()
-}
-
-// ReadAt implements Store.
-func (s *DelayStore) ReadAt(file uint32, p []byte, off int64) (int, error) {
-	s.occupy()
-	return s.inner.ReadAt(file, p, off)
-}
-
-// WriteAt implements Store.
-func (s *DelayStore) WriteAt(file uint32, p []byte, off int64) error {
-	s.occupy()
-	return s.inner.WriteAt(file, p, off)
-}
-
-// Size implements Store.
-func (s *DelayStore) Size(file uint32) (int64, error) { return s.inner.Size(file) }
-
-// Create implements Store.
-func (s *DelayStore) Create(file uint32, size int64) error {
-	s.occupy()
-	return s.inner.Create(file, size)
-}
-
-// Files implements Store; like Size it is served without delay.
-func (s *DelayStore) Files() ([]uint32, error) { return s.inner.Files() }
-
-// Close implements Store.
-func (s *DelayStore) Close() error { return s.inner.Close() }
 
 // FileStore is a Store backed by one OS file per file id inside a
 // directory — the durable variant for a real server. Files are opened

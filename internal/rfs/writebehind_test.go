@@ -32,16 +32,24 @@ func (g *gatedStore) WriteAt(file uint32, p []byte, off int64) error {
 	return g.Store.WriteAt(file, p, off)
 }
 
-// slowStore delays every WriteAt, simulating a store slow enough to
-// saturate the server's worker pool.
+// slowStore delays every WriteAt (and, with readDelay set, every ReadAt),
+// simulating a store slow enough to saturate the server's worker pool.
 type slowStore struct {
 	Store
-	delay time.Duration
+	delay     time.Duration
+	readDelay time.Duration
 }
 
 func (s *slowStore) WriteAt(file uint32, p []byte, off int64) error {
 	time.Sleep(s.delay)
 	return s.Store.WriteAt(file, p, off)
+}
+
+func (s *slowStore) ReadAt(file uint32, p []byte, off int64) (int, error) {
+	if s.readDelay > 0 {
+		time.Sleep(s.readDelay)
+	}
+	return s.Store.ReadAt(file, p, off)
 }
 
 // TestWriteBehindReadYourWrites: with the store gated shut, acknowledged
@@ -152,60 +160,71 @@ func TestWriteBehindPartialPageMerge(t *testing.T) {
 // TestWriteBehindBackpressure: with the store gated shut, a writer can
 // run ahead of the flushers by at most DirtyBudget blocks; the budget
 // must hold while writes stall, and opening the gate must land every
-// acknowledged byte.
+// acknowledged byte. DirtyBudget -1 is the degenerate budget of one:
+// the second write's ack waits for the first block's store write.
 func TestWriteBehindBackpressure(t *testing.T) {
-	mem := NewMemStore()
-	gated := newGatedStore(mem)
-	const budget = 4
-	e := memEnvStore(t, gated, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{DirtyBudget: budget})
-	t.Cleanup(gated.open)
-	c := e.client(t, "app")
+	for _, tc := range []struct{ cfg, budget int }{{4, 4}, {-1, 1}} {
+		t.Run(fmt.Sprintf("budget=%d", tc.cfg), func(t *testing.T) {
+			mem := NewMemStore()
+			gated := newGatedStore(mem)
+			e := memEnvStore(t, gated, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{DirtyBudget: tc.cfg})
+			t.Cleanup(gated.open)
+			c := e.client(t, "app")
 
-	const blocks = 24
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		for b := uint32(0); b < blocks && err == nil; b++ {
-			err = c.WriteBlock(11, b, pattern(b, 512))
-		}
-		done <- err
-	}()
+			const blocks = 24
+			var acked atomic.Int64
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				for b := uint32(0); b < blocks && err == nil; b++ {
+					if err = c.WriteBlock(11, b, pattern(b, 512)); err == nil {
+						acked.Add(1)
+					}
+				}
+				done <- err
+			}()
 
-	// The writer must stall: the dirty count may never exceed the
-	// budget, and the write stream cannot finish while the gate is shut.
-	deadline := time.Now().Add(200 * time.Millisecond)
-	sawBudget := false
-	for time.Now().Before(deadline) {
-		if n := e.srv.Stats().DirtyBlocks; n > budget {
-			t.Fatalf("dirty blocks %d exceed budget %d", n, budget)
-		} else if n == budget {
-			sawBudget = true
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("writer finished through a closed gate (err=%v)", err)
-		default:
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !sawBudget {
-		t.Fatal("writer never filled the dirty budget")
-	}
-	gated.open()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(0); err != nil {
-		t.Fatal(err)
-	}
-	for b := uint32(0); b < blocks; b++ {
-		back := make([]byte, 512)
-		if _, err := mem.ReadAt(11, back, int64(b)*512); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, pattern(b, 512)) {
-			t.Fatalf("block %d lost through backpressure", b)
-		}
+			// The writer must stall: neither the dirty count nor the
+			// acknowledged writes may exceed the budget, and the write
+			// stream cannot finish while the gate is shut.
+			deadline := time.Now().Add(200 * time.Millisecond)
+			sawBudget := false
+			for time.Now().Before(deadline) {
+				if n := int(e.srv.Stats().DirtyBlocks); n > tc.budget {
+					t.Fatalf("dirty blocks %d exceed budget %d", n, tc.budget)
+				} else if n == tc.budget {
+					sawBudget = true
+				}
+				if n := acked.Load(); n > int64(tc.budget) {
+					t.Fatalf("%d writes acknowledged through a closed gate, budget %d", n, tc.budget)
+				}
+				select {
+				case err := <-done:
+					t.Fatalf("writer finished through a closed gate (err=%v)", err)
+				default:
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if !sawBudget {
+				t.Fatal("writer never filled the dirty budget")
+			}
+			gated.open()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Sync(0); err != nil {
+				t.Fatal(err)
+			}
+			for b := uint32(0); b < blocks; b++ {
+				back := make([]byte, 512)
+				if _, err := mem.ReadAt(11, back, int64(b)*512); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(back, pattern(b, 512)) {
+					t.Fatalf("block %d lost through backpressure", b)
+				}
+			}
+		})
 	}
 }
 
@@ -553,17 +572,19 @@ func TestSyncTerminatesUnderSustainedWrites(t *testing.T) {
 }
 
 // TestOverloadGoodputWithRetry drives more concurrent writers than a
-// deliberately slow, single-worker, write-through server can absorb, so
-// the kernel sheds Sends with overload Nacks — and the stubs' backoff
-// retry must still land every write exactly once. Goodput is measured at
-// two receive-queue depths (the ROADMAP's overload experiment).
+// deliberately slow server can absorb — one worker, and a dirty budget of
+// one block, so every write's stage waits out the previous block's
+// 300 µs store write — so the kernel sheds Sends with overload Nacks,
+// and the stubs' backoff retry must still land every write exactly once.
+// Goodput is measured at two receive-queue depths (the ROADMAP's
+// overload experiment).
 func TestOverloadGoodputWithRetry(t *testing.T) {
 	for _, depth := range []int{2, 32} {
 		depth := depth
 		t.Run(fmt.Sprintf("queue=%d", depth), func(t *testing.T) {
 			slow := &slowStore{Store: NewMemStore(), delay: 300 * time.Microsecond}
 			e := memEnvStore(t, slow, ipc.FaultConfig{}, ipc.NodeConfig{},
-				Config{WriteThrough: true, Workers: 1, QueueDepth: 1, ReceiveQueueDepth: depth})
+				Config{DirtyBudget: -1, Workers: 1, QueueDepth: 1, ReceiveQueueDepth: depth})
 			const clients, writes = 8, 20
 			var retries atomic.Int64
 			var wg sync.WaitGroup
@@ -642,7 +663,7 @@ func TestPerFileSync(t *testing.T) {
 	t.Cleanup(gated.open)
 	c := e.client(t, "app")
 
-	// Stack a backlog on the gated file; the eager flushers will claim
+	// Stack a backlog on the gated file; the flushers will claim
 	// it and park inside the store.
 	for b := uint32(0); b < 12; b++ {
 		if err := c.WriteBlock(8, b, pattern(b, 512)); err != nil {
@@ -694,107 +715,20 @@ func TestPerFileSync(t *testing.T) {
 	}
 }
 
-// TestMaxDirtyAgeTrickle: with scheduled flushing (MaxDirtyAge > 0) a
-// lone dirty block under light load is NOT flushed on demand — it waits
-// for the age trickle, driven here by a fake clock, which bounds the
-// data-loss window without giving up write coalescing.
-func TestMaxDirtyAgeTrickle(t *testing.T) {
-	mem := NewMemStore()
-	gated := newGatedStore(mem)
-	gated.open()          // writes pass; the wrapper only counts them
-	const age = time.Hour // the ticker never fires on its own in-test
-	e := memEnvStore(t, gated, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{MaxDirtyAge: age})
-	c := e.client(t, "app")
-
-	base := time.Now()
-	e.srv.volumes[DefaultVolume].cache.setNow(func() time.Time { return base })
-
-	want := pattern(5, 512)
-	if err := c.WriteBlock(5, 0, want); err != nil {
-		t.Fatal(err)
-	}
-	// Scheduled mode: no budget pressure, no sync, block not aged — the
-	// write must still be dirty after giving any eager flusher ample time.
-	time.Sleep(30 * time.Millisecond)
-	if n := gated.writes.Load(); n != 0 {
-		t.Fatalf("scheduled flusher wrote %d times with a young block", n)
-	}
-	if st := e.srv.Stats(); st.DirtyBlocks != 1 {
-		t.Fatalf("block not held dirty: %+v", st)
-	}
-	// A trickle pass before the block ages is a no-op.
-	e.srv.volumes[DefaultVolume].cache.tricklePass()
-	if n := gated.writes.Load(); n != 0 {
-		t.Fatalf("trickle flushed a young block (%d writes)", n)
-	}
-	// Age it past MaxDirtyAge: the next pass must flush it.
-	e.srv.volumes[DefaultVolume].cache.setNow(func() time.Time { return base.Add(2 * age) })
-	e.srv.volumes[DefaultVolume].cache.tricklePass()
-	if n := gated.writes.Load(); n != 1 {
-		t.Fatalf("aged block not trickled out (writes=%d)", n)
-	}
-	if st := e.srv.Stats(); st.DirtyBlocks != 0 {
-		t.Fatalf("trickled block still dirty: %+v", st)
-	}
-	back := make([]byte, 512)
-	if _, err := mem.ReadAt(5, back, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, want) {
-		t.Fatal("trickled bytes corrupted")
-	}
-}
-
-// TestScheduledFlushPressureAndSync: scheduled flushing must still (a)
-// flush on budget pressure before writers block forever, and (b) honor
-// an explicit sync immediately — the age trickle is a bound, not the
-// only path to the store.
-func TestScheduledFlushPressureAndSync(t *testing.T) {
-	mem := NewMemStore()
-	e := memEnvStore(t, mem, ipc.FaultConfig{}, ipc.NodeConfig{},
-		Config{MaxDirtyAge: time.Hour, DirtyBudget: 4})
-	c := e.client(t, "app")
-
-	// 24 blocks through a budget of 4: only pressure-driven claims keep
-	// the writer moving (the fake hour means no trickle, no sync yet).
-	for b := uint32(0); b < 24; b++ {
-		if err := c.WriteBlock(6, b, pattern(b, 512)); err != nil {
-			t.Fatalf("write %d stalled under scheduled flushing: %v", b, err)
-		}
-	}
-	// An explicit sync drains the tail without waiting for age.
-	if err := c.Sync(6); err != nil {
-		t.Fatal(err)
-	}
-	back := make([]byte, 512)
-	for b := uint32(0); b < 24; b++ {
-		if _, err := mem.ReadAt(6, back, int64(b)*512); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, pattern(b, 512)) {
-			t.Fatalf("block %d lost under scheduled flushing", b)
-		}
-	}
-}
-
-// TestZeroLengthWriteParity: a zero-length page write must behave
-// identically in both modes — it creates/extends the file to the block
-// offset and the observed size never transiently grows then vanishes.
+// TestZeroLengthWriteParity: a zero-length page write behaves as it
+// would against the bare store — it creates/extends the file to the
+// block offset and the observed size never transiently grows then
+// vanishes.
 func TestZeroLengthWriteParity(t *testing.T) {
-	for _, wt := range []bool{false, true} {
-		wt := wt
-		t.Run(fmt.Sprintf("writethrough=%v", wt), func(t *testing.T) {
-			e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{WriteThrough: wt})
-			c := e.client(t, "app")
-			if err := c.WriteBlock(9, 5, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Sync(0); err != nil {
-				t.Fatal(err)
-			}
-			if size, err := c.QueryFile(9); err != nil || size != 5*512 {
-				t.Fatalf("size=%d err=%v, want %d", size, err, 5*512)
-			}
-		})
+	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	c := e.client(t, "app")
+	if err := c.WriteBlock(9, 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	if size, err := c.QueryFile(9); err != nil || size != 5*512 {
+		t.Fatalf("size=%d err=%v, want %d", size, err, 5*512)
 	}
 }
