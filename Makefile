@@ -76,11 +76,14 @@ bench-ccache:
 	$(GO) test -run=- -bench='BenchmarkCCache' -benchmem -benchtime=$(BENCHTIME) ./internal/rfs/
 
 # Non-test Go lines in the product (the north star's "line count goes
-# down" figure), per directory and in total.
+# down" figure), per directory and in total; then, ungated, bench/ and the
+# whole module (test fixtures and build output excluded), so growth
+# cannot hide by moving between directories.
+GOSRC = find $(1) -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path '*/.bench_build/*' | xargs cat | wc -l
 loc:
-	@for d in internal/ipc internal/rfs cmd; do \
-		printf '%-14s %s\n' $$d $$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); done
-	@printf '%-14s %s\n' total $$(find internal/ipc internal/rfs cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
+	@for d in internal/ipc internal/rfs cmd; do printf '%-14s %s\n' $$d $$($(call GOSRC,$$d)); done
+	@printf '%-14s %s\n' total $$($(call GOSRC,internal/ipc internal/rfs cmd))
+	@printf '%-14s %s\n' bench $$($(call GOSRC,bench)) module $$($(call GOSRC,.))
 
 # Observability smoke: boot a two-shard replicated cluster in-process
 # (in-memory mesh and loopback UDP), run traced traffic, scrape every

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"runtime"
 	"sync"
+
+	"vkernel/internal/vproto"
 )
 
 // dispatcher hands received packets from a transport's read loops to a
@@ -17,7 +19,8 @@ import (
 // two or more workers is systematically not the one holding packet k.
 //
 // All three transports share it: T is a pooled frame for the UDP
-// transports and a (port, frame) delivery for MemNetwork.
+// transports, which queue only move packets (see queued), and a (port,
+// frame) delivery for MemNetwork, which queues every packet.
 type dispatcher[T any] struct {
 	run    func(worker int, batch []T) // handles and disposes of every item
 	depth  int                         // per-queue bound, 0 = unbounded
@@ -79,6 +82,24 @@ func flowOf(pkt []byte) uint32 {
 	}
 	h := binary.BigEndian.Uint32(pkt[8:12]) + binary.BigEndian.Uint32(pkt[12:16])
 	return h + h>>16 // fold the host fields in
+}
+
+// queued reports whether a UDP read loop hands an encoded packet to the
+// dispatcher. Move packets are queued: their handlers copy into segments,
+// and a MoveFromReq or a resuming MoveToAck streams a whole train. The
+// rest — the exchange protocol, runts, unknown kinds — is handled where
+// it was read, the paper's "common case at interrupt level": those
+// handlers touch one table, hand over a result or wake a receiver, and
+// send at most one datagram. The lane is a property of the kind.
+func queued(pkt []byte) bool {
+	if len(pkt) == 0 {
+		return false
+	}
+	switch vproto.Kind(pkt[0]) {
+	case vproto.KindMoveToData, vproto.KindMoveToAck, vproto.KindMoveFromReq, vproto.KindMoveFromData:
+		return true
+	}
+	return false
 }
 
 // workerOf returns the worker an encoded packet's flow belongs to.

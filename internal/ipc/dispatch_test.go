@@ -76,11 +76,12 @@ func moveCounters(nodes ...*Node) (resumes, oooDrops, retransmits int64) {
 	return
 }
 
-// TestDispatchKeepsFlowOrder is the Transport ordering contract: four
-// interleaved flows of numbered frames reach the handler each in its own
-// order with nothing lost, while two flows are provably being handled on
-// different workers at once (flow 0's first upcall does not return until
-// flow 1's first upcall has run, which a shared worker could never do).
+// TestDispatchKeepsFlowOrder is the Transport ordering contract for move
+// packets: four interleaved flows of numbered frames reach the handler
+// each in its own order with nothing lost, while two flows are provably
+// being handled on different workers at once (flow 0's first upcall does
+// not return until flow 1's first upcall has run, which a shared worker
+// could never do).
 func TestDispatchKeepsFlowOrder(t *testing.T) {
 	for _, kind := range transportKinds {
 		t.Run(kind, func(t *testing.T) {
@@ -96,6 +97,7 @@ func TestDispatchKeepsFlowOrder(t *testing.T) {
 				misorder atomic.Int64
 				parallel atomic.Bool
 				met      = make(chan struct{})
+				progress = make(chan struct{}, 1) // a frame was counted
 			)
 			dst.SetHandler(func(f *bufpool.Buf) {
 				var pkt vproto.Packet
@@ -121,21 +123,26 @@ func TestDispatchKeepsFlowOrder(t *testing.T) {
 				}
 				next[flow] = pkt.Offset + 1
 				got.Add(1)
+				select {
+				case progress <- struct{}{}:
+				default:
+				}
 			})
 			waitFor := func(n int64) {
-				deadline := time.Now().Add(20 * time.Second)
+				deadline := time.After(20 * time.Second)
 				for got.Load() < n {
-					if time.Now().After(deadline) {
+					select {
+					case <-progress:
+					case <-deadline:
 						t.Fatalf("%d of %d frames arrived", got.Load(), flows*frames)
 					}
-					time.Sleep(50 * time.Microsecond)
 				}
 			}
 			wire := make([]byte, vproto.HeaderSize+vproto.MessageSize)
 			for k := 0; k < frames; k++ {
 				for flow := 0; flow < flows; flow++ {
 					pkt := vproto.Packet{
-						Kind:   vproto.KindGetPidReply, // any kind: the handler is ours
+						Kind:   vproto.KindMoveToData, // a queued kind; the handler is ours
 						Seq:    1,
 						Src:    vproto.MakePid(1, uint16(flow+1)),
 						Dst:    vproto.MakePid(2, 9),
@@ -163,6 +170,91 @@ func TestDispatchKeepsFlowOrder(t *testing.T) {
 			}
 			if !parallel.Load() {
 				t.Error("flows 0 and 1 were never handled on different workers")
+			}
+		})
+	}
+}
+
+// TestExchangePacketsOvertakeQueuedMoves is the contract for exchange
+// packets: on the UDP transports a Reply is handled where it is read, so
+// it reaches the handler while a move upcall of its own flow is wedged on
+// a worker, and the flow's queued moves still follow in order once the
+// upcall returns. MemNetwork queues everything: the Reply comes after
+// every move sent before it.
+func TestExchangePacketsOvertakeQueuedMoves(t *testing.T) {
+	for _, kind := range transportKinds {
+		t.Run(kind, func(t *testing.T) {
+			src, dst := transportPair(t, kind)
+			t.Cleanup(func() {
+				_ = src.Close()
+				_ = dst.Close()
+			})
+			const moves = 8
+			var (
+				release = make(chan struct{})
+				entered = make(chan struct{})
+				arrived = make(chan vproto.Packet, moves+1)
+			)
+			var once sync.Once
+			unwedge := func() { once.Do(func() { close(release) }) }
+			t.Cleanup(unwedge) // runs before the transports close
+			dst.SetHandler(func(f *bufpool.Buf) {
+				var pkt vproto.Packet
+				if err := vproto.DecodeInto(&pkt, f.Data); err != nil {
+					t.Errorf("undecodable frame: %v", err)
+					return
+				}
+				pkt.Data = nil // aliases the frame
+				arrived <- pkt
+				if pkt.Kind == vproto.KindMoveToData && pkt.Offset == 0 {
+					close(entered)
+					<-release
+				}
+			})
+			flow := vproto.Packet{Seq: 1, Src: vproto.MakePid(1, 1), Dst: vproto.MakePid(2, 9)}
+			send := func(k vproto.Kind, off uint32) {
+				pkt := flow
+				pkt.Kind, pkt.Offset = k, off
+				wire, err := pkt.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := src.Send(2, wire); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for off := uint32(0); off < moves; off++ {
+				send(vproto.KindMoveToData, off)
+			}
+			next := func(what string) vproto.Packet {
+				select {
+				case pkt := <-arrived:
+					return pkt
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s never reached the handler", what)
+					return vproto.Packet{}
+				}
+			}
+			if pkt := next("the first move"); pkt.Kind != vproto.KindMoveToData || pkt.Offset != 0 {
+				t.Fatalf("first upcall: %v offset %d, want the first move", pkt.Kind, pkt.Offset)
+			}
+			<-entered
+			send(vproto.KindReply, 0)
+			if kind != "mem" {
+				if pkt := next("the Reply, with its flow's worker wedged,"); pkt.Kind != vproto.KindReply {
+					t.Fatalf("upcall during the wedged move: %v offset %d, want the Reply", pkt.Kind, pkt.Offset)
+				}
+			}
+			unwedge()
+			for off := uint32(1); off < moves; off++ {
+				if pkt := next("a queued move"); pkt.Kind != vproto.KindMoveToData || pkt.Offset != off {
+					t.Fatalf("upcall: %v offset %d, want move %d", pkt.Kind, pkt.Offset, off)
+				}
+			}
+			if kind == "mem" {
+				if pkt := next("the Reply"); pkt.Kind != vproto.KindReply {
+					t.Fatalf("last upcall: %v offset %d, want the Reply", pkt.Kind, pkt.Offset)
+				}
 			}
 		})
 	}

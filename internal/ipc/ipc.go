@@ -165,29 +165,38 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // Transport moves encoded interkernel packets between nodes. Delivery may
 // drop, duplicate or reorder packets; the protocol recovers.
 //
-// Ordering: a transport adds no reordering of its own within a flow.
-// Packets of one (src pid, dst pid) pair reach the handler one at a time,
-// in the order the network delivered them, even though the handler runs
-// on several workers at once (see dispatcher). The bulk-transfer
-// receivers lean on this: a §3.3 packet train is one flow, and accepting
-// it in a single pass needs its packets in order.
+// Ordering, per protocol half (see queued). Move packets: a transport
+// adds no reordering of its own within a flow; those of one (src pid, dst
+// pid) pair reach the handler one at a time, in network order, though the
+// handler runs on several workers at once (see dispatcher). A §3.3 train
+// is one flow, and the go-back-N receivers need it in order. Exchange
+// packets may be handled where they are read, concurrently with queued or
+// running moves of their flow (the UDP transports do; MemNetwork, which
+// delivers on the sender's goroutine, queues them too). The protocol is
+// causal: a peer sends a flow's exchange packet only after seeing every
+// earlier move of it complete, which this node's workers had to finish
+// first. So an exchange packet overtakes only duplicates, which seq
+// filtering drops, and pendingSend.barrier fences a move handler still
+// running before a Reply or Nack delivers. This rests on one invariant:
+// no exchange handler waits on network progress. Its only wait is that
+// barrier, bounded by one train send on a worker.
 //
 // Buffer ownership: Send and Broadcast (and the optional SendTrain, see
 // TrainSender) borrow pkt only for the duration of the call — the caller
-// may recycle it as soon as they return. On the
-// receive side the transport owns each frame: it holds one reference
-// across the handler upcall and releases it when the handler returns, so
-// a handler that needs frame bytes past its return (zero-copy dispatch)
-// must Retain the frame and Release it at last use.
+// may recycle it as soon as they return. On the receive side the
+// transport owns each frame: it holds one reference across the handler
+// upcall and releases it when the handler returns, so a handler that
+// needs frame bytes past its return (zero-copy dispatch) must Retain the
+// frame and Release it at last use.
 type Transport interface {
 	// Send transmits to one node, best effort.
 	Send(to LogicalHost, pkt []byte) error
 	// Broadcast transmits to all nodes, best effort.
 	Broadcast(pkt []byte) error
 	// SetHandler installs the receive upcall. The transport may call it
-	// concurrently for different flows, never for one flow; the node
-	// handles its own locking. The frame is valid for the duration of the
-	// call unless retained.
+	// concurrently, for one flow only as the ordering rules above allow;
+	// the node handles its own locking. The frame is valid for the
+	// duration of the call unless retained.
 	SetHandler(h func(frame *bufpool.Buf))
 	// Close releases transport resources.
 	Close() error

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"vkernel/internal/bufpool"
+	"vkernel/internal/obs"
 	"vkernel/internal/vproto"
 )
 
@@ -83,40 +85,89 @@ func TestTrainFallbackWhenGSORefused(t *testing.T) {
 	}
 }
 
-// splitHarness is an rxBatch whose dispatcher records, per flow (source
-// process), the packet offsets in the order the handler saw them.
+// splitHarness is an rxBatch whose two exits — the inline upcall and the
+// dispatcher's workers — record every frame they are handed, per lane
+// (inlineLane, or the move packet's flow), in handling order.
 type splitHarness struct {
-	batch *rxBatch
-	rx    *dispatcher[*bufpool.Buf]
-	mu    sync.Mutex
-	order map[Pid][]uint32
-	bytes [][]byte // every frame, in handling order (one worker only)
+	batch   *rxBatch
+	rx      *dispatcher[*bufpool.Buf]
+	handler atomic.Pointer[func(*bufpool.Buf)]
+	mu      sync.Mutex
+	lanes   map[int64][][]byte
 }
 
+const inlineLane = -1
+
 func newSplitHarness(workers int) *splitHarness {
-	h := &splitHarness{order: make(map[Pid][]uint32)}
+	h := &splitHarness{lanes: make(map[int64][][]byte)}
+	inline := func(f *bufpool.Buf) { h.record(inlineLane, f) }
+	h.handler.Store(&inline)
 	h.rx = newDispatcher(workers, 0, func(_ int, frames []*bufpool.Buf) {
 		for _, f := range frames {
-			h.mu.Lock()
-			h.bytes = append(h.bytes, append([]byte(nil), f.Data...))
-			var pkt vproto.Packet
-			if vproto.DecodeInto(&pkt, f.Data) == nil {
-				h.order[pkt.Src] = append(h.order[pkt.Src], pkt.Offset)
-			}
-			h.mu.Unlock()
+			h.record(int64(flowOf(f.Data)), f)
 			f.Release()
 		}
 	})
-	h.batch = newRxBatch(h.rx)
+	h.batch = newRxBatch(h.rx, &h.handler, obs.New().Counter("net.rx_inline"))
 	return h
+}
+
+func (h *splitHarness) record(lane int64, f *bufpool.Buf) {
+	h.mu.Lock()
+	h.lanes[lane] = append(h.lanes[lane], append([]byte(nil), f.Data...))
+	h.mu.Unlock()
+}
+
+// split feeds one datagram through the batch, stops the workers and
+// checks what both exits saw against the datagram cut into segSize-byte
+// packets: each packet exactly once, whole, in its lane — exchange
+// packets inline, move packets queued — and each lane in arrival order.
+// It returns how many packets addSegments reported.
+func (h *splitHarness) split(t *testing.T, dgram []byte, segSize int) int {
+	t.Helper()
+	before := bufpool.Outstanding()
+	n := h.batch.addSegments(dgram, segSize)
+	h.batch.flush()
+	h.rx.close()
+	if segSize <= 0 {
+		segSize = len(dgram)
+	}
+	want := 0
+	for rest := dgram; ; {
+		seg := rest[:min(segSize, len(rest))]
+		want++
+		lane := int64(inlineLane)
+		if queued(seg) {
+			lane = int64(flowOf(seg))
+		}
+		if got := h.lanes[lane]; len(got) == 0 || !bytes.Equal(got[0], seg) {
+			t.Fatalf("segSize %d: packet %d (%d bytes) is not the next frame of lane %d", segSize, want, len(seg), lane)
+		}
+		h.lanes[lane] = h.lanes[lane][1:]
+		if rest = rest[len(seg):]; len(rest) == 0 {
+			break
+		}
+	}
+	for lane, extra := range h.lanes {
+		if len(extra) > 0 {
+			t.Fatalf("lane %d got %d frames the datagram does not hold", lane, len(extra))
+		}
+	}
+	if n != want {
+		t.Fatalf("addSegments reported %d packets, the datagram holds %d", n, want)
+	}
+	if leaked := bufpool.Outstanding() - before; leaked != 0 {
+		t.Fatalf("%d frames outstanding after the split", leaked)
+	}
+	return n
 }
 
 // TestSplitSegmentsTwoFlows: receive offload coalesces by socket pair, so
 // one super-datagram can interleave the packets of two process pairs and
-// end in a short one. The splitter must hand every packet to its flow's
-// worker in arrival order, whole.
+// end in a short one — here an exchange packet. The splitter must hand
+// every move packet to its flow's worker in arrival order and the
+// exchange packet to the inline upcall, each whole.
 func TestSplitSegmentsTwoFlows(t *testing.T) {
-	before := bufpool.Outstanding()
 	h := newSplitHarness(4)
 	const segSize = vproto.HeaderSize + vproto.MessageSize + 256
 	flows := []Pid{vproto.MakePid(1, 1), vproto.MakePid(1, 2)} // consecutive pids: different workers
@@ -126,7 +177,7 @@ func TestSplitSegmentsTwoFlows(t *testing.T) {
 		src := flows[i%3%2] // a, b, a, a, b, a, …
 		pkt := vproto.Packet{Kind: vproto.KindMoveToData, Seq: 9, Src: src, Dst: vproto.MakePid(2, 7), Offset: next[src], Data: patterned(256)}
 		if i == 20 {
-			pkt.Data = pkt.Data[:100] // the short tail
+			pkt.Kind, pkt.Data = vproto.KindReply, pkt.Data[:100] // the short tail
 		}
 		next[src]++
 		wire, err := pkt.Encode()
@@ -135,48 +186,27 @@ func TestSplitSegmentsTwoFlows(t *testing.T) {
 		}
 		dgram = append(dgram, wire...)
 	}
-	if got := h.batch.addSegments(dgram, segSize); got != 21 {
+	if got := h.split(t, dgram, segSize); got != 21 {
 		t.Fatalf("addSegments split %d packets, want 21", got)
-	}
-	h.batch.flush()
-	h.rx.close()
-	for _, src := range flows {
-		got := h.order[src]
-		if uint32(len(got)) != next[src] {
-			t.Errorf("flow %v: handler saw %d packets, want %d", src, len(got), next[src])
-		}
-		for i, off := range got {
-			if off != uint32(i) {
-				t.Errorf("flow %v: packet %d reached the handler in position %d", src, off, i)
-				break
-			}
-		}
-	}
-	if leaked := bufpool.Outstanding() - before; leaked != 0 {
-		t.Errorf("%d frames outstanding after the split", leaked)
 	}
 }
 
 // FuzzSplitSegments: whatever the datagram length, the segment size and
-// the control bytes claim, parsing and splitting must not panic and the
-// frames must cover the datagram exactly once, in order.
+// the control bytes claim, parsing and splitting must not panic, and the
+// frames leaving both exits must cover the datagram exactly once, each
+// lane in order, leaking none.
 func FuzzSplitSegments(f *testing.F) {
 	f.Add([]byte("0123456789"), 3, []byte{})
 	f.Add([]byte{}, 0, []byte{1, 2, 3})
 	f.Add(make([]byte, 2500), 1088, make([]byte, 24))
 	f.Add([]byte("x"), -5, []byte{24, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 104, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
+	// Move packets of two flows around exchange packets, 20 bytes apiece.
+	mixed := bytes.Repeat([]byte{byte(vproto.KindMoveToData), 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 1, 0, 0, 0, 0}, 6)
+	mixed[20*2], mixed[20*3+11], mixed[20*5] = byte(vproto.KindSend), 2, byte(vproto.KindReply)
+	f.Add(mixed, 20, []byte{})
 	f.Fuzz(func(t *testing.T, dgram []byte, segSize int, oob []byte) {
 		for _, seg := range []int{segSize, groSegSize(oob)} {
-			h := newSplitHarness(1)
-			n := h.batch.addSegments(dgram, seg)
-			h.batch.flush()
-			h.rx.close()
-			if n != len(h.bytes) {
-				t.Fatalf("addSegments reported %d packets, handler saw %d", n, len(h.bytes))
-			}
-			if got := bytes.Join(h.bytes, nil); !bytes.Equal(got, dgram) {
-				t.Fatalf("segSize %d: frames do not reassemble the %d-byte datagram", seg, len(dgram))
-			}
+			newSplitHarness(2).split(t, dgram, seg)
 		}
 	})
 }

@@ -34,26 +34,46 @@ func sizeSockBufs(conn *net.UDPConn) {
 	_ = conn.SetWriteBuffer(udpSockBuf)
 }
 
-// rxBatch gathers the packets of one kernel crossing per dispatch worker,
-// so a read loop pays one queue operation and one wake-up per worker and
-// crossing, not per packet, and each flow stays in arrival order. Both UDP
-// transports' read loops own one.
+// rxBatch sorts the packets of one kernel crossing (see queued): exchange
+// packets are handled on the spot, counted in net.rx_inline; move packets
+// are gathered per dispatch worker, so a read loop pays one queue
+// operation and one wake-up per worker and crossing, not per packet, and
+// each flow's moves stay in arrival order. Both UDP transports' read
+// loops own one.
 type rxBatch struct {
-	rx  *dispatcher[*bufpool.Buf]
-	sub [][]*bufpool.Buf // per worker
+	rx      *dispatcher[*bufpool.Buf]
+	handler *atomic.Pointer[func(*bufpool.Buf)] // the transport's upcall
+	inline  *obs.Counter
+	sub     [][]*bufpool.Buf // per worker
 }
 
-func newRxBatch(rx *dispatcher[*bufpool.Buf]) *rxBatch {
-	return &rxBatch{rx: rx, sub: make([][]*bufpool.Buf, len(rx.queues))}
+func newRxBatch(rx *dispatcher[*bufpool.Buf], handler *atomic.Pointer[func(*bufpool.Buf)], inline *obs.Counter) *rxBatch {
+	return &rxBatch{rx: rx, handler: handler, inline: inline, sub: make([][]*bufpool.Buf, len(rx.queues))}
 }
 
-// add copies one received packet into a pooled frame sized to it; the
-// frame's single reference rides the batch, then the queue, to a worker.
+// add copies one received packet into a pooled frame sized to it. The
+// frame's single reference either rides the batch, then the queue, to a
+// worker, or is held across the inline upcall and released after it.
 func (b *rxBatch) add(pkt []byte) {
 	f := bufpool.Get(len(pkt))
 	copy(f.Data, pkt)
-	w := b.rx.workerOf(f.Data)
-	b.sub[w] = append(b.sub[w], f)
+	if queued(f.Data) {
+		w := b.rx.workerOf(f.Data)
+		b.sub[w] = append(b.sub[w], f)
+		return
+	}
+	b.inline.Add(1)
+	upcall(b.handler, f)
+	f.Release()
+}
+
+// upcall invokes the installed handler, if any, on the caller's frame.
+// An atomic pointer, not a field under a mutex: delivery never contends
+// on the transport mutex, and later SetHandler calls still take effect.
+func upcall(h *atomic.Pointer[func(*bufpool.Buf)], f *bufpool.Buf) {
+	if fn := h.Load(); fn != nil {
+		(*fn)(f)
+	}
 }
 
 // addSegments adds one received datagram and returns how many packets it
@@ -98,17 +118,18 @@ type UDPConfig struct {
 // registered explicitly (the analogue of the §3.1 logical-host-to-network
 // address table); Broadcast sends to every registered peer.
 //
-// Received datagrams go through a dispatcher rather than being handled
-// inline in the single socket read loop, so one host's packet processing
-// scales across cores; the handler must therefore be safe for concurrent
-// invocation (Node is). The dispatcher keeps each (src pid, dst pid)
-// flow on one worker, so the handler sees a flow's packets in the order
-// the socket delivered them — see the Transport contract.
+// The socket read loop handles exchange packets (§3.2) itself: their
+// handlers never wait on the network, and a goroutine hop would cost more
+// than they do. Move packets go through a dispatcher, so bulk copies and
+// train sends scale across cores without holding up the read loop; it
+// keeps each (src pid, dst pid) flow on one worker, in socket order. The
+// handler runs concurrently and must be safe for it (Node is) — see the
+// Transport contract.
 //
 // Receive buffers are pooled and reference counted. The read loop fills a
-// fresh pooled frame per packet and transfers its single reference to
-// the dispatcher; the worker that dequeues it owns that reference across
-// the handler upcall and releases it when the handler returns. The read
+// fresh pooled frame per packet and either holds its reference across an
+// inline upcall or transfers it to the dispatcher, whose worker owns it
+// across the upcall and releases it when the handler returns. The read
 // loop never touches a frame after handing it off, so a worker can never
 // observe a recycled buffer mid-dispatch — the lifetime audit is the ref
 // count.
@@ -124,7 +145,8 @@ type UDPConfig struct {
 // UDP_SEGMENT) is the last one offered — trains go out per datagram after.
 //
 // net.sends / net.recvs count kernel crossings, net.tx_packets /
-// net.rx_packets the packets they carried, net.gso_refused the refusals.
+// net.rx_packets the packets they carried, net.rx_inline the received
+// packets handled on the read loop, net.gso_refused the refusals.
 type UDPTransport struct {
 	conn    *net.UDPConn
 	handler atomic.Pointer[func(*bufpool.Buf)]
@@ -133,6 +155,7 @@ type UDPTransport struct {
 	// set once at construction
 	sends, recvs         *obs.Counter
 	txPackets, rxPackets *obs.Counter
+	rxInline             *obs.Counter
 	gsoRefusals          *obs.Counter
 	// sendGSO is writeGSO; tests substitute a kernel that refuses.
 	sendGSO func(conn *net.UDPConn, frame []byte, segSize int, to *net.UDPAddr) error
@@ -177,6 +200,7 @@ func NewUDPTransportConfig(listen string, cfg UDPConfig) (*UDPTransport, error) 
 		recvs:       reg.Counter("net.recvs"),
 		txPackets:   reg.Counter("net.tx_packets"),
 		rxPackets:   reg.Counter("net.rx_packets"),
+		rxInline:    reg.Counter("net.rx_inline"),
 		gsoRefusals: reg.Counter("net.gso_refused"),
 		sendGSO:     writeGSO,
 	}
@@ -193,22 +217,22 @@ func (t *UDPTransport) AddPeer(host LogicalHost, addr *net.UDPAddr) {
 	t.peers.add(host, addr)
 }
 
-// readLoop pulls datagrams off the socket and feeds the dispatcher, each
-// packet to the worker its flow belongs to. The socket read lands in a
-// loop-owned scratch buffer, not a pooled frame: a pooled frame posted
-// before the blocking read would stay checked out for as long as the
-// socket sits idle, so an idle transport would pin pool memory forever
-// (and read as a leak to anything auditing Outstanding). Only once a
-// datagram has actually arrived are pooled frames taken — one per packet,
-// sized to it, so small packets draw from the small size classes. The
-// scratch holds a maximal UDP datagram because a coalesced train is one;
-// a lone datagram larger than a maximal interkernel packet fails the
-// decode, as any non-protocol traffic does.
+// readLoop pulls datagrams off the socket, handles each exchange packet
+// and feeds each move packet to the worker its flow belongs to. The socket
+// read lands in a loop-owned scratch buffer, not a pooled frame: a pooled
+// frame posted before the blocking read would stay checked out for as
+// long as the socket sits idle, so an idle transport would pin pool
+// memory forever (and read as a leak to anything auditing Outstanding).
+// Only once a datagram has actually arrived are pooled frames taken — one
+// per packet, sized to it, so small packets draw from the small size
+// classes. The scratch holds a maximal UDP datagram because a coalesced
+// train is one; a lone datagram larger than a maximal interkernel packet
+// fails the decode, as any non-protocol traffic does.
 func (t *UDPTransport) readLoop() {
 	defer t.reader.Done()
 	scratch := make([]byte, 1<<16)
 	oob := make([]byte, groOOBSize)
-	batch := newRxBatch(t.rx)
+	batch := newRxBatch(t.rx, &t.handler, t.rxInline)
 	for {
 		n, oobn, _, from, err := t.conn.ReadMsgUDPAddrPort(scratch, oob)
 		if err != nil {
@@ -222,15 +246,10 @@ func (t *UDPTransport) readLoop() {
 }
 
 // handle is the dispatcher's run function: it invokes the handler on
-// each frame and returns the queue's reference afterwards. The handler is
-// an atomic pointer rather than a field under t.mu, so dispatch never
-// contends on the transport mutex and later SetHandler calls still take
-// effect.
+// each frame and returns the queue's reference afterwards.
 func (t *UDPTransport) handle(_ int, batch []*bufpool.Buf) {
 	for _, f := range batch {
-		if h := t.handler.Load(); h != nil {
-			(*h)(f)
-		}
+		upcall(&t.handler, f)
 		f.Release()
 	}
 }

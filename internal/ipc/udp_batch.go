@@ -94,9 +94,9 @@ type BatchStats struct {
 //
 //   - Receive: each of Shards SO_REUSEPORT sockets runs an rx loop
 //     pulling up to Batch datagrams per recvmmsg call into pooled
-//     frames, dispatched by flow exactly like UDPTransport's (same
-//     per-flow ordering, same ownership rules: one reference rides the
-//     queue; the handler must Retain to keep bytes past its return).
+//     frames, handled or dispatched by flow exactly like UDPTransport's
+//     (same lanes and ordering, same ownership rules: the handler must
+//     Retain to keep bytes past its return).
 //   - Send: concurrent Sends coalesce into sendmmsg vectors. A Send
 //     that finds the socket idle transmits immediately — solo traffic
 //     pays no added latency — and then drains whatever queued behind it
@@ -137,6 +137,7 @@ type BatchedUDPTransport struct {
 type batchCounters struct {
 	recvs        *obs.Counter
 	recvBatches  *obs.Counter
+	rxInline     *obs.Counter
 	sends        *obs.Counter
 	sendBatches  *obs.Counter
 	inlineSends  *obs.Counter
@@ -147,6 +148,7 @@ func newBatchCounters(r *obs.Registry) batchCounters {
 	return batchCounters{
 		recvs:        r.Counter("net.recvs"),
 		recvBatches:  r.Counter("net.recv_batches"),
+		rxInline:     r.Counter("net.rx_inline"),
 		sends:        r.Counter("net.sends"),
 		sendBatches:  r.Counter("net.send_batches"),
 		inlineSends:  r.Counter("net.inline_sends"),
@@ -473,10 +475,10 @@ func (s *batchSock) readOne(scratch [][]byte, lens []int, peers *peerTable) (int
 }
 
 // rxLoop drives one socket: each iteration pulls up to Batch datagrams
-// in one kernel crossing into loop-owned scratch slabs and hands them to
-// the dispatcher through an rxBatch (so a worker still sees the
-// multi-frame batches that arm its corking). The recvmmsg vector is
-// backed by the scratch slabs, not pooled frames: recvmmsg needs its
+// in one kernel crossing into loop-owned scratch slabs and sorts them
+// through an rxBatch (so a worker still sees the multi-frame batches,
+// now of move packets only, that arm its corking). The recvmmsg vector
+// is backed by the scratch slabs, not pooled frames: recvmmsg needs its
 // buffers posted before the blocking read, and a pooled vector posted
 // that way would stay checked out of the pool for as long as the socket
 // sits idle, reading as a leak to anything auditing bufpool.Outstanding.
@@ -487,7 +489,7 @@ func (t *BatchedUDPTransport) rxLoop(s *batchSock) {
 		scratch[i] = make([]byte, vproto.MaxWireSize)
 	}
 	lens := make([]int, t.cfg.Batch)
-	batch := newRxBatch(t.rx)
+	batch := newRxBatch(t.rx, &t.handler, t.stats.rxInline)
 	for {
 		n, err := s.readBatch(scratch, lens, &t.peers)
 		if err != nil {
@@ -511,19 +513,17 @@ func (t *BatchedUDPTransport) rxLoop(s *batchSock) {
 
 // handle is the dispatcher's run function for worker w: upcall and
 // release each frame, as UDPTransport does — but around a multi-datagram
-// batch the tx sockets are corked, so the replies the handlers generate
+// batch the tx sockets are corked, so the packets the handlers generate
 // coalesce into sendmmsg vectors instead of paying one kernel crossing
-// each. Request traffic arriving in batches is exactly the traffic
-// whose responses leave in batches.
+// each. Only move packets reach a worker; an rx loop sending meanwhile
+// queues behind the cork and leaves in the worker's vector.
 func (t *BatchedUDPTransport) handle(w int, batch []*bufpool.Buf) {
 	corked := t.corked[w][:0]
 	if len(batch) > 1 {
 		corked = t.cork(corked)
 	}
 	for _, f := range batch {
-		if h := t.handler.Load(); h != nil {
-			(*h)(f)
-		}
+		upcall(&t.handler, f)
 		f.Release()
 	}
 	for _, s := range corked {

@@ -753,11 +753,14 @@ func (s *Server) serve(p *ipc.Proc) {
 // loop, the way the V kernel handles its dominant exchange in the
 // packet-reception path rather than waking a server process (§6's
 // page-transfer special casing). The saving is one queue hop and one
-// goroutine wakeup per hot read. Everything on this path must be
-// non-blocking: one cache mutex and the reply transmit. Anything
-// else — a miss that needs the store, an unknown volume, a malformed
-// count, or a ReadAhead config whose prefetch probes store sizes
-// synchronously — returns false and takes the worker path.
+// goroutine wakeup per hot read: on UDP the transport's read loop hands
+// the Send straight to this loop, so a hot read is one goroutine hop
+// from the wire to its reply, where the worker path is two. Everything
+// on this path must be non-blocking: one cache mutex and the reply
+// transmit. Anything else — a miss that needs the store, an unknown
+// volume, a malformed count, or a ReadAhead config whose prefetch
+// probes store sizes synchronously — returns false and takes the worker
+// path.
 func (s *Server) fastRead(msg *ipc.Message, src ipc.Pid) bool {
 	op, file, block, count := parseRequest(msg)
 	if op != OpReadBlock || count > uint32(s.cfg.BlockSize) || s.cfg.ReadAhead {
