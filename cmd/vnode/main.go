@@ -60,7 +60,6 @@ func main() {
 		host        = flag.Int("host", 1, "logical host id of this node")
 		listen      = flag.String("listen", "127.0.0.1:0", "UDP listen address")
 		peers       peerList
-		transport   = flag.String("transport", "udp", "wire transport: udp (per-datagram) or batched (recvmmsg/sendmmsg, reuseport shards, hot-peer sockets)")
 		adaptiveRTO = flag.Bool("adaptiverto", false, "per-peer adaptive retransmission timing (smoothed RTT/RTTVAR) instead of the fixed timeout")
 		metricsAddr = flag.String("metrics", "", "serve the node's metrics registry over HTTP at this address (expvar JSON at /debug/vars, pprof under /debug/pprof/); empty = off")
 		timing      = flag.Bool("timing", false, "enable latency timing (per-op histograms); off by default so the hot paths cost one atomic load")
@@ -96,23 +95,7 @@ func main() {
 		reg.SetTiming(true)
 	}
 
-	// Both wire transports register peers and expose their bound address
-	// the same way; everything past construction is Transport-agnostic.
-	type wireTransport interface {
-		ipc.Transport
-		Addr() *net.UDPAddr
-		AddPeer(ipc.LogicalHost, *net.UDPAddr)
-	}
-	var tr wireTransport
-	var err error
-	switch *transport {
-	case "udp":
-		tr, err = ipc.NewUDPTransportConfig(*listen, ipc.UDPConfig{Metrics: reg})
-	case "batched":
-		tr, err = ipc.NewBatchedUDPTransport(*listen, ipc.BatchConfig{Metrics: reg})
-	default:
-		err = fmt.Errorf("unknown -transport %q (want udp or batched)", *transport)
-	}
+	tr, err := ipc.NewUDPTransportConfig(*listen, ipc.UDPConfig{Metrics: reg})
 	fatalIf(err)
 	if *metricsAddr != "" {
 		serveMetrics(*metricsAddr, reg)
@@ -130,7 +113,7 @@ func main() {
 	}
 	node := ipc.NewNode(ipc.LogicalHost(*host), tr, ipc.NodeConfig{AdaptiveRTO: *adaptiveRTO, Metrics: reg})
 	defer node.Close()
-	fmt.Printf("vnode: host %d listening on %v (%s transport)\n", *host, tr.Addr(), *transport)
+	fmt.Printf("vnode: host %d listening on %v\n", *host, tr.Addr())
 
 	if *serve {
 		runServer(node, *volumes, *storeDir, *nreplicas, *rejoin, rfs.Config{
@@ -363,7 +346,13 @@ func runClient(node *ipc.Node, file uint32, reads, writes, large int, clientCach
 	if cc != nil {
 		fmt.Printf("vnode: client cache stats: %+v\n", cc.Stats())
 	}
-	fmt.Printf("vnode: node stats: %+v\n", node.Stats())
+	var counters []string
+	node.Metrics().Do(func(name string, v int64) {
+		if strings.HasPrefix(name, "ipc.") {
+			counters = append(counters, fmt.Sprintf("%s=%d", name, v))
+		}
+	}, nil, nil)
+	fmt.Printf("vnode: node counters: %s\n", strings.Join(counters, " "))
 }
 
 func fatalIf(err error) {

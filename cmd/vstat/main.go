@@ -178,16 +178,16 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 	b.WriteString("\n")
 
 	// tx_sys/rx_sys are kernel crossings, tx_pkt/rx_pkt the packets they
-	// carried: far apart when bulk trains go out segmented (or batched).
-	// rx_inl is the share of rx_pkt handled on the read loop (the exchange
-	// protocol); the rest went through the dispatch workers.
+	// carried: far apart when bulk trains go out segmented. rx_inl is the
+	// share of rx_pkt handled on the read loop (the exchange protocol); the
+	// rest went through the dispatch workers.
 	ker := stats.Table{ID: "vstat-3", Title: "kernel and transport", Unit: "srtt/rto in us",
 		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "gso_ref", "replies", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo", "srtt", "rto"}}
 	for _, s := range snaps {
-		txSys, txPkt := netCounts(s, "net.sends", "net.tx_packets", "net.send_batches")
-		rxSys, rxPkt := netCounts(s, "net.recvs", "net.rx_packets", "net.recv_batches")
 		ker.AddRow(s.Node,
-			count(txSys), count(txPkt), count(rxSys), count(rxPkt), count(s.Counters["net.rx_inline"]), count(s.Counters["net.gso_refused"]),
+			count(s.Counters["net.sends"]), count(s.Counters["net.tx_packets"]),
+			count(s.Counters["net.recvs"]), count(s.Counters["net.rx_packets"]),
+			count(s.Counters["net.rx_inline"]), count(s.Counters["net.gso_refused"]),
 			count(s.Counters["ipc.remote_replies"]), count(s.Counters["ipc.retransmits"]),
 			count(s.Counters["ipc.dups_filtered"]), count(s.Counters["ipc.nacks_sent"]),
 			count(s.Counters["ipc.overload_sheds"]),
@@ -214,16 +214,6 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// netCounts returns one direction's kernel crossings and wire packets.
-// UDPTransport counts crossings under base and packets under packets; the
-// batched transport counts packets under base and crossings under batches.
-func netCounts(s *obs.Snapshot, base, packets, batches string) (crossings, pkts int64) {
-	if b, ok := s.Counters[batches]; ok {
-		return b, s.Counters[base]
-	}
-	return s.Counters[base], s.Counters[packets]
 }
 
 // renderEvents prints the newest trace events across all shards, merged

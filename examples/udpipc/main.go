@@ -9,6 +9,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"time"
 
 	"vkernel/internal/ipc"
@@ -118,7 +119,12 @@ func main() {
 	}
 	per := time.Since(start) / n
 	fmt.Printf("%d page reads over loopback UDP: %v/page\n", n, per)
-	fmt.Printf("node A stats: %+v\n", nodeA.Stats())
+	fmt.Println("node A counters:")
+	nodeA.Metrics().Do(func(name string, v int64) {
+		if strings.HasPrefix(name, "ipc.") {
+			fmt.Printf("  %-24s %d\n", name, v)
+		}
+	}, nil, nil)
 }
 
 func must(err error) {

@@ -18,9 +18,9 @@ import (
 // packet k+1 to whichever worker the scheduler runs first, which with
 // two or more workers is systematically not the one holding packet k.
 //
-// All three transports share it: T is a pooled frame for the UDP
-// transports, which queue only move packets (see queued), and a (port,
-// frame) delivery for MemNetwork, which queues every packet.
+// Both transports use it: T is a pooled frame for UDPTransport, which
+// queues only move packets (see queued), and a (port, frame) delivery for
+// MemNetwork, which queues every packet.
 type dispatcher[T any] struct {
 	run    func(worker int, batch []T) // handles and disposes of every item
 	depth  int                         // per-queue bound, 0 = unbounded

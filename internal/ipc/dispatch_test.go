@@ -14,7 +14,7 @@ import (
 
 // transportKinds names every Transport implementation; the ordering and
 // train tests run over each.
-var transportKinds = []string{"udp", "batched", "mem"}
+var transportKinds = []string{"udp", "mem"}
 
 // transportPair returns two connected, fault-free transports for hosts 1
 // and 2. The caller closes them (a Node does); the mesh behind the mem
@@ -31,14 +31,6 @@ func transportPair(t *testing.T, kind string) (Transport, Transport) {
 		a, err := NewUDPTransport("127.0.0.1:0")
 		fail(err)
 		b, err := NewUDPTransport("127.0.0.1:0")
-		fail(err)
-		a.AddPeer(2, b.Addr())
-		b.AddPeer(1, a.Addr())
-		return a, b
-	case "batched":
-		a, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{})
-		fail(err)
-		b, err := NewBatchedUDPTransport("127.0.0.1:0", BatchConfig{})
 		fail(err)
 		a.AddPeer(2, b.Addr())
 		b.AddPeer(1, a.Addr())
@@ -176,7 +168,7 @@ func TestDispatchKeepsFlowOrder(t *testing.T) {
 }
 
 // TestExchangePacketsOvertakeQueuedMoves is the contract for exchange
-// packets: on the UDP transports a Reply is handled where it is read, so
+// packets: on UDPTransport a Reply is handled where it is read, so
 // it reaches the handler while a move upcall of its own flow is wedged on
 // a worker, and the flow's queued moves still follow in order once the
 // upcall returns. MemNetwork queues everything: the Reply comes after
@@ -342,7 +334,6 @@ func TestTrainsNeedNoResume(t *testing.T) {
 	}{
 		{"udp", 1, 1000},
 		{"udp", 4, 250},
-		{"batched", 1, 250},
 		{"mem", 1, 250},
 	} {
 		t.Run(fmt.Sprintf("%s/streams=%d", tc.kind, tc.streams), func(t *testing.T) {

@@ -75,7 +75,7 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 			t.Fatalf("message %d delivered %d times", i, seen[i])
 		}
 	}
-	if na.Stats().Retransmits == 0 {
+	if counter(na, "ipc.retransmits") == 0 {
 		t.Fatal("fault injection produced no retransmissions; test is vacuous")
 	}
 }
@@ -197,7 +197,7 @@ func TestReplyCacheAnswersDuplicates(t *testing.T) {
 	if execs != 1 {
 		t.Fatalf("request executed %d times; duplicate not filtered", execs)
 	}
-	if nb.Stats().DupsFiltered == 0 {
+	if counter(nb, "ipc.dups_filtered") == 0 {
 		t.Fatal("duplicate not counted")
 	}
 }
@@ -231,7 +231,7 @@ func TestReplyPendingSuppressesFailure(t *testing.T) {
 	if m.Word(1) != 1 {
 		t.Fatal("wrong reply")
 	}
-	if na.Stats().ReplyPendingsSeen == 0 {
+	if counter(na, "ipc.reply_pendings_seen") == 0 {
 		t.Fatal("no reply-pending packets observed; test is vacuous")
 	}
 }

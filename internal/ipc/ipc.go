@@ -171,7 +171,7 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // handler runs on several workers at once (see dispatcher). A §3.3 train
 // is one flow, and the go-back-N receivers need it in order. Exchange
 // packets may be handled where they are read, concurrently with queued or
-// running moves of their flow (the UDP transports do; MemNetwork, which
+// running moves of their flow (UDPTransport does; MemNetwork, which
 // delivers on the sender's goroutine, queues them too). The protocol is
 // causal: a peer sends a flow's exchange packet only after seeing every
 // earlier move of it complete, which this node's workers had to finish
@@ -203,11 +203,11 @@ type Transport interface {
 }
 
 // TrainSender is an optional Transport capability for §3.3 packet trains
-// (resolved once in NewNode, like BufSender). frame holds two or more
-// encoded packets back to back, each segSize bytes long except a possibly
-// shorter last one, all for one host; SendTrain puts each on the wire as
-// its own datagram, in order, in a single kernel crossing — all of them or,
-// with an error, none, and the node then sends them one by one. frame is
+// (resolved once in NewNode). frame holds two or more encoded packets
+// back to back, each segSize bytes long except a possibly shorter last
+// one, all for one host; SendTrain puts each on the wire as its own
+// datagram, in order, in a single kernel crossing — all of them or, with
+// an error, none, and the node then sends them one by one. frame is
 // borrowed for the duration of the call exactly as Send borrows pkt: the
 // mover owns it and recycles it the moment SendTrain returns. It never
 // exceeds trainMaxSegs segments or trainMaxBytes bytes.
@@ -221,13 +221,3 @@ const (
 	trainMaxSegs  = 64
 	trainMaxBytes = 65507
 )
-
-// BufSender is an optional Transport fast path for senders whose frames
-// already live in pooled buffers. SendBuf borrows f for the duration of
-// the call exactly like Send borrows its slice — the caller keeps its
-// reference and releases it on its own schedule — but a transport that
-// defers the transmit (egress coalescing) retains f across the queue
-// instead of copying the bytes into a fresh frame.
-type BufSender interface {
-	SendBuf(to LogicalHost, f *bufpool.Buf) error
-}

@@ -27,6 +27,9 @@ func mustAttach(n *Node, name string) *Proc {
 	return p
 }
 
+// counter reads one of a node's registry counters, e.g. "ipc.retransmits".
+func counter(n *Node, name string) int64 { return n.Metrics().Counter(name).Load() }
+
 // pairOnMesh builds two nodes connected by an in-memory mesh.
 func pairOnMesh(t *testing.T, faults FaultConfig, cfg NodeConfig) (*Node, *Node, *MemNetwork) {
 	t.Helper()
@@ -89,8 +92,8 @@ func TestRemoteExchange(t *testing.T) {
 	if m.Word(1) != 14 {
 		t.Fatalf("reply word = %d", m.Word(1))
 	}
-	if na.Stats().RemoteSends != 1 {
-		t.Fatalf("stats: %+v", na.Stats())
+	if got := counter(na, "ipc.remote_sends"); got != 1 {
+		t.Fatalf("ipc.remote_sends = %d, want 1", got)
 	}
 }
 

@@ -156,7 +156,7 @@ func TestMoveFromVecLossy(t *testing.T) {
 	if !bytes.Equal(got, src) {
 		t.Fatal("lossy scatter MoveFrom corrupted the data")
 	}
-	if na.Stats().Retransmits+nb.Stats().Retransmits == 0 {
+	if counter(na, "ipc.retransmits")+counter(nb, "ipc.retransmits") == 0 {
 		t.Log("note: fault seed produced no retransmissions this run")
 	}
 }

@@ -25,9 +25,6 @@ type Node struct {
 	host      LogicalHost
 	cfg       NodeConfig
 	transport Transport
-	// sendBuf is the transport's zero-copy frame path, nil when the
-	// transport only takes byte slices (resolved once at construction).
-	sendBuf BufSender
 	// trains is the transport's packet-train path, nil when it has none.
 	trains TrainSender
 
@@ -49,25 +46,6 @@ type Node struct {
 	metrics    *obs.Registry
 	stats      nodeCounters
 	exchangeNs *obs.Histogram
-}
-
-// NodeStats counts protocol activity (snapshot via Stats).
-type NodeStats struct {
-	RemoteSends       int
-	RemoteReplies     int
-	Retransmits       int
-	DupsFiltered      int
-	ReplyPendingsSent int
-	ReplyPendingsSeen int
-	NacksSent         int
-	// OverloadSheds counts inbound Sends refused by receive-queue
-	// backpressure (each remote shed also sends one overload Nack,
-	// counted in NacksSent; local sheds appear only here).
-	OverloadSheds int
-	BadPackets    int
-	MoveOps       int
-	MoveBytes     int64
-	RTTSamples    int
 }
 
 type nameEntry struct {
@@ -169,7 +147,6 @@ func NewNode(host LogicalHost, tr Transport, cfg NodeConfig) *Node {
 	n.stats = newNodeCounters(n.metrics)
 	n.exchangeNs = n.metrics.Histogram("ipc.exchange_ns")
 	n.registerRTTGauges()
-	n.sendBuf, _ = tr.(BufSender)
 	n.trains, _ = tr.(TrainSender)
 	n.procs.init()
 	n.aliens.init()
@@ -191,9 +168,6 @@ func NewNode(host LogicalHost, tr Transport, cfg NodeConfig) *Node {
 
 // Host returns the node's logical host id.
 func (n *Node) Host() LogicalHost { return n.host }
-
-// Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() NodeStats { return n.stats.snapshot() }
 
 // Metrics returns the node's observability registry (the one from
 // NodeConfig.Metrics, or the private registry the node made for
@@ -298,27 +272,15 @@ func (n *Node) lookupProc(pid Pid) (*Proc, bool) { return n.procs.get(pid) }
 
 // send encodes into a pooled frame and transmits it to the destination
 // host; the frame is recycled as soon as the transport hands it back
-// (both transmit paths borrow — a coalescing transport retains its own
-// reference if it queues the frame).
+// (Send borrows it).
 func (n *Node) send(pkt *vproto.Packet, to LogicalHost) {
 	f := bufpool.Get(pkt.WireSize())
 	if _, err := pkt.EncodeInto(f.Data); err != nil {
 		f.Release()
 		panic("ipc: " + err.Error())
 	}
-	n.xmit(to, f)
-	f.Release()
-}
-
-// xmit transmits an encoded pooled frame, taking the transport's
-// zero-copy frame path when it offers one. The frame is borrowed either
-// way; the caller keeps (and eventually releases) its reference.
-func (n *Node) xmit(to LogicalHost, f *bufpool.Buf) {
-	if n.sendBuf != nil {
-		_ = n.sendBuf.SendBuf(to, f)
-		return
-	}
 	_ = n.transport.Send(to, f.Data)
+	f.Release()
 }
 
 // sendTrain transmits a frame of back-to-back encoded packets (see
@@ -410,7 +372,7 @@ func (n *Node) handleSend(pkt *vproto.Packet, f *bufpool.Buf) {
 					t.lruTouchLocked(a)
 					t.mu.Unlock()
 					n.stats.remoteReplies.Add(1)
-					n.xmit(pkt.Src.Host(), reply)
+					_ = n.transport.Send(pkt.Src.Host(), reply.Data)
 					reply.Release()
 					return
 				}
@@ -577,7 +539,7 @@ func (n *Node) retransmit(ps *pendingSend) {
 	t.mu.Unlock()
 	n.stats.retransmits.Add(1)
 	n.bumpRTO(dst.Host())
-	n.xmit(dst.Host(), f)
+	_ = n.transport.Send(dst.Host(), f.Data)
 	f.Release()
 	timer.Reset(n.rtoFor(dst.Host()))
 }

@@ -180,7 +180,7 @@ func TestShedDuplicateNotDelivered(t *testing.T) {
 		t.Fatalf("duplicate of a shed Send was delivered (from %v)", src)
 	case <-time.After(150 * time.Millisecond):
 	}
-	if nacks := server.Stats().NacksSent; nacks < 2 {
+	if nacks := counter(server, "ipc.nacks_sent"); nacks < 2 {
 		t.Fatalf("NacksSent = %d, want ≥2 (original shed + duplicate)", nacks)
 	}
 	server.Detach(rcv)

@@ -11,8 +11,8 @@ import (
 
 // peerTable maps logical hosts to their UDP network addresses — the
 // runtime form of the paper's §3.1 logical-host-to-network-address
-// cache. Both UDP transports share it: entries are seeded explicitly
-// with AddPeer and refined by learning from received packets.
+// cache. Entries are seeded explicitly with AddPeer and refined by
+// learning from received packets.
 //
 // Broadcast iterates every address on every call, so the table keeps a
 // cached address snapshot, invalidated only when the address set

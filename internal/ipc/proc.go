@@ -305,7 +305,7 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 	n.stats.remoteSends.Add(1)
 
 	t0 := n.metrics.Start()
-	n.xmit(dst.Host(), f)
+	_ = n.transport.Send(dst.Host(), f.Data)
 	res := <-ps.replyCh
 	f.Release() // exchange over; in-flight retransmits hold their own refs
 	if res.err == nil {
@@ -521,7 +521,7 @@ func (n *Node) remoteReply(p *Proc, msg *Message, a *alien, destOff uint32, data
 	}
 	n.aliens.cacheReply(a, f)
 	n.stats.remoteReplies.Add(1)
-	n.xmit(a.src.Host(), f)
+	_ = n.transport.Send(a.src.Host(), f.Data)
 	f.Release()
 	return nil
 }

@@ -103,7 +103,7 @@ func wanPair(t *testing.T, seed int64, adaptive bool) (*Node, *Node, *MemNetwork
 // its first backed-off exchanges and cut retransmissions drastically.
 func TestAdaptiveRTOUnderAsymmetricWAN(t *testing.T) {
 	const exchanges = 15
-	run := func(adaptive bool) (retransmits int) {
+	run := func(adaptive bool) (retransmits int64) {
 		na, nb, _ := wanPair(t, 42, adaptive)
 		server := echoOn(nb, exchanges)
 		client := mustAttach(na, "client")
@@ -118,7 +118,7 @@ func TestAdaptiveRTOUnderAsymmetricWAN(t *testing.T) {
 				t.Fatalf("adaptive=%v reply %d = %d", adaptive, i, m.Word(1))
 			}
 		}
-		return na.Stats().Retransmits
+		return counter(na, "ipc.retransmits")
 	}
 
 	fixed := run(false)
@@ -151,8 +151,8 @@ func TestAdaptiveRTOLearnsEstimate(t *testing.T) {
 	if samples == 0 {
 		t.Fatal("no clean RTT samples recorded")
 	}
-	if na.Stats().RTTSamples != int(samples) {
-		t.Fatalf("stats RTTSamples %d != table samples %d", na.Stats().RTTSamples, samples)
+	if got := counter(na, "ipc.rtt_samples"); got != samples {
+		t.Fatalf("ipc.rtt_samples %d != table samples %d", got, samples)
 	}
 	if srtt < 80*time.Millisecond || srtt > 250*time.Millisecond {
 		t.Fatalf("srtt = %v, want near the 100ms link RTT", srtt)
@@ -180,10 +180,10 @@ func TestAdaptiveRTOCleanPathStaysQuiet(t *testing.T) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if r := na.Stats().Retransmits; r != 0 {
+	if r := counter(na, "ipc.retransmits"); r != 0 {
 		t.Fatalf("clean path retransmitted %d times", r)
 	}
-	if s := na.Stats().RTTSamples; s != exchanges {
+	if s := counter(na, "ipc.rtt_samples"); s != exchanges {
 		t.Fatalf("sampled %d of %d clean exchanges", s, exchanges)
 	}
 }

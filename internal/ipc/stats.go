@@ -6,7 +6,7 @@ import "vkernel/internal/obs"
 // the node's obs registry — independent atomics, so hot paths on
 // different subsystems never contend on a stats lock, and one uniform
 // namespace (`ipc.*`) that OpQueryStats/vstat scrape alongside every
-// other subsystem. NodeStats remains as a thin snapshot view.
+// other subsystem.
 type nodeCounters struct {
 	remoteSends       *obs.Counter
 	remoteReplies     *obs.Counter
@@ -15,7 +15,7 @@ type nodeCounters struct {
 	replyPendingsSent *obs.Counter
 	replyPendingsSeen *obs.Counter
 	nacksSent         *obs.Counter
-	overloadSheds     *obs.Counter
+	overloadSheds     *obs.Counter // Sends refused by receive-queue backpressure; each remote one also counts a Nack
 	badPackets        *obs.Counter
 	moveOps           *obs.Counter
 	moveBytes         *obs.Counter
@@ -25,10 +25,7 @@ type nodeCounters struct {
 }
 
 // newNodeCounters registers the node counters under their wire-visible
-// names. Every name the batched transport also touches (retransmits,
-// nacks, sheds are node-layer; batching is transport-layer `net.*`)
-// lives here exactly once, so NodeStats and scrapes can never disagree
-// about what a counter means.
+// names, each exactly once: the registry is the only view of them.
 func newNodeCounters(r *obs.Registry) nodeCounters {
 	return nodeCounters{
 		remoteSends:       r.Counter("ipc.remote_sends"),
@@ -45,23 +42,5 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		moveResumes:       r.Counter("ipc.move_resumes"),
 		moveOOODrops:      r.Counter("ipc.move_ooo_drops"),
 		rttSamples:        r.Counter("ipc.rtt_samples"),
-	}
-}
-
-// snapshot materializes the exported NodeStats view.
-func (c *nodeCounters) snapshot() NodeStats {
-	return NodeStats{
-		RemoteSends:       int(c.remoteSends.Load()),
-		RemoteReplies:     int(c.remoteReplies.Load()),
-		Retransmits:       int(c.retransmits.Load()),
-		DupsFiltered:      int(c.dupsFiltered.Load()),
-		ReplyPendingsSent: int(c.replyPendingsSent.Load()),
-		ReplyPendingsSeen: int(c.replyPendingsSeen.Load()),
-		NacksSent:         int(c.nacksSent.Load()),
-		OverloadSheds:     int(c.overloadSheds.Load()),
-		BadPackets:        int(c.badPackets.Load()),
-		MoveOps:           int(c.moveOps.Load()),
-		MoveBytes:         c.moveBytes.Load(),
-		RTTSamples:        int(c.rttSamples.Load()),
 	}
 }

@@ -18,28 +18,20 @@ import (
 // does for any datagram loss).
 const udpQueueDepth = 512
 
-// udpSockBuf is the kernel buffer both UDP transports ask for on every
-// socket, best effort: a 64 KB train is 64 back-to-back datagrams, and
-// two of them converging on one socket overflow the ~208 KB Linux
-// default — each loss then costs a retransmit timeout, not a resume.
+// udpSockBuf is the kernel buffer UDPTransport asks for on its socket,
+// best effort: a 64 KB train is 64 back-to-back datagrams, and two of
+// them converging on one socket overflow the ~208 KB Linux default —
+// each loss then costs a retransmit timeout, not a resume.
 const udpSockBuf = 1 << 20
 
 // errNoGSO declines a train: the kernel will not segment for this socket.
 var errNoGSO = errors.New("ipc: no UDP segmentation offload")
 
-// sizeSockBufs applies udpSockBuf to a socket. Errors are ignored: the
-// kernel clamps to its own limits and the protocol survives loss.
-func sizeSockBufs(conn *net.UDPConn) {
-	_ = conn.SetReadBuffer(udpSockBuf)
-	_ = conn.SetWriteBuffer(udpSockBuf)
-}
-
 // rxBatch sorts the packets of one kernel crossing (see queued): exchange
 // packets are handled on the spot, counted in net.rx_inline; move packets
-// are gathered per dispatch worker, so a read loop pays one queue
+// are gathered per dispatch worker, so the read loop pays one queue
 // operation and one wake-up per worker and crossing, not per packet, and
-// each flow's moves stay in arrival order. Both UDP transports' read
-// loops own one.
+// each flow's moves stay in arrival order.
 type rxBatch struct {
 	rx      *dispatcher[*bufpool.Buf]
 	handler *atomic.Pointer[func(*bufpool.Buf)] // the transport's upcall
@@ -192,7 +184,10 @@ func NewUDPTransportConfig(listen string, cfg UDPConfig) (*UDPTransport, error) 
 	if reg == nil {
 		reg = obs.New()
 	}
-	sizeSockBufs(conn)
+	// Errors are ignored: the kernel clamps to its own limits and the
+	// protocol survives loss.
+	_ = conn.SetReadBuffer(udpSockBuf)
+	_ = conn.SetWriteBuffer(udpSockBuf)
 	enableGRO(conn)
 	t := &UDPTransport{
 		conn:        conn,
@@ -346,4 +341,20 @@ func (t *UDPTransport) Close() error {
 	t.reader.Wait() // the read loop exits on the closed socket
 	t.rx.close()    // the workers drain what it queued
 	return err
+}
+
+// BatchConfig and NewBatchedUDPTransport are what remains of a second,
+// batched UDP transport. They exist only because bench/adapter.go
+// compiles against them, so its ipc.batched.* and
+// ipc.node.exchange_batched_ns ladder rungs now time UDPTransport. Both
+// are deleted once ROADMAP item 1 drops those rungs.
+//
+// Deprecated: use NewUDPTransport.
+type BatchConfig struct{}
+
+// NewBatchedUDPTransport returns NewUDPTransport(listen); see BatchConfig.
+//
+// Deprecated: use NewUDPTransport.
+func NewBatchedUDPTransport(listen string, _ BatchConfig) (*UDPTransport, error) {
+	return NewUDPTransport(listen)
 }

@@ -164,7 +164,7 @@ func TestClientCacheInvalidationUnderFaults(t *testing.T) {
 		Config{},
 	)
 	checkInvalidationConsistency(t, e)
-	if e.serverNode.Stats().Retransmits+e.clientNode.Stats().Retransmits == 0 {
+	if nodeCounter(e.serverNode, "ipc.retransmits")+nodeCounter(e.clientNode, "ipc.retransmits") == 0 {
 		t.Fatal("no retransmissions under fault injection; test is vacuous")
 	}
 }

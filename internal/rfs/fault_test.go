@@ -56,7 +56,7 @@ func TestReadLargeUnderFaults(t *testing.T) {
 	// up in the server node's retransmission counter (the client node
 	// retransmits Sends). With ~12% loss over ≥64 data packets the run is
 	// vacuous if nothing was retransmitted.
-	retrans := e.serverNode.Stats().Retransmits + e.clientNode.Stats().Retransmits
+	retrans := nodeCounter(e.serverNode, "ipc.retransmits") + nodeCounter(e.clientNode, "ipc.retransmits")
 	if retrans == 0 {
 		t.Fatal("no retransmissions under fault injection; test is vacuous")
 	}
@@ -92,7 +92,7 @@ func TestWritesApplyExactlyOnceUnderFaults(t *testing.T) {
 	if st := e.srv.Stats(); st.PageWrites != writes {
 		t.Fatalf("server applied %d page writes, want exactly %d (%+v)", st.PageWrites, writes, st)
 	}
-	if e.serverNode.Stats().DupsFiltered == 0 {
+	if nodeCounter(e.serverNode, "ipc.dups_filtered") == 0 {
 		t.Log("note: fault seed produced no duplicate Sends this run")
 	}
 }

@@ -112,6 +112,9 @@ func (e *env) client(t testing.TB, name string) *Client {
 	return NewClient(p, e.srv.Pid())
 }
 
+// nodeCounter reads one of a node's registry counters, e.g. "ipc.retransmits".
+func nodeCounter(n *ipc.Node, name string) int64 { return n.Metrics().Counter(name).Load() }
+
 // pattern fills a deterministic, file-distinct byte pattern.
 func pattern(file uint32, n int) []byte {
 	out := make([]byte, n)

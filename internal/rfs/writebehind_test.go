@@ -320,7 +320,7 @@ func TestWriteLargeScatterUnderFaults(t *testing.T) {
 	// The MoveFrom stream runs client→server on the server's pull, so
 	// its resume machinery shows up in the retransmission counters; with
 	// ~12% loss over ≥64 data packets the run is vacuous without any.
-	if e.serverNode.Stats().Retransmits+e.clientNode.Stats().Retransmits == 0 {
+	if nodeCounter(e.serverNode, "ipc.retransmits")+nodeCounter(e.clientNode, "ipc.retransmits") == 0 {
 		t.Fatal("no retransmissions under fault injection; test is vacuous")
 	}
 }
@@ -616,7 +616,7 @@ func TestOverloadGoodputWithRetry(t *testing.T) {
 			if st.PageWrites != clients*writes {
 				t.Fatalf("server executed %d writes, want exactly %d", st.PageWrites, clients*writes)
 			}
-			nacks := e.serverNode.Stats().NacksSent
+			nacks := nodeCounter(e.serverNode, "ipc.nacks_sent")
 			t.Logf("queue depth %d: goodput %.0f writes/s, %d overload retries, %d nacks",
 				depth, float64(clients*writes)/elapsed.Seconds(), retries.Load(), nacks)
 			if depth == 2 && retries.Load() == 0 {
