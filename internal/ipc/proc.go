@@ -371,6 +371,13 @@ func (p *Proc) receive(buf []byte) (Message, Pid, int, error) {
 			return Message{}, vproto.Nil, 0, ErrClosed
 		}
 	}
+	// Copy the segment prefix while the envelope is this receiver's alone:
+	// once it is published in p.received, a concurrent close() may release
+	// its frame.
+	count := 0
+	if buf != nil {
+		count = p.consumeSegment(env, buf)
+	}
 	p.mu.Lock()
 	if p.closed {
 		// The process died between the handoff and here; the exchange can
@@ -397,10 +404,6 @@ func (p *Proc) receive(buf []byte) (Message, Pid, int, error) {
 	}
 	if env.alien != nil {
 		p.node.aliens.markReceived(env.alien, p.pid)
-	}
-	count := 0
-	if buf != nil {
-		count = p.consumeSegment(env, buf)
 	}
 	return env.msg, env.from, count, nil
 }
