@@ -9,7 +9,7 @@ GO ?= go
 # stable local numbers.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache loc obs-smoke check
+.PHONY: all build test race stress vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache loc obs-smoke check
 
 all: build test
 
@@ -21,6 +21,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The concurrency-sensitive tests, 20 times each under the race
+# detector: packet-train ordering, late move packets, go-back-N under
+# reordering and exactly-once under faults (ipc); concurrent trains,
+# bulk-transfer crossings, replicated read fan-out and caching failover
+# (rfs). Several minutes, so CI does not run it; run it after touching
+# the exchange, move or dispatch paths.
+STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites
+stress:
+	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/
+	$(GO) test -race -count=20 -run '$(STRESS_RFS)' ./internal/rfs/
 
 vet:
 	$(GO) vet ./...

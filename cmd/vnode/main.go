@@ -248,7 +248,7 @@ func runServer(node *ipc.Node, volumeSpec, storeDir string, nreplicas int, rejoi
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
-	fmt.Printf("vnode: shutting down; stats: %+v\n", srv.Stats())
+	fmt.Printf("vnode: shutting down; server metrics: %s\n", metricLine(srv.Metrics(), "rfs."))
 }
 
 func runClient(node *ipc.Node, file uint32, reads, writes, large int, clientCache bool, ccBlocks, volumeID int, spreadReads bool) {
@@ -346,13 +346,20 @@ func runClient(node *ipc.Node, file uint32, reads, writes, large int, clientCach
 	if cc != nil {
 		fmt.Printf("vnode: client cache stats: %+v\n", cc.Stats())
 	}
-	var counters []string
-	node.Metrics().Do(func(name string, v int64) {
-		if strings.HasPrefix(name, "ipc.") {
-			counters = append(counters, fmt.Sprintf("%s=%d", name, v))
+	fmt.Printf("vnode: node metrics: %s\n", metricLine(node.Metrics(), "ipc."))
+}
+
+// metricLine renders a registry's counters and gauges under prefix as
+// one line of name=value pairs.
+func metricLine(reg *obs.Registry, prefix string) string {
+	var out []string
+	add := func(name string, v int64) {
+		if strings.HasPrefix(name, prefix) {
+			out = append(out, fmt.Sprintf("%s=%d", name, v))
 		}
-	}, nil, nil)
-	fmt.Printf("vnode: node counters: %s\n", strings.Join(counters, " "))
+	}
+	reg.Do(add, add, nil)
+	return strings.Join(out, " ")
 }
 
 func fatalIf(err error) {

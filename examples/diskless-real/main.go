@@ -13,6 +13,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -159,8 +160,21 @@ func main() {
 	}
 	per := time.Since(start) / time.Duration(pages)
 	fmt.Printf("%d demand page-ins across %d workstations, %v/page\n", pages, numClients, per)
-	fmt.Printf("root server stats: %+v\n", rootSrv.Stats())
-	fmt.Printf("scratch server stats: %+v\n", scratchSrv.Stats())
+	printMetrics("root server", rootSrv)
+	printMetrics("scratch server", scratchSrv)
+}
+
+// printMetrics prints a server's rfs.* registry values on one line: the
+// server-wide counters and the per-volume rfs.vol<id>.* gauges.
+func printMetrics(label string, srv *rfs.Server) {
+	var out []string
+	add := func(name string, v int64) {
+		if strings.HasPrefix(name, "rfs.") {
+			out = append(out, fmt.Sprintf("%s=%d", name, v))
+		}
+	}
+	srv.Metrics().Do(add, add, nil)
+	fmt.Printf("%s metrics: %s\n", label, strings.Join(out, " "))
 }
 
 func must(err error) {

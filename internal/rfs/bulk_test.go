@@ -86,8 +86,8 @@ func TestRunFillStoreReads(t *testing.T) {
 	if err := c.WriteBlock(8, 64, page); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.srv.Stats(); st.DirtyBlocks != 1 || cs.reads.Load() != before {
-		t.Fatalf("fixture: dirty blocks = %d, store reads = %d, want 1 staged page and no read", st.DirtyBlocks, cs.reads.Load()-before)
+	if dirty := volGauge(e.srv, "dirty_blocks"); dirty != 1 || cs.reads.Load() != before {
+		t.Fatalf("fixture: dirty blocks = %d, store reads = %d, want 1 staged page and no read", dirty, cs.reads.Load()-before)
 	}
 	if got := readLarge(t, c, cs, 8, 0, want); got != 2 {
 		t.Errorf("64 KB read around one staged block cost %d store reads, want 2", got)

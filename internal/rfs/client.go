@@ -1,7 +1,6 @@
 package rfs
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,13 +77,12 @@ type Client struct {
 	// layered state bound to the old server (cache contents, cache
 	// registrations, version baselines) can be discarded.
 	onReroute func(ipc.Pid)
-	// spreadReads load-balances read ops over the volume's read set
-	// (primary + in-sync replicas) via Router.ResolveRead; writes still
-	// pin to the primary. readOp marks the current op as spreadable and
-	// lastTarget the pid the current exchange went to (so a failed read
-	// can evict exactly the dead member from the read set).
+	// spreadReads load-balances read-class ops (see spreads) over the
+	// volume's read set (primary + in-sync replicas) via
+	// Router.ResolveRead; everything else still pins to the primary.
+	// lastTarget is the pid the current exchange went to (so a failed
+	// read can evict exactly the dead member from the read set).
 	spreadReads bool
-	readOp      bool
 	lastTarget  ipc.Pid
 	retry       RetryPolicy
 	// trace, when nonzero, stamps every outgoing request with a 24-bit
@@ -213,15 +211,23 @@ func (c *Client) request(op, file, blockOrOff, count uint32) ipc.Message {
 	return m
 }
 
-// target resolves the pid this operation goes to. For a routed client a
-// change of serving pid (the volume moved) fires the onReroute hook
-// before any exchange reaches the new server.
-func (c *Client) target() (ipc.Pid, error) {
+// spreads reports whether request m goes to the volume's read set
+// rather than its primary: on a SpreadReads client, exactly the ops the
+// op table classes as reads.
+func (c *Client) spreads(m *ipc.Message) bool {
+	return c.spreadReads && ops[opIndex(reqOp(m))].class == classRead
+}
+
+// target resolves the pid this operation goes to (the read set when
+// spread). For a routed client a change of serving pid (the volume
+// moved) fires the onReroute hook before any exchange reaches the new
+// server.
+func (c *Client) target(spread bool) (ipc.Pid, error) {
 	if c.router == nil {
 		c.lastTarget = c.server
 		return c.server, nil
 	}
-	if c.spreadReads && c.readOp {
+	if spread {
 		pid, err := c.router.ResolveRead(c.vol)
 		if err != nil {
 			return vproto.Nil, err
@@ -254,10 +260,11 @@ func (c *Client) target() (ipc.Pid, error) {
 // and range writes of this protocol tolerate.
 func (c *Client) exchange(m *ipc.Message, seg *ipc.Segment) error {
 	orig := *m
+	spread := c.spreads(m)
 	delay := c.retry.Delay
 	attempt, reroutes := 0, 0
 	for {
-		pid, err := c.target()
+		pid, err := c.target(spread)
 		if err != nil {
 			return err
 		}
@@ -275,7 +282,7 @@ func (c *Client) exchange(m *ipc.Message, seg *ipc.Segment) error {
 			(errors.Is(err, ipc.ErrTimeout) || errors.Is(err, ipc.ErrNoProcess)):
 			reroutes++
 			c.router.Invalidate(c.vol)
-			if c.spreadReads && c.readOp {
+			if spread {
 				c.router.InvalidateRead(c.vol, pid)
 			}
 		default:
@@ -293,6 +300,7 @@ func (c *Client) exchange(m *ipc.Message, seg *ipc.Segment) error {
 // in *m for callers that read its extra words (counts, versions, lease).
 func (c *Client) exchangeOp(m *ipc.Message, seg *ipc.Segment) error {
 	orig := *m
+	spread := c.spreads(m)
 	for reroutes := 0; ; reroutes++ {
 		if err := c.exchange(m, seg); err != nil {
 			return err
@@ -303,7 +311,7 @@ func (c *Client) exchangeOp(m *ipc.Message, seg *ipc.Segment) error {
 			return nil
 		case status == StatusNoVolume:
 			if c.router != nil && reroutes < c.retry.Reroutes {
-				if c.spreadReads && c.readOp {
+				if spread {
 					// A replica that stopped serving (fell out of sync, or
 					// is mid-promotion): evict it and retry the survivors.
 					c.router.InvalidateRead(c.vol, c.lastTarget)
@@ -324,10 +332,7 @@ func (c *Client) exchangeOp(m *ipc.Message, seg *ipc.Segment) error {
 // page (§3.4). It returns the byte count the server sent.
 func (c *Client) ReadBlock(file, block uint32, dst []byte) (int, error) {
 	m := c.request(OpReadBlock, file, block, uint32(len(dst)))
-	c.readOp = true
-	err := c.exchangeOp(&m, c.segment(dst, ipc.SegWrite))
-	c.readOp = false
-	if err != nil {
+	if err := c.exchangeOp(&m, c.segment(dst, ipc.SegWrite)); err != nil {
 		return 0, err
 	}
 	_, n := parseReply(&m)
@@ -348,10 +353,7 @@ func (c *Client) WriteBlock(file, block uint32, data []byte) error {
 // (§6.3); the count returned is how many bytes the file held.
 func (c *Client) ReadLarge(file, off uint32, dst []byte) (int, error) {
 	m := c.request(OpReadLarge, file, off, uint32(len(dst)))
-	c.readOp = true
-	err := c.exchangeOp(&m, c.segment(dst, ipc.SegWrite))
-	c.readOp = false
-	if err != nil {
+	if err := c.exchangeOp(&m, c.segment(dst, ipc.SegWrite)); err != nil {
 		return 0, err
 	}
 	_, n := parseReply(&m)
@@ -369,10 +371,7 @@ func (c *Client) WriteLarge(file, off uint32, data []byte) error {
 // extensions included).
 func (c *Client) QueryFile(file uint32) (int, error) {
 	m := c.request(OpQueryFile, file, 0, 0)
-	c.readOp = true
-	err := c.exchangeOp(&m, nil)
-	c.readOp = false
-	if err != nil {
+	if err := c.exchangeOp(&m, nil); err != nil {
 		return 0, err
 	}
 	_, n := parseReply(&m)
@@ -396,12 +395,9 @@ func (c *Client) QueryVolumes() ([]uint32, error) {
 		return nil, err
 	}
 	_, n := parseReply(&m)
-	if int(n)*4 > len(buf) {
+	vols, ok := decodeIDs[uint32](buf, n)
+	if !ok {
 		return nil, fmt.Errorf("%w: volume count %d", ErrBadStatus, n)
-	}
-	vols := make([]uint32, n)
-	for i := range vols {
-		vols[i] = binary.BigEndian.Uint32(buf[i*4:])
 	}
 	return vols, nil
 }
@@ -415,10 +411,7 @@ func (c *Client) QueryVolumes() ([]uint32, error) {
 // whole node.
 func (c *Client) QueryStats(dst []byte) (streamed, total int, err error) {
 	m := c.request(OpQueryStats, 0, 0, uint32(len(dst)))
-	c.readOp = true
-	err = c.exchangeOp(&m, c.segment(dst, ipc.SegWrite))
-	c.readOp = false
-	if err != nil {
+	if err = c.exchangeOp(&m, c.segment(dst, ipc.SegWrite)); err != nil {
 		return 0, 0, err
 	}
 	st, tot := statsReply(&m)

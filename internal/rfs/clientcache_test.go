@@ -68,7 +68,7 @@ func TestClientCacheWarmHits(t *testing.T) {
 			}
 		}
 	}
-	if got := e.srv.Stats().PageReads; got != blocks {
+	if got := srvCounter(e.srv, "rfs.page_reads"); got != blocks {
 		t.Fatalf("server saw %d page reads, want %d (one per block)", got, blocks)
 	}
 	st := c.Stats()
@@ -84,7 +84,7 @@ func TestClientCacheWarmHits(t *testing.T) {
 	if !bytes.Equal(small, data[2*512:2*512+64]) {
 		t.Fatal("partial read from cache corrupted")
 	}
-	if got := e.srv.Stats().PageReads; got != blocks {
+	if got := srvCounter(e.srv, "rfs.page_reads"); got != blocks {
 		t.Fatalf("partial read went to the server (%d reads)", got)
 	}
 }
@@ -134,8 +134,8 @@ func checkInvalidationConsistency(t *testing.T, e *env) {
 			t.Fatalf("round %d: writer's own cache went stale", round)
 		}
 	}
-	if st := e.srv.Stats(); st.CacheCallbacks == 0 {
-		t.Fatalf("no invalidation callbacks sent: %+v", st)
+	if srvCounter(e.srv, "rfs.cache_callbacks") == 0 {
+		t.Fatal("no invalidation callbacks sent")
 	}
 	if st := reader.Stats(); st.Callbacks == 0 {
 		t.Fatalf("reader never received a callback: %+v", st)
@@ -330,8 +330,8 @@ func TestClientCacheStalenessBound(t *testing.T) {
 	if err := writer.WriteBlock(60, 0, want); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.srv.Stats(); st.CacheCallbackErrs == 0 {
-		t.Fatalf("callback to the dead process did not fail: %+v", st)
+	if srvCounter(e.srv, "rfs.cache_callback_errs") == 0 {
+		t.Fatal("callback to the dead process did not fail")
 	}
 
 	// Within the lease the reader serves the stale page — this IS the
@@ -383,17 +383,16 @@ func TestClientCacheServerLeaseExpiry(t *testing.T) {
 	// without a callback (the registration is reaped instead).
 	reader.setNow(func() time.Time { return base.Add(2 * lease) })
 	e.srv.registry.setNow(func() time.Time { return base.Add(2 * lease) })
-	before := e.srv.Stats().CacheCallbacks
+	before := srvCounter(e.srv, "rfs.cache_callbacks")
 	want := versionedPage(0, 2)
 	if err := writer.WriteBlock(61, 0, want); err != nil {
 		t.Fatal(err)
 	}
-	st := e.srv.Stats()
-	if st.CacheCallbacks != before {
-		t.Fatalf("write called back an expired registration: %+v", st)
+	if got := srvCounter(e.srv, "rfs.cache_callbacks"); got != before {
+		t.Fatalf("write called back an expired registration (%d callbacks)", got-before)
 	}
-	if st.CacheLeaseExpiries == 0 {
-		t.Fatalf("expired registration not reaped: %+v", st)
+	if srvCounter(e.srv, "rfs.cache_lease_expiries") == 0 {
+		t.Fatal("expired registration not reaped")
 	}
 
 	// The reader's own lease expired too, so the next read renews,
@@ -480,7 +479,7 @@ func TestPerFileSyncErrorIsolation(t *testing.T) {
 	}
 	// Wait for the eager flusher to hit the failing device.
 	deadline := time.Now().Add(2 * time.Second)
-	for e.srv.Stats().FlushErrors == 0 {
+	for volGauge(e.srv, "flush_errs") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("flush error never recorded")
 		}
@@ -527,8 +526,8 @@ func TestCallbackTimeoutUnblocksWrites(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("write stalled %v behind a wedged callback", elapsed)
 	}
-	if st := e.srv.Stats(); st.CacheCallbackTimeouts == 0 {
-		t.Fatalf("fan-out deadline never fired: %+v", st)
+	if srvCounter(e.srv, "rfs.cache_callback_timeouts") == 0 {
+		t.Fatal("fan-out deadline never fired")
 	}
 	// The registration is revoked: the next write is full speed again.
 	start = time.Now()

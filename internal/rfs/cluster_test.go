@@ -612,7 +612,7 @@ func writerCrashFanOutScenario(t *testing.T, udp bool) {
 	if !bytes.Equal(page, versionedPage(0, 3)) {
 		t.Fatal("survivor served stale bytes after the writer crashed")
 	}
-	if got := srv.Stats().CacheCallbackErrs; got == 0 {
+	if got := srvCounter(srv, "rfs.cache_callback_errs"); got == 0 {
 		t.Fatal("fan-out to the dead writer reported no callback error")
 	}
 	// The pool is not wedged: a burst of further writes stays prompt.
@@ -642,7 +642,7 @@ func writerCrashFanOutScenario(t *testing.T, udp bool) {
 	if !bytes.Equal(page, versionedPage(0, 9)) {
 		t.Fatal("survivor failed to converge via lease expiry")
 	}
-	if got := srv.Stats().CacheLeaseExpiries; got == 0 {
+	if got := srvCounter(srv, "rfs.cache_lease_expiries"); got == 0 {
 		t.Fatal("registry never swept an expired registration")
 	}
 }

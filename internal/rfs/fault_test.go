@@ -89,8 +89,8 @@ func TestWritesApplyExactlyOnceUnderFaults(t *testing.T) {
 	}
 	// ...and each write executed exactly once despite duplicate requests
 	// reaching the server (DupsFiltered counts them).
-	if st := e.srv.Stats(); st.PageWrites != writes {
-		t.Fatalf("server applied %d page writes, want exactly %d (%+v)", st.PageWrites, writes, st)
+	if got := srvCounter(e.srv, "rfs.page_writes"); got != writes {
+		t.Fatalf("server applied %d page writes, want exactly %d", got, writes)
 	}
 	if nodeCounter(e.serverNode, "ipc.dups_filtered") == 0 {
 		t.Log("note: fault seed produced no duplicate Sends this run")

@@ -150,9 +150,9 @@ func TestScrapeDuringFailover(t *testing.T) {
 		}()
 	}
 
-	// In-process Stats() reader, the path vnode's shutdown print uses.
+	// In-process registry reader, the path vnode's shutdown print uses.
 	// It keeps polling both servers — including the one that gets killed
-	// mid-run: Stats() on a closed server reads frozen counters.
+	// mid-run: a closed server's registry reads frozen counters.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -163,7 +163,7 @@ func TestScrapeDuringFailover(t *testing.T) {
 			default:
 			}
 			for _, srv := range servers {
-				_ = srv.Stats()
+				srv.Metrics().Do(func(string, int64) {}, func(string, int64) {}, nil)
 			}
 		}
 	}()
@@ -221,7 +221,7 @@ func TestScrapeDuringFailover(t *testing.T) {
 
 	// The survivor must have answered scrapes during the storm.
 	survivor := shardWithRole(c, 1, RolePrimary)
-	if n := survivor.Srv.Stats().StatScrapes; n == 0 {
+	if n := srvCounter(survivor.Srv, "rfs.stat_scrapes"); n == 0 {
 		t.Fatal("no stats scrapes recorded on the surviving shard")
 	}
 }

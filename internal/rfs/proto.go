@@ -23,9 +23,11 @@
 package rfs
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"vkernel/internal/ipc"
+	"vkernel/internal/vproto"
 )
 
 // LogicalFileServer is the well-known logical id the server registers
@@ -219,6 +221,9 @@ func parseRequest(m *ipc.Message) (op, file, blockOrOff, count uint32) {
 	return m.Word(1), m.Word(2), m.Word(3), m.Word(4)
 }
 
+// reqOp returns the request's opcode (word 1).
+func reqOp(m *ipc.Message) uint32 { return m.Word(1) }
+
 // reqVolume returns the request's volume id (reserved word 5).
 func reqVolume(m *ipc.Message) uint32 { return m.Word(5) }
 
@@ -233,6 +238,31 @@ func buildReply(status, count uint32) ipc.Message {
 // parseReply decodes a reply message.
 func parseReply(m *ipc.Message) (status, count uint32) {
 	return m.Word(1), m.Word(2)
+}
+
+// encodeIDs lays out an id list (OpQueryVolumes' volume ids,
+// OpQueryReplicas' server pids) for a reply segment: big-endian uint32s,
+// capped at the client's grant and at one reply packet.
+func encodeIDs[T ~uint32](ids []T, grant uint32) []byte {
+	n := min(len(ids), int(grant/4), vproto.MaxData/4)
+	seg := make([]byte, 4*n)
+	for i, id := range ids[:n] {
+		binary.BigEndian.PutUint32(seg[4*i:], uint32(id))
+	}
+	return seg
+}
+
+// decodeIDs reads the count ids encodeIDs laid out in seg; ok is false
+// when count overruns the segment.
+func decodeIDs[T ~uint32](seg []byte, count uint32) (ids []T, ok bool) {
+	if count > uint32(len(seg)/4) {
+		return nil, false
+	}
+	ids = make([]T, count)
+	for i := range ids {
+		ids[i] = T(binary.BigEndian.Uint32(seg[4*i:]))
+	}
+	return ids, true
 }
 
 // buildInvalidate assembles an OpInvalidate callback. Callbacks reuse

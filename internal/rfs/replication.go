@@ -544,13 +544,7 @@ func (s *Server) replicateSync(v *volume) {
 
 // handleRepJoin serves OpRepJoin (see replState.join). The 8-byte
 // segment names the replica's apply and server pids.
-func (s *Server) handleRepJoin(v *volume, req *request) {
-	rs := s.primaryRepl(v)
-	if rs == nil {
-		s.replyStatus(req.src, StatusNoVolume, 0)
-		return
-	}
-	_, rid, lastApplied, segLen := parseRequest(&req.msg)
+func (s *Server) handleRepJoin(v *volume, req *request, rid, lastApplied, segLen uint32) {
 	if segLen < 8 || len(req.buf) < 8 {
 		s.replyStatus(req.src, StatusBadRequest, 0)
 		return
@@ -563,7 +557,7 @@ func (s *Server) handleRepJoin(v *volume, req *request) {
 	}
 	applyPid := ipc.Pid(binary.BigEndian.Uint32(req.buf[0:4]))
 	serverPid := ipc.Pid(binary.BigEndian.Uint32(req.buf[4:8]))
-	seq, flags, status := rs.join(rid, applyPid, serverPid, lastApplied)
+	seq, flags, status := v.repl.join(rid, applyPid, serverPid, lastApplied)
 	m := buildReply(status, 0)
 	stampRepJoin(&m, seq, flags)
 	_ = s.proc.Reply(&m, req.src)
@@ -571,14 +565,8 @@ func (s *Server) handleRepJoin(v *volume, req *request) {
 
 // handleRepPull serves OpRepPull: encoded records MoveTo-streamed into
 // the replica's grant, batch bounded by the grant size.
-func (s *Server) handleRepPull(v *volume, req *request) {
-	rs := s.primaryRepl(v)
-	if rs == nil {
-		s.replyStatus(req.src, StatusNoVolume, 0)
-		return
-	}
-	_, rid, from, grant := parseRequest(&req.msg)
-	recs, cur, ok := rs.pullRecords(rid, from, int(grant))
+func (s *Server) handleRepPull(v *volume, req *request, rid, from, grant uint32) {
+	recs, cur, ok := v.repl.pullRecords(rid, from, int(grant))
 	if !ok {
 		m := buildReply(StatusRepSnapshot, 0)
 		stampRepPull(&m, 0, 0, cur)
@@ -610,18 +598,12 @@ func (s *Server) handleRepPull(v *volume, req *request) {
 // snapshot sequence is read before the walk so any racing write is
 // replayed on top of the snapshot, and the (file, size) entries are
 // streamed into the replica's grant.
-func (s *Server) handleRepFiles(v *volume, req *request) {
-	rs := s.primaryRepl(v)
-	if rs == nil {
-		s.replyStatus(req.src, StatusNoVolume, 0)
-		return
-	}
-	_, _, _, grant := parseRequest(&req.msg)
+func (s *Server) handleRepFiles(v *volume, req *request, _, _, grant uint32) {
 	if err := v.cache.flushAll(); err != nil {
 		s.replyStatus(req.src, StatusIOError, 0)
 		return
 	}
-	snapSeq := rs.current()
+	snapSeq := v.repl.current()
 	ids, err := v.store.Files()
 	if err != nil {
 		s.replyStatus(req.src, StatusIOError, 0)
@@ -660,14 +642,8 @@ func (s *Server) handleRepFiles(v *volume, req *request) {
 }
 
 // handleRepHeartbeat serves OpRepHeartbeat (see replState.heartbeat).
-func (s *Server) handleRepHeartbeat(v *volume, req *request) {
-	rs := s.primaryRepl(v)
-	if rs == nil {
-		s.replyStatus(req.src, StatusNoVolume, 0)
-		return
-	}
-	_, rid, lastApplied, _ := parseRequest(&req.msg)
-	seq, candidate, flags := rs.heartbeat(rid, lastApplied)
+func (s *Server) handleRepHeartbeat(v *volume, req *request, rid, lastApplied, _ uint32) {
+	seq, candidate, flags := v.repl.heartbeat(rid, lastApplied)
 	m := buildReply(StatusOK, 0)
 	stampRepHeartbeat(&m, seq, candidate, flags)
 	_ = s.proc.Reply(&m, req.src)
@@ -676,39 +652,10 @@ func (s *Server) handleRepHeartbeat(v *volume, req *request) {
 // handleQueryReplicas serves OpQueryReplicas: the read set as pids in
 // the reply segment, primary first. An unreplicated primary answers
 // with itself alone, so spread-reads clients work against any cluster.
-func (s *Server) handleQueryReplicas(v *volume, req *request) {
-	if v.role.Load() != rolePrimary {
-		s.replyStatus(req.src, StatusNoVolume, 0)
-		return
-	}
-	_, _, _, grant := parseRequest(&req.msg)
+func (s *Server) handleQueryReplicas(v *volume, req *request, _, _, grant uint32) {
 	pids := []ipc.Pid{s.proc.Pid()}
 	if rs := v.repl; rs != nil {
 		pids = rs.readSet(s.proc.Pid())
 	}
-	if limit := int(grant) / 4; len(pids) > limit {
-		pids = pids[:limit]
-	}
-	if len(pids) == 0 {
-		s.replyStatus(req.src, StatusOK, 0)
-		return
-	}
-	buf := make([]byte, len(pids)*4)
-	for i, pid := range pids {
-		binary.BigEndian.PutUint32(buf[i*4:], uint32(pid))
-	}
-	reply := buildReply(StatusOK, uint32(len(pids)))
-	if err := s.proc.ReplyWithSegment(&reply, req.src, 0, buf); err != nil {
-		s.replyStatus(req.src, StatusBadRequest, 0)
-	}
-}
-
-// primaryRepl returns v's replication state when v is currently a
-// primary, nil otherwise (the caller answers StatusNoVolume, steering
-// the sender at the real primary).
-func (s *Server) primaryRepl(v *volume) *replState {
-	if v.role.Load() != rolePrimary {
-		return nil
-	}
-	return v.repl
+	s.replyIDs(req.src, encodeIDs(pids, grant))
 }

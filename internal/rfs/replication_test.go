@@ -127,7 +127,7 @@ func TestReplicatedReadFanOut(t *testing.T) {
 			rd.SpreadReads(true)
 			before := make([]int64, len(c.Servers))
 			for i, cs := range c.Servers {
-				before[i] = cs.Srv.Stats().PageReads
+				before[i] = srvCounter(cs.Srv, "rfs.page_reads")
 			}
 			const n = 10
 			page := make([]byte, 512)
@@ -142,24 +142,24 @@ func TestReplicatedReadFanOut(t *testing.T) {
 			}
 			copies := int64(replicas + 1)
 			for i, cs := range c.Servers {
-				got := cs.Srv.Stats().PageReads - before[i]
+				got := srvCounter(cs.Srv, "rfs.page_reads") - before[i]
 				if got != n/copies && got != (n+copies-1)/copies {
 					t.Errorf("shard %d served %d of %d spread reads over %d copies", i, got, n, copies)
 				}
 			}
 
 			// Writes from the spreading client still pin to the primary.
-			pWrites := c.Servers[0].Srv.Stats().PageWrites
+			pWrites := srvCounter(c.Servers[0].Srv, "rfs.page_writes")
 			for v := uint32(2); v <= 4; v++ {
 				if err := rd.WriteBlock(9, 0, versionedPage(0, v)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := c.Servers[0].Srv.Stats().PageWrites - pWrites; got != 3 {
+			if got := srvCounter(c.Servers[0].Srv, "rfs.page_writes") - pWrites; got != 3 {
 				t.Fatalf("primary took %d of 3 writes from a SpreadReads client", got)
 			}
 			for i, cs := range c.Servers[1:] {
-				if got := cs.Srv.Stats().PageWrites; got != 0 {
+				if got := srvCounter(cs.Srv, "rfs.page_writes"); got != 0 {
 					t.Fatalf("replica %d took %d direct writes", i+1, got)
 				}
 			}
@@ -229,7 +229,7 @@ func TestReplicaKillPrimaryMidWriteBurst(t *testing.T) {
 
 	// The survivor promoted exactly once and now owns the volume.
 	srv := c.Servers[1].Srv
-	if got := srv.Stats().Promotions; got != 1 {
+	if got := srvCounter(srv, "rfs.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 	if role, ok := srv.Role(1); !ok || role != RolePrimary {
@@ -295,7 +295,7 @@ func TestReplicaFailoverUDP(t *testing.T) {
 	t.Logf("kill -> first successful read %v, write %v (replica lease %v)",
 		readGap.Round(time.Millisecond), writeGap.Round(time.Millisecond), cfg.Server.ReplicaLease)
 	srv := c.Servers[1].Srv
-	if got := srv.Stats().Promotions; got != 1 {
+	if got := srvCounter(srv, "rfs.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 	rd := NewVolumeClient(attach(t, node, "reader"), r, 1)
@@ -361,7 +361,7 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	}
 	// Kill it again once the pull is demonstrably in progress.
 	waitUntil(t, 10*time.Second, "pull catch-up to start", func() bool {
-		n := c.Servers[2].Srv.Stats().ReplicaRecords
+		n := srvCounter(c.Servers[2].Srv, "rfs.repl_applied")
 		return n > 0 && n < backlog
 	})
 	c.Kill(2)
@@ -432,7 +432,7 @@ func TestReplicaPromotionUnderLoss(t *testing.T) {
 	if got := pageVersion(page); got < lastAcked {
 		t.Fatalf("promoted replica lost acked writes under loss: v%d < v%d", got, lastAcked)
 	}
-	if got := c.Servers[1].Srv.Stats().Promotions; got != 1 {
+	if got := srvCounter(c.Servers[1].Srv, "rfs.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 	// And it takes writes.
@@ -470,7 +470,7 @@ func TestReplicaFullCycle(t *testing.T) {
 			t.Fatal("writes never failed over to the replica")
 		}
 	}
-	if got := c.Servers[1].Srv.Stats().Promotions; got != 1 {
+	if got := srvCounter(c.Servers[1].Srv, "rfs.promotions"); got != 1 {
 		t.Fatalf("promotions = %d, want 1", got)
 	}
 

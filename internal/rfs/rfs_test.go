@@ -3,6 +3,7 @@ package rfs
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,6 +116,21 @@ func (e *env) client(t testing.TB, name string) *Client {
 // nodeCounter reads one of a node's registry counters, e.g. "ipc.retransmits".
 func nodeCounter(n *ipc.Node, name string) int64 { return n.Metrics().Counter(name).Load() }
 
+// srvCounter reads one of a server's registry counters, e.g. "rfs.page_reads".
+func srvCounter(s *Server, name string) int64 { return s.Metrics().Counter(name).Load() }
+
+// volGauge sums one per-volume gauge, rfs.vol<id>.<name>, over the
+// server's volumes.
+func volGauge(s *Server, name string) int64 {
+	var sum int64
+	s.Metrics().Do(nil, func(n string, v int64) {
+		if strings.HasPrefix(n, "rfs.vol") && strings.HasSuffix(n, "."+name) {
+			sum += v
+		}
+	}, nil)
+	return sum
+}
+
 // pattern fills a deterministic, file-distinct byte pattern.
 func pattern(file uint32, n int) []byte {
 	out := make([]byte, n)
@@ -159,9 +175,8 @@ func TestPageReadWrite(t *testing.T) {
 		t.Fatalf("size = %d, want %d", size, 8*512)
 	}
 
-	st := e.srv.Stats()
-	if st.PageReads != 2 || st.PageWrites != 1 {
-		t.Fatalf("stats: %+v", st)
+	if r, w := srvCounter(e.srv, "rfs.page_reads"), srvCounter(e.srv, "rfs.page_writes"); r != 2 || w != 1 {
+		t.Fatalf("rfs.page_reads = %d, rfs.page_writes = %d, want 2 and 1", r, w)
 	}
 }
 
@@ -295,8 +310,9 @@ func TestLoadProgram(t *testing.T) {
 	if !bytes.Equal(got, image) {
 		t.Fatal("program image corrupted")
 	}
-	if st := e.srv.Stats(); st.LargeReads != 1 || st.PageReads != 1 || st.Queries != 1 {
-		t.Fatalf("load sequence stats: %+v", st)
+	large, pages, queries := srvCounter(e.srv, "rfs.large_reads"), srvCounter(e.srv, "rfs.page_reads"), srvCounter(e.srv, "rfs.queries")
+	if large != 1 || pages != 1 || queries != 1 {
+		t.Fatalf("load sequence: %d large reads, %d page reads, %d queries; want one each", large, pages, queries)
 	}
 }
 
@@ -381,8 +397,8 @@ func TestConcurrentClientsSharedFile(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := e.srv.Stats(); st.CacheHits == 0 {
-		t.Fatalf("no cache hits across shared reads: %+v", st)
+	if volGauge(e.srv, "cache_hits") == 0 {
+		t.Fatal("no cache hits across shared reads")
 	}
 }
 
@@ -597,11 +613,11 @@ func TestReadAheadWarmsCache(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(time.Second)
-	for e.srv.Stats().Prefetches == 0 && time.Now().Before(deadline) {
+	for srvCounter(e.srv, "rfs.prefetches") == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if st := e.srv.Stats(); st.Prefetches == 0 {
-		t.Fatalf("read-ahead never prefetched: %+v", st)
+	if srvCounter(e.srv, "rfs.prefetches") == 0 {
+		t.Fatal("read-ahead never prefetched")
 	}
 }
 

@@ -1,7 +1,6 @@
 package rfs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -177,18 +176,12 @@ func (r *Router) queryReadSet(vol uint32, primary ipc.Pid) []ipc.Pid {
 	r.sendMu.Lock()
 	err := r.p.Send(&m, primary, &seg)
 	r.sendMu.Unlock()
-	if err != nil {
-		return []ipc.Pid{primary}
+	if status, count := parseReply(&m); err == nil && status == StatusOK && count > 0 {
+		if pids, ok := decodeIDs[ipc.Pid](buf, count); ok {
+			return pids
+		}
 	}
-	status, count := parseReply(&m)
-	if status != StatusOK || count == 0 || int(count)*4 > len(buf) {
-		return []ipc.Pid{primary}
-	}
-	pids := make([]ipc.Pid, 0, count)
-	for i := uint32(0); i < count; i++ {
-		pids = append(pids, ipc.Pid(binary.BigEndian.Uint32(buf[i*4:])))
-	}
-	return pids
+	return []ipc.Pid{primary}
 }
 
 // Refresh rebuilds the route cache from a fresh cluster map: every

@@ -1,7 +1,6 @@
 package rfs
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -160,62 +159,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of server activity.
-type Stats struct {
-	Requests     int64
-	PageReads    int64
-	PageWrites   int64
-	LargeReads   int64
-	LargeWrites  int64
-	Queries      int64
-	Creates      int64
-	Syncs        int64
-	BadRequests  int64
-	BytesRead    int64
-	BytesWritten int64
-	CacheHits    int64
-	CacheMisses  int64
-	Prefetches   int64
-	// Write-behind activity: blocks currently staged, flush writes
-	// issued (each covering a coalesced run), blocks those runs covered,
-	// and store errors the flushers absorbed.
-	DirtyBlocks   int64
-	FlushRuns     int64
-	FlushedBlocks int64
-	FlushErrors   int64
-	// Client-cache consistency protocol activity: registrations
-	// processed (including renewals), live registrations, invalidation
-	// callbacks sent, callbacks that failed (registration revoked),
-	// fan-outs cut short by CallbackTimeout, and registrations reaped at
-	// lease expiry.
-	CacheRegistrations    int64
-	CacheWatchers         int64
-	CacheCallbacks        int64
-	CacheCallbackErrs     int64
-	CacheCallbackTimeouts int64
-	CacheLeaseExpiries    int64
-	// Replication activity: replica volumes promoted to primary, records
-	// applied while in replica role, and snapshot resyncs run.
-	Promotions     int64
-	ReplicaRecords int64
-	ReplicaResyncs int64
-	// StatScrapes counts OpQueryStats exchanges served.
-	StatScrapes int64
-}
-
-// serverCounters are the server's rfs.* registry counters, held as
-// direct pointers so the hot paths skip the registry's name lookup.
-// The names below ARE the scrape schema: Stats() is a thin view over
-// them and cmd/vstat renders them by name.
+// serverCounters are the server's rfs.* registry counters that no one
+// op owns, held as direct pointers so the hot paths skip the registry's
+// name lookup. Per-op counters are named by the ops table.
 type serverCounters struct {
 	requests    *obs.Counter
-	pageReads   *obs.Counter
-	pageWrites  *obs.Counter
-	largeReads  *obs.Counter
-	largeWrites *obs.Counter
-	queries     *obs.Counter
-	creates     *obs.Counter
-	syncs       *obs.Counter
 	badRequests *obs.Counter
 	bytesRead   *obs.Counter
 	bytesWrite  *obs.Counter
@@ -223,19 +171,11 @@ type serverCounters struct {
 	promotions  *obs.Counter
 	replApplied *obs.Counter
 	replResyncs *obs.Counter
-	statScrapes *obs.Counter
 }
 
 func newServerCounters(reg *obs.Registry) serverCounters {
 	return serverCounters{
 		requests:    reg.Counter("rfs.requests"),
-		pageReads:   reg.Counter("rfs.page_reads"),
-		pageWrites:  reg.Counter("rfs.page_writes"),
-		largeReads:  reg.Counter("rfs.large_reads"),
-		largeWrites: reg.Counter("rfs.large_writes"),
-		queries:     reg.Counter("rfs.queries"),
-		creates:     reg.Counter("rfs.creates"),
-		syncs:       reg.Counter("rfs.syncs"),
 		badRequests: reg.Counter("rfs.bad_requests"),
 		bytesRead:   reg.Counter("rfs.bytes_read"),
 		bytesWrite:  reg.Counter("rfs.bytes_written"),
@@ -243,40 +183,72 @@ func newServerCounters(reg *obs.Registry) serverCounters {
 		promotions:  reg.Counter("rfs.promotions"),
 		replApplied: reg.Counter("rfs.repl_applied"),
 		replResyncs: reg.Counter("rfs.repl_resyncs"),
-		statScrapes: reg.Counter("rfs.stat_scrapes"),
 	}
 }
 
-// opName is the metric and span suffix for a protocol opcode.
-func opName(op uint32) string {
-	switch op {
-	case OpReadBlock:
-		return "read_block"
-	case OpWriteBlock:
-		return "write_block"
-	case OpReadLarge:
-		return "read_large"
-	case OpWriteLarge:
-		return "write_large"
-	case OpQueryFile:
-		return "query_file"
-	case OpCreateFile:
-		return "create_file"
-	case OpSync:
-		return "sync"
-	case OpRegisterCache:
-		return "register_cache"
-	case OpReleaseCache:
-		return "release_cache"
-	case OpQueryVolumes:
-		return "query_volumes"
-	case OpQueryStats:
-		return "query_stats"
-	case OpRepJoin, OpRepPull, OpRepFiles, OpRepHeartbeat, OpQueryReplicas:
-		return "repl_control"
-	default:
-		return "other"
+// opClass is an op's gate: which hosted volumes may serve it.
+type opClass uint8
+
+const (
+	// classGlobal ops are volume-agnostic: a server answers for itself,
+	// whatever the request's volume word says.
+	classGlobal opClass = iota
+	// classRead ops are served by a primary, and by a replica while its
+	// primary counts it in-sync (its copy then holds every acked write).
+	// A SpreadReads client sends exactly these to the read set.
+	classRead
+	// classWrite ops pin to the volume's primary: mutations, cache
+	// registrations, the read-set query and every unknown opcode.
+	classWrite
+	// classControl ops are the replication control protocol, served only
+	// by a primary that has replication state.
+	classControl
+)
+
+// opRow is one opcode's entry in the ops table.
+type opRow struct {
+	name    string // rfs.op.<name> latency histogram and rfs.<name> span
+	counter string // registry counter bumped per admitted request ("" = none)
+	class   opClass
+	serve   func(s *Server, v *volume, req *request, file, arg, count uint32)
+}
+
+// ops declares every opcode the file server process serves, indexed by
+// opcode; the handler gets the request's words 2-4 and, except for
+// classGlobal, the admitted volume. Row 0 is the sentinel every other
+// word lands on (opcode 0, the callback and replica-apply ops other
+// processes serve, anything past the end): a replica or an unhosted
+// volume answers it NoVolume, a primary BadRequest.
+var ops = [numOps]opRow{
+	0:               {"other", "", classWrite, (*Server).badRequest},
+	OpReadBlock:     {"read_block", "rfs.page_reads", classRead, (*Server).pageRead},
+	OpWriteBlock:    {"write_block", "rfs.page_writes", classWrite, (*Server).pageWrite},
+	OpReadLarge:     {"read_large", "rfs.large_reads", classRead, (*Server).largeRead},
+	OpWriteLarge:    {"write_large", "rfs.large_writes", classWrite, (*Server).largeWrite},
+	OpQueryFile:     {"query_file", "rfs.queries", classRead, (*Server).queryFile},
+	OpCreateFile:    {"create_file", "rfs.creates", classWrite, (*Server).createFile},
+	OpSync:          {"sync", "rfs.syncs", classWrite, (*Server).syncFiles},
+	OpRegisterCache: {"register_cache", "", classWrite, (*Server).registerCache},
+	OpReleaseCache:  {"release_cache", "", classWrite, (*Server).releaseCache},
+	OpQueryVolumes:  {"query_volumes", "", classGlobal, (*Server).queryVolumes},
+	OpRepJoin:       {"repl_control", "", classControl, (*Server).handleRepJoin},
+	OpRepPull:       {"repl_control", "", classControl, (*Server).handleRepPull},
+	OpRepFiles:      {"repl_control", "", classControl, (*Server).handleRepFiles},
+	OpRepHeartbeat:  {"repl_control", "", classControl, (*Server).handleRepHeartbeat},
+	OpQueryReplicas: {"repl_control", "", classWrite, (*Server).handleQueryReplicas},
+	OpQueryStats:    {"query_stats", "rfs.stat_scrapes", classGlobal, (*Server).queryStats},
+}
+
+// numOps sizes the ops table: one row per opcode up to the last.
+const numOps = OpQueryStats + 1
+
+// opIndex maps a request's opcode word to its ops row, the sentinel row 0
+// unless the server process serves the opcode.
+func opIndex(op uint32) uint32 {
+	if op < uint32(len(ops)) && ops[op].serve != nil {
+		return op
 	}
+	return 0
 }
 
 // request is one received exchange awaiting a worker. Requests are
@@ -405,11 +377,13 @@ type Server struct {
 	raInflight map[volBlock]bool
 
 	// metrics is the server's observability registry (never nil; defaults
-	// to the node's, so ipc/net/rfs share one scrape). opHists holds the
-	// per-op latency histograms indexed by opcode; gaugeNames lists the
-	// per-volume pull-time gauges Close must unregister.
+	// to the node's, so ipc/net/rfs share one scrape). opHists and
+	// opCounts hold each ops row's latency histogram and counter;
+	// gaugeNames lists the per-volume pull-time gauges Close must
+	// unregister.
 	metrics    *obs.Registry
-	opHists    [OpQueryStats + 1]*obs.Histogram
+	opHists    [numOps]*obs.Histogram
+	opCounts   [numOps]*obs.Counter
 	gaugeNames []string
 
 	stats serverCounters
@@ -445,8 +419,13 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 	if s.cfg.SlowOp > 0 {
 		s.metrics.SetSlowOp(s.cfg.SlowOp)
 	}
-	for op := OpReadBlock; op <= OpSync; op++ {
-		s.opHists[op] = s.metrics.Histogram("rfs.op." + opName(op))
+	for i := range ops {
+		if row := &ops[i]; row.serve != nil {
+			s.opHists[i] = s.metrics.Histogram("rfs.op." + row.name)
+			if row.counter != "" {
+				s.opCounts[i] = s.metrics.Counter(row.counter)
+			}
+		}
 	}
 	cleanup := func() {
 		for _, v := range s.volumes {
@@ -637,46 +616,6 @@ func (s *Server) Volumes() []uint32 {
 	return ids
 }
 
-// Stats returns a snapshot of the server counters; cache and
-// write-behind figures are aggregated across the hosted volumes.
-func (s *Server) Stats() Stats {
-	st := Stats{
-		Requests:     s.stats.requests.Load(),
-		PageReads:    s.stats.pageReads.Load(),
-		PageWrites:   s.stats.pageWrites.Load(),
-		LargeReads:   s.stats.largeReads.Load(),
-		LargeWrites:  s.stats.largeWrites.Load(),
-		Queries:      s.stats.queries.Load(),
-		Creates:      s.stats.creates.Load(),
-		Syncs:        s.stats.syncs.Load(),
-		BadRequests:  s.stats.badRequests.Load(),
-		BytesRead:    s.stats.bytesRead.Load(),
-		BytesWritten: s.stats.bytesWrite.Load(),
-		Prefetches:   s.stats.prefetches.Load(),
-
-		CacheRegistrations:    s.registry.registrations.Load(),
-		CacheWatchers:         int64(s.registry.watcherCount()),
-		CacheCallbacks:        s.registry.callbacks.Load(),
-		CacheCallbackErrs:     s.registry.callbackErrs.Load(),
-		CacheCallbackTimeouts: s.registry.callbackTimeouts.Load(),
-		CacheLeaseExpiries:    s.registry.leaseExpiries.Load(),
-
-		Promotions:     s.stats.promotions.Load(),
-		ReplicaRecords: s.stats.replApplied.Load(),
-		ReplicaResyncs: s.stats.replResyncs.Load(),
-		StatScrapes:    s.stats.statScrapes.Load(),
-	}
-	for _, v := range s.volumes {
-		st.CacheHits += v.cache.hits.Load()
-		st.CacheMisses += v.cache.misses.Load()
-		st.DirtyBlocks += int64(v.cache.dirtyBlocks())
-		st.FlushRuns += v.cache.flushRuns.Load()
-		st.FlushedBlocks += v.cache.flushedBlocks.Load()
-		st.FlushErrors += v.cache.flushErrs.Load()
-	}
-	return st
-}
-
 // Flush drains every volume's staged writes to its store (write-behind's
 // sync point; OpSync is the protocol's way to request it). It returns
 // the first store error the flushers hit since the previous drain.
@@ -775,7 +714,7 @@ func (s *Server) fastRead(msg *ipc.Message, src ipc.Pid) bool {
 		return false
 	}
 	s.stats.requests.Add(1)
-	s.stats.pageReads.Add(1)
+	s.opCounts[OpReadBlock].Add(1)
 	s.stats.bytesRead.Add(int64(count))
 	reply := buildReply(StatusOK, count)
 	err := s.proc.ReplyWithSegment(&reply, src, 0, b.Data[:count])
@@ -812,132 +751,116 @@ func (s *Server) handle(req *request) {
 	if t0.IsZero() && req.trace != 0 {
 		t0 = time.Now()
 	}
-	op := s.dispatch(req)
+	i := s.dispatch(req)
 	if t0.IsZero() {
 		return
 	}
 	dur := time.Since(t0)
 	if s.metrics.TimingEnabled() {
-		if op < uint32(len(s.opHists)) && s.opHists[op] != nil {
-			s.opHists[op].Observe(int64(dur))
-		}
+		s.opHists[i].Observe(int64(dur))
 	}
 	slow := s.metrics.SlowOpNs()
 	if req.trace != 0 || (slow > 0 && int64(dur) >= slow) {
-		s.metrics.Trace().Record(req.trace, "rfs."+opName(op), uint64(op), dur)
+		s.metrics.Trace().Record(req.trace, "rfs."+ops[i].name, uint64(reqOp(&req.msg)), dur)
 	}
 }
 
+// dispatch serves one request through its ops row — gate on the row's
+// class against the addressed volume's role, bump the row's counter, call
+// the row's handler — and returns the row's index.
 func (s *Server) dispatch(req *request) uint32 {
 	s.stats.requests.Add(1)
 	op, file, arg, count := parseRequest(&req.msg)
-	switch op {
-	case OpQueryVolumes:
-		// Volume-agnostic: part of cluster discovery, answered by every
-		// server regardless of the request's volume word.
-		s.queryVolumes(req, count)
-		return op
-	case OpQueryStats:
-		// Volume-agnostic too: the scrape covers the whole server (and
-		// its node), not one volume.
-		s.queryStats(req, count)
-		return op
-	}
-	v := s.volumes[reqVolume(&req.msg)]
-	if v == nil {
-		s.replyStatus(req.src, StatusNoVolume, 0)
-		return op
-	}
-	switch op {
-	case OpRepJoin:
-		s.handleRepJoin(v, req)
-		return op
-	case OpRepPull:
-		s.handleRepPull(v, req)
-		return op
-	case OpRepFiles:
-		s.handleRepFiles(v, req)
-		return op
-	case OpRepHeartbeat:
-		s.handleRepHeartbeat(v, req)
-		return op
-	case OpQueryReplicas:
-		s.handleQueryReplicas(v, req)
-		return op
-	}
-	if v.role.Load() != rolePrimary {
-		switch op {
-		case OpReadBlock, OpReadLarge, OpQueryFile:
-			// A replica answers reads only while its primary counts it
-			// in-sync — then its copy holds every acked write.
-			if !v.readable() {
-				s.replyStatus(req.src, StatusNoVolume, 0)
-				return op
-			}
-		default:
-			// Mutations and cache registrations pin to the primary; the
-			// NoVolume reply makes the routed client re-resolve.
+	i := opIndex(op)
+	row := &ops[i]
+	var v *volume
+	if row.class != classGlobal {
+		v = s.volumes[reqVolume(&req.msg)]
+		if v == nil || !v.admits(row.class) {
+			// The NoVolume reply makes a routed client re-resolve.
 			s.replyStatus(req.src, StatusNoVolume, 0)
-			return op
+			return i
 		}
 	}
-	switch op {
-	case OpReadBlock:
-		s.pageRead(v, req, file, arg, count)
-	case OpWriteBlock:
-		s.pageWrite(v, req, file, arg, count)
-	case OpReadLarge:
-		s.largeRead(v, req, file, arg, count)
-	case OpWriteLarge:
-		s.largeWrite(v, req, file, arg, count)
-	case OpQueryFile:
-		s.stats.queries.Add(1)
-		size, err := s.sizeOf(v, file)
-		if err != nil {
-			s.replyStatus(req.src, statusFor(err), 0)
-			return op
-		}
-		s.replyStatus(req.src, StatusOK, uint32(size))
-	case OpCreateFile:
-		s.stats.creates.Add(1)
-		err := v.cache.truncate(file, func() error {
-			return v.store.Create(file, int64(arg))
-		})
-		if err != nil {
-			s.replyStatus(req.src, StatusIOError, 0)
-			return op
-		}
-		s.replicate(v, repKindCreate, file, arg, req.trace)
-		ver, tracked := s.registry.invalidate(v.id, file, 0, InvalidateAll, req.src, req.trace)
-		s.replyWritten(req.src, 0, ver, tracked)
-	case OpSync:
-		// Word 2 selects the file to drain; zero drains the volume.
-		s.stats.syncs.Add(1)
-		var err error
-		if file == 0 {
-			err = v.cache.flushAll()
-		} else {
-			err = v.cache.flushFile(file)
-		}
-		if err != nil {
-			s.replyStatus(req.src, StatusIOError, 0)
-			return op
-		}
-		s.replyStatus(req.src, StatusOK, 0)
-	case OpRegisterCache:
-		// arg is the client's callback pid; the reply carries the file's
-		// current version and the registration lease in milliseconds.
-		version := s.registry.register(v.id, file, req.src, ipc.Pid(arg))
-		m := buildReply(StatusOK, version)
-		stampRegisterLease(&m, uint32(s.cfg.CacheLease/time.Millisecond))
-		_ = s.proc.Reply(&m, req.src)
-	case OpReleaseCache:
-		s.registry.release(v.id, file, ipc.Pid(arg))
-		s.replyStatus(req.src, StatusOK, 0)
-	default:
-		s.replyStatus(req.src, StatusBadRequest, 0)
+	s.opCounts[i].Add(1)
+	row.serve(s, v, req, file, arg, count)
+	return i
+}
+
+// admits is the op table's gate: whether v, in its current role, serves
+// ops of class c. Roles flip only replica→primary at runtime, and a
+// promotion publishes repl before it stores the role, so the role load
+// orders the repl read here and in the handlers behind the gate.
+func (v *volume) admits(c opClass) bool {
+	switch c {
+	case classRead:
+		return v.readable()
+	case classControl:
+		return v.role.Load() == rolePrimary && v.repl != nil
 	}
-	return op
+	return v.role.Load() == rolePrimary
+}
+
+// badRequest answers the sentinel row: an opcode this process does not
+// serve.
+func (s *Server) badRequest(_ *volume, req *request, _, _, _ uint32) {
+	s.replyStatus(req.src, StatusBadRequest, 0)
+}
+
+// queryFile serves OpQueryFile: the file size in reply word 2.
+func (s *Server) queryFile(v *volume, req *request, file, _, _ uint32) {
+	size, err := s.sizeOf(v, file)
+	if err != nil {
+		s.replyStatus(req.src, statusFor(err), 0)
+		return
+	}
+	s.replyStatus(req.src, StatusOK, uint32(size))
+}
+
+// createFile serves OpCreateFile: create or truncate file to size bytes.
+func (s *Server) createFile(v *volume, req *request, file, size, _ uint32) {
+	err := v.cache.truncate(file, func() error {
+		return v.store.Create(file, int64(size))
+	})
+	if err != nil {
+		s.replyStatus(req.src, StatusIOError, 0)
+		return
+	}
+	s.replicate(v, repKindCreate, file, size, req.trace)
+	ver, tracked := s.registry.invalidate(v.id, file, 0, InvalidateAll, req.src, req.trace)
+	s.replyWritten(req.src, 0, ver, tracked)
+}
+
+// syncFiles serves OpSync: word 2 selects the file to drain; zero drains
+// the volume.
+func (s *Server) syncFiles(v *volume, req *request, file, _, _ uint32) {
+	var err error
+	if file == 0 {
+		err = v.cache.flushAll()
+	} else {
+		err = v.cache.flushFile(file)
+	}
+	if err != nil {
+		s.replyStatus(req.src, StatusIOError, 0)
+		return
+	}
+	s.replyStatus(req.src, StatusOK, 0)
+}
+
+// registerCache serves OpRegisterCache: cb is the client's callback pid;
+// the reply carries the file's current version and the registration
+// lease in milliseconds.
+func (s *Server) registerCache(v *volume, req *request, file, cb, _ uint32) {
+	version := s.registry.register(v.id, file, req.src, ipc.Pid(cb))
+	m := buildReply(StatusOK, version)
+	stampRegisterLease(&m, uint32(s.cfg.CacheLease/time.Millisecond))
+	_ = s.proc.Reply(&m, req.src)
+}
+
+// releaseCache serves OpReleaseCache.
+func (s *Server) releaseCache(v *volume, req *request, file, cb, _ uint32) {
+	s.registry.release(v.id, file, ipc.Pid(cb))
+	s.replyStatus(req.src, StatusOK, 0)
 }
 
 // queryStats answers OpQueryStats: the server's whole registry —
@@ -947,8 +870,7 @@ func (s *Server) dispatch(req *request) uint32 {
 // carries streamed bytes in word 2 and the full snapshot size in word
 // 3, so an undersized grant is detectable (streamed < total): the
 // snapshot is cut at a line boundary, never mid-metric.
-func (s *Server) queryStats(req *request, count uint32) {
-	s.stats.statScrapes.Add(1)
+func (s *Server) queryStats(_ *volume, req *request, _, _, count uint32) {
 	snap := s.metrics.Serialize()
 	total := uint32(len(snap))
 	if uint32(len(snap)) > count {
@@ -970,36 +892,28 @@ func (s *Server) queryStats(req *request, count uint32) {
 }
 
 // queryVolumes answers OpQueryVolumes: the volume ids this server OWNS
-// (is primary for) as big-endian uint32s in the reply segment, count in
-// reply word 2 — replica-hosted volumes are not ownership, so the
-// cluster map stays one-server-per-volume. The set is capped by the
-// client's grant and by one reply packet.
-func (s *Server) queryVolumes(req *request, count uint32) {
-	ids := make([]uint32, 0, len(s.volumes))
-	for id, v := range s.volumes {
-		if v.role.Load() == rolePrimary {
+// (is primary for) — replica-hosted volumes are not ownership, so the
+// cluster map stays one-server-per-volume.
+func (s *Server) queryVolumes(_ *volume, req *request, _, _, count uint32) {
+	var ids []uint32
+	for _, id := range s.Volumes() {
+		if s.volumes[id].role.Load() == rolePrimary {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	limit := int(count) / 4
-	if limit > vproto.MaxData/4 {
-		limit = vproto.MaxData / 4
-	}
-	if len(ids) > limit {
-		ids = ids[:limit]
-	}
-	if len(ids) == 0 {
-		s.replyStatus(req.src, StatusOK, 0)
+	s.replyIDs(req.src, encodeIDs(ids, count))
+}
+
+// replyIDs answers with an id list laid out by encodeIDs: the count in
+// reply word 2, the ids in the client's granted segment.
+func (s *Server) replyIDs(src ipc.Pid, seg []byte) {
+	if len(seg) == 0 {
+		s.replyStatus(src, StatusOK, 0)
 		return
 	}
-	buf := make([]byte, len(ids)*4)
-	for i, id := range ids {
-		binary.BigEndian.PutUint32(buf[i*4:], id)
-	}
-	reply := buildReply(StatusOK, uint32(len(ids)))
-	if err := s.proc.ReplyWithSegment(&reply, req.src, 0, buf); err != nil {
-		s.replyStatus(req.src, StatusBadRequest, 0)
+	reply := buildReply(StatusOK, uint32(len(seg)/4))
+	if err := s.proc.ReplyWithSegment(&reply, src, 0, seg); err != nil {
+		s.replyStatus(src, StatusBadRequest, 0)
 	}
 }
 
@@ -1130,7 +1044,6 @@ func (s *Server) readAhead(v *volume, file, block uint32) {
 // lent for the reply encode — the page is copied exactly once, from
 // cache memory into the pooled wire frame.
 func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
-	s.stats.pageReads.Add(1)
 	if count > uint32(s.cfg.BlockSize) {
 		s.replyStatus(req.src, StatusBadRequest, 0)
 		return
@@ -1160,7 +1073,6 @@ func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 // acknowledged immediately; the flushers write it back asynchronously
 // (§6.2's server-side write buffering).
 func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
-	s.stats.pageWrites.Add(1)
 	bs := uint32(s.cfg.BlockSize)
 	if count > bs || int(count) > len(req.buf) {
 		s.replyStatus(req.src, StatusBadRequest, 0)
@@ -1300,7 +1212,6 @@ func (s *Server) fillRun(v *volume, file, first uint32, out []*bufpool.Buf) erro
 // write invalidates the cache entry but cannot recycle a lent block. The
 // reply reports how many bytes the file actually held.
 func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
-	s.stats.largeReads.Add(1)
 	size, err := s.sizeOf(v, file)
 	if err != nil {
 		s.replyStatus(req.src, statusFor(err), 0)
@@ -1450,7 +1361,6 @@ func releaseSpans(spans []span) {
 // or, transitively, the store), the next chunk's pull is already on the
 // wire.
 func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
-	s.stats.largeWrites.Add(1)
 	pre := uint32(req.inline)
 	if pre > count {
 		pre = count

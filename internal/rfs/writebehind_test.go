@@ -93,8 +93,8 @@ func TestWriteBehindReadYourWrites(t *testing.T) {
 	if size, err := c.QueryFile(9); err != nil || size != wantSize {
 		t.Fatalf("staged size = %d (err=%v), want %d", size, err, wantSize)
 	}
-	if st := e.srv.Stats(); st.DirtyBlocks == 0 {
-		t.Fatalf("no dirty blocks while the gate is shut: %+v", st)
+	if volGauge(e.srv, "dirty_blocks") == 0 {
+		t.Fatal("no dirty blocks while the gate is shut")
 	}
 
 	// Open the gate, sync, and verify durability straight off the store.
@@ -102,8 +102,8 @@ func TestWriteBehindReadYourWrites(t *testing.T) {
 	if err := c.Sync(0); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.srv.Stats(); st.DirtyBlocks != 0 || st.FlushedBlocks == 0 {
-		t.Fatalf("sync left dirty blocks: %+v", st)
+	if dirty, flushed := volGauge(e.srv, "dirty_blocks"), volGauge(e.srv, "flushed_blocks"); dirty != 0 || flushed == 0 {
+		t.Fatalf("sync left %d dirty blocks (%d flushed)", dirty, flushed)
 	}
 	back := make([]byte, wantSize)
 	if _, err := mem.ReadAt(9, back, 0); err != nil {
@@ -190,7 +190,7 @@ func TestWriteBehindBackpressure(t *testing.T) {
 			deadline := time.Now().Add(200 * time.Millisecond)
 			sawBudget := false
 			for time.Now().Before(deadline) {
-				if n := int(e.srv.Stats().DirtyBlocks); n > tc.budget {
+				if n := int(volGauge(e.srv, "dirty_blocks")); n > tc.budget {
 					t.Fatalf("dirty blocks %d exceed budget %d", n, tc.budget)
 				} else if n == tc.budget {
 					sawBudget = true
@@ -252,8 +252,8 @@ func TestWriteBehindExactlyOnceUnderFaults(t *testing.T) {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	if st := e.srv.Stats(); st.PageWrites != writes {
-		t.Fatalf("server applied %d page writes, want exactly %d", st.PageWrites, writes)
+	if got := srvCounter(e.srv, "rfs.page_writes"); got != writes {
+		t.Fatalf("server applied %d page writes, want exactly %d", got, writes)
 	}
 	buf := make([]byte, 512)
 	for i := 0; i < writes; i++ {
@@ -612,9 +612,8 @@ func TestOverloadGoodputWithRetry(t *testing.T) {
 				t.Fatal(err)
 			}
 			elapsed := time.Since(start)
-			st := e.srv.Stats()
-			if st.PageWrites != clients*writes {
-				t.Fatalf("server executed %d writes, want exactly %d", st.PageWrites, clients*writes)
+			if got := srvCounter(e.srv, "rfs.page_writes"); got != clients*writes {
+				t.Fatalf("server executed %d writes, want exactly %d", got, clients*writes)
 			}
 			nacks := nodeCounter(e.serverNode, "ipc.nacks_sent")
 			t.Logf("queue depth %d: goodput %.0f writes/s, %d overload retries, %d nacks",
