@@ -267,7 +267,7 @@ func (a *funcAnalysis) source(v *types.Var, pos token.Pos, cond *types.Var, cond
 func (a *funcAnalysis) invalidateCond(w *types.Var) {
 	for k, st := range a.curPost {
 		if st.cond == w {
-			st.cond = nil
+			st.cond, st.condOk = nil, false
 			st.bits |= bitOwned | bitUnowned
 			a.curPost[k] = st
 		}
@@ -722,7 +722,7 @@ func resolveBool(s state, okVar *types.Var, truth bool) {
 		if st.cond != okVar || !st.condOk {
 			continue
 		}
-		st.cond = nil
+		st.cond, st.condOk = nil, false // a condOk left without its cond makes joins flip-flop forever
 		if truth {
 			st.bits |= bitOwned
 		} else {

@@ -66,3 +66,17 @@ func commaOk(c *cache, id uint32) int {
 func stash(c *cache, id uint32, n int) {
 	c.bufs[id] = bufpool.Get(n)
 }
+
+// probe walks comma-ok lookups until one hits, keeping the hit; the
+// misses it steps past, loop after loop, leave nothing owned.
+func probe(c *cache, held []*bufpool.Buf, ids []uint32) []*bufpool.Buf {
+	for i := 0; i < len(ids); i++ {
+		for ; i < len(ids); i++ {
+			if b, ok := c.get(ids[i]); ok {
+				held = append(held, b)
+				break
+			}
+		}
+	}
+	return held
+}

@@ -35,7 +35,7 @@ type Config struct {
 	BlockSize int
 	// CacheBlocks is the block-cache capacity in blocks (0 → 1024).
 	CacheBlocks int
-	// ReadAhead prefetches block N+1 after serving block N of a file.
+	// ReadAhead prefetches block N+1 after a page read of block N.
 	ReadAhead bool
 	// Workers sizes the request worker pool (0 → one per CPU, 2..16).
 	Workers int
@@ -261,6 +261,10 @@ type request struct {
 	buf    []byte       // staging: holds the inline segment prefix, reused for MoveFrom pulls
 	inline int          // bytes of buf filled by the Send's inline prefix
 	trace  uint32       // the request message's 24-bit trace id (0 = untraced)
+	// held and parts are largeRead's per-train scratch (the buffers a
+	// train borrows and its gather list), kept across pooled reuse.
+	held  []*bufpool.Buf
+	parts [][]byte
 }
 
 var requestPool = sync.Pool{New: func() any { return new(request) }}
@@ -682,8 +686,8 @@ func (s *Server) serve(p *ipc.Proc) {
 			f.Release()
 			continue
 		}
-		req := requestPool.Get().(*request)
-		*req = request{msg: msg, src: src, frame: f, buf: f.Data, inline: n}
+		req := requestPool.Get().(*request) // zero but for the worker's kept scratch
+		req.msg, req.src, req.frame, req.buf, req.inline = msg, src, f, f.Data, n
 		s.queue <- req
 	}
 }
@@ -734,7 +738,7 @@ func (s *Server) worker() {
 	for req := range s.queue {
 		s.handle(req)
 		req.frame.Release()
-		*req = request{}
+		*req = request{held: req.held[:0], parts: req.parts[:0]}
 		requestPool.Put(req)
 	}
 }
@@ -963,27 +967,31 @@ func (s *Server) getBlock(v *volume, file, block uint32) (*bufpool.Buf, int, err
 func (s *Server) fillBlock(v *volume, file, block uint32) (*bufpool.Buf, int, error) {
 	id := blockID{file: file, block: block}
 	gen := v.cache.snapshot(id)
-	// Snapshot the staged size BEFORE the store read: if the file exists
-	// only as staged blocks and its first flush creates the store file
-	// mid-read, checking afterwards would see ErrNoFile from the store
-	// and no staged bytes either — a spurious no-such-file for a file
-	// that existed throughout.
-	staged := v.cache.stagedSize(file)
 	b := bufpool.Get(s.cfg.BlockSize)
-	n, err := v.store.ReadAt(file, b.Data, int64(block)*int64(s.cfg.BlockSize))
+	n, err := s.readStore(v, file, b.Data, int64(block)*int64(s.cfg.BlockSize))
 	if err != nil {
-		if err == ErrNoFile && staged > 0 {
-			for i := range b.Data {
-				b.Data[i] = 0
-			}
-			n = 0
-		} else {
-			b.Release()
-			return nil, 0, err
-		}
+		b.Release()
+		return nil, 0, err
 	}
 	v.cache.put(id, b, gen, n)
 	return b, n, nil
+}
+
+// readStore fills p from the store at off and returns the in-file byte
+// count. A file that exists only as staged, still-unflushed blocks reads
+// as zeros: the store does not have it yet.
+func (s *Server) readStore(v *volume, file uint32, p []byte, off int64) (int, error) {
+	// Snapshot the staged size BEFORE the store read: if the file's first
+	// flush creates the store file mid-read, checking afterwards would see
+	// ErrNoFile from the store and no staged bytes either — a spurious
+	// no-such-file for a file that existed throughout.
+	staged := v.cache.stagedSize(file)
+	n, err := v.store.ReadAt(file, p, off)
+	if err == ErrNoFile && staged > 0 {
+		clear(p)
+		return 0, nil
+	}
+	return n, err
 }
 
 // sizeOf is the file size as clients must observe it: the store size
@@ -1166,51 +1174,13 @@ func (s *Server) stageBlock(v *volume, id blockID, buf *bufpool.Buf, payStart, p
 // falling up to 64).
 const maxTrain = 64 << 10
 
-// fillRun fetches a run of consecutive uncached blocks of file, starting
-// at block first, one into each slot of out. Two or more cost a single
-// store read through a pooled staging buffer, each block then inserted
-// under a generation snapshotted before the read, exactly as a fillBlock
-// miss is, so a write that lands meanwhile is never clobbered by the
-// stale fill. A lone block, or all of them when the read fails, goes
-// through fillBlock, which knows the special cases.
-func (s *Server) fillRun(v *volume, file, first uint32, out []*bufpool.Buf) error {
-	bs := s.cfg.BlockSize
-	if len(out) > 1 {
-		gens := make([]uint64, len(out))
-		for i := range gens {
-			gens[i] = v.cache.snapshot(blockID{file: file, block: first + uint32(i)})
-		}
-		stage := bufpool.Get(len(out) * bs)
-		if n, err := v.store.ReadAt(file, stage.Data, int64(first)*int64(bs)); err == nil {
-			for i := range out {
-				out[i] = bufpool.Get(bs)
-				copy(out[i].Data, stage.Data[i*bs:])
-				v.cache.put(blockID{file: file, block: first + uint32(i)}, out[i], gens[i], max(0, min(bs, n-i*bs)))
-			}
-		}
-		stage.Release()
-	}
-	for i := range out {
-		if out[i] == nil {
-			var err error
-			if out[i], _, err = s.fillBlock(v, file, first+uint32(i)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // largeRead serves OpReadLarge: count bytes from byte offset off, moved
 // into the client's granted buffer in trains of up to maxTrain (§6.3
-// program loading). Each train is streamed directly from cache memory: the
-// cached blocks covering it are lent to a gather MoveTo (MoveToVec), so
-// the bytes are copied exactly once — from the cache into the wire
-// frames — with no staging buffer. Blocks the cache does not hold are
-// fetched first, each maximal run of them in one store read (fillRun).
-// The blocks stay referenced until the transfer completes; a concurrent
-// write invalidates the cache entry but cannot recycle a lent block. The
-// reply reports how many bytes the file actually held.
+// program loading). Each train is one gather MoveTo (MoveToVec) of views
+// laid out by gather, so the bytes are copied exactly once, into the wire
+// frames. The views stay borrowed until the train has moved; a concurrent
+// write replaces a cache entry but cannot recycle a lent block. The reply
+// reports how many bytes the file actually held.
 func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 	size, err := s.sizeOf(v, file)
 	if err != nil {
@@ -1223,61 +1193,71 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 	} else if int64(off)+int64(n) > size {
 		n = uint32(size - int64(off))
 	}
-	bs := uint32(s.cfg.BlockSize)
-	perTrain := min(n, maxTrain)/bs + 2
-	blocks := make([]*bufpool.Buf, 0, perTrain)
-	parts := make([][]byte, 0, perTrain)
-	release := func() {
-		for _, b := range blocks {
-			b.Release()
-		}
-	}
 	for done := uint32(0); done < n; {
 		m := min(n-done, maxTrain)
-		pos := off + done
-		first := pos / bs
-		blocks = blocks[:(pos+m-1)/bs-first+1]
-		for i := range blocks {
-			blocks[i], _, _ = v.cache.getEnd(blockID{file: file, block: first + uint32(i)})
+		status := StatusOK
+		if err := s.gather(v, req, file, off+done, m); err != nil {
+			status = statusFor(err)
+		} else if err := s.proc.MoveToVec(req.src, done, req.parts...); err != nil {
+			status = StatusBadRequest
 		}
-		// Fetch the misses, each run of them (up to one staging buffer's
-		// worth) at once.
-		for i, j := 0, 0; i < len(blocks); i = j {
-			for j = i; j < len(blocks) && blocks[j] == nil && uint32(j-i) < maxTrain/bs; j++ {
-			}
-			if j == i {
-				j++ // cached
-			} else if err := s.fillRun(v, file, first+uint32(i), blocks[i:j]); err != nil {
-				release()
-				s.replyStatus(req.src, statusFor(err), done)
-				return
-			}
+		for _, b := range req.held {
+			b.Release() // MoveToVec borrows only for the duration of the call
 		}
-		// Gather the train as views into the blocks.
-		parts = parts[:0]
-		for i, b := range blocks {
-			lo, hi := uint32(0), bs
-			if i == 0 {
-				lo = pos % bs
-			}
-			if i == len(blocks)-1 {
-				hi = (pos+m-1)%bs + 1
-			}
-			parts = append(parts, b.Data[lo:hi])
-		}
-		if s.cfg.ReadAhead {
-			s.readAhead(v, file, (pos+m)/bs)
-		}
-		err := s.proc.MoveToVec(req.src, done, parts...)
-		release() // MoveToVec borrows only for the duration of the call
-		if err != nil {
-			s.replyStatus(req.src, StatusBadRequest, done)
+		if status != StatusOK {
+			s.replyStatus(req.src, status, done)
 			return
 		}
 		done += m
 	}
 	s.stats.bytesRead.Add(int64(n))
 	s.replyStatus(req.src, StatusOK, n)
+}
+
+// gather lays out the train of m bytes at file position pos as
+// req.parts, views into the buffers it borrows into req.held for the
+// caller to release. Blocks the cache holds, dirty and flushing ones
+// included, are lent as they are, so a streamed read sees staged writes.
+// Each maximal run of blocks it does not hold is one store read into the
+// train's pooled run buffer, and what that read fetched is not cached: a
+// large read would otherwise evict the page working set for blocks
+// nobody reads again, which a FileStore already keeps in the OS page
+// cache.
+func (s *Server) gather(v *volume, req *request, file, pos, m uint32) error {
+	bs := uint32(s.cfg.BlockSize)
+	req.held, req.parts = req.held[:0], req.parts[:0]
+	var run []byte // the train's uncached bytes, each at its train offset
+	for at := uint32(0); at < m; {
+		// Probe forward to the next cached block; [lo, at) is the run of
+		// misses before it, and at == m means there is none.
+		lo := at
+		var hit []byte
+		for ; at < m; at = min(m, at+bs-(pos+at)%bs) {
+			if b, _, ok := v.cache.getEnd(blockID{file: file, block: (pos + at) / bs}); ok {
+				req.held = append(req.held, b)
+				hit = b.Data
+				break
+			}
+		}
+		if at > lo {
+			if run == nil {
+				b := bufpool.Get(int(m))
+				req.held = append(req.held, b)
+				run = b.Data
+			}
+			if _, err := s.readStore(v, file, run[lo:at], int64(pos)+int64(lo)); err != nil {
+				return err
+			}
+			req.parts = append(req.parts, run[lo:at])
+		}
+		if hit != nil {
+			in := (pos + at) % bs
+			end := min(m, at+bs-in)
+			req.parts = append(req.parts, hit[in:in+end-at])
+			at = end
+		}
+	}
+	return nil
 }
 
 // span is one block-aligned landing slot of a large-write chunk: a fresh
