@@ -25,13 +25,15 @@ race:
 # The concurrency-sensitive tests, 20 times each under the race
 # detector: packet-train ordering, late move packets, go-back-N under
 # reordering and exactly-once under faults (ipc); concurrent trains,
-# bulk-transfer crossings, replicated read fan-out, caching failover and
-# a write landing between a large read's store read and its reply (rfs),
-# which later reads must see though the large read cached nothing. Several
-# minutes, so CI does not run it; run it after touching the exchange,
-# move, dispatch or large-read paths.
+# bulk-transfer crossings, replicated read fan-out, caching failover, a
+# write landing between a large read's store read and its reply, which
+# later reads must see though the large read cached nothing, and large
+# writes, which stage each train between pulls on the worker, pulled
+# under loss and replicated train by train (rfs). Several minutes, so CI
+# does not run it; run it after touching the exchange, move, dispatch or
+# large-read and large-write paths.
 STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate
 stress:
 	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/
 	$(GO) test -race -count=20 -run '$(STRESS_RFS)' ./internal/rfs/
@@ -84,7 +86,11 @@ bench-rfs:
 # cache block by block, repeated was 8 / 12 (served as 128 cache hits)
 # and cold 265 / 269 at ~20 KB/op; udp was 142 when every packet of the
 # train was its own sendto, recvfrom and pooled frame hand-off.
-# WriteLarge64K 34 on mem, 39 on udp (was 33 / 165).
+# WriteLarge64K 6 on mem, 10 on udp at ~1.1 / 1.4 KB/op: each train is
+# pulled into fresh pooled blocks and staged on the worker. When a
+# goroutine staged the inline prefix and another the train beside the
+# next pull, it was 32 / 37 at ~22 KB/op (and 165 on udp before trains
+# were one frame). PageWrite is 1 alloc/op on both.
 bench-alloc:
 	$(GO) test -run=- -bench='BenchmarkPageRead|BenchmarkPageWrite|BenchmarkReadLarge64K|BenchmarkWriteLarge64K|BenchmarkParallel' \
 		-benchmem -benchtime=$(BENCHTIME) ./internal/ipc/ ./internal/rfs/

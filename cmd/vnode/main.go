@@ -7,9 +7,9 @@
 //
 //	vnode -host 2 -listen 127.0.0.1:4040 -serve
 //
-// Server, file-backed store with read-ahead:
+// Server, file-backed store:
 //
-//	vnode -host 2 -listen 127.0.0.1:4040 -serve -store /var/lib/vnode -readahead
+//	vnode -host 2 -listen 127.0.0.1:4040 -serve -store /var/lib/vnode
 //
 // Server hosting two volumes of a sharded cluster:
 //
@@ -70,7 +70,6 @@ func main() {
 		rejoin      = flag.Bool("rejoin", false, "server: primaries probe the name service first and demote to replicas if another server already owns the volume (restart after failover)")
 		storeDir    = flag.String("store", "", "server: directory for the file-backed store (empty = in-memory)")
 		cacheBlks   = flag.Int("cache", 1024, "server: block-cache capacity in blocks")
-		readahead   = flag.Bool("readahead", false, "server: prefetch the next block after each page read")
 		dirtyBudget = flag.Int("dirtybudget", 0, "server: max staged-but-unflushed blocks (0 = default)")
 		flushers    = flag.Int("flushers", 0, "server: write-behind flusher goroutines (0 = default)")
 		lease       = flag.Duration("lease", 0, "server: client-cache registration lease (0 = default 2s)")
@@ -120,7 +119,6 @@ func main() {
 			Metrics:     reg,
 			SlowOp:      *slowOp,
 			CacheBlocks: *cacheBlks,
-			ReadAhead:   *readahead,
 			DirtyBudget: *dirtyBudget,
 			Flushers:    *flushers,
 			CacheLease:  *lease,

@@ -42,7 +42,7 @@ func main() {
 	rootStore := rfs.NewMemStore()
 	rootSrv, err := rfs.StartVolumes(rootNode,
 		[]rfs.VolumeSpec{{ID: rootVolume, Store: rootStore}},
-		rfs.Config{ReadAhead: true})
+		rfs.Config{})
 	must(err)
 	defer rootSrv.Close()
 	fmt.Printf("root server %v on %v (volume %d)\n", rootSrv.Pid(), trRoot.Addr(), rootVolume)

@@ -183,14 +183,6 @@ func (c *blockCache) getEnd(id blockID) (*bufpool.Buf, int, bool) {
 	return e.buf.Retain(), e.end, true
 }
 
-// contains reports presence without touching recency or hit counters.
-func (c *blockCache) contains(id blockID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[id]
-	return ok
-}
-
 // genOf returns the invalidation-stamp shard for a block id.
 func (c *blockCache) genOf(id blockID) *atomic.Uint64 {
 	h := (id.file*2654435761 + id.block) * 2654435761

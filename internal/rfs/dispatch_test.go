@@ -147,7 +147,6 @@ func TestRegistrySchema(t *testing.T) {
 		"rfs.op.write_large",
 		"rfs.page_reads",
 		"rfs.page_writes",
-		"rfs.prefetches",
 		"rfs.promotions",
 		"rfs.queries",
 		"rfs.repl_applied",

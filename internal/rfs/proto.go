@@ -13,10 +13,11 @@
 //     inline allowance is pulled with MoveFrom.
 //   - Reads larger than a page (program loading, §6.3) are streamed with
 //     MoveTo, one packet train and one acknowledgement per 64 KB
-//     (maxTrain); large writes are pulled with MoveFrom the same way.
+//     (maxTrain); large writes are pulled with MoveFrom the same way, and
+//     a page write is served as the one-block large write it is.
 //
 // The server owns a byte-addressed block store (in-memory or file-backed)
-// behind an LRU block cache with optional read-ahead, and handles
+// behind an LRU block cache, and handles
 // requests on a bounded worker pool so independent clients proceed in
 // parallel (the node's sharded locking keeps their exchanges from
 // serializing).

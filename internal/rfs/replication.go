@@ -498,47 +498,29 @@ func (rs *replState) close() {
 	rs.senders.Wait()
 }
 
-// replicate sequences one mutation of a primary volume and waits for
-// the in-sync replicas to ack it — the write path calls it after the
-// mutation is applied locally and before the registry fan-out/reply.
-// On replicas and unreplicated configurations it is a no-op beyond the
-// sequence bump.
+// replicateAppend sequences one mutation of a primary volume and returns
+// its sequence without waiting for acks; replicateCommit is the wait. The
+// write path appends after the mutation is applied locally (a large write
+// once per train) and commits before the registry fan-out/reply. On
+// replicas and unreplicated configurations it returns 0.
 // Ordering caveat: the record is appended after the local mutation
 // lands, and the two are not atomic — two clients racing writes to the
 // same bytes may be logged in the other order than the cache applied
 // them, exactly as their unsynchronized writes already race on the
 // primary itself. Writes serialized by an ack (the read-your-writes
 // cases the failover tests check) are logged in ack order.
-func (s *Server) replicate(v *volume, kind byte, file, off, trace uint32, parts ...[]byte) {
-	if v.role.Load() != rolePrimary {
-		return
+func (s *Server) replicateAppend(v *volume, kind byte, file, off, trace uint32, parts ...[]byte) uint32 {
+	if v.role.Load() != rolePrimary || v.repl == nil {
+		return 0
 	}
-	rs := v.repl
-	if rs == nil {
-		return
-	}
-	rs.commit(rs.append(kind, file, off, trace, parts...))
+	return v.repl.append(kind, file, off, trace, parts...)
 }
 
-// replicateAppend logs one record without waiting for acks — the
-// multi-chunk write paths append per chunk and commit once at the end.
-func (s *Server) replicateAppend(v *volume, kind byte, file, off, trace uint32, parts ...[]byte) {
-	if v.role.Load() != rolePrimary {
-		return
-	}
-	if rs := v.repl; rs != nil {
-		rs.append(kind, file, off, trace, parts...)
-	}
-}
-
-// replicateSync waits for the in-sync replicas to ack everything
-// appended so far (the commit half of replicateAppend).
-func (s *Server) replicateSync(v *volume) {
-	if v.role.Load() != rolePrimary {
-		return
-	}
-	if rs := v.repl; rs != nil {
-		rs.commit(rs.current())
+// replicateCommit waits for the in-sync replicas to ack record seq (and
+// with it every earlier one); 0 waits for nothing.
+func (s *Server) replicateCommit(v *volume, seq uint32) {
+	if v.role.Load() == rolePrimary && v.repl != nil {
+		v.repl.commit(seq)
 	}
 }
 

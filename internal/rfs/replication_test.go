@@ -167,6 +167,69 @@ func TestReplicatedReadFanOut(t *testing.T) {
 	}
 }
 
+// TestLargeWriteTrainsReplicate: a large write is staged and logged one
+// train at a time — one replication record per 64 KB train — and the
+// in-sync replica, applying those records, holds the same bytes as the
+// primary. The write is unaligned at both ends over an existing file, so
+// its head and tail blocks merge with old bytes the primary reads back
+// from the store (the cache is too small to still hold them).
+func TestLargeWriteTrainsReplicate(t *testing.T) {
+	cfg := replConfig(false)
+	// No failover here: the defaults' retransmission budget and a long ack
+	// timeout keep 64 KB trains and records from dropping the replica
+	// under the race detector.
+	cfg.Node = ipc.NodeConfig{}
+	cfg.Server.ReplicaAckTimeout = 10 * time.Second
+	cfg.Server.CacheBlocks = 64
+	c := startCluster(t, cfg)
+	primary := c.Servers[0].Srv
+	insync := func() bool { return primary.volumes[1].repl.insyncCount() == 1 }
+	waitUntil(t, 5*time.Second, "volume 1's replica in-sync", insync)
+	node := clientNode(t, c)
+	w := NewVolumeClient(attach(t, node, "writer"), newRouter(t, node), 1)
+
+	const file = 41
+	seq := volGauge(primary, "repl_seq")
+	image := pattern(file, 3*maxTrain)
+	if err := w.WriteLarge(file, 0, image); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := volGauge(primary, "repl_seq") - seq; n != 3 {
+		t.Errorf("a %d-byte write logged %d replication records, want 3 (one per train)", len(image), n)
+	}
+	seq = volGauge(primary, "repl_seq")
+	const off, count = 300, 2*maxTrain + 700
+	patch := pattern(42, count)
+	if err := w.WriteLarge(file, off, patch); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	copy(image[off:], patch)
+
+	got := make([]byte, len(image))
+	if n, err := w.ReadLarge(file, 0, got); err != nil || n != len(image) || !bytes.Equal(got, image) {
+		t.Fatalf("primary read back n=%d err=%v, equal=%v", n, err, bytes.Equal(got, image))
+	}
+	if !insync() {
+		t.Fatal("replica dropped out of the in-sync set")
+	}
+	replica := c.Servers[1].Specs[0].Store
+	if size, err := replica.Size(file); err != nil || size != int64(len(image)) {
+		t.Fatalf("replica size=%d err=%v, want %d", size, err, len(image))
+	}
+	if _, err := replica.ReadAt(file, got, 0); err != nil || !bytes.Equal(got, image) {
+		t.Fatalf("replica store differs from the primary (err=%v)", err)
+	}
+	if n := volGauge(primary, "repl_seq") - seq; n != 3 {
+		t.Errorf("a %d-byte write logged %d replication records, want 3 (one per train)", count, n)
+	}
+}
+
 // TestReplicaKillPrimaryMidWriteBurst: the primary dies in the middle
 // of a write burst; the replica promotes within the lease, the routed
 // writer reroutes to it, and every write acked before or during the

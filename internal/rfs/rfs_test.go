@@ -296,7 +296,7 @@ func TestWriteAtOffsetAndCacheInvalidation(t *testing.T) {
 }
 
 func TestLoadProgram(t *testing.T) {
-	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{ReadAhead: true})
+	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
 	c := e.client(t, "shell")
 	const size = 65_536
 	image := pattern(12, size)
@@ -365,7 +365,7 @@ func TestConcurrentClients(t *testing.T) {
 // TestConcurrentClientsSharedFile has 8 clients hammer the same file's
 // pages read-only; the block cache must serve them all correctly.
 func TestConcurrentClientsSharedFile(t *testing.T) {
-	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{ReadAhead: true})
+	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
 	seed := e.client(t, "seeder")
 	data := pattern(55, 32*512)
 	if err := seed.WriteLarge(55, 0, data); err != nil {
@@ -592,32 +592,6 @@ func TestFileStore(t *testing.T) {
 	}
 	if !bytes.Equal(back, data) {
 		t.Fatal("data lost across store reopen")
-	}
-}
-
-// TestReadAheadWarmsCache: sequential page reads with read-ahead on must
-// prefetch ahead of the reader.
-func TestReadAheadWarmsCache(t *testing.T) {
-	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{ReadAhead: true})
-	c := e.client(t, "app")
-	data := pattern(2, 64*512)
-	// Seed the store directly: a client write would stage the blocks in
-	// the write-behind cache and leave the reads below nothing to miss.
-	if err := e.store.WriteAt(2, data, 0); err != nil {
-		t.Fatal(err)
-	}
-	page := make([]byte, 512)
-	for b := uint32(0); b < 64; b++ {
-		if _, err := c.ReadBlock(2, b, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(time.Second)
-	for srvCounter(e.srv, "rfs.prefetches") == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srvCounter(e.srv, "rfs.prefetches") == 0 {
-		t.Fatal("read-ahead never prefetched")
 	}
 }
 

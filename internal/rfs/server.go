@@ -3,6 +3,7 @@ package rfs
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -35,8 +36,6 @@ type Config struct {
 	BlockSize int
 	// CacheBlocks is the block-cache capacity in blocks (0 → 1024).
 	CacheBlocks int
-	// ReadAhead prefetches block N+1 after a page read of block N.
-	ReadAhead bool
 	// Workers sizes the request worker pool (0 → one per CPU, 2..16).
 	Workers int
 	// QueueDepth bounds requests buffered between the receive loop and
@@ -167,7 +166,6 @@ type serverCounters struct {
 	badRequests *obs.Counter
 	bytesRead   *obs.Counter
 	bytesWrite  *obs.Counter
-	prefetches  *obs.Counter
 	promotions  *obs.Counter
 	replApplied *obs.Counter
 	replResyncs *obs.Counter
@@ -179,7 +177,6 @@ func newServerCounters(reg *obs.Registry) serverCounters {
 		badRequests: reg.Counter("rfs.bad_requests"),
 		bytesRead:   reg.Counter("rfs.bytes_read"),
 		bytesWrite:  reg.Counter("rfs.bytes_written"),
-		prefetches:  reg.Counter("rfs.prefetches"),
 		promotions:  reg.Counter("rfs.promotions"),
 		replApplied: reg.Counter("rfs.repl_applied"),
 		replResyncs: reg.Counter("rfs.repl_resyncs"),
@@ -261,8 +258,9 @@ type request struct {
 	buf    []byte       // staging: holds the inline segment prefix, reused for MoveFrom pulls
 	inline int          // bytes of buf filled by the Send's inline prefix
 	trace  uint32       // the request message's 24-bit trace id (0 = untraced)
-	// held and parts are largeRead's per-train scratch (the buffers a
-	// train borrows and its gather list), kept across pooled reuse.
+	// held and parts are the large ops' per-train scratch (the buffers a
+	// train borrows and its gather or scatter list), kept across pooled
+	// reuse.
 	held  []*bufpool.Buf
 	parts [][]byte
 }
@@ -346,12 +344,6 @@ func (v *volume) readable() bool {
 	return v.rv != nil && v.rv.serving.Load()
 }
 
-// volBlock keys per-(volume, block) server state (read-ahead dedup).
-type volBlock struct {
-	vol uint32
-	id  blockID
-}
-
 // Server is a real networked V file server: one V process receiving the
 // Verex I/O protocol, a bounded worker pool executing requests, and N
 // hosted volumes, each an LRU block cache over a Store.
@@ -375,10 +367,6 @@ type Server struct {
 	queue   chan *request
 	workers sync.WaitGroup
 	closed  sync.Once
-
-	raMu       sync.Mutex
-	raWG       sync.WaitGroup // outstanding read-ahead goroutines
-	raInflight map[volBlock]bool
 
 	// metrics is the server's observability registry (never nil; defaults
 	// to the node's, so ipc/net/rfs share one scrape). opHists and
@@ -410,10 +398,9 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 		return nil, errors.New("rfs: no volumes")
 	}
 	s := &Server{
-		node:       node,
-		cfg:        cfg.withDefaults(),
-		volumes:    make(map[uint32]*volume, len(vols)),
-		raInflight: make(map[volBlock]bool),
+		node:    node,
+		cfg:     cfg.withDefaults(),
+		volumes: make(map[uint32]*volume, len(vols)),
 	}
 	s.metrics = s.cfg.Metrics
 	if s.metrics == nil {
@@ -634,9 +621,9 @@ func (s *Server) Flush() error {
 }
 
 // Close stops the server: the receive loop unblocks, queued requests
-// drain, the workers exit, in-flight read-aheads land, staged writes
-// flush to the stores, and the block caches return their buffers to the
-// pool. The backing stores are not closed.
+// drain, the workers exit, staged writes flush to the stores, and the
+// block caches return their buffers to the pool. The backing stores are
+// not closed.
 func (s *Server) Close() {
 	s.closed.Do(func() {
 		// Replica control loops stop first: a promotion racing the
@@ -658,7 +645,6 @@ func (s *Server) Close() {
 				v.repl.close()
 			}
 		}
-		s.raWG.Wait()
 		for _, v := range s.volumes {
 			v.cache.close()
 		}
@@ -701,12 +687,10 @@ func (s *Server) serve(p *ipc.Proc) {
 // from the wire to its reply, where the worker path is two. Everything
 // on this path must be non-blocking: one cache mutex and the reply
 // transmit. Anything else — a miss that needs the store, an unknown
-// volume, a malformed count, or a ReadAhead config whose prefetch
-// probes store sizes synchronously — returns false and takes the worker
-// path.
+// volume, a malformed count — returns false and takes the worker path.
 func (s *Server) fastRead(msg *ipc.Message, src ipc.Pid) bool {
 	op, file, block, count := parseRequest(msg)
-	if op != OpReadBlock || count > uint32(s.cfg.BlockSize) || s.cfg.ReadAhead {
+	if op != OpReadBlock || count > uint32(s.cfg.BlockSize) {
 		return false
 	}
 	v := s.volumes[reqVolume(msg)]
@@ -830,7 +814,7 @@ func (s *Server) createFile(v *volume, req *request, file, size, _ uint32) {
 		s.replyStatus(req.src, StatusIOError, 0)
 		return
 	}
-	s.replicate(v, repKindCreate, file, size, req.trace)
+	s.replicateCommit(v, s.replicateAppend(v, repKindCreate, file, size, req.trace))
 	ver, tracked := s.registry.invalidate(v.id, file, 0, InvalidateAll, req.src, req.trace)
 	s.replyWritten(req.src, 0, ver, tracked)
 }
@@ -1012,41 +996,6 @@ func (s *Server) sizeOf(v *volume, file uint32) (int64, error) {
 	return size, nil
 }
 
-// readAhead prefetches a block asynchronously (§6.2's read-ahead).
-func (s *Server) readAhead(v *volume, file, block uint32) {
-	id := blockID{file: file, block: block}
-	if v.cache.contains(id) {
-		return
-	}
-	if size, err := s.sizeOf(v, file); err != nil || int64(block)*int64(s.cfg.BlockSize) >= size {
-		return // past EOF
-	}
-	key := volBlock{vol: v.id, id: id}
-	s.raMu.Lock()
-	if s.raInflight[key] {
-		s.raMu.Unlock()
-		return
-	}
-	s.raInflight[key] = true
-	s.raWG.Add(1)
-	s.raMu.Unlock()
-	go func() {
-		defer func() {
-			s.raMu.Lock()
-			delete(s.raInflight, key)
-			s.raMu.Unlock()
-			s.raWG.Done()
-		}()
-		gen := v.cache.snapshot(id)
-		b := bufpool.Get(s.cfg.BlockSize)
-		defer b.Release()
-		if n, err := v.store.ReadAt(file, b.Data, int64(block)*int64(s.cfg.BlockSize)); err == nil {
-			v.cache.put(id, b, gen, n)
-			s.stats.prefetches.Add(1)
-		}
-	}()
-}
-
 // pageRead serves OpReadBlock: the page travels in the reply packet
 // (ReplyWithSegment), one Send/Reply exchange total. The cache block is
 // lent for the reply encode — the page is copied exactly once, from
@@ -1061,9 +1010,6 @@ func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 		s.replyStatus(req.src, statusFor(err), 0)
 		return
 	}
-	if s.cfg.ReadAhead {
-		s.readAhead(v, file, block+1)
-	}
 	s.stats.bytesRead.Add(int64(count))
 	reply := buildReply(StatusOK, count)
 	err = s.proc.ReplyWithSegment(&reply, req.src, 0, b.Data[:count])
@@ -1074,61 +1020,15 @@ func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 	}
 }
 
-// pageWrite serves OpWriteBlock: the data arrived inline with the Send
-// (§3.4); any remainder beyond the inline allowance is pulled with
-// MoveFrom. The page lands in a fresh block buffer — the pull scatters
-// straight into it, no staging — is staged dirty in the cache and
-// acknowledged immediately; the flushers write it back asynchronously
-// (§6.2's server-side write buffering).
+// pageWrite serves OpWriteBlock, the one-block case of a large write: at
+// most a page, at byte offset block·BlockSize.
 func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
-	bs := uint32(s.cfg.BlockSize)
-	if count > bs || int(count) > len(req.buf) {
+	off := uint64(block) * uint64(s.cfg.BlockSize)
+	if count > uint32(s.cfg.BlockSize) || off > math.MaxUint32 {
 		s.replyStatus(req.src, StatusBadRequest, 0)
 		return
 	}
-	got := uint32(req.inline)
-	if got > count {
-		got = count
-	}
-	if count == 0 {
-		// Degenerate zero-length write: nothing to defer. Go to the store
-		// so the file is created/extended there — staging an empty dirty
-		// block would raise the staged size only until its (empty) flush
-		// pruned it again.
-		if err := v.store.WriteAt(file, nil, int64(block)*int64(s.cfg.BlockSize)); err != nil {
-			s.replyStatus(req.src, StatusIOError, 0)
-			return
-		}
-		s.replicate(v, repKindWrite, file, block*bs, req.trace)
-		ver, tracked := s.registry.invalidate(v.id, file, block, 0, req.src, req.trace)
-		s.replyWritten(req.src, 0, ver, tracked)
-		return
-	}
-	buf := bufpool.Get(s.cfg.BlockSize)
-	copy(buf.Data, req.buf[:got])
-	if got < count {
-		if err := s.proc.MoveFrom(req.src, got, buf.Data[got:count]); err != nil {
-			buf.Release()
-			s.replyStatus(req.src, StatusBadRequest, 0)
-			return
-		}
-	}
-	err := s.stageBlock(v, blockID{file: file, block: block}, buf, 0, int(count), req.trace)
-	if err != nil {
-		buf.Release()
-		s.replyStatus(req.src, StatusIOError, 0)
-		return
-	}
-	// Replicate from the staged payload before returning the buffer:
-	// append copies the data into the log under the replication lock.
-	s.replicate(v, repKindWrite, file, block*bs, req.trace, buf.Data[:count])
-	buf.Release()
-	s.stats.bytesWrite.Add(int64(count))
-	// The page is staged (readable by everyone through this server), so
-	// other clients' cached copies go stale NOW: call them back before
-	// the writer learns its write completed.
-	ver, tracked := s.registry.invalidate(v.id, file, block, 1, req.src, req.trace)
-	s.replyWritten(req.src, count, ver, tracked)
+	s.largeWrite(v, req, file, uint32(off), count)
 }
 
 // stageBlock stages buf as block id's newest contents. When the payload
@@ -1260,157 +1160,102 @@ func (s *Server) gather(v *volume, req *request, file, pos, m uint32) error {
 	return nil
 }
 
-// span is one block-aligned landing slot of a large-write chunk: a fresh
-// pooled block buffer whose window [payStart:payEnd) receives payload
-// bytes (scattered off the wire or copied from the inline prefix) before
-// the buffer is staged dirty in the cache.
-type span struct {
-	id       blockID
-	buf      *bufpool.Buf
-	payStart int
-	payEnd   int
-}
-
-// buildSpans appends fresh spans covering the m bytes at absolute file
-// position pos to spans, and the scatter slices aliasing their payload
-// windows to slices (both reset to length zero first, so callers can
-// recycle backing arrays chunk over chunk).
-func (s *Server) buildSpans(file, pos, m uint32, spans []span, slices [][]byte) ([]span, [][]byte) {
-	bs := uint32(s.cfg.BlockSize)
-	spans, slices = spans[:0], slices[:0]
-	for fill := uint32(0); fill < m; {
-		p := pos + fill
-		in := p % bs
-		c := bs - in
-		if c > m-fill {
-			c = m - fill
-		}
-		b := bufpool.Get(s.cfg.BlockSize)
-		spans = append(spans, span{
-			id:       blockID{file: file, block: p / bs},
-			buf:      b,
-			payStart: int(in),
-			payEnd:   int(in + c),
-		})
-		slices = append(slices, b.Data[in:in+c])
-		fill += c
-	}
-	return spans, slices
-}
-
-// absorbSpans stages one chunk's filled block buffers into the cache as
-// dirty blocks (completing partial head/tail blocks from the old image)
-// and releases them. It runs on its own goroutine so the next chunk's
-// MoveFromVec overlaps it — the WriteLarge pipeline. Absorbs of one
-// write are strictly serialized (the pipeline waits for the previous
-// absorb before launching the next), so the per-chunk replication
-// records it appends land in chunk order; the write path commits them
-// all at once at the end (replicateSync). pos is the chunk's absolute
-// byte offset; file its file id.
-func (s *Server) absorbSpans(v *volume, file, pos uint32, spans []span, trace uint32) error {
-	var err error
-	for _, sp := range spans {
-		if err == nil {
-			err = s.stageBlock(v, sp.id, sp.buf, sp.payStart, sp.payEnd, trace)
-		}
-	}
-	if err == nil {
-		parts := make([][]byte, len(spans))
-		for i, sp := range spans {
-			parts[i] = sp.buf.Data[sp.payStart:sp.payEnd]
-		}
-		s.replicateAppend(v, repKindWrite, file, pos, trace, parts...)
-	}
-	releaseSpans(spans)
-	return err
-}
-
-func releaseSpans(spans []span) {
-	for _, sp := range spans {
-		sp.buf.Release()
-	}
-}
-
-// largeWrite serves OpWriteLarge: count bytes pulled from the client's
-// granted buffer in trains of up to maxTrain. The first bytes arrived inline
-// with the Send (§3.4) and are not pulled again.
-//
-// Each chunk is scattered straight into block-aligned cache buffers with
-// MoveFromVec — zero staging copies — and pipelined: while one chunk's
-// blocks are absorbed into the cache (which may block on the dirty budget
-// or, transitively, the store), the next chunk's pull is already on the
-// wire.
+// largeWrite serves OpWriteLarge, and OpWriteBlock through pageWrite:
+// count bytes at byte offset off, in trains of up to maxTrain. The first
+// bytes arrived inline with the Send (§3.4); writeTrain pulls the rest.
+// Each train is staged dirty in the cache and logged as one replication
+// record before the next is pulled; the write is acknowledged once the
+// in-sync replicas hold the last record, and the flushers write the
+// blocks back asynchronously (§6.2's server-side write buffering).
 func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
-	pre := uint32(req.inline)
-	if pre > count {
-		pre = count
-	}
-	// At most one absorb is in flight, so two span/slice buffers
-	// alternate between the chunk being pulled and the chunk being
-	// absorbed, and one reusable channel carries the handoff.
-	var spanBuf [2][]span
-	var sliceBuf [2][][]byte
-	which := 0
-	ch := make(chan error, 1)
-	inflight := false
-	wait := func() error {
-		if !inflight {
-			return nil
-		}
-		inflight = false
-		return <-ch
-	}
-	launch := func(spans []span, pos uint32) {
-		inflight = true
-		go func() { ch <- s.absorbSpans(v, file, pos, spans, req.trace) }()
-	}
-
-	done := uint32(0)
-	if pre > 0 {
-		spans, slices := s.buildSpans(file, off, pre, spanBuf[which], sliceBuf[which])
-		spanBuf[which], sliceBuf[which] = spans, slices
-		rest := req.buf[:pre]
-		for _, sl := range slices {
-			n := copy(sl, rest)
-			rest = rest[n:]
-		}
-		launch(spans, off)
-		which ^= 1
-		done = pre
-	}
-	for done < count {
-		m := min(count-done, maxTrain)
-		spans, slices := s.buildSpans(file, off+done, m, spanBuf[which], sliceBuf[which])
-		spanBuf[which], sliceBuf[which] = spans, slices
-		if err := s.proc.MoveFromVec(req.src, done, slices...); err != nil {
-			releaseSpans(spans)
-			_ = wait()
-			s.replyStatus(req.src, StatusBadRequest, done)
-			return
-		}
-		if err := wait(); err != nil {
-			releaseSpans(spans)
-			s.replyStatus(req.src, StatusIOError, done)
-			return
-		}
-		launch(spans, off+done)
-		which ^= 1
-		done += m
-	}
-	if err := wait(); err != nil {
-		s.replyStatus(req.src, StatusIOError, done)
+	if uint64(off)+uint64(count) > 1<<32 {
+		// Offsets are 32-bit on the wire and in replication records.
+		s.replyStatus(req.src, StatusBadRequest, 0)
 		return
 	}
-	// All chunks are staged and their records appended; one commit waits
-	// for the in-sync replicas to ack the lot.
-	s.replicateSync(v)
+	var seq uint32
+	if count == 0 {
+		// Nothing to defer: go to the store so the file is created or
+		// extended there — staging an empty dirty block would raise the
+		// staged size only until its (empty) flush pruned it again.
+		if err := v.store.WriteAt(file, nil, int64(off)); err != nil {
+			s.replyStatus(req.src, StatusIOError, 0)
+			return
+		}
+		seq = s.replicateAppend(v, repKindWrite, file, off, req.trace)
+	}
+	for done := uint32(0); done < count; {
+		m := min(count-done, maxTrain)
+		var status uint32
+		if seq, status = s.writeTrain(v, req, file, off+done, done, m); status != StatusOK {
+			s.replyStatus(req.src, status, done)
+			return
+		}
+		done += m
+	}
+	s.replicateCommit(v, seq)
 	s.stats.bytesWrite.Add(int64(count))
 	bs := uint32(s.cfg.BlockSize)
-	first := off / bs
-	nblocks := uint32(0)
+	first, nblocks := off/bs, uint32(0)
 	if count > 0 {
 		nblocks = (off+count-1)/bs - first + 1
 	}
+	// The blocks are staged (readable by everyone through this server), so
+	// other clients' cached copies go stale NOW: call them back before the
+	// writer learns its write completed.
 	ver, tracked := s.registry.invalidate(v.id, file, first, nblocks, req.src, req.trace)
 	s.replyWritten(req.src, count, ver, tracked)
+}
+
+// writeTrain lands the train of m bytes at file position pos, which is
+// byte done of the client's segment. Each block it touches gets a fresh
+// pooled buffer (req.held); the train's share of the inline prefix is
+// copied in and the rest pulled with one scatter MoveFromVec (req.parts),
+// straight off the wire. Each buffer is then staged, head and tail blocks
+// completed from the old image, and the train logged as one replication
+// record. It returns the record's sequence and the write's status.
+func (s *Server) writeTrain(v *volume, req *request, file, pos, done, m uint32) (uint32, uint32) {
+	bs := uint32(s.cfg.BlockSize)
+	pre := uint32(req.inline)
+	inline := req.buf[min(done, pre):min(done+m, pre)]
+	req.held, req.parts = req.held[:0], req.parts[:0]
+	for at := uint32(0); at < m; {
+		in := (pos + at) % bs
+		c := min(bs-in, m-at)
+		b := bufpool.Get(int(bs))
+		req.held = append(req.held, b)
+		n := uint32(copy(b.Data[in:in+c], inline))
+		inline = inline[n:]
+		if n < c {
+			req.parts = append(req.parts, b.Data[in+n:in+c])
+		}
+		at += c
+	}
+	status := StatusOK
+	if len(req.parts) > 0 {
+		if err := s.proc.MoveFromVec(req.src, max(done, pre), req.parts...); err != nil {
+			status = StatusBadRequest
+		}
+	}
+	// req.parts becomes the record's payload: each block's window.
+	req.parts = req.parts[:0]
+	for i, at := 0, uint32(0); status == StatusOK && at < m; i++ {
+		in := (pos + at) % bs
+		c := min(bs-in, m-at)
+		b := req.held[i]
+		if err := s.stageBlock(v, blockID{file: file, block: (pos + at) / bs}, b, int(in), int(in+c), req.trace); err != nil {
+			status = StatusIOError
+		}
+		req.parts = append(req.parts, b.Data[in:in+c])
+		at += c
+	}
+	var seq uint32
+	if status == StatusOK {
+		// Log before the buffers go back: append copies the payload.
+		seq = s.replicateAppend(v, repKindWrite, file, pos, req.trace, req.parts...)
+	}
+	for _, b := range req.held {
+		b.Release()
+	}
+	return seq, status
 }

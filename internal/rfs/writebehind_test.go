@@ -2,6 +2,7 @@ package rfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -714,9 +715,9 @@ func TestPerFileSync(t *testing.T) {
 	}
 }
 
-// TestZeroLengthWriteParity: a zero-length page write behaves as it
-// would against the bare store — it creates/extends the file to the
-// block offset and the observed size never transiently grows then
+// TestZeroLengthWriteParity: a zero-length write, page or large, behaves
+// as it would against the bare store — it creates/extends the file to
+// the write's offset and the observed size never transiently grows then
 // vanishes.
 func TestZeroLengthWriteParity(t *testing.T) {
 	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
@@ -724,10 +725,66 @@ func TestZeroLengthWriteParity(t *testing.T) {
 	if err := c.WriteBlock(9, 5, nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.WriteLarge(8, 5*512, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Sync(0); err != nil {
 		t.Fatal(err)
 	}
-	if size, err := c.QueryFile(9); err != nil || size != 5*512 {
-		t.Fatalf("size=%d err=%v, want %d", size, err, 5*512)
+	for _, file := range []uint32{9, 8} {
+		if size, err := c.QueryFile(file); err != nil || size != 5*512 {
+			t.Fatalf("file %d: size=%d err=%v, want %d", file, size, err, 5*512)
+		}
+	}
+}
+
+// capStore fails every WriteAt that would reach past limit bytes, so a
+// write the server lets through at a 4 GiB offset fails in the flush
+// instead of growing a MemStore to that size.
+type capStore struct {
+	Store
+	limit int64
+}
+
+func (s *capStore) WriteAt(file uint32, p []byte, off int64) error {
+	if off+int64(len(p)) > s.limit {
+		return fmt.Errorf("capStore: write [%d, %d) past %d", off, off+int64(len(p)), s.limit)
+	}
+	return s.Store.WriteAt(file, p, off)
+}
+
+// TestWriteRangePast4GiB: protocol offsets are 32-bit, so a write whose
+// range ends past 2^32 bytes must be refused before any byte is staged —
+// a large write whose end wraps would otherwise land its tail on block 0,
+// and a page write at a block past 2^32/BlockSize would be logged for the
+// replicas at its offset mod 2^32.
+func TestWriteRangePast4GiB(t *testing.T) {
+	e := memEnvStore(t, &capStore{Store: NewMemStore(), limit: 1 << 30}, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	c := e.client(t, "app")
+	page := pattern(4, 512)
+	if err := c.WriteBlock(4, 0, page); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	bad := srvCounter(e.srv, "rfs.bad_requests")
+
+	if err := c.WriteLarge(4, 0xFFFFFE00, pattern(5, 1024)); !errors.Is(err, ErrBadStatus) {
+		t.Errorf("WriteLarge ending past 4 GiB: err=%v, want ErrBadStatus", err)
+	}
+	if err := c.WriteBlock(4, 1<<32/512, pattern(6, 512)); !errors.Is(err, ErrBadStatus) {
+		t.Errorf("WriteBlock at 4 GiB: err=%v, want ErrBadStatus", err)
+	}
+
+	got := make([]byte, 512)
+	if _, err := c.ReadBlock(4, 0, got); err != nil || !bytes.Equal(got, page) {
+		t.Errorf("page 0 changed by a refused write (err=%v)", err)
+	}
+	if n := srvCounter(e.srv, "rfs.bad_requests") - bad; n != 2 {
+		t.Errorf("rfs.bad_requests moved by %d, want 2", n)
+	}
+	if n := volGauge(e.srv, "dirty_blocks"); n != 0 {
+		t.Errorf("%d blocks staged by refused writes", n)
 	}
 }
