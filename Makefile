@@ -27,16 +27,22 @@ race:
 # reordering and exactly-once under faults (ipc); concurrent trains,
 # bulk-transfer crossings, replicated read fan-out, caching failover, a
 # write landing between a large read's store read and its reply, which
-# later reads must see though the large read cached nothing, and large
+# later reads must see though the large read cached nothing, large
 # writes, which stage each train between pulls on the worker, pulled
-# under loss and replicated train by train (rfs). Several minutes, so CI
-# does not run it; run it after touching the exchange, move, dispatch or
-# large-read and large-write paths.
+# under loss and replicated train by train, and a replica's catch-up from
+# the log, killed midway and under a writer that never pauses (rfs).
+# Several minutes, so CI does not run it; run it after touching the
+# exchange, move, dispatch, large-read, large-write or replication paths.
+# Both halves always run; each one's full output is kept in
+# stress-<half>.log, so a rare failure can be read after the fact, and the
+# target fails if either half did.
 STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites
 stress:
-	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/
-	$(GO) test -race -count=20 -run '$(STRESS_RFS)' ./internal/rfs/
+	@s=0; \
+	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/ >stress-ipc.log 2>&1 || s=1; cat stress-ipc.log; \
+	$(GO) test -race -count=20 -run '$(STRESS_RFS)' ./internal/rfs/ >stress-rfs.log 2>&1 || s=1; cat stress-rfs.log; \
+	exit $$s
 
 vet:
 	$(GO) vet ./...

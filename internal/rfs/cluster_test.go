@@ -525,7 +525,7 @@ func TestClusterKillRestartLeakUDP(t *testing.T) {
 
 // writerCrashFanOutScenario: a caching client crashes while its write's
 // invalidation fan-out is in flight. The registry must not wedge its
-// invalidator pool on the dead client's watcher registration — later
+// fan-out on the dead client's watcher registration — later
 // writes complete promptly, revoking the unreachable registration —
 // and a surviving client that misses callbacks converges once its
 // lease runs out (fake clocks on both the server registry and the
@@ -596,7 +596,7 @@ func writerCrashFanOutScenario(t *testing.T, udp bool) {
 	crashWG.Wait()
 
 	// The next write's fan-out hits the dead writer's registration. It
-	// must complete promptly — the pool bounds the dead callback and
+	// must complete promptly — the fan-out bounds the dead callback and
 	// revokes the registration — and the survivor, whose callback
 	// arrived, converges immediately.
 	start := time.Now()
@@ -615,7 +615,7 @@ func writerCrashFanOutScenario(t *testing.T, udp bool) {
 	if got := srvCounter(srv, "rfs.cache_callback_errs"); got == 0 {
 		t.Fatal("fan-out to the dead writer reported no callback error")
 	}
-	// The pool is not wedged: a burst of further writes stays prompt.
+	// The fan-out is not wedged: a burst of further writes stays prompt.
 	start = time.Now()
 	for v := uint32(4); v < 9; v++ {
 		if err := p.WriteBlock(9, 0, versionedPage(0, v)); err != nil {
@@ -623,7 +623,7 @@ func writerCrashFanOutScenario(t *testing.T, udp bool) {
 		}
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("invalidator pool wedged: 5 writes took %v", elapsed)
+		t.Fatalf("invalidation fan-out wedged: 5 writes took %v", elapsed)
 	}
 
 	// Lease-expiry convergence: the survivor goes quiet past its lease,

@@ -19,8 +19,8 @@ import (
 // ascending opcode order, so the earlier cells' side effects on the
 // primary (a zero-length write creates file 7) are part of the pin.
 // Opcodes the file server process does not serve — 0, the callback and
-// replica-apply ops 10/17/18, and anything past the last — must answer
-// like any unknown word.
+// replica-apply ops 10/17, the retired 13 and 18, and anything past the
+// last — must answer like any unknown word.
 func TestDispatchStatusByOp(t *testing.T) {
 	c := startCluster(t, ClusterConfig{Shards: 2, Volumes: []uint32{0, 1}, Replicas: 1})
 	// Volume 0's primary is shard 0, its replica shard 1.
@@ -35,7 +35,6 @@ func TestDispatchStatusByOp(t *testing.T) {
 		bad    = StatusBadRequest
 		noFile = StatusNoFile
 		noVol  = StatusNoVolume
-		snap   = StatusRepSnapshot
 	)
 	// Columns: unhosted volume, in-sync replica, primary.
 	want := map[uint32][3]uint32{
@@ -52,12 +51,12 @@ func TestDispatchStatusByOp(t *testing.T) {
 		OpInvalidate:    {noVol, noVol, bad},
 		OpQueryVolumes:  {ok, ok, ok},
 		OpRepJoin:       {noVol, noVol, bad}, // no 8-byte pid segment
-		OpRepPull:       {noVol, noVol, snap},
+		13:              {noVol, noVol, bad}, // retired: replica-driven pull
 		OpRepFiles:      {noVol, noVol, bad}, // file 7 exists; a zero grant cannot hold it
 		OpRepHeartbeat:  {noVol, noVol, ok},
 		OpQueryReplicas: {noVol, noVol, ok},
 		OpReplicate:     {noVol, noVol, bad},
-		OpRepCreate:     {noVol, noVol, bad},
+		18:              {noVol, noVol, bad}, // retired: per-record create push
 		OpQueryStats:    {ok, ok, ok},
 		20:              {noVol, noVol, bad},
 		0xFFFFFFFF:      {noVol, noVol, bad},

@@ -86,26 +86,20 @@ const (
 	// acked mutation to its read replicas as a sequenced record stream:
 	// the per-volume sequence counter extends the registry's per-file
 	// version counters to a total order over the volume's writes.
-	// Control ops (join/pull/files/heartbeat/query) address the primary
-	// server process and carry the volume in word 5 as usual; the data
-	// ops (OpReplicate/OpRepCreate) address the replica's per-volume
-	// apply process — the volume is implied by the destination pid, which
-	// frees word 5 for the record sequence number.
+	// Control ops (join/files/heartbeat/query) address the primary server
+	// process and carry the volume in word 5 as usual; the one data op,
+	// OpReplicate, addresses the replica's per-volume apply process — the
+	// volume is implied by the destination pid. Opcodes 13 and 18 are
+	// retired (replica-driven pull catch-up and a per-record create push);
+	// the file server answers them like any unknown word.
 
 	// OpRepJoin enrolls a replica with the primary: word 2 = replica id,
 	// word 3 = the replica's last applied sequence, word 4 = segment
 	// length (8: the replica's apply pid and server pid as big-endian
 	// uint32s). The reply (see stampRepJoin) tells the replica whether it
-	// was accepted in-sync (pushed), must pull the gap, or needs a full
-	// snapshot resync.
+	// was accepted for push (the primary's sender pushes it any gap the
+	// log covers) or needs a full snapshot resync.
 	OpRepJoin uint32 = 12
-	// OpRepPull is replica-driven catch-up: word 2 = replica id, word 3 =
-	// first wanted sequence, word 4 = grant length. The primary MoveTo-
-	// streams encoded records (encodeRepRecord) into the grant and the
-	// reply reports bytes, record count and the primary's current
-	// sequence (stampRepPull). StatusRepSnapshot means the log no longer
-	// reaches back that far.
-	OpRepPull uint32 = 13
 	// OpRepFiles enumerates the primary's files for a snapshot resync:
 	// word 4 = grant length; the reply segment carries (file id uint32,
 	// size uint64) pairs, reply word 2 = entry count, word 3 = the
@@ -123,15 +117,14 @@ const (
 	// spreads reads over this set.
 	OpQueryReplicas uint32 = 16
 
-	// OpReplicate pushes one write record to a replica's apply process:
-	// word 2 = file, word 3 = byte offset, word 4 = count, word 5 =
-	// sequence; the data rides inline with the Send, any remainder pulled
-	// with MoveFrom (the page-write pattern). The reply carries the
-	// replica's last applied sequence in word 2.
+	// OpReplicate pushes a batch of consecutive records to a replica's
+	// apply process: word 4 = batch bytes, the records (encodeRepRecord)
+	// back to back in the granted segment; the batch's head rides inline
+	// with the Send, any remainder pulled with MoveFrom (the page-write
+	// pattern). The replica applies them in order and stops at the first
+	// that fails; the reply carries that status and the replica's last
+	// applied sequence in word 2.
 	OpReplicate uint32 = 17
-	// OpRepCreate pushes a create/truncate record: word 2 = file,
-	// word 3 = size, word 5 = sequence.
-	OpRepCreate uint32 = 18
 
 	// OpQueryStats scrapes the server's metrics registry over V IPC:
 	// word 4 bounds the reply bytes; the serialized snapshot
@@ -163,14 +156,13 @@ const (
 	// primary), and a demoted ex-primary answers replication control ops
 	// with it, so the existing reroute machinery covers failover too.
 	StatusNoVolume
-	// StatusRepSnapshot tells a joining or pulling replica that the
-	// primary's catch-up log no longer reaches its last applied
-	// sequence: it must resync from a full snapshot (OpRepFiles + large
-	// reads) before pulling again.
+	// StatusRepSnapshot tells a joining replica that the primary's
+	// catch-up log no longer reaches its last applied sequence: it must
+	// resync from a full snapshot (OpRepFiles + large reads) and rejoin.
 	StatusRepSnapshot
 	// StatusRepGap is a replica's refusal of an out-of-order push: the
 	// record's sequence is not the next one it expects. The primary
-	// drops the connection; the replica rejoins and pulls the gap.
+	// drops the connection; the replica rejoins and is pushed the gap.
 	StatusRepGap
 )
 
@@ -309,15 +301,9 @@ func writeVersion(m *ipc.Message) (version uint32, ok bool) {
 	return m.Word(3), true
 }
 
-// OpRepJoin reply flags (word 3).
-const (
-	// repJoinPush: the replica is enrolled in-sync (or near-sync); the
-	// primary pushes records from lastApplied+1 on.
-	repJoinPush uint32 = 1 << iota
-	// repJoinPull: the replica is enrolled but behind; it must pull the
-	// gap (OpRepPull) and rejoin once caught up.
-	repJoinPull
-)
+// repJoinPush, in an OpRepJoin reply's flags (word 3): the replica is
+// enrolled and the primary pushes records from lastApplied+1 on.
+const repJoinPush uint32 = 1
 
 // stampRepJoin finishes an OpRepJoin reply: word 2 = the primary's
 // current sequence, word 3 = the repJoin decision flags.
@@ -329,20 +315,6 @@ func stampRepJoin(m *ipc.Message, seq, flags uint32) {
 // repJoinReply reads an OpRepJoin reply's sequence and decision flags.
 func repJoinReply(m *ipc.Message) (seq, flags uint32) {
 	return m.Word(2), m.Word(3)
-}
-
-// stampRepPull finishes an OpRepPull reply: word 2 = streamed bytes,
-// word 3 = record count, word 4 = the primary's current sequence (so
-// the replica knows when it has drained the gap).
-func stampRepPull(m *ipc.Message, bytes, records, seq uint32) {
-	m.SetWord(2, bytes)
-	m.SetWord(3, records)
-	m.SetWord(4, seq)
-}
-
-// repPullReply reads an OpRepPull reply.
-func repPullReply(m *ipc.Message) (bytes, records, seq uint32) {
-	return m.Word(2), m.Word(3), m.Word(4)
 }
 
 // stampStatsReply finishes an OpQueryStats reply: word 2 = streamed
@@ -394,21 +366,8 @@ func repHeartbeatReply(m *ipc.Message) (seq, candidate, flags uint32) {
 	return m.Word(2), m.Word(3), m.Word(4)
 }
 
-// buildReplicate assembles an OpReplicate/OpRepCreate push addressed to
-// a replica's apply process. The volume is implied by the destination,
-// so word 5 carries the record sequence.
-func buildReplicate(op, file, offOrSize, count, seq uint32) ipc.Message {
-	m := buildRequest(0, op, file, offOrSize, count)
-	m.SetWord(5, seq)
-	return m
-}
-
-// replicateSeq reads the sequence word of an OpReplicate/OpRepCreate
-// push.
-func replicateSeq(m *ipc.Message) uint32 { return m.Word(5) }
-
-// Replication record kinds (the catch-up log's and pull stream's wire
-// encoding; see encodeRepRecord).
+// Replication record kinds (the log's and the push batch's encoding;
+// see encodeRepRecord).
 const (
 	repKindWrite  = 1 // off = byte offset, data follows
 	repKindCreate = 2 // off = file size, no data
@@ -417,9 +376,9 @@ const (
 // repRecordHeader is the encoded record header size: kind (1 byte) plus
 // file, off, len, seq and trace as big-endian uint32s. The trace word
 // carries the originating client's 24-bit trace id (0 = untraced)
-// through the catch-up log and pull stream, so a traced write's span
-// timeline extends onto replicas that applied it by pull as well as by
-// push.
+// through the log and every batch, so a traced write's span timeline
+// extends onto each replica that applies it, however many records its
+// batch held.
 const repRecordHeader = 1 + 5*4
 
 // repFileEntry is one OpRepFiles entry: file id (uint32) + size (uint64).

@@ -38,10 +38,7 @@ type cacheRegistry struct {
 	now      func() time.Time // test hook (fake clocks for lease expiry)
 	nextReap time.Time        // earliest next registry-wide expired-watcher sweep
 
-	node     *ipc.Node
-	jobs     chan invJob
-	poolSize int
-	workers  sync.WaitGroup
+	node *ipc.Node
 
 	registrations    *obs.Counter
 	callbacks        *obs.Counter
@@ -73,41 +70,27 @@ type watcher struct {
 	expires time.Time
 }
 
-// invJob is one invalidation callback for the pool: Send OpInvalidate to
-// cb and deliver the outcome on done.
-type invJob struct {
-	cb                               ipc.Pid
-	vol, file, first, count, version uint32
-	trace                            uint32 // the triggering write's trace id, re-stamped on the callback
-	done                             chan<- invResult
-}
-
+// invResult is one callback exchange's outcome.
 type invResult struct {
-	cb  ipc.Pid
+	w   *watcher
 	err error
 }
 
-// errCallbackTimeout reports a callback exchange abandoned at its
-// deadline (the registration is revoked like any other failure).
-var errCallbackTimeout = errors.New("rfs: invalidation callback timed out")
-
-// newCacheRegistry starts the registry with a pool of invalidator
-// workers. Each callback exchange runs on a throwaway process attached
-// for the job and is abandoned — never waited on — past its deadline,
-// so a callback pid that is alive but never in Receive (whose Send the
-// reply-pending machinery parks indefinitely) wedges one disposable
-// goroutine, not a pool worker, and close never deadlocks behind it.
-// Abandoned exchanges self-clean when the Send finally fails (at the
-// latest when the node closes).
-func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, workers int, reg *obs.Registry) (*cacheRegistry, error) {
-	r := &cacheRegistry{
-		files:    make(map[volFile]*fileReg),
-		lease:    lease,
-		timeout:  timeout,
-		now:      time.Now,
-		node:     node,
-		jobs:     make(chan invJob),
-		poolSize: workers,
+// newCacheRegistry creates the registry. Each callback exchange runs on
+// its own goroutine and a throwaway process attached for it, and is
+// abandoned — never waited on — past the fan-out deadline, so a callback
+// pid that is alive but never in Receive (whose Send the reply-pending
+// machinery parks indefinitely) wedges one disposable goroutine, and
+// neither the write path nor Close waits behind it. Abandoned exchanges
+// self-clean when the Send finally fails (at the latest when the node
+// closes).
+func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, reg *obs.Registry) *cacheRegistry {
+	return &cacheRegistry{
+		files:   make(map[volFile]*fileReg),
+		lease:   lease,
+		timeout: timeout,
+		now:     time.Now,
+		node:    node,
 
 		registrations:    reg.Counter("rfs.cache_registrations"),
 		callbacks:        reg.Counter("rfs.cache_callbacks"),
@@ -116,70 +99,25 @@ func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, workers int,
 		leaseExpiries:    reg.Counter("rfs.cache_lease_expiries"),
 		abandoned:        reg.Counter("rfs.cache_callbacks_abandoned"),
 	}
-	for i := 0; i < workers; i++ {
-		r.workers.Add(1)
-		go r.invalidator()
-	}
-	return r, nil
 }
 
-// close stops the invalidator pool. Abandoned callback exchanges are
-// deliberately not waited for.
-func (r *cacheRegistry) close() {
-	close(r.jobs)
-	r.workers.Wait()
-}
-
-// invalidator is one pool worker: it dispatches each job's exchange on
-// its own goroutine + throwaway process and waits at most the deadline,
-// so the worker itself always returns to the pool.
-func (r *cacheRegistry) invalidator() {
-	defer r.workers.Done()
-	timer := time.NewTimer(r.timeout)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for job := range r.jobs {
-		resCh := make(chan invResult, 1)
-		go r.callbackExchange(job, resCh)
-		timer.Reset(r.timeout)
-		var res invResult
-		select {
-		case res = <-resCh:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		case <-timer.C:
-			r.abandoned.Add(1)
-			r.callbackTimeouts.Add(1)
-			res = invResult{cb: job.cb, err: errCallbackTimeout}
-		}
-		r.callbacks.Add(1)
-		if res.err != nil {
-			r.callbackErrs.Add(1)
-		}
-		job.done <- res
-	}
-}
-
-// callbackExchange runs one OpInvalidate Send/Reply on a process
-// attached for the job. An overload shed (the callback process's
-// receive queue was momentarily full) is retried with the same capped
-// backoff the client stubs use — shedding is the kernel's normal burst
-// behavior and must not cost a healthy client its registration; any
-// other error is final.
-func (r *cacheRegistry) callbackExchange(job invJob, resCh chan<- invResult) {
+// callbackExchange Sends the OpInvalidate callback req to w's callback
+// process from a process attached for it and delivers the outcome on
+// done. An overload shed (the callback process's receive queue was
+// momentarily full) is retried with the same capped backoff the client
+// stubs use — shedding is the kernel's normal burst behavior and must
+// not cost a healthy client its registration; any other error is final.
+func (r *cacheRegistry) callbackExchange(req ipc.Message, w *watcher, done chan<- invResult) {
 	p, err := r.node.Attach("inval")
 	if err != nil {
-		resCh <- invResult{cb: job.cb, err: err}
+		done <- invResult{w: w, err: err}
 		return
 	}
 	defer r.node.Detach(p)
 	delay := 200 * time.Microsecond
 	for attempt := 0; ; attempt++ {
-		m := buildInvalidate(job.vol, job.file, job.first, job.count, job.version)
-		m.SetTrace(job.trace)
-		err = p.Send(&m, job.cb, nil)
+		m := req
+		err = p.Send(&m, w.cb, nil)
 		if err == nil {
 			if status, _ := parseReply(&m); status != StatusOK {
 				err = ErrBadStatus
@@ -194,7 +132,7 @@ func (r *cacheRegistry) callbackExchange(job invJob, resCh chan<- invResult) {
 			delay = 10 * time.Millisecond
 		}
 	}
-	resCh <- invResult{cb: job.cb, err: err}
+	done <- invResult{w: w, err: err}
 }
 
 // register adds (or renews) a registration and returns the file's current
@@ -255,9 +193,6 @@ func (r *cacheRegistry) release(vol, file uint32, cb ipc.Pid) {
 // version (the bump precedes the fan-out), i.e. the renewed client is
 // fully consistent and must stay registered.
 func (r *cacheRegistry) dropInstance(k volFile, w *watcher) {
-	if w == nil {
-		return
-	}
 	r.mu.Lock()
 	if fr := r.files[k]; fr != nil && fr.watchers[w.cb] == w {
 		delete(fr.watchers, w.cb)
@@ -278,11 +213,12 @@ func (r *cacheRegistry) watcherCount() int {
 
 // invalidate records a write of [first, first+count) by owner: it bumps
 // the file's version and calls back every other registered client,
-// blocking until each callback is acknowledged or fails (failed
-// registrations are dropped). It returns the post-write version and
-// whether the file is version-tracked at all — untracked files (no
-// registration ever) skip the counter so the registry stays empty for
-// cache-less workloads and the write path costs one mutex acquisition.
+// blocking until each callback is acknowledged or fails, or the
+// CallbackTimeout deadline passes (failed and unanswered registrations
+// are dropped). It returns the post-write version and whether the file
+// is version-tracked at all — untracked files (no registration ever)
+// skip the counter so the registry stays empty for cache-less workloads
+// and the write path costs one mutex acquisition.
 func (r *cacheRegistry) invalidate(vol, file, first, count uint32, owner ipc.Pid, trace uint32) (version uint32, tracked bool) {
 	k := volFile{vol: vol, file: file}
 	r.mu.Lock()
@@ -314,64 +250,44 @@ func (r *cacheRegistry) invalidate(vol, file, first, count uint32, owner ipc.Pid
 	if len(targets) == 0 {
 		return version, true
 	}
-	// The whole fan-out runs under a deadline: liveness of the write
-	// path must not hinge on every callback process behaving. Each
-	// worker already bounds its job by timeout, so the fan-out as a
-	// whole needs at most ceil(targets/pool) worker rounds (plus slack);
-	// a callback that neither acks nor fails by then — a pid that is
-	// alive but never in Receive keeps the Send parked in reply-pending
-	// forever — gets its registration revoked and the write proceeds;
+	// Every target is called back at once, and the fan-out waits for all
+	// of them under one deadline: liveness of the write path must not
+	// hinge on every callback process behaving. A callback that fails
+	// has its registration revoked rather than retried forever; one that
+	// neither acks nor fails by the deadline — a pid that is alive but
+	// never in Receive keeps the Send parked in reply-pending forever —
+	// is abandoned and revoked too, and the write proceeds. Either way
 	// the revoked client's staleness is bounded by the lease + version
-	// machinery. done is buffered so a late worker never blocks on it.
+	// machinery. done holds every result, so a late exchange never
+	// blocks on it.
+	req := buildInvalidate(vol, file, first, count, version)
+	req.SetTrace(trace)
 	done := make(chan invResult, len(targets))
-	rounds := (len(targets) + r.poolSize - 1) / r.poolSize
-	timer := time.NewTimer(time.Duration(rounds)*r.timeout + r.timeout/4)
+	for _, w := range targets {
+		go r.callbackExchange(req, w, done)
+	}
+	r.callbacks.Add(int64(len(targets)))
+	timer := time.NewTimer(r.timeout)
 	defer timer.Stop()
-	byCb := make(map[ipc.Pid]*watcher, len(targets))
-	for _, w := range targets {
-		byCb[w.cb] = w
-	}
-	answered := make(map[ipc.Pid]bool, len(targets))
-	settle := func(res invResult) {
-		answered[res.cb] = true
-		if res.err != nil {
-			// Unreachable callback process: revoke the registration
-			// rather than retry forever; the lease/version fallback
-			// bounds the staleness this client can now observe.
-			r.dropInstance(k, byCb[res.cb])
-		}
-	}
-	sent, timedOut := 0, false
-feed:
-	for _, w := range targets {
-		job := invJob{cb: w.cb, vol: vol, file: file, first: first, count: count, version: version, trace: trace, done: done}
-		for {
-			select {
-			case r.jobs <- job:
-				sent++
-				continue feed
-			case res := <-done:
-				settle(res)
-			case <-timer.C:
-				timedOut = true
-				break feed
-			}
-		}
-	}
-	for len(answered) < sent && !timedOut {
+	answered := make(map[*watcher]bool, len(targets))
+	for len(answered) < len(targets) {
 		select {
 		case res := <-done:
-			settle(res)
-		case <-timer.C:
-			timedOut = true
-		}
-	}
-	if timedOut {
-		r.callbackTimeouts.Add(1)
-		for _, w := range targets {
-			if !answered[w.cb] {
-				r.dropInstance(k, w)
+			answered[res.w] = true
+			if res.err != nil {
+				r.callbackErrs.Add(1)
+				r.dropInstance(k, res.w)
 			}
+		case <-timer.C:
+			r.callbackTimeouts.Add(1)
+			for _, w := range targets {
+				if !answered[w] {
+					r.abandoned.Add(1)
+					r.callbackErrs.Add(1)
+					r.dropInstance(k, w)
+				}
+			}
+			return version, true
 		}
 	}
 	return version, true

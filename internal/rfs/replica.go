@@ -14,10 +14,11 @@ import (
 )
 
 // This file is the replica side of volume replication: the apply
-// process the primary pushes records to, the control loop that joins a
-// primary, pulls catch-up batches or snapshot-resyncs, heartbeats a
-// lease on the primary, and — on lease expiry — promotes the
-// deterministic candidate (lowest in-sync replica id) to primary.
+// process the primary pushes record batches to, the control loop that
+// joins a primary (snapshot-resyncing first when its log no longer
+// reaches us), heartbeats a lease on the primary, and — on lease
+// expiry — promotes the deterministic candidate (lowest in-sync replica
+// id) to primary.
 //
 // A replica serves reads only while its primary counts it in-sync (the
 // last heartbeat reply said so); everything mutating is answered with
@@ -27,10 +28,9 @@ import (
 // answering, and in-sync replicas are never stale at all — the primary
 // acks a write only after they applied it.
 
-// repPullGrant sizes the catch-up pull and snapshot-resync buffers. A
-// pull batch must have room for the longest record (one maxTrain of a
-// large write) and its header.
-const repPullGrant = 2 * maxTrain
+// resyncGrant sizes the snapshot-resync buffers: the file catalog grant
+// and each large read of a file's bytes.
+const resyncGrant = 2 * maxTrain
 
 // errReplicaStopped reports the control loop was asked to shut down.
 var errReplicaStopped = errors.New("rfs: replica stopped")
@@ -50,11 +50,11 @@ type replicaVol struct {
 	v   *volume
 	rid uint32
 
-	apply *ipc.Proc // receives OpReplicate/OpRepCreate pushes
-	ctl   *ipc.Proc // the control loop's join/pull/heartbeat endpoint
+	apply *ipc.Proc // receives OpReplicate batches
+	ctl   *ipc.Proc // the control loop's join/resync/heartbeat endpoint
 
-	// applyMu orders record application: the push path (applyLoop) and
-	// the pull/resync path (control loop) both go through applyRecord.
+	// applyMu orders record application (applyLoop) against a snapshot
+	// resync (the control loop).
 	applyMu     sync.Mutex
 	lastApplied atomic.Uint32
 	// serving: the primary's last heartbeat counted us in-sync, so reads
@@ -127,12 +127,13 @@ func (rv *replicaVol) sleepStop(d time.Duration) bool {
 	}
 }
 
-// applyLoop receives pushed records from the primary's sender. Each
-// push is one exchange: data inline with the Send, remainder pulled
-// with MoveFrom (the page-write pattern), applied in sequence order,
-// acked with the replica's last applied sequence. The receive buffer
-// holds what a Send can carry inline; a record longer than that (one
-// train of a large write) trades it for one its own size.
+// applyLoop receives pushed batches from the primary's sender. Each
+// batch is one exchange: its head inline with the Send, the remainder
+// pulled with MoveFrom (the page-write pattern), its records applied in
+// sequence order, acked with the status of the first that did not apply
+// (OK when all did) and the replica's last applied sequence. The
+// receive buffer holds what a Send can carry inline; a batch longer
+// than that trades it for one its own size.
 func (rv *replicaVol) applyLoop(p *ipc.Proc) {
 	for {
 		f := bufpool.Get(vproto.MaxData)
@@ -141,16 +142,14 @@ func (rv *replicaVol) applyLoop(p *ipc.Proc) {
 			f.Release()
 			return
 		}
-		op, file, offOrSize, count := parseRequest(&msg)
-		seq := replicateSeq(&msg)
-		trace := msg.Trace()
+		op, _, _, count := parseRequest(&msg)
 		status := uint32(StatusBadRequest)
 		switch {
 		case rv.promoted.Load():
 			// We are the primary now; a push means a stale ex-primary is
 			// still alive. Refuse so its sender drops the connection.
 			status = StatusNoVolume
-		case op == OpReplicate && count <= maxTrain:
+		case op == OpReplicate && count <= maxTrain+repRecordHeader:
 			got := min(uint32(n), count)
 			if int(count) > len(f.Data) {
 				whole := bufpool.Get(int(count))
@@ -165,10 +164,8 @@ func (rv *replicaVol) applyLoop(p *ipc.Proc) {
 				}
 			}
 			if status == StatusOK {
-				status = rv.applyRecord(repKindWrite, file, offOrSize, f.Data[:count], seq, trace)
+				status = rv.applyBatch(f.Data[:count])
 			}
-		case op == OpRepCreate:
-			status = rv.applyRecord(repKindCreate, file, offOrSize, nil, seq, trace)
 		}
 		f.Release()
 		m := buildReply(status, rv.lastApplied.Load())
@@ -176,34 +173,51 @@ func (rv *replicaVol) applyLoop(p *ipc.Proc) {
 	}
 }
 
+// applyBatch applies a batch's records in order and stops at the first
+// that does not apply, returning its status; a record cut short by the
+// end of the batch is a BadRequest.
+func (rv *replicaVol) applyBatch(batch []byte) uint32 {
+	for len(batch) > 0 {
+		rec, n, ok := decodeRepRecord(batch)
+		if !ok {
+			return StatusBadRequest
+		}
+		if status := rv.applyRecord(&rec); status != StatusOK {
+			return status
+		}
+		batch = batch[n:]
+	}
+	return StatusOK
+}
+
 // applyRecord applies one record to the replicated store: writes go
 // store-first then invalidate the cached blocks (the cache's generation
 // stamps keep a racing read fill from caching pre-write bytes), creates
 // truncate through the cache.
 // Duplicates (a retransmitted push) ack silently; a sequence gap is
-// refused — the primary drops the connection and the replica pulls.
+// refused — the primary drops the connection and the replica rejoins.
 // A traced record logs a span event on the replica's own trace ring —
 // the remote leg of a multi-node write timeline.
-func (rv *replicaVol) applyRecord(kind byte, file, off uint32, data []byte, seq, trace uint32) uint32 {
+func (rv *replicaVol) applyRecord(rec *repRecord) uint32 {
 	rv.applyMu.Lock()
 	defer rv.applyMu.Unlock()
 	last := rv.lastApplied.Load()
-	if seq <= last {
+	if rec.seq <= last {
 		return StatusOK
 	}
-	if seq != last+1 {
+	if rec.seq != last+1 {
 		return StatusRepGap
 	}
-	v := rv.v
-	switch kind {
+	v, file, off := rv.v, rec.file, rec.off
+	switch rec.kind {
 	case repKindWrite:
-		if err := v.store.WriteAt(file, data, int64(off)); err != nil {
+		if err := v.store.WriteAt(file, rec.data, int64(off)); err != nil {
 			return StatusIOError
 		}
 		bs := uint32(rv.s.cfg.BlockSize)
 		end := off
-		if len(data) > 0 {
-			end = off + uint32(len(data)) - 1
+		if len(rec.data) > 0 {
+			end = off + uint32(len(rec.data)) - 1
 		}
 		for blk := off / bs; blk <= end/bs; blk++ {
 			v.cache.invalidate(blockID{file: file, block: blk})
@@ -218,17 +232,18 @@ func (rv *replicaVol) applyRecord(kind byte, file, off uint32, data []byte, seq,
 	default:
 		return StatusBadRequest
 	}
-	rv.lastApplied.Store(seq)
+	rv.lastApplied.Store(rec.seq)
 	rv.s.stats.replApplied.Add(1)
-	if trace != 0 {
-		rv.s.metrics.Trace().Record(trace, "repl.apply", uint64(seq), 0)
+	if rec.trace != 0 {
+		rv.s.metrics.Trace().Record(rec.trace, "repl.apply", uint64(rec.seq), 0)
 	}
 	return StatusOK
 }
 
 // run is the control loop: resolve the volume's primary through the
-// name service, enroll (catching up by pull or snapshot as the primary
-// directs), then heartbeat until the lease lapses or we are disowned.
+// name service, enroll (resyncing from a snapshot first when the primary
+// directs; otherwise its sender pushes us any gap), then heartbeat until
+// the lease lapses or we are disowned.
 // When nobody advertises the volume and the lease has lapsed, the
 // promotion rule runs (see shouldPromote).
 func (rv *replicaVol) run() {
@@ -263,12 +278,6 @@ func (rv *replicaVol) run() {
 		switch {
 		case status == StatusRepSnapshot:
 			if err := rv.resync(pid); err != nil {
-				if !rv.sleepStop(hb) {
-					return
-				}
-			}
-		case flags&repJoinPull != 0:
-			if err := rv.pullLoop(pid, &lastSeen); err != nil && err != errReplicaStopped {
 				if !rv.sleepStop(hb) {
 					return
 				}
@@ -387,48 +396,6 @@ func (rv *replicaVol) promote() {
 	s.stats.promotions.Add(1)
 }
 
-// pullLoop drains the catch-up gap with OpRepPull batches, applying
-// each streamed record, until the replica has the primary's current
-// sequence (then returns nil: the caller rejoins, this time in push
-// mode) or the primary directs a snapshot resync.
-func (rv *replicaVol) pullLoop(primary ipc.Pid, lastSeen *time.Time) error {
-	grant := make([]byte, repPullGrant)
-	for {
-		if rv.stopped() {
-			return errReplicaStopped
-		}
-		m := buildRequest(rv.v.id, OpRepPull, rv.rid, rv.lastApplied.Load()+1, uint32(len(grant)))
-		seg := ipc.Segment{Data: grant, Access: ipc.SegWrite}
-		if err := rv.ctl.Send(&m, primary, &seg); err != nil {
-			return err
-		}
-		status, _ := parseReply(&m)
-		switch status {
-		case StatusOK:
-		case StatusRepSnapshot:
-			return rv.resync(primary)
-		default:
-			return fmt.Errorf("%w: pull status %d", ErrBadStatus, status)
-		}
-		*lastSeen = time.Now()
-		nbytes, records, cur := repPullReply(&m)
-		data := grant[:nbytes]
-		for i := uint32(0); i < records; i++ {
-			rec, n, ok := decodeRepRecord(data)
-			if !ok {
-				return errors.New("rfs: truncated pull record")
-			}
-			data = data[n:]
-			if st := rv.applyRecord(rec.kind, rec.file, rec.off, rec.data, rec.seq, rec.trace); st != StatusOK {
-				return fmt.Errorf("%w: pull apply status %d", ErrBadStatus, st)
-			}
-		}
-		if rv.lastApplied.Load() >= cur || records == 0 {
-			return nil
-		}
-	}
-}
-
 // resync rebuilds the replicated store from a primary snapshot: the
 // catch-up log no longer reaches our position, so enumerate the
 // primary's files (OpRepFiles — which flushes its staged writes and
@@ -437,7 +404,7 @@ func (rv *replicaVol) pullLoop(primary ipc.Pid, lastSeen *time.Time) error {
 // primary no longer has, and adopt the snapshot sequence.
 func (rv *replicaVol) resync(primary ipc.Pid) error {
 	rv.s.stats.replResyncs.Add(1)
-	grant := make([]byte, repPullGrant)
+	grant := make([]byte, resyncGrant)
 	m := buildRequest(rv.v.id, OpRepFiles, 0, 0, uint32(len(grant)))
 	seg := ipc.Segment{Data: grant, Access: ipc.SegWrite}
 	if err := rv.ctl.Send(&m, primary, &seg); err != nil {
@@ -456,7 +423,7 @@ func (rv *replicaVol) resync(primary ipc.Pid) error {
 	v := rv.v
 	cl := &Client{p: rv.ctl, server: primary, vol: v.id, retry: DefaultRetryPolicy, sleep: time.Sleep}
 	want := make(map[uint32]bool, entries)
-	buf := make([]byte, repPullGrant)
+	buf := make([]byte, resyncGrant)
 	for i := uint32(0); i < entries; i++ {
 		ent := grant[int(i)*repFileEntry:]
 		file := binary.BigEndian.Uint32(ent)

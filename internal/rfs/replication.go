@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"vkernel/internal/bufpool"
 	"vkernel/internal/ipc"
 )
 
@@ -15,20 +16,18 @@ import (
 //
 // Ordering and durability contract: every mutation a primary
 // acknowledges is (1) assigned the next per-volume sequence under the
-// replication lock, (2) pushed — in sequence order, one exchange in
-// flight per replica — to every in-sync replica, and (3) acknowledged
-// to the client only after all in-sync replicas acked it (or were
-// dropped from the in-sync set at ReplicaAckTimeout). A promoted
-// replica therefore holds every write any client ever saw acknowledged,
-// which is the no-acked-write-lost half of failover; the drop-on-
-// timeout half keeps a dead replica from wedging the write path.
+// replication lock, (2) pushed — in sequence order, one batch exchange
+// in flight per replica — to every in-sync replica, and (3)
+// acknowledged to the client only after all in-sync replicas acked it
+// (or were dropped from the in-sync set at ReplicaAckTimeout). A
+// promoted replica therefore holds every write any client ever saw
+// acknowledged, which is the no-acked-write-lost half of failover; the
+// drop-on-timeout half keeps a dead replica from wedging the write path.
 
-// repRecord is one logged mutation. data is an owned copy (nil for
-// creates) and immutable once logged, so senders and pulls may stream
-// it outside the lock. trace is the originating client's 24-bit trace
-// id (0 = untraced): it rides the push message's trace word and the
-// pull stream's record header, so a traced write's span timeline
-// continues on every replica that applies it.
+// repRecord is one decoded replication record; data aliases the batch
+// it was decoded from. trace is the originating client's 24-bit trace
+// id (0 = untraced), so a traced write's span timeline continues on
+// every replica that applies it.
 type repRecord struct {
 	kind  byte
 	file  uint32
@@ -38,38 +37,49 @@ type repRecord struct {
 	data  []byte
 }
 
-// encodedLen is the record's wire size in a pull stream.
-func (r *repRecord) encodedLen() int { return repRecordHeader + len(r.data) }
-
-// encodeRepRecord writes r at dst and returns the bytes written.
-func encodeRepRecord(dst []byte, r *repRecord) int {
-	dst[0] = r.kind
-	binary.BigEndian.PutUint32(dst[1:], r.file)
-	binary.BigEndian.PutUint32(dst[5:], r.off)
-	binary.BigEndian.PutUint32(dst[9:], uint32(len(r.data)))
-	binary.BigEndian.PutUint32(dst[13:], r.seq)
-	binary.BigEndian.PutUint32(dst[17:], r.trace)
-	copy(dst[repRecordHeader:], r.data)
-	return r.encodedLen()
+// encodeRepRecord lays out one record in a new owned slice: the header,
+// then the payload gathered from parts. The log stores records in this
+// form and a push batch is a run of them, back to back.
+func encodeRepRecord(kind byte, file, off, seq, trace uint32, parts ...[]byte) []byte {
+	n := repRecordHeader
+	for _, p := range parts {
+		n += len(p)
+	}
+	dst := make([]byte, repRecordHeader, n)
+	dst[0] = kind
+	binary.BigEndian.PutUint32(dst[1:], file)
+	binary.BigEndian.PutUint32(dst[5:], off)
+	binary.BigEndian.PutUint32(dst[9:], uint32(n-repRecordHeader))
+	binary.BigEndian.PutUint32(dst[13:], seq)
+	binary.BigEndian.PutUint32(dst[17:], trace)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
 }
 
-// decodeRepRecord reads one record from src; the returned record's data
-// aliases src. ok is false when src is truncated.
+// decodeRepRecord reads one record from the front of src; the returned
+// record's data aliases src. ok is false when src is truncated. The
+// length word comes off the wire, so it is compared unsigned: on a
+// 32-bit build a length of 2^31 or more would turn negative as an int.
 func decodeRepRecord(src []byte) (r repRecord, n int, ok bool) {
 	if len(src) < repRecordHeader {
-		return r, 0, false
+		return repRecord{}, 0, false
 	}
-	r.kind = src[0]
-	r.file = binary.BigEndian.Uint32(src[1:])
-	r.off = binary.BigEndian.Uint32(src[5:])
-	dlen := int(binary.BigEndian.Uint32(src[9:]))
-	r.seq = binary.BigEndian.Uint32(src[13:])
-	r.trace = binary.BigEndian.Uint32(src[17:])
-	if len(src) < repRecordHeader+dlen {
-		return r, 0, false
+	dlen := binary.BigEndian.Uint32(src[9:])
+	if uint64(dlen) > uint64(len(src)-repRecordHeader) {
+		return repRecord{}, 0, false
 	}
-	r.data = src[repRecordHeader : repRecordHeader+dlen]
-	return r, repRecordHeader + dlen, true
+	n = repRecordHeader + int(dlen)
+	r = repRecord{
+		kind:  src[0],
+		file:  binary.BigEndian.Uint32(src[1:]),
+		off:   binary.BigEndian.Uint32(src[5:]),
+		seq:   binary.BigEndian.Uint32(src[13:]),
+		trace: binary.BigEndian.Uint32(src[17:]),
+		data:  src[repRecordHeader:n],
+	}
+	return r, n, true
 }
 
 // replicaConn is the primary's state for one enrolled replica.
@@ -77,14 +87,13 @@ type replicaConn struct {
 	rid    uint32
 	apply  ipc.Pid // the replica's per-volume apply process
 	server ipc.Pid // the replica's server process (read-set member)
-	// acked is the highest sequence the replica has proven applied
-	// (push acks; pull requests prove everything before them).
+	// acked is the highest sequence the replica has proven applied (push
+	// acks and heartbeats).
 	acked uint32
-	// push: a sender goroutine streams records; inSync then means the
-	// commit path waits for this replica. A pull-mode conn (push false)
-	// is membership only — it keeps the log retained while the replica
-	// drives its own catch-up.
-	push   bool
+	// inSync: the sender has drained the backlog, so the commit path
+	// waits for this replica and it is in the read set. A snapshot
+	// joiner has no sender and never is: its membership only keeps the
+	// log retained while it resyncs.
 	inSync bool
 	gone   bool
 	lastHB time.Time
@@ -97,22 +106,17 @@ type replState struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// seq is the last assigned sequence; the log covers
-	// [logStart, seq] (empty when logStart == seq+1).
+	// seq is the last assigned sequence; the log holds the encoded
+	// records [logStart, seq] (empty when logStart == seq+1).
 	seq      uint32
 	logStart uint32
-	log      []repRecord
+	log      [][]byte
 	logBytes int
 	replicas map[uint32]*replicaConn
 	closed   bool
 
 	senders sync.WaitGroup
 }
-
-// repPushSlack is how far behind a joining replica may be and still be
-// accepted straight into push mode (the sender drains the small gap);
-// farther back it pulls first, so a long catch-up never holds writes.
-const repPushSlack = 256
 
 func newReplState(s *Server, vol, seq uint32) *replState {
 	rs := &replState{
@@ -136,27 +140,17 @@ func (rs *replState) current() uint32 {
 // append assigns the next sequence to one mutation and logs it when any
 // replica is enrolled (the log only exists for catch-up; with no
 // members it stays empty and a later joiner resyncs from a snapshot).
-// parts are gathered into one owned copy.
+// parts are gathered into the record's one owned encoding.
 func (rs *replState) append(kind byte, file, off, trace uint32, parts ...[]byte) uint32 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
 	rs.mu.Lock()
 	rs.seq++
 	seq := rs.seq
 	if len(rs.replicas) == 0 {
 		rs.logStart = seq + 1
 	} else {
-		var data []byte
-		if total > 0 {
-			data = make([]byte, 0, total)
-			for _, p := range parts {
-				data = append(data, p...)
-			}
-		}
-		rs.log = append(rs.log, repRecord{kind: kind, file: file, off: off, seq: seq, trace: trace, data: data})
-		rs.logBytes += total
+		rec := encodeRepRecord(kind, file, off, seq, trace, parts...)
+		rs.log = append(rs.log, rec)
+		rs.logBytes += len(rec)
 		rs.trimLocked()
 	}
 	rs.cond.Broadcast()
@@ -164,14 +158,14 @@ func (rs *replState) append(kind byte, file, off, trace uint32, parts ...[]byte)
 	return seq
 }
 
-// trimLocked bounds the log by record count and bytes. Trimming past a
-// lagging member's position is allowed — its next pull draws
-// StatusRepSnapshot and it resyncs.
+// trimLocked bounds the log by record count and encoded bytes. Trimming
+// past a lagging member's position is allowed — its sender drops it, and
+// its rejoin draws StatusRepSnapshot.
 func (rs *replState) trimLocked() {
 	max := rs.s.cfg.ReplicaLogMax
 	maxBytes := rs.s.cfg.ReplicaLogMaxBytes
 	for len(rs.log) > max || rs.logBytes > maxBytes {
-		rs.logBytes -= len(rs.log[0].data)
+		rs.logBytes -= len(rs.log[0])
 		rs.log = rs.log[1:]
 		rs.logStart++
 	}
@@ -206,7 +200,7 @@ func (rs *replState) commit(seq uint32) {
 		}
 		if timedOut {
 			for _, conn := range rs.replicas {
-				if conn.push && conn.inSync && conn.acked < seq {
+				if conn.inSync && conn.acked < seq {
 					rs.dropLocked(conn)
 				}
 			}
@@ -223,7 +217,7 @@ func (rs *replState) waitingOnLocked(seq uint32) bool {
 		return false
 	}
 	for _, conn := range rs.replicas {
-		if conn.push && conn.inSync && !conn.gone && conn.acked < seq {
+		if conn.inSync && !conn.gone && conn.acked < seq {
 			return true
 		}
 	}
@@ -253,11 +247,11 @@ func (rs *replState) pruneLocked() {
 	}
 }
 
-// join enrolls (or re-enrolls) a replica and decides its catch-up mode:
-// within repPushSlack of the head and covered by the log → push (the
-// sender drains the gap); covered by the log but farther back → pull;
-// past the log's tail → snapshot resync. Pull and snapshot joiners are
-// members too, so the log is retained for them while they catch up.
+// join enrolls (or re-enrolls) a replica and decides its catch-up: one
+// the log covers is pushed the gap by its sender, in batches, and joins
+// the in-sync set once it has drained it; one past the log's tail must
+// resync from a snapshot first. A snapshot joiner is a member too, so
+// the log is retained for it while it resyncs.
 func (rs *replState) join(rid uint32, applyPid, serverPid ipc.Pid, lastApplied uint32) (seq, flags, status uint32) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -274,28 +268,23 @@ func (rs *replState) join(rid uint32, applyPid, serverPid ipc.Pid, lastApplied u
 		acked:  lastApplied,
 		lastHB: time.Now(),
 	}
-	covered := lastApplied+1 >= rs.logStart && lastApplied <= rs.seq
-	switch {
-	case lastApplied == rs.seq || (covered && rs.seq-lastApplied <= repPushSlack):
-		conn.push = true
-		conn.inSync = lastApplied == rs.seq
-		rs.replicas[rid] = conn
-		rs.senders.Add(1)
-		go rs.sender(conn)
-		return rs.seq, repJoinPush, StatusOK
-	case covered:
-		rs.replicas[rid] = conn
-		return rs.seq, repJoinPull, StatusOK
-	default:
-		rs.replicas[rid] = conn
+	rs.replicas[rid] = conn
+	if lastApplied+1 < rs.logStart || lastApplied > rs.seq {
 		return rs.seq, 0, StatusRepSnapshot
 	}
+	conn.inSync = lastApplied == rs.seq
+	rs.senders.Add(1)
+	go rs.sender(conn)
+	return rs.seq, repJoinPush, StatusOK
 }
 
-// sender streams the log to one push-mode replica, in order, one
-// exchange in flight. A sender that drains the backlog flips its
-// replica in-sync (commit then waits on it); any push failure or
-// non-OK reply drops the replica — it rejoins through catch-up.
+// sender streams the log to one replica, in order, one batch exchange
+// in flight: each batch is every record from the replica's next
+// sequence on that fits batchLocked's cap, so a catch-up drains a
+// backlog many records per exchange, and an in-sync replica is pushed
+// whatever accumulated while the last batch was out. A sender that
+// drains the backlog flips its replica in-sync (commit then waits on
+// it); any push failure or non-OK reply drops the replica — it rejoins.
 func (rs *replState) sender(conn *replicaConn) {
 	defer rs.senders.Done()
 	p, err := rs.s.node.Attach(fmt.Sprintf("repl-send-v%d-r%d", rs.vol, conn.rid))
@@ -320,89 +309,91 @@ func (rs *replState) sender(conn *replicaConn) {
 			rs.mu.Unlock()
 			return
 		}
-		next := conn.acked + 1
-		if next < rs.logStart {
-			// Trimmed out from under a lagging push conn; force a rejoin.
+		first := conn.acked + 1
+		recs, ok := rs.batchLocked(first)
+		if !ok {
+			// Trimmed out from under a lagging conn; force a rejoin.
 			rs.dropLocked(conn)
 			rs.mu.Unlock()
 			return
 		}
-		rec := rs.log[next-rs.logStart]
 		rs.mu.Unlock()
 
-		var m ipc.Message
-		var seg *ipc.Segment
-		if rec.kind == repKindCreate {
-			m = buildReplicate(OpRepCreate, rec.file, rec.off, 0, rec.seq)
-		} else {
-			m = buildReplicate(OpReplicate, rec.file, rec.off, uint32(len(rec.data)), rec.seq)
-			seg = &ipc.Segment{Data: rec.data, Access: ipc.SegRead}
-		}
-		// A traced record's push carries the trace id on the wire (the
-		// fan-out half of request tracing) and logs a span event on the
-		// primary covering the push exchange.
-		var t0 time.Time
-		if rec.trace != 0 {
-			m.SetTrace(rec.trace)
-			t0 = time.Now()
-		}
-		err := p.Send(&m, conn.apply, seg)
-		ok := err == nil
-		if ok {
-			status, _ := parseReply(&m)
-			ok = status == StatusOK
-		}
-		if rec.trace != 0 {
-			rs.s.metrics.Trace().Record(rec.trace, "repl.push", uint64(rec.seq), time.Since(t0))
-		}
+		ok = rs.push(p, conn.apply, recs)
 		rs.mu.Lock()
 		if !ok {
 			rs.dropLocked(conn)
 			rs.mu.Unlock()
 			return
 		}
-		if conn.acked < rec.seq {
-			conn.acked = rec.seq
+		if last := first + uint32(len(recs)) - 1; conn.acked < last {
+			conn.acked = last
 			rs.cond.Broadcast()
 		}
 		rs.mu.Unlock()
 	}
 }
 
-// pullRecords copies out up to maxBytes of encoded records starting at
-// from, for the pull handler to stream outside the lock. ok is false
-// when the log no longer reaches from (snapshot needed). A pull at
-// sequence from proves everything before it is applied, so the member's
-// acked position advances.
-func (rs *replState) pullRecords(rid, from uint32, maxBytes int) (recs []repRecord, cur uint32, ok bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if conn := rs.replicas[rid]; conn != nil {
-		conn.lastHB = time.Now()
-		if from > 0 && conn.acked < from-1 {
-			conn.acked = from - 1
-			rs.cond.Broadcast()
+// batchLocked returns the logged records from sequence from on, as many
+// as fit in maxTrain encoded bytes but never none: a lone record may
+// pass the cap by its own header (a whole-train write). The records are
+// the log's own slices, which are never rewritten once logged, so the
+// caller may send them after unlocking. ok is false when the log does
+// not hold from.
+func (rs *replState) batchLocked(from uint32) (recs [][]byte, ok bool) {
+	if from < rs.logStart || from > rs.seq {
+		return nil, false
+	}
+	i := int(from - rs.logStart)
+	j, total := i+1, len(rs.log[i])
+	for j < len(rs.log) && total+len(rs.log[j]) <= maxTrain {
+		total += len(rs.log[j])
+		j++
+	}
+	return rs.log[i:j], true
+}
+
+// push sends recs to a replica's apply process as one OpReplicate batch
+// and reports whether the replica applied every record. A lone record
+// is sent straight from the log; more are gathered into one pooled
+// buffer. A traced record's id rides the push message's trace word (the
+// fan-out half of request tracing), and each traced record logs a
+// repl.push span on the primary covering the batch exchange.
+func (rs *replState) push(p *ipc.Proc, apply ipc.Pid, recs [][]byte) bool {
+	batch := recs[0]
+	if len(recs) > 1 {
+		b := bufpool.Get(maxTrain)
+		defer b.Release()
+		n := 0
+		for _, rec := range recs {
+			n += copy(b.Data[n:], rec)
 		}
+		batch = b.Data[:n]
 	}
-	if from > rs.seq {
-		return nil, rs.seq, true // caught up: empty batch
-	}
-	if from < rs.logStart {
-		return nil, rs.seq, false
-	}
-	total := 0
-	for i := int(from - rs.logStart); i < len(rs.log); i++ {
-		rec := rs.log[i]
-		if total+rec.encodedLen() > maxBytes && len(recs) > 0 {
+	m := buildRequest(0, OpReplicate, 0, 0, uint32(len(batch)))
+	var t0 time.Time
+	for _, rec := range recs {
+		if r, _, _ := decodeRepRecord(rec); r.trace != 0 {
+			m.SetTrace(r.trace)
+			t0 = time.Now()
 			break
 		}
-		if total+rec.encodedLen() > maxBytes {
-			break // first record alone exceeds the grant
-		}
-		total += rec.encodedLen()
-		recs = append(recs, rec)
 	}
-	return recs, rs.seq, true
+	err := p.Send(&m, apply, &ipc.Segment{Data: batch, Access: ipc.SegRead})
+	ok := err == nil
+	if ok {
+		status, _ := parseReply(&m)
+		ok = status == StatusOK
+	}
+	if !t0.IsZero() {
+		dur := time.Since(t0)
+		for _, rec := range recs {
+			if r, _, _ := decodeRepRecord(rec); r.trace != 0 {
+				rs.s.metrics.Trace().Record(r.trace, "repl.push", uint64(r.seq), dur)
+			}
+		}
+	}
+	return ok
 }
 
 // heartbeat renews a member's lease and answers with the promotion
@@ -421,7 +412,7 @@ func (rs *replState) heartbeat(rid, lastApplied uint32) (seq, candidate, flags u
 		conn.acked = lastApplied
 		rs.cond.Broadcast()
 	}
-	if conn.push && conn.inSync {
+	if conn.inSync {
 		flags |= repHBInSync
 	}
 	return rs.seq, rs.candidateLocked(), flags
@@ -432,7 +423,7 @@ func (rs *replState) heartbeat(rid, lastApplied uint32) (seq, candidate, flags u
 func (rs *replState) candidateLocked() uint32 {
 	var c uint32
 	for rid, conn := range rs.replicas {
-		if conn.push && conn.inSync && (c == 0 || rid < c) {
+		if conn.inSync && (c == 0 || rid < c) {
 			c = rid
 		}
 	}
@@ -447,7 +438,7 @@ func (rs *replState) insyncCount() int {
 	defer rs.mu.Unlock()
 	n := 0
 	for _, conn := range rs.replicas {
-		if conn.push && conn.inSync {
+		if conn.inSync {
 			n++
 		}
 	}
@@ -478,7 +469,7 @@ func (rs *replState) readSet(self ipc.Pid) []ipc.Pid {
 	rs.pruneLocked()
 	pids := []ipc.Pid{self}
 	for _, conn := range rs.replicas {
-		if conn.push && conn.inSync {
+		if conn.inSync {
 			pids = append(pids, conn.server)
 		}
 	}
@@ -542,36 +533,6 @@ func (s *Server) handleRepJoin(v *volume, req *request, rid, lastApplied, segLen
 	seq, flags, status := v.repl.join(rid, applyPid, serverPid, lastApplied)
 	m := buildReply(status, 0)
 	stampRepJoin(&m, seq, flags)
-	_ = s.proc.Reply(&m, req.src)
-}
-
-// handleRepPull serves OpRepPull: encoded records MoveTo-streamed into
-// the replica's grant, batch bounded by the grant size.
-func (s *Server) handleRepPull(v *volume, req *request, rid, from, grant uint32) {
-	recs, cur, ok := v.repl.pullRecords(rid, from, int(grant))
-	if !ok {
-		m := buildReply(StatusRepSnapshot, 0)
-		stampRepPull(&m, 0, 0, cur)
-		_ = s.proc.Reply(&m, req.src)
-		return
-	}
-	total := 0
-	for i := range recs {
-		total += recs[i].encodedLen()
-	}
-	if total > 0 {
-		buf := make([]byte, total)
-		n := 0
-		for i := range recs {
-			n += encodeRepRecord(buf[n:], &recs[i])
-		}
-		if err := s.proc.MoveTo(req.src, 0, buf); err != nil {
-			s.replyStatus(req.src, StatusBadRequest, 0)
-			return
-		}
-	}
-	m := buildReply(StatusOK, 0)
-	stampRepPull(&m, uint32(total), uint32(len(recs)), cur)
 	_ = s.proc.Reply(&m, req.src)
 }
 

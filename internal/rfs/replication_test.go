@@ -371,11 +371,11 @@ func TestReplicaFailoverUDP(t *testing.T) {
 }
 
 // TestReplicaKillDuringCatchUp: with two replicas, one dies, misses a
-// few hundred writes (past the push slack, so its rejoin must pull the
-// backlog — the surviving member keeps the log alive), and dies again
-// mid-pull. The primary must shrug twice — writes stay fast once the
-// laggard is dropped — and the third incarnation still converges to
-// the full data set.
+// few hundred writes (a backlog its sender pushes it in batches when it
+// rejoins — the surviving member keeps the log alive), and dies again
+// while that backlog is being pushed. The primary must shrug twice —
+// writes stay fast once the laggard is dropped — and the third
+// incarnation still converges to the full data set.
 func TestReplicaKillDuringCatchUp(t *testing.T) {
 	cfg := replConfig(false)
 	cfg.Shards = 3
@@ -386,7 +386,7 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	// below into a snapshot resync.
 	cfg.Server.ReplicaAckTimeout = 500 * time.Millisecond
 	// A 1ms-per-op store stretches the catch-up so the test can reliably
-	// kill the replica while the pull is in progress.
+	// kill the replica while its backlog is being pushed.
 	cfg.NewStore = func(uint32) Store {
 		return &slowStore{Store: NewMemStore(), delay: time.Millisecond, readDelay: time.Millisecond}
 	}
@@ -398,7 +398,7 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	// Both replicas must be enrolled before the first write: one written
 	// to an empty membership is not logged, and a log that starts after
 	// sequence 1 cannot cover the restarted replica below — its rejoin
-	// would be a snapshot resync, not the pull under test.
+	// would be a snapshot resync, not the pushed catch-up under test.
 	waitUntil(t, 10*time.Second, "both replicas to enroll", func() bool {
 		return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 2
 	})
@@ -408,7 +408,7 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	// Replica 2 lives on shard 2; wait for it to enroll and serve.
 	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, 0, versionedPage(0, 1))
 
-	// Crash replica 2 and build a backlog past the push slack. Replica 1
+	// Crash replica 2 and build a backlog of a few batches. Replica 1
 	// stays enrolled, so every write commits synchronously to it and the
 	// log is retained for the rejoin.
 	c.Kill(2)
@@ -422,15 +422,15 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	if err := c.Restart(2); err != nil {
 		t.Fatal(err)
 	}
-	// Kill it again once the pull is demonstrably in progress.
-	waitUntil(t, 10*time.Second, "pull catch-up to start", func() bool {
+	// Kill it again once the pushed catch-up is demonstrably in progress.
+	waitUntil(t, 10*time.Second, "pushed catch-up to start", func() bool {
 		n := srvCounter(c.Servers[2].Srv, "rfs.repl_applied")
 		return n > 0 && n < backlog
 	})
 	c.Kill(2)
 
-	// The primary must not wedge on the vanished puller: a run of writes
-	// completes promptly (replica 1 acks; the dead puller is not in the
+	// The primary must not wedge on the vanished laggard: a run of writes
+	// completes promptly (replica 1 acks; the laggard was never in the
 	// in-sync wait).
 	start := time.Now()
 	for i := 0; i < 20; i++ {
@@ -449,6 +449,83 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	}
 	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, backlog, versionedPage(backlog, 1))
 	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, 5, versionedPage(5, 2))
+}
+
+// TestReplicaCatchUpUnderWrites: a restarted replica catches up from
+// the log while a writer keeps writing without pause. Behind, it is not
+// in-sync, so it does not throttle the writer; its sender must still
+// drain a backlog the writer keeps growing — batches carry many records
+// per exchange — and it must reach the in-sync set from the log alone,
+// with no snapshot fallback.
+func TestReplicaCatchUpUnderWrites(t *testing.T) {
+	cfg := replConfig(false)
+	cfg.Shards = 3
+	cfg.Replicas = 2
+	// Replica 1's membership keeps the log; a late ack must not drop it.
+	cfg.Server.ReplicaAckTimeout = 500 * time.Millisecond
+	// The restarted replica rejoins from sequence 0, so the log must
+	// still reach sequence 1 however many writes land while it restarts.
+	cfg.Server.ReplicaLogMax = 1 << 16
+	cfg.Server.ReplicaLogMaxBytes = 64 << 20
+	c := startCluster(t, cfg)
+	node := clientNode(t, c)
+	w := NewVolumeClient(attach(t, node, "writer"), newRouter(t, node), 1)
+	primary := c.Servers[0].Srv
+	insync := func() int64 { return volGauge(primary, "repl_insync") }
+	waitUntil(t, 10*time.Second, "both replicas to enroll", func() bool { return insync() == 2 })
+
+	// Replica 2 lives on shard 2.
+	c.Kill(2)
+	const backlog = 600
+	for b := uint32(0); b < backlog; b++ {
+		if err := w.WriteBlock(9, b, versionedPage(b, 1)); err != nil {
+			t.Fatalf("write %d with replica 2 down: %v", b, err)
+		}
+	}
+
+	var last atomic.Uint32 // the last block the writer saw acked
+	last.Store(backlog - 1)
+	stop := make(chan struct{})
+	errc := make(chan error, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for b := uint32(backlog); ; b++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := w.WriteBlock(9, b, versionedPage(b, 1)); err != nil {
+				errc <- fmt.Errorf("write %d during catch-up: %w", b, err)
+				return
+			}
+			last.Store(b)
+		}
+	}()
+	var stopOnce sync.Once
+	stopWriter := func() { stopOnce.Do(func() { close(stop); wg.Wait() }) }
+	defer stopWriter()
+
+	if err := c.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, "the restarted replica in-sync under writes", func() bool {
+		select {
+		case err := <-errc:
+			t.Fatal(err)
+		default:
+		}
+		return insync() == 2
+	})
+	stopWriter()
+	t.Logf("in-sync after %d writes past the backlog", last.Load()+1-backlog)
+	b := last.Load()
+	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, b, versionedPage(b, 1))
+	if n := srvCounter(c.Servers[2].Srv, "rfs.repl_resyncs"); n != 0 {
+		t.Fatalf("replica 2 resynced from a snapshot %d times; want a catch-up from the log alone", n)
+	}
 }
 
 // TestReplicaPromotionUnderLoss: failover must complete through 40%
@@ -647,5 +724,117 @@ func TestReplicaFailoverCachingReadYourWrites(t *testing.T) {
 	}
 	if !bytes.Equal(read(b), versionedPage(0, 3)) {
 		t.Fatal("read-your-writes broken after promotion")
+	}
+}
+
+// TestBatchAssembly: a push batch is the log's records from the asked-for
+// sequence on — consecutive, never none, within maxTrain encoded bytes
+// unless it is one record alone (a whole-train write) — and a batch
+// starting before the log's start is refused.
+func TestBatchAssembly(t *testing.T) {
+	rs := newReplState(&Server{cfg: Config{ReplicaLogMax: 300}.withDefaults()}, 1, 0)
+	rs.replicas[1] = &replicaConn{rid: 1} // a member, so records are logged
+	page := make([]byte, 512)
+	for b := uint32(0); b < 300; b++ {
+		rs.append(repKindWrite, 9, b*512, 0, page)
+	}
+	train := rs.append(repKindWrite, 10, 0, 0, make([]byte, maxTrain))
+	rs.append(repKindCreate, 11, 4096, 0)
+
+	// ReplicaLogMax trimmed the two oldest page records.
+	if rs.logStart != 3 {
+		t.Fatalf("log starts at %d, want 3", rs.logStart)
+	}
+	if _, ok := rs.batchLocked(rs.logStart - 1); ok {
+		t.Fatal("a batch starting before the log's start was not refused")
+	}
+	batches := 0
+	for from := rs.logStart; from <= rs.seq; batches++ {
+		recs, ok := rs.batchLocked(from)
+		if !ok || len(recs) == 0 {
+			t.Fatalf("batch at %d: ok=%v with %d records", from, ok, len(recs))
+		}
+		total := 0
+		for i, enc := range recs {
+			r, n, ok := decodeRepRecord(enc)
+			if !ok || n != len(enc) || r.seq != from+uint32(i) {
+				t.Fatalf("batch at %d: record %d decodes ok=%v n=%d/%d seq=%d", from, i, ok, n, len(enc), r.seq)
+			}
+			if r.seq == train && len(recs) != 1 {
+				t.Fatalf("batch at %d: the train record shares a batch of %d", from, len(recs))
+			}
+			total += len(enc)
+		}
+		if len(recs) > 1 && total > maxTrain {
+			t.Fatalf("batch at %d: %d records, %d bytes over the %d-byte cap", from, len(recs), total, maxTrain)
+		}
+		from += uint32(len(recs))
+	}
+	// 298 page records at 533 encoded bytes fill 122 to a batch: three
+	// batches, then the train alone and the create.
+	if batches != 5 {
+		t.Fatalf("%d batches, want 5", batches)
+	}
+}
+
+// FuzzDecodeRepRecord: the replica decodes pushed batches, so the record
+// decoder is a wire parser. Whatever the bytes, it must not panic, must
+// consume no more than it was given, and a record it accepts must be
+// exactly what encoding its fields reproduces.
+func FuzzDecodeRepRecord(f *testing.F) {
+	f.Add(encodeRepRecord(repKindWrite, 9, 512, 7, 0xabcdef, pattern(9, 512)))
+	f.Add(encodeRepRecord(repKindCreate, 9, 4096, 8, 0))
+	f.Add(encodeRepRecord(repKindWrite, 9, 0, 9, 0, pattern(9, 64))[:repRecordHeader-1])
+	huge := encodeRepRecord(repKindWrite, 9, 0, 10, 0, pattern(9, 16))
+	binary.BigEndian.PutUint32(huge[9:], 0xFFFFFFF0)
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, src []byte) {
+		r, n, ok := decodeRepRecord(src)
+		if n > len(src) {
+			t.Fatalf("consumed %d of %d bytes", n, len(src))
+		}
+		if !ok {
+			return
+		}
+		if enc := encodeRepRecord(r.kind, r.file, r.off, r.seq, r.trace, r.data); !bytes.Equal(enc, src[:n]) {
+			t.Fatalf("re-encoding gives %x, want %x", enc, src[:n])
+		}
+	})
+}
+
+// TestApplyBatchStopsAtTruncatedRecord: a batch whose last record is cut
+// short is answered BadRequest, every earlier record still applied, and
+// the reply's last applied sequence says how far the batch got.
+func TestApplyBatchStopsAtTruncatedRecord(t *testing.T) {
+	leakCheck(t)
+	mesh := ipc.NewMemNetwork(7, ipc.FaultConfig{})
+	defer mesh.Close()
+	node := ipc.NewNode(1, mesh.Transport(1), tightNode())
+	defer node.Close()
+	store := NewMemStore()
+	// A replica with no primary anywhere: nothing else pushes to it.
+	srv, err := StartVolumes(node, []VolumeSpec{{ID: 1, Store: store, Role: RoleReplica, ReplicaID: 1}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	data := pattern(9, 1500) // the batch outgrows the inline prefix
+	batch := encodeRepRecord(repKindCreate, 9, 0, 1, 0)
+	batch = append(batch, encodeRepRecord(repKindWrite, 9, 0, 2, 0, data)...)
+	cut := encodeRepRecord(repKindWrite, 9, 1500, 3, 0, pattern(10, 100))
+	batch = append(batch, cut[:len(cut)-1]...)
+
+	p := attach(t, node, "pusher")
+	m := buildRequest(0, OpReplicate, 0, 0, uint32(len(batch)))
+	if err := p.Send(&m, srv.volumes[1].rv.apply.Pid(), &ipc.Segment{Data: batch, Access: ipc.SegRead}); err != nil {
+		t.Fatal(err)
+	}
+	if status, last := parseReply(&m); status != StatusBadRequest || last != 2 {
+		t.Fatalf("reply status %d, last applied %d; want BadRequest after applying 2", status, last)
+	}
+	got := make([]byte, 2000)
+	if n, _ := store.ReadAt(9, got, 0); n != len(data) || !bytes.Equal(got[:n], data) {
+		t.Fatalf("store holds %d bytes of file 9, want the second record's %d", n, len(data))
 	}
 }

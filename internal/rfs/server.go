@@ -67,10 +67,6 @@ type Config struct {
 	// most one lease before the forced re-registration's version check
 	// purges them.
 	CacheLease time.Duration
-	// Invalidators sizes the invalidation-callback worker pool (0 → 4):
-	// the processes that Send OpInvalidate to registered caching clients
-	// while a write waits for their acknowledgements.
-	Invalidators int
 	// CallbackTimeout bounds one write's whole invalidation fan-out
 	// (0 → 1s). Registrations that have not acknowledged by then are
 	// revoked and the write acknowledged anyway — a misbehaving callback
@@ -136,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheLease <= 0 {
 		c.CacheLease = 2 * time.Second
-	}
-	if c.Invalidators <= 0 {
-		c.Invalidators = 4
 	}
 	if c.CallbackTimeout <= 0 {
 		c.CallbackTimeout = time.Second
@@ -229,7 +222,6 @@ var ops = [numOps]opRow{
 	OpReleaseCache:  {"release_cache", "", classWrite, (*Server).releaseCache},
 	OpQueryVolumes:  {"query_volumes", "", classGlobal, (*Server).queryVolumes},
 	OpRepJoin:       {"repl_control", "", classControl, (*Server).handleRepJoin},
-	OpRepPull:       {"repl_control", "", classControl, (*Server).handleRepPull},
 	OpRepFiles:      {"repl_control", "", classControl, (*Server).handleRepFiles},
 	OpRepHeartbeat:  {"repl_control", "", classControl, (*Server).handleRepHeartbeat},
 	OpQueryReplicas: {"repl_control", "", classWrite, (*Server).handleQueryReplicas},
@@ -450,13 +442,8 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 		s.volumes[spec.ID] = v
 		s.registerVolumeGauges(v)
 	}
-	registry, err := newCacheRegistry(node, s.cfg.CacheLease, s.cfg.CallbackTimeout, s.cfg.Invalidators, s.metrics)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	s.registry = registry
-	s.metrics.GaugeFunc("rfs.cache_watchers", func() int64 { return int64(registry.watcherCount()) })
+	s.registry = newCacheRegistry(node, s.cfg.CacheLease, s.cfg.CallbackTimeout, s.metrics)
+	s.metrics.GaugeFunc("rfs.cache_watchers", func() int64 { return int64(s.registry.watcherCount()) })
 	s.gaugeNames = append(s.gaugeNames, "rfs.cache_watchers")
 
 	// Rejoin probes: a restarting ex-primary asks the name service first
@@ -473,7 +460,6 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 	if rejoin {
 		probe, err := node.Attach("rfs-rejoin-probe")
 		if err != nil {
-			s.registry.close()
 			cleanup()
 			return nil, err
 		}
@@ -499,7 +485,6 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 		}
 		rv, err := s.startReplica(v, spec.ReplicaID)
 		if err != nil {
-			s.registry.close()
 			cleanup()
 			return nil, err
 		}
@@ -509,7 +494,6 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 	s.queue = make(chan *request, s.cfg.QueueDepth)
 	proc, err := node.Spawn("fileserver", s.serve)
 	if err != nil {
-		s.registry.close()
 		cleanup()
 		return nil, err
 	}
@@ -637,9 +621,6 @@ func (s *Server) Close() {
 		}
 		s.node.Detach(s.proc)
 		s.workers.Wait()
-		// Workers are quiesced, so no write can fan out callbacks anymore;
-		// the invalidator pool can go.
-		s.registry.close()
 		for _, v := range s.volumes {
 			if v.repl != nil {
 				v.repl.close()
