@@ -9,7 +9,7 @@ GO ?= go
 # stable local numbers.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race stress vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache loc obs-smoke check
+.PHONY: all build test race stress fuzz vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache loc obs-smoke check
 
 all: build test
 
@@ -29,20 +29,33 @@ race:
 # write landing between a large read's store read and its reply, which
 # later reads must see though the large read cached nothing, large
 # writes, which stage each train between pulls on the worker, pulled
-# under loss and replicated train by train, and a replica's catch-up from
-# the log, killed midway and under a writer that never pauses (rfs).
+# under loss and replicated train by train, a replica's catch-up from
+# the log, killed midway and under a writer that never pauses, and its
+# snapshot on the push stream: after a failover, over many files, killed
+# midway and under a writer that never pauses, and beside a sync error
+# it must not swallow (rfs).
 # Several minutes, so CI does not run it; run it after touching the
 # exchange, move, dispatch, large-read, large-write or replication paths.
 # Both halves always run; each one's full output is kept in
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
 STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites
 stress:
 	@s=0; \
 	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/ >stress-ipc.log 2>&1 || s=1; cat stress-ipc.log; \
 	$(GO) test -race -count=20 -run '$(STRESS_RFS)' ./internal/rfs/ >stress-rfs.log 2>&1 || s=1; cat stress-rfs.log; \
 	exit $$s
+
+# A short fuzzing pass over every wire parser, FUZZTIME each (raise it
+# for a real search). go test fuzzes one target per run, so each is
+# named as package:target.
+FUZZTIME ?= 2s
+FUZZ = ./internal/vproto:FuzzDecode ./internal/ipc:FuzzSplitSegments ./internal/rfs:FuzzDecodeRepRecord ./internal/rfs:FuzzApplyBatch
+fuzz:
+	@for t in $(FUZZ); do \
+		$(GO) test -run='^$$' -fuzz="^$${t#*:}$$" -fuzztime=$(FUZZTIME) -parallel=2 $${t%%:*} || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -126,4 +139,4 @@ loc:
 obs-smoke:
 	$(GO) run ./cmd/vstat -smoke
 
-check: build lint fmt-check test race obs-smoke
+check: build lint fmt-check test race fuzz obs-smoke

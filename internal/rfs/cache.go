@@ -599,14 +599,30 @@ func (c *blockCache) flushRun(file uint32, start uint32, items []flushItem) {
 	c.mu.Unlock()
 }
 
-// flushAll blocks until every block staged before the call has been
-// written back (or written off, or discarded by a truncate), returning —
-// and clearing — the first flush error since the previous drain. Blocks
+// flushAll drains the cache (see drain), then returns — and clears —
+// the first flush error since the previous flushAll. The server's
+// Flush and OpSync call this.
+func (c *blockCache) flushAll() error {
+	c.drain()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var err error
+	for _, e := range c.flushErrByFile {
+		err = e
+		break
+	}
+	c.flushErrByFile = make(map[uint32]error)
+	return err
+}
+
+// drain blocks until every block staged before the call has been
+// written back (or written off, or discarded by a truncate). Blocks
 // staged while the drain runs do NOT extend it: a sync promises
 // durability for the writes acknowledged before it, so a drain
-// terminates even while other clients keep writing. The server's
-// Flush/OpSync and Close call this.
-func (c *blockCache) flushAll() error {
+// terminates even while other clients keep writing. It leaves the
+// sticky flush errors to the syncs that report them: a replication
+// snapshot drains too.
+func (c *blockCache) drain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, sn := range c.drainSnapshotLocked(0) {
@@ -619,13 +635,6 @@ func (c *blockCache) flushAll() error {
 			c.cond.Wait()
 		}
 	}
-	var err error
-	for _, e := range c.flushErrByFile {
-		err = e
-		break
-	}
-	c.flushErrByFile = make(map[uint32]error)
-	return err
 }
 
 // drainSnap is one entry a drain waits on: need is the flush count at
@@ -695,7 +704,7 @@ func (c *blockCache) flushFile(file uint32) error {
 // close drains staged writes, stops the flushers and returns every cached
 // block to the pool (server shutdown).
 func (c *blockCache) close() {
-	_ = c.flushAll()
+	c.drain()
 	c.mu.Lock()
 	c.closed = true
 	c.cond.Broadcast()

@@ -19,8 +19,8 @@ import (
 // ascending opcode order, so the earlier cells' side effects on the
 // primary (a zero-length write creates file 7) are part of the pin.
 // Opcodes the file server process does not serve — 0, the callback and
-// replica-apply ops 10/17, the retired 13 and 18, and anything past the
-// last — must answer like any unknown word.
+// replica-apply ops 10/17, the retired 13, 14 and 18, and anything past
+// the last — must answer like any unknown word.
 func TestDispatchStatusByOp(t *testing.T) {
 	c := startCluster(t, ClusterConfig{Shards: 2, Volumes: []uint32{0, 1}, Replicas: 1})
 	// Volume 0's primary is shard 0, its replica shard 1.
@@ -52,7 +52,7 @@ func TestDispatchStatusByOp(t *testing.T) {
 		OpQueryVolumes:  {ok, ok, ok},
 		OpRepJoin:       {noVol, noVol, bad}, // no 8-byte pid segment
 		13:              {noVol, noVol, bad}, // retired: replica-driven pull
-		OpRepFiles:      {noVol, noVol, bad}, // file 7 exists; a zero grant cannot hold it
+		14:              {noVol, noVol, bad}, // retired: snapshot file catalog
 		OpRepHeartbeat:  {noVol, noVol, ok},
 		OpQueryReplicas: {noVol, noVol, ok},
 		OpReplicate:     {noVol, noVol, bad},

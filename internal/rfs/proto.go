@@ -86,25 +86,21 @@ const (
 	// acked mutation to its read replicas as a sequenced record stream:
 	// the per-volume sequence counter extends the registry's per-file
 	// version counters to a total order over the volume's writes.
-	// Control ops (join/files/heartbeat/query) address the primary server
+	// Control ops (join/heartbeat/query) address the primary server
 	// process and carry the volume in word 5 as usual; the one data op,
 	// OpReplicate, addresses the replica's per-volume apply process — the
-	// volume is implied by the destination pid. Opcodes 13 and 18 are
-	// retired (replica-driven pull catch-up and a per-record create push);
-	// the file server answers them like any unknown word.
+	// volume is implied by the destination pid. Opcodes 13, 14 and 18 are
+	// retired (replica-driven pull catch-up, a snapshot file catalog and a
+	// per-record create push); the file server answers them like any
+	// unknown word.
 
 	// OpRepJoin enrolls a replica with the primary: word 2 = replica id,
 	// word 3 = the replica's last applied sequence, word 4 = segment
 	// length (8: the replica's apply pid and server pid as big-endian
-	// uint32s). The reply (see stampRepJoin) tells the replica whether it
-	// was accepted for push (the primary's sender pushes it any gap the
-	// log covers) or needs a full snapshot resync.
+	// uint32s). Reply word 2 = the primary's current sequence. Every
+	// accepted joiner is pushed what it lacks on OpReplicate: the gap,
+	// when the log covers it, or else a snapshot followed by the log.
 	OpRepJoin uint32 = 12
-	// OpRepFiles enumerates the primary's files for a snapshot resync:
-	// word 4 = grant length; the reply segment carries (file id uint32,
-	// size uint64) pairs, reply word 2 = entry count, word 3 = the
-	// snapshot sequence the enumeration is consistent with.
-	OpRepFiles uint32 = 14
 	// OpRepHeartbeat is the replica's lease renewal on the primary:
 	// word 2 = replica id, word 3 = last applied sequence. The reply
 	// (stampRepHeartbeat) carries the primary's sequence, the current
@@ -123,7 +119,8 @@ const (
 	// with the Send, any remainder pulled with MoveFrom (the page-write
 	// pattern). The replica applies them in order and stops at the first
 	// that fails; the reply carries that status and the replica's last
-	// applied sequence in word 2.
+	// applied sequence in word 2. A snapshot travels the same way, as
+	// records between a begin and an end record.
 	OpReplicate uint32 = 17
 
 	// OpQueryStats scrapes the server's metrics registry over V IPC:
@@ -156,10 +153,9 @@ const (
 	// primary), and a demoted ex-primary answers replication control ops
 	// with it, so the existing reroute machinery covers failover too.
 	StatusNoVolume
-	// StatusRepSnapshot tells a joining replica that the primary's
-	// catch-up log no longer reaches its last applied sequence: it must
-	// resync from a full snapshot (OpRepFiles + large reads) and rejoin.
-	StatusRepSnapshot
+	// Status 5 is retired and never sent; its slot keeps StatusRepGap's
+	// value on the wire.
+	_
 	// StatusRepGap is a replica's refusal of an out-of-order push: the
 	// record's sequence is not the next one it expects. The primary
 	// drops the connection; the replica rejoins and is pushed the gap.
@@ -301,22 +297,6 @@ func writeVersion(m *ipc.Message) (version uint32, ok bool) {
 	return m.Word(3), true
 }
 
-// repJoinPush, in an OpRepJoin reply's flags (word 3): the replica is
-// enrolled and the primary pushes records from lastApplied+1 on.
-const repJoinPush uint32 = 1
-
-// stampRepJoin finishes an OpRepJoin reply: word 2 = the primary's
-// current sequence, word 3 = the repJoin decision flags.
-func stampRepJoin(m *ipc.Message, seq, flags uint32) {
-	m.SetWord(2, seq)
-	m.SetWord(3, flags)
-}
-
-// repJoinReply reads an OpRepJoin reply's sequence and decision flags.
-func repJoinReply(m *ipc.Message) (seq, flags uint32) {
-	return m.Word(2), m.Word(3)
-}
-
 // stampStatsReply finishes an OpQueryStats reply: word 2 = streamed
 // bytes, word 3 = the full snapshot size (larger than word 2 when the
 // grant could not hold the whole snapshot).
@@ -327,18 +307,6 @@ func stampStatsReply(m *ipc.Message, streamed, total uint32) {
 
 // statsReply reads an OpQueryStats reply.
 func statsReply(m *ipc.Message) (streamed, total uint32) {
-	return m.Word(2), m.Word(3)
-}
-
-// stampRepFiles finishes an OpRepFiles reply: word 2 = entry count,
-// word 3 = the snapshot sequence the enumeration is consistent with.
-func stampRepFiles(m *ipc.Message, entries, seq uint32) {
-	m.SetWord(2, entries)
-	m.SetWord(3, seq)
-}
-
-// repFilesReply reads an OpRepFiles reply.
-func repFilesReply(m *ipc.Message) (entries, seq uint32) {
 	return m.Word(2), m.Word(3)
 }
 
@@ -367,10 +335,14 @@ func repHeartbeatReply(m *ipc.Message) (seq, candidate, flags uint32) {
 }
 
 // Replication record kinds (the log's and the push batch's encoding;
-// see encodeRepRecord).
+// see encodeRepRecord). A snapshot is a begin record, then a create and
+// writes per file, then an end record, every one stamped with the
+// snapshot's sequence.
 const (
-	repKindWrite  = 1 // off = byte offset, data follows
-	repKindCreate = 2 // off = file size, no data
+	repKindWrite     = 1 // off = byte offset, data follows
+	repKindCreate    = 2 // off = file size, no data
+	repKindSnapBegin = 3 // no file, no data
+	repKindSnapEnd   = 4 // no file, no data
 )
 
 // repRecordHeader is the encoded record header size: kind (1 byte) plus
@@ -380,6 +352,3 @@ const (
 // extends onto each replica that applies it, however many records its
 // batch held.
 const repRecordHeader = 1 + 5*4
-
-// repFileEntry is one OpRepFiles entry: file id (uint32) + size (uint64).
-const repFileEntry = 4 + 8

@@ -2,7 +2,6 @@ package rfs
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,11 +13,11 @@ import (
 )
 
 // This file is the replica side of volume replication: the apply
-// process the primary pushes record batches to, the control loop that
-// joins a primary (snapshot-resyncing first when its log no longer
-// reaches us), heartbeats a lease on the primary, and — on lease
-// expiry — promotes the deterministic candidate (lowest in-sync replica
-// id) to primary.
+// process the primary pushes record batches to (a snapshot among them,
+// when the primary's log no longer reaches us), the control loop that
+// joins a primary, heartbeats a lease on it, and — on lease expiry —
+// promotes the deterministic candidate (lowest in-sync replica id) to
+// primary.
 //
 // A replica serves reads only while its primary counts it in-sync (the
 // last heartbeat reply said so); everything mutating is answered with
@@ -28,22 +27,6 @@ import (
 // answering, and in-sync replicas are never stale at all — the primary
 // acks a write only after they applied it.
 
-// resyncGrant sizes the snapshot-resync buffers: the file catalog grant
-// and each large read of a file's bytes.
-const resyncGrant = 2 * maxTrain
-
-// errReplicaStopped reports the control loop was asked to shut down.
-var errReplicaStopped = errors.New("rfs: replica stopped")
-
-// heartbeatLoop results.
-type hbResult int
-
-const (
-	hbStop    hbResult = iota // server closing
-	hbRejoin                  // primary disowned us (or the volume); rejoin
-	hbExpired                 // lease lapsed: the primary is presumed dead
-)
-
 // replicaVol runs one volume in replica role.
 type replicaVol struct {
 	s   *Server
@@ -51,12 +34,14 @@ type replicaVol struct {
 	rid uint32
 
 	apply *ipc.Proc // receives OpReplicate batches
-	ctl   *ipc.Proc // the control loop's join/resync/heartbeat endpoint
+	ctl   *ipc.Proc // the control loop's join/heartbeat endpoint
 
-	// applyMu orders record application (applyLoop) against a snapshot
-	// resync (the control loop).
-	applyMu     sync.Mutex
 	lastApplied atomic.Uint32
+	// snapshotting: a snapshot's begin record has applied and its end
+	// record not yet; snapSeq is its sequence. Only the applier touches
+	// them.
+	snapshotting bool
+	snapSeq      uint32
 	// serving: the primary's last heartbeat counted us in-sync, so reads
 	// may be answered from the replicated store.
 	serving atomic.Bool
@@ -194,18 +179,31 @@ func (rv *replicaVol) applyBatch(batch []byte) uint32 {
 // store-first then invalidate the cached blocks (the cache's generation
 // stamps keep a racing read fill from caching pre-write bytes), creates
 // truncate through the cache.
-// Duplicates (a retransmitted push) ack silently; a sequence gap is
-// refused — the primary drops the connection and the replica rejoins.
+// Outside a snapshot, duplicates (a retransmitted push) ack silently and
+// a sequence gap is refused — the primary drops the connection and the
+// replica rejoins. Inside one, records carry the snapshot's sequence
+// and apply without moving lastApplied; the end record sets it, so a
+// partial snapshot claims nothing.
 // A traced record logs a span event on the replica's own trace ring —
 // the remote leg of a multi-node write timeline.
 func (rv *replicaVol) applyRecord(rec *repRecord) uint32 {
-	rv.applyMu.Lock()
-	defer rv.applyMu.Unlock()
-	last := rv.lastApplied.Load()
-	if rec.seq <= last {
+	switch {
+	case rec.kind == repKindSnapBegin:
+		return rv.beginSnapshot(rec.seq)
+	case rv.snapshotting && rec.seq != rv.snapSeq:
+		return StatusRepGap
+	case rec.kind == repKindSnapEnd:
+		if !rv.snapshotting {
+			return StatusRepGap
+		}
+		rv.snapshotting = false
+		rv.lastApplied.Store(rec.seq)
 		return StatusOK
-	}
-	if rec.seq != last+1 {
+	case rv.snapshotting:
+		// A snapshot record: no sequence rule.
+	case rec.seq <= rv.lastApplied.Load():
+		return StatusOK
+	case rec.seq != rv.lastApplied.Load()+1:
 		return StatusRepGap
 	}
 	v, file, off := rv.v, rec.file, rec.off
@@ -232,7 +230,9 @@ func (rv *replicaVol) applyRecord(rec *repRecord) uint32 {
 	default:
 		return StatusBadRequest
 	}
-	rv.lastApplied.Store(rec.seq)
+	if !rv.snapshotting {
+		rv.lastApplied.Store(rec.seq)
+	}
 	rv.s.stats.replApplied.Add(1)
 	if rec.trace != 0 {
 		rv.s.metrics.Trace().Record(rec.trace, "repl.apply", uint64(rec.seq), 0)
@@ -240,11 +240,37 @@ func (rv *replicaVol) applyRecord(rec *repRecord) uint32 {
 	return StatusOK
 }
 
+// beginSnapshot starts applying a snapshot at sequence seq: the replica
+// stops serving and claims nothing (lastApplied 0, not eligible to
+// promote) before it truncates every local file, which the snapshot's
+// create records then rebuild, so a file the primary no longer has ends
+// empty.
+func (rv *replicaVol) beginSnapshot(seq uint32) uint32 {
+	rv.serving.Store(false)
+	rv.eligible.Store(false)
+	rv.lastApplied.Store(0)
+	rv.snapshotting, rv.snapSeq = true, seq
+	rv.s.stats.replResyncs.Add(1)
+	v := rv.v
+	files, err := v.store.Files()
+	if err != nil {
+		return StatusIOError
+	}
+	for _, file := range files {
+		err := v.cache.truncate(file, func() error {
+			return v.store.Create(file, 0)
+		})
+		if err != nil {
+			return StatusIOError
+		}
+	}
+	return StatusOK
+}
+
 // run is the control loop: resolve the volume's primary through the
-// name service, enroll (resyncing from a snapshot first when the primary
-// directs; otherwise its sender pushes us any gap), then heartbeat until
-// the lease lapses or we are disowned.
-// When nobody advertises the volume and the lease has lapsed, the
+// name service, enroll (its sender then pushes us whatever we lack),
+// then heartbeat until the lease lapses or we are disowned, and start
+// over. When nobody advertises the volume and the lease has lapsed, the
 // promotion rule runs (see shouldPromote).
 func (rv *replicaVol) run() {
 	defer rv.wg.Done()
@@ -266,8 +292,7 @@ func (rv *replicaVol) run() {
 			}
 			continue
 		}
-		seq, flags, status, err := rv.joinPrimary(pid)
-		if err != nil || (status != StatusOK && status != StatusRepSnapshot) {
+		if !rv.joinPrimary(pid) {
 			// Dead between resolve and join, or a stale advertiser.
 			if !rv.sleepStop(hb) {
 				return
@@ -275,55 +300,45 @@ func (rv *replicaVol) run() {
 			continue
 		}
 		lastSeen = time.Now()
-		switch {
-		case status == StatusRepSnapshot:
-			if err := rv.resync(pid); err != nil {
-				if !rv.sleepStop(hb) {
-					return
-				}
-			}
-		case flags&repJoinPush != 0:
-			if seq == rv.lastApplied.Load() {
-				rv.serving.Store(true)
-				rv.eligible.Store(true)
-			}
-			switch rv.heartbeatLoop(pid, &lastSeen, lease, hb) {
-			case hbStop:
-				return
-			case hbRejoin:
-				// loop: re-resolve and rejoin
-			case hbExpired:
-				// loop: the resolve-fails branch runs the promotion rule
-			}
-		default:
-			if !rv.sleepStop(hb) {
-				return
-			}
+		if !rv.heartbeatLoop(pid, &lastSeen, lease, hb) {
+			return
 		}
 	}
 }
 
-// joinPrimary sends OpRepJoin, granting the 8-byte pid pair.
-func (rv *replicaVol) joinPrimary(primary ipc.Pid) (seq, flags, status uint32, err error) {
+// joinPrimary sends OpRepJoin, granting the 8-byte pid pair, and reports
+// whether the primary enrolled us. A replica already at the primary's
+// sequence is in-sync from the start (the primary counts it so at once)
+// and serves straight away; any other waits for a heartbeat to say so.
+func (rv *replicaVol) joinPrimary(primary ipc.Pid) bool {
+	last := rv.lastApplied.Load()
 	var pids [8]byte
 	binary.BigEndian.PutUint32(pids[0:], uint32(rv.apply.Pid()))
 	binary.BigEndian.PutUint32(pids[4:], uint32(rv.s.proc.Pid()))
-	m := buildRequest(rv.v.id, OpRepJoin, rv.rid, rv.lastApplied.Load(), 8)
+	m := buildRequest(rv.v.id, OpRepJoin, rv.rid, last, 8)
 	seg := ipc.Segment{Data: pids[:], Access: ipc.SegRead}
 	if err := rv.ctl.Send(&m, primary, &seg); err != nil {
-		return 0, 0, 0, err
+		return false
 	}
-	status, _ = parseReply(&m)
-	seq, flags = repJoinReply(&m)
-	return seq, flags, status, nil
+	status, seq := parseReply(&m)
+	if status != StatusOK {
+		return false
+	}
+	if seq == last {
+		rv.serving.Store(true)
+		rv.eligible.Store(true)
+	}
+	return true
 }
 
 // heartbeatLoop renews the lease every hb until it lapses (the primary
-// stopped answering for a whole lease) or the primary disowns us.
-func (rv *replicaVol) heartbeatLoop(primary ipc.Pid, lastSeen *time.Time, lease, hb time.Duration) hbResult {
+// stopped answering for a whole lease: the caller's next resolve fails
+// and the promotion rule runs) or the primary disowns us (the caller
+// rejoins). It reports false when close was requested.
+func (rv *replicaVol) heartbeatLoop(primary ipc.Pid, lastSeen *time.Time, lease, hb time.Duration) bool {
 	for {
 		if !rv.sleepStop(hb) {
-			return hbStop
+			return false
 		}
 		m := buildRequest(rv.v.id, OpRepHeartbeat, rv.rid, rv.lastApplied.Load(), 0)
 		err := rv.ctl.Send(&m, primary, nil)
@@ -336,7 +351,7 @@ func (rv *replicaVol) heartbeatLoop(primary ipc.Pid, lastSeen *time.Time, lease,
 				if flags&repHBUnknown != 0 {
 					rv.serving.Store(false)
 					rv.eligible.Store(false)
-					return hbRejoin
+					return true
 				}
 				inSync := flags&repHBInSync != 0
 				rv.serving.Store(inSync)
@@ -346,13 +361,13 @@ func (rv *replicaVol) heartbeatLoop(primary ipc.Pid, lastSeen *time.Time, lease,
 			// StatusNoVolume: the advertiser is no longer this volume's
 			// primary (demoted, or a stale route) — re-resolve.
 			rv.serving.Store(false)
-			return hbRejoin
+			return true
 		}
 		if time.Since(*lastSeen) > lease {
 			// Presumed dead. Stop serving reads — from here our copy may
 			// go stale if a peer promotes and takes writes.
 			rv.serving.Store(false)
-			return hbExpired
+			return true
 		}
 	}
 }
@@ -394,84 +409,4 @@ func (rv *replicaVol) promote() {
 	rv.serving.Store(true)
 	s.proc.SetPid(LogicalVolumeBase+v.id, s.proc.Pid(), ipc.ScopeBoth)
 	s.stats.promotions.Add(1)
-}
-
-// resync rebuilds the replicated store from a primary snapshot: the
-// catch-up log no longer reaches our position, so enumerate the
-// primary's files (OpRepFiles — which flushes its staged writes and
-// stamps the snapshot sequence first, so anything newer is replayed on
-// top), stream each one over with large reads, drop local files the
-// primary no longer has, and adopt the snapshot sequence.
-func (rv *replicaVol) resync(primary ipc.Pid) error {
-	rv.s.stats.replResyncs.Add(1)
-	grant := make([]byte, resyncGrant)
-	m := buildRequest(rv.v.id, OpRepFiles, 0, 0, uint32(len(grant)))
-	seg := ipc.Segment{Data: grant, Access: ipc.SegWrite}
-	if err := rv.ctl.Send(&m, primary, &seg); err != nil {
-		return err
-	}
-	if status, _ := parseReply(&m); status != StatusOK {
-		return fmt.Errorf("%w: files status %d", ErrBadStatus, status)
-	}
-	entries, snapSeq := repFilesReply(&m)
-	if int(entries)*repFileEntry > len(grant) {
-		return errors.New("rfs: oversized file catalog")
-	}
-
-	rv.applyMu.Lock()
-	defer rv.applyMu.Unlock()
-	v := rv.v
-	cl := &Client{p: rv.ctl, server: primary, vol: v.id, retry: DefaultRetryPolicy, sleep: time.Sleep}
-	want := make(map[uint32]bool, entries)
-	buf := make([]byte, resyncGrant)
-	for i := uint32(0); i < entries; i++ {
-		ent := grant[int(i)*repFileEntry:]
-		file := binary.BigEndian.Uint32(ent)
-		size := int64(binary.BigEndian.Uint64(ent[4:]))
-		want[file] = true
-		err := v.cache.truncate(file, func() error {
-			return v.store.Create(file, size)
-		})
-		if err != nil {
-			return err
-		}
-		for off := int64(0); off < size; {
-			n := size - off
-			if n > int64(len(buf)) {
-				n = int64(len(buf))
-			}
-			got, err := cl.ReadLarge(file, uint32(off), buf[:n])
-			if err != nil {
-				return err
-			}
-			if got > 0 {
-				if err := v.store.WriteAt(file, buf[:got], off); err != nil {
-					return err
-				}
-			}
-			if int64(got) < n {
-				break // the file shrank mid-copy; newer records fix it up
-			}
-			off += int64(got)
-		}
-		if rv.stopped() {
-			return errReplicaStopped
-		}
-	}
-	local, err := v.store.Files()
-	if err != nil {
-		return err
-	}
-	for _, file := range local {
-		if !want[file] {
-			err := v.cache.truncate(file, func() error {
-				return v.store.Create(file, 0)
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	rv.lastApplied.Store(snapSeq)
-	return nil
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // This file is the primary side of volume replication: the sequenced
-// record log, the per-replica push senders, the synchronous commit the
+// record log, the per-replica push senders (each opening with a snapshot
+// when the log does not cover its joiner), the synchronous commit the
 // write path waits on, and the OpRep* control-op handlers.
 //
 // Ordering and durability contract: every mutation a primary
@@ -87,13 +88,11 @@ type replicaConn struct {
 	rid    uint32
 	apply  ipc.Pid // the replica's per-volume apply process
 	server ipc.Pid // the replica's server process (read-set member)
-	// acked is the highest sequence the replica has proven applied (push
-	// acks and heartbeats).
+	// acked is the highest sequence the replica has proven applied; only
+	// push acks move it (0 until a snapshot joiner's end record is acked).
 	acked uint32
 	// inSync: the sender has drained the backlog, so the commit path
-	// waits for this replica and it is in the read set. A snapshot
-	// joiner has no sender and never is: its membership only keeps the
-	// log retained while it resyncs.
+	// waits for this replica and it is in the read set.
 	inSync bool
 	gone   bool
 	lastHB time.Time
@@ -139,14 +138,15 @@ func (rs *replState) current() uint32 {
 
 // append assigns the next sequence to one mutation and logs it when any
 // replica is enrolled (the log only exists for catch-up; with no
-// members it stays empty and a later joiner resyncs from a snapshot).
+// members it is emptied, so it always holds [logStart, seq], and a
+// later joiner is pushed a snapshot).
 // parts are gathered into the record's one owned encoding.
 func (rs *replState) append(kind byte, file, off, trace uint32, parts ...[]byte) uint32 {
 	rs.mu.Lock()
 	rs.seq++
 	seq := rs.seq
 	if len(rs.replicas) == 0 {
-		rs.logStart = seq + 1
+		rs.log, rs.logBytes, rs.logStart = nil, 0, seq+1
 	} else {
 		rec := encodeRepRecord(kind, file, off, seq, trace, parts...)
 		rs.log = append(rs.log, rec)
@@ -160,7 +160,7 @@ func (rs *replState) append(kind byte, file, off, trace uint32, parts ...[]byte)
 
 // trimLocked bounds the log by record count and encoded bytes. Trimming
 // past a lagging member's position is allowed — its sender drops it, and
-// its rejoin draws StatusRepSnapshot.
+// its rejoin is pushed a snapshot.
 func (rs *replState) trimLocked() {
 	max := rs.s.cfg.ReplicaLogMax
 	maxBytes := rs.s.cfg.ReplicaLogMaxBytes
@@ -247,16 +247,16 @@ func (rs *replState) pruneLocked() {
 	}
 }
 
-// join enrolls (or re-enrolls) a replica and decides its catch-up: one
-// the log covers is pushed the gap by its sender, in batches, and joins
-// the in-sync set once it has drained it; one past the log's tail must
-// resync from a snapshot first. A snapshot joiner is a member too, so
-// the log is retained for it while it resyncs.
-func (rs *replState) join(rid uint32, applyPid, serverPid ipc.Pid, lastApplied uint32) (seq, flags, status uint32) {
+// join enrolls (or re-enrolls) a replica and starts its sender, which
+// pushes it the gap when the log covers its position, or else a snapshot
+// first; the replica joins the in-sync set once the sender has drained
+// the backlog. Enrolling before the snapshot keeps every record past it
+// in the log.
+func (rs *replState) join(rid uint32, applyPid, serverPid ipc.Pid, lastApplied uint32) (seq, status uint32) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.closed {
-		return 0, 0, StatusNoVolume
+		return 0, StatusNoVolume
 	}
 	if old := rs.replicas[rid]; old != nil {
 		rs.dropLocked(old)
@@ -265,17 +265,17 @@ func (rs *replState) join(rid uint32, applyPid, serverPid ipc.Pid, lastApplied u
 		rid:    rid,
 		apply:  applyPid,
 		server: serverPid,
-		acked:  lastApplied,
 		lastHB: time.Now(),
 	}
 	rs.replicas[rid] = conn
-	if lastApplied+1 < rs.logStart || lastApplied > rs.seq {
-		return rs.seq, 0, StatusRepSnapshot
+	snapshot := lastApplied+1 < rs.logStart || lastApplied > rs.seq
+	if !snapshot {
+		conn.acked = lastApplied
+		conn.inSync = lastApplied == rs.seq
 	}
-	conn.inSync = lastApplied == rs.seq
 	rs.senders.Add(1)
-	go rs.sender(conn)
-	return rs.seq, repJoinPush, StatusOK
+	go rs.sender(conn, snapshot)
+	return rs.seq, StatusOK
 }
 
 // sender streams the log to one replica, in order, one batch exchange
@@ -285,7 +285,9 @@ func (rs *replState) join(rid uint32, applyPid, serverPid ipc.Pid, lastApplied u
 // whatever accumulated while the last batch was out. A sender that
 // drains the backlog flips its replica in-sync (commit then waits on
 // it); any push failure or non-OK reply drops the replica — it rejoins.
-func (rs *replState) sender(conn *replicaConn) {
+// A snapshot joiner is pushed the snapshot first and the log from its
+// sequence on.
+func (rs *replState) sender(conn *replicaConn, snapshot bool) {
 	defer rs.senders.Done()
 	p, err := rs.s.node.Attach(fmt.Sprintf("repl-send-v%d-r%d", rs.vol, conn.rid))
 	if err != nil {
@@ -295,6 +297,17 @@ func (rs *replState) sender(conn *replicaConn) {
 		return
 	}
 	defer rs.s.node.Detach(p)
+	if snapshot {
+		seq, ok := rs.snapshot(p, conn)
+		rs.mu.Lock()
+		if !ok {
+			rs.dropLocked(conn)
+			rs.mu.Unlock()
+			return
+		}
+		conn.acked = seq
+		rs.mu.Unlock()
+	}
 	for {
 		rs.mu.Lock()
 		for !rs.closed && !conn.gone && conn.acked == rs.seq {
@@ -353,6 +366,71 @@ func (rs *replState) batchLocked(from uint32) (recs [][]byte, ok bool) {
 	return rs.log[i:j], true
 }
 
+// snapshot pushes the volume's contents to a joiner the log does not
+// cover, as ordinary records in OpReplicate batches: a begin record,
+// each file as a create (its size) and its bytes as writes, and an end
+// record, every one stamped with the snapshot sequence it returns. That
+// sequence is read first and the cache drained second, so every record
+// up to it is on the store the walk reads; every later one stays in the
+// log (the joiner is a member) and replays on top, writes being
+// absolute. A write record carries at most maxTrain-repRecordHeader
+// bytes, so every batch fits one pooled maxTrain buffer. ok reports
+// whether the joiner applied the whole snapshot.
+func (rs *replState) snapshot(p *ipc.Proc, conn *replicaConn) (seq uint32, ok bool) {
+	rs.mu.Lock()
+	seq = rs.seq
+	rs.mu.Unlock()
+	v := rs.s.volumes[rs.vol]
+	v.cache.drain()
+	ids, err := v.store.Files()
+	if err != nil {
+		return seq, false
+	}
+	recs := [][]byte{encodeRepRecord(repKindSnapBegin, 0, 0, seq, 0)}
+	size := len(recs[0])
+	flush := func() bool {
+		rs.mu.Lock()
+		live := !rs.closed && !conn.gone
+		rs.mu.Unlock()
+		sent := live && rs.push(p, conn.apply, recs)
+		recs, size = recs[:0], 0
+		return sent
+	}
+	emit := func(rec []byte) bool {
+		if size+len(rec) > maxTrain && !flush() {
+			return false
+		}
+		recs = append(recs, rec)
+		size += len(rec)
+		return true
+	}
+	buf := make([]byte, maxTrain-repRecordHeader)
+	for _, id := range ids {
+		n, err := v.store.Size(id)
+		if err == ErrNoFile {
+			continue
+		}
+		if err != nil || !emit(encodeRepRecord(repKindCreate, id, uint32(n), seq, 0)) {
+			return seq, false
+		}
+		for off := int64(0); off < n; {
+			want := min(n-off, int64(len(buf)))
+			got, err := v.store.ReadAt(id, buf[:want], off)
+			if err != nil && err != ErrNoFile {
+				return seq, false
+			}
+			if got > 0 && !emit(encodeRepRecord(repKindWrite, id, uint32(off), seq, 0, buf[:got])) {
+				return seq, false
+			}
+			if int64(got) < want {
+				break // the file shrank under the walk; a later record replays it
+			}
+			off += want
+		}
+	}
+	return seq, emit(encodeRepRecord(repKindSnapEnd, 0, 0, seq, 0)) && flush()
+}
+
 // push sends recs to a replica's apply process as one OpReplicate batch
 // and reports whether the replica applied every record. A lone record
 // is sent straight from the log; more are gathered into one pooled
@@ -398,8 +476,9 @@ func (rs *replState) push(p *ipc.Proc, apply ipc.Pid, recs [][]byte) bool {
 
 // heartbeat renews a member's lease and answers with the promotion
 // candidate (lowest in-sync replica id). Unknown members are told to
-// rejoin; stale members are pruned while we are here.
-func (rs *replState) heartbeat(rid, lastApplied uint32) (seq, candidate, flags uint32) {
+// rejoin; stale members are pruned while we are here. It never moves
+// acked: a replica's position is proven only by push acks.
+func (rs *replState) heartbeat(rid uint32) (seq, candidate, flags uint32) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	rs.pruneLocked()
@@ -408,10 +487,6 @@ func (rs *replState) heartbeat(rid, lastApplied uint32) (seq, candidate, flags u
 		return rs.seq, rs.candidateLocked(), repHBUnknown
 	}
 	conn.lastHB = time.Now()
-	if conn.acked < lastApplied {
-		conn.acked = lastApplied
-		rs.cond.Broadcast()
-	}
 	if conn.inSync {
 		flags |= repHBInSync
 	}
@@ -530,63 +605,14 @@ func (s *Server) handleRepJoin(v *volume, req *request, rid, lastApplied, segLen
 	}
 	applyPid := ipc.Pid(binary.BigEndian.Uint32(req.buf[0:4]))
 	serverPid := ipc.Pid(binary.BigEndian.Uint32(req.buf[4:8]))
-	seq, flags, status := v.repl.join(rid, applyPid, serverPid, lastApplied)
-	m := buildReply(status, 0)
-	stampRepJoin(&m, seq, flags)
-	_ = s.proc.Reply(&m, req.src)
-}
-
-// handleRepFiles serves OpRepFiles, the snapshot enumeration: staged
-// writes are flushed first so the store holds every acked byte, the
-// snapshot sequence is read before the walk so any racing write is
-// replayed on top of the snapshot, and the (file, size) entries are
-// streamed into the replica's grant.
-func (s *Server) handleRepFiles(v *volume, req *request, _, _, grant uint32) {
-	if err := v.cache.flushAll(); err != nil {
-		s.replyStatus(req.src, StatusIOError, 0)
-		return
-	}
-	snapSeq := v.repl.current()
-	ids, err := v.store.Files()
-	if err != nil {
-		s.replyStatus(req.src, StatusIOError, 0)
-		return
-	}
-	if len(ids)*repFileEntry > int(grant) {
-		// The replica's grant cannot hold the catalog; a larger grant is
-		// the fix, not a silently partial snapshot.
-		s.replyStatus(req.src, StatusBadRequest, 0)
-		return
-	}
-	buf := make([]byte, len(ids)*repFileEntry)
-	n := 0
-	for _, id := range ids {
-		size, err := v.store.Size(id)
-		if err != nil {
-			if err == ErrNoFile {
-				continue
-			}
-			s.replyStatus(req.src, StatusIOError, 0)
-			return
-		}
-		binary.BigEndian.PutUint32(buf[n:], id)
-		binary.BigEndian.PutUint64(buf[n+4:], uint64(size))
-		n += repFileEntry
-	}
-	if n > 0 {
-		if err := s.proc.MoveTo(req.src, 0, buf[:n]); err != nil {
-			s.replyStatus(req.src, StatusBadRequest, 0)
-			return
-		}
-	}
-	m := buildReply(StatusOK, 0)
-	stampRepFiles(&m, uint32(n/repFileEntry), snapSeq)
+	seq, status := v.repl.join(rid, applyPid, serverPid, lastApplied)
+	m := buildReply(status, seq)
 	_ = s.proc.Reply(&m, req.src)
 }
 
 // handleRepHeartbeat serves OpRepHeartbeat (see replState.heartbeat).
-func (s *Server) handleRepHeartbeat(v *volume, req *request, rid, lastApplied, _ uint32) {
-	seq, candidate, flags := v.repl.heartbeat(rid, lastApplied)
+func (s *Server) handleRepHeartbeat(v *volume, req *request, rid, _, _ uint32) {
+	seq, candidate, flags := v.repl.heartbeat(rid)
 	m := buildReply(StatusOK, 0)
 	stampRepHeartbeat(&m, seq, candidate, flags)
 	_ = s.proc.Reply(&m, req.src)

@@ -777,6 +777,32 @@ func TestBatchAssembly(t *testing.T) {
 	}
 }
 
+// TestLogEmptiesWithMembership: a record appended while no replica is
+// enrolled is not logged, and the log restarts after it — a later
+// joiner's batch holds the records it asks for, not ones logged before
+// the membership emptied.
+func TestLogEmptiesWithMembership(t *testing.T) {
+	rs := newReplState(&Server{cfg: Config{}.withDefaults()}, 1, 0)
+	conn := &replicaConn{rid: 1}
+	rs.replicas[1] = conn
+	rs.append(repKindWrite, 9, 0, 0, make([]byte, 512))
+	delete(rs.replicas, 1)
+	rs.append(repKindWrite, 9, 512, 0, make([]byte, 512))
+	rs.replicas[1] = conn
+	third := rs.append(repKindCreate, 10, 0, 0)
+
+	recs, ok := rs.batchLocked(third)
+	if !ok || len(recs) != 1 {
+		t.Fatalf("batch at %d: ok=%v with %d records, want the one record", third, ok, len(recs))
+	}
+	if r, _, _ := decodeRepRecord(recs[0]); r.seq != third || r.kind != repKindCreate {
+		t.Fatalf("batch at %d holds kind %d seq %d", third, r.kind, r.seq)
+	}
+	if rs.logBytes != len(recs[0]) {
+		t.Fatalf("log counts %d bytes, want %d", rs.logBytes, len(recs[0]))
+	}
+}
+
 // FuzzDecodeRepRecord: the replica decodes pushed batches, so the record
 // decoder is a wire parser. Whatever the bytes, it must not panic, must
 // consume no more than it was given, and a record it accepts must be

@@ -85,7 +85,7 @@ type Config struct {
 	ReplicaAckTimeout time.Duration
 	// ReplicaLogMax and ReplicaLogMaxBytes bound the per-volume catch-up
 	// log in records and bytes (0 → 1024 / 4 MiB). A replica trimmed out
-	// of the log resyncs from a snapshot instead.
+	// of the log is pushed a snapshot instead.
 	ReplicaLogMax      int
 	ReplicaLogMaxBytes int
 }
@@ -222,7 +222,6 @@ var ops = [numOps]opRow{
 	OpReleaseCache:  {"release_cache", "", classWrite, (*Server).releaseCache},
 	OpQueryVolumes:  {"query_volumes", "", classGlobal, (*Server).queryVolumes},
 	OpRepJoin:       {"repl_control", "", classControl, (*Server).handleRepJoin},
-	OpRepFiles:      {"repl_control", "", classControl, (*Server).handleRepFiles},
 	OpRepHeartbeat:  {"repl_control", "", classControl, (*Server).handleRepHeartbeat},
 	OpQueryReplicas: {"repl_control", "", classWrite, (*Server).handleQueryReplicas},
 	OpQueryStats:    {"query_stats", "rfs.stat_scrapes", classGlobal, (*Server).queryStats},

@@ -28,7 +28,8 @@ type Store interface {
 	// existing content).
 	Create(file uint32, size int64) error
 	// Files enumerates the ids of every file the store holds, in no
-	// particular order (snapshot resync walks it to mirror a primary).
+	// particular order (the primary's snapshot sender walks it to bring
+	// a replica the log does not cover up to date).
 	Files() ([]uint32, error)
 	// Close releases store resources.
 	Close() error

@@ -738,9 +738,9 @@ func TestZeroLengthWriteParity(t *testing.T) {
 	}
 }
 
-// capStore fails every WriteAt that would reach past limit bytes, so a
-// write the server lets through at a 4 GiB offset fails in the flush
-// instead of growing a MemStore to that size.
+// capStore fails every WriteAt (and Create) that would reach past limit
+// bytes, so a write the server lets through at a 4 GiB offset fails in
+// the flush instead of growing a MemStore to that size.
 type capStore struct {
 	Store
 	limit int64
@@ -751,6 +751,13 @@ func (s *capStore) WriteAt(file uint32, p []byte, off int64) error {
 		return fmt.Errorf("capStore: write [%d, %d) past %d", off, off+int64(len(p)), s.limit)
 	}
 	return s.Store.WriteAt(file, p, off)
+}
+
+func (s *capStore) Create(file uint32, size int64) error {
+	if size > s.limit {
+		return fmt.Errorf("capStore: create of %d bytes past %d", size, s.limit)
+	}
+	return s.Store.Create(file, size)
 }
 
 // TestWriteRangePast4GiB: protocol offsets are 32-bit, so a write whose
