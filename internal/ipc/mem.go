@@ -13,7 +13,7 @@ import (
 type FaultConfig struct {
 	DropProb    float64       // lose the packet
 	DupProb     float64       // deliver it twice
-	CorruptProb float64       // flip a byte (caught by the packet checksum)
+	CorruptProb float64       // flip a byte (caught by the packet's CRC-32C frame check)
 	Delay       time.Duration // fixed delivery delay (one-way link latency)
 	MaxDelay    time.Duration // uniform random delivery delay on top (reorders)
 }

@@ -66,9 +66,10 @@ func (pt *peerTable) snapshot() []*net.UDPAddr {
 // received packets (§3.1), so replies to broadcast lookups and messages
 // from previously unknown peers can be unicast — and so a peer that
 // rebound (a rebooted server on a fresh ephemeral port) overrides its
-// stale AddPeer entry. Packets too short to carry a header, packets of
-// a different protocol version, and host-0 sources (an unset pid field
-// in a malformed packet) teach nothing.
+// stale AddPeer entry. pkt is a datagram's first packet. It teaches
+// nothing if it is too short for a header, of another protocol version
+// or from host 0 (an unset pid field), or, checked only when it would
+// change the table, if it fails to decode: corruption rebinds no peer.
 func (pt *peerTable) learn(pkt []byte, from netip.AddrPort) {
 	if len(pkt) < 12 || pkt[1] != vproto.Version {
 		return
@@ -81,7 +82,8 @@ func (pt *peerTable) learn(pkt []byte, from netip.AddrPort) {
 	// Runs once per received datagram: compare in place, and build a
 	// *net.UDPAddr only for a sender that is new or has moved.
 	pt.mu.Lock()
-	if cur := pt.peers[host]; cur == nil || cur.AddrPort() != from {
+	var p vproto.Packet
+	if cur := pt.peers[host]; (cur == nil || cur.AddrPort() != from) && vproto.DecodeInto(&p, pkt) == nil {
 		pt.peers[host] = net.UDPAddrFromAddrPort(from)
 		pt.snap = nil
 	}

@@ -42,8 +42,20 @@ func TestLearnRejectsGarbage(t *testing.T) {
 	wrongVersion[1] ^= 0x7F
 	pt.learn(wrongVersion, from)
 
+	corrupt := encodeFrom(t, vproto.MakePid(3, 5))
+	corrupt[vproto.HeaderSize+4] ^= 0x01 // one message bit: the frame check fails
+	pt.learn(corrupt, from)
+
 	if len(pt.snapshot()) != 0 {
 		t.Fatalf("garbage datagrams taught %d peers", len(pt.snapshot()))
+	}
+
+	// Nor may a frame that fails its check rebind a known peer.
+	known := addrOf(t, "127.0.0.1:9005")
+	pt.add(3, known)
+	pt.learn(corrupt, from)
+	if got := pt.get(3); !sameUDPAddr(got, known) {
+		t.Fatalf("corrupted frame rebound host 3 to %v, want %v", got, known)
 	}
 }
 

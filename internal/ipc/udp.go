@@ -233,9 +233,13 @@ func (t *UDPTransport) readLoop() {
 		if err != nil {
 			return // closed
 		}
-		t.peers.learn(scratch[:n], from)
+		seg := groSegSize(oob[:oobn])
+		if seg <= 0 {
+			seg = n
+		}
+		t.peers.learn(scratch[:min(n, seg)], from)
 		t.recvs.Add(1)
-		t.rxPackets.Add(int64(batch.addSegments(scratch[:n], groSegSize(oob[:oobn]))))
+		t.rxPackets.Add(int64(batch.addSegments(scratch[:n], seg)))
 		batch.flush()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // Snapshot wire format. A scrape (OpQueryStats, expvar, vstat) carries
@@ -20,7 +21,7 @@ import (
 //	h <name> <count> <sum> <max> <p50> <p95> <p99>
 //	t <trace> <unixnano> <what> <arg> <dur-ns>
 //
-// Names, labels and event names never contain spaces (Serialize
+// Names, labels and event names never contain white space (Serialize
 // replaces any with underscores). Unknown line kinds are skipped by
 // the parser, so the format is forward-extensible.
 
@@ -159,12 +160,13 @@ func sanitize(name string) string {
 	if name == "" {
 		return "-"
 	}
-	if !strings.ContainsAny(name, " \t\n") {
+	// Any rune ParseSnapshot's strings.Fields splits on, not only ' ',
+	// '\t' and '\n': a '\r' or '\v' in a name would split its line.
+	if !strings.ContainsFunc(name, unicode.IsSpace) {
 		return name
 	}
 	return strings.Map(func(r rune) rune {
-		switch r {
-		case ' ', '\t', '\n':
+		if unicode.IsSpace(r) {
 			return '_'
 		}
 		return r

@@ -73,6 +73,8 @@ type blockCache struct {
 	maxRun    int // max blocks coalesced into one flush write
 	entries   map[blockID]*list.Element
 	lru       *list.List // front = most recently used
+	// fileBlocks counts entries per file; a file with none is absent.
+	fileBlocks map[uint32]int
 
 	// Write-behind state, guarded by mu. dirty holds the staged blocks no
 	// flusher has claimed yet; dirtyCount counts every non-clean entry
@@ -145,6 +147,7 @@ func newBlockCache(capacity, blockSize, budget, flushers int, write func(file ui
 		maxRun:         64 * 1024 / blockSize, // one flush write covers ≤ 64 KB (a pooled staging class)
 		entries:        make(map[blockID]*list.Element),
 		lru:            list.New(),
+		fileBlocks:     make(map[uint32]int),
 		dirty:          make(map[blockID]*cacheEntry),
 		fileDirty:      make(map[uint32]int),
 		staged:         make(map[uint32]int64),
@@ -159,16 +162,10 @@ func newBlockCache(capacity, blockSize, budget, flushers int, write func(file ui
 	return c
 }
 
-// get returns the cached block with a reference for the caller (Release
-// when done), marking it most recently used. Callers must not mutate the
-// block's bytes.
-func (c *blockCache) get(id blockID) (*bufpool.Buf, bool) {
-	b, _, ok := c.getEnd(id)
-	return b, ok
-}
-
-// getEnd is get plus the block's valid-byte extent (the in-file bytes for
-// clean blocks, the staged write extent for dirty ones).
+// getEnd returns the cached block with a reference for the caller
+// (Release when done), marking it most recently used, and its valid-byte
+// extent (the in-file bytes for clean blocks, the staged write extent for
+// dirty ones). Callers must not mutate the block's bytes.
 func (c *blockCache) getEnd(id blockID) (*bufpool.Buf, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -181,6 +178,26 @@ func (c *blockCache) getEnd(id blockID) (*bufpool.Buf, int, bool) {
 	c.lru.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
 	return e.buf.Retain(), e.end, true
+}
+
+// lend is getEnd for a train's consecutive blocks under one lock:
+// slots[i] gets block first+i of file, retained for the caller, or nil
+// when the cache does not hold it. Hits and misses are counted per block;
+// the probing stops once every block the cache holds of file is found.
+func (c *blockCache) lend(file, first uint32, slots []*bufpool.Buf) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(slots)
+	hits, held := 0, c.fileBlocks[file]
+	for i := 0; i < len(slots) && hits < held; i++ {
+		if el, ok := c.entries[blockID{file: file, block: first + uint32(i)}]; ok {
+			c.lru.MoveToFront(el)
+			slots[i] = el.Value.(*cacheEntry).buf.Retain()
+			hits++
+		}
+	}
+	c.hits.Add(int64(hits))
+	c.misses.Add(int64(len(slots) - hits))
 }
 
 // genOf returns the invalidation-stamp shard for a block id.
@@ -231,7 +248,7 @@ func (c *blockCache) put(id blockID, buf *bufpool.Buf, gen uint64, end int) {
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[id] = c.lru.PushFront(&cacheEntry{id: id, buf: buf.Retain(), end: end})
+	c.linkLocked(&cacheEntry{id: id, buf: buf.Retain(), end: end})
 	c.evictExcessLocked()
 }
 
@@ -315,7 +332,7 @@ func (c *blockCache) stage(id blockID, buf *bufpool.Buf, payStart, payEnd int, s
 		c.lru.MoveToFront(el)
 	} else {
 		e := &cacheEntry{id: id, buf: buf.Retain(), end: end, state: stateDirty, trace: trace}
-		c.entries[id] = c.lru.PushFront(e)
+		c.linkLocked(e)
 		c.dirty[id] = e
 		c.addNonCleanLocked(id.file)
 		c.evictExcessLocked()
@@ -366,13 +383,28 @@ func fillAround(dst []byte, payStart, payEnd int, old []byte, oldEnd int) {
 func (c *blockCache) evictExcessLocked() {
 	for el := c.lru.Back(); el != nil && c.lru.Len() > c.capacity; {
 		prev := el.Prev()
-		if e := el.Value.(*cacheEntry); e.state == stateClean {
-			c.lru.Remove(el)
-			delete(c.entries, e.id)
-			e.buf.Release()
+		if el.Value.(*cacheEntry).state == stateClean {
+			c.unlinkLocked(el)
 		}
 		el = prev
 	}
+}
+
+// linkLocked inserts a new entry as most recently used. Caller holds c.mu.
+func (c *blockCache) linkLocked(e *cacheEntry) {
+	c.entries[e.id] = c.lru.PushFront(e)
+	c.fileBlocks[e.id.file]++
+}
+
+// unlinkLocked drops an entry and the cache's reference on its buffer.
+func (c *blockCache) unlinkLocked(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	c.lru.Remove(el)
+	delete(c.entries, e.id)
+	if c.fileBlocks[e.id.file]--; c.fileBlocks[e.id.file] == 0 {
+		delete(c.fileBlocks, e.id.file)
+	}
+	e.buf.Release()
 }
 
 // invalidate drops a block (a replica's store-first apply made it stale)
@@ -414,15 +446,12 @@ func (c *blockCache) dropNonCleanLocked(file uint32) {
 // A flushing entry's dirtyCount is left to its flusher's completion,
 // which detects the removal and writes the orphaned bytes off.
 func (c *blockCache) removeLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
-	delete(c.entries, e.id)
-	if e.state == stateDirty {
+	if e := el.Value.(*cacheEntry); e.state == stateDirty {
 		delete(c.dirty, e.id)
 		c.dropNonCleanLocked(e.id.file)
 		c.cond.Broadcast()
 	}
-	e.buf.Release()
+	c.unlinkLocked(el)
 }
 
 // truncate drops every cached block of a file — including staged-but-
@@ -715,7 +744,8 @@ func (c *blockCache) close() {
 		el.Value.(*cacheEntry).buf.Release()
 	}
 	c.lru.Init()
-	c.entries = make(map[blockID]*list.Element)
+	clear(c.entries)
+	clear(c.fileBlocks)
 	c.mu.Unlock()
 }
 

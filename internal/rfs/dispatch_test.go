@@ -1,6 +1,7 @@
 package rfs
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"vkernel/internal/ipc"
 	"vkernel/internal/obs"
+	"vkernel/internal/vproto"
 )
 
 // TestDispatchStatusByOp pins the reply status of every opcode at the
@@ -193,4 +195,33 @@ func TestRegistrySchema(t *testing.T) {
 	if got, want := rfsNames(c.Servers[0].Srv.Metrics()), schema(1); !reflect.DeepEqual(got, want) {
 		t.Errorf("replicated primary registers\n%v\nwant\n%v", got, want)
 	}
+}
+
+// FuzzDecodeIDs: a client decodes OpQueryVolumes' and OpQueryReplicas'
+// id lists from whatever segment a server wrote. Whatever the bytes and
+// count, decodeIDs must not panic, must refuse exactly the counts that
+// overrun the segment, and the ids it accepts must re-encode to the
+// segment's prefix they came from.
+func FuzzDecodeIDs(f *testing.F) {
+	f.Add(encodeIDs([]uint32{1, 2, 0xFFFFFFFF}, 64), uint32(3))
+	f.Add([]byte{0, 0, 0, 1, 0, 0}, uint32(2))
+	f.Add([]byte{}, uint32(0))
+	f.Add([]byte{1, 2, 3, 4}, uint32(0xFFFFFFFF))
+	f.Fuzz(func(t *testing.T, seg []byte, count uint32) {
+		ids, ok := decodeIDs[uint32](seg, count)
+		if ok != (count <= uint32(len(seg)/4)) {
+			t.Fatalf("count %d over %d bytes: ok = %v", count, len(seg), ok)
+		}
+		if !ok {
+			return
+		}
+		if len(ids) != int(count) {
+			t.Fatalf("decoded %d ids, want %d", len(ids), count)
+		}
+		// encodeIDs caps a list at one reply packet.
+		n := min(int(count), vproto.MaxData/4)
+		if enc := encodeIDs(ids, 4*count); !bytes.Equal(enc, seg[:4*n]) {
+			t.Fatalf("re-encoding gives %x, want %x", enc, seg[:4*n])
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1105,16 +1106,19 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 // cache.
 func (s *Server) gather(v *volume, req *request, file, pos, m uint32) error {
 	bs := uint32(s.cfg.BlockSize)
-	req.held, req.parts = req.held[:0], req.parts[:0]
+	// held[i] is the train's i'th block if the cache lent it, else nil.
+	first := pos / bs
+	n := int((pos+m-1)/bs - first + 1)
+	req.held, req.parts = slices.Grow(req.held[:0], n)[:n], req.parts[:0]
+	v.cache.lend(file, first, req.held)
 	var run []byte // the train's uncached bytes, each at its train offset
 	for at := uint32(0); at < m; {
-		// Probe forward to the next cached block; [lo, at) is the run of
+		// Step forward to the next cached block; [lo, at) is the run of
 		// misses before it, and at == m means there is none.
 		lo := at
 		var hit []byte
 		for ; at < m; at = min(m, at+bs-(pos+at)%bs) {
-			if b, _, ok := v.cache.getEnd(blockID{file: file, block: (pos + at) / bs}); ok {
-				req.held = append(req.held, b)
+			if b := req.held[(pos+at)/bs-first]; b != nil {
 				hit = b.Data
 				break
 			}

@@ -2,6 +2,7 @@ package vproto
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -123,5 +124,30 @@ func TestDecodeRejectsOversizedDataLen(t *testing.T) {
 	grown[31] = byte(sum)
 	if _, err := Decode(grown); err != ErrDataTooBig {
 		t.Fatalf("err = %v, want ErrDataTooBig", err)
+	}
+}
+
+// BenchmarkSealOpen is one frame's codec cost on the hot path: EncodeInto
+// then DecodeInto, so the frame check is computed twice, as it is for
+// every datagram that crosses the wire. It must not allocate.
+func BenchmarkSealOpen(b *testing.B) {
+	for _, n := range []int{0, 512, MaxData} {
+		b.Run(fmt.Sprintf("data=%d", n), func(b *testing.B) {
+			p := samplePacket()
+			p.Data = bytes.Repeat([]byte{0xC3}, n)
+			frame := make([]byte, MaxWireSize)
+			var q Packet
+			b.SetBytes(int64(p.WireSize()))
+			b.ReportAllocs()
+			for b.Loop() {
+				k, err := p.EncodeInto(frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := DecodeInto(&q, frame[:k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -128,6 +128,13 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(bad); err != ErrBadVersion {
 		t.Fatalf("version: %v", err)
 	}
+	// A version-1 frame (rotate-add sum) is refused by its version byte
+	// before any check is computed.
+	bad = append([]byte(nil), buf...)
+	bad[1] = 1
+	if _, err := Decode(bad); err != ErrBadVersion {
+		t.Fatalf("version 1: %v", err)
+	}
 	bad = append([]byte(nil), buf...)
 	bad[40] ^= 0xFF // flip a message byte
 	if _, err := Decode(bad); err != ErrBadChecksum {
@@ -181,7 +188,8 @@ func TestEncodeDecodeProperty(t *testing.T) {
 }
 
 // Property: any single-byte corruption outside the checksum field is
-// detected (the checksum is weak but must catch all 1-byte flips).
+// detected, and so is every burst of up to 32 bits (CRC-32C's
+// guarantee) anywhere in a maximal MoveToData frame.
 func TestChecksumDetectsCorruptionProperty(t *testing.T) {
 	p := &Packet{Kind: KindSend, Seq: 9, Src: MakePid(1, 1), Dst: MakePid(2, 2), Data: []byte("payload bytes")}
 	buf, err := p.Encode()
@@ -207,6 +215,46 @@ func TestChecksumDetectsCorruptionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Every start bit and every length from 1 to 32, one random pattern
+	// each with both end bits set (so its length is exact). Bursts are
+	// laid over the checked bytes, which skip the checksum field.
+	rng := rand.New(rand.NewSource(7))
+	big := &Packet{Kind: KindMoveToData, Flags: FlagLast, Seq: 3, Src: MakePid(1, 1),
+		Dst: MakePid(2, 2), Offset: 4096, Count: 65536, Data: make([]byte, MaxData)}
+	rng.Read(big.Data)
+	frame, err := big.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := func(bit int) (byteAt int, mask byte) {
+		i := bit / 8
+		if i >= 28 {
+			i += 4
+		}
+		return i, 0x80 >> (bit % 8)
+	}
+	var q Packet
+	for length := 1; length <= 32; length++ {
+		for start := 0; start+length <= (len(frame)-4)*8; start++ {
+			pattern := rng.Uint32() | 1 | 1<<(length-1)
+			for k := 0; k < length; k++ {
+				if pattern>>k&1 != 0 {
+					i, m := checked(start + k)
+					frame[i] ^= m
+				}
+			}
+			if DecodeInto(&q, frame) == nil {
+				t.Fatalf("burst of %d bits at bit %d (pattern %#x) not detected", length, start, pattern)
+			}
+			for k := 0; k < length; k++ {
+				if pattern>>k&1 != 0 {
+					i, m := checked(start + k)
+					frame[i] ^= m
+				}
+			}
+		}
 	}
 }
 
