@@ -47,12 +47,12 @@ stress:
 	$(GO) test -race -count=20 -run '$(STRESS_RFS)' ./internal/rfs/ >stress-rfs.log 2>&1 || s=1; cat stress-rfs.log; \
 	exit $$s
 
-# A short fuzzing pass over every wire parser, FUZZTIME each (raise it
-# for a real search). go test fuzzes one target per run, so each is
-# named as package:target.
+# A short fuzzing pass over every wire parser and the cache-invalidation
+# callback, FUZZTIME each (raise it for a real search). go test fuzzes one
+# target per run, so each is named as package:target.
 FUZZTIME ?= 2s
 FUZZ = ./internal/vproto:FuzzDecode ./internal/ipc:FuzzSplitSegments ./internal/rfs:FuzzDecodeRepRecord ./internal/rfs:FuzzApplyBatch \
-	./internal/rfs:FuzzDecodeIDs ./internal/obs:FuzzParseSnapshot
+	./internal/rfs:FuzzDecodeIDs ./internal/rfs:FuzzInvalidateCallback ./internal/obs:FuzzParseSnapshot
 fuzz:
 	@for t in $(FUZZ); do \
 		$(GO) test -run='^$$' -fuzz="^$${t#*:}$$" -fuzztime=$(FUZZTIME) -parallel=2 $${t%%:*} || exit 1; \

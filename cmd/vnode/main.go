@@ -60,7 +60,6 @@ func main() {
 		host        = flag.Int("host", 1, "logical host id of this node")
 		listen      = flag.String("listen", "127.0.0.1:0", "UDP listen address")
 		peers       peerList
-		adaptiveRTO = flag.Bool("adaptiverto", false, "per-peer adaptive retransmission timing (smoothed RTT/RTTVAR) instead of the fixed timeout")
 		metricsAddr = flag.String("metrics", "", "serve the node's metrics registry over HTTP at this address (expvar JSON at /debug/vars, pprof under /debug/pprof/); empty = off")
 		timing      = flag.Bool("timing", false, "enable latency timing (per-op histograms); off by default so the hot paths cost one atomic load")
 		slowOp      = flag.Duration("slowop", 0, "server: auto-capture a trace span for any request slower than this (implies -timing); 0 = off")
@@ -110,7 +109,7 @@ func main() {
 		fatalIf(err)
 		tr.AddPeer(ipc.LogicalHost(h), addr)
 	}
-	node := ipc.NewNode(ipc.LogicalHost(*host), tr, ipc.NodeConfig{AdaptiveRTO: *adaptiveRTO, Metrics: reg})
+	node := ipc.NewNode(ipc.LogicalHost(*host), tr, ipc.NodeConfig{Metrics: reg})
 	defer node.Close()
 	fmt.Printf("vnode: host %d listening on %v\n", *host, tr.Addr())
 

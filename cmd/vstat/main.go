@@ -181,8 +181,8 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 	// carried: far apart when bulk trains go out segmented. rx_inl is the
 	// share of rx_pkt handled on the read loop (the exchange protocol); the
 	// rest went through the dispatch workers.
-	ker := stats.Table{ID: "vstat-3", Title: "kernel and transport", Unit: "srtt/rto in us",
-		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "gso_ref", "replies", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo", "srtt", "rto"}}
+	ker := stats.Table{ID: "vstat-3", Title: "kernel and transport",
+		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "gso_ref", "replies", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo"}}
 	for _, s := range snaps {
 		ker.AddRow(s.Node,
 			count(s.Counters["net.sends"]), count(s.Counters["net.tx_packets"]),
@@ -191,8 +191,7 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 			count(s.Counters["ipc.remote_replies"]), count(s.Counters["ipc.retransmits"]),
 			count(s.Counters["ipc.dups_filtered"]), count(s.Counters["ipc.nacks_sent"]),
 			count(s.Counters["ipc.overload_sheds"]),
-			count(s.Counters["ipc.move_resumes"]), count(s.Counters["ipc.move_ooo_drops"]),
-			stats.M(float64(s.Gauges["ipc.srtt_ns"])/1e3), stats.M(float64(s.Gauges["ipc.rto_ns"])/1e3))
+			count(s.Counters["ipc.move_resumes"]), count(s.Counters["ipc.move_ooo_drops"]))
 	}
 	b.WriteString(ker.Render())
 	b.WriteString("\n")

@@ -85,28 +85,13 @@ type NodeConfig struct {
 	// embedded server to scrape them as a unit. Latency histograms are
 	// recorded only while the registry has timing enabled.
 	Metrics *obs.Registry
-	// RetransmitTimeout is the kernel-level retransmission period. With
-	// AdaptiveRTO it is the initial per-peer timeout, used until the
-	// first clean round-trip sample.
+	// RetransmitTimeout is the kernel-level retransmission period (§3.2):
+	// every unanswered packet is resent once per period.
 	RetransmitTimeout time.Duration
-	// AdaptiveRTO replaces the fixed retransmission period with
-	// per-peer Jacobson/Karn timing: clean Send→Reply round trips feed
-	// a smoothed RTT/RTTVAR per peer, the timeout is srtt + 4·rttvar
-	// clamped to [MinRTO, MaxRTO], and timeout retransmissions back the
-	// peer off exponentially until a clean sample lands (see rtt.go).
-	AdaptiveRTO bool
-	// MinRTO floors the adaptive timeout (0 = 1ms) so a microsecond
-	// loopback estimate cannot arm degenerate timers.
-	MinRTO time.Duration
-	// MaxRTO caps the adaptive timeout and its backoff (0 = 3s).
-	MaxRTO time.Duration
 	// Retries bounds retransmissions before a Send fails (§3.2's N).
 	Retries int
 	// AlienDescriptors bounds the remote-sender descriptor pool.
 	AlienDescriptors int
-	// InlineSegMax bounds the read-segment prefix carried in a Send
-	// packet; negative disables the §3.4 extension.
-	InlineSegMax int
 	// ChunkSize bounds bulk-transfer data packets.
 	ChunkSize int
 	// GetPidTimeout bounds one broadcast name-lookup round.
@@ -126,23 +111,11 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.RetransmitTimeout == 0 {
 		c.RetransmitTimeout = 50 * time.Millisecond
 	}
-	if c.MinRTO == 0 {
-		c.MinRTO = time.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 3 * time.Second
-	}
 	if c.Retries == 0 {
 		c.Retries = 5
 	}
 	if c.AlienDescriptors == 0 {
 		c.AlienDescriptors = 256
-	}
-	switch {
-	case c.InlineSegMax < 0:
-		c.InlineSegMax = 0
-	case c.InlineSegMax == 0 || c.InlineSegMax > vproto.MaxData:
-		c.InlineSegMax = vproto.MaxData
 	}
 	if c.ChunkSize <= 0 || c.ChunkSize > vproto.MaxData {
 		c.ChunkSize = vproto.MaxData

@@ -32,7 +32,6 @@ type FaultConfig struct {
 type MemNetwork struct {
 	mu     sync.Mutex
 	cfg    FaultConfig
-	links  map[memLink]FaultConfig // per-directed-link overrides
 	rng    *rand.Rand
 	ports  map[LogicalHost]*memPort
 	closed bool
@@ -43,12 +42,6 @@ type MemNetwork struct {
 type memDelivery struct {
 	port *memPort
 	buf  *bufpool.Buf // the queue's reference, released after handling
-}
-
-// memLink names one direction of a host pair, so fault profiles can be
-// asymmetric (a lossy slow uplink against a clean return path).
-type memLink struct {
-	from, to LogicalHost
 }
 
 type memPort struct {
@@ -69,19 +62,6 @@ func NewMemNetwork(seed int64, cfg FaultConfig) *MemNetwork {
 	// Workers uncapped: meshes are per-test.
 	m.rx = newDispatcher(dispatchWorkers(0), 0, m.handle)
 	return m
-}
-
-// SetLinkFault overrides the mesh-wide fault profile for the directed
-// link from→to. Asymmetric WAN conditions — say 100 ms and 12 % loss
-// toward a far server but a clean return path — are two calls with
-// different configs. A zero config makes the link ideal.
-func (m *MemNetwork) SetLinkFault(from, to LogicalHost, cfg FaultConfig) {
-	m.mu.Lock()
-	if m.links == nil {
-		m.links = make(map[memLink]FaultConfig)
-	}
-	m.links[memLink{from, to}] = cfg
-	m.mu.Unlock()
 }
 
 // Transport attaches a new port for the given host.
@@ -126,7 +106,7 @@ func (m *MemNetwork) enqueue(d memDelivery) {
 }
 
 // deliver applies fault injection and schedules the packet for the target.
-func (m *MemNetwork) deliver(from, to LogicalHost, pkt []byte) {
+func (m *MemNetwork) deliver(to LogicalHost, pkt []byte) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -138,11 +118,6 @@ func (m *MemNetwork) deliver(from, to LogicalHost, pkt []byte) {
 		return
 	}
 	cfg := m.cfg
-	if m.links != nil {
-		if override, ok := m.links[memLink{from, to}]; ok {
-			cfg = override
-		}
-	}
 	if cfg == (FaultConfig{}) {
 		// Fault-free fast path (the benchmark configuration): one pooled
 		// copy, scheduled directly, no shipment bookkeeping.
@@ -206,7 +181,7 @@ func (p *memPort) handle(f *bufpool.Buf) {
 
 // Send implements Transport.
 func (p *memPort) Send(to LogicalHost, pkt []byte) error {
-	p.net.deliver(p.host, to, pkt)
+	p.net.deliver(to, pkt)
 	return nil
 }
 
@@ -221,7 +196,7 @@ func (p *memPort) Broadcast(pkt []byte) error {
 	}
 	p.net.mu.Unlock()
 	for _, h := range hosts {
-		p.net.deliver(p.host, h, pkt)
+		p.net.deliver(h, pkt)
 	}
 	return nil
 }

@@ -220,7 +220,7 @@ func (n *Node) runMove(op *moveOp) error {
 	}
 	op.seq = n.nextSeq()
 	err := n.moves.add(op, func() *time.Timer {
-		return time.AfterFunc(n.rtoFor(op.peer.Host()), func() { n.moveTimeout(op) })
+		return time.AfterFunc(n.cfg.RetransmitTimeout, func() { n.moveTimeout(op) })
 	})
 	if err != nil {
 		return err
@@ -372,8 +372,7 @@ func (n *Node) moveTimeout(op *moveOp) {
 		n.sendMoveFromReq(op, got)
 	}
 	op.io.RUnlock()
-	n.bumpRTO(op.peer.Host())
-	op.timer.Reset(n.rtoFor(op.peer.Host()))
+	op.timer.Reset(n.cfg.RetransmitTimeout)
 }
 
 // moveTargetLocked locates the pending Send an inbound move packet
@@ -469,7 +468,7 @@ func (n *Node) handleMoveAck(pkt *vproto.Packet) {
 	n.stats.moveResumes.Add(1)
 	n.streamMoveTo(op, resume)
 	op.io.RUnlock()
-	op.timer.Reset(n.rtoFor(op.peer.Host()))
+	op.timer.Reset(n.cfg.RetransmitTimeout)
 }
 
 // handleMoveFromReq streams the requested range back; the data packets
@@ -545,6 +544,6 @@ func (n *Node) handleMoveFromData(pkt *vproto.Packet) {
 		// Gap at end of stream: re-request from the last received byte.
 		n.stats.moveResumes.Add(1)
 		n.sendMoveFromReq(op, got)
-		op.timer.Reset(n.rtoFor(op.peer.Host()))
+		op.timer.Reset(n.cfg.RetransmitTimeout)
 	}
 }

@@ -37,7 +37,6 @@ type Node struct {
 	pending pendingTable
 	moves   moveTable
 	names   nameTable
-	rtt     rttTable
 
 	// metrics is the node's registry (NodeConfig.Metrics, or a private
 	// one); stats are its ipc.* counters, exchangeNs the Send→Reply
@@ -104,15 +103,6 @@ type pendingSend struct {
 	retries int
 	timer   *time.Timer
 	done    bool
-	// sentAt stamps the first transmission for RTT sampling (zero when
-	// the node is not doing adaptive timing). retransmitted marks the
-	// exchange tainted for Karn's rule: unlike retries, it is never
-	// reset by ReplyPending, so a reply to an exchange that was ever
-	// retransmitted — ambiguous about which copy it answers — is never
-	// sampled. Guarded by the pendingTable lock; the owner reads them
-	// race-free after the exchange completes.
-	sentAt        time.Time
-	retransmitted bool
 }
 
 // barrier orders in-flight segment copies (inbound MoveTo data landing in
@@ -146,14 +136,12 @@ func NewNode(host LogicalHost, tr Transport, cfg NodeConfig) *Node {
 	}
 	n.stats = newNodeCounters(n.metrics)
 	n.exchangeNs = n.metrics.Histogram("ipc.exchange_ns")
-	n.registerRTTGauges()
 	n.trains, _ = tr.(TrainSender)
 	n.procs.init()
 	n.aliens.init()
 	n.pending.init()
 	n.moves.init()
 	n.names.init()
-	n.rtt.init()
 	// Local ids start at a random point in the 16-bit space, so a node
 	// rebooted on the same logical host is unlikely to mint the pids its
 	// previous incarnation held (§3.1's "unlikely to be reused soon").
@@ -527,7 +515,6 @@ func (n *Node) retransmit(ps *pendingSend) {
 		ps.replyCh <- sendResult{err: ErrTimeout}
 		return
 	}
-	ps.retransmitted = true
 	// Pin the encoded frame across the transmit, and snapshot the fields
 	// used after the unlock: the owner releases the frame — and, since
 	// descriptors are reused, may re-initialize the whole pendingSend for
@@ -538,10 +525,9 @@ func (n *Node) retransmit(ps *pendingSend) {
 	timer := ps.timer
 	t.mu.Unlock()
 	n.stats.retransmits.Add(1)
-	n.bumpRTO(dst.Host())
 	_ = n.transport.Send(dst.Host(), f.Data)
 	f.Release()
-	timer.Reset(n.rtoFor(dst.Host()))
+	timer.Reset(n.cfg.RetransmitTimeout)
 }
 
 func (n *Node) String() string {

@@ -90,7 +90,7 @@ type Proc struct {
 	// next exchange's re-initialization. A stale retransmit-timer fire
 	// that validates after the descriptor was re-registered retransmits
 	// the new exchange early, which the receiver's duplicate filter
-	// absorbs (and Karn's rule then skips the RTT sample).
+	// absorbs.
 	psend pendingSend
 }
 
@@ -122,7 +122,7 @@ func (p *Proc) SetQueueLimit(n int) {
 // arms it, creating the timer on the first remote Send. It returns the
 // timer so completion paths can Stop it through ps.timer as before.
 func (p *Proc) armResend(ps *pendingSend) *time.Timer {
-	rto := p.node.rtoFor(ps.dst.Host())
+	rto := p.node.cfg.RetransmitTimeout
 	p.resendMu.Lock()
 	p.resendPS = ps
 	if p.resendTimer == nil {
@@ -223,7 +223,7 @@ func (p *Proc) enqueue(env *envelope) enqStatus {
 // Send sends msg to dst and blocks until the receiver replies; the reply
 // overwrites *msg (§2.1). seg, if non-nil, is the segment the message
 // grants; for remote destinations with read access, its first
-// InlineSegMax bytes travel inside the Send packet (§3.4).
+// vproto.MaxData bytes travel inside the Send packet (§3.4).
 func (p *Proc) Send(msg *Message, dst Pid, seg *Segment) error {
 	if seg != nil {
 		msg.SetSegment(0, uint32(len(seg.Data)), seg.Access)
@@ -264,11 +264,8 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 		Dst:  dst,
 		Msg:  *msg,
 	}
-	if seg != nil && seg.Access&SegRead != 0 && n.cfg.InlineSegMax > 0 {
-		m := len(seg.Data)
-		if m > n.cfg.InlineSegMax {
-			m = n.cfg.InlineSegMax
-		}
+	if seg != nil && seg.Access&SegRead != 0 {
+		m := min(len(seg.Data), vproto.MaxData)
 		pkt.Data = seg.Data[:m] // borrowed for the encode below only
 		pkt.Count = uint32(m)
 	}
@@ -282,10 +279,6 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 	// critical section: a stale timer fire validates the descriptor by
 	// reading ps.seq under the same lock, so initializing outside it
 	// would race.
-	var sentAt time.Time
-	if n.cfg.AdaptiveRTO {
-		sentAt = time.Now()
-	}
 	ps := &p.psend
 	if err := n.pending.add(ps, func() *time.Timer {
 		ps.seq = pkt.Seq
@@ -295,8 +288,6 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 		ps.retries = 0
 		ps.done = false
 		ps.rx.seq, ps.rx.expected = 0, 0
-		ps.sentAt = sentAt
-		ps.retransmitted = false
 		return p.armResend(ps)
 	}); err != nil {
 		f.Release()
@@ -310,14 +301,6 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 	f.Release() // exchange over; in-flight retransmits hold their own refs
 	if res.err == nil {
 		n.exchangeNs.Since(t0)
-	}
-	// A clean (never retransmitted — Karn) completed round trip is an
-	// RTT sample for this peer. Reading ps.retransmitted here is
-	// race-free: it only changes under the pendingTable lock before the
-	// exchange is taken, and the result-channel receive orders that
-	// before this read.
-	if res.err == nil && !ps.sentAt.IsZero() && !ps.retransmitted {
-		n.observeRTT(dst.Host(), time.Since(ps.sentAt))
 	}
 	// ReplyWithSegment data lands in the granted segment straight from
 	// the retained receive frame.

@@ -21,7 +21,6 @@ type nodeCounters struct {
 	moveBytes         *obs.Counter
 	moveResumes       *obs.Counter // trains resumed from a gap (non-final MoveToAck, re-issued MoveFromReq)
 	moveOOODrops      *obs.Counter // data packets discarded for arriving at the wrong offset
-	rttSamples        *obs.Counter
 }
 
 // newNodeCounters registers the node counters under their wire-visible
@@ -41,6 +40,5 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		moveBytes:         r.Counter("ipc.move_bytes"),
 		moveResumes:       r.Counter("ipc.move_resumes"),
 		moveOOODrops:      r.Counter("ipc.move_ooo_drops"),
-		rttSamples:        r.Counter("ipc.rtt_samples"),
 	}
 }

@@ -128,13 +128,6 @@ func (c *CachingClient) rerouted(ipc.Pid) {
 	c.cache.Purge()
 }
 
-// CallbackPid returns the invalidation-callback process id (tests kill it
-// to simulate a client that lost its callback channel).
-func (c *CachingClient) CallbackPid() ipc.Pid { return c.cb.Pid() }
-
-// Cache exposes the underlying block cache (stats, tests).
-func (c *CachingClient) Cache() *ccache.Cache { return c.cache }
-
 // Stats snapshots the client-cache counters.
 func (c *CachingClient) Stats() CacheClientStats {
 	cs := c.cache.Stats()
@@ -169,45 +162,49 @@ func (c *CachingClient) Close() {
 }
 
 // callbackLoop is the invalidation-callback process: it receives
-// OpInvalidate Sends from the server, drops the named blocks, records the
-// new version and replies. The server withholds the writer's ack until
-// this reply, so the drop happens-before any post-ack read anywhere.
+// OpInvalidate Sends from the server and answers each with callback's
+// reply. The server withholds the writer's ack until this reply, so the
+// drop happens-before any post-ack read anywhere.
 func (c *CachingClient) callbackLoop(p *ipc.Proc) {
 	for {
 		msg, src, err := p.Receive()
 		if err != nil {
 			return
 		}
-		op, file, first, count := parseRequest(&msg)
-		if op != OpInvalidate {
-			reply := buildReply(StatusBadRequest, 0)
-			_ = p.Reply(&reply, src)
-			continue
-		}
-		version, vol := parseInvalidate(&msg)
-		if vol != c.vol {
-			// Another volume's callback (a registration left behind on a
-			// server this client failed away from): acknowledge so the
-			// writer is not held up, but touch nothing — this client's
-			// cache holds only its own volume's blocks.
-			reply := buildReply(StatusOK, 0)
-			_ = p.Reply(&reply, src)
-			continue
-		}
-		c.callbacks.Add(1)
-		if count == InvalidateAll {
-			c.cache.InvalidateFile(file)
-		} else {
-			c.cache.Invalidate(file, first, count)
-		}
-		c.mu.Lock()
-		if fs := c.files[file]; fs != nil {
-			c.advanceVersion(fs, version)
-		}
-		c.mu.Unlock()
-		reply := buildReply(StatusOK, 0)
+		reply := c.callback(&msg)
 		_ = p.Reply(&reply, src)
 	}
+}
+
+// callback handles one message to the callback process, which accepts
+// Sends from any peer: an OpInvalidate for this client's volume drops the
+// named blocks and records the new version; anything else changes
+// nothing.
+func (c *CachingClient) callback(msg *ipc.Message) ipc.Message {
+	op, file, first, count := parseRequest(msg)
+	if op != OpInvalidate {
+		return buildReply(StatusBadRequest, 0)
+	}
+	version, vol := parseInvalidate(msg)
+	if vol != c.vol {
+		// Another volume's callback (a registration left behind on a
+		// server this client failed away from): acknowledge so the
+		// writer is not held up, but touch nothing — this client's
+		// cache holds only its own volume's blocks.
+		return buildReply(StatusOK, 0)
+	}
+	c.callbacks.Add(1)
+	if count == InvalidateAll {
+		c.cache.InvalidateFile(file)
+	} else {
+		c.cache.Invalidate(file, first, count)
+	}
+	c.mu.Lock()
+	if fs := c.files[file]; fs != nil {
+		c.advanceVersion(fs, version)
+	}
+	c.mu.Unlock()
+	return buildReply(StatusOK, 0)
 }
 
 // versionNewer reports whether v is ahead of cur in wrapping uint32

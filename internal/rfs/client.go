@@ -31,18 +31,14 @@ type RetryPolicy struct {
 	// volume moved, or its server died and restarted). 0 turns failover
 	// off; unrouted (fixed-pid) clients ignore it.
 	Reroutes int
-	// NoJitter restores the deterministic backoff schedule (each sleep
-	// exactly the capped power of two) for tests that assert on it.
-	NoJitter bool
 }
 
 // jitter spreads one backoff sleep over [d/2, d]. The attempt counts,
 // doubling and cap stay deterministic — only the slept duration varies —
 // and the sleep hook still receives the final value, so tests that
-// substitute a recording no-op remain schedule-deterministic (or set
-// NoJitter to pin the durations too).
-func (p RetryPolicy) jitter(d time.Duration) time.Duration {
-	if p.NoJitter || d <= 1 {
+// substitute a recording no-op remain schedule-deterministic.
+func jitter(d time.Duration) time.Duration {
+	if d <= 1 {
 		return d
 	}
 	half := d / 2
@@ -168,23 +164,17 @@ func ClusterMap(p *ipc.Proc, window time.Duration) (map[ipc.Pid][]uint32, error)
 	return m, nil
 }
 
-// SetRetry replaces the overload retry policy (and, when sleep is
-// non-nil, the backoff sleep hook — the deterministic test entry point).
-func (c *Client) SetRetry(p RetryPolicy, sleep func(time.Duration)) {
-	c.retry = p
-	if sleep != nil {
-		c.sleep = sleep
-	}
-}
-
 // SpreadReads toggles read fan-out for a routed client: reads go to the
 // volume's primary AND its in-sync replicas, round-robin, which is how
 // a read-heavy workload scales with the replica count. Writes (and
 // everything else) still pin to the primary. A replica answers only
 // while in-sync — it then holds every acked write — so spread reads
-// observe write-behind state exactly as primary reads do. Do not
-// combine with CachingClient: its registration protocol lives on the
-// primary. No-op for unrouted clients.
+// observe write-behind state exactly as primary reads do. A
+// CachingClient may spread its reads too: its registrations stay on the
+// primary, which sends a write's invalidation callbacks only after every
+// in-sync replica has acked the write or been dropped from the in-sync
+// set, so a reader called back refills the new bytes from any replica
+// still in it. No-op for unrouted clients.
 func (c *Client) SpreadReads(on bool) { c.spreadReads = on }
 
 // Server returns the bound (fixed-pid) or last-routed server pid.
@@ -194,9 +184,6 @@ func (c *Client) Server() ipc.Pid {
 	}
 	return c.server
 }
-
-// Volume returns the volume the client addresses.
-func (c *Client) Volume() uint32 { return c.vol }
 
 // SetTrace makes every subsequent request carry the given 24-bit trace
 // id (0 restores untraced operation). Use obs.NewTraceID for fresh ids.
@@ -274,7 +261,7 @@ func (c *Client) exchange(m *ipc.Message, seg *ipc.Segment) error {
 			return nil
 		case errors.Is(err, ipc.ErrOverloaded) && attempt < c.retry.Retries:
 			attempt++
-			c.sleep(c.retry.jitter(delay))
+			c.sleep(jitter(delay))
 			if delay *= 2; delay > c.retry.MaxDelay {
 				delay = c.retry.MaxDelay
 			}

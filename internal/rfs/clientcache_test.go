@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"vkernel/internal/bufpool"
 	"vkernel/internal/ipc"
+	"vkernel/internal/vproto"
 )
 
 // cachingClient attaches a fresh process on the client node and binds a
@@ -670,4 +672,93 @@ func TestDiscoverBoundedFailure(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Discover failure not bounded: took %v", elapsed)
 	}
+}
+
+// FuzzInvalidateCallback: a caching client's callback process accepts
+// 32-byte Sends from any peer. With blocks of two files cached, whatever
+// message arrives must not panic, must be answered OK (an OpInvalidate)
+// or BadRequest (anything else), and must change the cache and the file
+// versions only as an OpInvalidate for the client's own volume says:
+// exactly the named blocks go and the named file's version never moves
+// backward. Every cached block is returned to the pool at Close.
+func FuzzInvalidateCallback(f *testing.F) {
+	const vol, blocks = 3, 16
+	for _, m := range []ipc.Message{
+		buildInvalidate(vol, 7, 1, 2, 6),
+		buildInvalidate(vol, 8, 0, InvalidateAll, 10),
+		buildInvalidate(vol, 7, 0xFFFFFFFF, 3, 4), // wraps past block 2^32-1
+		buildInvalidate(vol, 8, 2, blocks+1, 11),  // wider than the cache
+		buildInvalidate(vol+1, 7, 0, InvalidateAll, 6),
+		buildRequest(vol, OpReadBlock, 7, 0, 512),
+	} {
+		f.Add(m[:])
+	}
+	f.Add([]byte{})
+
+	mesh := ipc.NewMemNetwork(1, ipc.FaultConfig{})
+	node := ipc.NewNode(1, mesh.Transport(1), ipc.NodeConfig{})
+	p, err := node.Attach("fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() {
+		node.Detach(p)
+		_ = node.Close()
+		mesh.Close()
+	})
+	files := map[uint32]uint32{7: 5, 8: 9} // file → version before the message
+	f.Fuzz(func(t *testing.T, data []byte) {
+		base := bufpool.Outstanding()
+		cl := NewClient(p, vproto.Nil)
+		cl.vol = vol
+		c, err := newCachingClient(p, cl, CacheClientConfig{Blocks: blocks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		page := make([]byte, c.cache.BlockSize())
+		for file, version := range files {
+			c.files[file] = &cachedFile{version: version, versioned: true}
+			for b := uint32(0); b < 4; b++ {
+				c.cache.Insert(file, b, page, c.cache.Snapshot(file, b))
+			}
+		}
+
+		var msg ipc.Message
+		copy(msg[:], data)
+		reply := c.callback(&msg)
+		op, named, first, count := parseRequest(&msg)
+		version, mvol := parseInvalidate(&msg)
+		status, _ := parseReply(&reply)
+		if want := StatusBadRequest; op == OpInvalidate {
+			want = StatusOK
+			if status != want {
+				t.Fatalf("OpInvalidate answered status %d", status)
+			}
+		} else if status != want {
+			t.Fatalf("op %d answered status %d, want BadRequest", op, status)
+		}
+		applies := op == OpInvalidate && mvol == vol
+		for file, old := range files {
+			hit := applies && file == named
+			got := c.files[file].version
+			switch {
+			case !hit && got != old:
+				t.Fatalf("file %d version %d → %d on a message that does not name it", file, old, got)
+			case hit && got != old && got != version:
+				t.Fatalf("file %d version %d → %d, message carried %d", file, old, got, version)
+			case hit && versionNewer(old, got):
+				t.Fatalf("file %d version moved backward %d → %d", file, old, got)
+			}
+			for b := uint32(0); b < 4; b++ {
+				gone := hit && (count == InvalidateAll || count > blocks || b-first < count)
+				if c.cache.Contains(file, b) == gone {
+					t.Fatalf("file %d block %d: cached=%v after %x", file, b, !gone, msg[:])
+				}
+			}
+		}
+		c.Close()
+		if n := bufpool.Outstanding(); n != base {
+			t.Fatalf("bufpool outstanding %d after Close, was %d", n, base)
+		}
+	})
 }

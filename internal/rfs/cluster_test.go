@@ -220,8 +220,8 @@ func TestDiscoverAllBoundedFailure(t *testing.T) {
 }
 
 // TestClusterMapAndRouterRefresh: the cluster map must report each
-// shard's exact volume set, and Router.Refresh must turn it into a full
-// volume → server table.
+// shard's exact volume set, and a fresh Router must resolve every volume
+// to the shard the map names.
 func TestClusterMapAndRouterRefresh(t *testing.T) {
 	c := startCluster(t, ClusterConfig{
 		Shards:  2,
@@ -250,17 +250,14 @@ func TestClusterMapAndRouterRefresh(t *testing.T) {
 	}
 
 	r := newRouter(t, node)
-	if _, err := r.Refresh(200 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	routes := r.Routes()
-	if len(routes) != 4 {
-		t.Fatalf("refreshed routes: %v", routes)
-	}
 	for i, cs := range c.Servers {
 		for _, vol := range wantVols[i] {
-			if routes[vol] != cs.Srv.Pid() {
-				t.Fatalf("volume %d routed to %v, want shard %d (%v)", vol, routes[vol], i, cs.Srv.Pid())
+			pid, err := r.Resolve(vol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pid != cs.Srv.Pid() {
+				t.Fatalf("volume %d routed to %v, want shard %d (%v)", vol, pid, i, cs.Srv.Pid())
 			}
 		}
 	}
@@ -331,7 +328,7 @@ func TestVolumeIsolation(t *testing.T) {
 	if !bytes.Equal(page, fresh) {
 		t.Fatal("volume 1 caching client served stale bytes after the write's ack")
 	}
-	if got := a2.Cache().Stats().Invalidations; got != 0 {
+	if got := a2.cache.Stats().Invalidations; got != 0 {
 		t.Fatalf("volume 1 write invalidated %d blocks in volume 2's client cache", got)
 	}
 	if _, err := a2.ReadBlock(7, 0, page); err != nil {

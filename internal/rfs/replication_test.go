@@ -167,6 +167,113 @@ func TestReplicatedReadFanOut(t *testing.T) {
 	}
 }
 
+// TestCachingSpreadReadsSeeAckedWrites: caching clients that spread their
+// reads over the primary and its in-sync replica, on two client nodes, as
+// the shared-cluster benchmark runs them. The reader reads one page in a
+// loop, mostly from its cache, while the writer overwrites it; a read
+// that starts after a write's ack must never return older bytes, whether
+// its refill goes to the primary or to the replica. That holds because
+// the primary waits for the replica's ack of the write before it sends
+// the invalidation callbacks: a reader called back can only refill the
+// new bytes.
+func TestCachingSpreadReadsSeeAckedWrites(t *testing.T) {
+	for _, udp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("udp=%v", udp), func(t *testing.T) {
+			c := startCluster(t, replConfig(udp))
+			wnode, rnode := clientNode(t, c), clientNode(t, c)
+			open := func(node *ipc.Node, name string) *CachingClient {
+				cc, err := NewVolumeCachingClient(attach(t, node, name), newRouter(t, node), 1, CacheClientConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(cc.Close)
+				cc.SpreadReads(true)
+				return cc
+			}
+			w := open(wnode, "writer")
+			if err := w.WriteBlock(9, 0, versionedPage(0, 1)); err != nil {
+				t.Fatal(err)
+			}
+			replica := c.Servers[1].Srv
+			waitReplicaServing(t, rnode, replica.Pid(), 9, 0, versionedPage(0, 1))
+			// The reader's router caches the first read set it is told,
+			// so the replica must be in it by then.
+			waitUntil(t, 5*time.Second, "the replica in-sync at the primary", func() bool {
+				return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 1
+			})
+			rd := open(rnode, "reader")
+			page := make([]byte, 512)
+			if _, err := rd.ReadBlock(9, 0, page); err != nil { // registers and caches v1
+				t.Fatal(err)
+			}
+			replicaReads := srvCounter(replica, "rfs.page_reads")
+
+			var acked atomic.Uint32 // the last version whose write was acked
+			acked.Store(1)
+			var reads atomic.Int64
+			var readErr error // set by the reader before it closes done
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					floor := acked.Load()
+					if _, err := rd.ReadBlock(9, 0, page); err != nil {
+						readErr = err
+						return
+					}
+					if err := checkVersionedPage(0, page); err != nil {
+						readErr = err
+						return
+					}
+					if v := pageVersion(page); v < floor {
+						readErr = fmt.Errorf("read returned version %d after version %d was acked", v, floor)
+						return
+					}
+					reads.Add(1)
+				}
+			}()
+			const writes = 40
+			var writeErr error
+			for v := uint32(2); v < 2+writes && writeErr == nil; v++ {
+				if writeErr = w.WriteBlock(9, 0, versionedPage(0, v)); writeErr != nil {
+					break
+				}
+				acked.Store(v)
+				// Two reads that start after the ack: a refill, then a hit,
+				// so the page is cached again when the next write lands.
+				after := reads.Load() + 2
+				waitUntil(t, 5*time.Second, "the reader to re-read the page", func() bool {
+					select {
+					case <-done:
+						return true
+					default:
+						return reads.Load() >= after
+					}
+				})
+			}
+			close(stop)
+			<-done
+			if readErr != nil {
+				t.Fatal(readErr)
+			}
+			if writeErr != nil {
+				t.Fatal(writeErr)
+			}
+			if st := rd.Stats(); st.Hits < writes || st.Callbacks < writes {
+				t.Fatalf("reader hits %d, callbacks %d; want ≥ %d each", st.Hits, st.Callbacks, writes)
+			}
+			if got := srvCounter(replica, "rfs.page_reads") - replicaReads; got == 0 {
+				t.Fatal("the replica served none of the reader's refills")
+			}
+		})
+	}
+}
+
 // TestLargeWriteTrainsReplicate: a large write is staged and logged one
 // train at a time — one replication record per 64 KB train — and the
 // in-sync replica, applying those records, holds the same bytes as the

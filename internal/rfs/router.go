@@ -33,10 +33,9 @@ type Router struct {
 	// robins over, refreshed when its TTL lapses. sendMu serializes the
 	// OpQueryReplicas exchanges on p — GetPid is safe concurrently, a
 	// Send exchange is not.
-	readMu  sync.Mutex
-	reads   map[uint32]*readSet
-	readTTL time.Duration
-	sendMu  sync.Mutex
+	readMu sync.Mutex
+	reads  map[uint32]*readSet
+	sendMu sync.Mutex
 }
 
 // readSet is one volume's cached read fan-out set.
@@ -46,10 +45,10 @@ type readSet struct {
 	expires time.Time
 }
 
-// defaultReadSetTTL bounds how long ResolveRead trusts a cached read
-// set; it is also the bound on reads reaching a replica the primary has
-// since dropped from the in-sync set.
-const defaultReadSetTTL = 500 * time.Millisecond
+// readSetTTL bounds how long ResolveRead trusts a cached read set; it is
+// also the bound on reads reaching a replica the primary has since
+// dropped from the in-sync set.
+const readSetTTL = 500 * time.Millisecond
 
 // NewRouter attaches a lookup process on node and returns an empty
 // router. Close releases the process.
@@ -59,20 +58,11 @@ func NewRouter(node *ipc.Node) (*Router, error) {
 		return nil, err
 	}
 	return &Router{
-		node:    node,
-		p:       p,
-		routes:  make(map[uint32]ipc.Pid),
-		reads:   make(map[uint32]*readSet),
-		readTTL: defaultReadSetTTL,
+		node:   node,
+		p:      p,
+		routes: make(map[uint32]ipc.Pid),
+		reads:  make(map[uint32]*readSet),
 	}, nil
-}
-
-// SetReadSetTTL replaces the read-set refresh interval (tests and
-// benchmarks tighten it).
-func (r *Router) SetReadSetTTL(d time.Duration) {
-	r.readMu.Lock()
-	r.readTTL = d
-	r.readMu.Unlock()
 }
 
 // Close detaches the router's lookup process.
@@ -137,7 +127,7 @@ func (r *Router) ResolveRead(vol uint32) (ipc.Pid, error) {
 		r.reads[vol] = rs
 	}
 	rs.pids = pids
-	rs.expires = time.Now().Add(r.readTTL)
+	rs.expires = time.Now().Add(readSetTTL)
 	pid := rs.pids[rs.next%len(rs.pids)]
 	rs.next++
 	r.readMu.Unlock()
@@ -182,38 +172,4 @@ func (r *Router) queryReadSet(vol uint32, primary ipc.Pid) []ipc.Pid {
 		}
 	}
 	return []ipc.Pid{primary}
-}
-
-// Refresh rebuilds the route cache from a fresh cluster map: every
-// reachable server is enumerated (DiscoverAll over the given window) and
-// asked for its volume set. Cached routes for volumes no longer
-// advertised are dropped. Resolve fills routes lazily one volume at a
-// time; Refresh is the eager batch alternative for tools that want the
-// whole table at once.
-func (r *Router) Refresh(window time.Duration) (map[ipc.Pid][]uint32, error) {
-	cm, err := ClusterMap(r.p, window)
-	if err != nil {
-		return nil, err
-	}
-	routes := make(map[uint32]ipc.Pid)
-	for pid, vols := range cm {
-		for _, vol := range vols {
-			routes[vol] = pid
-		}
-	}
-	r.mu.Lock()
-	r.routes = routes
-	r.mu.Unlock()
-	return cm, nil
-}
-
-// Routes returns a snapshot of the cached volume → server table.
-func (r *Router) Routes() map[uint32]ipc.Pid {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[uint32]ipc.Pid, len(r.routes))
-	for vol, pid := range r.routes {
-		out[vol] = pid
-	}
-	return out
 }

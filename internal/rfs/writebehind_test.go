@@ -593,8 +593,8 @@ func TestOverloadGoodputWithRetry(t *testing.T) {
 			start := time.Now()
 			for g := 0; g < clients; g++ {
 				c := e.client(t, fmt.Sprintf("app%d", g))
-				c.SetRetry(RetryPolicy{Retries: 10_000, Delay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond},
-					func(d time.Duration) { retries.Add(1); time.Sleep(d) })
+				c.retry = RetryPolicy{Retries: 10_000, Delay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond}
+				c.sleep = func(d time.Duration) { retries.Add(1); time.Sleep(d) }
 				file := uint32(100 + g)
 				wg.Add(1)
 				go func() {
