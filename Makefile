@@ -24,7 +24,8 @@ race:
 
 # The concurrency-sensitive tests, 20 times each under the race
 # detector: packet-train ordering, late move packets, go-back-N under
-# reordering and exactly-once under faults (ipc); concurrent trains,
+# reordering, exactly-once under faults and many receivers on one
+# process, each message to one of them (ipc); concurrent trains,
 # bulk-transfer crossings, replicated read fan-out, caching failover, a
 # write landing between a large read's store read and its reply, which
 # later reads must see though the large read cached nothing, large
@@ -33,14 +34,16 @@ race:
 # the log, killed midway and under a writer that never pauses, and its
 # snapshot on the push stream: after a failover, over many files, killed
 # midway and under a writer that never pauses, and beside a sync error
-# it must not swallow (rfs).
+# it must not swallow, and the workers' shared receive queue shedding
+# under overload while every write lands once (rfs).
 # Several minutes, so CI does not run it; run it after touching the
-# exchange, move, dispatch, large-read, large-write or replication paths.
+# exchange, receive, move, dispatch, large-read, large-write or
+# replication paths.
 # Both halves always run; each one's full output is kept in
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
-STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites
+STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry
 stress:
 	@s=0; \
 	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/ >stress-ipc.log 2>&1 || s=1; cat stress-ipc.log; \

@@ -98,8 +98,9 @@ type NodeConfig struct {
 	GetPidTimeout time.Duration
 	// GetPidRetries bounds lookup rounds.
 	GetPidRetries int
-	// ReceiveQueueDepth bounds each process's FCFS receive queue. A Send
-	// to a process whose queue is full is shed: remote senders get a Nack
+	// ReceiveQueueDepth bounds each process's FCFS receive queue; a
+	// message handed to a blocked receiver does not count. A Send to a
+	// process whose queue is full is shed: remote senders get a Nack
 	// carrying the overload flag (their Send fails with ErrOverloaded,
 	// retryable), local senders get ErrOverloaded directly. 0 selects the
 	// generous default (1024); negative disables the bound. Individual

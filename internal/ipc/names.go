@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"slices"
 	"time"
 
 	"vkernel/internal/bufpool"
@@ -17,63 +18,12 @@ func (p *Proc) SetPid(logicalID uint32, pid Pid, scope Scope) {
 }
 
 // GetPid resolves a logical id, broadcasting on the network when the
-// mapping is not known locally (§3.1); it returns vproto.Nil when the
-// lookup fails.
+// mapping is not known locally (§3.1); it returns the first responder, or
+// vproto.Nil when none answers within (GetPidRetries+1) rounds.
 func (p *Proc) GetPid(logicalID uint32, scope Scope) Pid {
-	n := p.node
-	t := &n.names
-	t.mu.Lock()
-	if e, ok := t.names[logicalID]; ok && e.scope&scope != 0 {
-		t.mu.Unlock()
-		return e.pid
-	}
-	if scope&ScopeRemote == 0 || n.closed.Load() {
-		t.mu.Unlock()
-		return vproto.Nil
-	}
-	ch := make(chan Pid, 1)
-	t.lookups[logicalID] = append(t.lookups[logicalID], ch)
-	t.mu.Unlock()
-
-	pkt := &vproto.Packet{
-		Kind:  vproto.KindGetPid,
-		Seq:   n.nextSeq(),
-		Src:   p.pid,
-		Flags: vproto.FlagScopeRemote,
-	}
-	pkt.Msg.SetWord(wordNameID, logicalID)
-	f := bufpool.Get(pkt.WireSize())
-	if _, err := pkt.EncodeInto(f.Data); err != nil {
-		f.Release()
-		return vproto.Nil
-	}
-	defer f.Release()
-
-	defer func() {
-		// Remove the waiter (if it is still registered).
-		t.mu.Lock()
-		ws := t.lookups[logicalID]
-		for i, w := range ws {
-			if w == ch {
-				t.lookups[logicalID] = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
-		if len(t.lookups[logicalID]) == 0 {
-			delete(t.lookups, logicalID)
-		}
-		t.mu.Unlock()
-	}()
-
-	for attempt := 0; attempt <= n.cfg.GetPidRetries; attempt++ {
-		_ = n.transport.Broadcast(f.Data)
-		select {
-		case pid := <-ch:
-			return pid
-		case <-time.After(n.cfg.GetPidTimeout):
-		}
-	}
-	return vproto.Nil
+	pid := vproto.Nil
+	p.lookup(logicalID, scope, 0, func(q Pid) bool { pid = q; return false })
+	return pid
 }
 
 // handleGetPid answers broadcast lookups this node can resolve.
@@ -106,18 +56,31 @@ func (n *Node) handleGetPid(pkt *vproto.Packet) {
 // point of the repeated rounds — each round re-solicits the responders
 // whose earlier replies (or our earlier requests) were dropped.
 func (p *Proc) GetPidAll(logicalID uint32, scope Scope, window time.Duration) []Pid {
+	var pids []Pid
+	p.lookup(logicalID, scope, window, func(pid Pid) bool {
+		if !slices.Contains(pids, pid) {
+			pids = append(pids, pid)
+		}
+		return true
+	})
+	return pids
+}
+
+// lookup is the name lookup behind GetPid and GetPidAll. It offers found
+// the local mapping, if scope admits it, then the pid of every broadcast
+// reply, until found returns false or the window (0 → (GetPidRetries+1)
+// rounds) closes; it broadcasts one round per GetPidTimeout.
+func (p *Proc) lookup(logicalID uint32, scope Scope, window time.Duration, found func(Pid) bool) {
 	n := p.node
 	t := &n.names
-	var pids []Pid
-	seen := make(map[Pid]bool)
 	t.mu.Lock()
-	if e, ok := t.names[logicalID]; ok && e.scope&scope != 0 {
-		seen[e.pid] = true
-		pids = append(pids, e.pid)
+	if e, ok := t.names[logicalID]; ok && e.scope&scope != 0 && !found(e.pid) {
+		t.mu.Unlock()
+		return
 	}
 	if scope&ScopeRemote == 0 || n.closed.Load() {
 		t.mu.Unlock()
-		return pids
+		return
 	}
 	// Buffered generously: replies beyond the buffer are dropped by the
 	// non-blocking send in handleGetPidReply, and the next round
@@ -125,6 +88,19 @@ func (p *Proc) GetPidAll(logicalID uint32, scope Scope, window time.Duration) []
 	ch := make(chan Pid, 128)
 	t.lookups[logicalID] = append(t.lookups[logicalID], ch)
 	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		ws := t.lookups[logicalID]
+		if i := slices.Index(ws, ch); i >= 0 {
+			ws = slices.Delete(ws, i, i+1)
+		}
+		if len(ws) == 0 {
+			delete(t.lookups, logicalID)
+		} else {
+			t.lookups[logicalID] = ws
+		}
+		t.mu.Unlock()
+	}()
 
 	pkt := &vproto.Packet{
 		Kind:  vproto.KindGetPid,
@@ -134,27 +110,10 @@ func (p *Proc) GetPidAll(logicalID uint32, scope Scope, window time.Duration) []
 	}
 	pkt.Msg.SetWord(wordNameID, logicalID)
 	f := bufpool.Get(pkt.WireSize())
-	if _, err := pkt.EncodeInto(f.Data); err != nil {
-		f.Release()
-		return pids
-	}
 	defer f.Release()
-
-	defer func() {
-		t.mu.Lock()
-		ws := t.lookups[logicalID]
-		for i, w := range ws {
-			if w == ch {
-				t.lookups[logicalID] = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
-		if len(t.lookups[logicalID]) == 0 {
-			delete(t.lookups, logicalID)
-		}
-		t.mu.Unlock()
-	}()
-
+	if _, err := pkt.EncodeInto(f.Data); err != nil {
+		return
+	}
 	if window <= 0 {
 		window = time.Duration(n.cfg.GetPidRetries+1) * n.cfg.GetPidTimeout
 	}
@@ -166,24 +125,24 @@ func (p *Proc) GetPidAll(logicalID uint32, scope Scope, window time.Duration) []
 		for {
 			select {
 			case pid := <-ch:
-				if !seen[pid] {
-					seen[pid] = true
-					pids = append(pids, pid)
+				if !found(pid) {
+					round.Stop()
+					return
 				}
 			case <-round.C:
 				break collect
 			}
 		}
 		if !time.Now().Before(deadline) {
-			return pids
+			return
 		}
 	}
 }
 
 // handleGetPidReply wakes outstanding lookups. Waiters stay registered —
 // each removes itself when it is done — so an all-responders collection
-// (GetPidAll) keeps receiving after the first reply; GetPid waiters
-// simply return on the first pid delivered and deregister themselves.
+// (GetPidAll) keeps receiving after the first reply, while GetPid stops
+// at the first pid delivered.
 func (n *Node) handleGetPidReply(pkt *vproto.Packet) {
 	id := pkt.Msg.Word(wordNameID)
 	pid := Pid(pkt.Msg.Word(wordNamePid))

@@ -50,10 +50,10 @@ type Proc struct {
 	name string
 
 	mu         sync.Mutex
+	ready      sync.Cond // on mu: signalled per queued envelope, broadcast on close
+	waiters    int       // receivers blocked on ready
 	queue      []*envelope
-	queueLimit int  // max queued envelopes; 0 = unbounded
-	waiting    bool // a Receive is blocked on wake
-	wake       chan *envelope
+	queueLimit int // max queued envelopes no blocked receiver will take; 0 = unbounded
 	received   map[Pid]*envelope
 	closed     bool
 
@@ -100,10 +100,10 @@ func newProc(n *Node, pid Pid, name string) *Proc {
 		pid:        pid,
 		name:       name,
 		queueLimit: n.cfg.ReceiveQueueDepth,
-		wake:       make(chan *envelope, 1),
 		received:   make(map[Pid]*envelope),
 		sendRes:    make(chan sendResult, 1),
 	}
+	p.ready.L = &p.mu
 	p.psend.proc = p
 	p.psend.replyCh = p.sendRes
 	return p
@@ -153,7 +153,7 @@ func (p *Proc) Name() string { return p.name }
 // Node returns the owning node.
 func (p *Proc) Node() *Node { return p.node }
 
-// close releases a blocked receiver, fails queued local senders, and
+// close releases every blocked receiver, fails queued local senders, and
 // orphans remote senders' descriptors so their retransmissions are
 // Nacked (§3.2 process-death semantics). Pinned receive frames of
 // undelivered and unreplied exchanges go back to the pool.
@@ -166,8 +166,6 @@ func (p *Proc) close() {
 	p.resendMu.Unlock()
 	p.mu.Lock()
 	p.closed = true
-	wasWaiting := p.waiting
-	p.waiting = false
 	q := p.queue
 	p.queue = nil
 	rcvd := make([]*envelope, 0, len(p.received))
@@ -176,9 +174,7 @@ func (p *Proc) close() {
 		rcvd = append(rcvd, env)
 	}
 	p.mu.Unlock()
-	if wasWaiting {
-		p.wake <- nil // nil envelope: closed
-	}
+	p.ready.Broadcast()
 	for _, env := range q {
 		if env.local != nil {
 			env.local.replyCh <- sendResult{err: ErrNoProcess}
@@ -196,7 +192,7 @@ func (p *Proc) close() {
 	p.node.aliens.dropAwaiting(p.pid)
 }
 
-// enqueue delivers an envelope, waking a blocked receiver if any. The
+// enqueue delivers an envelope, waking one blocked receiver if any. The
 // caller handles non-OK statuses (sender notification, descriptor and
 // frame cleanup) — enqueue itself takes ownership only on enqOK.
 func (p *Proc) enqueue(env *envelope) enqStatus {
@@ -205,18 +201,13 @@ func (p *Proc) enqueue(env *envelope) enqStatus {
 		p.mu.Unlock()
 		return enqClosed
 	}
-	if p.waiting {
-		p.waiting = false
-		p.mu.Unlock()
-		p.wake <- env
-		return enqOK
-	}
-	if p.queueLimit > 0 && len(p.queue) >= p.queueLimit {
+	if p.queueLimit > 0 && len(p.queue) >= p.queueLimit+p.waiters {
 		p.mu.Unlock()
 		return enqOverflow
 	}
 	p.queue = append(p.queue, env)
 	p.mu.Unlock()
+	p.ready.Signal()
 	return enqOK
 }
 
@@ -317,7 +308,10 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 	return nil
 }
 
-// Receive blocks until a message arrives; FCFS order (§2.1).
+// Receive blocks until a message arrives (§2.1). Any number of
+// goroutines may Receive on one process, the way a server's workers
+// share its queue: each message goes to exactly one of them, in FCFS
+// order, and any of them may answer any received exchange.
 func (p *Proc) Receive() (Message, Pid, error) {
 	msg, src, _, err := p.receive(nil)
 	return msg, src, err
@@ -333,27 +327,18 @@ func (p *Proc) ReceiveWithSegment(buf []byte) (Message, Pid, int, error) {
 
 func (p *Proc) receive(buf []byte) (Message, Pid, int, error) {
 	p.mu.Lock()
+	for len(p.queue) == 0 && !p.closed {
+		p.waiters++
+		p.ready.Wait()
+		p.waiters--
+	}
 	if p.closed {
 		p.mu.Unlock()
 		return Message{}, vproto.Nil, 0, ErrClosed
 	}
-	var env *envelope
-	if len(p.queue) > 0 {
-		env = p.queue[0]
-		p.queue = p.queue[1:]
-		p.mu.Unlock()
-	} else {
-		// Block on the reusable wake channel: exactly one producer (the
-		// enqueue or close that flips waiting back off under the lock)
-		// hands over per wait cycle, so the one-slot channel never blocks
-		// a sender and never carries stale envelopes.
-		p.waiting = true
-		p.mu.Unlock()
-		env = <-p.wake
-		if env == nil {
-			return Message{}, vproto.Nil, 0, ErrClosed
-		}
-	}
+	env := p.queue[0]
+	p.queue = p.queue[1:]
+	p.mu.Unlock()
 	// Copy the segment prefix while the envelope is this receiver's alone:
 	// once it is published in p.received, a concurrent close() may release
 	// its frame.

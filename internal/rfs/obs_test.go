@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vkernel/internal/ipc"
 	"vkernel/internal/obs"
 )
 
@@ -224,4 +225,51 @@ func TestScrapeDuringFailover(t *testing.T) {
 	if n := srvCounter(survivor.Srv, "rfs.stat_scrapes"); n == 0 {
 		t.Fatal("no stats scrapes recorded on the surviving shard")
 	}
+}
+
+// TestHotPageReadsTimed: a cache-hit page read is served through the op
+// table like a miss, so with timing on N hits leave at least N
+// observations in rfs.op.read_block, and a traced hit records an
+// rfs.read_block span with a duration.
+func TestHotPageReadsTimed(t *testing.T) {
+	e := memEnv(t, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	c := e.client(t, "hot-reader")
+	const file = 5
+	if err := c.WriteBlock(file, 0, pattern(file, 512)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	if _, err := c.ReadBlock(file, 0, buf); err != nil { // cached from here on
+		t.Fatal(err)
+	}
+	e.srv.Metrics().SetTiming(true)
+	hits := volGauge(e.srv, "cache_hits")
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := c.ReadBlock(file, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := volGauge(e.srv, "cache_hits") - hits; got < n {
+		t.Fatalf("%d of %d reads hit the cache", got, n)
+	}
+	if h := e.srv.Metrics().Histogram("rfs.op.read_block").Stat(); h.Count < n {
+		t.Fatalf("rfs.op.read_block counted %d after %d cache-hit reads", h.Count, n)
+	}
+
+	trace := obs.NewTraceID()
+	c.SetTrace(trace)
+	hits = volGauge(e.srv, "cache_hits")
+	if _, err := c.ReadBlock(file, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if volGauge(e.srv, "cache_hits") == hits {
+		t.Fatal("the traced read missed the cache")
+	}
+	for _, ev := range e.srv.Metrics().Trace().EventsFor(trace) {
+		if ev.What == "rfs.read_block" && ev.Dur > 0 {
+			return
+		}
+	}
+	t.Fatalf("no timed rfs.read_block span for the traced hit: %+v", e.srv.Metrics().Trace().EventsFor(trace))
 }

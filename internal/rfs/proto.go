@@ -17,10 +17,10 @@
 //     a page write is served as the one-block large write it is.
 //
 // The server owns a byte-addressed block store (in-memory or file-backed)
-// behind an LRU block cache, and handles
-// requests on a bounded worker pool so independent clients proceed in
-// parallel (the node's sharded locking keeps their exchanges from
-// serializing).
+// behind an LRU block cache. Its workers all Receive on the one server
+// process, so the kernel's FCFS receive queue is its only request queue
+// and independent clients proceed in parallel, one per worker (the
+// node's sharded locking keeps their exchanges from serializing).
 package rfs
 
 import (

@@ -1,7 +1,6 @@
 package rfs
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -102,11 +101,12 @@ func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, reg *obs.Reg
 }
 
 // callbackExchange Sends the OpInvalidate callback req to w's callback
-// process from a process attached for it and delivers the outcome on
-// done. An overload shed (the callback process's receive queue was
-// momentarily full) is retried with the same capped backoff the client
-// stubs use — shedding is the kernel's normal burst behavior and must
-// not cost a healthy client its registration; any other error is final.
+// process from a process attached for it, through the client stubs'
+// exchange, and delivers the outcome on done. An overload shed (the
+// callback process's receive queue was momentarily full) is retried
+// under DefaultRetryPolicy, as a stub's would be: shedding is the
+// kernel's normal burst behavior and must not cost a healthy client its
+// registration; any other error is final.
 func (r *cacheRegistry) callbackExchange(req ipc.Message, w *watcher, done chan<- invResult) {
 	p, err := r.node.Attach("inval")
 	if err != nil {
@@ -114,22 +114,9 @@ func (r *cacheRegistry) callbackExchange(req ipc.Message, w *watcher, done chan<
 		return
 	}
 	defer r.node.Detach(p)
-	delay := 200 * time.Microsecond
-	for attempt := 0; ; attempt++ {
-		m := req
-		err = p.Send(&m, w.cb, nil)
-		if err == nil {
-			if status, _ := parseReply(&m); status != StatusOK {
-				err = ErrBadStatus
-			}
-			break
-		}
-		if !errors.Is(err, ipc.ErrOverloaded) || attempt >= 8 {
-			break
-		}
-		time.Sleep(delay)
-		if delay *= 2; delay > 10*time.Millisecond {
-			delay = 10 * time.Millisecond
+	if err = NewClient(p, w.cb).exchange(&req, nil); err == nil {
+		if status, _ := parseReply(&req); status != StatusOK {
+			err = ErrBadStatus
 		}
 	}
 	done <- invResult{w: w, err: err}

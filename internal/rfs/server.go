@@ -37,18 +37,16 @@ type Config struct {
 	BlockSize int
 	// CacheBlocks is the block-cache capacity in blocks (0 → 1024).
 	CacheBlocks int
-	// Workers sizes the request worker pool (0 → one per CPU, 2..16).
+	// Workers is how many goroutines Receive on the server process and
+	// serve what they receive (0 → one per CPU, 2..16); it bounds the
+	// requests in service at once.
 	Workers int
-	// QueueDepth bounds requests buffered between the receive loop and
-	// the workers (0 → 128). A full queue blocks the receive loop; waiting
-	// clients are held in their exchanges by reply-pending packets.
-	QueueDepth int
-	// ReceiveQueueDepth bounds the server process's FCFS receive queue —
-	// the exchanges that pile up behind a blocked receive loop. Past the
-	// bound the kernel sheds new Sends with an overload Nack, which the
-	// client stub surfaces as ipc.ErrOverloaded (retryable), instead of
-	// growing memory without limit. 0 → a generous 1024; negative
-	// disables the bound.
+	// ReceiveQueueDepth bounds the server process's FCFS receive queue,
+	// the server's only request queue: the exchanges waiting while every
+	// worker is busy. Past the bound the kernel sheds new Sends with an
+	// overload Nack, which the client stub surfaces as ipc.ErrOverloaded
+	// (retryable), instead of growing memory without limit. 0 → a
+	// generous 1024; negative disables the bound.
 	ReceiveQueueDepth int
 	// DirtyBudget bounds the staged-but-unflushed blocks the server will
 	// hold: writes are staged as dirty cache blocks, acknowledged at once
@@ -109,9 +107,6 @@ func (c Config) withDefaults() Config {
 		if c.Workers > 16 {
 			c.Workers = 16
 		}
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 128
 	}
 	switch {
 	case c.ReceiveQueueDepth < 0:
@@ -209,23 +204,29 @@ type opRow struct {
 // classGlobal, the admitted volume. Row 0 is the sentinel every other
 // word lands on (opcode 0, the callback and replica-apply ops other
 // processes serve, anything past the end): a replica or an unhosted
-// volume answers it NoVolume, a primary BadRequest.
-var ops = [numOps]opRow{
-	0:               {"other", "", classWrite, (*Server).badRequest},
-	OpReadBlock:     {"read_block", "rfs.page_reads", classRead, (*Server).pageRead},
-	OpWriteBlock:    {"write_block", "rfs.page_writes", classWrite, (*Server).pageWrite},
-	OpReadLarge:     {"read_large", "rfs.large_reads", classRead, (*Server).largeRead},
-	OpWriteLarge:    {"write_large", "rfs.large_writes", classWrite, (*Server).largeWrite},
-	OpQueryFile:     {"query_file", "rfs.queries", classRead, (*Server).queryFile},
-	OpCreateFile:    {"create_file", "rfs.creates", classWrite, (*Server).createFile},
-	OpSync:          {"sync", "rfs.syncs", classWrite, (*Server).syncFiles},
-	OpRegisterCache: {"register_cache", "", classWrite, (*Server).registerCache},
-	OpReleaseCache:  {"release_cache", "", classWrite, (*Server).releaseCache},
-	OpQueryVolumes:  {"query_volumes", "", classGlobal, (*Server).queryVolumes},
-	OpRepJoin:       {"repl_control", "", classControl, (*Server).handleRepJoin},
-	OpRepHeartbeat:  {"repl_control", "", classControl, (*Server).handleRepHeartbeat},
-	OpQueryReplicas: {"repl_control", "", classWrite, (*Server).handleQueryReplicas},
-	OpQueryStats:    {"query_stats", "rfs.stat_scrapes", classGlobal, (*Server).queryStats},
+// volume answers it NoVolume, a primary BadRequest. The table is filled
+// in init because a write's handler reaches the client stubs' exchange
+// (its invalidation callbacks), which reads it.
+var ops [numOps]opRow
+
+func init() {
+	ops = [numOps]opRow{
+		0:               {"other", "", classWrite, (*Server).badRequest},
+		OpReadBlock:     {"read_block", "rfs.page_reads", classRead, (*Server).pageRead},
+		OpWriteBlock:    {"write_block", "rfs.page_writes", classWrite, (*Server).pageWrite},
+		OpReadLarge:     {"read_large", "rfs.large_reads", classRead, (*Server).largeRead},
+		OpWriteLarge:    {"write_large", "rfs.large_writes", classWrite, (*Server).largeWrite},
+		OpQueryFile:     {"query_file", "rfs.queries", classRead, (*Server).queryFile},
+		OpCreateFile:    {"create_file", "rfs.creates", classWrite, (*Server).createFile},
+		OpSync:          {"sync", "rfs.syncs", classWrite, (*Server).syncFiles},
+		OpRegisterCache: {"register_cache", "", classWrite, (*Server).registerCache},
+		OpReleaseCache:  {"release_cache", "", classWrite, (*Server).releaseCache},
+		OpQueryVolumes:  {"query_volumes", "", classGlobal, (*Server).queryVolumes},
+		OpRepJoin:       {"repl_control", "", classControl, (*Server).handleRepJoin},
+		OpRepHeartbeat:  {"repl_control", "", classControl, (*Server).handleRepHeartbeat},
+		OpQueryReplicas: {"repl_control", "", classWrite, (*Server).handleQueryReplicas},
+		OpQueryStats:    {"query_stats", "rfs.stat_scrapes", classGlobal, (*Server).queryStats},
+	}
 }
 
 // numOps sizes the ops table: one row per opcode up to the last.
@@ -240,24 +241,20 @@ func opIndex(op uint32) uint32 {
 	return 0
 }
 
-// request is one received exchange awaiting a worker. Requests are
-// pooled: the receive loop takes one per exchange, the handling worker
-// returns it.
+// request is the exchange a worker is serving. Each worker owns one for
+// its lifetime and receives every exchange into it.
 type request struct {
 	msg    ipc.Message
 	src    ipc.Pid
-	frame  *bufpool.Buf // pooled staging buffer backing buf; released after handling
-	buf    []byte       // staging: holds the inline segment prefix, reused for MoveFrom pulls
-	inline int          // bytes of buf filled by the Send's inline prefix
-	trace  uint32       // the request message's 24-bit trace id (0 = untraced)
+	buf    []byte // staging: holds the inline segment prefix, reused for MoveFrom pulls
+	inline int    // bytes of buf filled by the Send's inline prefix
+	trace  uint32 // the request message's 24-bit trace id (0 = untraced)
 	// held and parts are the large ops' per-train scratch (the buffers a
-	// train borrows and its gather or scatter list), kept across pooled
-	// reuse.
+	// train borrows and its gather or scatter list), kept across
+	// exchanges.
 	held  []*bufpool.Buf
 	parts [][]byte
 }
-
-var requestPool = sync.Pool{New: func() any { return new(request) }}
 
 // VolumeRole is a hosted volume's replication role.
 type VolumeRole int32
@@ -336,14 +333,15 @@ func (v *volume) readable() bool {
 	return v.rv != nil && v.rv.serving.Load()
 }
 
-// Server is a real networked V file server: one V process receiving the
-// Verex I/O protocol, a bounded worker pool executing requests, and N
-// hosted volumes, each an LRU block cache over a Store.
+// Server is a real networked V file server: one V process serving the
+// Verex I/O protocol and N hosted volumes, each an LRU block cache over a
+// Store.
 //
-// The receive loop and the workers share the server process: Receive
-// records which client each exchange came from, so any worker may Reply,
-// MoveTo or MoveFrom on that client's behalf while the loop blocks in the
-// next Receive — requests from independent clients proceed in parallel.
+// The server's workers are the process: each of Config.Workers
+// goroutines Receives on it, serves the exchange it got with Reply,
+// MoveTo or MoveFrom, and Receives again. The kernel's FCFS receive
+// queue is the only request queue, and requests from independent
+// clients proceed in parallel, one per worker.
 //
 // Every hosted volume is advertised through the broadcast name service
 // as LogicalVolumeBase+id, which is the cluster's routing table: an
@@ -356,7 +354,6 @@ type Server struct {
 	registry *cacheRegistry
 	proc     *ipc.Proc
 
-	queue   chan *request
 	workers sync.WaitGroup
 	closed  sync.Once
 
@@ -491,8 +488,7 @@ func StartVolumes(node *ipc.Node, vols []VolumeSpec, cfg Config) (*Server, error
 		v.rv = rv
 	}
 
-	s.queue = make(chan *request, s.cfg.QueueDepth)
-	proc, err := node.Spawn("fileserver", s.serve)
+	proc, err := node.Attach("fileserver")
 	if err != nil {
 		cleanup()
 		return nil, err
@@ -604,10 +600,10 @@ func (s *Server) Flush() error {
 	return first
 }
 
-// Close stops the server: the receive loop unblocks, queued requests
-// drain, the workers exit, staged writes flush to the stores, and the
-// block caches return their buffers to the pool. The backing stores are
-// not closed.
+// Close stops the server: the server process goes away, which fails the
+// exchanges still queued and every worker's Receive, the workers exit,
+// staged writes flush to the stores, and the block caches return their
+// buffers to the pool. The backing stores are not closed.
 func (s *Server) Close() {
 	s.closed.Do(func() {
 		// Replica control loops stop first: a promotion racing the
@@ -635,80 +631,23 @@ func (s *Server) Close() {
 	})
 }
 
-// serve is the receive loop: it pulls exchanges off the process queue and
-// hands them to the worker pool. Each request gets its own pooled staging
-// buffer because workers process them concurrently; the worker returns it
-// after handling. The most common exchange — a cache-hit page read — is
-// answered inline instead, without the queue hop.
-func (s *Server) serve(p *ipc.Proc) {
-	defer close(s.queue)
-	for {
-		f := bufpool.Get(vproto.MaxData)
-		msg, src, n, err := p.ReceiveWithSegment(f.Data)
-		if err != nil {
-			f.Release()
-			return
-		}
-		if n == 0 && s.fastRead(&msg, src) {
-			f.Release()
-			continue
-		}
-		req := requestPool.Get().(*request) // zero but for the worker's kept scratch
-		req.msg, req.src, req.frame, req.buf, req.inline = msg, src, f, f.Data, n
-		s.queue <- req
-	}
-}
-
-// fastRead serves a cache-hit OpReadBlock directly from the receive
-// loop, the way the V kernel handles its dominant exchange in the
-// packet-reception path rather than waking a server process (§6's
-// page-transfer special casing). The saving is one queue hop and one
-// goroutine wakeup per hot read: on UDP the transport's read loop hands
-// the Send straight to this loop, so a hot read is one goroutine hop
-// from the wire to its reply, where the worker path is two. Everything
-// on this path must be non-blocking: one cache mutex and the reply
-// transmit. Anything else — a miss that needs the store, an unknown
-// volume, a malformed count — returns false and takes the worker path.
-func (s *Server) fastRead(msg *ipc.Message, src ipc.Pid) bool {
-	op, file, block, count := parseRequest(msg)
-	if op != OpReadBlock || count > uint32(s.cfg.BlockSize) {
-		return false
-	}
-	v := s.volumes[reqVolume(msg)]
-	if v == nil || !v.readable() {
-		return false
-	}
-	b, _, ok := v.cache.getEnd(blockID{file: file, block: block})
-	if !ok {
-		return false
-	}
-	s.stats.requests.Add(1)
-	s.opCounts[OpReadBlock].Add(1)
-	s.stats.bytesRead.Add(int64(count))
-	reply := buildReply(StatusOK, count)
-	err := s.proc.ReplyWithSegment(&reply, src, 0, b.Data[:count])
-	b.Release()
-	if err != nil {
-		// The client's grant was missing or too small: answer without data.
-		s.replyStatus(src, StatusBadRequest, 0)
-	}
-	if trace := msg.Trace(); trace != 0 {
-		s.metrics.Trace().Record(trace, "rfs.fast_read", uint64(file)<<32|uint64(block), 0)
-	}
-	return true
-}
-
+// worker is one of the server's request goroutines: it Receives on the
+// server process into its own staging buffer and serves each exchange
+// until the process goes away.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	for req := range s.queue {
+	req := &request{buf: make([]byte, vproto.MaxData)}
+	for {
+		msg, src, n, err := s.proc.ReceiveWithSegment(req.buf)
+		if err != nil {
+			return
+		}
+		req.msg, req.src, req.inline = msg, src, n
 		s.handle(req)
-		req.frame.Release()
-		*req = request{held: req.held[:0], parts: req.parts[:0]}
-		requestPool.Put(req)
 	}
 }
 
-// handle instruments one queued request around dispatch: when timing is
+// handle instruments one received request around dispatch: when timing is
 // on (or the request is traced, which forces a measurement) the
 // request's latency lands in the per-op rfs.op.* histogram, and a span
 // is recorded for traced requests and for untraced ones that crossed

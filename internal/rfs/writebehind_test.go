@@ -585,7 +585,7 @@ func TestOverloadGoodputWithRetry(t *testing.T) {
 		t.Run(fmt.Sprintf("queue=%d", depth), func(t *testing.T) {
 			slow := &slowStore{Store: NewMemStore(), delay: 300 * time.Microsecond}
 			e := memEnvStore(t, slow, ipc.FaultConfig{}, ipc.NodeConfig{},
-				Config{DirtyBudget: -1, Workers: 1, QueueDepth: 1, ReceiveQueueDepth: depth})
+				Config{DirtyBudget: -1, Workers: 1, ReceiveQueueDepth: depth})
 			const clients, writes = 8, 20
 			var retries atomic.Int64
 			var wg sync.WaitGroup
