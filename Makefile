@@ -30,8 +30,10 @@ race:
 # write landing between a large read's store read and its reply, which
 # later reads must see though the large read cached nothing, large
 # writes, which stage each train between pulls on the worker, pulled
-# under loss and replicated train by train, a replica's catch-up from
-# the log, killed midway and under a writer that never pauses, and its
+# under loss and replicated train by train, staged as one train each
+# (one store write per aligned 64 KB write) and part by part past a
+# small dirty budget, a replica's catch-up from the log, killed midway
+# and under a writer that never pauses, and its
 # snapshot on the push stream: after a failover, over many files, killed
 # midway and under a writer that never pauses, and beside a sync error
 # it must not swallow, and the workers' shared receive queue shedding
@@ -43,7 +45,7 @@ race:
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
 STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget
 stress:
 	@s=0; \
 	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/ >stress-ipc.log 2>&1 || s=1; cat stress-ipc.log; \
@@ -109,11 +111,16 @@ bench-rfs:
 # cache block by block, repeated was 8 / 12 (served as 128 cache hits)
 # and cold 265 / 269 at ~20 KB/op; udp was 142 when every packet of the
 # train was its own sendto, recvfrom and pooled frame hand-off.
-# WriteLarge64K 6 on mem, 10 on udp at ~1.1 / 1.4 KB/op: each train is
-# pulled into fresh pooled blocks and staged on the worker. When a
-# goroutine staged the inline prefix and another the train beside the
-# next pull, it was 32 / 37 at ~22 KB/op (and 165 on udp before trains
-# were one frame). PageWrite is 1 alloc/op on both.
+# WriteLarge64K 6 on mem, 10 on udp at ~0.6 / 0.8 KB/op: each train is
+# pulled into fresh pooled blocks and staged on the worker in one cache
+# call; stream (a 4 MB file front to back, so every train inserts and
+# evicts 128 blocks) is the same 6 / 10. When each staged block
+# allocated a cache entry and a list element, stream was 265 / 269 and
+# the rest 7 / 11; when a goroutine staged the inline prefix and another
+# the train beside the next pull, it was 32 / 37 at ~22 KB/op (and 165 on
+# udp before trains were one frame). PageWrite is 1 alloc/op on both (the
+# remote sender's descriptor); 2 when a drained receive queue dropped
+# its backing array.
 # SealOpen is one frame's EncodeInto + DecodeInto, 0 allocs/op: with the
 # CRC-32C frame check (amd64, 2 shared vCPUs, -benchtime=1s) 75-84 ns at
 # 0 data bytes, 135-140 at 512 and 192-230 at 1024; with the rotate-add

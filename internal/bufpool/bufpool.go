@@ -30,9 +30,11 @@ import (
 // classSizes are the pooled capacities. They cover the path's working
 // sizes: file blocks (512), interkernel frames (a maximal packet is
 // header 32 + message 32 + data 1024 = 1088 ≤ 2048), transfer-unit
-// staging (4096) and large scratch. Requests beyond the largest class
+// staging (4096), large scratch, a 64 KB transfer (65536), and a 64 KB
+// transfer with room for headers (a replication batch carrying one
+// 64 KB write record is 65,557 bytes). Requests beyond the largest class
 // get a dedicated allocation that is counted but not recycled.
-var classSizes = [...]int{256, 512, 1024, 2048, 4096, 16384, 65536}
+var classSizes = [...]int{256, 512, 1024, 2048, 4096, 16384, 65536, 65536 + 4096}
 
 // Buf is a pooled, reference-counted byte buffer.
 type Buf struct {

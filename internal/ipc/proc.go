@@ -336,8 +336,12 @@ func (p *Proc) receive(buf []byte) (Message, Pid, int, error) {
 		p.mu.Unlock()
 		return Message{}, vproto.Nil, 0, ErrClosed
 	}
+	// Pop by shifting, so the queue keeps its backing array and the next
+	// enqueue does not allocate one.
 	env := p.queue[0]
-	p.queue = p.queue[1:]
+	n := copy(p.queue, p.queue[1:])
+	p.queue[n] = nil
+	p.queue = p.queue[:n]
 	p.mu.Unlock()
 	// Copy the segment prefix while the envelope is this receiver's alone:
 	// once it is published in p.received, a concurrent close() may release

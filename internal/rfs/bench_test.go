@@ -180,9 +180,13 @@ func BenchmarkReadLarge64K(b *testing.B) {
 // BenchmarkWriteLarge64K measures streamed 64 KB writes (pulled by the
 // server as one MoveFrom train, scattered straight into cache blocks
 // with MoveFromVec) versus client concurrency. Each client writes its
-// own file, the program-installation shape of §6.3.
+// own file, the program-installation shape of §6.3, rewriting the same
+// 128 blocks, which stay cached. The stream case writes a 4 MB file,
+// eight times the default cache, front to back, so every train inserts
+// 128 blocks and evicts as many: the cache churn of stream_64k.
 func BenchmarkWriteLarge64K(b *testing.B) {
 	const size = 64 * 1024
+	const streamSize = 4 << 20
 	for _, flavor := range []string{"mem", "udp"} {
 		for _, clients := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/clients=%d", flavor, clients), func(b *testing.B) {
@@ -193,6 +197,13 @@ func BenchmarkWriteLarge64K(b *testing.B) {
 				})
 			})
 		}
+		b.Run(flavor+"/stream", func(b *testing.B) {
+			e := benchEnvStore(b, flavor, &slowStore{Store: NewMemStore(), delay: benchStoreDelay})
+			image := pattern(9, size)
+			run(b, e, 1, size, func(c *Client, _ int, _ []byte, i int) error {
+				return c.WriteLarge(2, uint32(i%(streamSize/size)*size), image)
+			})
+		})
 	}
 }
 

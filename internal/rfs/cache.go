@@ -1,7 +1,6 @@
 package rfs
 
 import (
-	"container/list"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -9,6 +8,7 @@ import (
 
 	"vkernel/internal/bufpool"
 	"vkernel/internal/obs"
+	"vkernel/internal/rfs/lru"
 )
 
 // errCacheClosed reports a stage attempted after close; the server
@@ -44,6 +44,14 @@ const (
 // blockCache is the server's in-memory block cache with LRU replacement
 // and write-behind dirty-block tracking.
 //
+// Entries sit in an lru.List, the allocation-free recency list the
+// client cache shares; the dirty blocks no flusher has claimed form a
+// FIFO linked through the same slots. Slots are reused, so code that
+// drops c.mu and comes back to an entry (a flush completing, a drain
+// waiting) names it by slot and incarnation. A write arrives as a train
+// (stage), staged under one lock with one wakeup of the flushers, so
+// they find it whole and write it back as one run.
+//
 // Blocks are pooled, reference-counted buffers. The cache holds one
 // reference per entry; get hands the caller another, so a block lent to
 // an in-flight reply or bulk transfer survives invalidation, eviction or
@@ -71,24 +79,23 @@ type blockCache struct {
 	blockSize int
 	budget    int // max non-clean blocks before stage applies backpressure
 	maxRun    int // max blocks coalesced into one flush write
-	entries   map[blockID]*list.Element
-	lru       *list.List // front = most recently used
+	lru       *lru.List[blockID, cacheEntry]
 	// fileBlocks counts entries per file; a file with none is absent.
 	fileBlocks map[uint32]int
 
-	// Write-behind state, guarded by mu. dirty holds the staged blocks no
-	// flusher has claimed yet; dirtyCount counts every non-clean entry
-	// (dirty + flushing), the quantity the budget bounds; fileDirty is
-	// the same count per file. staged tracks each file's write
-	// high-water mark so size queries and bounds checks see unflushed
-	// extensions; once a file has no non-clean blocks the store covers
-	// the mark and the entry is pruned (the maps stay proportional to
-	// in-flight work, not to every file id ever written).
-	dirty      map[blockID]*cacheEntry
-	dirtyCount int
-	fileDirty  map[uint32]int
-	staged     map[uint32]int64
-	closed     bool
+	// Write-behind state, guarded by mu. qHead and qTail are the oldest
+	// and newest staged blocks no flusher has claimed yet; dirtyCount
+	// counts every non-clean entry (dirty + flushing), the quantity the
+	// budget bounds; fileDirty is the same count per file. staged tracks
+	// each file's write high-water mark so size queries and bounds checks
+	// see unflushed extensions; once a file has no non-clean blocks the
+	// store covers the mark and the entry is pruned (the maps stay
+	// proportional to in-flight work, not to every file id ever written).
+	qHead, qTail int32
+	dirtyCount   int
+	fileDirty    map[uint32]int
+	staged       map[uint32]int64
+	closed       bool
 	// flushErrByFile holds the first write-back error per file since that
 	// file's last drain. Per-file, not a single sticky error: a per-file
 	// sync must report — and clear — only its own file's failures, or a
@@ -115,7 +122,6 @@ type blockCache struct {
 }
 
 type cacheEntry struct {
-	id      blockID
 	buf     *bufpool.Buf
 	end     int // valid bytes: in-file extent (clean), flush extent (dirty)
 	state   int
@@ -125,16 +131,29 @@ type cacheEntry struct {
 	// flusher that writes the entry back logs the flush under it, so a
 	// traced write's timeline covers its asynchronous write-back too.
 	trace uint32
+	// qprev and qnext link a dirty entry into the unclaimed FIFO.
+	qprev, qnext int32
 }
 
-// flushItem is one claimed block of a flush run: the entry plus a
-// retained snapshot of the buffer and extent being written, so completion
-// can tell whether the entry was re-staged or invalidated meanwhile.
+// flushItem is one claimed block of a flush run: the entry's slot and
+// incarnation plus a retained snapshot of the buffer and extent being
+// written, so completion can tell whether the entry was re-staged or
+// invalidated meanwhile.
 type flushItem struct {
-	e     *cacheEntry
+	slot  int32
+	inc   uint32
 	buf   *bufpool.Buf
 	end   int
 	trace uint32
+}
+
+// spare is a pre-fetched store image of a block a stage covers only in
+// part (buf nil: the block has no prior contents), with the block's
+// generation snapshotted before the fetch.
+type spare struct {
+	buf *bufpool.Buf
+	end int
+	gen uint64
 }
 
 // newBlockCache builds the cache and starts its flushers; write is their
@@ -145,10 +164,10 @@ func newBlockCache(capacity, blockSize, budget, flushers int, write func(file ui
 		blockSize:      blockSize,
 		budget:         budget,
 		maxRun:         64 * 1024 / blockSize, // one flush write covers ≤ 64 KB (a pooled staging class)
-		entries:        make(map[blockID]*list.Element),
-		lru:            list.New(),
+		lru:            lru.New[blockID, cacheEntry](),
 		fileBlocks:     make(map[uint32]int),
-		dirty:          make(map[blockID]*cacheEntry),
+		qHead:          lru.Nil,
+		qTail:          lru.Nil,
 		fileDirty:      make(map[uint32]int),
 		staged:         make(map[uint32]int64),
 		flushErrByFile: make(map[uint32]error),
@@ -169,14 +188,14 @@ func newBlockCache(capacity, blockSize, budget, flushers int, write func(file ui
 func (c *blockCache) getEnd(id blockID) (*bufpool.Buf, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[id]
+	s, ok := c.lru.Find(id)
 	if !ok {
 		c.misses.Add(1)
 		return nil, 0, false
 	}
 	c.hits.Add(1)
-	c.lru.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
+	c.lru.Touch(s)
+	e := c.lru.Val(s)
 	return e.buf.Retain(), e.end, true
 }
 
@@ -190,9 +209,9 @@ func (c *blockCache) lend(file, first uint32, slots []*bufpool.Buf) {
 	clear(slots)
 	hits, held := 0, c.fileBlocks[file]
 	for i := 0; i < len(slots) && hits < held; i++ {
-		if el, ok := c.entries[blockID{file: file, block: first + uint32(i)}]; ok {
-			c.lru.MoveToFront(el)
-			slots[i] = el.Value.(*cacheEntry).buf.Retain()
+		if s, ok := c.lru.Find(blockID{file: file, block: first + uint32(i)}); ok {
+			c.lru.Touch(s)
+			slots[i] = c.lru.Val(s).buf.Retain()
 			hits++
 		}
 	}
@@ -237,111 +256,128 @@ func (c *blockCache) put(id blockID, buf *bufpool.Buf, gen uint64, end int) {
 	if c.closed || c.genOf(id).Load() != gen {
 		return
 	}
-	if el, ok := c.entries[id]; ok {
-		e := el.Value.(*cacheEntry)
+	if s, ok := c.lru.Find(id); ok {
+		e := c.lru.Val(s)
 		if e.state != stateClean {
 			return // never clobber staged bytes with store bytes
 		}
 		e.buf.Release()
 		e.buf = buf.Retain()
 		e.end = end
-		c.lru.MoveToFront(el)
+		c.lru.Touch(s)
 		return
 	}
-	c.linkLocked(&cacheEntry{id: id, buf: buf.Retain(), end: end})
+	c.lru.Insert(id, cacheEntry{buf: buf.Retain(), end: end})
+	c.fileBlocks[id.file]++
 	c.evictExcessLocked()
 }
 
-// stage installs buf as the block's newest contents for write-behind: the
-// payload occupies buf.Data[payStart:payEnd], and stage completes the
-// image around it under the lock — head and tail bytes come from the
+// stage installs a train as the newest contents of blocks first,
+// first+1, ... of file for write-behind, under one lock and with one
+// wakeup of the flushers, so they claim the train whole. bufs[i] holds
+// block first+i; the payload fills it, except that the head block's
+// starts at payStart and the tail block's ends at payEnd. stage
+// completes each image around its payload under the lock — from the
 // current cache entry when present (which may itself be dirty: staged
-// writes merge in order), else from spare (a pre-fetched store image of
-// spareEnd in-file bytes, nil when the caller knows none is needed), else
-// zeros. The entry is marked dirty and pinned until a flusher writes
-// buf.Data[:end] back, where end covers both the payload and whatever
-// older valid bytes the image preserves. The caller keeps its reference
-// on buf (the cache retains its own) and must not touch buf.Data after
-// stage returns — the buffer now backs concurrent readers.
+// writes merge in order), else from the head or tail spare (head for a
+// one-block train), else zeros. Each entry is marked dirty and pinned
+// until a flusher writes buf.Data[:end] back, where end covers both the
+// payload and whatever older valid bytes the image preserves. The caller
+// keeps its references on bufs (the cache retains its own) and must not
+// touch their bytes after stage returns — they now back readers.
 //
-// spareGen is the block's generation snapshotted BEFORE the spare image
-// was fetched; if the generation has moved and the entry is gone (a
-// concurrent write was staged, flushed and evicted in the meantime),
-// stage refuses with errStaleSpare rather than resurrect the pre-write
-// image — the caller refetches and retries.
+// A spare whose block generation has moved while the block has no entry
+// (a concurrent write was staged, flushed and evicted since the caller
+// snapshotted) is stale: stage stops there with errStaleSpare rather
+// than resurrect the pre-write image, and the caller refetches and
+// stages the rest. stage returns how many blocks it staged.
 //
 // stage blocks while the dirty budget is exhausted — that is the
 // write-behind backpressure: writers run ahead of the store by at most
-// budget blocks, then throttle to flush speed.
-func (c *blockCache) stage(id blockID, buf *bufpool.Buf, payStart, payEnd int, spare []byte, spareEnd int, spareGen uint64, trace uint32) error {
+// budget blocks, then throttle to flush speed. A train longer than the
+// budget is staged part by part as the flushers free room.
+func (c *blockCache) stage(file, first uint32, bufs []*bufpool.Buf, payStart, payEnd int, head, tail spare, trace uint32) (n int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for !c.closed && c.budget > 0 && c.dirtyCount >= c.budget {
-		// Only an already-dirty block may be re-staged without growing
-		// dirtyCount, but distinguishing it here costs a map lookup per
-		// wait loop for a rare case; blocking uniformly keeps the bound.
-		if el, ok := c.entries[id]; ok && el.Value.(*cacheEntry).state != stateClean {
-			break // re-staging an accounted block never exceeds the budget
+	// The per-file counts and the high-water mark are settled once per
+	// train, and before a wait, when others may look at them.
+	added, dirtied, hw := 0, 0, int64(0)
+	settle := func() {
+		if added > 0 {
+			c.fileBlocks[file] += added
 		}
-		c.cond.Wait()
-	}
-	if c.closed {
-		return errCacheClosed
-	}
-
-	// Complete the image around the payload from the freshest older bytes.
-	var old []byte
-	oldEnd := 0
-	if el, ok := c.entries[id]; ok {
-		e := el.Value.(*cacheEntry)
-		old, oldEnd = e.buf.Data, e.end
-	} else if payStart > 0 || payEnd < len(buf.Data) {
-		// The payload does not cover the block and there is no live
-		// entry to merge with: the caller-provided image (spare, or
-		// "nothing": zeros) fills the gaps, but only if it is still
-		// current — a concurrent write staged, flushed and evicted since
-		// the caller snapshotted would otherwise be reverted.
-		if c.genOf(id).Load() != spareGen {
-			return errStaleSpare
+		if dirtied > 0 {
+			c.fileDirty[file] += dirtied
 		}
-		old, oldEnd = spare, spareEnd
+		if hw > c.staged[file] {
+			c.staged[file] = hw
+		}
+		added, dirtied = 0, 0
 	}
-	c.genOf(id).Add(1)
-	end := payEnd
-	if oldEnd > end {
-		end = oldEnd
-	}
-	fillAround(buf.Data, payStart, payEnd, old, oldEnd)
+	for ; n < len(bufs); n++ {
+		id := blockID{file: file, block: first + uint32(n)}
+		lo, hi, sp := 0, c.blockSize, &tail
+		if n == 0 {
+			lo, sp = payStart, &head
+		}
+		if n == len(bufs)-1 {
+			hi = payEnd
+		}
+		s, ok := c.lru.Find(id)
+		if c.budget > 0 && c.dirtyCount >= c.budget && (!ok || c.lru.Val(s).state == stateClean) {
+			settle() // only a block not yet accounted grows dirtyCount
+			c.cond.Broadcast()
+			for !c.closed && c.dirtyCount >= c.budget {
+				c.cond.Wait()
+			}
+			s, ok = c.lru.Find(id)
+		}
+		if c.closed {
+			err = errCacheClosed
+			break
+		}
+		var old []byte
+		oldEnd := 0
+		if ok {
+			old, oldEnd = c.lru.Val(s).buf.Data, c.lru.Val(s).end
+		} else if lo > 0 || hi < c.blockSize {
+			if c.genOf(id).Load() != sp.gen {
+				err = errStaleSpare
+				break
+			}
+			if sp.buf != nil {
+				old, oldEnd = sp.buf.Data, sp.end
+			}
+		} // else the payload covers the block
+		c.genOf(id).Add(1)
+		end := max(hi, oldEnd)
+		fillAround(bufs[n].Data, lo, hi, old, oldEnd)
 
-	if el, ok := c.entries[id]; ok {
-		e := el.Value.(*cacheEntry)
+		if !ok {
+			s = c.lru.Insert(id, cacheEntry{})
+			added++
+		}
+		e := c.lru.Val(s)
 		e.buf.Release()
-		e.buf = buf.Retain()
-		e.end = end
-		e.trace = trace
+		e.buf, e.end, e.trace = bufs[n].Retain(), end, trace
 		switch e.state {
 		case stateClean:
 			e.state = stateDirty
-			c.dirty[id] = e
-			c.addNonCleanLocked(id.file)
-		case stateDirty:
-			// already queued (the flusher will pick up the newer buffer)
+			c.enqueueLocked(s)
+			c.dirtyCount++
+			dirtied++
 		case stateFlushing:
 			e.redirty = true
-		}
-		c.lru.MoveToFront(el)
-	} else {
-		e := &cacheEntry{id: id, buf: buf.Retain(), end: end, state: stateDirty, trace: trace}
-		c.linkLocked(e)
-		c.dirty[id] = e
-		c.addNonCleanLocked(id.file)
+		} // a dirty entry is queued already; its flush takes the new buffer
+		c.lru.Touch(s)
+		hw = max(hw, int64(id.block)*int64(c.blockSize)+int64(end))
+	}
+	settle()
+	if n > 0 {
 		c.evictExcessLocked()
+		c.cond.Broadcast()
 	}
-	if hw := int64(id.block)*int64(c.blockSize) + int64(end); hw > c.staged[id.file] {
-		c.staged[id.file] = hw
-	}
-	c.cond.Broadcast()
-	return nil
+	return n, err
 }
 
 // fillAround completes a staged block image: bytes outside
@@ -351,29 +387,11 @@ func (c *blockCache) stage(id blockID, buf *bufpool.Buf, payStart, payEnd int, s
 // — so a pooled buffer never leaks a previous tenant's bytes into the
 // cache or the store.
 func fillAround(dst []byte, payStart, payEnd int, old []byte, oldEnd int) {
-	if payStart > 0 {
-		n := 0
-		if oldEnd > 0 {
-			h := payStart
-			if oldEnd < h {
-				h = oldEnd
-			}
-			n = copy(dst[:payStart], old[:h])
-		}
-		for i := n; i < payStart; i++ {
-			dst[i] = 0
-		}
-	}
+	clear(dst[copy(dst[:payStart], old[:min(payStart, oldEnd)]):payStart])
 	if oldEnd > payEnd {
 		copy(dst[payEnd:oldEnd], old[payEnd:oldEnd])
 	}
-	valid := payEnd
-	if oldEnd > valid {
-		valid = oldEnd
-	}
-	for i := valid; i < len(dst); i++ {
-		dst[i] = 0
-	}
+	clear(dst[max(payEnd, oldEnd):])
 }
 
 // evictExcessLocked evicts least-recently-used clean entries until the
@@ -381,30 +399,52 @@ func fillAround(dst []byte, payStart, payEnd int, old []byte, oldEnd int) {
 // evicted — dropping one would lose acknowledged writes — so under a
 // write burst the cache may transiently hold capacity + budget blocks.
 func (c *blockCache) evictExcessLocked() {
-	for el := c.lru.Back(); el != nil && c.lru.Len() > c.capacity; {
-		prev := el.Prev()
-		if el.Value.(*cacheEntry).state == stateClean {
-			c.unlinkLocked(el)
+	for s := c.lru.Back(); s != lru.Nil && c.lru.Len() > c.capacity; {
+		prev := c.lru.Prev(s)
+		if c.lru.Val(s).state == stateClean {
+			c.unlinkLocked(s)
 		}
-		el = prev
+		s = prev
 	}
 }
 
-// linkLocked inserts a new entry as most recently used. Caller holds c.mu.
-func (c *blockCache) linkLocked(e *cacheEntry) {
-	c.entries[e.id] = c.lru.PushFront(e)
-	c.fileBlocks[e.id.file]++
+// enqueueLocked appends the entry at s to the unclaimed FIFO. Caller
+// holds c.mu.
+func (c *blockCache) enqueueLocked(s int32) {
+	e := c.lru.Val(s)
+	e.qprev, e.qnext = c.qTail, lru.Nil
+	if c.qTail == lru.Nil {
+		c.qHead = s
+	} else {
+		c.lru.Val(c.qTail).qnext = s
+	}
+	c.qTail = s
+}
+
+// dequeueLocked takes the entry at s out of the unclaimed FIFO. Caller
+// holds c.mu.
+func (c *blockCache) dequeueLocked(s int32) {
+	e := c.lru.Val(s)
+	if e.qprev == lru.Nil {
+		c.qHead = e.qnext
+	} else {
+		c.lru.Val(e.qprev).qnext = e.qnext
+	}
+	if e.qnext == lru.Nil {
+		c.qTail = e.qprev
+	} else {
+		c.lru.Val(e.qnext).qprev = e.qprev
+	}
 }
 
 // unlinkLocked drops an entry and the cache's reference on its buffer.
-func (c *blockCache) unlinkLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
-	delete(c.entries, e.id)
-	if c.fileBlocks[e.id.file]--; c.fileBlocks[e.id.file] == 0 {
-		delete(c.fileBlocks, e.id.file)
+func (c *blockCache) unlinkLocked(s int32) {
+	file, buf := c.lru.Key(s).file, c.lru.Val(s).buf
+	c.lru.Remove(s)
+	if c.fileBlocks[file]--; c.fileBlocks[file] == 0 {
+		delete(c.fileBlocks, file)
 	}
-	e.buf.Release()
+	buf.Release()
 }
 
 // invalidate drops a block (a replica's store-first apply made it stale)
@@ -416,16 +456,9 @@ func (c *blockCache) invalidate(id blockID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.genOf(id).Add(1)
-	if el, ok := c.entries[id]; ok {
-		c.removeLocked(el)
+	if s, ok := c.lru.Find(id); ok {
+		c.removeLocked(s)
 	}
-}
-
-// addNonCleanLocked accounts one block entering the dirty/flushing
-// world; caller holds c.mu.
-func (c *blockCache) addNonCleanLocked(file uint32) {
-	c.dirtyCount++
-	c.fileDirty[file]++
 }
 
 // dropNonCleanLocked accounts one block settling back to clean (or being
@@ -444,14 +477,14 @@ func (c *blockCache) dropNonCleanLocked(file uint32) {
 
 // removeLocked drops an entry and settles its write-behind accounting.
 // A flushing entry's dirtyCount is left to its flusher's completion,
-// which detects the removal and writes the orphaned bytes off.
-func (c *blockCache) removeLocked(el *list.Element) {
-	if e := el.Value.(*cacheEntry); e.state == stateDirty {
-		delete(c.dirty, e.id)
-		c.dropNonCleanLocked(e.id.file)
+// which finds the entry no longer Live and writes the orphaned bytes off.
+func (c *blockCache) removeLocked(s int32) {
+	if c.lru.Val(s).state == stateDirty {
+		c.dequeueLocked(s)
+		c.dropNonCleanLocked(c.lru.Key(s).file)
 		c.cond.Broadcast()
 	}
-	c.unlinkLocked(el)
+	c.unlinkLocked(s)
 }
 
 // truncate drops every cached block of a file — including staged-but-
@@ -469,16 +502,16 @@ func (c *blockCache) truncate(file uint32, create func() error) error {
 	defer c.mu.Unlock()
 	for {
 		inflight := false
-		for el := c.lru.Front(); el != nil; {
-			next := el.Next()
-			if e := el.Value.(*cacheEntry); e.id.file == file {
-				if e.state == stateFlushing {
+		for s := c.lru.Front(); s != lru.Nil; {
+			next := c.lru.Next(s)
+			if c.lru.Key(s).file == file {
+				if c.lru.Val(s).state == stateFlushing {
 					inflight = true
 				} else {
-					c.removeLocked(el)
+					c.removeLocked(s)
 				}
 			}
-			el = next
+			s = next
 		}
 		if !inflight {
 			break
@@ -495,63 +528,64 @@ func (c *blockCache) truncate(file uint32, create func() error) error {
 }
 
 // flusher is one write-behind worker: it claims runs of consecutive dirty
-// blocks of one file and writes each run back with a single store write.
+// blocks of one file, oldest staged first, and writes each run back with
+// a single store write.
 func (c *blockCache) flusher() {
 	defer c.flushWG.Done()
+	var items []flushItem
 	for {
 		c.mu.Lock()
-		for !c.closed && len(c.dirty) == 0 {
+		for !c.closed && c.qHead == lru.Nil {
 			c.cond.Wait()
 		}
-		if len(c.dirty) == 0 {
+		if c.qHead == lru.Nil {
 			// Closed with nothing left to drain.
 			c.mu.Unlock()
 			return
 		}
-		file, start, items := c.claimRunLocked()
+		var file, start uint32
+		file, start, items = c.claimRunFromLocked(c.qHead, items[:0])
 		c.mu.Unlock()
 		c.flushRun(file, start, items)
 	}
 }
 
-// claimRunLocked picks any dirty block and claims its run. Caller holds
-// c.mu.
-func (c *blockCache) claimRunLocked() (file uint32, start uint32, items []flushItem) {
-	var seed *cacheEntry
-	for _, e := range c.dirty {
-		seed = e
-		break
+// claimRunFromLocked extends the dirty entry at seed into the maximal run
+// of consecutive dirty blocks of the same file (capped at maxRun, and a
+// partially valid block can only end a run), appended to items. Every
+// claimed entry leaves the FIFO for stateFlushing with its buffer
+// retained, so the run's bytes stay alive and no other flusher can claim
+// them. Caller holds c.mu.
+func (c *blockCache) claimRunFromLocked(seed int32, items []flushItem) (file uint32, start uint32, _ []flushItem) {
+	id := c.lru.Key(seed)
+	file = id.file
+	// dirtyAt returns block blk's slot and entry if it is dirty.
+	dirtyAt := func(blk uint32) (int32, *cacheEntry) {
+		if s, ok := c.lru.Find(blockID{file: file, block: blk}); ok {
+			if e := c.lru.Val(s); e.state == stateDirty {
+				return s, e
+			}
+		}
+		return lru.Nil, nil
 	}
-	return c.claimRunFromLocked(seed)
-}
-
-// claimRunFromLocked extends seed into the maximal run of consecutive
-// dirty blocks of the same file (capped at maxRun, and a partially valid
-// block can only end a run). Every claimed entry moves to stateFlushing
-// with its buffer retained, so the run's bytes stay alive and no other
-// flusher can claim them. Caller holds c.mu.
-func (c *blockCache) claimRunFromLocked(seed *cacheEntry) (file uint32, start uint32, items []flushItem) {
-	file = seed.id.file
 	// Walk back to the run's start: every block before the seed becomes
 	// an interior block of the run, so it must be fully valid.
-	first := seed.id.block
+	first := id.block
 	for steps := 1; steps < c.maxRun && first > 0; steps++ {
-		prev, ok := c.dirty[blockID{file: file, block: first - 1}]
-		if !ok || prev.end != c.blockSize {
+		if _, e := dirtyAt(first - 1); e == nil || e.end != c.blockSize {
 			break
 		}
 		first--
 	}
 	// Collect forward; a partially valid block can only end the run.
-	items = make([]flushItem, 0, c.maxRun)
 	for blk := first; len(items) < c.maxRun; blk++ {
-		e, ok := c.dirty[blockID{file: file, block: blk}]
-		if !ok {
+		s, e := dirtyAt(blk)
+		if e == nil {
 			break
 		}
 		e.state = stateFlushing
-		delete(c.dirty, e.id)
-		items = append(items, flushItem{e: e, buf: e.buf.Retain(), end: e.end, trace: e.trace})
+		c.dequeueLocked(s)
+		items = append(items, flushItem{slot: s, inc: c.lru.Inc(s), buf: e.buf.Retain(), end: e.end, trace: e.trace})
 		if e.end != c.blockSize {
 			break
 		}
@@ -601,22 +635,22 @@ func (c *blockCache) flushRun(file uint32, start uint32, items []flushItem) {
 
 	c.mu.Lock()
 	for _, it := range items {
-		e := it.e
-		e.flushes++
-		if el, ok := c.entries[e.id]; !ok || el.Value.(*cacheEntry) != e {
-			// Invalidated (or superseded) while flushing; its accounting
-			// was deferred to us.
-			c.dropNonCleanLocked(e.id.file)
-		} else if e.redirty {
+		if !c.lru.Live(it.slot, it.inc) {
+			// Invalidated while flushing, its slot maybe reused since;
+			// its accounting was deferred to us.
+			c.dropNonCleanLocked(file)
+		} else if e := c.lru.Val(it.slot); e.redirty {
+			e.flushes++
 			e.redirty = false
 			e.state = stateDirty
-			c.dirty[e.id] = e
+			c.enqueueLocked(it.slot)
 		} else {
 			// On a write error the block still goes clean — retrying
 			// forever would wedge the budget; the error is sticky until
 			// the next Flush reports it and FlushErrors counts it.
+			e.flushes++
 			e.state = stateClean
-			c.dropNonCleanLocked(e.id.file)
+			c.dropNonCleanLocked(file)
 		}
 		it.buf.Release()
 	}
@@ -628,11 +662,11 @@ func (c *blockCache) flushRun(file uint32, start uint32, items []flushItem) {
 	c.mu.Unlock()
 }
 
-// flushAll drains the cache (see drain), then returns — and clears —
-// the first flush error since the previous flushAll. The server's
-// Flush and OpSync call this.
+// flushAll drains the cache, then returns — and clears — the first
+// flush error since the previous flushAll. The server's Flush and OpSync
+// call this.
 func (c *blockCache) flushAll() error {
-	c.drain()
+	c.drain(0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var err error
@@ -644,22 +678,48 @@ func (c *blockCache) flushAll() error {
 	return err
 }
 
-// drain blocks until every block staged before the call has been
-// written back (or written off, or discarded by a truncate). Blocks
-// staged while the drain runs do NOT extend it: a sync promises
-// durability for the writes acknowledged before it, so a drain
-// terminates even while other clients keep writing. It leaves the
-// sticky flush errors to the syncs that report them: a replication
-// snapshot drains too.
-func (c *blockCache) drain() {
+// flushFile drains one file's staged blocks (OpSync with a file id), the
+// per-file sync of a multi-tenant server, and returns — and clears —
+// only this file's sticky flush error; other files' failures stay
+// recorded for their own syncs.
+func (c *blockCache) flushFile(file uint32) error {
+	c.drain(file)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, sn := range c.drainSnapshotLocked(0) {
-		for {
-			el, ok := c.entries[sn.e.id]
-			gone := !ok || el.Value.(*cacheEntry) != sn.e
-			if gone || sn.e.state == stateClean || sn.e.flushes >= sn.need {
-				break // written back since the snapshot, or discarded
+	err := c.flushErrByFile[file]
+	delete(c.flushErrByFile, file)
+	return err
+}
+
+// drain blocks until every block of file (of every file, for 0) staged
+// before the call has been written back (or written off, or discarded by
+// a truncate). Blocks staged while the drain runs do NOT extend it: a
+// sync promises durability for the writes acknowledged before it, so a
+// drain terminates even while other clients keep writing. It is
+// self-servicing — while a snapshot block is still unclaimed it claims
+// and flushes the run itself, so a sync never queues behind flushers
+// parked inside another file's slow store writes; only blocks already
+// claimed by a concurrent flush are waited out. It leaves the sticky
+// flush errors to the syncs that report them: a replication snapshot
+// drains too.
+func (c *blockCache) drain(file uint32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var items []flushItem
+	for _, sn := range c.drainSnapshotLocked(file) {
+		// An entry no longer Live was discarded since the snapshot.
+		for c.lru.Live(sn.slot, sn.inc) {
+			e := c.lru.Val(sn.slot)
+			if e.state == stateClean || e.flushes >= sn.need {
+				break // written back since the snapshot
+			}
+			if e.state == stateDirty {
+				var f, start uint32
+				f, start, items = c.claimRunFromLocked(sn.slot, items[:0])
+				c.mu.Unlock()
+				c.flushRun(f, start, items)
+				c.mu.Lock()
+				continue
 			}
 			c.cond.Wait()
 		}
@@ -669,20 +729,18 @@ func (c *blockCache) drain() {
 // drainSnap is one entry a drain waits on: need is the flush count at
 // which the snapshot-time bytes are on the store.
 type drainSnap struct {
-	e    *cacheEntry
+	slot int32
+	inc  uint32
 	need int
 }
 
 // drainSnapshotLocked collects the non-clean entries a drain must wait
-// for — all of them, or only one file's (file != 0). Blocks staged after
-// the snapshot never extend the drain: a sync promises durability for
-// the writes acknowledged before it, so it terminates even under
-// sustained writes from other clients. Caller holds c.mu.
+// for — all of them, or only one file's (file != 0). Caller holds c.mu.
 func (c *blockCache) drainSnapshotLocked(file uint32) []drainSnap {
 	snaps := make([]drainSnap, 0, c.dirtyCount)
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.state == stateClean || (file != 0 && e.id.file != file) {
+	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Next(s) {
+		e := c.lru.Val(s)
+		if e.state == stateClean || (file != 0 && c.lru.Key(s).file != file) {
 			continue
 		}
 		need := e.flushes + 1
@@ -692,60 +750,24 @@ func (c *blockCache) drainSnapshotLocked(file uint32) []drainSnap {
 			// buffer, which only the NEXT flush writes.
 			need++
 		}
-		snaps = append(snaps, drainSnap{e, need})
+		snaps = append(snaps, drainSnap{s, c.lru.Inc(s), need})
 	}
 	return snaps
-}
-
-// flushFile drains one file's staged blocks (OpSync with a file id): the
-// per-file sync of a multi-tenant server. It is self-servicing — while a
-// snapshot block is still unclaimed it claims and flushes the run
-// itself, so a per-file sync never queues behind flushers parked inside
-// another file's slow store writes; only blocks already claimed by a
-// concurrent flush are waited out. It returns — and clears — only this
-// file's sticky flush error; other files' failures stay recorded for
-// their own syncs.
-func (c *blockCache) flushFile(file uint32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, sn := range c.drainSnapshotLocked(file) {
-		for {
-			el, ok := c.entries[sn.e.id]
-			gone := !ok || el.Value.(*cacheEntry) != sn.e
-			if gone || sn.e.state == stateClean || sn.e.flushes >= sn.need {
-				break
-			}
-			if sn.e.state == stateDirty {
-				f, start, items := c.claimRunFromLocked(sn.e)
-				c.mu.Unlock()
-				c.flushRun(f, start, items)
-				c.mu.Lock()
-				continue
-			}
-			c.cond.Wait()
-		}
-	}
-	err := c.flushErrByFile[file]
-	delete(c.flushErrByFile, file)
-	return err
 }
 
 // close drains staged writes, stops the flushers and returns every cached
 // block to the pool (server shutdown).
 func (c *blockCache) close() {
-	c.drain()
+	c.drain(0)
 	c.mu.Lock()
 	c.closed = true
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.flushWG.Wait()
 	c.mu.Lock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		el.Value.(*cacheEntry).buf.Release()
+	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Front() {
+		c.unlinkLocked(s)
 	}
-	c.lru.Init()
-	clear(c.entries)
-	clear(c.fileBlocks)
 	c.mu.Unlock()
 }
 

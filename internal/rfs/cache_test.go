@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vkernel/internal/bufpool"
+	"vkernel/internal/rfs/lru"
 )
 
 // newTestCache is a cache with no flushers and no dirty budget, so a
@@ -18,11 +19,11 @@ func newTestCache(capacity, blockSize int) *blockCache {
 // would; it reports whether there was one.
 func flushOne(c *blockCache) bool {
 	c.mu.Lock()
-	if len(c.dirty) == 0 {
+	if c.qHead == lru.Nil {
 		c.mu.Unlock()
 		return false
 	}
-	file, start, items := c.claimRunLocked()
+	file, start, items := c.claimRunFromLocked(c.qHead, nil)
 	c.mu.Unlock()
 	c.flushRun(file, start, items)
 	return true
@@ -37,7 +38,7 @@ func putBlock(c *blockCache, id blockID) {
 func stageBlock(t *testing.T, c *blockCache, id blockID) {
 	t.Helper()
 	b := bufpool.Get(c.blockSize)
-	if err := c.stage(id, b, 0, c.blockSize, nil, 0, c.snapshot(id), 0); err != nil {
+	if _, err := c.stage(id.file, id.block, []*bufpool.Buf{b}, 0, c.blockSize, spare{}, spare{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	b.Release()
@@ -48,15 +49,15 @@ func stageBlock(t *testing.T, c *blockCache, id blockID) {
 func checkFileBlocks(t *testing.T, c *blockCache, step int, op string) {
 	t.Helper()
 	c.mu.Lock()
-	want := make(map[uint32]int)
-	for id := range c.entries {
-		want[id.file]++
+	want, lruLen := make(map[uint32]int), 0
+	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Next(s) {
+		want[c.lru.Key(s).file]++
+		lruLen++
 	}
 	got, sum := maps.Clone(c.fileBlocks), 0
 	for _, n := range got {
 		sum += n
 	}
-	lruLen := c.lru.Len()
 	c.mu.Unlock()
 	if !maps.Equal(got, want) {
 		t.Fatalf("step %d (%s): fileBlocks = %v, entries per file = %v", step, op, got, want)
@@ -127,7 +128,8 @@ func TestLendMatchesGetEnd(t *testing.T) {
 	}
 	// Claim 17..18 as an in-flight flush run; 3 and 39 stay dirty.
 	c.mu.Lock()
-	f, start, items := c.claimRunFromLocked(c.dirty[blockID{file: file, block: 17}])
+	seed, _ := c.lru.Find(blockID{file: file, block: 17})
+	f, start, items := c.claimRunFromLocked(seed, nil)
 	c.mu.Unlock()
 	if len(items) != 2 {
 		t.Fatalf("claimed %d blocks, want 2", len(items))
@@ -157,4 +159,133 @@ func TestLendMatchesGetEnd(t *testing.T) {
 	for flushOne(c) {
 	}
 	c.close()
+}
+
+// TestFlushCompletionSparesSlotTenant: a block invalidated while its
+// flush is in flight frees its slot, and another block may take the slot
+// before the flush completes. The completion must write the old block
+// off and leave the new tenant, clean or dirty, as it found it — not
+// settle it clean, redirty it or drop its accounting.
+func TestFlushCompletionSparesSlotTenant(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		restaged, tDirty bool
+	}{
+		{"clean tenant", false, false},
+		{"dirty tenant", false, true},
+		{"restaged then clean tenant", true, false},
+		{"restaged then dirty tenant", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCache(8, 512)
+			t.Cleanup(func() {
+				for flushOne(c) {
+				}
+				c.close()
+			})
+			old, tenant := blockID{file: 1, block: 3}, blockID{file: 2, block: 9}
+			stageBlock(t, c, old)
+			c.mu.Lock()
+			seed, _ := c.lru.Find(old)
+			f, start, items := c.claimRunFromLocked(seed, nil)
+			c.mu.Unlock()
+			if tc.restaged {
+				stageBlock(t, c, old) // redirty: the flush carries a superseded buffer
+			}
+			c.invalidate(old)
+			if tc.tDirty {
+				stageBlock(t, c, tenant)
+			} else {
+				putBlock(c, tenant)
+			}
+			c.mu.Lock()
+			slot, _ := c.lru.Find(tenant)
+			before := *c.lru.Val(slot)
+			c.mu.Unlock()
+			if slot != items[0].slot {
+				t.Fatalf("tenant took slot %d, not the flushing block's %d", slot, items[0].slot)
+			}
+
+			c.flushRun(f, start, items)
+
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			after := *c.lru.Val(slot)
+			if after != before {
+				t.Fatalf("flush completion changed the tenant: %+v -> %+v", before, after)
+			}
+			wantDirty := map[uint32]int{}
+			if tc.tDirty {
+				wantDirty[tenant.file] = 1
+			}
+			if c.dirtyCount != len(wantDirty) || !maps.Equal(c.fileDirty, wantDirty) {
+				t.Fatalf("dirtyCount %d, fileDirty %v; want %v", c.dirtyCount, c.fileDirty, wantDirty)
+			}
+			if queued := c.qHead == slot && c.qTail == slot; queued != tc.tDirty {
+				t.Fatalf("tenant queued for flushing = %v, want %v", queued, tc.tDirty)
+			}
+			if _, ok := c.lru.Find(old); ok {
+				t.Fatal("the invalidated block came back")
+			}
+		})
+	}
+}
+
+// TestCacheChurnAllocatesNothing: once the slab has grown to the working
+// set, the block cache allocates nothing to insert or evict — clean
+// fills, and trains staged, written back and evicted over four times the
+// cache's capacity of distinct blocks alike.
+func TestCacheChurnAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled buffers allocate under the race detector")
+	}
+	const capacity, trainLen = 64, 8
+	c := newTestCache(capacity, 512)
+	defer c.close()
+	next := uint32(0)
+	page := bufpool.Get(512)
+	defer page.Release()
+	put := func() {
+		id := blockID{file: 1, block: next}
+		next++
+		c.put(id, page, c.snapshot(id), 512)
+	}
+	for range 4 * capacity {
+		put()
+	}
+	if n := testing.AllocsPerRun(4*capacity, put); n != 0 {
+		t.Errorf("put + evict: %v allocs per insert", n)
+	}
+
+	train := make([]*bufpool.Buf, trainLen)
+	var items []flushItem
+	stage := func() {
+		for i := range train {
+			train[i] = bufpool.Get(512)
+		}
+		if n, err := c.stage(2, next, train, 0, 512, spare{}, spare{}, 0); n != trainLen || err != nil {
+			t.Fatalf("staged %d of %d blocks: %v", n, trainLen, err)
+		}
+		next += trainLen
+		for _, b := range train {
+			b.Release()
+		}
+		c.mu.Lock()
+		var f, start uint32
+		f, start, items = c.claimRunFromLocked(c.qHead, items[:0])
+		c.mu.Unlock()
+		if len(items) != trainLen {
+			t.Fatalf("flushed %d blocks of a %d-block train", len(items), trainLen)
+		}
+		c.flushRun(f, start, items)
+	}
+	for range 4 * capacity / trainLen {
+		stage()
+	}
+	if n := testing.AllocsPerRun(4*capacity/trainLen, stage); n != 0 {
+		t.Errorf("train stage + flush + evict: %v allocs per train", n)
+	}
+	if c.len() != capacity {
+		t.Fatalf("cache holds %d blocks, want its capacity %d", c.len(), capacity)
+	}
 }

@@ -7,10 +7,12 @@
 // stays reusable and independently testable.
 //
 // Blocks are pooled, reference-counted buffers (vkernel/internal/bufpool)
-// with LRU replacement and a bounded capacity, exactly like the server's
-// block cache. Get hands the caller a retained reference, so a block
-// being copied out survives a concurrent invalidation; Insert copies the
-// caller's bytes into a fresh pooled block (the caller keeps its buffer).
+// with LRU replacement and a bounded capacity, kept in the same
+// slab-backed recency list as the server's block cache (rfs/lru), so a
+// hit, an insert and an eviction allocate nothing. Get hands the caller a
+// retained reference, so a block being copied out survives a concurrent
+// invalidation; Insert copies the caller's bytes into a fresh pooled
+// block (the caller keeps its buffer).
 //
 // Fills race invalidations: the client reads a block from the server,
 // loses the CPU, an invalidation callback for a newer write arrives, and
@@ -23,11 +25,11 @@
 package ccache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
 	"vkernel/internal/bufpool"
+	"vkernel/internal/rfs/lru"
 )
 
 // Config sizes the cache; the zero value gets defaults.
@@ -64,20 +66,17 @@ type key struct {
 	block uint32
 }
 
-type entry struct {
-	k   key
-	buf *bufpool.Buf
-}
+// entry is one cached block: the cache's reference on its buffer.
+type entry struct{ buf *bufpool.Buf }
 
 // Cache is a bounded LRU block cache over pooled buffers. All methods are
 // safe for concurrent use (the owning client's request path and its
 // invalidation-callback process share it).
 type Cache struct {
-	mu      sync.Mutex
-	cfg     Config
-	entries map[key]*list.Element
-	lru     *list.List // front = most recently used
-	closed  bool
+	mu     sync.Mutex
+	cfg    Config
+	lru    *lru.List[key, entry]
+	closed bool
 
 	gens [64]atomic.Uint64 // invalidation stamps, sharded by block id
 
@@ -90,12 +89,7 @@ type Cache struct {
 
 // New builds an empty cache.
 func New(cfg Config) *Cache {
-	c := &Cache{
-		cfg:     cfg.withDefaults(),
-		entries: make(map[key]*list.Element),
-		lru:     list.New(),
-	}
-	return c
+	return &Cache{cfg: cfg.withDefaults(), lru: lru.New[key, entry]()}
 }
 
 // BlockSize returns the configured page size.
@@ -119,21 +113,21 @@ func (c *Cache) Snapshot(file, block uint32) uint64 {
 func (c *Cache) Get(file, block uint32) (*bufpool.Buf, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key{file, block}]
+	s, ok := c.lru.Find(key{file, block})
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
-	c.lru.MoveToFront(el)
-	return el.Value.(*entry).buf.Retain(), true
+	c.lru.Touch(s)
+	return c.lru.Val(s).buf.Retain(), true
 }
 
 // Contains reports presence without touching recency or hit counters.
 func (c *Cache) Contains(file, block uint32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[key{file, block}]
+	_, ok := c.lru.Find(key{file, block})
 	return ok
 }
 
@@ -158,32 +152,26 @@ func (c *Cache) Insert(file, block uint32, data []byte, gen uint64) {
 	}
 	if c.genOf(k).Load() != gen {
 		c.staleDrops.Add(1)
-		if el, ok := c.entries[k]; ok {
-			c.removeLocked(el)
+		if s, ok := c.lru.Find(k); ok {
+			c.removeLocked(s)
 		}
 		return
 	}
 	c.inserts.Add(1)
-	if el, ok := c.entries[k]; ok {
-		// Copy-on-write replace: a fresh buffer swaps in so a reader that
-		// Got the old one mid-copy keeps a consistent snapshot.
-		e := el.Value.(*entry)
-		b := bufpool.Get(c.cfg.BlockSize)
-		copy(b.Data, data)
-		e.buf.Release()
-		e.buf = b
-		c.lru.MoveToFront(el)
-		return
-	}
 	b := bufpool.Get(c.cfg.BlockSize)
 	copy(b.Data, data)
-	c.entries[k] = c.lru.PushFront(&entry{k: k, buf: b})
-	for c.lru.Len() > c.cfg.Blocks {
-		back := c.lru.Back()
-		e := back.Value.(*entry)
-		c.lru.Remove(back)
-		delete(c.entries, e.k)
+	if s, ok := c.lru.Find(k); ok {
+		// Copy-on-write replace: a fresh buffer swaps in so a reader that
+		// Got the old one mid-copy keeps a consistent snapshot.
+		e := c.lru.Val(s)
 		e.buf.Release()
+		e.buf = b
+		c.lru.Touch(s)
+		return
+	}
+	c.lru.Insert(k, entry{b})
+	for c.lru.Len() > c.cfg.Blocks {
+		c.dropLocked(c.lru.Back())
 	}
 }
 
@@ -202,8 +190,8 @@ func (c *Cache) Invalidate(file, first, count uint32) {
 	for i := uint32(0); i < count; i++ {
 		k := key{file, first + i}
 		c.genOf(k).Add(1)
-		if el, ok := c.entries[k]; ok {
-			c.removeLocked(el)
+		if s, ok := c.lru.Find(k); ok {
+			c.removeLocked(s)
 		}
 	}
 }
@@ -218,10 +206,8 @@ func (c *Cache) Purge() {
 	for i := range c.gens {
 		c.gens[i].Add(1)
 	}
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		c.removeLocked(el)
-		el = next
+	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Front() {
+		c.removeLocked(s)
 	}
 }
 
@@ -239,21 +225,26 @@ func (c *Cache) invalidateFileLocked(file uint32) {
 	for i := range c.gens {
 		c.gens[i].Add(1)
 	}
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*entry).k.file == file {
-			c.removeLocked(el)
+	for s := c.lru.Front(); s != lru.Nil; {
+		next := c.lru.Next(s)
+		if c.lru.Key(s).file == file {
+			c.removeLocked(s)
 		}
-		el = next
+		s = next
 	}
 }
 
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	c.lru.Remove(el)
-	delete(c.entries, e.k)
+// removeLocked drops an invalidated block.
+func (c *Cache) removeLocked(s int32) {
 	c.invals.Add(1)
-	e.buf.Release()
+	c.dropLocked(s)
+}
+
+// dropLocked drops a block and the cache's reference on its buffer.
+func (c *Cache) dropLocked(s int32) {
+	b := c.lru.Val(s).buf
+	c.lru.Remove(s)
+	b.Release()
 }
 
 // Len returns the cached block count.
@@ -281,9 +272,7 @@ func (c *Cache) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		el.Value.(*entry).buf.Release()
+	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Front() {
+		c.dropLocked(s)
 	}
-	c.lru.Init()
-	c.entries = make(map[key]*list.Element)
 }

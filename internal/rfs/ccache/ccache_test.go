@@ -220,3 +220,28 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestInsertChurnAllocatesNothing: once the cache is full, inserting a
+// new page and evicting the oldest allocates nothing.
+func TestInsertChurnAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled buffers allocate under the race detector")
+	}
+	c := New(Config{Blocks: 64})
+	defer c.Close()
+	page := make([]byte, 512)
+	next := uint32(0)
+	insert := func() {
+		c.Insert(1, next, page, c.Snapshot(1, next))
+		next++
+	}
+	for range 256 {
+		insert()
+	}
+	if n := testing.AllocsPerRun(256, insert); n != 0 {
+		t.Fatalf("%v allocs per insert", n)
+	}
+	if c.Len() != 64 {
+		t.Fatalf("cache holds %d blocks, want 64", c.Len())
+	}
+}

@@ -381,7 +381,7 @@ func (rs *replState) snapshot(p *ipc.Proc, conn *replicaConn) (seq uint32, ok bo
 	seq = rs.seq
 	rs.mu.Unlock()
 	v := rs.s.volumes[rs.vol]
-	v.cache.drain()
+	v.cache.drain(0)
 	ids, err := v.store.Files()
 	if err != nil {
 		return seq, false

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vkernel/internal/bufpool"
 	"vkernel/internal/ipc"
 )
 
@@ -881,6 +882,26 @@ func TestBatchAssembly(t *testing.T) {
 	// batches, then the train alone and the create.
 	if batches != 5 {
 		t.Fatalf("%d batches, want 5", batches)
+	}
+}
+
+// TestTrainBatchBufferPooled: the largest batch a sender pushes — one
+// 64 KB write record alone — fits a pooled buffer class, so the replica
+// applying it allocates no one-off 64 KB slab per push.
+func TestTrainBatchBufferPooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled buffers allocate under the race detector")
+	}
+	rs := newReplState(&Server{cfg: Config{}.withDefaults()}, 1, 0)
+	rs.replicas[1] = &replicaConn{rid: 1}
+	from := rs.append(repKindWrite, 10, 0, 0, make([]byte, maxTrain))
+	recs, ok := rs.batchLocked(from)
+	if !ok || len(recs) != 1 {
+		t.Fatalf("train batch: ok=%v with %d records", ok, len(recs))
+	}
+	size := len(recs[0])
+	if n := testing.AllocsPerRun(100, func() { bufpool.Get(size).Release() }); n != 0 {
+		t.Fatalf("a %d-byte batch buffer costs %v allocs: not pooled", size, n)
 	}
 }
 

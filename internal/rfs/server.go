@@ -951,40 +951,53 @@ func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
 	s.largeWrite(v, req, file, uint32(off), count)
 }
 
-// stageBlock stages buf as block id's newest contents. When the payload
-// does not cover the whole block, the old image is fetched so the staged
-// block preserves the rest: its generation is snapshotted before the
-// fetch and stage retries if a concurrent write invalidated the image
-// (errStaleSpare). A store read failure other than ErrNoFile fails the
-// write — zero-filling over unknown-but-existing bytes would let a
-// transient read error destroy store data on the next flush. Plain
-// ErrNoFile means the block genuinely has no prior contents and zeros
-// are correct.
-func (s *Server) stageBlock(v *volume, id blockID, buf *bufpool.Buf, payStart, payEnd int, trace uint32) error {
+// stage stages a train's buffers as blocks first, first+1, ... of file
+// with one cache call (blockCache.stage); the head block's payload starts
+// at payStart and the tail block's ends at payEnd. A block the payload
+// does not cover keeps the rest of its old image, fetched here with its
+// generation snapshotted before the fetch; when the cache finds an image
+// stale (errStaleSpare) the rest of the train is fetched and staged
+// again. A store read failure other than ErrNoFile fails the write —
+// zero-filling over unknown-but-existing bytes would let a transient
+// read error destroy store data on the next flush. Plain ErrNoFile means
+// the block genuinely has no prior contents and zeros are correct.
+func (s *Server) stage(v *volume, file, first uint32, bufs []*bufpool.Buf, payStart, payEnd int, trace uint32) error {
 	bs := s.cfg.BlockSize
 	for {
-		var spareBuf *bufpool.Buf
-		var spare []byte
-		spareEnd := 0
-		var gen uint64
-		if payStart > 0 || payEnd < bs {
-			gen = v.cache.snapshot(id)
-			b, end, err := s.getBlock(v, id.file, id.block)
-			switch {
-			case err == nil:
-				spareBuf, spare, spareEnd = b, b.Data, end
-			case err == ErrNoFile:
-				// no prior contents; the gaps are zeros
-			default:
-				return err
-			}
+		var head, tail spare
+		var err error
+		if payStart > 0 || (len(bufs) == 1 && payEnd < bs) {
+			head, err = s.fetchSpare(v, file, first)
 		}
-		err := v.cache.stage(id, buf, payStart, payEnd, spare, spareEnd, gen, trace)
-		spareBuf.Release()
+		if err == nil && len(bufs) > 1 && payEnd < bs {
+			tail, err = s.fetchSpare(v, file, first+uint32(len(bufs)-1))
+		}
+		n := 0
+		if err == nil {
+			n, err = v.cache.stage(file, first, bufs, payStart, payEnd, head, tail, trace)
+		}
+		head.buf.Release()
+		tail.buf.Release()
 		if err != errStaleSpare {
 			return err
 		}
+		if n > 0 {
+			first, bufs, payStart = first+uint32(n), bufs[n:], 0
+		}
 	}
+}
+
+// fetchSpare returns a block's current image for a stage that covers it
+// only in part.
+func (s *Server) fetchSpare(v *volume, file, block uint32) (spare, error) {
+	sp := spare{gen: v.cache.snapshot(blockID{file: file, block: block})}
+	b, end, err := s.getBlock(v, file, block)
+	if err == nil {
+		sp.buf, sp.end = b, end
+	} else if err == ErrNoFile {
+		err = nil // no prior contents; the gaps are zeros
+	}
+	return sp, err
 }
 
 // maxTrain is the most one MoveTo/MoveFrom of a large transfer moves: a
@@ -1134,9 +1147,9 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 // byte done of the client's segment. Each block it touches gets a fresh
 // pooled buffer (req.held); the train's share of the inline prefix is
 // copied in and the rest pulled with one scatter MoveFromVec (req.parts),
-// straight off the wire. Each buffer is then staged, head and tail blocks
-// completed from the old image, and the train logged as one replication
-// record. It returns the record's sequence and the write's status.
+// straight off the wire. The train is then staged in one call, head and
+// tail blocks completed from the old image, and logged as one
+// replication record. It returns the record's sequence and the write's status.
 func (s *Server) writeTrain(v *volume, req *request, file, pos, done, m uint32) (uint32, uint32) {
 	bs := uint32(s.cfg.BlockSize)
 	pre := uint32(req.inline)
@@ -1160,20 +1173,21 @@ func (s *Server) writeTrain(v *volume, req *request, file, pos, done, m uint32) 
 			status = StatusBadRequest
 		}
 	}
-	// req.parts becomes the record's payload: each block's window.
-	req.parts = req.parts[:0]
-	for i, at := 0, uint32(0); status == StatusOK && at < m; i++ {
-		in := (pos + at) % bs
-		c := min(bs-in, m-at)
-		b := req.held[i]
-		if err := s.stageBlock(v, blockID{file: file, block: (pos + at) / bs}, b, int(in), int(in+c), req.trace); err != nil {
+	if status == StatusOK {
+		if err := s.stage(v, file, pos/bs, req.held, int(pos%bs), int((pos+m-1)%bs+1), req.trace); err != nil {
 			status = StatusIOError
 		}
-		req.parts = append(req.parts, b.Data[in:in+c])
-		at += c
 	}
 	var seq uint32
 	if status == StatusOK {
+		// req.parts becomes the record's payload: each block's window.
+		req.parts = req.parts[:0]
+		for i, at := 0, uint32(0); at < m; i++ {
+			in := (pos + at) % bs
+			c := min(bs-in, m-at)
+			req.parts = append(req.parts, req.held[i].Data[in:in+c])
+			at += c
+		}
 		// Log before the buffers go back: append copies the payload.
 		seq = s.replicateAppend(v, repKindWrite, file, pos, req.trace, req.parts...)
 	}

@@ -795,3 +795,104 @@ func TestWriteRangePast4GiB(t *testing.T) {
 		t.Errorf("%d blocks staged by refused writes", n)
 	}
 }
+
+// TestAlignedWriteLargeOneStoreWrite: a block-aligned 64 KB write is
+// staged as one train, so the flushers find it whole and write it back
+// as one store write — not as runs cut where a flusher woke mid-train.
+// 64 such writes over 8 files, each synced, make exactly 64 store writes.
+func TestAlignedWriteLargeOneStoreWrite(t *testing.T) {
+	for _, flavor := range []string{"mem", "udp"} {
+		t.Run(flavor, func(t *testing.T) {
+			cs := &countStore{Store: NewMemStore()}
+			var e *env
+			if flavor == "mem" {
+				e = memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+			} else {
+				e = udpEnvStore(t, cs, Config{})
+			}
+			c := e.client(t, "app")
+			const writes, files, size = 64, 8, 64 << 10
+			for w := 0; w < writes; w++ {
+				file, off := uint32(1+w%files), uint32(w/files*size)
+				if err := c.WriteLarge(file, off, pattern(uint32(w), size)); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Sync(file); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := cs.writes.Load(); n != writes {
+				t.Fatalf("%d aligned 64 KB writes made %d store writes, want one each", writes, n)
+			}
+			for w := 0; w < writes; w++ {
+				got := make([]byte, size)
+				if _, err := e.store.ReadAt(uint32(1+w%files), got, int64(w/files*size)); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, pattern(uint32(w), size)) {
+					t.Fatalf("write %d did not land intact", w)
+				}
+			}
+		})
+	}
+}
+
+// writeHookStore runs hook before every store write.
+type writeHookStore struct {
+	Store
+	hook func()
+}
+
+func (s *writeHookStore) WriteAt(file uint32, p []byte, off int64) error {
+	s.hook()
+	return s.Store.WriteAt(file, p, off)
+}
+
+// TestTrainLongerThanBudget: a 64 KB train is longer than a dirty budget
+// of 1 or 16 blocks; it is staged part by part as the flushers free
+// room, completes, never holds more than the budget of non-clean blocks
+// (sampled from inside the store's write hook, while flushes are in
+// flight), and reads back intact — an unaligned write over it too, whose
+// head and tail blocks merge with the first.
+func TestTrainLongerThanBudget(t *testing.T) {
+	for _, tc := range []struct{ cfg, budget int }{{-1, 1}, {16, 16}} {
+		t.Run(fmt.Sprintf("budget=%d", tc.budget), func(t *testing.T) {
+			var srv atomic.Pointer[Server]
+			var peak atomic.Int64
+			store := &writeHookStore{Store: NewMemStore(), hook: func() {
+				n := volGauge(srv.Load(), "dirty_blocks")
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+			}}
+			e := memEnvStore(t, store, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{DirtyBudget: tc.cfg})
+			srv.Store(e.srv)
+			c := e.client(t, "app")
+
+			const size = 64 << 10
+			want := pattern(1, size+1000)
+			if err := c.WriteLarge(5, 0, want[:size]); err != nil {
+				t.Fatal(err)
+			}
+			over := pattern(2, size)
+			copy(want[300:], over)
+			if err := c.WriteLarge(5, 300, over); err != nil {
+				t.Fatal(err)
+			}
+			want = want[:300+size]
+			got := make([]byte, len(want))
+			if n, err := c.ReadLarge(5, 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
+				t.Fatalf("read back n=%d err=%v, equal=%v", n, err, bytes.Equal(got, want))
+			}
+			if err := c.Sync(0); err != nil {
+				t.Fatal(err)
+			}
+			if p := peak.Load(); p > int64(tc.budget) || p == 0 {
+				t.Fatalf("peak non-clean blocks during flushes %d, budget %d", p, tc.budget)
+			}
+			clear(got)
+			if _, err := e.store.ReadAt(5, got, 0); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("store holds other bytes than were written (err=%v)", err)
+			}
+		})
+	}
+}
