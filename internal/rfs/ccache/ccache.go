@@ -21,7 +21,8 @@
 // (sharded by block id); a fill snapshots the generation before issuing
 // the remote read and Insert refuses when it moved. The conservative
 // direction is always a dropped insert (a wasted fill), never a stale
-// hit.
+// hit. A replica's fill can also predate a write it does not race, so
+// invalidations fence their shards at the write's sequence (InsertApplied).
 package ccache
 
 import (
@@ -56,7 +57,7 @@ type Stats struct {
 	Hits          int64
 	Misses        int64
 	Inserts       int64
-	StaleDrops    int64 // fills refused because the block was invalidated mid-fill
+	StaleDrops    int64 // fills refused because the block was invalidated mid-fill or fenced
 	Invalidations int64 // blocks dropped by Invalidate/InvalidateFile
 }
 
@@ -78,7 +79,8 @@ type Cache struct {
 	lru    *lru.List[key, entry]
 	closed bool
 
-	gens [64]atomic.Uint64 // invalidation stamps, sharded by block id
+	gens   [Shards]atomic.Uint64 // invalidation stamps, sharded by block id
+	fences [Shards]uint32        // newest sequence fenced per shard (0 = none); guarded by mu
 
 	hits       atomic.Int64
 	misses     atomic.Int64
@@ -95,16 +97,24 @@ func New(cfg Config) *Cache {
 // BlockSize returns the configured page size.
 func (c *Cache) BlockSize() int { return c.cfg.BlockSize }
 
-// genOf returns the invalidation-stamp shard for a block id.
-func (c *Cache) genOf(k key) *atomic.Uint64 {
-	h := (k.file*2654435761 + k.block) * 2654435761
-	return &c.gens[h>>26&0x3f]
+const Shards = 64 // number of stamp and fence shards
+
+// Shard returns a block's stamp and fence shard.
+func Shard(file, block uint32) int {
+	return int((file*2654435761 + block) * 2654435761 >> 26 & (Shards - 1))
 }
 
 // Snapshot returns the block's current invalidation stamp; take it before
 // the remote read of a fill and pass it to Insert.
 func (c *Cache) Snapshot(file, block uint32) uint64 {
-	return c.genOf(key{file, block}).Load()
+	return c.gens[Shard(file, block)].Load()
+}
+
+// Fences returns each shard's fence.
+func (c *Cache) Fences() [Shards]uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fences
 }
 
 // Get returns the cached block with a reference for the caller (Release
@@ -141,16 +151,26 @@ func (c *Cache) Contains(file, block uint32) bool {
 // still cached is older than both writes and must not outlive the
 // refresh that failed.
 func (c *Cache) Insert(file, block uint32, data []byte, gen uint64) {
+	c.insert(key{file, block}, data, gen, false, 0)
+}
+
+// InsertApplied is Insert for a fill a replica read after applying
+// sequence applied, also refused when the block's shard is fenced later.
+func (c *Cache) InsertApplied(file, block uint32, data []byte, gen uint64, applied uint32) {
+	c.insert(key{file, block}, data, gen, true, applied)
+}
+
+func (c *Cache) insert(k key, data []byte, gen uint64, replica bool, applied uint32) {
 	if len(data) != c.cfg.BlockSize {
 		return
 	}
-	k := key{file, block}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
-	if c.genOf(k).Load() != gen {
+	s := Shard(k.file, k.block)
+	if f := c.fences[s]; c.gens[s].Load() != gen || replica && f != 0 && Newer(f, applied) {
 		c.staleDrops.Add(1)
 		if s, ok := c.lru.Find(k); ok {
 			c.removeLocked(s)
@@ -177,19 +197,19 @@ func (c *Cache) Insert(file, block uint32, data []byte, gen uint64) {
 
 // Invalidate drops count blocks starting at first (a remote write made
 // them stale) and stamps the invalidation so in-flight fills cannot
-// resurrect them. Borrowers of a dropped block are unaffected — only the
-// cache's reference is released. A range wider than the cache capacity
-// degrades to a whole-file scan instead of touching every block id.
-func (c *Cache) Invalidate(file, first, count uint32) {
+// resurrect them; a nonzero seq fences them too. Borrowers of a dropped
+// block are unaffected — only the cache's reference is released. A range
+// wider than the cache capacity degrades to a whole-file scan.
+func (c *Cache) Invalidate(file, first, count, seq uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if count > uint32(c.cfg.Blocks) {
-		c.invalidateFileLocked(file)
+		c.invalidateFileLocked(file, seq)
 		return
 	}
 	for i := uint32(0); i < count; i++ {
 		k := key{file, first + i}
-		c.genOf(k).Add(1)
+		c.stampLocked(Shard(k.file, k.block), seq)
 		if s, ok := c.lru.Find(k); ok {
 			c.removeLocked(s)
 		}
@@ -199,31 +219,32 @@ func (c *Cache) Invalidate(file, first, count uint32) {
 // Purge drops every cached block and stamps every generation shard, so
 // in-flight fills cannot resurrect pre-purge bytes. It is the failover
 // reset: when a volume moves to a new server, nothing cached under the
-// old server's consistency protocol may be served again.
+// old server's consistency protocol may be served again (nor fenced).
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range c.gens {
 		c.gens[i].Add(1)
 	}
+	c.fences = [Shards]uint32{}
 	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Front() {
 		c.removeLocked(s)
 	}
 }
 
 // InvalidateFile drops every cached block of the file (truncate, lease
-// renewal that found a version mismatch).
-func (c *Cache) InvalidateFile(file uint32) {
+// renewal that found a version mismatch); seq is as for Invalidate.
+func (c *Cache) InvalidateFile(file, seq uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.invalidateFileLocked(file)
+	c.invalidateFileLocked(file, seq)
 }
 
-func (c *Cache) invalidateFileLocked(file uint32) {
-	// Blocks of the file may be mid-fill without being cached yet; bump
+func (c *Cache) invalidateFileLocked(file, seq uint32) {
+	// Blocks of the file may be mid-fill without being cached yet; stamp
 	// every shard so those inserts drop.
 	for i := range c.gens {
-		c.gens[i].Add(1)
+		c.stampLocked(i, seq)
 	}
 	for s := c.lru.Front(); s != lru.Nil; {
 		next := c.lru.Next(s)
@@ -233,6 +254,19 @@ func (c *Cache) invalidateFileLocked(file uint32) {
 		s = next
 	}
 }
+
+// stampLocked bumps shard s's stamp and moves its fence forward to seq.
+func (c *Cache) stampLocked(s int, seq uint32) {
+	c.gens[s].Add(1)
+	if f := c.fences[s]; seq != 0 && (f == 0 || Newer(seq, f)) {
+		c.fences[s] = seq
+	}
+}
+
+// Newer reports whether a is ahead of b in wrapping uint32 arithmetic:
+// the file versions and replication sequences a client hears of are
+// monotonic at the server but can arrive out of order.
+func Newer(a, b uint32) bool { return a != b && a-b < 1<<31 }
 
 // removeLocked drops an invalidated block.
 func (c *Cache) removeLocked(s int32) {

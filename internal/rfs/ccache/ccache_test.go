@@ -82,7 +82,7 @@ func TestStaleInsertDropped(t *testing.T) {
 	c := New(Config{Blocks: 4, BlockSize: 64})
 	defer c.Close()
 	gen := c.Snapshot(7, 3)
-	c.Invalidate(7, 3, 1) // the write's callback lands mid-fill
+	c.Invalidate(7, 3, 1, 0) // the write's callback lands mid-fill
 	c.Insert(7, 3, page(9, 64), gen)
 	if _, ok := c.Get(7, 3); ok {
 		t.Fatal("stale fill was inserted after an invalidation")
@@ -99,6 +99,41 @@ func TestStaleInsertDropped(t *testing.T) {
 	b.Release()
 }
 
+// TestFenceRefusesEarlierReplicaFill: a callback fenced block 3 at
+// sequence 10, so a replica fill read before the replica applied 10 is
+// refused and counted with the stale drops, while one read after, a
+// primary's fill, and a replica fill of a block in another shard are
+// cached. Purge lifts the fence: the next server numbers its own writes.
+func TestFenceRefusesEarlierReplicaFill(t *testing.T) {
+	leakCheck(t)
+	c := New(Config{Blocks: 4, BlockSize: 64})
+	defer c.Close()
+	other := uint32(4)
+	for Shard(7, other) == Shard(7, 3) {
+		other++
+	}
+	c.Invalidate(7, 3, 1, 10)
+	c.Invalidate(7, 3, 1, 9) // an older sequence leaves the fence where it is
+	c.InsertApplied(7, 3, page(1, 64), c.Snapshot(7, 3), 9)
+	if c.Contains(7, 3) {
+		t.Fatal("a replica fill read before the fenced sequence was cached")
+	}
+	if st := c.Stats(); st.StaleDrops != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	c.InsertApplied(7, other, page(2, 64), c.Snapshot(7, other), 9)
+	c.InsertApplied(7, 3, page(3, 64), c.Snapshot(7, 3), 10)
+	if !c.Contains(7, other) || !c.Contains(7, 3) {
+		t.Fatal("a fill the fence does not cover was refused")
+	}
+	c.Purge()
+	c.Insert(7, 3, page(4, 64), c.Snapshot(7, 3))
+	c.InsertApplied(7, 4, page(5, 64), c.Snapshot(7, 4), 1)
+	if !c.Contains(7, 3) || !c.Contains(7, 4) || c.Fences() != [Shards]uint32{} {
+		t.Fatalf("fills refused after Purge, fences %v", c.Fences())
+	}
+}
+
 // TestRefusedRefreshDropsOldCopy is the write-refresh variant of the
 // same race: the block is already cached, its owner rewrites it, and an
 // invalidation of a neighbour sharing the generation shard lands before
@@ -110,11 +145,11 @@ func TestRefusedRefreshDropsOldCopy(t *testing.T) {
 	defer c.Close()
 	c.Insert(7, 3, page(1, 64), c.Snapshot(7, 3))
 	neighbour := uint32(4)
-	for c.genOf(key{7, neighbour}) != c.genOf(key{7, 3}) {
+	for Shard(7, neighbour) != Shard(7, 3) {
 		neighbour++
 	}
 	gen := c.Snapshot(7, 3)
-	c.Invalidate(7, neighbour, 1) // leaves block 3 cached, moves its stamp
+	c.Invalidate(7, neighbour, 1, 0) // leaves block 3 cached, moves its stamp
 	c.Insert(7, 3, page(2, 64), gen)
 	if c.Contains(7, 3) {
 		t.Fatal("a refused refresh left the pre-write copy cached")
@@ -132,7 +167,7 @@ func TestInvalidateRangeAndFile(t *testing.T) {
 		c.Insert(1, b, page(byte(b), 64), c.Snapshot(1, b))
 		c.Insert(2, b, page(byte(b+100), 64), c.Snapshot(2, b))
 	}
-	c.Invalidate(1, 2, 3) // blocks 2,3,4 of file 1
+	c.Invalidate(1, 2, 3, 0) // blocks 2,3,4 of file 1
 	for b := uint32(0); b < 8; b++ {
 		buf, ok := c.Get(1, b)
 		buf.Release()
@@ -140,7 +175,7 @@ func TestInvalidateRangeAndFile(t *testing.T) {
 			t.Fatalf("file 1 block %d present=%v want %v", b, ok, want)
 		}
 	}
-	c.InvalidateFile(2)
+	c.InvalidateFile(2, 0)
 	for b := uint32(0); b < 8; b++ {
 		if _, ok := c.Get(2, b); ok {
 			t.Fatalf("file 2 block %d survived InvalidateFile", b)
@@ -148,7 +183,7 @@ func TestInvalidateRangeAndFile(t *testing.T) {
 	}
 	// A wide range degrades to the whole-file scan.
 	c.Insert(1, 0, page(1, 64), c.Snapshot(1, 0))
-	c.Invalidate(1, 0, ^uint32(0))
+	c.Invalidate(1, 0, ^uint32(0), 0)
 	if _, ok := c.Get(1, 0); ok {
 		t.Fatal("wide-range invalidate missed a block")
 	}
@@ -166,7 +201,7 @@ func TestGetSurvivesInvalidation(t *testing.T) {
 	if !ok {
 		t.Fatal("missing block")
 	}
-	c.InvalidateFile(3)
+	c.InvalidateFile(3, 0)
 	if !bytes.Equal(buf.Data, want) {
 		t.Fatal("lent block recycled under the borrower")
 	}
@@ -213,7 +248,7 @@ func TestConcurrentAccess(t *testing.T) {
 						buf.Release()
 					}
 				case 2:
-					c.Invalidate(1, b, 1)
+					c.Invalidate(1, b, 1, 0)
 				}
 			}
 		}(g)

@@ -2,6 +2,7 @@ package rfs
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +19,9 @@ import (
 //   - CCacheSharedWrite: a write-heavy shared-file mix — the client
 //     cache's worst case: every write pays an invalidation callback
 //     round to every other registered client before it is acknowledged.
+//     Its repl-mem and repl-udp flavours put the file on a replicated
+//     volume (a primary and one in-sync replica) and spread the reads
+//     over both, so each write's callbacks overlap its replica push.
 //
 // Run: make bench-ccache
 
@@ -28,10 +32,61 @@ type pageClient interface {
 	WriteBlock(file, block uint32, data []byte) error
 }
 
-// runPage is the ccache twin of run: clients goroutines loop op over a
-// shared iteration budget; with cached set, each goroutine drives a
-// CachingClient (with its callback process), else a plain Client.
-func runPage(b *testing.B, e *env, clients int, cached bool, bytesPer int,
+// opener binds the named benchmark client: a CachingClient (with its
+// callback process) when cached is set, else a plain Client.
+type opener func(name string, cached bool) pageClient
+
+// envOpener opens clients against a single server.
+func envOpener(b *testing.B, e *env) opener {
+	return func(name string, cached bool) pageClient {
+		if cached {
+			return e.cachingClient(b, name, CacheClientConfig{})
+		}
+		return e.client(b, name)
+	}
+}
+
+// replOpener boots a primary and one in-sync replica of volume 1, each
+// store holding the benchmark file, and opens clients that spread their
+// reads over both.
+func replOpener(b *testing.B, udp bool) opener {
+	const size = 256 * 1024
+	c := startCluster(b, ClusterConfig{Shards: 2, Volumes: []uint32{1}, Replicas: 1, UDP: udp,
+		NewStore: func(uint32) Store {
+			st := NewMemStore()
+			if err := st.Create(benchFile, size); err != nil {
+				b.Fatal(err)
+			}
+			if err := st.WriteAt(benchFile, pattern(benchFile, size), 0); err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}})
+	waitUntil(b, 5*time.Second, "the replica serving in-sync", func() bool {
+		return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 1 && c.Servers[1].Srv.volumes[1].rv.serving.Load()
+	})
+	node := clientNode(b, c)
+	router := newRouter(b, node)
+	return func(name string, cached bool) pageClient {
+		p := attach(b, node, name)
+		if !cached {
+			cl := NewVolumeClient(p, router, 1)
+			cl.SpreadReads(true)
+			return cl
+		}
+		cc, err := NewVolumeCachingClient(p, router, 1, CacheClientConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(cc.Close)
+		cc.SpreadReads(true)
+		return cc
+	}
+}
+
+// runPage is the ccache twin of run: clients goroutines, each on a
+// client from open, loop op over a shared iteration budget.
+func runPage(b *testing.B, open opener, clients int, cached bool, bytesPer int,
 	warm func(c pageClient) error,
 	op func(c pageClient, g, i int, scratch []byte) error) {
 	per := b.N/clients + 1
@@ -41,11 +96,7 @@ func runPage(b *testing.B, e *env, clients int, cached bool, bytesPer int,
 	b.ReportAllocs()
 	cs := make([]pageClient, clients)
 	for g := 0; g < clients; g++ {
-		if cached {
-			cs[g] = e.cachingClient(b, fmt.Sprintf("bench%d", g), CacheClientConfig{})
-		} else {
-			cs[g] = e.client(b, fmt.Sprintf("bench%d", g))
-		}
+		cs[g] = open(fmt.Sprintf("bench%d", g), cached)
 		if warm != nil {
 			if err := warm(cs[g]); err != nil {
 				b.Fatal(err)
@@ -103,7 +154,7 @@ func BenchmarkCCacheWarmRead(b *testing.B) {
 						}
 						return nil
 					}
-					runPage(b, e, clients, mode.cached, 512, warm,
+					runPage(b, envOpener(b, e), clients, mode.cached, 512, warm,
 						func(c pageClient, _, i int, scratch []byte) error {
 							_, err := c.ReadBlock(benchFile, uint32(i%warmBlocks), scratch)
 							return err
@@ -118,14 +169,21 @@ func BenchmarkCCacheWarmRead(b *testing.B) {
 // one shared file all clients have registered. Every write stalls on an
 // invalidation callback to each other client, so past one client the
 // cached configuration should LOSE to the plain stubs; the margin is the
-// price of client-cache consistency on this runtime.
+// price of client-cache consistency on this runtime. On the replicated
+// flavours a write also waits for the replica's ack, overlapped with the
+// callbacks.
 func BenchmarkCCacheSharedWrite(b *testing.B) {
 	const hotBlocks = 16
-	for _, flavor := range []string{"mem", "udp"} {
+	for _, flavor := range []string{"mem", "udp", "repl-mem", "repl-udp"} {
 		for _, mode := range ccacheModes {
 			for _, clients := range []int{1, 4, 16} {
 				b.Run(fmt.Sprintf("%s/%s/clients=%d", flavor, mode.name, clients), func(b *testing.B) {
-					e := benchEnv(b, flavor)
+					var open opener
+					if repl, udp := strings.CutPrefix(flavor, "repl-"); udp {
+						open = replOpener(b, repl == "udp")
+					} else {
+						open = envOpener(b, benchEnv(b, flavor))
+					}
 					page := pattern(3, 512)
 					warm := func(c pageClient) error {
 						buf := make([]byte, 512)
@@ -136,7 +194,7 @@ func BenchmarkCCacheSharedWrite(b *testing.B) {
 						}
 						return nil
 					}
-					runPage(b, e, clients, mode.cached, 512, warm,
+					runPage(b, open, clients, mode.cached, 512, warm,
 						func(c pageClient, g, i int, scratch []byte) error {
 							blk := uint32(i % hotBlocks)
 							if i%4 == 0 {

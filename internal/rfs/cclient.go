@@ -40,7 +40,9 @@ type CacheClientStats struct {
 //   - On any other client's write the server Sends an OpInvalidate
 //     callback before acknowledging the writer, and the callback process
 //     drops the named blocks — so a read issued after any write's ack
-//     never sees pre-write bytes (read-your-writes across clients).
+//     never sees pre-write bytes (read-your-writes across clients). It
+//     may beat the replicas' apply, so a replica's older read of the
+//     blocks is returned but not cached (ccache.InsertApplied).
 //   - Writes go through to the server; the reply carries the post-write
 //     version, and the local copy is refreshed (full pages) or dropped
 //     (partial and large writes).
@@ -185,7 +187,7 @@ func (c *CachingClient) callback(msg *ipc.Message) ipc.Message {
 	if op != OpInvalidate {
 		return buildReply(StatusBadRequest, 0)
 	}
-	version, vol := parseInvalidate(msg)
+	version, vol, seq := parseInvalidate(msg)
 	if vol != c.vol {
 		// Another volume's callback (a registration left behind on a
 		// server this client failed away from): acknowledge so the
@@ -195,9 +197,9 @@ func (c *CachingClient) callback(msg *ipc.Message) ipc.Message {
 	}
 	c.callbacks.Add(1)
 	if count == InvalidateAll {
-		c.cache.InvalidateFile(file)
+		c.cache.InvalidateFile(file, seq)
 	} else {
-		c.cache.Invalidate(file, first, count)
+		c.cache.Invalidate(file, first, count, seq)
 	}
 	c.mu.Lock()
 	if fs := c.files[file]; fs != nil {
@@ -207,17 +209,10 @@ func (c *CachingClient) callback(msg *ipc.Message) ipc.Message {
 	return buildReply(StatusOK, 0)
 }
 
-// versionNewer reports whether v is ahead of cur in wrapping uint32
-// arithmetic (the version counter is monotonic at the server, but
-// callbacks and write replies can arrive out of order).
-func versionNewer(v, cur uint32) bool {
-	return v != cur && v-cur < 1<<31
-}
-
 // advanceVersion moves the file's version forward, never backward; caller
 // holds c.mu.
 func (c *CachingClient) advanceVersion(fs *cachedFile, v uint32) {
-	if !fs.versioned || versionNewer(v, fs.version) {
+	if !fs.versioned || ccache.Newer(v, fs.version) {
 		fs.version = v
 		fs.versioned = true
 	}
@@ -251,11 +246,11 @@ func (c *CachingClient) ensure(file uint32) bool {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if fs.versioned && version != fs.version && !versionNewer(fs.version, version) {
+	if fs.versioned && version != fs.version && !ccache.Newer(fs.version, version) {
 		// The server counted writes we never heard about: every cached
 		// block of the file is suspect.
 		c.purges.Add(1)
-		c.cache.InvalidateFile(file)
+		c.cache.InvalidateFile(file, 0)
 	}
 	c.advanceVersion(fs, version)
 	fs.registered = true
@@ -280,11 +275,17 @@ func (c *CachingClient) ReadBlock(file, block uint32, dst []byte) (int, error) {
 		return n, nil
 	}
 	gen := c.cache.Snapshot(file, block)
-	n, err := c.Client.ReadBlock(file, block, dst)
-	if err == nil {
+	m := c.request(OpReadBlock, file, block, uint32(len(dst)))
+	if err := c.exchangeOp(&m, c.segment(dst, ipc.SegWrite)); err != nil {
+		return 0, err
+	}
+	_, n := parseReply(&m)
+	if applied, replica := replyVersion(&m); replica {
+		c.cache.InsertApplied(file, block, dst[:n], gen, applied)
+	} else {
 		c.cache.Insert(file, block, dst[:n], gen) // no-op unless a whole page
 	}
-	return n, err
+	return int(n), nil
 }
 
 // WriteBlock writes the block through to the server, keeps the local copy
@@ -304,7 +305,7 @@ func (c *CachingClient) WriteBlock(file, block uint32, data []byte) error {
 	if registered && len(data) == c.cache.BlockSize() {
 		c.cache.Insert(file, block, data, gen)
 	} else {
-		c.cache.Invalidate(file, block, 1)
+		c.cache.Invalidate(file, block, 1, 0)
 	}
 	return nil
 }
@@ -322,7 +323,7 @@ func (c *CachingClient) WriteLarge(file, off uint32, data []byte) error {
 		bs := uint32(c.cache.BlockSize())
 		first := off / bs
 		last := (off + uint32(len(data)) - 1) / bs
-		c.cache.Invalidate(file, first, last-first+1)
+		c.cache.Invalidate(file, first, last-first+1, 0)
 	}
 	return nil
 }
@@ -334,7 +335,7 @@ func (c *CachingClient) CreateFile(file uint32, size uint32) error {
 		return err
 	}
 	c.noteWriteVersion(file, &m)
-	c.cache.InvalidateFile(file)
+	c.cache.InvalidateFile(file, 0)
 	return nil
 }
 
@@ -353,7 +354,7 @@ func (c *CachingClient) CreateFile(file uint32, size uint32) error {
 // callback also drops its blocks unconditionally, so gaps there are
 // harmless; only this no-callback path needs the contiguity proof.)
 func (c *CachingClient) noteWriteVersion(file uint32, m *ipc.Message) {
-	v, tracked := writeVersion(m)
+	v, tracked := replyVersion(m)
 	if !tracked {
 		return
 	}
@@ -367,13 +368,13 @@ func (c *CachingClient) noteWriteVersion(file uint32, m *ipc.Message) {
 		return
 	}
 	switch {
-	case !versionNewer(v, fs.version):
+	case !ccache.Newer(v, fs.version):
 		// A stale reply racing callbacks that already advanced us.
 	case v == fs.version+1:
 		fs.version = v
 	default:
 		c.purges.Add(1)
-		c.cache.InvalidateFile(file)
+		c.cache.InvalidateFile(file, 0)
 		fs.version = v
 	}
 }

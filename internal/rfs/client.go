@@ -171,10 +171,10 @@ func ClusterMap(p *ipc.Proc, window time.Duration) (map[ipc.Pid][]uint32, error)
 // while in-sync — it then holds every acked write — so spread reads
 // observe write-behind state exactly as primary reads do. A
 // CachingClient may spread its reads too: its registrations stay on the
-// primary, which sends a write's invalidation callbacks only after every
-// in-sync replica has acked the write or been dropped from the in-sync
-// set, so a reader called back refills the new bytes from any replica
-// still in it. No-op for unrouted clients.
+// primary, whose callbacks for a write may reach it before a replica has
+// applied the write, so a replica's page-read reply names the sequence
+// it had applied and the reader caches no read older than the sequence
+// the callback named. No-op for unrouted clients.
 func (c *Client) SpreadReads(on bool) { c.spreadReads = on }
 
 // Server returns the bound (fixed-pid) or last-routed server pid.

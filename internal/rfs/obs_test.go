@@ -253,9 +253,12 @@ func TestHotPageReadsTimed(t *testing.T) {
 	if got := volGauge(e.srv, "cache_hits") - hits; got < n {
 		t.Fatalf("%d of %d reads hit the cache", got, n)
 	}
-	if h := e.srv.Metrics().Histogram("rfs.op.read_block").Stat(); h.Count < n {
-		t.Fatalf("rfs.op.read_block counted %d after %d cache-hit reads", h.Count, n)
-	}
+	// A worker records a request after replying to it, so the last read's
+	// observation and the traced read's span may land after the client
+	// has its reply.
+	waitUntil(t, 5*time.Second, "rfs.op.read_block to count every cache-hit read", func() bool {
+		return e.srv.Metrics().Histogram("rfs.op.read_block").Stat().Count >= n
+	})
 
 	trace := obs.NewTraceID()
 	c.SetTrace(trace)
@@ -266,10 +269,12 @@ func TestHotPageReadsTimed(t *testing.T) {
 	if volGauge(e.srv, "cache_hits") == hits {
 		t.Fatal("the traced read missed the cache")
 	}
-	for _, ev := range e.srv.Metrics().Trace().EventsFor(trace) {
-		if ev.What == "rfs.read_block" && ev.Dur > 0 {
-			return
+	waitUntil(t, 5*time.Second, "a timed rfs.read_block span for the traced hit", func() bool {
+		for _, ev := range e.srv.Metrics().Trace().EventsFor(trace) {
+			if ev.What == "rfs.read_block" && ev.Dur > 0 {
+				return true
+			}
 		}
-	}
-	t.Fatalf("no timed rfs.read_block span for the traced hit: %+v", e.srv.Metrics().Trace().EventsFor(trace))
+		return false
+	})
 }

@@ -65,15 +65,16 @@ const (
 	// runs for invalidations; on any write to the file the server Sends
 	// OpInvalidate to every other registered client's callback process
 	// BEFORE acknowledging the write, so a post-ack read on any client
-	// never observes the cache's pre-write bytes. Registrations carry a
-	// bounded lease and every file a version counter, so a client whose
-	// callbacks are lost (dead callback process, dropped registration)
-	// serves stale bytes for at most one lease: a cache hit past the
-	// lease forces a re-registration, and a version mismatch on the
-	// renewal purges the file's cached blocks.
+	// never observes the cache's pre-write bytes (nor caches a replica's:
+	// see stampVersion). Registrations carry a bounded lease and every
+	// file a version counter, so a client whose callbacks are lost
+	// (dead callback process, dropped registration) serves stale bytes
+	// for at most one lease: a cache hit past the lease forces a
+	// re-registration, and a version mismatch on the renewal purges the
+	// file's cached blocks.
 	OpRegisterCache uint32 = 8  // word 2: file id, word 3: callback pid → reply word 2: version, word 3: lease ms
 	OpReleaseCache  uint32 = 9  // word 2: file id, word 3: callback pid
-	OpInvalidate    uint32 = 10 // server→client callback: word 2: file, word 3: first block, word 4: count, word 5: version, word 6: volume
+	OpInvalidate    uint32 = 10 // server→client callback: word 2: file, word 3: first block, word 4: count, word 5: version, word 6: volume, word 7: replication sequence
 
 	// OpQueryVolumes asks a server for the volume set it owns (word 4
 	// bounds the reply bytes; the ids arrive as big-endian uint32s in the
@@ -191,8 +192,10 @@ var (
 // (see proto: OpRegisterCache) when the file is version-tracked, so a
 // caching writer can keep its own version current without a callback.
 // The OpInvalidate callback (a server→client request) already uses word
-// 5 for the version, so it carries its volume in word 6 — callbacks
-// grant no segment, leaving the descriptor words free.
+// 5 for the version, so it carries its volume in word 6 and the write's
+// replication sequence in word 7 — callbacks grant no segment, leaving
+// the descriptor words free. A replica's page-read reply carries its
+// applied sequence in word 3 with word 4 = 1 (see stampVersion).
 
 // buildRequest assembles a request message addressed to a volume.
 func buildRequest(vol, op, file, blockOrOff, count uint32) ipc.Message {
@@ -256,20 +259,21 @@ func decodeIDs[T ~uint32](seg []byte, count uint32) (ids []T, ok bool) {
 
 // buildInvalidate assembles an OpInvalidate callback. Callbacks reuse
 // the request layout but word 5 carries the file's post-write version,
-// so the volume rides in word 6 — callbacks grant no segment, leaving
-// the descriptor words free.
-func buildInvalidate(vol, file, first, count, version uint32) ipc.Message {
+// so the volume rides in word 6 and the write's replication sequence
+// (0 when unreplicated) in word 7.
+func buildInvalidate(vol, file, first, count, version, seq uint32) ipc.Message {
 	m := buildRequest(0, OpInvalidate, file, first, count)
 	m.SetWord(5, version)
 	m.SetWord(6, vol)
+	m.SetWord(7, seq)
 	return m
 }
 
 // parseInvalidate decodes the callback-specific words of an
 // OpInvalidate message (the op/file/block/count words go through
 // parseRequest as usual).
-func parseInvalidate(m *ipc.Message) (version, vol uint32) {
-	return m.Word(5), m.Word(6)
+func parseInvalidate(m *ipc.Message) (version, vol, seq uint32) {
+	return m.Word(5), m.Word(6), m.Word(7)
 }
 
 // stampRegisterLease records the registration lease (milliseconds) in
@@ -280,17 +284,17 @@ func stampRegisterLease(m *ipc.Message, leaseMs uint32) { m.SetWord(3, leaseMs) 
 // reply.
 func registerLease(m *ipc.Message) uint32 { return m.Word(3) }
 
-// stampWriteVersion marks a write reply with the file's post-write
-// cache version: word 3 is the version, word 4 = 1 flags that the file
-// is version-tracked.
-func stampWriteVersion(m *ipc.Message, version uint32) {
+// stampVersion sets a reply's version: word 3, flagged by word 4 = 1. A
+// write reply carries the file's post-write cache version (if tracked),
+// a replica's page-read reply the sequence it applied before the read.
+func stampVersion(m *ipc.Message, version uint32) {
 	m.SetWord(3, version)
 	m.SetWord(4, 1)
 }
 
-// writeVersion reads a write reply's post-write version; ok reports
-// whether the reply carried one (the file is version-tracked).
-func writeVersion(m *ipc.Message) (version uint32, ok bool) {
+// replyVersion reads the word stampVersion set; ok reports whether the
+// reply carried one.
+func replyVersion(m *ipc.Message) (version uint32, ok bool) {
 	if m.Word(4) == 0 {
 		return 0, false
 	}

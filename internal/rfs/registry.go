@@ -2,6 +2,7 @@ package rfs
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vkernel/internal/ipc"
@@ -15,7 +16,9 @@ import (
 // Invariant the protocol rests on: a write to a file is acknowledged only
 // after every other registered (and unexpired) client has acknowledged an
 // OpInvalidate callback for the written blocks — so once a writer sees
-// its ack, no client cache anywhere can serve the pre-write bytes. The
+// its ack, no client cache anywhere can serve the pre-write bytes. They
+// overlap the replicas' apply: each names the write's sequence, fencing
+// older replica reads, and registerCache waits for that apply. The
 // callbacks are still best-effort: a client whose callback process is
 // unreachable has its registration dropped (never retried forever), and
 // the bounded lease plus the version check on re-registration cap how
@@ -38,6 +41,8 @@ type cacheRegistry struct {
 	nextReap time.Time        // earliest next registry-wide expired-watcher sweep
 
 	node *ipc.Node
+	jobs chan invCall // unbuffered: a send reaches only an idle caller
+	idle atomic.Int32 // callers waiting on jobs, at most callerIdleMax
 
 	registrations    *obs.Counter
 	callbacks        *obs.Counter
@@ -69,20 +74,31 @@ type watcher struct {
 	expires time.Time
 }
 
-// invResult is one callback exchange's outcome.
-type invResult struct {
-	w   *watcher
-	err error
+// invCall is one callback exchange, handed to a caller, returned on done.
+type invCall struct {
+	req  ipc.Message
+	w    *watcher
+	i    int // w's index in the fan-out's targets
+	err  error
+	done chan<- invCall
+}
+
+const callerIdleMax = 16 // callers kept between writes
+
+// fanout is one write's callbacks, from invalidateStart to wait.
+type fanout struct {
+	k        volFile
+	targets  []*watcher // each nil once answered
+	done     chan invCall
+	deadline time.Time
 }
 
 // newCacheRegistry creates the registry. Each callback exchange runs on
-// its own goroutine and a throwaway process attached for it, and is
-// abandoned — never waited on — past the fan-out deadline, so a callback
-// pid that is alive but never in Receive (whose Send the reply-pending
-// machinery parks indefinitely) wedges one disposable goroutine, and
-// neither the write path nor Close waits behind it. Abandoned exchanges
-// self-clean when the Send finally fails (at the latest when the node
-// closes).
+// a caller (a goroutine with a process attached for it, reused across
+// writes) and is abandoned — never waited on — past the fan-out
+// deadline, so a callback pid that is alive but never in Receive (whose
+// Send the reply-pending machinery parks indefinitely) wedges one
+// caller, and neither the write path nor Close waits behind it.
 func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, reg *obs.Registry) *cacheRegistry {
 	return &cacheRegistry{
 		files:   make(map[volFile]*fileReg),
@@ -90,6 +106,7 @@ func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, reg *obs.Reg
 		timeout: timeout,
 		now:     time.Now,
 		node:    node,
+		jobs:    make(chan invCall),
 
 		registrations:    reg.Counter("rfs.cache_registrations"),
 		callbacks:        reg.Counter("rfs.cache_callbacks"),
@@ -100,27 +117,48 @@ func newCacheRegistry(node *ipc.Node, lease, timeout time.Duration, reg *obs.Reg
 	}
 }
 
-// callbackExchange Sends the OpInvalidate callback req to w's callback
-// process from a process attached for it, through the client stubs'
-// exchange, and delivers the outcome on done. An overload shed (the
-// callback process's receive queue was momentarily full) is retried
-// under DefaultRetryPolicy, as a stub's would be: shedding is the
-// kernel's normal burst behavior and must not cost a healthy client its
-// registration; any other error is final.
-func (r *cacheRegistry) callbackExchange(req ipc.Message, w *watcher, done chan<- invResult) {
-	p, err := r.node.Attach("inval")
-	if err != nil {
-		done <- invResult{w: w, err: err}
-		return
-	}
-	defer r.node.Detach(p)
-	if err = NewClient(p, w.cb).exchange(&req, nil); err == nil {
-		if status, _ := parseReply(&req); status != StatusOK {
-			err = ErrBadStatus
+// send hands cb to an idle caller, or to a new one.
+func (r *cacheRegistry) send(cb invCall) {
+	select {
+	case r.jobs <- cb:
+	default:
+		p, err := r.node.Attach("inval")
+		if err != nil {
+			cb.err = err
+			cb.done <- cb
+			return
 		}
+		go r.caller(NewClient(p, cb.w.cb), cb)
 	}
-	done <- invResult{w: w, err: err}
 }
+
+// caller Sends callbacks, cb first, through the client stubs' exchange
+// and returns each on its done channel; between them it waits on jobs
+// (until close) unless callerIdleMax callers already do. An overload
+// shed (the callback process's receive queue was momentarily full) is
+// retried under DefaultRetryPolicy, as a stub's would be: shedding is
+// the kernel's normal burst behavior and must not cost a healthy client
+// its registration; any other error is final.
+func (r *cacheRegistry) caller(cl *Client, cb invCall) {
+	defer r.node.Detach(cl.p)
+	for ok := true; ok; {
+		cl.server = cb.w.cb
+		cb.err = cl.exchange(&cb.req, nil)
+		if status, _ := parseReply(&cb.req); cb.err == nil && status != StatusOK {
+			cb.err = ErrBadStatus
+		}
+		cb.done <- cb
+		if r.idle.Add(1) > callerIdleMax {
+			r.idle.Add(-1)
+			return
+		}
+		cb, ok = <-r.jobs
+		r.idle.Add(-1)
+	}
+}
+
+// close stops the callers, once the workers that send them jobs exited.
+func (r *cacheRegistry) close() { close(r.jobs) }
 
 // register adds (or renews) a registration and returns the file's current
 // version. Renewal by the same callback pid refreshes the lease in place.
@@ -198,27 +236,26 @@ func (r *cacheRegistry) watcherCount() int {
 	return n
 }
 
-// invalidate records a write of [first, first+count) by owner: it bumps
-// the file's version and calls back every other registered client,
-// blocking until each callback is acknowledged or fails, or the
-// CallbackTimeout deadline passes (failed and unanswered registrations
-// are dropped). It returns the post-write version and whether the file
-// is version-tracked at all — untracked files (no registration ever)
-// skip the counter so the registry stays empty for cache-less workloads
-// and the write path costs one mutex acquisition.
-func (r *cacheRegistry) invalidate(vol, file, first, count uint32, owner ipc.Pid, trace uint32) (version uint32, tracked bool) {
-	k := volFile{vol: vol, file: file}
+// invalidateStart records a write of [first, first+count) by owner,
+// replicated at sequence seq: it bumps the file's version and Sends
+// every other registered client an OpInvalidate callback naming seq,
+// for wait to collect. It returns the post-write version and whether
+// the file is version-tracked at all — untracked files (no registration
+// ever) skip the counter so the registry stays empty for cache-less
+// workloads and the write path costs one mutex acquisition.
+func (r *cacheRegistry) invalidateStart(vol, file, first, count, seq uint32, owner ipc.Pid, trace uint32) (f fanout, version uint32, tracked bool) {
+	f.k = volFile{vol: vol, file: file}
 	r.mu.Lock()
-	fr := r.files[k]
+	fr := r.files[f.k]
 	if fr == nil {
 		r.mu.Unlock()
-		return 0, false
+		return f, 0, false
 	}
 	fr.version++
 	version = fr.version
-	var targets []*watcher
 	if len(fr.watchers) > 0 {
 		now := r.now()
+		f.targets = make([]*watcher, 0, len(fr.watchers))
 		for cb, w := range fr.watchers {
 			if !now.Before(w.expires) {
 				// Lease ran out without a renewal: the client already
@@ -230,52 +267,62 @@ func (r *cacheRegistry) invalidate(vol, file, first, count uint32, owner ipc.Pid
 			if w.owner == owner {
 				continue
 			}
-			targets = append(targets, w)
+			f.targets = append(f.targets, w)
 		}
 	}
 	r.mu.Unlock()
-	if len(targets) == 0 {
-		return version, true
+	if len(f.targets) == 0 {
+		return f, version, true
 	}
-	// Every target is called back at once, and the fan-out waits for all
-	// of them under one deadline: liveness of the write path must not
-	// hinge on every callback process behaving. A callback that fails
-	// has its registration revoked rather than retried forever; one that
-	// neither acks nor fails by the deadline — a pid that is alive but
-	// never in Receive keeps the Send parked in reply-pending forever —
-	// is abandoned and revoked too, and the write proceeds. Either way
-	// the revoked client's staleness is bounded by the lease + version
-	// machinery. done holds every result, so a late exchange never
-	// blocks on it.
-	req := buildInvalidate(vol, file, first, count, version)
+	// done holds every result, so a late exchange never blocks on it.
+	req := buildInvalidate(vol, file, first, count, version, seq)
 	req.SetTrace(trace)
-	done := make(chan invResult, len(targets))
-	for _, w := range targets {
-		go r.callbackExchange(req, w, done)
+	f.done = make(chan invCall, len(f.targets))
+	f.deadline = time.Now().Add(r.timeout)
+	for i, w := range f.targets {
+		r.send(invCall{req: req, w: w, i: i, done: f.done})
 	}
-	r.callbacks.Add(int64(len(targets)))
-	timer := time.NewTimer(r.timeout)
-	defer timer.Stop()
-	answered := make(map[*watcher]bool, len(targets))
-	for len(answered) < len(targets) {
+	r.callbacks.Add(int64(len(f.targets)))
+	return f, version, true
+}
+
+// wait blocks until each of f's callbacks is acknowledged or fails, or
+// the CallbackTimeout deadline that started with the fan-out passes:
+// liveness of the write path must not hinge on every callback process
+// behaving. A callback that fails has its registration revoked rather
+// than retried forever; one that neither acks nor fails by the deadline
+// (a pid alive but never in Receive parks the Send in reply-pending
+// forever) is abandoned and revoked too. Either way the revoked client's
+// staleness is bounded by the lease + version machinery.
+func (r *cacheRegistry) wait(f *fanout) {
+	var timer *time.Timer
+	for pending := len(f.targets); pending > 0; pending-- {
+		var cb invCall
 		select {
-		case res := <-done:
-			answered[res.w] = true
-			if res.err != nil {
-				r.callbackErrs.Add(1)
-				r.dropInstance(k, res.w)
+		case cb = <-f.done: // answers already in count, deadline or not
+		default:
+			if timer == nil {
+				timer = time.NewTimer(time.Until(f.deadline))
+				defer timer.Stop()
 			}
-		case <-timer.C:
-			r.callbackTimeouts.Add(1)
-			for _, w := range targets {
-				if !answered[w] {
-					r.abandoned.Add(1)
-					r.callbackErrs.Add(1)
-					r.dropInstance(k, w)
+			select {
+			case cb = <-f.done:
+			case <-timer.C:
+				r.callbackTimeouts.Add(1)
+				for _, w := range f.targets {
+					if w != nil {
+						r.abandoned.Add(1)
+						r.callbackErrs.Add(1)
+						r.dropInstance(f.k, w)
+					}
 				}
+				return
 			}
-			return version, true
+		}
+		f.targets[cb.i] = nil
+		if cb.err != nil {
+			r.callbackErrs.Add(1)
+			r.dropInstance(f.k, cb.w)
 		}
 	}
-	return version, true
 }

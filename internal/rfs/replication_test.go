@@ -173,10 +173,11 @@ func TestReplicatedReadFanOut(t *testing.T) {
 // the shared-cluster benchmark runs them. The reader reads one page in a
 // loop, mostly from its cache, while the writer overwrites it; a read
 // that starts after a write's ack must never return older bytes, whether
-// its refill goes to the primary or to the replica. That holds because
-// the primary waits for the replica's ack of the write before it sends
-// the invalidation callbacks: a reader called back can only refill the
-// new bytes.
+// its refill goes to the primary or to the replica. The primary calls
+// the reader back while the replica may still be applying the write, so
+// that holds only because the reader does not cache a refill the replica
+// read before applying the sequence the callback named
+// (TestGatedApplyFencesReplicaFills holds that window open).
 func TestCachingSpreadReadsSeeAckedWrites(t *testing.T) {
 	for _, udp := range []bool{false, true} {
 		t.Run(fmt.Sprintf("udp=%v", udp), func(t *testing.T) {
@@ -270,6 +271,150 @@ func TestCachingSpreadReadsSeeAckedWrites(t *testing.T) {
 			}
 			if got := srvCounter(replica, "rfs.page_reads") - replicaReads; got == 0 {
 				t.Fatal("the replica served none of the reader's refills")
+			}
+		})
+	}
+}
+
+// applyGate is a replica's store whose WriteAt — the replica applying a
+// pushed write — waits while the gate is shut.
+type applyGate struct {
+	Store
+	mu   sync.Mutex
+	cond *sync.Cond
+	shut bool
+}
+
+func newApplyGate(inner Store) *applyGate {
+	g := &applyGate{Store: inner}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+func (g *applyGate) set(shut bool) {
+	g.mu.Lock()
+	g.shut = shut
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+func (g *applyGate) WriteAt(file uint32, p []byte, off int64) error {
+	g.mu.Lock()
+	for g.shut {
+		g.cond.Wait()
+	}
+	g.mu.Unlock()
+	return g.Store.WriteAt(file, p, off)
+}
+
+// TestGatedApplyFencesReplicaFills: the primary calls a write's readers
+// back while its in-sync replica is still applying the write. Here the
+// replica's apply is held at a gate, and a caching SpreadReads reader,
+// whose reads all go to that replica, is called back and reads during
+// the window: it gets the old bytes, which it must not cache, since the
+// replica read them before applying the sequence the callback named. A
+// reader that registers during the window, too late for a callback, must
+// not cache them either. Once the gate opens and the writer's ack
+// arrives, every read returns the new bytes.
+func TestGatedApplyFencesReplicaFills(t *testing.T) {
+	for _, udp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("udp=%v", udp), func(t *testing.T) {
+			cfg := replConfig(udp)
+			// The gate, not the ack timeout, decides when the write ends.
+			cfg.Server.ReplicaAckTimeout = 10 * time.Second
+			gate := newApplyGate(NewMemStore())
+			stores := 0
+			cfg.NewStore = func(uint32) Store {
+				// StartCluster builds the primary's store, then the replica's.
+				if stores++; stores == 2 {
+					return gate
+				}
+				return NewMemStore()
+			}
+			c := startCluster(t, cfg)
+			t.Cleanup(func() { gate.set(false) })
+			wnode, rnode := clientNode(t, c), clientNode(t, c)
+			w := NewVolumeClient(attach(t, wnode, "writer"), newRouter(t, wnode), 1)
+			if err := w.WriteBlock(9, 0, versionedPage(0, 1)); err != nil {
+				t.Fatal(err)
+			}
+			replica := c.Servers[1].Srv
+			waitReplicaServing(t, rnode, replica.Pid(), 9, 0, versionedPage(0, 1))
+			waitUntil(t, 5*time.Second, "the replica in-sync at the primary", func() bool {
+				return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 1
+			})
+			router := newRouter(t, rnode)
+			router.readMu.Lock()
+			router.reads[1] = &readSet{pids: []ipc.Pid{replica.Pid()}, expires: time.Now().Add(time.Hour)}
+			router.readMu.Unlock()
+			open := func(name string) *CachingClient {
+				cc, err := NewVolumeCachingClient(attach(t, rnode, name), router, 1, CacheClientConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(cc.Close)
+				cc.SpreadReads(true)
+				return cc
+			}
+			rd := open("reader")
+			page := make([]byte, 512)
+			read := func(cc *CachingClient) uint32 {
+				t.Helper()
+				if _, err := cc.ReadBlock(9, 0, page); err != nil {
+					t.Fatal(err)
+				}
+				if err := checkVersionedPage(0, page); err != nil {
+					t.Fatal(err)
+				}
+				return pageVersion(page)
+			}
+			read(rd) // registers and caches version 1
+
+			for v := uint32(2); v <= 4; v++ {
+				gate.set(true)
+				callbacks, drops := rd.Stats().Callbacks, rd.cache.Stats().StaleDrops
+				acked := make(chan error, 1)
+				go func() { acked <- w.WriteBlock(9, 0, versionedPage(0, v)) }()
+				waitUntil(t, 5*time.Second, "the reader's callback", func() bool {
+					return rd.Stats().Callbacks > callbacks && !rd.cache.Contains(9, 0)
+				})
+				const windowReads = 3
+				for i := 0; i < windowReads; i++ {
+					if got := read(rd); got != v-1 {
+						t.Fatalf("the gated replica served version %d, want %d", got, v-1)
+					}
+				}
+				// A reader that registers now is not called back for the
+				// write, and must not cache the replica's old bytes either.
+				late := open(fmt.Sprintf("late%d", v))
+				lateRead := make(chan error, 1)
+				go func() {
+					_, err := late.ReadBlock(9, 0, make([]byte, 512))
+					lateRead <- err
+				}()
+				select { // time for a read the registration does not hold back
+				case err := <-lateRead:
+					lateRead <- err
+				case <-time.After(50 * time.Millisecond):
+				}
+				gate.set(false)
+				if err := <-acked; err != nil {
+					t.Fatal(err)
+				}
+				if err := <-lateRead; err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 3; i++ {
+					if got := read(rd); got != v {
+						t.Fatalf("read returned version %d after version %d was acked", got, v)
+					}
+					if got := read(late); got != v {
+						t.Fatalf("a reader registered during the write read version %d after version %d was acked", got, v)
+					}
+				}
+				if got := rd.cache.Stats().StaleDrops - drops; got != windowReads {
+					t.Fatalf("%d fills refused, want the %d in the window", got, windowReads)
+				}
 			}
 		})
 	}

@@ -601,9 +601,9 @@ func (s *Server) Flush() error {
 }
 
 // Close stops the server: the server process goes away, which fails the
-// exchanges still queued and every worker's Receive, the workers exit,
-// staged writes flush to the stores, and the block caches return their
-// buffers to the pool. The backing stores are not closed.
+// exchanges still queued and every worker's Receive, the workers and idle
+// callback callers exit, staged writes flush to the stores, and the block
+// caches return their buffers to the pool. The stores are not closed.
 func (s *Server) Close() {
 	s.closed.Do(func() {
 		// Replica control loops stop first: a promotion racing the
@@ -617,6 +617,7 @@ func (s *Server) Close() {
 		}
 		s.node.Detach(s.proc)
 		s.workers.Wait()
+		s.registry.close()
 		for _, v := range s.volumes {
 			if v.repl != nil {
 				v.repl.close()
@@ -734,8 +735,10 @@ func (s *Server) createFile(v *volume, req *request, file, size, _ uint32) {
 		s.replyStatus(req.src, StatusIOError, 0)
 		return
 	}
-	s.replicateCommit(v, s.replicateAppend(v, repKindCreate, file, size, req.trace))
-	ver, tracked := s.registry.invalidate(v.id, file, 0, InvalidateAll, req.src, req.trace)
+	seq := s.replicateAppend(v, repKindCreate, file, size, req.trace)
+	fan, ver, tracked := s.registry.invalidateStart(v.id, file, 0, InvalidateAll, seq, req.src, req.trace)
+	s.replicateCommit(v, seq)
+	s.registry.wait(&fan)
 	s.replyWritten(req.src, 0, ver, tracked)
 }
 
@@ -760,6 +763,11 @@ func (s *Server) syncFiles(v *volume, req *request, file, _, _ uint32) {
 // lease in milliseconds.
 func (s *Server) registerCache(v *volume, req *request, file, cb, _ uint32) {
 	version := s.registry.register(v.id, file, req.src, ipc.Pid(cb))
+	if v.repl != nil {
+		// A write past its callbacks may be applying on the replicas still:
+		// answer once they hold it, or the new watcher could cache old bytes.
+		s.replicateCommit(v, v.repl.current())
+	}
 	m := buildReply(StatusOK, version)
 	stampRegisterLease(&m, uint32(s.cfg.CacheLease/time.Millisecond))
 	_ = s.proc.Reply(&m, req.src)
@@ -840,7 +848,7 @@ func (s *Server) replyStatus(src ipc.Pid, status, count uint32) {
 func (s *Server) replyWritten(src ipc.Pid, count, version uint32, tracked bool) {
 	m := buildReply(StatusOK, count)
 	if tracked {
-		stampWriteVersion(&m, version)
+		stampVersion(&m, version)
 	}
 	_ = s.proc.Reply(&m, src)
 }
@@ -919,11 +927,16 @@ func (s *Server) sizeOf(v *volume, file uint32) (int64, error) {
 // pageRead serves OpReadBlock: the page travels in the reply packet
 // (ReplyWithSegment), one Send/Reply exchange total. The cache block is
 // lent for the reply encode — the page is copied exactly once, from
-// cache memory into the pooled wire frame.
+// cache memory into the pooled wire frame. A replica's reply carries the
+// sequence it had applied before the read (see ccache.InsertApplied).
 func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 	if count > uint32(s.cfg.BlockSize) {
 		s.replyStatus(req.src, StatusBadRequest, 0)
 		return
+	}
+	reply := buildReply(StatusOK, count)
+	if v.role.Load() != rolePrimary {
+		stampVersion(&reply, v.rv.lastApplied.Load())
 	}
 	b, _, err := s.getBlock(v, file, block)
 	if err != nil {
@@ -931,7 +944,6 @@ func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 		return
 	}
 	s.stats.bytesRead.Add(int64(count))
-	reply := buildReply(StatusOK, count)
 	err = s.proc.ReplyWithSegment(&reply, req.src, 0, b.Data[:count])
 	b.Release()
 	if err != nil {
@@ -1129,7 +1141,6 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 		}
 		done += m
 	}
-	s.replicateCommit(v, seq)
 	s.stats.bytesWrite.Add(int64(count))
 	bs := uint32(s.cfg.BlockSize)
 	first, nblocks := off/bs, uint32(0)
@@ -1137,9 +1148,12 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 		nblocks = (off+count-1)/bs - first + 1
 	}
 	// The blocks are staged (readable by everyone through this server), so
-	// other clients' cached copies go stale NOW: call them back before the
-	// writer learns its write completed.
-	ver, tracked := s.registry.invalidate(v.id, file, first, nblocks, req.src, req.trace)
+	// other clients' cached copies go stale NOW: call them back while the
+	// replicas apply the write, and wait for both before the writer learns
+	// its write completed.
+	fan, ver, tracked := s.registry.invalidateStart(v.id, file, first, nblocks, seq, req.src, req.trace)
+	s.replicateCommit(v, seq)
+	s.registry.wait(&fan)
 	s.replyWritten(req.src, count, ver, tracked)
 }
 
