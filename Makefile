@@ -9,7 +9,7 @@ GO ?= go
 # stable local numbers.
 BENCHTIME ?= 1x
 
-.PHONY: all build test race stress fuzz vet lint fmt-check crosscheck bench bench-ipc bench-rfs bench-alloc bench-ccache loc obs-smoke check
+.PHONY: all build test race stress fuzz vet lint fmt-check crosscheck test-386 bench bench-ipc bench-rfs bench-alloc bench-ccache loc obs-smoke check
 
 all: build test
 
@@ -88,6 +88,13 @@ crosscheck:
 	GOOS=linux GOARCH=386 $(GO) build ./...
 	GOOS=windows $(GO) build ./internal/... ./cmd/... ./examples/...
 
+# The wire, pool, kernel and file-service tests on a 32-bit word size,
+# where an int conversion of a uint32 offset can go negative. crosscheck
+# only builds for linux/386; this runs the tests there (an amd64 Linux
+# host runs 386 binaries natively).
+test-386:
+	GOARCH=386 $(GO) test ./internal/vproto/ ./internal/bufpool/ ./internal/ipc/ ./internal/rfs/...
+
 bench:
 	$(GO) test -run 'TestNothing' -bench=. -benchmem .
 
@@ -165,4 +172,4 @@ loc:
 obs-smoke:
 	$(GO) run ./cmd/vstat -smoke
 
-check: build lint fmt-check test race fuzz obs-smoke
+check: build lint fmt-check test race test-386 fuzz obs-smoke

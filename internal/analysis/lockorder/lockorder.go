@@ -9,7 +9,11 @@
 // functions consult a transitive may-acquire summary (computed to
 // fixpoint across every loaded package), so handleSend holding the
 // alien-table mutex while calling into the proc table records
-// alienTable.mu→procShard.mu without any annotation.
+// alienTable.mu→procShard.mu without any annotation. A call to a method
+// of an instantiated generic type (opTable[*pendingSend].add) uses the
+// summary of its generic declaration, and the lock class of a generic
+// type's mutex is the type's name without its type arguments, so every
+// instantiation shares one class.
 //
 // Reported: cycles in the graph (distinct classes acquired in both
 // orders somewhere in the program), and edges that invert the declared
@@ -143,7 +147,7 @@ func eventsIn(info *types.Info, node ast.Node) []event {
 			}
 			if id != nil {
 				if fn, ok := info.Uses[id].(*types.Func); ok {
-					evs = append(evs, event{callee: fn, pos: n.Pos()})
+					evs = append(evs, event{callee: fn.Origin(), pos: n.Pos()})
 				}
 			}
 		}
@@ -211,7 +215,7 @@ func summaries(pass *analysis.Pass) map[*types.Func]map[string]bool {
 					}
 					if id != nil {
 						if callee, ok := f.pkg.Info.Uses[id].(*types.Func); ok {
-							for class := range sums[callee] {
+							for class := range sums[callee.Origin()] {
 								if !s[class] {
 									s[class] = true
 									changed = true

@@ -47,3 +47,33 @@ func lockF(f *F) {
 	f.mu.Lock()
 	f.mu.Unlock()
 }
+
+// G is a generic table: its methods' acquisitions are summarized once,
+// on the generic declaration, and every instantiation's call uses that
+// summary; G[int].mu and G[string].mu are one class, a.G.mu.
+type G[T any] struct {
+	mu sync.Mutex
+	m  map[uint32]T
+}
+
+func (g *G[T]) get(k uint32) T {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.m[k]
+}
+
+// genericHolder acquires B while holding G directly; genericCycle
+// acquires G while holding B, visible only through the summary of the
+// instantiated method get.
+func genericHolder(g *G[int], b *B) {
+	g.mu.Lock()
+	b.mu.Lock() // want "lock cycle: a.B.mu → a.G.mu → a.B.mu"
+	b.mu.Unlock()
+	g.mu.Unlock()
+}
+
+func genericCycle(g *G[string], b *B) {
+	b.mu.Lock()
+	g.get(2)
+	b.mu.Unlock()
+}

@@ -21,16 +21,15 @@ import (
 // and the caches reach into stores while holding the cache lock — so
 // tables and caches come before the entry/store locks they wrap.
 var LockOrder = []string{
-	// ipc: dispatch-side tables first, then the per-entry locks they
-	// pin, then leaf shards.
+	// ipc: dispatch-side tables first (opTable is both n.pending and
+	// n.moves: one class), then the per-entry locks they pin, then leaf
+	// shards.
 	"ipc.alienTable.mu",
-	"ipc.moveTable.mu",
-	"ipc.pendingTable.mu",
+	"ipc.opTable.mu",
 	"ipc.pendingSend.io",
 	"ipc.moveOp.io",
 	"ipc.moveOp.mu",
-	"ipc.moveTable.rxMu",
-	"ipc.moveRxState.mu",
+	"ipc.moveRx.mu",
 	"ipc.procShard.mu",
 	// rfs: cache above the store it flushes into; registry above the
 	// per-entry job state it feeds. (Cache→store nesting goes through

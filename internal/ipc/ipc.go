@@ -150,7 +150,7 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // causal: a peer sends a flow's exchange packet only after seeing every
 // earlier move of it complete, which this node's workers had to finish
 // first. So an exchange packet overtakes only duplicates, which seq
-// filtering drops, and pendingSend.barrier fences a move handler still
+// filtering drops, and the Send's barrier fences a move handler still
 // running before a Reply or Nack delivers. This rests on one invariant:
 // no exchange handler waits on network progress. Its only wait is that
 // barrier, bounded by one train send on a worker.

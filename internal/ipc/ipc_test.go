@@ -294,33 +294,6 @@ func TestMoveFromRemote(t *testing.T) {
 	}
 }
 
-func TestMoveWithoutGrantFails(t *testing.T) {
-	na, nb, _ := pairOnMesh(t, FaultConfig{}, NodeConfig{})
-	errs := make(chan error, 2)
-	srv := mustSpawn(nb, "server", func(p *Proc) {
-		_, src, err := p.Receive()
-		if err != nil {
-			return
-		}
-		errs <- p.MoveTo(src, 0, make([]byte, 64))
-		errs <- p.MoveFrom(src, 0, make([]byte, 64))
-		var reply Message
-		_ = p.Reply(&reply, src)
-	})
-	client := mustAttach(na, "client")
-	defer na.Detach(client)
-	var m Message
-	if err := client.Send(&m, srv.Pid(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if e := <-errs; e != ErrNoAccess {
-		t.Fatalf("MoveTo err = %v", e)
-	}
-	if e := <-errs; e != ErrNoAccess {
-		t.Fatalf("MoveFrom err = %v", e)
-	}
-}
-
 func TestReplyWithoutReceiveFails(t *testing.T) {
 	na, _, _ := pairOnMesh(t, FaultConfig{}, NodeConfig{})
 	p := mustAttach(na, "p")
@@ -432,64 +405,4 @@ func TestNodeCloseReleasesBlockedOps(t *testing.T) {
 		t.Fatal("Send not released by Close")
 	}
 	mesh.Close()
-}
-
-// TestFailedReplyLeavesSenderAwaiting: a Reply whose segment data fails
-// validation (no grant, too big) must not consume the exchange — the
-// replier answers again and the sender completes, instead of being
-// stranded in reply-pending limbo with its alien descriptor pinned.
-func TestFailedReplyLeavesSenderAwaiting(t *testing.T) {
-	na, nb, _ := pairOnMesh(t, FaultConfig{}, NodeConfig{})
-	srv := mustSpawn(nb, "server", func(p *Proc) {
-		_, src, err := p.Receive()
-		if err != nil {
-			return
-		}
-		var reply Message
-		// The client granted 64 bytes; 512 must fail without consuming.
-		if err := p.ReplyWithSegment(&reply, src, 0, make([]byte, 512)); err != ErrBadAddress {
-			t.Errorf("oversized ReplyWithSegment err = %v, want ErrBadAddress", err)
-		}
-		reply.SetWord(1, 9)
-		if err := p.Reply(&reply, src); err != nil {
-			t.Errorf("recovery Reply failed: %v", err)
-		}
-	})
-	client := mustAttach(na, "client")
-	defer na.Detach(client)
-	buf := make([]byte, 64)
-	var m Message
-	if err := client.Send(&m, srv.Pid(), &Segment{Data: buf, Access: SegWrite}); err != nil {
-		t.Fatalf("sender stranded by failed reply: %v", err)
-	}
-	if m.Word(1) != 9 {
-		t.Fatalf("reply word = %d", m.Word(1))
-	}
-}
-
-// TestFailedLocalReplyLeavesSenderAwaiting is the same property on the
-// local (same-node) fast path.
-func TestFailedLocalReplyLeavesSenderAwaiting(t *testing.T) {
-	na, _, _ := pairOnMesh(t, FaultConfig{}, NodeConfig{})
-	srv := mustAttach(na, "server")
-	defer na.Detach(srv)
-	done := make(chan error, 1)
-	mustSpawn(na, "client", func(p *Proc) {
-		var m Message
-		done <- p.Send(&m, srv.Pid(), nil) // no grant at all
-	})
-	_, src, err := srv.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reply Message
-	if err := srv.ReplyWithSegment(&reply, src, 0, []byte("x")); err != ErrNoAccess {
-		t.Fatalf("ungranted ReplyWithSegment err = %v, want ErrNoAccess", err)
-	}
-	if err := srv.Reply(&reply, src); err != nil {
-		t.Fatalf("recovery Reply failed: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("sender stranded: %v", err)
-	}
 }

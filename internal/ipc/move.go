@@ -26,59 +26,46 @@ import (
 // exchange between the same two processes cannot touch the segment of
 // the current one.
 //
-// Concurrency: outgoing operations live in the node's moveTable (lifecycle
-// under its lock, buffer writes under the per-op lock); an inbound MoveTo
+// Concurrency: outgoing operations live in the node's n.moves opTable
+// (lifecycle under its lock, buffer writes under the per-op lock), and
+// share the outstanding lifecycle with remote Sends; an inbound MoveTo
 // stream reassembles under its exchange's own lock (pendingSend.rx) so
 // transfers from different peers land in their granted segments in
 // parallel.
 
-type moveKind int
+// moveKind is a transfer's direction, spelled as the segment access it
+// needs from the granting process (§2.1).
+type moveKind byte
 
 const (
-	moveTo moveKind = iota
-	moveFrom
+	moveTo   moveKind = SegWrite
+	moveFrom moveKind = SegRead
 )
 
 type moveOp struct {
+	outstanding
 	kind moveKind
-	seq  uint32
-	proc *Proc
 	peer Pid
 	// vec is the transfer's slice list: for moveTo the gather list of
 	// source slices streamed in order, for moveFrom the scatter list of
-	// destination slices filled in order.
+	// destination slices filled in order. io (see outstanding) pins it.
 	vec     [][]byte
 	size    uint32 // total transfer size in bytes
 	base    uint32 // offset within the peer's granted segment
 	sendSeq uint32 // seq of the peer's Send this transfer serves
-	ackCh   chan moveResult
-	timer   *time.Timer
-
-	// Guarded by the moveTable lock.
-	retries int
-	done    bool
-
-	// io orders data-buffer access against result delivery, exactly as
-	// pendingSend.io does for Send exchanges: handlers pin the buffer
-	// with io.RLock while holding the table lock (after checking the op
-	// is live), and completers barrier() after removing the op, so no
-	// handler can touch the slices once the owner has resumed.
-	io sync.RWMutex
+	ackCh   chan error
 
 	// mu guards got and, for moveFrom, writes into vec.
 	mu  sync.Mutex
 	got uint32 // moveFrom: contiguously received bytes
 }
 
-// barrier orders in-flight buffer access before result delivery; see
-// pendingSend.barrier.
-func (op *moveOp) barrier() {
-	op.io.Lock()
-	op.io.Unlock()
-}
-
-type moveResult struct {
-	err error
+// finish delivers the transfer's result; the caller has taken op out of
+// n.moves.
+func (op *moveOp) finish(err error) {
+	op.timer.Stop()
+	op.barrier()
+	op.ackCh <- err
 }
 
 // moveRx reassembles the inbound MoveTo streams of one exchange, one at
@@ -110,48 +97,7 @@ func (p *Proc) MoveTo(dst Pid, destOff uint32, data []byte) error {
 // a bulk read served from several cached blocks needs no intermediate
 // staging copy. Borrowing rules are those of MoveTo.
 func (p *Proc) MoveToVec(dst Pid, destOff uint32, srcs ...[]byte) error {
-	total := 0
-	for _, s := range srcs {
-		total += len(s)
-	}
-	p.mu.Lock()
-	env, ok := p.received[dst]
-	p.mu.Unlock()
-	if !ok {
-		return ErrNotAwaitingReply
-	}
-	if env.local != nil {
-		seg := env.local.seg
-		if seg == nil || seg.Access&SegWrite == 0 {
-			return ErrNoAccess
-		}
-		if int(destOff)+total > len(seg.Data) {
-			return ErrBadAddress
-		}
-		at := destOff
-		for _, s := range srcs {
-			copy(seg.Data[at:], s)
-			at += uint32(len(s))
-		}
-		return nil
-	}
-	// Remote: validate against the alien's message grant, then stream.
-	if _, size, access, ok := env.alien.msg.Segment(); !ok || access&SegWrite == 0 {
-		return ErrNoAccess
-	} else if uint64(destOff)+uint64(total) > uint64(size) {
-		return ErrBadAddress
-	}
-	op := &moveOp{
-		kind:    moveTo,
-		proc:    p,
-		peer:    dst,
-		vec:     srcs,
-		size:    uint32(total),
-		base:    destOff,
-		sendSeq: env.alien.seq,
-		ackCh:   make(chan moveResult, 1),
-	}
-	return p.node.runMove(op)
+	return p.move(moveTo, dst, destOff, srcs)
 }
 
 // MoveFrom copies len(buf) bytes from the granted segment of src at
@@ -170,71 +116,63 @@ func (p *Proc) MoveFrom(src Pid, srcOff uint32, buf []byte) error {
 // re-requests from the last contiguously received byte, so every slice
 // is filled exactly once, in order.
 func (p *Proc) MoveFromVec(src Pid, srcOff uint32, dsts ...[]byte) error {
+	return p.move(moveFrom, src, srcOff, dsts)
+}
+
+// move runs one bulk transfer between p's slice list vec and the segment
+// peer granted, at offset off: a copy for a local peer, a remote transfer
+// driven to completion otherwise.
+func (p *Proc) move(kind moveKind, peer Pid, off uint32, vec [][]byte) error {
 	total := 0
-	for _, d := range dsts {
-		total += len(d)
+	for _, b := range vec {
+		total += len(b)
 	}
 	p.mu.Lock()
-	env, ok := p.received[src]
+	env, ok := p.received[peer]
 	p.mu.Unlock()
 	if !ok {
 		return ErrNotAwaitingReply
 	}
+	seg, err := env.grant(byte(kind), off, total)
+	if err != nil {
+		return err
+	}
 	if env.local != nil {
-		seg := env.local.seg
-		if seg == nil || seg.Access&SegRead == 0 {
-			return ErrNoAccess
-		}
-		if int(srcOff)+total > len(seg.Data) {
-			return ErrBadAddress
-		}
-		at := srcOff
-		for _, d := range dsts {
-			copy(d, seg.Data[at:int(at)+len(d)])
-			at += uint32(len(d))
+		if kind == moveTo {
+			gatherCopy(seg, vec, 0)
+		} else {
+			scatterCopy(vec, 0, seg)
 		}
 		return nil
 	}
-	if _, size, access, ok := env.alien.msg.Segment(); !ok || access&SegRead == 0 {
-		return ErrNoAccess
-	} else if uint64(srcOff)+uint64(total) > uint64(size) {
-		return ErrBadAddress
+	if total == 0 {
+		return nil
 	}
+	n := p.node
 	op := &moveOp{
-		kind:    moveFrom,
-		proc:    p,
-		peer:    src,
-		vec:     dsts,
-		size:    uint32(total),
-		base:    srcOff,
-		sendSeq: env.alien.seq,
-		ackCh:   make(chan moveResult, 1),
+		outstanding: outstanding{seq: n.nextSeq(), owner: p.pid},
+		kind:        kind,
+		peer:        peer,
+		vec:         vec,
+		size:        uint32(total),
+		base:        off,
+		sendSeq:     env.alien.seq,
+		ackCh:       make(chan error, 1),
 	}
-	return p.node.runMove(op)
-}
-
-// runMove drives one remote bulk transfer to completion.
-func (n *Node) runMove(op *moveOp) error {
-	if op.size == 0 {
-		return nil
-	}
-	op.seq = n.nextSeq()
-	err := n.moves.add(op, func() *time.Timer {
+	err = n.moves.add(op, func() *time.Timer {
 		return time.AfterFunc(n.cfg.RetransmitTimeout, func() { n.moveTimeout(op) })
 	})
 	if err != nil {
 		return err
 	}
 	n.stats.moveOps.Add(1)
-	n.stats.moveBytes.Add(int64(op.size))
-
-	if op.kind == moveTo {
+	n.stats.moveBytes.Add(int64(total))
+	if kind == moveTo {
 		n.streamMoveTo(op, 0)
 	} else {
 		n.sendMoveFromReq(op, 0)
 	}
-	res := <-op.ackCh
-	return res.err
+	return <-op.ackCh
 }
 
 // gatherCopy fills dst from the concatenation of vec starting at byte
@@ -316,7 +254,7 @@ func (n *Node) streamMoveTo(op *moveOp, from uint32) {
 	hdr := vproto.Packet{
 		Kind:  vproto.KindMoveToData,
 		Seq:   op.seq,
-		Src:   op.proc.pid,
+		Src:   op.owner,
 		Dst:   op.peer,
 		Count: op.size,
 	}
@@ -331,7 +269,7 @@ func (n *Node) sendMoveFromReq(op *moveOp, got uint32) {
 	pkt := &vproto.Packet{
 		Kind:   vproto.KindMoveFromReq,
 		Seq:    op.seq,
-		Src:    op.proc.pid,
+		Src:    op.owner,
 		Dst:    op.peer,
 		Offset: got,
 		Count:  op.size,
@@ -350,11 +288,9 @@ func (n *Node) moveTimeout(op *moveOp) {
 	}
 	op.retries++
 	if op.retries > n.cfg.Retries {
-		op.done = true
-		delete(t.m, op.seq)
+		t.removeLocked(op)
 		t.mu.Unlock()
-		op.barrier()
-		op.ackCh <- moveResult{err: ErrTimeout}
+		op.finish(ErrTimeout)
 		return
 	}
 	op.io.RLock()
@@ -379,11 +315,10 @@ func (n *Node) moveTimeout(op *moveOp) {
 // serves: the one whose seq the mover stamped, between exactly this pair
 // of processes, granting the access wanted over the range the packet
 // names. Anything else is a stray (a late packet of an earlier exchange,
-// a forgery) and gets nil. Caller holds the pendingTable lock.
+// a forgery) and gets nil. Caller holds the n.pending lock.
 func (n *Node) moveTargetLocked(pkt *vproto.Packet, access byte) *pendingSend {
-	ps := n.pending.m[pkt.Msg.Word(wordMoveSend)]
-	if ps == nil || ps.done || ps.proc.pid != pkt.Dst || ps.dst != pkt.Src ||
-		ps.seg == nil || ps.seg.Access&access == 0 ||
+	ps, ok := n.pending.liveLocked(pkt.Msg.Word(wordMoveSend), pkt.Dst)
+	if !ok || ps.dst != pkt.Src || ps.seg == nil || ps.seg.Access&access == 0 ||
 		uint64(pkt.Msg.Word(wordMoveBase))+uint64(pkt.Count) > uint64(len(ps.seg.Data)) {
 		return nil
 	}
@@ -402,7 +337,7 @@ func (n *Node) handleMoveToData(pkt *vproto.Packet) {
 		return
 	}
 	// Pin the segment for writing before the exchange can complete (see
-	// pendingSend.barrier).
+	// outstanding.io).
 	ps.io.RLock()
 	pt.mu.Unlock()
 	defer ps.io.RUnlock()
@@ -447,18 +382,15 @@ func (n *Node) sendMoveAck(pkt *vproto.Packet, received uint32, complete bool) {
 func (n *Node) handleMoveAck(pkt *vproto.Packet) {
 	t := &n.moves
 	t.mu.Lock()
-	op, ok := t.m[pkt.Seq]
-	if !ok || op.kind != moveTo || op.done {
+	op, ok := t.liveLocked(pkt.Seq, pkt.Dst)
+	if !ok || op.kind != moveTo {
 		t.mu.Unlock()
 		return
 	}
 	if pkt.Flags&vproto.FlagLast != 0 && pkt.Offset >= op.size {
-		op.done = true
-		delete(t.m, op.seq)
+		t.removeLocked(op)
 		t.mu.Unlock()
-		op.timer.Stop()
-		op.barrier()
-		op.ackCh <- moveResult{}
+		op.finish(nil)
 		return
 	}
 	op.retries = 0
@@ -483,7 +415,7 @@ func (n *Node) handleMoveFromReq(pkt *vproto.Packet) {
 		return
 	}
 	// Pin the segment for reading until streaming completes (see
-	// pendingSend.barrier).
+	// outstanding.io).
 	ps.io.RLock()
 	pt.mu.Unlock()
 	defer ps.io.RUnlock()
@@ -504,13 +436,13 @@ func (n *Node) handleMoveFromReq(pkt *vproto.Packet) {
 func (n *Node) handleMoveFromData(pkt *vproto.Packet) {
 	t := &n.moves
 	t.mu.Lock()
-	op, ok := t.m[pkt.Seq]
-	if !ok || op.kind != moveFrom || op.done {
+	op, ok := t.liveLocked(pkt.Seq, pkt.Dst)
+	if !ok || op.kind != moveFrom {
 		t.mu.Unlock()
 		return
 	}
 	// Pin the destination slices before the op can complete (see
-	// moveOp.barrier).
+	// outstanding.io).
 	op.io.RLock()
 	t.mu.Unlock()
 
@@ -526,16 +458,14 @@ func (n *Node) handleMoveFromData(pkt *vproto.Packet) {
 	op.io.RUnlock()
 
 	if got >= op.size {
-		if n.moves.complete(op) {
-			op.timer.Stop()
-			op.barrier()
-			op.ackCh <- moveResult{}
+		if _, ok := t.take(pkt.Seq, pkt.Dst); ok {
+			op.finish(nil)
 		}
 		return
 	}
 	if pkt.Flags&vproto.FlagLast != 0 {
 		t.mu.Lock()
-		if t.m[pkt.Seq] != op || op.done {
+		if _, ok := t.liveLocked(pkt.Seq, pkt.Dst); !ok {
 			t.mu.Unlock()
 			return
 		}

@@ -3,9 +3,7 @@ package ipc
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"vkernel/internal/bufpool"
 	"vkernel/internal/obs"
@@ -34,8 +32,8 @@ type Node struct {
 
 	procs   procTable
 	aliens  alienTable
-	pending pendingTable
-	moves   moveTable
+	pending opTable[*pendingSend]
+	moves   opTable[*moveOp]
 	names   nameTable
 
 	// metrics is the node's registry (NodeConfig.Metrics, or a private
@@ -87,32 +85,25 @@ type alien struct {
 	env envelope
 }
 
-// pendingSend is an outstanding remote Send from this node. Lifecycle
-// fields (done, retries, map membership) are guarded by the pendingTable
-// lock; io orders segment-data copies against result delivery (see
-// barrier).
+// pendingSend is an outstanding remote Send from this node, in n.pending.
+// io (see outstanding) orders segment-data copies — inbound MoveTo data
+// landing in the granted segment, MoveFrom reads of it — before the
+// exchange result is delivered.
 type pendingSend struct {
-	seq     uint32
-	proc    *Proc
+	outstanding
 	dst     Pid
 	frame   *bufpool.Buf // the encoded Send, held for retransmission; owned by the sending goroutine, released after the result
 	seg     *Segment
-	io      sync.RWMutex
 	rx      moveRx // inbound MoveTo reassembly; reset per exchange like the fields above
 	replyCh chan sendResult
-	retries int
-	timer   *time.Timer
-	done    bool
 }
 
-// barrier orders in-flight segment copies (inbound MoveTo data landing in
-// the granted segment, MoveFrom reads of it) before the exchange result
-// is delivered: writers hold io.RLock across the copy after validating
-// the entry under the table lock, so write-locking once after removing
-// the entry is a full fence.
-func (ps *pendingSend) barrier() {
-	ps.io.Lock()
-	ps.io.Unlock()
+// finish delivers the exchange's result; the caller has taken ps out of
+// n.pending.
+func (ps *pendingSend) finish(res sendResult) {
+	ps.timer.Stop()
+	ps.barrier()
+	ps.replyCh <- res
 }
 
 type sendResult struct {
@@ -170,14 +161,10 @@ func (n *Node) Close() error {
 		return nil
 	}
 	for _, ps := range n.pending.drain() {
-		ps.timer.Stop()
-		ps.barrier()
-		ps.replyCh <- sendResult{err: ErrClosed}
+		ps.finish(sendResult{err: ErrClosed})
 	}
 	for _, op := range n.moves.drain() {
-		op.timer.Stop()
-		op.barrier()
-		op.ackCh <- moveResult{err: ErrClosed}
+		op.finish(ErrClosed)
 	}
 	for _, p := range n.procs.drain() {
 		p.close()
@@ -376,9 +363,10 @@ func (n *Node) handleSend(pkt *vproto.Packet, f *bufpool.Buf) {
 			t.mu.Unlock()
 			return
 		default:
-			// Newer message: reuse the descriptor. An unconsumed or
-			// unreplied older message is orphaned — its sender has moved
-			// on (§3.2 timeout semantics).
+			// Newer message: remove the old descriptor; a new one is
+			// made below. An unconsumed or unreplied older message is
+			// orphaned — its sender has moved on (§3.2 timeout
+			// semantics).
 			t.removeLocked(a)
 		}
 	}
@@ -459,13 +447,11 @@ func (n *Node) handleReply(pkt *vproto.Packet, f *bufpool.Buf) {
 		n.stats.dupsFiltered.Add(1)
 		return
 	}
-	ps.timer.Stop()
-	ps.barrier()
 	res := sendResult{msg: pkt.Msg, data: pkt.Data, off: pkt.Offset}
 	if len(pkt.Data) > 0 {
 		res.frame = f.Retain()
 	}
-	ps.replyCh <- res
+	ps.finish(res)
 }
 
 // handleReplyPending resets the retransmission budget (§3.2).
@@ -474,11 +460,9 @@ func (n *Node) handleReplyPending(pkt *vproto.Packet) {
 	t := &n.pending
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ps, ok := t.m[pkt.Seq]
-	if !ok || ps.done {
-		return
+	if ps, ok := t.liveLocked(pkt.Seq, pkt.Dst); ok {
+		ps.retries = 0
 	}
-	ps.retries = 0
 }
 
 // handleNack fails an outstanding Send: ErrNoProcess for a dead
@@ -489,13 +473,11 @@ func (n *Node) handleNack(pkt *vproto.Packet) {
 	if !ok {
 		return
 	}
-	ps.timer.Stop()
-	ps.barrier()
 	err := ErrNoProcess
 	if pkt.Flags&vproto.FlagOverload != 0 {
 		err = ErrOverloaded
 	}
-	ps.replyCh <- sendResult{err: err}
+	ps.finish(sendResult{err: err})
 }
 
 // retransmit drives the §3.2 timeout machinery for one pending Send.
@@ -508,11 +490,9 @@ func (n *Node) retransmit(ps *pendingSend) {
 	}
 	ps.retries++
 	if ps.retries > n.cfg.Retries {
-		ps.done = true
-		delete(t.m, ps.seq)
+		t.removeLocked(ps)
 		t.mu.Unlock()
-		ps.barrier()
-		ps.replyCh <- sendResult{err: ErrTimeout}
+		ps.finish(sendResult{err: ErrTimeout})
 		return
 	}
 	// Pin the encoded frame across the transmit, and snapshot the fields

@@ -18,6 +18,34 @@ type envelope struct {
 	alien  *alien       // remote sender descriptor (nil for local senders)
 }
 
+// grant checks that the envelope's sender granted access over the n
+// bytes at off of its segment (§2.1): ErrNoAccess without the access,
+// ErrBadAddress for a range past the segment's end. For a local sender it
+// returns those bytes of the segment itself; a remote sender's segment is
+// reached over the wire, so it returns nil.
+func (env *envelope) grant(access byte, off uint32, n int) ([]byte, error) {
+	var seg []byte
+	var size uint64
+	var granted byte
+	if env.local != nil {
+		if s := env.local.seg; s != nil {
+			seg, size, granted = s.Data, uint64(len(s.Data)), s.Access
+		}
+	} else if _, sz, acc, ok := env.alien.msg.Segment(); ok {
+		size, granted = uint64(sz), acc
+	}
+	if granted&access == 0 {
+		return nil, ErrNoAccess
+	}
+	if uint64(off)+uint64(n) > size {
+		return nil, ErrBadAddress
+	}
+	if seg == nil {
+		return nil, nil
+	}
+	return seg[off:][:n], nil
+}
+
 // releaseFrame returns the pinned receive frame, if any. Called exactly
 // once per envelope, when the exchange is consumed (reply), superseded,
 // or dropped (shed, process death).
@@ -83,7 +111,7 @@ type Proc struct {
 	// for the same at-most-one-outstanding reason as sendRes and
 	// resendTimer: a fresh heap pendingSend per remote Send is an
 	// allocation on the page-exchange fast path. Its per-exchange fields
-	// are rewritten only inside pendingTable.add's critical section, and
+	// are rewritten only inside n.pending.add's critical section, and
 	// concurrent consumers (retransmit, reply dispatch, move handlers)
 	// only touch a descriptor they validated as live under that same
 	// lock — so no straggler from a finished exchange can observe the
@@ -104,7 +132,7 @@ func newProc(n *Node, pid Pid, name string) *Proc {
 		sendRes:    make(chan sendResult, 1),
 	}
 	p.ready.L = &p.mu
-	p.psend.proc = p
+	p.psend.owner = pid
 	p.psend.replyCh = p.sendRes
 	return p
 }
@@ -176,12 +204,7 @@ func (p *Proc) close() {
 	p.mu.Unlock()
 	p.ready.Broadcast()
 	for _, env := range q {
-		if env.local != nil {
-			env.local.replyCh <- sendResult{err: ErrNoProcess}
-		} else if env.alien != nil {
-			p.node.aliens.drop(env.alien)
-		}
-		env.releaseFrame()
+		p.settle(env)
 	}
 	for _, env := range rcvd {
 		env.releaseFrame()
@@ -190,6 +213,19 @@ func (p *Proc) close() {
 	// their descriptors the senders' retransmissions turn into Nacks
 	// instead of being held reply-pending forever.
 	p.node.aliens.dropAwaiting(p.pid)
+}
+
+// settle ends an exchange the dead process p can never reply to: a local
+// sender fails with ErrNoProcess, a remote sender's descriptor is dropped
+// so its retransmission is Nacked instead of answered reply-pending
+// forever (§3.2), and the pinned frame goes back to the pool.
+func (p *Proc) settle(env *envelope) {
+	if env.local != nil {
+		env.local.replyCh <- sendResult{err: ErrNoProcess}
+	} else if env.alien != nil {
+		p.node.aliens.drop(env.alien)
+	}
+	env.releaseFrame()
 }
 
 // enqueue delivers an envelope, waking one blocked receiver if any. The
@@ -296,7 +332,7 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 	// ReplyWithSegment data lands in the granted segment straight from
 	// the retained receive frame.
 	if res.err == nil && len(res.data) > 0 && seg != nil && seg.Access&SegWrite != 0 {
-		if int(res.off)+len(res.data) <= len(seg.Data) {
+		if uint64(res.off)+uint64(len(res.data)) <= uint64(len(seg.Data)) {
 			copy(seg.Data[res.off:], res.data)
 		}
 	}
@@ -353,17 +389,9 @@ func (p *Proc) receive(buf []byte) (Message, Pid, int, error) {
 	p.mu.Lock()
 	if p.closed {
 		// The process died between the handoff and here; the exchange can
-		// never be replied. Settle it exactly as close() settles queued
-		// envelopes — fail a local sender, drop a remote sender's
-		// descriptor so its retransmission is Nacked instead of answered
-		// reply-pending forever — and return the pinned frame.
+		// never be replied.
 		p.mu.Unlock()
-		if env.local != nil {
-			env.local.replyCh <- sendResult{err: ErrNoProcess}
-		} else if env.alien != nil {
-			p.node.aliens.drop(env.alien)
-		}
-		env.releaseFrame()
+		p.settle(env)
 		return Message{}, vproto.Nil, 0, ErrClosed
 	}
 	old := p.received[env.from]
@@ -422,24 +450,14 @@ func (p *Proc) reply(msg *Message, dst Pid, destOff uint32, data []byte) error {
 	// Reply must leave the sender awaiting, so the replier can answer
 	// again (say, with an error-status message) instead of stranding the
 	// sender in reply-pending limbo with its descriptor pinned.
+	var seg []byte
 	if len(data) > 0 {
-		if env.local != nil {
-			seg := env.local.seg
-			if seg == nil || seg.Access&SegWrite == 0 {
-				return ErrNoAccess
-			}
-			if int(destOff)+len(data) > len(seg.Data) {
-				return ErrBadAddress
-			}
-		} else {
-			if len(data) > vproto.MaxData {
-				return ErrSegTooBig
-			}
-			if _, size, access, ok := env.alien.msg.Segment(); !ok || access&SegWrite == 0 {
-				return ErrNoAccess
-			} else if uint64(destOff)+uint64(len(data)) > uint64(size) {
-				return ErrBadAddress
-			}
+		if env.local == nil && len(data) > vproto.MaxData {
+			return ErrSegTooBig
+		}
+		var err error
+		if seg, err = env.grant(SegWrite, destOff, len(data)); err != nil {
+			return err
 		}
 	}
 	// Commit: consume the exchange, re-checking it is still ours — a
@@ -453,9 +471,7 @@ func (p *Proc) reply(msg *Message, dst Pid, destOff uint32, data []byte) error {
 	p.mu.Unlock()
 	env.releaseFrame() // the inline prefix can't be consumed anymore
 	if env.local != nil {
-		if len(data) > 0 {
-			copy(env.local.seg.Data[destOff:], data)
-		}
+		copy(seg, data)
 		env.local.replyCh <- sendResult{msg: *msg}
 		return nil
 	}
@@ -467,18 +483,8 @@ func (p *Proc) reply(msg *Message, dst Pid, destOff uint32, data []byte) error {
 // once, into the pooled reply frame — so repliers can hand segments of
 // long-lived structures (a server's block cache) without defensive
 // copies. The frame itself stays alive in the reply cache until the
-// descriptor is evicted.
+// descriptor is evicted. reply has already checked the data's grant.
 func (n *Node) remoteReply(p *Proc, msg *Message, a *alien, destOff uint32, data []byte) error {
-	if len(data) > vproto.MaxData {
-		return ErrSegTooBig
-	}
-	if len(data) > 0 {
-		if _, size, access, ok := a.msg.Segment(); !ok || access&SegWrite == 0 {
-			return ErrNoAccess
-		} else if uint64(destOff)+uint64(len(data)) > uint64(size) {
-			return ErrBadAddress
-		}
-	}
 	pkt := &vproto.Packet{
 		Kind:   vproto.KindReply,
 		Seq:    a.seq,

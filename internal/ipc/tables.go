@@ -10,8 +10,8 @@ import (
 // The node's state is decomposed into independently locked subsystems so
 // that concurrent transactions only serialize where V semantics require
 // it: alien descriptors (duplicate filtering), outstanding Sends, bulk
-// transfers, and the name registry each have their own lock, and the
-// process table is striped (see proctable.go).
+// transfers (one opTable each), and the name registry each have their
+// own lock, and the process table is striped (see proctable.go).
 
 // alienTable owns the remote-sender descriptors (§3.2). Its mutex also
 // guards every alien's mutable fields, so the check-and-insert in
@@ -175,109 +175,110 @@ func (t *alienTable) drainRelease() {
 	t.mu.Unlock()
 }
 
-// pendingTable owns the outstanding remote Sends, keyed by interkernel
-// sequence number.
-type pendingTable struct {
+// outstanding is the lifecycle a remote Send awaiting its reply and a
+// bulk transfer awaiting its ack share (§3.2–3.3): registered in an
+// opTable under seq, retransmitted by timer until done, then its result
+// delivered exactly once by whoever takes it out of the table.
+type outstanding struct {
+	seq   uint32
+	owner Pid // the local process that started the operation
+	timer *time.Timer
+
+	// Guarded by the opTable lock.
+	retries int
+	done    bool
+
+	// io orders buffer access against result delivery: handlers pin the
+	// operation's buffers with io.RLock while holding the table lock
+	// (after checking it is live) and hold it across the copy, so the
+	// completer's barrier, taken after removing the entry, is a full fence
+	// — no handler can touch the buffers once the owner has resumed.
+	io sync.RWMutex
+}
+
+// out gives opTable, through its type parameter, the embedded lifecycle.
+func (o *outstanding) out() *outstanding { return o }
+
+// barrier waits out every in-flight buffer access pinned by io.
+func (o *outstanding) barrier() {
+	o.io.Lock()
+	o.io.Unlock()
+}
+
+// opTable owns one kind of outstanding operation (n.pending: Sends,
+// n.moves: bulk transfers), keyed by interkernel sequence number. Each
+// kind has its own table, so replies and move packets take different
+// locks.
+type opTable[T interface{ out() *outstanding }] struct {
 	mu     sync.Mutex
-	m      map[uint32]*pendingSend
+	m      map[uint32]T
 	closed bool
 }
 
-func (t *pendingTable) init() { t.m = make(map[uint32]*pendingSend) }
+func (t *opTable[T]) init() { t.m = make(map[uint32]T) }
 
-// add registers ps and arms its retransmission timer atomically, so a
-// reply processed concurrently can never observe a nil timer. The arm
-// callback runs inside the critical section and is also where the caller
-// (re)initializes the descriptor's per-exchange fields: processes reuse
+// add registers o and arms its timer atomically, so a reply processed
+// concurrently can never observe a nil timer. The arm callback runs
+// inside the critical section and is also where the caller
+// (re)initializes the operation's fields, seq among them: processes reuse
 // one pendingSend across Sends, and every concurrent consumer validates
-// a descriptor under this lock before touching it, so the re-init must
-// be ordered by the same lock.
-func (t *pendingTable) add(ps *pendingSend, arm func() *time.Timer) error {
+// an entry under this lock before touching it, so the re-init must be
+// ordered by the same lock.
+func (t *opTable[T]) add(o T, arm func() *time.Timer) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return ErrClosed
 	}
-	ps.timer = arm() // first: arm initializes ps.seq before the insert reads it
-	t.m[ps.seq] = ps
+	out := o.out()
+	out.timer = arm() // first: arm initializes seq before the insert reads it
+	t.m[out.seq] = o
 	return nil
 }
 
-// take removes and returns the live entry for seq addressed to dst,
-// marking it done; the caller then owns result delivery.
-func (t *pendingTable) take(seq uint32, dst Pid) (*pendingSend, bool) {
+// liveLocked returns the entry for seq and whether it is live: not done
+// and started by the process dst. Caller holds t.mu.
+func (t *opTable[T]) liveLocked(seq uint32, dst Pid) (T, bool) {
+	o, ok := t.m[seq]
+	if ok {
+		out := o.out()
+		ok = !out.done && out.owner == dst
+	}
+	return o, ok
+}
+
+// removeLocked marks o done and removes it; caller holds t.mu and then
+// owns o's result delivery.
+func (t *opTable[T]) removeLocked(o T) {
+	out := o.out()
+	out.done = true
+	delete(t.m, out.seq)
+}
+
+// take removes and returns the live entry for seq started by dst; the
+// caller then owns its result delivery.
+func (t *opTable[T]) take(seq uint32, dst Pid) (T, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ps, ok := t.m[seq]
-	if !ok || ps.proc.pid != dst || ps.done {
-		return nil, false
+	o, ok := t.liveLocked(seq, dst)
+	if ok {
+		t.removeLocked(o)
 	}
-	ps.done = true
-	delete(t.m, seq)
-	return ps, true
+	return o, ok
 }
 
 // drain closes the table and returns every live entry, marked done.
-func (t *pendingTable) drain() []*pendingSend {
+func (t *opTable[T]) drain() []T {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
-	out := make([]*pendingSend, 0, len(t.m))
-	for _, ps := range t.m {
-		ps.done = true
-		out = append(out, ps)
+	live := make([]T, 0, len(t.m))
+	for _, o := range t.m {
+		o.out().done = true
+		live = append(live, o)
 	}
-	t.m = map[uint32]*pendingSend{}
-	return out
-}
-
-// moveTable owns the outgoing bulk-transfer operations. (Receive-side
-// reassembly state lives with the exchange it serves, in pendingSend.rx.)
-type moveTable struct {
-	mu     sync.Mutex
-	m      map[uint32]*moveOp
-	closed bool
-}
-
-func (t *moveTable) init() { t.m = make(map[uint32]*moveOp) }
-
-// add registers op and arms its timeout atomically (see pendingTable.add).
-func (t *moveTable) add(op *moveOp, arm func() *time.Timer) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
-	t.m[op.seq] = op
-	op.timer = arm()
-	return nil
-}
-
-// complete removes op if it is still current and not done; the caller
-// then owns delivery on ackCh.
-func (t *moveTable) complete(op *moveOp) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.m[op.seq] != op || op.done {
-		return false
-	}
-	op.done = true
-	delete(t.m, op.seq)
-	return true
-}
-
-// drain closes the table and returns every live entry, marked done.
-func (t *moveTable) drain() []*moveOp {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.closed = true
-	out := make([]*moveOp, 0, len(t.m))
-	for _, op := range t.m {
-		op.done = true
-		out = append(out, op)
-	}
-	t.m = map[uint32]*moveOp{}
-	return out
+	t.m = map[uint32]T{}
+	return live
 }
 
 // nameTable owns the logical-name registry and the outstanding broadcast
