@@ -38,7 +38,9 @@ race:
 # midway and under a writer that never pauses, and beside a sync error
 # it must not swallow, the workers' shared receive queue shedding
 # under overload while every write lands once, and a caching reader
-# called back while the replica's apply is held at a gate (rfs).
+# called back while the replica's apply is held at a gate, and page reads
+# and syncs racing large writes whose blocks leave the cache as they are
+# written back (rfs).
 # Several minutes, so CI does not run it; run it after touching the
 # exchange, receive, move, dispatch, large-read, large-write or
 # replication paths.
@@ -46,7 +48,7 @@ race:
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
 STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces
 stress:
 	@s=0; \
 	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/ >stress-ipc.log 2>&1 || s=1; cat stress-ipc.log; \
@@ -121,14 +123,14 @@ bench-rfs:
 # train was its own sendto, recvfrom and pooled frame hand-off.
 # WriteLarge64K 6 on mem, 10 on udp at ~0.6 / 0.8 KB/op: each train is
 # pulled into fresh pooled blocks and staged on the worker in one cache
-# call; stream (a 4 MB file front to back, so every train inserts and
-# evicts 128 blocks) is the same 6 / 10. When each staged block
-# allocated a cache entry and a list element, stream was 265 / 269 and
-# the rest 7 / 11; when a goroutine staged the inline prefix and another
-# the train beside the next pull, it was 32 / 37 at ~22 KB/op (and 165 on
-# udp before trains were one frame). PageWrite is 1 alloc/op on both (the
-# remote sender's descriptor); 2 when a drained receive queue dropped
-# its backing array.
+# call; stream (a 4 MB file front to back, so every train inserts 128
+# blocks, dropped again once written back) is the same 6 / 10. When
+# each staged block allocated a cache entry and a list element, stream
+# was 265 / 269 and the rest 7 / 11; when a goroutine staged the inline
+# prefix and another the train beside the next pull, it was 32 / 37 at
+# ~22 KB/op (and 165 on udp before trains were one frame). PageWrite is
+# 1 alloc/op on both (the remote sender's descriptor); 2 when a drained
+# receive queue dropped its backing array.
 # SealOpen is one frame's EncodeInto + DecodeInto, 0 allocs/op: with the
 # CRC-32C frame check (amd64, 2 shared vCPUs, -benchtime=1s) 75-84 ns at
 # 0 data bytes, 135-140 at 512 and 192-230 at 1024; with the rotate-add

@@ -201,6 +201,59 @@ func TestLargeReadLeavesPageCache(t *testing.T) {
 	}
 }
 
+// TestLargeWriteLeavesPageCache: streaming a file through large writes
+// leaves the pages other programs keep hot where they are, even when the
+// stream is many times the cache: its blocks leave the cache as they are
+// written back.
+func TestLargeWriteLeavesPageCache(t *testing.T) {
+	const pages, streamSize = 32, 1 << 20
+	cs := &countStore{Store: NewMemStore()}
+	seed(t, cs, 1, pattern(1, pages*512))
+	e := memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{CacheBlocks: 64})
+	c := e.client(t, "app")
+
+	page := make([]byte, 512)
+	readPages := func() {
+		for b := uint32(0); b < pages; b++ {
+			if _, err := c.ReadBlock(1, b, page); err != nil || !bytes.Equal(page, pattern(1, pages*512)[b*512:(b+1)*512]) {
+				t.Fatalf("ReadBlock(1, %d): err=%v or other bytes than the file holds", b, err)
+			}
+		}
+	}
+	readPages() // warm
+	image := pattern(2, streamSize)
+	for off := uint32(0); off < streamSize; off += 64 << 10 {
+		if err := c.WriteLarge(2, off, image[off:off+64<<10]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	misses, reads := volGauge(e.srv, "cache_misses"), cs.reads.Load()
+	readPages()
+	if d := volGauge(e.srv, "cache_misses") - misses; d != 0 {
+		t.Errorf("re-reading the warm pages after the stream missed the cache %d times, want 0", d)
+	}
+	if d := cs.reads.Load() - reads; d != 0 {
+		t.Errorf("re-reading the warm pages after the stream cost %d store reads, want 0", d)
+	}
+	if n := resident(e.srv, 2); n != 0 {
+		t.Errorf("%d blocks of the streamed file stayed cached, want 0", n)
+	}
+	if n := volGauge(e.srv, "writeback_drops"); n != streamSize/512 {
+		t.Errorf("writeback_drops = %d, want %d (every streamed block)", n, streamSize/512)
+	}
+}
+
+// resident counts the blocks of file the server's default volume caches.
+func resident(s *Server, file uint32) int {
+	c := s.volumes[DefaultVolume].cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fileBlocks[file]
+}
+
 // TestLargeReadAcrossStagedHoles: a file that exists only as staged
 // blocks reads as those blocks with zeros between them, the holes the
 // flusher has not yet materialized.

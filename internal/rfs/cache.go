@@ -52,6 +52,12 @@ const (
 // (stage), staged under one lock with one wakeup of the flushers, so
 // they find it whole and write it back as one run.
 //
+// The cache is for pages (§6.1): a block a large write newly caches is
+// write-behind-only (cacheEntry.wbOnly), left out of capacity so that
+// staging a stream evicts no page, and dropped by the flush that writes
+// it back cleanly; the store, on the OS page cache, serves it after. A
+// page read or page write of it before then makes it a page.
+//
 // Blocks are pooled, reference-counted buffers. The cache holds one
 // reference per entry; get hands the caller another, so a block lent to
 // an in-flight reply or bulk transfer survives invalidation, eviction or
@@ -82,6 +88,7 @@ type blockCache struct {
 	lru       *lru.List[blockID, cacheEntry]
 	// fileBlocks counts entries per file; a file with none is absent.
 	fileBlocks map[uint32]int
+	wbOnly     int // write-behind-only entries; the dirty budget bounds them
 
 	// Write-behind state, guarded by mu. qHead and qTail are the oldest
 	// and newest staged blocks no flusher has claimed yet; dirtyCount
@@ -119,6 +126,7 @@ type blockCache struct {
 	flushRuns     atomic.Int64
 	flushedBlocks atomic.Int64
 	flushErrs     atomic.Int64
+	wbDrops       atomic.Int64 // write-behind-only blocks dropped at write-back
 }
 
 type cacheEntry struct {
@@ -126,6 +134,7 @@ type cacheEntry struct {
 	end     int // valid bytes: in-file extent (clean), flush extent (dirty)
 	state   int
 	redirty bool // staged again while its flush was in flight
+	wbOnly  bool // a large write's, no page access since: dropped once written back
 	flushes int  // completed write-backs; lets a drain spot "flushed since"
 	// trace is the last staging writer's trace id (0 = untraced); the
 	// flusher that writes the entry back logs the flush under it, so a
@@ -184,8 +193,9 @@ func newBlockCache(capacity, blockSize, budget, flushers int, write func(file ui
 // getEnd returns the cached block with a reference for the caller
 // (Release when done), marking it most recently used, and its valid-byte
 // extent (the in-file bytes for clean blocks, the staged write extent for
-// dirty ones). Callers must not mutate the block's bytes.
-func (c *blockCache) getEnd(id blockID) (*bufpool.Buf, int, bool) {
+// dirty ones). Callers must not mutate the block's bytes. A page read
+// (page) makes a write-behind-only block a page.
+func (c *blockCache) getEnd(id blockID, page bool) (*bufpool.Buf, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.lru.Find(id)
@@ -196,6 +206,9 @@ func (c *blockCache) getEnd(id blockID) (*bufpool.Buf, int, bool) {
 	c.hits.Add(1)
 	c.lru.Touch(s)
 	e := c.lru.Val(s)
+	if page {
+		c.unmarkLocked(e)
+	}
 	return e.buf.Retain(), e.end, true
 }
 
@@ -292,11 +305,14 @@ func (c *blockCache) put(id blockID, buf *bufpool.Buf, gen uint64, end int) {
 // than resurrect the pre-write image, and the caller refetches and
 // stages the rest. stage returns how many blocks it staged.
 //
+// A block a large write (large) newly caches is write-behind-only; a
+// page write makes every block it stages a page.
+//
 // stage blocks while the dirty budget is exhausted — that is the
 // write-behind backpressure: writers run ahead of the store by at most
 // budget blocks, then throttle to flush speed. A train longer than the
 // budget is staged part by part as the flushers free room.
-func (c *blockCache) stage(file, first uint32, bufs []*bufpool.Buf, payStart, payEnd int, head, tail spare, trace uint32) (n int, err error) {
+func (c *blockCache) stage(file, first uint32, bufs []*bufpool.Buf, payStart, payEnd int, head, tail spare, trace uint32, large bool) (n int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// The per-file counts and the high-water mark are settled once per
@@ -354,10 +370,16 @@ func (c *blockCache) stage(file, first uint32, bufs []*bufpool.Buf, payStart, pa
 		fillAround(bufs[n].Data, lo, hi, old, oldEnd)
 
 		if !ok {
-			s = c.lru.Insert(id, cacheEntry{})
+			s = c.lru.Insert(id, cacheEntry{wbOnly: large})
 			added++
+			if large {
+				c.wbOnly++
+			}
 		}
 		e := c.lru.Val(s)
+		if !large {
+			c.unmarkLocked(e)
+		}
 		e.buf.Release()
 		e.buf, e.end, e.trace = bufs[n].Retain(), end, trace
 		switch e.state {
@@ -394,12 +416,21 @@ func fillAround(dst []byte, payStart, payEnd int, old []byte, oldEnd int) {
 	clear(dst[max(payEnd, oldEnd):])
 }
 
+// unmarkLocked clears an entry's write-behind-only mark, making it a
+// page (or before unlinking it). Caller holds c.mu.
+func (c *blockCache) unmarkLocked(e *cacheEntry) {
+	if e.wbOnly {
+		e.wbOnly = false
+		c.wbOnly--
+	}
+}
+
 // evictExcessLocked evicts least-recently-used clean entries until the
-// cache is back within capacity. Dirty and flushing blocks are never
+// pages are back within capacity. Dirty and flushing blocks are never
 // evicted — dropping one would lose acknowledged writes — so under a
 // write burst the cache may transiently hold capacity + budget blocks.
 func (c *blockCache) evictExcessLocked() {
-	for s := c.lru.Back(); s != lru.Nil && c.lru.Len() > c.capacity; {
+	for s := c.lru.Back(); s != lru.Nil && c.lru.Len()-c.wbOnly > c.capacity; {
 		prev := c.lru.Prev(s)
 		if c.lru.Val(s).state == stateClean {
 			c.unlinkLocked(s)
@@ -440,6 +471,7 @@ func (c *blockCache) dequeueLocked(s int32) {
 // unlinkLocked drops an entry and the cache's reference on its buffer.
 func (c *blockCache) unlinkLocked(s int32) {
 	file, buf := c.lru.Key(s).file, c.lru.Val(s).buf
+	c.unmarkLocked(c.lru.Val(s))
 	c.lru.Remove(s)
 	if c.fileBlocks[file]--; c.fileBlocks[file] == 0 {
 		delete(c.fileBlocks, file)
@@ -461,13 +493,13 @@ func (c *blockCache) invalidate(id blockID) {
 	}
 }
 
-// dropNonCleanLocked accounts one block settling back to clean (or being
-// discarded); when it was the file's last non-clean block, the store
-// size now covers the staged high-water mark and the per-file tracking
-// is pruned. Caller holds c.mu.
-func (c *blockCache) dropNonCleanLocked(file uint32) {
-	c.dirtyCount--
-	if n := c.fileDirty[file] - 1; n > 0 {
+// dropNonCleanLocked accounts k blocks of file settling back to clean
+// (or being discarded); when they were the file's last non-clean blocks,
+// the store size now covers the staged high-water mark and the per-file
+// tracking is pruned. Caller holds c.mu.
+func (c *blockCache) dropNonCleanLocked(file uint32, k int) {
+	c.dirtyCount -= k
+	if n := c.fileDirty[file] - k; n > 0 {
 		c.fileDirty[file] = n
 	} else {
 		delete(c.fileDirty, file)
@@ -481,7 +513,7 @@ func (c *blockCache) dropNonCleanLocked(file uint32) {
 func (c *blockCache) removeLocked(s int32) {
 	if c.lru.Val(s).state == stateDirty {
 		c.dequeueLocked(s)
-		c.dropNonCleanLocked(c.lru.Key(s).file)
+		c.dropNonCleanLocked(c.lru.Key(s).file, 1)
 		c.cond.Broadcast()
 	}
 	c.unlinkLocked(s)
@@ -594,9 +626,10 @@ func (c *blockCache) claimRunFromLocked(seed int32, items []flushItem) (file uin
 }
 
 // flushRun writes one claimed run back to the store as a single
-// contiguous write, then settles each block: back to clean normally, back
-// to dirty if it was re-staged while the flush was in flight, or written
-// off if it was invalidated.
+// contiguous write, then settles each block: back to clean normally,
+// dropped if it was write-behind-only and written cleanly, back to dirty
+// if it was re-staged while the flush was in flight, or written off if it
+// was invalidated.
 func (c *blockCache) flushRun(file uint32, start uint32, items []flushItem) {
 	last := items[len(items)-1]
 	total := (len(items)-1)*c.blockSize + last.end
@@ -634,26 +667,36 @@ func (c *blockCache) flushRun(file uint32, start uint32, items []flushItem) {
 	}
 
 	c.mu.Lock()
+	settled, dropped := 0, 0 // blocks no longer non-clean; those unlinked
 	for _, it := range items {
 		if !c.lru.Live(it.slot, it.inc) {
 			// Invalidated while flushing, its slot maybe reused since;
 			// its accounting was deferred to us.
-			c.dropNonCleanLocked(file)
+			settled++
 		} else if e := c.lru.Val(it.slot); e.redirty {
 			e.flushes++
 			e.redirty = false
 			e.state = stateDirty
 			c.enqueueLocked(it.slot)
+		} else if e.wbOnly && err == nil {
+			c.unlinkLocked(it.slot)
+			settled++
+			dropped++
 		} else {
 			// On a write error the block still goes clean — retrying
 			// forever would wedge the budget; the error is sticky until
 			// the next Flush reports it and FlushErrors counts it.
 			e.flushes++
 			e.state = stateClean
-			c.dropNonCleanLocked(file)
+			c.unmarkLocked(e)
+			settled++
 		}
 		it.buf.Release()
 	}
+	if settled > 0 {
+		c.dropNonCleanLocked(file, settled)
+	}
+	c.wbDrops.Add(int64(dropped))
 	if err != nil && c.flushErrByFile[file] == nil {
 		c.flushErrByFile[file] = err
 	}
@@ -707,7 +750,8 @@ func (c *blockCache) drain(file uint32) {
 	defer c.mu.Unlock()
 	var items []flushItem
 	for _, sn := range c.drainSnapshotLocked(file) {
-		// An entry no longer Live was discarded since the snapshot.
+		// An entry no longer Live was discarded since the snapshot, or
+		// written back and dropped as write-behind-only.
 		for c.lru.Live(sn.slot, sn.inc) {
 			e := c.lru.Val(sn.slot)
 			if e.state == stateClean || e.flushes >= sn.need {

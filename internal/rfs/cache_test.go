@@ -35,30 +35,45 @@ func putBlock(c *blockCache, id blockID) {
 	b.Release()
 }
 
-func stageBlock(t *testing.T, c *blockCache, id blockID) {
+func stageBlock(t *testing.T, c *blockCache, id blockID) { stageLarge(t, c, id, false) }
+
+// stageLarge stages one block as a page write or, with large, a large
+// write's.
+func stageLarge(t *testing.T, c *blockCache, id blockID, large bool) {
 	t.Helper()
 	b := bufpool.Get(c.blockSize)
-	if _, err := c.stage(id.file, id.block, []*bufpool.Buf{b}, 0, c.blockSize, spare{}, spare{}, 0); err != nil {
+	if _, err := c.stage(id.file, id.block, []*bufpool.Buf{b}, 0, c.blockSize, spare{}, spare{}, 0, large); err != nil {
 		t.Fatal(err)
 	}
 	b.Release()
 }
 
 // checkFileBlocks asserts that fileBlocks counts exactly the entries of
-// each file and that the counts add up to the cache's length.
+// each file and that the counts add up to the cache's length, and that
+// wbOnly counts the write-behind-only entries, none of them clean.
 func checkFileBlocks(t *testing.T, c *blockCache, step int, op string) {
 	t.Helper()
 	c.mu.Lock()
-	want, lruLen := make(map[uint32]int), 0
+	want, lruLen, wbOnly := make(map[uint32]int), 0, 0
 	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Next(s) {
 		want[c.lru.Key(s).file]++
 		lruLen++
+		if e := c.lru.Val(s); e.wbOnly {
+			wbOnly++
+			if e.state == stateClean {
+				t.Errorf("step %d (%s): write-behind-only block %v is clean", step, op, c.lru.Key(s))
+			}
+		}
 	}
 	got, sum := maps.Clone(c.fileBlocks), 0
 	for _, n := range got {
 		sum += n
 	}
+	counted := c.wbOnly
 	c.mu.Unlock()
+	if counted != wbOnly {
+		t.Fatalf("step %d (%s): wbOnly = %d, %d entries write-behind-only", step, op, counted, wbOnly)
+	}
 	if !maps.Equal(got, want) {
 		t.Fatalf("step %d (%s): fileBlocks = %v, entries per file = %v", step, op, got, want)
 	}
@@ -75,7 +90,7 @@ func TestFileBlocksCountsEntries(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := newTestCache(16, 512) // small: puts and stages evict
-		ops := []string{"put", "stage", "flush", "invalidate", "truncate", "lend"}
+		ops := []string{"put", "stage", "stage-large", "read", "flush", "invalidate", "truncate", "lend"}
 		for step := 0; step < 3000; step++ {
 			id := blockID{file: uint32(rng.Intn(4)), block: uint32(rng.Intn(24))}
 			op := ops[rng.Intn(len(ops))]
@@ -84,6 +99,12 @@ func TestFileBlocksCountsEntries(t *testing.T) {
 				putBlock(c, id)
 			case "stage":
 				stageBlock(t, c, id)
+			case "stage-large":
+				stageLarge(t, c, id, true)
+			case "read":
+				if b, _, ok := c.getEnd(id, true); ok {
+					b.Release()
+				}
 			case "flush":
 				flushOne(c)
 			case "invalidate":
@@ -144,7 +165,7 @@ func TestLendMatchesGetEnd(t *testing.T) {
 
 		hits, misses = c.hits.Load(), c.misses.Load()
 		for i, lent := range slots {
-			b, _, ok := c.getEnd(blockID{file: file, block: r.first + uint32(i)})
+			b, _, ok := c.getEnd(blockID{file: file, block: r.first + uint32(i)}, false)
 			if ok != (lent != nil) || (ok && b != lent) {
 				t.Fatalf("range %v block %d: lend gave %p, getEnd %p (ok %v)", r, r.first+uint32(i), lent, b, ok)
 			}
@@ -263,7 +284,7 @@ func TestCacheChurnAllocatesNothing(t *testing.T) {
 		for i := range train {
 			train[i] = bufpool.Get(512)
 		}
-		if n, err := c.stage(2, next, train, 0, 512, spare{}, spare{}, 0); n != trainLen || err != nil {
+		if n, err := c.stage(2, next, train, 0, 512, spare{}, spare{}, 0, false); n != trainLen || err != nil {
 			t.Fatalf("staged %d of %d blocks: %v", n, trainLen, err)
 		}
 		next += trainLen

@@ -167,6 +167,7 @@ func TestRegistrySchema(t *testing.T) {
 		"repl_lag",
 		"repl_seq",
 		"role",
+		"writeback_drops",
 	}
 	schema := func(vol uint32) []string {
 		names := append([]string(nil), server...)

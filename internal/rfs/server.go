@@ -539,6 +539,7 @@ func (s *Server) registerVolumeGauges(v *volume) {
 	add("dirty_blocks", func() int64 { return int64(v.cache.dirtyBlocks()) })
 	add("flush_runs", func() int64 { return v.cache.flushRuns.Load() })
 	add("flushed_blocks", func() int64 { return v.cache.flushedBlocks.Load() })
+	add("writeback_drops", func() int64 { return v.cache.wbDrops.Load() })
 	add("flush_errs", func() int64 { return v.cache.flushErrs.Load() })
 	add("role", func() int64 { return int64(v.role.Load()) })
 	add("repl_seq", func() int64 {
@@ -863,29 +864,28 @@ func statusFor(err error) uint32 {
 // getBlock returns the block through the cache, zero-padded to a full
 // block, with a reference for the caller (Release when done) and the
 // block's valid-byte extent. The block's bytes are shared and must not be
-// written. The miss fill is generation-stamped so a concurrent write
-// racing the store read cannot leave stale (pre-write, pre-flush) bytes
-// cached (see blockCache). A file that exists only as staged,
-// still-unflushed blocks reads as zeros outside them — those blocks are
-// holes the flusher has not yet materialized.
-func (s *Server) getBlock(v *volume, file, block uint32) (*bufpool.Buf, int, error) {
-	if b, end, ok := v.cache.getEnd(blockID{file: file, block: block}); ok {
-		return b, end, nil
-	}
-	return s.fillBlock(v, file, block)
-}
-
-// fillBlock is getBlock's miss path: one store read of one block.
-func (s *Server) fillBlock(v *volume, file, block uint32) (*bufpool.Buf, int, error) {
+// written. The miss fill is generation-stamped, from before the cache is
+// asked, so a concurrent write racing the store read cannot leave stale
+// (pre-write, pre-flush) bytes cached (see blockCache). Only a page read
+// (page) caches its fill or makes a write-behind-only block a page; the
+// old image around a write's payload does neither. A file that exists
+// only as staged, still-unflushed blocks reads as zeros outside them —
+// those blocks are holes the flusher has not yet materialized.
+func (s *Server) getBlock(v *volume, file, block uint32, page bool) (*bufpool.Buf, int, error) {
 	id := blockID{file: file, block: block}
 	gen := v.cache.snapshot(id)
+	if b, end, ok := v.cache.getEnd(id, page); ok {
+		return b, end, nil
+	}
 	b := bufpool.Get(s.cfg.BlockSize)
 	n, err := s.readStore(v, file, b.Data, int64(block)*int64(s.cfg.BlockSize))
 	if err != nil {
 		b.Release()
 		return nil, 0, err
 	}
-	v.cache.put(id, b, gen, n)
+	if page {
+		v.cache.put(id, b, gen, n)
+	}
 	return b, n, nil
 }
 
@@ -938,7 +938,7 @@ func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 	if v.role.Load() != rolePrimary {
 		stampVersion(&reply, v.rv.lastApplied.Load())
 	}
-	b, _, err := s.getBlock(v, file, block)
+	b, _, err := s.getBlock(v, file, block, true)
 	if err != nil {
 		s.replyStatus(req.src, statusFor(err), 0)
 		return
@@ -965,7 +965,9 @@ func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
 
 // stage stages a train's buffers as blocks first, first+1, ... of file
 // with one cache call (blockCache.stage); the head block's payload starts
-// at payStart and the tail block's ends at payEnd. A block the payload
+// at payStart and the tail block's ends at payEnd, and large says the
+// train is an OpWriteLarge's, whose blocks leave the cache once written
+// back. A block the payload
 // does not cover keeps the rest of its old image, fetched here with its
 // generation snapshotted before the fetch; when the cache finds an image
 // stale (errStaleSpare) the rest of the train is fetched and staged
@@ -973,7 +975,7 @@ func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
 // zero-filling over unknown-but-existing bytes would let a transient
 // read error destroy store data on the next flush. Plain ErrNoFile means
 // the block genuinely has no prior contents and zeros are correct.
-func (s *Server) stage(v *volume, file, first uint32, bufs []*bufpool.Buf, payStart, payEnd int, trace uint32) error {
+func (s *Server) stage(v *volume, file, first uint32, bufs []*bufpool.Buf, payStart, payEnd int, trace uint32, large bool) error {
 	bs := s.cfg.BlockSize
 	for {
 		var head, tail spare
@@ -986,7 +988,7 @@ func (s *Server) stage(v *volume, file, first uint32, bufs []*bufpool.Buf, paySt
 		}
 		n := 0
 		if err == nil {
-			n, err = v.cache.stage(file, first, bufs, payStart, payEnd, head, tail, trace)
+			n, err = v.cache.stage(file, first, bufs, payStart, payEnd, head, tail, trace, large)
 		}
 		head.buf.Release()
 		tail.buf.Release()
@@ -1003,7 +1005,7 @@ func (s *Server) stage(v *volume, file, first uint32, bufs []*bufpool.Buf, paySt
 // only in part.
 func (s *Server) fetchSpare(v *volume, file, block uint32) (spare, error) {
 	sp := spare{gen: v.cache.snapshot(blockID{file: file, block: block})}
-	b, end, err := s.getBlock(v, file, block)
+	b, end, err := s.getBlock(v, file, block, false)
 	if err == nil {
 		sp.buf, sp.end = b, end
 	} else if err == ErrNoFile {
@@ -1188,7 +1190,8 @@ func (s *Server) writeTrain(v *volume, req *request, file, pos, done, m uint32) 
 		}
 	}
 	if status == StatusOK {
-		if err := s.stage(v, file, pos/bs, req.held, int(pos%bs), int((pos+m-1)%bs+1), req.trace); err != nil {
+		large := reqOp(&req.msg) == OpWriteLarge
+		if err := s.stage(v, file, pos/bs, req.held, int(pos%bs), int((pos+m-1)%bs+1), req.trace, large); err != nil {
 			status = StatusIOError
 		}
 	}

@@ -896,3 +896,275 @@ func TestTrainLongerThanBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestLargeWriteKeepDropRules: the blocks a large write stages leave the
+// cache once written back, unless a page access made them pages first or
+// the write-back failed; every byte reads back exactly, through large
+// and page reads, before write-back and after.
+func TestLargeWriteKeepDropRules(t *testing.T) {
+	const file, size = 3, 64 << 10
+	img := pattern(2, size)
+	blk := func(p []byte, b int) []byte { return p[b*512 : (b+1)*512] }
+	// harness is one case's server: writes reach mem through the gate (shut
+	// until writeBack), failing every write when fail is set. Once the
+	// write-back has settled, kept blocks of the file are cached and
+	// drops were dropped at write-back.
+	type harness struct {
+		t           *testing.T
+		e           *env
+		c           *Client
+		mem         Store
+		cs          *countStore
+		gated       *gatedStore
+		kept, drops int
+	}
+	settled := func(h *harness) {
+		h.t.Helper()
+		if n := resident(h.e.srv, file); n != h.kept {
+			h.t.Errorf("%d blocks of the file cached after write-back, want %d", n, h.kept)
+		}
+		if n := volGauge(h.e.srv, "writeback_drops"); n != int64(h.drops) {
+			h.t.Errorf("writeback_drops = %d, want %d", n, h.drops)
+		}
+	}
+	write := func(h *harness, off uint32, p []byte) {
+		h.t.Helper()
+		if err := h.c.WriteLarge(file, off, p); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+	writeBack := func(h *harness) {
+		h.t.Helper()
+		h.gated.open()
+		if err := h.e.srv.Flush(); err != nil {
+			h.t.Fatal(err)
+		}
+		settled(h)
+	}
+	// readBlock checks page b and returns the store reads it cost.
+	readBlock := func(h *harness, b uint32, want []byte) int64 {
+		h.t.Helper()
+		before := h.cs.reads.Load()
+		got := make([]byte, 512)
+		if _, err := h.c.ReadBlock(file, b, got); err != nil || !bytes.Equal(got, want) {
+			h.t.Fatalf("ReadBlock(%d): err=%v or other bytes than were written", b, err)
+		}
+		return h.cs.reads.Load() - before
+	}
+	readLarge := func(h *harness, want []byte) {
+		h.t.Helper()
+		got := make([]byte, len(want))
+		if n, err := h.c.ReadLarge(file, 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
+			h.t.Fatalf("ReadLarge: n=%d err=%v, equal=%v", n, err, bytes.Equal(got, want))
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		fail        bool
+		kept, drops int
+		run         func(*harness)
+	}{
+		{"read back before and after write-back", false, 1, 127, func(h *harness) {
+			write(h, 0, img)
+			readLarge(h, img)
+			readBlock(h, 7, blk(img, 7)) // a page read: block 7 stays
+			writeBack(h)
+			readLarge(h, img)
+			for b := range size / 512 {
+				readBlock(h, uint32(b), blk(img, b))
+			}
+		}},
+		{"page hit while dirty stays cached", false, 1, 127, func(h *harness) {
+			write(h, 0, img)
+			readBlock(h, 2, blk(img, 2))
+			writeBack(h)
+			if n := readBlock(h, 2, blk(img, 2)); n != 0 {
+				h.t.Errorf("re-reading the page cost %d store reads, want 0", n)
+			}
+		}},
+		{"large write over a warm page", false, 1, 127, func(h *harness) {
+			old := pattern(1, size)
+			seed(h.t, h.mem, file, old)
+			readBlock(h, 4, blk(old, 4))
+			write(h, 0, img)
+			writeBack(h)
+			if n := readBlock(h, 4, blk(img, 4)); n != 0 {
+				h.t.Errorf("re-reading the warm page cost %d store reads, want 0", n)
+			}
+			readLarge(h, img)
+		}},
+		{"page write over a write-behind-only block", false, 1, 127, func(h *harness) {
+			write(h, 0, img)
+			page := pattern(9, 512)
+			if err := h.c.WriteBlock(file, 9, page); err != nil {
+				h.t.Fatal(err)
+			}
+			writeBack(h)
+			if n := readBlock(h, 9, page); n != 0 {
+				h.t.Errorf("re-reading the written page cost %d store reads, want 0", n)
+			}
+		}},
+		{"unaligned writes pin no head or tail block", false, 0, 257, func(h *harness) {
+			want := pattern(1, 2*size+1024)
+			seed(h.t, h.mem, file, want)
+			// The second write's head block is the first's tail, still
+			// staged: fetching its old image must not make it a page.
+			for _, off := range []uint32{300, 300 + size} {
+				write(h, off, img)
+				copy(want[off:], img)
+			}
+			writeBack(h)
+			readLarge(h, want)
+		}},
+		{"failed write-back keeps the blocks", true, size / 512, 0, func(h *harness) {
+			seed(h.t, h.mem, file, pattern(1, size)) // the store keeps these
+			write(h, 0, img)
+			h.gated.open()
+			deadline := time.Now().Add(5 * time.Second)
+			for volGauge(h.e.srv, "flush_errs") == 0 || volGauge(h.e.srv, "dirty_blocks") != 0 {
+				if time.Now().After(deadline) {
+					h.t.Fatal("the write-back never failed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			settled(h)
+			if n := readBlock(h, 5, blk(img, 5)); n != 0 {
+				h.t.Errorf("reading a block whose write-back failed cost %d store reads, want 0", n)
+			}
+			readLarge(h, img)
+			if err := h.e.srv.Flush(); !errors.Is(err, errBadDevice) {
+				h.t.Errorf("Flush after the failed write-back = %v, want %v", err, errBadDevice)
+			}
+		}},
+	} {
+		for _, flavor := range []string{"mem", "udp"} {
+			t.Run(flavor+"/"+tc.name, func(t *testing.T) {
+				mem := NewMemStore()
+				var inner Store = mem
+				if tc.fail {
+					inner = &failingFileStore{Store: mem, badFile: file}
+				}
+				gated := newGatedStore(inner)
+				cs := &countStore{Store: gated}
+				cfg := Config{DirtyBudget: 512} // room for every case's staged blocks
+				var e *env
+				if flavor == "mem" {
+					e = memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, cfg)
+				} else {
+					e = udpEnvStore(t, cs, cfg)
+				}
+				t.Cleanup(gated.open)
+				tc.run(&harness{t: t, e: e, c: e.client(t, "app"), mem: mem, cs: cs, gated: gated, kept: tc.kept, drops: tc.drops})
+			})
+		}
+	}
+}
+
+// TestLargeWriteDropRaces: page reads and syncs of one file run against
+// a stream of large writes to it, first while write-back is held, then
+// while the flushers drop the blocks they write back. Every page read
+// returns one whole write's bytes, never older than the last write
+// acknowledged before it began; a sync issued while write-back is held
+// waits for it and returns once it lands, treating the blocks dropped at
+// write-back as written; the file ends as the last write left it.
+func TestLargeWriteDropRaces(t *testing.T) {
+	const file, size, rounds = 4, 128 << 10, 24
+	const readBlocks = size / 512 / 2 // readers page only the first train
+	gated := newGatedStore(NewMemStore())
+	e := memEnvStore(t, gated, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	t.Cleanup(gated.open)
+	image := func(r int) []byte { return bytes.Repeat([]byte{byte(r)}, size) }
+	w := e.client(t, "writer")
+	if err := w.WriteLarge(file, 0, image(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	var acked atomic.Int64
+	acked.Store(1)
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for i := range 2 {
+		r := e.client(t, fmt.Sprintf("reader%d", i))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			page := make([]byte, 512)
+			for b := uint32(i); ; b = (b + 7) % readBlocks {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				floor := acked.Load()
+				if _, err := r.ReadBlock(file, b, page); err != nil {
+					errs <- err
+					return
+				}
+				if int64(page[0]) < floor || !bytes.Equal(page, bytes.Repeat(page[:1], 512)) {
+					errs <- fmt.Errorf("page %d read write %d's bytes (or a mix) after write %d was acknowledged", b, page[0], floor)
+					return
+				}
+			}
+		}()
+	}
+
+	s := e.client(t, "syncer")
+	synced := make(chan error, 1)
+	for r := 2; r <= rounds; r++ {
+		switch r {
+		case 4:
+			go func() { synced <- s.Sync(file) }()
+		case 8:
+			select {
+			case err := <-synced:
+				t.Fatalf("Sync returned (err=%v) while write-back was held", err)
+			default:
+			}
+			gated.open()
+			if err := <-synced; err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+		}
+		if err := w.WriteLarge(file, 0, image(r)); err != nil {
+			t.Fatal(err)
+		}
+		acked.Store(int64(r))
+		if r > 8 && r%4 == 0 {
+			if err := s.Sync(file); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if err := e.srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if volGauge(e.srv, "writeback_drops") == 0 {
+		t.Error("no block was dropped at write-back")
+	}
+	c := e.srv.volumes[DefaultVolume].cache
+	c.mu.Lock()
+	for b := uint32(readBlocks); b < size/512; b++ {
+		if _, ok := c.lru.Find(blockID{file: file, block: b}); ok {
+			t.Errorf("block %d, which no page read touched, stayed cached", b)
+		}
+	}
+	c.mu.Unlock()
+	got := make([]byte, size)
+	if n, err := w.ReadLarge(file, 0, got); err != nil || n != size || !bytes.Equal(got, image(rounds)) {
+		t.Fatalf("ReadLarge after the stream: n=%d err=%v, last write intact=%v", n, err, bytes.Equal(got, image(rounds)))
+	}
+	page := make([]byte, 512)
+	for b := uint32(0); b < size/512; b++ {
+		if _, err := w.ReadBlock(file, b, page); err != nil || !bytes.Equal(page, image(rounds)[:512]) {
+			t.Fatalf("ReadBlock(%d) after the stream: err=%v or not the last write", b, err)
+		}
+	}
+}
