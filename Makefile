@@ -38,9 +38,11 @@ race:
 # midway and under a writer that never pauses, and beside a sync error
 # it must not swallow, the workers' shared receive queue shedding
 # under overload while every write lands once, and a caching reader
-# called back while the replica's apply is held at a gate, and page reads
+# called back while the replica's apply is held at a gate, page reads
 # and syncs racing large writes whose blocks leave the cache as they are
-# written back (rfs).
+# written back, and overlapping large writes, page writes and truncates
+# of one file racing page reads, large reads and syncs while write-back
+# is held (rfs).
 # Several minutes, so CI does not run it; run it after touching the
 # exchange, receive, move, dispatch, large-read, large-write or
 # replication paths.
@@ -48,7 +50,7 @@ race:
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
 STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces|TestExtentRaces
 stress:
 	@s=0; \
 	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/ >stress-ipc.log 2>&1 || s=1; cat stress-ipc.log; \

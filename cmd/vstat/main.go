@@ -150,8 +150,8 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 	b.WriteString(req.Render())
 	b.WriteString("\n")
 
-	volT := stats.Table{ID: "vstat-2", Title: "volumes: cache and replication", Unit: "hit% of reads; wb_drop = blocks dropped once written back; lag in records",
-		Columns: []string{"role", "hits", "misses", "hit%", "dirty", "wb_drop", "repl_seq", "insync", "lag"}}
+	volT := stats.Table{ID: "vstat-2", Title: "volumes: cache and replication", Unit: "hit% of reads; extents = large-write trains not yet written back; wb_drop = blocks dropped once written back; lag in records",
+		Columns: []string{"role", "hits", "misses", "hit%", "dirty", "extents", "wb_drop", "repl_seq", "insync", "lag"}}
 	for _, s := range snaps {
 		for _, vol := range volKeys(s) {
 			pfx := fmt.Sprintf("rfs.vol%d.", vol)
@@ -165,7 +165,7 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 			if hits+misses > 0 {
 				hitPct = 100 * float64(hits) / float64(hits+misses)
 			}
-			row := []stats.Cell{stats.Txt(role), count(hits), count(misses), stats.M(hitPct), count(g("dirty_blocks")), count(g("writeback_drops"))}
+			row := []stats.Cell{stats.Txt(role), count(hits), count(misses), stats.M(hitPct), count(g("dirty_blocks")), count(g("staged_extents")), count(g("writeback_drops"))}
 			if role == "primary" {
 				row = append(row, count(g("repl_seq")), count(g("repl_insync")), count(g("repl_lag")))
 			} else {

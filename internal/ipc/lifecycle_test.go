@@ -89,10 +89,11 @@ func TestMoveToGoneNodeTimesOut(t *testing.T) {
 }
 
 // TestRemoteExchangeAllocs pins the allocations of one remote exchange on
-// a fault-free mesh: a bare Send/Reply costs only the receiver's alien
-// descriptor, and a MoveTo or MoveFrom inside the exchange adds the
-// transfer's own operation, result channel and timer. The outstanding-
-// operation tables and their completion paths must add nothing.
+// a fault-free mesh: a bare Send/Reply allocates nothing — the
+// receiver reuses the sender's replied alien descriptor — and a MoveTo
+// or MoveFrom inside the exchange adds the transfer's own operation,
+// result channel and timer. The outstanding-operation tables and their
+// completion paths must add nothing.
 func TestRemoteExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled frames")
@@ -104,9 +105,9 @@ func TestRemoteExchangeAllocs(t *testing.T) {
 		serve  func(p *Proc, src Pid) error
 		want   float64
 	}{
-		{"SendReply", 0, func(*Proc, Pid) error { return nil }, 1},
-		{"MoveTo", SegWrite, func(p *Proc, src Pid) error { return p.MoveTo(src, 0, data) }, 7},
-		{"MoveFrom", SegRead, func(p *Proc, src Pid) error { return p.MoveFrom(src, 0, data) }, 7},
+		{"SendReply", 0, func(*Proc, Pid) error { return nil }, 0},
+		{"MoveTo", SegWrite, func(p *Proc, src Pid) error { return p.MoveTo(src, 0, data) }, 6},
+		{"MoveFrom", SegRead, func(p *Proc, src Pid) error { return p.MoveFrom(src, 0, data) }, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			na, nb, _ := pairOnMesh(t, FaultConfig{}, NodeConfig{})

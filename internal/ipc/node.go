@@ -78,10 +78,11 @@ type alien struct {
 	onLRU            bool
 
 	// env is the delivery envelope for this descriptor's message,
-	// embedded so one Send costs one allocation instead of two. The
-	// envelope's lifecycle (receiver queue → received map → consumed) is
-	// never longer than the descriptor's reachability, and its fields are
-	// owned by the receiving process, not the table lock.
+	// embedded so a Send needs no allocation of its own: a sender's next
+	// Send reuses its replied descriptor in place, and a new sender's
+	// costs one. The envelope's lifecycle (receiver queue → received map
+	// → consumed) is never longer than the descriptor's reachability, and
+	// its fields are owned by the receiving process, not the table lock.
 	env envelope
 }
 
@@ -323,6 +324,7 @@ func (n *Node) handleSend(pkt *vproto.Packet, f *bufpool.Buf) {
 		t.mu.Unlock()
 		return
 	}
+	var prev *alien // the sender's descriptor this Send supersedes
 	if a, ok := t.m[pkt.Src]; ok {
 		switch {
 		case pkt.Seq == a.seq:
@@ -363,35 +365,45 @@ func (n *Node) handleSend(pkt *vproto.Packet, f *bufpool.Buf) {
 			t.mu.Unlock()
 			return
 		default:
-			// Newer message: remove the old descriptor; a new one is
-			// made below. An unconsumed or unreplied older message is
-			// orphaned — its sender has moved on (§3.2 timeout
-			// semantics).
-			t.removeLocked(a)
+			// Newer message: it supersedes the old descriptor.
+			prev = a
 		}
-	}
-	if len(t.m) >= n.cfg.AlienDescriptors && !t.evictLocked() {
-		t.mu.Unlock()
-		n.stats.replyPendingsSent.Add(1)
-		n.sendReplyPending(pkt)
-		return
 	}
 	// Resolve the receiver before publishing the descriptor, so a
 	// concurrently processed duplicate of a Send to a nonexistent process
 	// cannot observe an unreplied alien and answer ReplyPending where a
 	// Nack is due. (Proc shards are leaf locks; this nesting is safe.)
 	rcv, ok := n.procs.get(pkt.Dst)
+	if prev != nil && (!ok || !prev.replied) {
+		// An unconsumed or unreplied older message is orphaned — its
+		// sender has moved on (§3.2 timeout semantics).
+		t.removeLocked(prev)
+		prev = nil
+	}
+	if prev == nil && len(t.m) >= n.cfg.AlienDescriptors && !t.evictLocked() {
+		t.mu.Unlock()
+		n.stats.replyPendingsSent.Add(1)
+		n.sendReplyPending(pkt)
+		return
+	}
 	if !ok {
 		t.mu.Unlock()
 		n.stats.nacksSent.Add(1)
 		n.send(&vproto.Packet{Kind: vproto.KindNack, Seq: pkt.Seq, Dst: pkt.Src}, pkt.Src.Host())
 		return
 	}
-	a := &alien{
-		src: pkt.Src,
-		seq: pkt.Seq,
-		msg: pkt.Msg,
+	a := prev
+	if a == nil {
+		a = &alien{}
+		t.m[pkt.Src] = a
+	} else {
+		// The replied exchange is over: reuse its descriptor in place
+		// (see cacheReply for why no stale caller can reach it).
+		t.lruUnlinkLocked(a)
+		a.replyFrame.Release()
+		*a = alien{}
 	}
+	a.src, a.seq, a.msg = pkt.Src, pkt.Seq, pkt.Msg
 	a.env = envelope{from: pkt.Src, msg: pkt.Msg, alien: a}
 	env := &a.env
 	if len(pkt.Data) > 0 {
@@ -400,7 +412,6 @@ func (n *Node) handleSend(pkt *vproto.Packet, f *bufpool.Buf) {
 		env.inline = pkt.Data
 		env.frame = f.Retain()
 	}
-	t.m[pkt.Src] = a
 	t.mu.Unlock()
 	switch rcv.enqueue(env) {
 	case enqOK:

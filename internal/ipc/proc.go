@@ -500,9 +500,12 @@ func (n *Node) remoteReply(p *Proc, msg *Message, a *alien, destOff uint32, data
 		f.Release()
 		return err
 	}
+	// Once cacheReply publishes the reply, the sender's next Send may
+	// reuse the descriptor: the destination is read before.
+	host := a.src.Host()
 	n.aliens.cacheReply(a, f)
 	n.stats.remoteReplies.Add(1)
-	_ = n.transport.Send(a.src.Host(), f.Data)
+	_ = n.transport.Send(host, f.Data)
 	f.Release()
 	return nil
 }

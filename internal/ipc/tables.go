@@ -111,6 +111,14 @@ func (t *alienTable) markReceived(a *alien, by Pid) {
 // when the descriptor goes — unless the descriptor was already replaced
 // or the table has shut down, in which case the frame is left to the
 // caller alone.
+//
+// cacheReply, drop and markShed check the pointer only, not the
+// sequence, although handleSend reuses a replied descriptor in place for
+// its sender's next Send: none of them is called on a replied exchange's
+// descriptor. Its one Reply has called cacheReply before the descriptor
+// can be reused, and drop and markShed serve exchanges that were never
+// replied (a dead receiver's queue, a refused enqueue). The replier
+// reads nothing of the descriptor after cacheReply.
 func (t *alienTable) cacheReply(a *alien, f *bufpool.Buf) {
 	t.mu.Lock()
 	a.replied = true

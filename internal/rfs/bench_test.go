@@ -178,14 +178,13 @@ func BenchmarkReadLarge64K(b *testing.B) {
 }
 
 // BenchmarkWriteLarge64K measures streamed 64 KB writes (pulled by the
-// server as one MoveFrom train, scattered straight into cache blocks
-// with MoveFromVec) versus client concurrency. Each client writes its
-// own file, the program-installation shape of §6.3, rewriting the same
-// 128 blocks, which leave the cache once written back (a large write's
-// blocks are write-behind-only). The stream case writes a 4 MB file,
-// eight times the default cache, front to back, so every train inserts
-// 128 blocks and its write-back drops them: the write path of
-// stream_64k.
+// server as one MoveFrom train straight into one pooled buffer, staged
+// as one extent and written back from it with one store write) versus
+// client concurrency. Each client writes its own file, the
+// program-installation shape of §6.3, rewriting the same 128 blocks,
+// which never enter the block cache. The stream case writes a 4 MB
+// file, eight times the default cache, front to back: the write path
+// of stream_64k.
 func BenchmarkWriteLarge64K(b *testing.B) {
 	const size = 64 * 1024
 	const streamSize = 4 << 20

@@ -15,17 +15,23 @@ func newTestCache(capacity, blockSize int) *blockCache {
 	return newBlockCache(capacity, blockSize, 0, 0, func(uint32, int64, []byte) error { return nil })
 }
 
-// flushOne claims and writes back one run of dirty blocks, as a flusher
-// would; it reports whether there was one.
+// flushOne claims and writes back one extent or run of dirty blocks, as
+// a flusher would; it reports whether there was one.
 func flushOne(c *blockCache) bool {
 	c.mu.Lock()
-	if c.qHead == lru.Nil {
+	s, x := c.nextLocked()
+	switch {
+	case x != lru.Nil:
+		c.flushExtentLocked(x)
+		c.mu.Unlock()
+	case s != lru.Nil:
+		file, start, items := c.claimRunFromLocked(s, nil)
+		c.mu.Unlock()
+		c.flushRun(file, start, items)
+	default:
 		c.mu.Unlock()
 		return false
 	}
-	file, start, items := c.claimRunFromLocked(c.qHead, nil)
-	c.mu.Unlock()
-	c.flushRun(file, start, items)
 	return true
 }
 
@@ -35,44 +41,64 @@ func putBlock(c *blockCache, id blockID) {
 	b.Release()
 }
 
-func stageBlock(t *testing.T, c *blockCache, id blockID) { stageLarge(t, c, id, false) }
-
-// stageLarge stages one block as a page write or, with large, a large
-// write's.
-func stageLarge(t *testing.T, c *blockCache, id blockID, large bool) {
+// stageBlock stages one block as a page write.
+func stageBlock(t *testing.T, c *blockCache, id blockID) {
 	t.Helper()
 	b := bufpool.Get(c.blockSize)
-	if _, err := c.stage(id.file, id.block, []*bufpool.Buf{b}, 0, c.blockSize, spare{}, spare{}, 0, large); err != nil {
+	if err := c.stage(id, b, 0, c.blockSize, spare{}, 0); err != nil {
 		t.Fatal(err)
+	}
+	b.Release()
+}
+
+// stageExtentOf stages blocks first..first+n-1 as one large write's
+// extent, every byte of block b set to fill+b.
+func stageExtentOf(t *testing.T, c *blockCache, file, first, n uint32, fill byte) {
+	t.Helper()
+	b := bufpool.Get(int(n) * c.blockSize)
+	for i := range n {
+		clear(b.Data[int(i)*c.blockSize : int(i+1)*c.blockSize])
+		b.Data[int(i)*c.blockSize] = fill + byte(first+i)
+	}
+	if k, err := c.stageExtent(file, first, b, 0, n, 0, c.blockSize, spare{}, spare{}, 0); k != n || err != nil {
+		t.Fatalf("staged %d of %d blocks: %v", k, n, err)
 	}
 	b.Release()
 }
 
 // checkFileBlocks asserts that fileBlocks counts exactly the entries of
 // each file and that the counts add up to the cache's length, and that
-// wbOnly counts the write-behind-only entries, none of them clean.
+// dirtyCount and fileDirty count each block a non-clean entry or an
+// unwritten extent holds once.
 func checkFileBlocks(t *testing.T, c *blockCache, step int, op string) {
 	t.Helper()
 	c.mu.Lock()
-	want, lruLen, wbOnly := make(map[uint32]int), 0, 0
+	want, lruLen := make(map[uint32]int), 0
+	nonClean := make(map[blockID]bool)
 	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Next(s) {
 		want[c.lru.Key(s).file]++
 		lruLen++
-		if e := c.lru.Val(s); e.wbOnly {
-			wbOnly++
-			if e.state == stateClean {
-				t.Errorf("step %d (%s): write-behind-only block %v is clean", step, op, c.lru.Key(s))
-			}
+		if c.lru.Val(s).state != stateClean {
+			nonClean[c.lru.Key(s)] = true
 		}
+	}
+	for x := c.ext.Front(); x != lru.Nil; x = c.ext.Next(x) {
+		for e, b := c.ext.Val(x), c.ext.Val(x).first; b < e.first+e.n; b++ {
+			nonClean[blockID{file: e.file, block: b}] = true
+		}
+	}
+	wantDirty := make(map[uint32]int)
+	for id := range nonClean {
+		wantDirty[id.file]++
 	}
 	got, sum := maps.Clone(c.fileBlocks), 0
 	for _, n := range got {
 		sum += n
 	}
-	counted := c.wbOnly
+	dirty, fileDirty := c.dirtyCount, maps.Clone(c.fileDirty)
 	c.mu.Unlock()
-	if counted != wbOnly {
-		t.Fatalf("step %d (%s): wbOnly = %d, %d entries write-behind-only", step, op, counted, wbOnly)
+	if dirty != len(nonClean) || !maps.Equal(fileDirty, wantDirty) {
+		t.Fatalf("step %d (%s): dirtyCount %d, fileDirty %v; %d blocks non-clean, per file %v", step, op, dirty, fileDirty, len(nonClean), wantDirty)
 	}
 	if !maps.Equal(got, want) {
 		t.Fatalf("step %d (%s): fileBlocks = %v, entries per file = %v", step, op, got, want)
@@ -83,8 +109,8 @@ func checkFileBlocks(t *testing.T, c *blockCache, step int, op string) {
 }
 
 // TestFileBlocksCountsEntries runs a seeded random mix of every
-// operation that inserts or deletes a cache entry and checks the
-// per-file counts after each step.
+// operation that inserts or deletes a cache entry or an extent and checks
+// the per-file and non-clean counts after each step.
 func TestFileBlocksCountsEntries(t *testing.T) {
 	outstanding := bufpool.Outstanding()
 	for seed := int64(1); seed <= 5; seed++ {
@@ -100,7 +126,7 @@ func TestFileBlocksCountsEntries(t *testing.T) {
 			case "stage":
 				stageBlock(t, c, id)
 			case "stage-large":
-				stageLarge(t, c, id, true)
+				stageExtentOf(t, c, id.file, id.block, 1+uint32(rng.Intn(8)), byte(step))
 			case "read":
 				if b, _, ok := c.getEnd(id, true); ok {
 					b.Release()
@@ -114,9 +140,7 @@ func TestFileBlocksCountsEntries(t *testing.T) {
 					t.Fatal(err)
 				}
 			case "lend":
-				slots := make([]*bufpool.Buf, 1+rng.Intn(8))
-				c.lend(id.file, id.block, slots)
-				for _, b := range slots {
+				for _, b := range c.lend(id.file, id.block, make([][]byte, 1+rng.Intn(8)), nil) {
 					b.Release()
 				}
 			}
@@ -124,6 +148,7 @@ func TestFileBlocksCountsEntries(t *testing.T) {
 		}
 		for flushOne(c) {
 		}
+		checkFileBlocks(t, c, -1, "flush")
 		c.close()
 		checkFileBlocks(t, c, -1, "close")
 		if c.len() != 0 {
@@ -159,18 +184,20 @@ func TestLendMatchesGetEnd(t *testing.T) {
 
 	for _, r := range []struct{ first, n uint32 }{{0, blocks}, {2, 16}, {31, 8}, {40, 20}} {
 		hits, misses := c.hits.Load(), c.misses.Load()
-		slots := make([]*bufpool.Buf, r.n)
-		c.lend(file, r.first, slots)
+		views := make([][]byte, r.n)
+		held := c.lend(file, r.first, views, nil)
 		lendHits, lendMisses := c.hits.Load()-hits, c.misses.Load()-misses
 
 		hits, misses = c.hits.Load(), c.misses.Load()
-		for i, lent := range slots {
+		for i, lent := range views {
 			b, _, ok := c.getEnd(blockID{file: file, block: r.first + uint32(i)}, false)
-			if ok != (lent != nil) || (ok && b != lent) {
+			if ok != (lent != nil) || (ok && &b.Data[0] != &lent[0]) {
 				t.Fatalf("range %v block %d: lend gave %p, getEnd %p (ok %v)", r, r.first+uint32(i), lent, b, ok)
 			}
 			b.Release()
-			lent.Release()
+		}
+		for _, b := range held {
+			b.Release()
 		}
 		if h, m := c.hits.Load()-hits, c.misses.Load()-misses; h != lendHits || m != lendMisses {
 			t.Fatalf("range %v: lend counted %d hits %d misses, getEnd %d and %d", r, lendHits, lendMisses, h, m)
@@ -252,10 +279,11 @@ func TestFlushCompletionSparesSlotTenant(t *testing.T) {
 	}
 }
 
-// TestCacheChurnAllocatesNothing: once the slab has grown to the working
-// set, the block cache allocates nothing to insert or evict — clean
-// fills, and trains staged, written back and evicted over four times the
-// cache's capacity of distinct blocks alike.
+// TestCacheChurnAllocatesNothing: once the slabs have grown to the
+// working set, the block cache allocates nothing to insert or evict —
+// clean fills, runs of page writes staged, written back and evicted, and
+// extents staged and written back, over four times the cache's capacity
+// of distinct blocks alike.
 func TestCacheChurnAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pooled buffers allocate under the race detector")
@@ -283,9 +311,9 @@ func TestCacheChurnAllocatesNothing(t *testing.T) {
 	stage := func() {
 		for i := range train {
 			train[i] = bufpool.Get(512)
-		}
-		if n, err := c.stage(2, next, train, 0, 512, spare{}, spare{}, 0, false); n != trainLen || err != nil {
-			t.Fatalf("staged %d of %d blocks: %v", n, trainLen, err)
+			if err := c.stage(blockID{file: 2, block: next + uint32(i)}, train[i], 0, 512, spare{}, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		next += trainLen
 		for _, b := range train {
@@ -305,6 +333,23 @@ func TestCacheChurnAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(4*capacity/trainLen, stage); n != 0 {
 		t.Errorf("train stage + flush + evict: %v allocs per train", n)
+	}
+	extent := func() {
+		b := bufpool.Get(trainLen * 512)
+		if n, err := c.stageExtent(3, next, b, 0, trainLen, 0, 512, spare{}, spare{}, 0); n != trainLen || err != nil {
+			t.Fatalf("staged %d of %d blocks: %v", n, trainLen, err)
+		}
+		b.Release()
+		next += trainLen
+		if !flushOne(c) {
+			t.Fatal("no extent to write back")
+		}
+	}
+	for range 4 {
+		extent()
+	}
+	if n := testing.AllocsPerRun(4*capacity/trainLen, extent); n != 0 {
+		t.Errorf("extent stage + write-back: %v allocs per extent", n)
 	}
 	if c.len() != capacity {
 		t.Fatalf("cache holds %d blocks, want its capacity %d", c.len(), capacity)

@@ -167,6 +167,7 @@ func TestRegistrySchema(t *testing.T) {
 		"repl_lag",
 		"repl_seq",
 		"role",
+		"staged_extents",
 		"writeback_drops",
 	}
 	schema := func(vol uint32) []string {

@@ -249,10 +249,11 @@ type request struct {
 	buf    []byte // staging: holds the inline segment prefix, reused for MoveFrom pulls
 	inline int    // bytes of buf filled by the Send's inline prefix
 	trace  uint32 // the request message's 24-bit trace id (0 = untraced)
-	// held and parts are the large ops' per-train scratch (the buffers a
-	// train borrows and its gather or scatter list), kept across
-	// exchanges.
+	// held, views and parts are the large ops' per-train scratch (the
+	// buffers a train borrows, its blocks' lent images and its gather or
+	// scatter list), kept across exchanges.
 	held  []*bufpool.Buf
+	views [][]byte
 	parts [][]byte
 }
 
@@ -537,6 +538,7 @@ func (s *Server) registerVolumeGauges(v *volume) {
 	add("cache_hits", func() int64 { return v.cache.hits.Load() })
 	add("cache_misses", func() int64 { return v.cache.misses.Load() })
 	add("dirty_blocks", func() int64 { return int64(v.cache.dirtyBlocks()) })
+	add("staged_extents", func() int64 { return int64(v.cache.stagedExtents()) })
 	add("flush_runs", func() int64 { return v.cache.flushRuns.Load() })
 	add("flushed_blocks", func() int64 { return v.cache.flushedBlocks.Load() })
 	add("writeback_drops", func() int64 { return v.cache.wbDrops.Load() })
@@ -867,8 +869,8 @@ func statusFor(err error) uint32 {
 // written. The miss fill is generation-stamped, from before the cache is
 // asked, so a concurrent write racing the store read cannot leave stale
 // (pre-write, pre-flush) bytes cached (see blockCache). Only a page read
-// (page) caches its fill or makes a write-behind-only block a page; the
-// old image around a write's payload does neither. A file that exists
+// (page) caches its fill or a block only an extent holds; the old image
+// around a write's payload does neither. A file that exists
 // only as staged, still-unflushed blocks reads as zeros outside them —
 // those blocks are holes the flusher has not yet materialized.
 func (s *Server) getBlock(v *volume, file, block uint32, page bool) (*bufpool.Buf, int, error) {
@@ -963,40 +965,43 @@ func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
 	s.largeWrite(v, req, file, uint32(off), count)
 }
 
-// stage stages a train's buffers as blocks first, first+1, ... of file
-// with one cache call (blockCache.stage); the head block's payload starts
-// at payStart and the tail block's ends at payEnd, and large says the
-// train is an OpWriteLarge's, whose blocks leave the cache once written
-// back. A block the payload
-// does not cover keeps the rest of its old image, fetched here with its
-// generation snapshotted before the fetch; when the cache finds an image
-// stale (errStaleSpare) the rest of the train is fetched and staged
-// again. A store read failure other than ErrNoFile fails the write —
-// zero-filling over unknown-but-existing bytes would let a transient
-// read error destroy store data on the next flush. Plain ErrNoFile means
-// the block genuinely has no prior contents and zeros are correct.
-func (s *Server) stage(v *volume, file, first uint32, bufs []*bufpool.Buf, payStart, payEnd int, trace uint32, large bool) error {
+// stage stages a write's pulled train b, the images of blocks first,
+// first+1, ... of file back to back, whose payload starts at payStart in
+// the head block and ends at payEnd in the tail block: a page write's one
+// block as a cache entry (page), a large write's train as an extent. A
+// block the payload does not cover keeps the rest of its old image,
+// fetched here with its generation snapshotted before the fetch; when
+// the cache finds an image stale (errStaleSpare) the rest of the train is
+// fetched and staged again. A store read failure other than ErrNoFile
+// fails the write — zero-filling over unknown-but-existing bytes would
+// let a transient read error destroy store data on the next flush. Plain
+// ErrNoFile means the block genuinely has no prior contents and zeros
+// are correct.
+func (s *Server) stage(v *volume, file, first uint32, b *bufpool.Buf, payStart, payEnd int, trace uint32, page bool) error {
 	bs := s.cfg.BlockSize
+	off, n := 0, uint32(len(b.Data)/bs)
 	for {
 		var head, tail spare
 		var err error
-		if payStart > 0 || (len(bufs) == 1 && payEnd < bs) {
+		if payStart > 0 || (n == 1 && payEnd < bs) {
 			head, err = s.fetchSpare(v, file, first)
 		}
-		if err == nil && len(bufs) > 1 && payEnd < bs {
-			tail, err = s.fetchSpare(v, file, first+uint32(len(bufs)-1))
+		if err == nil && n > 1 && payEnd < bs {
+			tail, err = s.fetchSpare(v, file, first+n-1)
 		}
-		n := 0
-		if err == nil {
-			n, err = v.cache.stage(file, first, bufs, payStart, payEnd, head, tail, trace, large)
+		k := uint32(0)
+		if err == nil && page {
+			err = v.cache.stage(blockID{file: file, block: first}, b, payStart, payEnd, head, trace)
+		} else if err == nil {
+			k, err = v.cache.stageExtent(file, first, b, off, n, payStart, payEnd, head, tail, trace)
 		}
 		head.buf.Release()
 		tail.buf.Release()
 		if err != errStaleSpare {
 			return err
 		}
-		if n > 0 {
-			first, bufs, payStart = first+uint32(n), bufs[n:], 0
+		if k > 0 {
+			first, off, n, payStart = first+k, off+int(k)*bs, n-k, 0
 		}
 	}
 }
@@ -1063,8 +1068,9 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 
 // gather lays out the train of m bytes at file position pos as
 // req.parts, views into the buffers it borrows into req.held for the
-// caller to release. Blocks the cache holds, dirty and flushing ones
-// included, are lent as they are, so a streamed read sees staged writes.
+// caller to release. Blocks the cache holds, dirty, flushing and staged
+// extent ones included, are lent as they are, so a streamed read sees
+// staged writes.
 // Each maximal run of blocks it does not hold is one store read into the
 // train's pooled run buffer, and what that read fetched is not cached: a
 // large read would otherwise evict the page working set for blocks
@@ -1072,11 +1078,11 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 // cache.
 func (s *Server) gather(v *volume, req *request, file, pos, m uint32) error {
 	bs := uint32(s.cfg.BlockSize)
-	// held[i] is the train's i'th block if the cache lent it, else nil.
+	// views[i] is the train's i'th block if the cache lent it, else nil.
 	first := pos / bs
 	n := int((pos+m-1)/bs - first + 1)
-	req.held, req.parts = slices.Grow(req.held[:0], n)[:n], req.parts[:0]
-	v.cache.lend(file, first, req.held)
+	req.views, req.parts = slices.Grow(req.views[:0], n)[:n], req.parts[:0]
+	req.held = v.cache.lend(file, first, req.views, req.held[:0])
 	var run []byte // the train's uncached bytes, each at its train offset
 	for at := uint32(0); at < m; {
 		// Step forward to the next cached block; [lo, at) is the run of
@@ -1084,8 +1090,8 @@ func (s *Server) gather(v *volume, req *request, file, pos, m uint32) error {
 		lo := at
 		var hit []byte
 		for ; at < m; at = min(m, at+bs-(pos+at)%bs) {
-			if b := req.held[(pos+at)/bs-first]; b != nil {
-				hit = b.Data
+			if b := req.views[(pos+at)/bs-first]; b != nil {
+				hit = b
 				break
 			}
 		}
@@ -1160,56 +1166,38 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 }
 
 // writeTrain lands the train of m bytes at file position pos, which is
-// byte done of the client's segment. Each block it touches gets a fresh
-// pooled buffer (req.held); the train's share of the inline prefix is
-// copied in and the rest pulled with one scatter MoveFromVec (req.parts),
-// straight off the wire. The train is then staged in one call, head and
-// tail blocks completed from the old image, and logged as one
-// replication record. It returns the record's sequence and the write's status.
+// byte done of the client's segment, in one pooled buffer of the
+// whole-block images it touches: the train's share of the inline prefix
+// is copied in and the rest pulled with one MoveFromVec, straight off the
+// wire. The train is then staged in one call, head and tail blocks
+// completed from the old image, and logged as one replication record.
+// It returns the record's sequence and the write's status.
 func (s *Server) writeTrain(v *volume, req *request, file, pos, done, m uint32) (uint32, uint32) {
 	bs := uint32(s.cfg.BlockSize)
+	in := pos % bs
+	b := bufpool.Get(int((in+m-1)/bs+1) * int(bs))
+	pay := b.Data[in : in+m]
 	pre := uint32(req.inline)
-	inline := req.buf[min(done, pre):min(done+m, pre)]
-	req.held, req.parts = req.held[:0], req.parts[:0]
-	for at := uint32(0); at < m; {
-		in := (pos + at) % bs
-		c := min(bs-in, m-at)
-		b := bufpool.Get(int(bs))
-		req.held = append(req.held, b)
-		n := uint32(copy(b.Data[in:in+c], inline))
-		inline = inline[n:]
-		if n < c {
-			req.parts = append(req.parts, b.Data[in+n:in+c])
-		}
-		at += c
-	}
+	k := uint32(copy(pay, req.buf[min(done, pre):min(done+m, pre)]))
 	status := StatusOK
-	if len(req.parts) > 0 {
-		if err := s.proc.MoveFromVec(req.src, max(done, pre), req.parts...); err != nil {
+	if k < m {
+		req.parts = append(req.parts[:0], pay[k:])
+		if err := s.proc.MoveFromVec(req.src, done+k, req.parts...); err != nil {
 			status = StatusBadRequest
 		}
 	}
 	if status == StatusOK {
-		large := reqOp(&req.msg) == OpWriteLarge
-		if err := s.stage(v, file, pos/bs, req.held, int(pos%bs), int((pos+m-1)%bs+1), req.trace, large); err != nil {
+		page := reqOp(&req.msg) == OpWriteBlock
+		if err := s.stage(v, file, pos/bs, b, int(in), int((pos+m-1)%bs+1), req.trace, page); err != nil {
 			status = StatusIOError
 		}
 	}
 	var seq uint32
 	if status == StatusOK {
-		// req.parts becomes the record's payload: each block's window.
-		req.parts = req.parts[:0]
-		for i, at := 0, uint32(0); at < m; i++ {
-			in := (pos + at) % bs
-			c := min(bs-in, m-at)
-			req.parts = append(req.parts, req.held[i].Data[in:in+c])
-			at += c
-		}
-		// Log before the buffers go back: append copies the payload.
+		// Log before the buffer goes back: append copies the payload.
+		req.parts = append(req.parts[:0], pay)
 		seq = s.replicateAppend(v, repKindWrite, file, pos, req.trace, req.parts...)
 	}
-	for _, b := range req.held {
-		b.Release()
-	}
+	b.Release()
 	return seq, status
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -797,13 +798,16 @@ func TestWriteRangePast4GiB(t *testing.T) {
 }
 
 // TestAlignedWriteLargeOneStoreWrite: a block-aligned 64 KB write is
-// staged as one train, so the flushers find it whole and write it back
-// as one store write — not as runs cut where a flusher woke mid-train.
-// 64 such writes over 8 files, each synced, make exactly 64 store writes.
+// staged as one extent, adding no block entry to the cache, so the
+// flushers find it whole and write it back as one store write carrying
+// its bytes — not as runs cut where a flusher woke mid-train. 64 such
+// writes over 8 files, each synced, make exactly 64 store writes.
 func TestAlignedWriteLargeOneStoreWrite(t *testing.T) {
 	for _, flavor := range []string{"mem", "udp"} {
 		t.Run(flavor, func(t *testing.T) {
-			cs := &countStore{Store: NewMemStore()}
+			rec := newOrderStore(NewMemStore(), 0)
+			rec.open()
+			cs := &countStore{Store: rec}
 			var e *env
 			if flavor == "mem" {
 				e = memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
@@ -817,8 +821,15 @@ func TestAlignedWriteLargeOneStoreWrite(t *testing.T) {
 				if err := c.WriteLarge(file, off, pattern(uint32(w), size)); err != nil {
 					t.Fatal(err)
 				}
+				if n := resident(e.srv, file); n != 0 {
+					t.Fatalf("write %d added %d block entries to the cache, want 0", w, n)
+				}
 				if err := c.Sync(file); err != nil {
 					t.Fatal(err)
+				}
+				ws := rec.writesTo(file)
+				if last := ws[len(ws)-1]; last.off != int64(off) || !bytes.Equal(last.data, pattern(uint32(w), size)) {
+					t.Fatalf("write %d: the store write carried %d bytes at %d, not the extent's", w, len(last.data), last.off)
 				}
 			}
 			if n := cs.writes.Load(); n != writes {
@@ -1166,5 +1177,418 @@ func TestLargeWriteDropRaces(t *testing.T) {
 		if _, err := w.ReadBlock(file, b, page); err != nil || !bytes.Equal(page, image(rounds)[:512]) {
 			t.Fatalf("ReadBlock(%d) after the stream: err=%v or not the last write", b, err)
 		}
+	}
+}
+
+// orderStore records every store write in the order the store is asked
+// for them, ahead of a gate on one file (gated 0: on every file), so a
+// write begun before an older one finished shows out of order; entered
+// gets a token for each write held at the gate, and a write to a gated
+// file begun once the gate is open takes delay.
+type orderStore struct {
+	Store
+	gated    uint32
+	gate     chan struct{}
+	openOnce sync.Once
+	entered  chan struct{}
+	delay    time.Duration // set before open
+	mu       sync.Mutex
+	log      []storeWrite
+}
+
+type storeWrite struct {
+	file uint32
+	off  int64
+	data []byte
+}
+
+func newOrderStore(inner Store, gated uint32) *orderStore {
+	return &orderStore{Store: inner, gated: gated, gate: make(chan struct{}), entered: make(chan struct{}, 1024)}
+}
+
+func (s *orderStore) open() { s.openOnce.Do(func() { close(s.gate) }) }
+
+func (s *orderStore) WriteAt(file uint32, p []byte, off int64) error {
+	s.mu.Lock()
+	s.log = append(s.log, storeWrite{file, off, bytes.Clone(p)})
+	s.mu.Unlock()
+	if s.gated == 0 || file == s.gated {
+		select {
+		case <-s.gate:
+			time.Sleep(s.delay)
+		default:
+			s.entered <- struct{}{}
+			<-s.gate
+		}
+	}
+	return s.Store.WriteAt(file, p, off)
+}
+
+// writesTo returns the recorded store writes to file, in store order.
+func (s *orderStore) writesTo(file uint32) []storeWrite {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []storeWrite
+	for _, w := range s.log {
+		if w.file == file {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// TestExtentRules: a large write is staged as one extent, never waited
+// on by a later write. A page write or a newer extent landing on an
+// extent a flusher has claimed is staged at once and reaches the store
+// after it; a newer extent over a pending one supersedes it, unwritten;
+// a failed extent write-back stays readable without store reads. Every
+// case reads its bytes back through page and large reads.
+func TestExtentRules(t *testing.T) {
+	const file, size = 3, 64 << 10
+	type harness struct {
+		t     *testing.T
+		e     *env
+		c     *Client
+		store *orderStore
+		cs    *countStore
+	}
+	// within runs f, failing the test if it has not returned in 5 s: a
+	// write that waits on a held write-back would hang there.
+	within := func(h *harness, what string, f func() error) {
+		h.t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				h.t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			h.t.Fatalf("%s waited on a held write-back", what)
+		}
+	}
+	// claimed waits until a flusher holds another write at the gate.
+	claimed := func(h *harness) {
+		h.t.Helper()
+		select {
+		case <-h.store.entered:
+		case <-time.After(5 * time.Second):
+			h.t.Fatal("no flusher claimed the write")
+		}
+	}
+	readBack := func(h *harness, want []byte) {
+		h.t.Helper()
+		got := make([]byte, len(want))
+		if n, err := h.c.ReadLarge(file, 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
+			h.t.Fatalf("ReadLarge: n=%d err=%v, equal=%v", n, err, bytes.Equal(got, want))
+		}
+		page := make([]byte, 512)
+		for b := 0; b < len(want)/512; b++ {
+			if _, err := h.c.ReadBlock(file, uint32(b), page); err != nil || !bytes.Equal(page, want[b*512:(b+1)*512]) {
+				h.t.Fatalf("ReadBlock(%d): err=%v or other bytes than were written", b, err)
+			}
+		}
+	}
+	// landed checks the file's store writes, in store order, and the
+	// store's final bytes.
+	landed := func(h *harness, want []byte, writes ...storeWrite) {
+		h.t.Helper()
+		h.store.open()
+		if err := h.e.srv.Flush(); err != nil {
+			h.t.Fatal(err)
+		}
+		got := h.store.writesTo(file)
+		if len(got) != len(writes) {
+			h.t.Fatalf("%d store writes to the file, want %d", len(got), len(writes))
+		}
+		for i, w := range writes {
+			if got[i].off != w.off || !bytes.Equal(got[i].data, w.data) {
+				h.t.Fatalf("store write %d: %d bytes at %d, want %d at %d (or other bytes)", i, len(got[i].data), got[i].off, len(w.data), w.off)
+			}
+		}
+		img := make([]byte, len(want))
+		if _, err := h.store.Store.ReadAt(file, img, 0); err != nil || !bytes.Equal(img, want) {
+			h.t.Fatalf("the store holds other bytes than were written (err=%v)", err)
+		}
+		if n := volGauge(h.e.srv, "staged_extents"); n != 0 {
+			h.t.Errorf("staged_extents = %d after Flush, want 0", n)
+		}
+	}
+	img1, img2 := pattern(1, size), pattern(2, size)
+	for _, tc := range []struct {
+		name   string
+		gated  uint32 // 0: every file
+		cfg    Config
+		failed bool
+		run    func(*harness)
+	}{
+		{"page writes onto and past a claimed extent", 0, Config{}, false, func(h *harness) {
+			if err := h.c.WriteLarge(file, 0, img1); err != nil {
+				h.t.Fatal(err)
+			}
+			claimed(h)
+			on, past := pattern(9, 512), pattern(10, 512)
+			within(h, "WriteBlock", func() error { return h.c.WriteBlock(file, size/512-1, on) })
+			within(h, "WriteBlock", func() error { return h.c.WriteBlock(file, size/512, past) })
+			claimed(h) // the page past the extent goes at once, alone
+			if n := volGauge(h.e.srv, "dirty_blocks"); n != size/512+1 {
+				h.t.Errorf("dirty_blocks = %d, want %d: the page on the extent counts once", n, size/512+1)
+			}
+			want := append(bytes.Clone(img1), past...)
+			copy(want[size-512:], on)
+			readBack(h, want)
+			landed(h, want, storeWrite{file, 0, img1}, storeWrite{file, size, past}, storeWrite{file, size - 512, on})
+			if n := resident(h.e.srv, file); n != size/512+1 {
+				// Every block was page-read back above; each stays a page.
+				h.t.Errorf("%d blocks cached, want %d", n, size/512+1)
+			}
+		}},
+		{"large write over a claimed page write", 0, Config{}, false, func(h *harness) {
+			page := pattern(9, 512)
+			if err := h.c.WriteBlock(file, 9, page); err != nil {
+				h.t.Fatal(err)
+			}
+			claimed(h)
+			within(h, "WriteLarge", func() error { return h.c.WriteLarge(file, 0, img2) })
+			claimed(h)
+			readBack(h, img2)
+			// The page's in-flight write-back is older than the extent, so
+			// its block is written again, with the extent's bytes, after it.
+			landed(h, img2, storeWrite{file, 9 * 512, page}, storeWrite{file, 0, img2}, storeWrite{file, 9 * 512, img2[9*512 : 10*512]})
+		}},
+		{"sync waits for the extent superseding its own", 0, Config{}, false, func(h *harness) {
+			if err := h.c.WriteLarge(file, 0, img1); err != nil {
+				h.t.Fatal(err)
+			}
+			claimed(h)
+			// Pending behind the claimed extent, until superseded.
+			if err := h.c.WriteLarge(file, 0, pattern(4, size)); err != nil {
+				h.t.Fatal(err)
+			}
+			syncer := h.e.client(h.t, "syncer")
+			synced := make(chan error, 1)
+			go func() { synced <- syncer.Sync(file) }()
+			time.Sleep(20 * time.Millisecond) // let the sync begin waiting
+			within(h, "WriteLarge", func() error { return h.c.WriteLarge(file, 0, img2) })
+			select {
+			case err := <-synced:
+				h.t.Fatalf("Sync returned (err=%v) while write-back was held", err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			h.store.delay = 50 * time.Millisecond // the superseding write-back lands late
+			h.store.open()
+			if err := <-synced; err != nil {
+				h.t.Fatal(err)
+			}
+			got := make([]byte, size)
+			if _, err := h.store.Store.ReadAt(file, got, 0); err != nil || !bytes.Equal(got, img2) {
+				h.t.Fatalf("Sync returned before the extent superseding its own was on the store (err=%v)", err)
+			}
+			landed(h, img2, storeWrite{file, 0, img1}, storeWrite{file, 0, img2})
+		}},
+		{"newer extent over a claimed extent", 0, Config{}, false, func(h *harness) {
+			if err := h.c.WriteLarge(file, 0, img1); err != nil {
+				h.t.Fatal(err)
+			}
+			claimed(h)
+			within(h, "WriteLarge", func() error { return h.c.WriteLarge(file, 0, img2) })
+			if n := volGauge(h.e.srv, "staged_extents"); n != 2 {
+				h.t.Errorf("staged_extents = %d, want 2", n)
+			}
+			if n := volGauge(h.e.srv, "dirty_blocks"); n != size/512 {
+				h.t.Errorf("dirty_blocks = %d, want %d: each block counts once", n, size/512)
+			}
+			readBack(h, img2)
+			landed(h, img2, storeWrite{file, 0, img1}, storeWrite{file, 0, img2})
+		}},
+		{"newer extent over a pending extent", 7, Config{Flushers: 1}, false, func(h *harness) {
+			if err := h.c.WriteLarge(7, 0, img1); err != nil { // parks the one flusher
+				h.t.Fatal(err)
+			}
+			claimed(h)
+			for _, img := range [][]byte{img1, img2} {
+				within(h, "WriteLarge", func() error { return h.c.WriteLarge(file, 0, img) })
+			}
+			if n := volGauge(h.e.srv, "staged_extents"); n != 2 {
+				h.t.Errorf("staged_extents = %d, want 2 (file 7's and the newer one)", n)
+			}
+			if n := resident(h.e.srv, file); n != 0 {
+				h.t.Errorf("%d blocks of the file cached, want 0", n)
+			}
+			landed(h, img2, storeWrite{file, 0, img2})
+			readBack(h, img2)
+		}},
+		{"failed extent write-back", 0, Config{}, true, func(h *harness) {
+			if err := h.c.WriteLarge(file, 0, img1); err != nil {
+				h.t.Fatal(err)
+			}
+			h.store.open()
+			deadline := time.Now().Add(5 * time.Second)
+			for volGauge(h.e.srv, "flush_errs") == 0 || volGauge(h.e.srv, "dirty_blocks") != 0 {
+				if time.Now().After(deadline) {
+					h.t.Fatal("the write-back never failed")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			reads := h.cs.reads.Load()
+			readBack(h, img1)
+			if n := h.cs.reads.Load() - reads; n != 0 {
+				h.t.Errorf("reading the extent whose write-back failed cost %d store reads, want 0", n)
+			}
+			if err := h.e.srv.Flush(); !errors.Is(err, errBadDevice) {
+				h.t.Errorf("Flush after the failed write-back = %v, want %v", err, errBadDevice)
+			}
+		}},
+	} {
+		for _, flavor := range []string{"mem", "udp"} {
+			t.Run(flavor+"/"+tc.name, func(t *testing.T) {
+				mem := NewMemStore()
+				var inner Store = mem
+				if tc.failed {
+					seed(t, mem, file, pattern(5, size)) // the store keeps these
+					inner = &failingFileStore{Store: mem, badFile: file}
+				}
+				store := newOrderStore(inner, tc.gated)
+				cs := &countStore{Store: store}
+				var e *env
+				if flavor == "mem" {
+					e = memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, tc.cfg)
+				} else {
+					e = udpEnvStore(t, cs, tc.cfg)
+				}
+				t.Cleanup(store.open)
+				tc.run(&harness{t: t, e: e, c: e.client(t, "app"), store: store, cs: cs})
+			})
+		}
+	}
+}
+
+// TestExtentRaces: one writer's sequence of overlapping large writes,
+// page writes and truncates of one file runs against page readers,
+// large readers and syncers, first while write-back is held (the first
+// truncate waits for it to open), then while the flushers write extents
+// back. Every block any reader sees is one whole write's (or a
+// truncate's zeros), never a mix; the file ends as the sequence left it,
+// through the cache and on the store.
+func TestExtentRaces(t *testing.T) {
+	const file, blocks, ops = 6, 256, 96
+	store := newOrderStore(NewMemStore(), 0)
+	e := memEnvStore(t, store, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	t.Cleanup(store.open)
+	w := e.client(t, "writer")
+	if err := w.CreateFile(file, blocks*512); err != nil {
+		t.Fatal(err)
+	}
+	uniform := func(b []byte) bool { return bytes.Equal(b, bytes.Repeat(b[:1], len(b))) }
+
+	stop := make(chan struct{})
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	loop := func(name string, body func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := body(); err != nil {
+					errs <- fmt.Errorf("%s: %w", name, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := range 2 {
+		r := e.client(t, fmt.Sprintf("pager%d", i))
+		page, b := make([]byte, 512), uint32(i)
+		loop("pager", func() error {
+			b = (b + 37) % blocks
+			if _, err := r.ReadBlock(file, b, page); err != nil {
+				return err
+			}
+			if !uniform(page) {
+				return fmt.Errorf("block %d mixes writes", b)
+			}
+			return nil
+		})
+	}
+	lr := e.client(t, "streamer")
+	buf, at := make([]byte, 96<<10), uint32(0)
+	loop("streamer", func() error {
+		at = (at + 40*512) % (blocks * 512 / 2)
+		if _, err := lr.ReadLarge(file, at, buf); err != nil {
+			return err
+		}
+		for b := 0; b < len(buf); b += 512 {
+			if !uniform(buf[b : b+512]) {
+				return fmt.Errorf("block %d of a large read mixes writes", int(at)/512+b/512)
+			}
+		}
+		return nil
+	})
+	sy := e.client(t, "syncer")
+	loop("syncer", func() error { return sy.Sync(file) })
+
+	// The writer's sequence, mirrored in want: write i stamps value i.
+	want := make([]byte, blocks*512)
+	rng := rand.New(rand.NewSource(6))
+	for i := 1; i <= ops; i++ {
+		v := byte(i)
+		switch k := rng.Intn(10); {
+		case i == ops/2:
+			// Truncate while write-back is held: it waits for the claimed
+			// extents, so the gate opens meanwhile.
+			time.AfterFunc(20*time.Millisecond, store.open)
+			fallthrough
+		case k == 0 && i > ops/2: // a truncate waits out claimed write-backs
+			if err := w.CreateFile(file, blocks*512); err != nil {
+				t.Fatal(err)
+			}
+			clear(want)
+		case k < 3:
+			b := uint32(rng.Intn(blocks))
+			page := bytes.Repeat([]byte{v}, 512)
+			if err := w.WriteBlock(file, b, page); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[b*512:], page)
+		default:
+			first, n := rng.Intn(blocks-16), 16+rng.Intn(112)
+			n = min(n, blocks-first)
+			img := bytes.Repeat([]byte{v}, n*512)
+			if err := w.WriteLarge(file, uint32(first*512), img); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[first*512:], img)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := e.srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if n, err := w.ReadLarge(file, 0, got); err != nil || n != len(want) || !bytes.Equal(got, want) {
+		t.Fatalf("ReadLarge after the sequence: n=%d err=%v, intact=%v", n, err, bytes.Equal(got, want))
+	}
+	page := make([]byte, 512)
+	for b := 0; b < blocks; b++ {
+		if _, err := w.ReadBlock(file, uint32(b), page); err != nil || !bytes.Equal(page, want[b*512:(b+1)*512]) {
+			t.Fatalf("ReadBlock(%d) after the sequence: err=%v or not the last write", b, err)
+		}
+	}
+	clear(got)
+	if _, err := store.Store.ReadAt(file, got, 0); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the store holds other bytes than the sequence left (err=%v)", err)
+	}
+	if n := volGauge(e.srv, "dirty_blocks"); n != 0 {
+		t.Errorf("dirty_blocks = %d after Flush, want 0", n)
 	}
 }
