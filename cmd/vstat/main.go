@@ -179,15 +179,16 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 
 	// tx_sys/rx_sys are kernel crossings, tx_pkt/rx_pkt the packets they
 	// carried: far apart when bulk trains go out segmented. rx_inl is the
-	// share of rx_pkt handled on the read loop (the exchange protocol); the
-	// rest went through the dispatch workers.
+	// share of rx_pkt handled on the read loop (the exchange protocol), the
+	// rest went to the dispatch workers; rx_train of rx_sys went whole.
 	ker := stats.Table{ID: "vstat-3", Title: "kernel and transport",
-		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "gso_ref", "replies", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo"}}
+		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "rx_train", "gso_ref", "replies", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo"}}
 	for _, s := range snaps {
 		ker.AddRow(s.Node,
 			count(s.Counters["net.sends"]), count(s.Counters["net.tx_packets"]),
 			count(s.Counters["net.recvs"]), count(s.Counters["net.rx_packets"]),
-			count(s.Counters["net.rx_inline"]), count(s.Counters["net.gso_refused"]),
+			count(s.Counters["net.rx_inline"]), count(s.Counters["net.rx_trains"]),
+			count(s.Counters["net.gso_refused"]),
 			count(s.Counters["ipc.remote_replies"]), count(s.Counters["ipc.retransmits"]),
 			count(s.Counters["ipc.dups_filtered"]), count(s.Counters["ipc.nacks_sent"]),
 			count(s.Counters["ipc.overload_sheds"]),

@@ -18,12 +18,12 @@ import (
 // packet k+1 to whichever worker the scheduler runs first, which with
 // two or more workers is systematically not the one holding packet k.
 //
-// Both transports use it: T is a pooled frame for UDPTransport, which
-// queues only move packets (see queued), and a (port, frame) delivery for
+// Both transports use it: T is an rxItem for UDPTransport, which queues
+// only move packets (see queued), and a (port, frame) delivery for
 // MemNetwork, which queues every packet.
 type dispatcher[T any] struct {
 	run    func(worker int, batch []T) // handles and disposes of every item
-	depth  int                         // per-queue bound, 0 = unbounded
+	depth  int                         // per-queue bound in packets, 0 = unbounded
 	queues []*dispatchQueue[T]
 	wg     sync.WaitGroup
 }
@@ -37,14 +37,16 @@ type dispatchQueue[T any] struct {
 	ready   sync.Cond // the worker waits here for items or close
 	space   sync.Cond // bounded producers wait here for room
 	pending []T
+	packets int // the packets pending items carry, what depth bounds
 	closed  bool
 }
 
-// newDispatcher starts workers goroutines. depth bounds each queue: an
-// enqueue onto a full queue blocks until the worker takes the backlog
-// (the read loop stalls and arrivals spill into the kernel socket
-// buffer). depth 0 leaves the queues unbounded, for producers that are
-// themselves workers and so must never block (MemNetwork).
+// newDispatcher starts workers goroutines. depth bounds each queue's
+// packets (an item may be a train): an enqueue onto a full queue blocks
+// until the worker takes the backlog (the read loop stalls and arrivals
+// spill into the kernel socket buffer). depth 0 leaves the queues
+// unbounded, for producers that are themselves workers and so must never
+// block (MemNetwork).
 func newDispatcher[T any](workers, depth int, run func(worker int, batch []T)) *dispatcher[T] {
 	d := &dispatcher[T]{run: run, depth: depth, queues: make([]*dispatchQueue[T], workers)}
 	d.wg.Add(workers)
@@ -105,16 +107,17 @@ func queued(pkt []byte) bool {
 // workerOf returns the worker an encoded packet's flow belongs to.
 func (d *dispatcher[T]) workerOf(pkt []byte) int { return int(flowOf(pkt) % uint32(len(d.queues))) }
 
-// enqueue appends items, in order, to one worker's queue, which takes
-// over whatever they own. All producers must have returned before close
-// is called.
-func (d *dispatcher[T]) enqueue(worker int, items []T) {
+// enqueue appends items holding packets packets, in order, to a worker's
+// queue, which takes over what they own. All producers must have
+// returned before close is called.
+func (d *dispatcher[T]) enqueue(worker int, items []T, packets int) {
 	q := d.queues[worker]
 	q.mu.Lock()
-	for d.depth > 0 && len(q.pending) >= d.depth {
+	for d.depth > 0 && q.packets >= d.depth {
 		q.space.Wait()
 	}
 	q.pending = append(q.pending, items...)
+	q.packets += packets
 	q.mu.Unlock()
 	q.ready.Signal()
 }
@@ -132,6 +135,7 @@ func (d *dispatcher[T]) work(w int, q *dispatchQueue[T]) {
 			return
 		}
 		batch, q.pending = q.pending, batch[:0]
+		q.packets = 0
 		q.mu.Unlock()
 		q.space.Broadcast()
 		d.run(w, batch)

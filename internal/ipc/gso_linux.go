@@ -54,13 +54,20 @@ func gsoRefused(err error) bool {
 }
 
 // groSegSize returns the segment size in a read's UDP_GRO control message,
-// 0 when there is none: the datagram is a single packet.
+// 0 when there is none: the datagram is a single packet. The messages are
+// walked in place (syscall.ParseSocketControlMessage allocates), up to
+// the first UDP_GRO one or a malformed header.
 func groSegSize(oob []byte) int {
-	msgs, _ := syscall.ParseSocketControlMessage(oob)
-	for _, m := range msgs {
-		if m.Header.Level == syscall.IPPROTO_UDP && m.Header.Type == udpGRO && len(m.Data) >= 4 {
-			return int(int32(binary.NativeEndian.Uint32(m.Data)))
+	hdr := syscall.CmsgLen(0)
+	for i := 0; i+hdr <= len(oob); {
+		h := (*syscall.Cmsghdr)(unsafe.Pointer(&oob[i]))
+		if h.Len < syscall.SizeofCmsghdr || uint64(h.Len) > uint64(len(oob)-i) {
+			return 0
 		}
+		if h.Level == syscall.IPPROTO_UDP && h.Type == udpGRO && int(h.Len) >= hdr+4 {
+			return int(int32(binary.NativeEndian.Uint32(oob[i+hdr:])))
+		}
+		i += syscall.CmsgSpace(int(h.Len) - hdr)
 	}
 	return 0
 }

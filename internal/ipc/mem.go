@@ -102,7 +102,7 @@ func (m *MemNetwork) handle(_ int, batch []memDelivery) {
 
 // enqueue queues one delivery on the worker its flow belongs to.
 func (m *MemNetwork) enqueue(d memDelivery) {
-	m.rx.enqueue(m.rx.workerOf(d.buf.Data), []memDelivery{d})
+	m.rx.enqueue(m.rx.workerOf(d.buf.Data), []memDelivery{d}, 1)
 }
 
 // deliver applies fault injection and schedules the packet for the target.

@@ -278,7 +278,8 @@ func (n *Node) sendTrain(to LogicalHost, frame []byte, segSize int) {
 // it touches. Decoding is zero-copy: pkt.Data aliases the pooled frame,
 // which the transport recycles when this call returns — handlers that
 // need payload bytes past their return (delivered inline segments, reply
-// data handed to a blocked sender) retain f and release at last use.
+// data handed to a blocked sender) retain f and release at last use;
+// none of them is a move handler, whose f may be a borrowed view.
 func (n *Node) handlePacket(f *bufpool.Buf) {
 	var pkt vproto.Packet
 	if err := vproto.DecodeInto(&pkt, f.Data); err != nil {

@@ -144,6 +144,20 @@ func TestConcurrentReceivers(t *testing.T) {
 			}()
 		}
 
+		// The receivers must all be blocked in Receive first: with fewer
+		// waiting, the bound (one slot plus one per waiter) sheds a send
+		// meant for a receiver that had not started yet.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			srv.mu.Lock()
+			waiting := srv.waiters
+			srv.mu.Unlock()
+			if waiting == receivers {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d receivers blocked in Receive", waiting, receivers)
+			}
+		}
 		// One exchange per receiver, all held; then one more fills the
 		// queue's single slot.
 		errc := make(chan error, receivers+2)

@@ -108,7 +108,8 @@ type blockCache struct {
 	// queries and bounds checks see unflushed extensions; once a file has
 	// no non-clean blocks the store covers the mark and the entry is
 	// pruned (the maps stay proportional to in-flight work, not to every
-	// file id ever written).
+	// file id ever written) — after a failed write-back, only once a sync
+	// has reported the failure.
 	qHead, qTail int32
 	dirtyCount   int
 	fileDirty    map[uint32]int
@@ -668,13 +669,22 @@ func (c *blockCache) invalidate(id blockID) {
 // dropNonCleanLocked accounts k blocks of file settling back to clean
 // (or being discarded); when they were the file's last non-clean blocks,
 // the store size now covers the staged high-water mark and the per-file
-// tracking is pruned. Caller holds c.mu.
+// tracking is pruned (pruneStagedLocked). Caller holds c.mu.
 func (c *blockCache) dropNonCleanLocked(file uint32, k int) {
 	c.dirtyCount -= k
 	if n := c.fileDirty[file] - k; n > 0 {
 		c.fileDirty[file] = n
 	} else {
 		delete(c.fileDirty, file)
+		c.pruneStagedLocked(file)
+	}
+}
+
+// pruneStagedLocked drops file's staged mark once nothing of it is
+// non-clean and no failed write-back of it is unreported: until a sync
+// reports one, the store may lack a file the cache still serves.
+func (c *blockCache) pruneStagedLocked(file uint32) {
+	if c.fileDirty[file] == 0 && c.flushErrByFile[file] == nil {
 		delete(c.staged, file)
 	}
 }
@@ -888,11 +898,11 @@ func (c *blockCache) writeBack(file, first uint32, p []byte, blocks int, trace u
 // again, and a failure is kept for the next sync of the file. Caller
 // holds c.mu.
 func (c *blockCache) settleLocked(file uint32, k int, err error) {
-	if k > 0 {
-		c.dropNonCleanLocked(file, k)
-	}
 	if err != nil && c.flushErrByFile[file] == nil {
 		c.flushErrByFile[file] = err
+	}
+	if k > 0 {
+		c.dropNonCleanLocked(file, k)
 	}
 	c.evictExcessLocked()
 	c.cond.Broadcast()
@@ -999,11 +1009,11 @@ func (c *blockCache) flushAll() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var err error
-	for _, e := range c.flushErrByFile {
+	for file, e := range c.flushErrByFile {
 		err = e
-		break
+		delete(c.flushErrByFile, file)
+		c.pruneStagedLocked(file)
 	}
-	c.flushErrByFile = make(map[uint32]error)
 	return err
 }
 
@@ -1017,6 +1027,7 @@ func (c *blockCache) flushFile(file uint32) error {
 	defer c.mu.Unlock()
 	err := c.flushErrByFile[file]
 	delete(c.flushErrByFile, file)
+	c.pruneStagedLocked(file)
 	return err
 }
 

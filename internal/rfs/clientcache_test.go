@@ -502,6 +502,43 @@ func TestPerFileSyncErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestFailedWriteBackKeepsStagedFile: a file that exists only as one
+// staged large write whose write-back failed must not vanish for
+// QueryFile and ReadLarge while ReadBlock still serves the blocks the
+// failed write left cached — until a sync has reported the failure.
+func TestFailedWriteBackKeepsStagedFile(t *testing.T) {
+	failing := &failingFileStore{Store: NewMemStore(), badFile: 8}
+	e := memEnvStore(t, failing, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+	c := e.client(t, "app")
+
+	data := pattern(8, 64<<10)
+	if err := c.WriteLarge(8, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the write-back to fail and settle.
+	deadline := time.Now().Add(2 * time.Second)
+	for volGauge(e.srv, "flush_errs") == 0 || volGauge(e.srv, "dirty_blocks") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed write-back never settled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	page := make([]byte, 512)
+	if _, err := c.ReadBlock(8, 3, page); err != nil || !bytes.Equal(page, data[3*512:4*512]) {
+		t.Fatalf("ReadBlock: err=%v, same bytes=%v; want the written page", err, bytes.Equal(page, data[3*512:4*512]))
+	}
+	if size, err := c.QueryFile(8); err != nil || size != len(data) {
+		t.Fatalf("QueryFile = %d, %v; want %d, as ReadBlock serves the file", size, err, len(data))
+	}
+	got := make([]byte, len(data))
+	if n, err := c.ReadLarge(8, 0, got); err != nil || n != len(data) || !bytes.Equal(got, data) {
+		t.Fatalf("ReadLarge = %d, %v (same bytes=%v); want the %d bytes ReadBlock serves", n, err, bytes.Equal(got, data), len(data))
+	}
+	if err := c.Sync(8); err == nil {
+		t.Fatal("the file's sync reported success for lost bytes")
+	}
+}
+
 // TestCallbackTimeoutUnblocksWrites: a registered callback pid that is
 // alive but never calls Receive would park the invalidation Send in
 // reply-pending forever; the fan-out deadline must revoke it and let
