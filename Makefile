@@ -24,7 +24,9 @@ race:
 
 # The concurrency-sensitive tests, 20 times each under the race
 # detector: packet-train ordering, train framing at every size edge,
-# coalesced trains handed to a worker whole and mixed ones split, late
+# coalesced trains handed to a worker whole and mixed ones split, replies
+# streamed behind their trains and held until the last byte lands (one
+# overtaking its wedged train, one whose completion ack is lost), late
 # move packets, go-back-N under reordering, exactly-once under faults
 # and many receivers on one process, each message to one of them (ipc); concurrent trains,
 # bulk-transfer crossings, replicated read fan-out, caching failover, a
@@ -50,7 +52,7 @@ race:
 # Both halves always run; each one's full output is kept in
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
-STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer
+STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck
 STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces|TestExtentRaces
 stress:
 	@s=0; \

@@ -2,7 +2,7 @@
 // cluster over the V IPC protocol itself: it enumerates the servers by
 // broadcast (DiscoverAll), asks each which volumes it hosts
 // (OpQueryVolumes), pulls each one's metrics snapshot (OpQueryStats, a
-// MoveTo-streamed text snapshot into a client-granted segment) and
+// text snapshot replied into a client-granted segment) and
 // renders per-shard and aggregate tables — request counters, cache
 // occupancy and hit rates, replication lag and in-sync set sizes,
 // kernel/transport counters, latency percentiles, and recent trace
@@ -182,14 +182,15 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 	// share of rx_pkt handled on the read loop (the exchange protocol), the
 	// rest went to the dispatch workers; rx_train of rx_sys went whole.
 	ker := stats.Table{ID: "vstat-3", Title: "kernel and transport",
-		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "rx_train", "gso_ref", "replies", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo"}}
+		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "rx_train", "gso_ref", "replies", "rep_held", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo"}}
 	for _, s := range snaps {
 		ker.AddRow(s.Node,
 			count(s.Counters["net.sends"]), count(s.Counters["net.tx_packets"]),
 			count(s.Counters["net.recvs"]), count(s.Counters["net.rx_packets"]),
 			count(s.Counters["net.rx_inline"]), count(s.Counters["net.rx_trains"]),
 			count(s.Counters["net.gso_refused"]),
-			count(s.Counters["ipc.remote_replies"]), count(s.Counters["ipc.retransmits"]),
+			count(s.Counters["ipc.remote_replies"]), count(s.Counters["ipc.replies_held"]),
+			count(s.Counters["ipc.retransmits"]),
 			count(s.Counters["ipc.dups_filtered"]), count(s.Counters["ipc.nacks_sent"]),
 			count(s.Counters["ipc.overload_sheds"]),
 			count(s.Counters["ipc.move_resumes"]), count(s.Counters["ipc.move_ooo_drops"]))

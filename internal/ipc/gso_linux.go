@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"net/netip"
 	"syscall"
 	"unsafe"
 )
@@ -41,7 +42,8 @@ func writeGSO(conn *net.UDPConn, frame []byte, segSize int, to *net.UDPAddr) err
 	c.hdr.Level, c.hdr.Type, c.size = syscall.IPPROTO_UDP, udpSegment, uint16(segSize)
 	c.hdr.SetLen(syscall.CmsgLen(2))
 	oob := unsafe.Slice((*byte)(unsafe.Pointer(&c)), syscall.CmsgSpace(2))
-	_, _, err := conn.WriteMsgUDP(frame, oob, to)
+	ap := to.AddrPort() // the AddrPort form builds no heap sockaddr per send
+	_, _, err := conn.WriteMsgUDPAddrPort(frame, oob, netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()))
 	return err
 }
 

@@ -56,7 +56,6 @@ var (
 	ErrNotAwaitingReply = errors.New("ipc: process not awaiting reply from replier")
 	ErrBadAddress       = errors.New("ipc: range outside granted segment")
 	ErrNoAccess         = errors.New("ipc: segment access not granted")
-	ErrSegTooBig        = errors.New("ipc: segment exceeds one packet")
 	ErrClosed           = errors.New("ipc: node closed")
 	ErrNameUnknown      = errors.New("ipc: logical name not resolved")
 	ErrPidsExhausted    = errors.New("ipc: all local process ids in use")
@@ -149,11 +148,13 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // delivers on the sender's goroutine, queues them too). The protocol is
 // causal: a peer sends a flow's exchange packet only after seeing every
 // earlier move of it complete, which this node's workers had to finish
-// first. So an exchange packet overtakes only duplicates, which seq
-// filtering drops, and the Send's barrier fences a move handler still
-// running before a Reply or Nack delivers. This rests on one invariant:
-// no exchange handler waits on network progress. Its only wait is that
-// barrier, bounded by one train send on a worker.
+// first — but for a streamed reply (vproto.FlagStreamed), sent right
+// behind its train and held, not waited for, until the train lands. So
+// an exchange packet overtakes only duplicates, which seq filtering
+// drops, or a held reply's train, and the Send's barrier fences a move
+// handler still running before a Reply or Nack delivers. This rests on
+// one invariant: no exchange handler waits on network progress. Its only
+// wait is that barrier, bounded by one train send on a worker.
 //
 // Buffer ownership: Send and Broadcast (and the optional SendTrain, see
 // TrainSender) borrow pkt only for the duration of the call — the caller

@@ -90,10 +90,11 @@ func TestMoveToGoneNodeTimesOut(t *testing.T) {
 
 // TestRemoteExchangeAllocs pins the allocations of one remote exchange on
 // a fault-free mesh: a bare Send/Reply allocates nothing — the
-// receiver reuses the sender's replied alien descriptor — and a MoveTo
-// or MoveFrom inside the exchange adds the transfer's own operation,
-// result channel and timer. The outstanding-operation tables and their
-// completion paths must add nothing.
+// receiver reuses the sender's replied alien descriptor — and neither
+// does a MoveTo or MoveFrom inside the exchange, or a ReplyWithSegment
+// streamed ahead of its reply: a transfer's operation, result channel
+// and timer come from the node's pool. The outstanding-operation tables
+// and their completion paths must add nothing.
 func TestRemoteExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled frames")
@@ -106,8 +107,12 @@ func TestRemoteExchangeAllocs(t *testing.T) {
 		want   float64
 	}{
 		{"SendReply", 0, func(*Proc, Pid) error { return nil }, 0},
-		{"MoveTo", SegWrite, func(p *Proc, src Pid) error { return p.MoveTo(src, 0, data) }, 6},
-		{"MoveFrom", SegRead, func(p *Proc, src Pid) error { return p.MoveFrom(src, 0, data) }, 6},
+		{"MoveTo", SegWrite, func(p *Proc, src Pid) error { return p.MoveTo(src, 0, data) }, 0},
+		{"MoveFrom", SegRead, func(p *Proc, src Pid) error { return p.MoveFrom(src, 0, data) }, 0},
+		{"ReplyWithSegment", SegWrite, func(p *Proc, src Pid) error {
+			var reply Message
+			return p.ReplyWithSegment(&reply, src, 0, data)
+		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			na, nb, _ := pairOnMesh(t, FaultConfig{}, NodeConfig{})
@@ -121,7 +126,7 @@ func TestRemoteExchangeAllocs(t *testing.T) {
 						t.Errorf("%s: %v", tc.name, err)
 					}
 					var reply Message
-					_ = p.Reply(&reply, src)
+					_ = p.Reply(&reply, src) // fails once ReplyWithSegment has answered
 				}
 			})
 			client := mustAttach(na, "client")

@@ -21,6 +21,7 @@ type nodeCounters struct {
 	moveBytes         *obs.Counter
 	moveResumes       *obs.Counter // trains resumed from a gap (non-final MoveToAck, re-issued MoveFromReq)
 	moveOOODrops      *obs.Counter // data packets discarded for arriving at the wrong offset
+	repliesHeld       *obs.Counter // replies that arrived before the stream they cover had landed
 }
 
 // newNodeCounters registers the node counters under their wire-visible
@@ -40,5 +41,6 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		moveBytes:         r.Counter("ipc.move_bytes"),
 		moveResumes:       r.Counter("ipc.move_resumes"),
 		moveOOODrops:      r.Counter("ipc.move_ooo_drops"),
+		repliesHeld:       r.Counter("ipc.replies_held"),
 	}
 }

@@ -135,7 +135,7 @@ func BenchmarkPageWrite(b *testing.B) {
 }
 
 // BenchmarkReadLarge64K measures §6.3 program-load-sized streamed reads
-// (64 KB via MoveTo) versus client concurrency: the same 64 KB of a
+// (64 KB in one train, its reply right behind it) versus client concurrency: the same 64 KB of a
 // store-seeded file over and over, as loading one program again does.
 // A large read caches nothing, so each of these is one store read too,
 // as in the cold case, which reads a 4 MB store-seeded file, eight times

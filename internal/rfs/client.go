@@ -336,8 +336,8 @@ func (c *Client) WriteBlock(file, block uint32, data []byte) error {
 }
 
 // ReadLarge reads up to len(dst) bytes starting at byte offset off into
-// dst. The server streams the data with MoveTo, one train per 64 KB
-// (§6.3); the count returned is how many bytes the file held.
+// dst. The server streams the data, one train per 64 KB (§6.3), the last
+// one ahead of its reply; the count returned is how many bytes the file held.
 func (c *Client) ReadLarge(file, off uint32, dst []byte) (int, error) {
 	m := c.request(OpReadLarge, file, off, uint32(len(dst)))
 	if err := c.exchangeOp(&m, c.segment(dst, ipc.SegWrite)); err != nil {
@@ -390,8 +390,8 @@ func (c *Client) QueryVolumes() ([]uint32, error) {
 }
 
 // QueryStats scrapes the server's metrics registry over V IPC: the
-// server streams its serialized snapshot (the obs text wire format —
-// parse with obs.ParseSnapshot) into dst with MoveTo. It returns the
+// server replies its serialized snapshot (the obs text wire format —
+// parse with obs.ParseSnapshot) into dst with ReplyWithSegment. It returns the
 // bytes streamed and the full snapshot size; streamed < total means dst
 // was too small and the snapshot was cut at a line boundary. Like
 // QueryVolumes the op is volume-agnostic: any server answers for its

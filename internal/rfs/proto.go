@@ -11,9 +11,10 @@
 //   - A page write is also one exchange — the data rides inline with the
 //     Send packet (§3.4's read-segment prefix); any remainder beyond the
 //     inline allowance is pulled with MoveFrom.
-//   - Reads larger than a page (program loading, §6.3) are streamed with
-//     MoveTo, one packet train and one acknowledgement per 64 KB
-//     (maxTrain); large writes are pulled with MoveFrom the same way, and
+//   - Reads larger than a page (program loading, §6.3) are streamed as
+//     one packet train and one acknowledgement per 64 KB (maxTrain), the
+//     last train by ReplyWithSegment with the reply right behind it;
+//     large writes are pulled with MoveFrom the same way, and
 //     a page write is served as the one-block large write it is.
 //
 // The server owns a byte-addressed block store (in-memory or file-backed)
@@ -127,8 +128,8 @@ const (
 	// OpQueryStats scrapes the server's metrics registry over V IPC:
 	// word 4 bounds the reply bytes; the serialized snapshot
 	// (obs.Registry.Serialize — counters, gauges, histogram summaries and
-	// recent trace events in the obs text wire format) is MoveTo-streamed
-	// into the granted segment. Volume-agnostic like OpQueryVolumes: any
+	// recent trace events in the obs text wire format) is replied into
+	// the granted segment with ReplyWithSegment. Volume-agnostic like OpQueryVolumes: any
 	// server answers for its whole registry, so DiscoverAll plus one
 	// OpQueryStats per responder is a full-cluster scrape (cmd/vstat).
 	// The reply carries the streamed byte count in word 2 and the full

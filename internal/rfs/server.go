@@ -784,10 +784,10 @@ func (s *Server) releaseCache(v *volume, req *request, file, cb, _ uint32) {
 
 // queryStats answers OpQueryStats: the server's whole registry —
 // counters, gauges (per-volume ones included) and histogram summaries —
-// serialized to the obs text wire format and streamed into the client's
-// granted buffer with MoveTo. count is the grant size. The reply
-// carries streamed bytes in word 2 and the full snapshot size in word
-// 3, so an undersized grant is detectable (streamed < total): the
+// serialized to the obs text wire format and replied into the client's
+// granted buffer with ReplyWithSegment. count is the grant size. The
+// reply carries the bytes sent in word 2 and the full snapshot size in
+// word 3, so an undersized grant is detectable (sent < total): the
 // snapshot is cut at a line boundary, never mid-metric.
 func (s *Server) queryStats(_ *volume, req *request, _, _, count uint32) {
 	snap := s.metrics.Serialize()
@@ -799,15 +799,11 @@ func (s *Server) queryStats(_ *volume, req *request, _, _, count uint32) {
 		}
 		snap = snap[:cut]
 	}
-	if len(snap) > 0 {
-		if err := s.proc.MoveTo(req.src, 0, snap); err != nil {
-			s.replyStatus(req.src, StatusBadRequest, 0)
-			return
-		}
-	}
 	m := buildReply(StatusOK, uint32(len(snap)))
 	stampStatsReply(&m, uint32(len(snap)), total)
-	_ = s.proc.Reply(&m, req.src)
+	if err := s.proc.ReplyWithSegment(&m, req.src, 0, snap); err != nil {
+		s.replyStatus(req.src, StatusBadRequest, 0)
+	}
 }
 
 // queryVolumes answers OpQueryVolumes: the volume ids this server OWNS
@@ -1028,11 +1024,12 @@ const maxTrain = 64 << 10
 
 // largeRead serves OpReadLarge: count bytes from byte offset off, moved
 // into the client's granted buffer in trains of up to maxTrain (§6.3
-// program loading). Each train is one gather MoveTo (MoveToVec) of views
-// laid out by gather, so the bytes are copied exactly once, into the wire
-// frames. The views stay borrowed until the train has moved; a concurrent
-// write replaces a cache entry but cannot recycle a lent block. The reply
-// reports how many bytes the file actually held.
+// program loading). Each train is one MoveToVec of views laid out by
+// gather, so the bytes are copied exactly once, into the wire frames;
+// the last (often only) train is a ReplyWithSegmentVec instead, the
+// reply right behind it. The views stay borrowed until the train has
+// moved; a concurrent write replaces a cache entry but cannot recycle a
+// lent block. The reply reports how many bytes the file actually held.
 func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 	size, err := s.sizeOf(v, file)
 	if err != nil {
@@ -1045,25 +1042,34 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 	} else if int64(off)+int64(n) > size {
 		n = uint32(size - int64(off))
 	}
-	for done := uint32(0); done < n; {
+	if n == 0 {
+		s.replyStatus(req.src, StatusOK, 0)
+		return
+	}
+	for done := uint32(0); ; {
 		m := min(n-done, maxTrain)
-		status := StatusOK
-		if err := s.gather(v, req, file, off+done, m); err != nil {
+		status := StatusBadRequest
+		err := s.gather(v, req, file, off+done, m)
+		if err != nil {
 			status = statusFor(err)
-		} else if err := s.proc.MoveToVec(req.src, done, req.parts...); err != nil {
-			status = StatusBadRequest
+		} else if done+m < n {
+			err = s.proc.MoveToVec(req.src, done, req.parts...)
+		} else {
+			reply := buildReply(StatusOK, n)
+			err = s.proc.ReplyWithSegmentVec(&reply, req.src, done, req.parts...)
 		}
 		for _, b := range req.held {
-			b.Release() // MoveToVec borrows only for the duration of the call
+			b.Release() // the moves borrow only for the duration of the call
 		}
-		if status != StatusOK {
-			s.replyStatus(req.src, status, done)
+		if err != nil {
+			s.replyStatus(req.src, status, done) // fails if the reply went out
 			return
 		}
-		done += m
+		if done += m; done == n {
+			s.stats.bytesRead.Add(int64(n))
+			return
+		}
 	}
-	s.stats.bytesRead.Add(int64(n))
-	s.replyStatus(req.src, StatusOK, n)
 }
 
 // gather lays out the train of m bytes at file position pos as

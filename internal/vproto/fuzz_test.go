@@ -19,6 +19,8 @@ func FuzzDecode(f *testing.F) {
 		{Kind: KindMoveToData, Flags: FlagLast, Seq: 99, Offset: 4096,
 			Count: 65536, Data: bytes.Repeat([]byte{0x5A}, MaxData)},
 		{Kind: KindGetPid, Flags: FlagScopeRemote, Seq: 3},
+		// A reply held until the MoveTo stream it covers (seq 99) lands.
+		{Kind: KindReply, Flags: FlagStreamed, Seq: 7, Src: 9, Dst: 10, Offset: 99, Count: 65536},
 	}
 	for _, p := range seed {
 		p.Msg.SetWord(1, 42)
