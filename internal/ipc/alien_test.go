@@ -34,7 +34,7 @@ func TestAlienLRUEvictionOrder(t *testing.T) {
 
 	for _, a := range []*alien{a1, a2, a3} {
 		f := bufpool.Get(8)
-		tab.cacheReply(a, f)
+		tab.cacheReply(a, f, 0)
 		f.Release() // the table holds its own reference now
 	}
 
@@ -76,7 +76,7 @@ func TestAlienLRUDropUnlinks(t *testing.T) {
 	tab.m[7] = old
 	tab.mu.Unlock()
 	f := bufpool.Get(8)
-	tab.cacheReply(old, f)
+	tab.cacheReply(old, f, 0)
 	f.Release()
 	tab.drop(old)
 	tab.mu.Lock()
@@ -95,7 +95,7 @@ func TestAlienLRUDropUnlinks(t *testing.T) {
 	tab.m[9] = fresh
 	tab.mu.Unlock()
 	late := bufpool.Get(8)
-	tab.cacheReply(stale, late)
+	tab.cacheReply(stale, late, 0)
 	late.Release() // not stored: the stale descriptor is no longer current
 	tab.mu.Lock()
 	defer tab.mu.Unlock()

@@ -118,10 +118,11 @@ func (t *alienTable) markReceived(a *alien, by Pid) {
 // descriptor. Its one Reply has called cacheReply before the descriptor
 // can be reused, and drop and markShed serve exchanges that were never
 // replied (a dead receiver's queue, a refused enqueue). The replier
-// reads nothing of the descriptor after cacheReply.
-func (t *alienTable) cacheReply(a *alien, f *bufpool.Buf) {
+// reads nothing of the descriptor after cacheReply. stream names the
+// train a streamed reply follows, 0 for none.
+func (t *alienTable) cacheReply(a *alien, f *bufpool.Buf, stream uint32) {
 	t.mu.Lock()
-	a.replied = true
+	a.replied, a.stream = true, stream
 	if !t.closed && t.m[a.src] == a {
 		a.replyFrame = f.Retain()
 		if !a.onLRU {
