@@ -26,7 +26,9 @@ race:
 # detector: packet-train ordering, train framing at every size edge,
 # coalesced trains handed to a worker whole and mixed ones split, replies
 # streamed behind their trains and held until the last byte lands (one
-# overtaking its wedged train, one whose completion ack is lost), late
+# overtaking its wedged train, one whose completion ack is lost), writes
+# pushed behind their Sends (served whole, a lost pushed packet, a queued
+# and a shed Send, late pushes), late
 # move packets, go-back-N under reordering, exactly-once under faults
 # and many receivers on one process, each message to one of them (ipc); concurrent trains,
 # bulk-transfer crossings, replicated read fan-out, caching failover, a
@@ -52,7 +54,7 @@ race:
 # Both halves always run; each one's full output is kept in
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
-STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck
+STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck|TestPushServesMoveFrom|TestPushLossPulledFromGap|TestPushForBusyReceiver|TestLatePushDropped
 STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces|TestExtentRaces
 stress:
 	@s=0; \
@@ -118,24 +120,20 @@ bench-rfs:
 # record paths sit inside the same hot loops, so they must stay
 # allocation-free (and the histogram under ~30ns) for the instrumented
 # paths to stay zero-alloc.
-# Reference points at 1 client (64 KB = one packet train, sent and
-# received as two train frames on udp): ReadLarge64K 6 allocs/op on mem,
-# 10 on udp, repeated (one 64 KB file read over and over) and cold (a
-# 4 MB file front to back) alike, 7 / 11 behind a FileStore; each read
-# is one store read and caches nothing. When a large read refilled the
-# cache block by block, repeated was 8 / 12 (served as 128 cache hits)
-# and cold 265 / 269 at ~20 KB/op; udp was 142 when every packet of the
-# train was its own sendto, recvfrom and pooled frame hand-off.
-# WriteLarge64K 6 on mem, 10 on udp at ~0.6 / 0.8 KB/op: each train is
-# pulled into fresh pooled blocks and staged on the worker in one cache
-# call; stream (a 4 MB file front to back, so every train inserts 128
-# blocks, dropped again once written back) is the same 6 / 10. When
-# each staged block allocated a cache entry and a list element, stream
-# was 265 / 269 and the rest 7 / 11; when a goroutine staged the inline
-# prefix and another the train beside the next pull, it was 32 / 37 at
-# ~22 KB/op (and 165 on udp before trains were one frame). PageWrite is
-# 1 alloc/op on both (the remote sender's descriptor); 2 when a drained
-# receive queue dropped its backing array.
+# Reference points (amd64, 2 shared vCPUs, -benchtime=1s): every rfs
+# case allocates nothing per op — PageRead, PageWrite, ReadLarge64K
+# (repeated, and cold: a 4 MB file front to back) and WriteLarge64K (one
+# file, and stream: a 4 MB file front to back), on mem and udp, at 1, 4
+# and 16 clients — but ReadLarge64K/filestore, 1 (the FileStore read).
+# A 64 KB read is one store read and caches nothing; a 64 KB write is
+# pushed behind its Send into one pooled buffer on the server's node,
+# taken by one MoveFromVec and staged as one extent. Before the move op
+# with its result channel and timer, the read loop's receive buffer and
+# the replied sender's descriptor were reused, ReadLarge64K and
+# WriteLarge64K were 6 allocs/op on mem and 10 on udp and PageWrite 1;
+# on udp 142 and 165 when every packet of a train was its own sendto,
+# recvfrom and pooled frame hand-off; a stream write 265 / 269 when each
+# staged block allocated a cache entry and a list element.
 # SealOpen is one frame's EncodeInto + DecodeInto, 0 allocs/op: with the
 # CRC-32C frame check (amd64, 2 shared vCPUs, -benchtime=1s) 75-84 ns at
 # 0 data bytes, 135-140 at 512 and 192-230 at 1024; with the rotate-add

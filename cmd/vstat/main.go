@@ -181,8 +181,9 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 	// carried: far apart when bulk trains go out segmented. rx_inl is the
 	// share of rx_pkt handled on the read loop (the exchange protocol), the
 	// rest went to the dispatch workers; rx_train of rx_sys went whole.
+	// push_hit/push_drop: MoveFroms a push served, pushed packets dropped.
 	ker := stats.Table{ID: "vstat-3", Title: "kernel and transport",
-		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "rx_train", "gso_ref", "replies", "rep_held", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo"}}
+		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "rx_train", "gso_ref", "replies", "rep_held", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo", "push_hit", "push_drop"}}
 	for _, s := range snaps {
 		ker.AddRow(s.Node,
 			count(s.Counters["net.sends"]), count(s.Counters["net.tx_packets"]),
@@ -193,7 +194,8 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 			count(s.Counters["ipc.retransmits"]),
 			count(s.Counters["ipc.dups_filtered"]), count(s.Counters["ipc.nacks_sent"]),
 			count(s.Counters["ipc.overload_sheds"]),
-			count(s.Counters["ipc.move_resumes"]), count(s.Counters["ipc.move_ooo_drops"]))
+			count(s.Counters["ipc.move_resumes"]), count(s.Counters["ipc.move_ooo_drops"]),
+			count(s.Counters["ipc.push_hits"]), count(s.Counters["ipc.push_drops"]))
 	}
 	b.WriteString(ker.Render())
 	b.WriteString("\n")

@@ -12,7 +12,8 @@
 // reply-pending packets; negative acknowledgements; segment grants with
 // inline prefixes (ReceiveWithSegment / ReplyWithSegment); and MoveTo /
 // MoveFrom bulk transfer with a single completion acknowledgement and
-// resume-from-last-received retransmission.
+// resume-from-last-received retransmission, spared by a read-only
+// segment's push right behind its Send (pushMax).
 package ipc
 
 import (
@@ -154,7 +155,9 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // drops, or a held reply's train, and the Send's barrier fences a move
 // handler still running before a Reply or Nack delivers. This rests on
 // one invariant: no exchange handler waits on network progress. Its only
-// wait is that barrier, bounded by one train send on a worker.
+// wait is that barrier, bounded by one train send on a worker. A Send's
+// push (pushMax) is move packets of its flow sent right behind it, so
+// handled after it; a pushed packet that overtakes its Send is dropped.
 //
 // Buffer ownership: Send and Broadcast (and the optional SendTrain, see
 // TrainSender) borrow pkt only for the duration of the call — the caller

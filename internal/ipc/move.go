@@ -24,7 +24,7 @@ import (
 // the seq of the Send it is serving (wordMoveSend) and the granting node
 // looks the pending Send up by it, so a late packet of an earlier
 // exchange between the same two processes cannot touch the segment of
-// the current one.
+// the current one; a pushed packet (pushMax) carries the Send's own seq.
 //
 // Concurrency: outgoing operations live in the node's n.moves opTable
 // (lifecycle under its lock, buffer writes under the per-op lock), and
@@ -70,12 +70,14 @@ func (op *moveOp) finish(err error) {
 }
 
 // startMove registers and starts a remote transfer between owner's slice
-// list vec and the segment peer granted in its Send sendSeq, at offset
-// base (a streamed reply's train if reply); awaitMove collects the
-// result. Ops are pooled per node with their result channel and timer.
+// list vec and the segment peer granted in its Send, a's message, at
+// offset base (a streamed reply's train if reply); awaitMove collects the
+// result; a pull inside the span the Send pushed is served from the push
+// (pullPushed). Ops are pooled per node with their result channel and timer.
 // As with psend, fields are rewritten inside add's critical section, so a
 // stale timer fire only resends early.
-func (n *Node) startMove(kind moveKind, owner, peer Pid, base, sendSeq uint32, vec [][]byte, size uint32, reply bool) (*moveOp, error) {
+func (n *Node) startMove(kind moveKind, owner, peer Pid, base uint32, a *alien, vec [][]byte, size uint32, reply bool) (*moveOp, error) {
+	sendSeq := a.seq
 	op, _ := n.movePool.Get().(*moveOp)
 	if op == nil {
 		op = &moveOp{ackCh: make(chan error, 1)}
@@ -99,7 +101,7 @@ func (n *Node) startMove(kind moveKind, owner, peer Pid, base, sendSeq uint32, v
 	n.stats.moveBytes.Add(int64(size))
 	if kind == moveTo {
 		n.streamMoveTo(op, 0)
-	} else {
+	} else if !n.pullPushed(op, a) {
 		n.sendMoveFromReq(op, 0)
 	}
 	return op, nil
@@ -194,7 +196,7 @@ func (p *Proc) move(kind moveKind, peer Pid, off uint32, vec [][]byte) error {
 	if total == 0 {
 		return nil
 	}
-	op, err := p.node.startMove(kind, p.pid, peer, off, env.alien.seq, vec, uint32(total), false)
+	op, err := p.node.startMove(kind, p.pid, peer, off, env.alien, vec, uint32(total), false)
 	if err != nil {
 		return err
 	}
@@ -536,19 +538,120 @@ func (n *Node) handleMoveFromData(pkt *vproto.Packet) {
 		return
 	}
 	if pkt.Flags&vproto.FlagLast != 0 {
-		t.mu.Lock()
-		if _, ok := t.liveLocked(pkt.Seq, pkt.Dst); !ok {
-			t.mu.Unlock()
-			return
-		}
-		op.retries = 0
-		op.io.RLock()
-		timer := op.timer
-		t.mu.Unlock()
 		// Gap at end of stream: re-request from the last received byte.
+		n.pullRest(op, pkt.Seq, pkt.Dst, got, true)
+	}
+}
+
+// pullRest asks for live pull op's bytes from got on: a resume when
+// resumed (a gap at a train's end), else the range a push did not cover.
+func (n *Node) pullRest(op *moveOp, seq uint32, owner Pid, got uint32, resumed bool) {
+	t := &n.moves
+	t.mu.Lock()
+	if _, ok := t.liveLocked(seq, owner); !ok {
+		t.mu.Unlock()
+		return
+	}
+	op.retries = 0
+	op.io.RLock()
+	timer := op.timer
+	t.mu.Unlock()
+	if resumed {
 		n.stats.moveResumes.Add(1)
-		n.sendMoveFromReq(op, got)
-		op.io.RUnlock()
-		timer.Reset(n.cfg.RetransmitTimeout)
+	}
+	n.sendMoveFromReq(op, got)
+	op.io.RUnlock()
+	timer.Reset(n.cfg.RetransmitTimeout)
+}
+
+// pushMax bounds a push: a remote Send whose segment grants read access
+// only (a writable one may change under the push) streams its first
+// pushMax bytes right behind itself, the train a pull would bring, as
+// MoveFromData marked FlagStreamed with the Send's Seq. The receiver
+// lands them in the Send's descriptor (handlePush) for a MoveFrom inside
+// the span (pullPushed): the pull protocol recovers what the push lost.
+const pushMax = 64 << 10
+
+// handlePush lands a pushed packet in the descriptor of the Send whose
+// seq it carries, go-back-N from the inline prefix, and feeds a waiting
+// MoveFrom; one for no live, unreplied descriptor of that seq, or past a
+// gap, is dropped. The copy of one packet runs under the table lock; a
+// MoveFrom reads only bytes below pushLen, which nothing writes again.
+func (n *Node) handlePush(pkt *vproto.Packet) {
+	last := pkt.Flags&vproto.FlagLast != 0
+	t := &n.aliens
+	t.mu.Lock()
+	a, ok := t.m[pkt.Src]
+	if !ok || a.seq != pkt.Seq || a.push == nil {
+		t.mu.Unlock()
+		n.stats.pushDrops.Add(1)
+		return
+	}
+	switch from, end := uint64(pkt.Offset), uint64(pkt.Offset)+uint64(len(pkt.Data)); {
+	case from > uint64(a.pushLen) || end > uint64(len(a.push.Data)):
+		n.stats.pushDrops.Add(1) // past a gap: the MoveFrom resumes from it
+	case end > uint64(a.pushLen): // else landed already: the inline prefix, a duplicate
+		copy(a.push.Data[a.pushLen:end], pkt.Data[uint64(a.pushLen)-from:])
+		a.pushLen = uint32(end)
+	}
+	a.pushEnd = a.pushEnd || last
+	waiter, landed := a.pushOp, a.pushLen
+	if waiter == 0 {
+		t.mu.Unlock()
+		return
+	}
+	buf := a.push.Retain() // the waiter copies out of it past the unlock
+	t.mu.Unlock()
+	n.feedPushed(waiter, pkt.Dst, buf.Data, landed, last)
+	buf.Release()
+}
+
+// pullPushed serves pull op from the push behind a's Send if op starts in
+// the pushed span: op takes what has landed and waits for handlePush to
+// feed it the rest. It reports false when there is no push to serve op.
+func (n *Node) pullPushed(op *moveOp, a *alien) bool {
+	t := &n.aliens
+	t.mu.Lock()
+	if a.seq != op.sendSeq || a.push == nil || op.base >= uint32(len(a.push.Data)) {
+		t.mu.Unlock()
+		return false
+	}
+	a.pushOp = op.seq
+	buf, landed, ended := a.push.Retain(), a.pushLen, a.pushEnd
+	t.mu.Unlock()
+	n.feedPushed(op.seq, op.owner, buf.Data, landed, ended)
+	buf.Release()
+	return true
+}
+
+// feedPushed copies what pull op seq lacks of the landed pushed[:landed]
+// into its scatter list, then completes it or, once the push has ended,
+// pulls the rest: a resume if the push lost a packet, else past its span.
+func (n *Node) feedPushed(seq uint32, owner Pid, pushed []byte, landed uint32, ended bool) {
+	t := &n.moves
+	t.mu.Lock()
+	op, ok := t.liveLocked(seq, owner) // seq was a pull's, never reused
+	if !ok {
+		t.mu.Unlock()
+		return
+	}
+	op.io.RLock()
+	t.mu.Unlock()
+	op.mu.Lock()
+	if from := op.base + op.got; landed > from {
+		to := min(landed, op.base+op.size)
+		scatterCopy(op.vec, op.got, pushed[from:to])
+		op.got = to - op.base
+	}
+	got, size := op.got, op.size
+	op.mu.Unlock()
+	op.io.RUnlock()
+	if got >= size {
+		if _, ok := t.take(seq, owner); ok {
+			n.stats.pushHits.Add(1)
+			op.finish(nil)
+		}
+	} else if ended {
+		n.pullRest(op, seq, owner, got, landed < uint32(len(pushed)))
 	}
 }

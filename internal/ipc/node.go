@@ -74,6 +74,15 @@ type alien struct {
 	// senders of the cached frame retain around the transmit.
 	replyFrame *bufpool.Buf
 
+	// push is the segment head the sender pushes behind this Send
+	// (pushMax), the inline prefix landed at once: pushLen bytes have
+	// landed, pushEnd marks its last packet seen, pushOp names the
+	// MoveFrom waiting on it. Returned at reply, shed or removal.
+	push    *bufpool.Buf
+	pushLen uint32
+	pushEnd bool
+	pushOp  uint32
+
 	// Intrusive LRU links. Only replied descriptors — the evictable ones —
 	// are on the list, ordered least- to most-recently touched; guarded by
 	// the alienTable lock.
@@ -308,7 +317,11 @@ func (n *Node) handlePacket(f *bufpool.Buf) {
 	case vproto.KindMoveFromReq:
 		n.handleMoveFromReq(&pkt)
 	case vproto.KindMoveFromData:
-		n.handleMoveFromData(&pkt)
+		if pkt.Flags&vproto.FlagStreamed != 0 {
+			n.handlePush(&pkt)
+		} else {
+			n.handleMoveFromData(&pkt)
+		}
 	case vproto.KindGetPid:
 		n.handleGetPid(&pkt)
 	case vproto.KindGetPidReply:
@@ -413,6 +426,10 @@ func (n *Node) handleSend(pkt *vproto.Packet, f *bufpool.Buf) {
 	a.src, a.seq, a.msg = pkt.Src, pkt.Seq, pkt.Msg
 	a.env = envelope{from: pkt.Src, msg: pkt.Msg, alien: a}
 	env := &a.env
+	if _, size, access, ok := pkt.Msg.Segment(); ok && access == SegRead && size > uint32(len(pkt.Data)) {
+		a.push = bufpool.Get(int(min(size, pushMax)))
+		a.pushLen = uint32(copy(a.push.Data, pkt.Data))
+	}
 	if len(pkt.Data) > 0 {
 		// The inline segment prefix aliases the receive frame; pin the
 		// frame until the exchange consumes it (zero-copy delivery).

@@ -250,7 +250,8 @@ func (p *Proc) enqueue(env *envelope) enqStatus {
 // Send sends msg to dst and blocks until the receiver replies; the reply
 // overwrites *msg (§2.1). seg, if non-nil, is the segment the message
 // grants; for remote destinations with read access, its first
-// vproto.MaxData bytes travel inside the Send packet (§3.4).
+// vproto.MaxData bytes travel inside the Send packet (§3.4), and a longer
+// read-only segment's first 64 KB are pushed right behind it (pushMax).
 func (p *Proc) Send(msg *Message, dst Pid, seg *Segment) error {
 	if seg != nil {
 		msg.SetSegment(0, uint32(len(seg.Data)), seg.Access)
@@ -282,6 +283,8 @@ func (p *Proc) Send(msg *Message, dst Pid, seg *Segment) error {
 // is encoded once into a pooled frame that lives for the whole exchange
 // (retransmissions pin it); the inline segment prefix is copied straight
 // from the granted segment into the frame, with no intermediate buffer.
+// A longer read-only segment is pushed once, behind the first transmit
+// (pushMax); a retransmission resends the Send, the receiver pulls the rest.
 func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 	n := p.node
 	pkt := &vproto.Packet{
@@ -324,6 +327,11 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 
 	t0 := n.metrics.Start()
 	_ = n.transport.Send(dst.Host(), f.Data)
+	if seg != nil && seg.Access == SegRead && len(seg.Data) > vproto.MaxData {
+		data := seg.Data[:min(len(seg.Data), pushMax)] // see pushMax
+		n.streamTrain(vproto.Packet{Kind: vproto.KindMoveFromData, Flags: vproto.FlagStreamed, Seq: pkt.Seq,
+			Src: p.pid, Dst: dst, Count: uint32(len(data))}, [][]byte{data}, 0)
+	}
 	res := <-ps.replyCh
 	f.Release() // exchange over; in-flight retransmits hold their own refs
 	if res.err == nil {
@@ -507,7 +515,7 @@ func (n *Node) remoteReply(p *Proc, msg *Message, a *alien, destOff uint32, vec 
 	inline := total
 	if total > vproto.MaxData {
 		var err error
-		if op, err = n.startMove(moveTo, p.pid, a.src, destOff, a.seq, vec, uint32(total), true); err != nil {
+		if op, err = n.startMove(moveTo, p.pid, a.src, destOff, a, vec, uint32(total), true); err != nil {
 			return err
 		}
 		stream = op.seq

@@ -22,6 +22,8 @@ type nodeCounters struct {
 	moveResumes       *obs.Counter // trains resumed from a gap (non-final MoveToAck, re-issued MoveFromReq)
 	moveOOODrops      *obs.Counter // data packets discarded for arriving at the wrong offset
 	repliesHeld       *obs.Counter // replies that arrived before the stream they cover had landed
+	pushHits          *obs.Counter // MoveFroms served wholly from the push behind their Send
+	pushDrops         *obs.Counter // pushed packets discarded: no live descriptor of their Send, or past a gap
 }
 
 // newNodeCounters registers the node counters under their wire-visible
@@ -42,5 +44,7 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		moveResumes:       r.Counter("ipc.move_resumes"),
 		moveOOODrops:      r.Counter("ipc.move_ooo_drops"),
 		repliesHeld:       r.Counter("ipc.replies_held"),
+		pushHits:          r.Counter("ipc.push_hits"),
+		pushDrops:         r.Counter("ipc.push_drops"),
 	}
 }

@@ -95,6 +95,13 @@ func (t *alienTable) removeLocked(a *alien) {
 	delete(t.m, a.src)
 	a.replyFrame.Release()
 	a.replyFrame = nil
+	a.dropPush()
+}
+
+// dropPush returns a's push buffer, if any; caller holds the table lock.
+func (a *alien) dropPush() {
+	a.push.Release()
+	a.push = nil
 }
 
 // markReceived records delivery of the alien's message to a local process.
@@ -123,6 +130,7 @@ func (t *alienTable) markReceived(a *alien, by Pid) {
 func (t *alienTable) cacheReply(a *alien, f *bufpool.Buf, stream uint32) {
 	t.mu.Lock()
 	a.replied, a.stream = true, stream
+	a.dropPush()
 	if !t.closed && t.m[a.src] == a {
 		a.replyFrame = f.Retain()
 		if !a.onLRU {
@@ -139,6 +147,7 @@ func (t *alienTable) markShed(a *alien) {
 	t.mu.Lock()
 	if t.m[a.src] == a {
 		a.shed = true
+		a.dropPush()
 		if !a.onLRU {
 			t.lruPushLocked(a)
 		}
@@ -178,6 +187,7 @@ func (t *alienTable) drainRelease() {
 	for _, a := range t.m {
 		a.replyFrame.Release()
 		a.replyFrame = nil
+		a.dropPush()
 	}
 	t.m = map[Pid]*alien{}
 	t.lruHead, t.lruTail = nil, nil

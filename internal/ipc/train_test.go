@@ -357,6 +357,24 @@ func TestSplitSegmentsTwoFlows(t *testing.T) {
 	}
 }
 
+// pushedSend encodes a Send granting read access to a segment and the
+// first packets of the push behind it, back to back, all 1,088 bytes.
+func pushedSend(pushed int) []byte {
+	src, dst := vproto.MakePid(1, 1), vproto.MakePid(2, 7)
+	data := patterned(pushMax)
+	send := vproto.Packet{Kind: vproto.KindSend, Seq: 5, Src: src, Dst: dst, Count: vproto.MaxData, Data: data[:vproto.MaxData]}
+	send.Msg.SetSegment(0, pushMax, SegRead)
+	dgram, _ := send.Encode()
+	for i := 0; i < pushed; i++ {
+		off := i * vproto.MaxData
+		push := vproto.Packet{Kind: vproto.KindMoveFromData, Flags: vproto.FlagStreamed, Seq: 5, Src: src, Dst: dst,
+			Offset: uint32(off), Count: pushMax, Data: data[off : off+vproto.MaxData]}
+		wire, _ := push.Encode()
+		dgram = append(dgram, wire...)
+	}
+	return dgram
+}
+
 // FuzzSplitSegments: whatever the datagram length, the segment size and
 // the control bytes claim, parsing and splitting must not panic, and the
 // frames leaving both exits must cover the datagram exactly once, each
@@ -374,6 +392,11 @@ func FuzzSplitSegments(f *testing.F) {
 	// train ending in a short Reply, split.
 	f.Add(bytes.Repeat(mixed[:20], 5), 20, []byte{})
 	f.Add(append(bytes.Repeat(mixed[:20], 4), mixed[20*5:20*5+10]...), 20, []byte{})
+	// A Send carrying a full inline prefix is as long as the packets of
+	// the push behind it, so receive offload can coalesce the two into
+	// one datagram: the Send must go inline, before its pushed packets
+	// reach their worker.
+	f.Add(pushedSend(4), vproto.HeaderSize+vproto.MessageSize+vproto.MaxData, []byte{})
 	f.Fuzz(func(t *testing.T, dgram []byte, segSize int, oob []byte) {
 		for _, seg := range []int{segSize, groSegSize(oob)} {
 			newSplitHarness(2).split(t, dgram, seg)

@@ -177,14 +177,14 @@ func BenchmarkReadLarge64K(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteLarge64K measures streamed 64 KB writes (pulled by the
-// server as one MoveFrom train straight into one pooled buffer, staged
-// as one extent and written back from it with one store write) versus
-// client concurrency. Each client writes its own file, the
-// program-installation shape of §6.3, rewriting the same 128 blocks,
-// which never enter the block cache. The stream case writes a 4 MB
-// file, eight times the default cache, front to back: the write path
-// of stream_64k.
+// BenchmarkWriteLarge64K measures streamed 64 KB writes (pushed by the
+// client's kernel right behind the Send and taken by the server's one
+// MoveFrom into one pooled buffer, staged as one extent and written back
+// from it with one store write) versus client concurrency. Each client
+// writes its own file, the program-installation shape of §6.3,
+// rewriting the same 128 blocks, which never enter the block cache. The
+// stream case writes a 4 MB file, eight times the default cache, front
+// to back: the write path of stream_64k.
 func BenchmarkWriteLarge64K(b *testing.B) {
 	const size = 64 * 1024
 	const streamSize = 4 << 20
@@ -211,11 +211,10 @@ func BenchmarkWriteLarge64K(b *testing.B) {
 // BenchmarkPageReadBesideStream measures what a pager pays for sharing
 // its workstation with a streamer: the median page-read latency of one
 // client process, alone and while a second process on the same node
-// loops 64 KB WriteLarge — whose MoveFrom trains the client node's
-// dispatch workers stream out, 64 packets at a time. "same-worker" puts
-// the two processes' flows on one dispatch worker (their pids differ by
-// the worker count), the worst case; "other-worker" is what consecutive
-// Attach calls give.
+// loops 64 KB WriteLarge — whose 64-packet trains the streaming process
+// pushes out behind each Send. "same-worker" puts the two processes'
+// flows on one dispatch worker (their pids differ by the worker count),
+// the worst case; "other-worker" is what consecutive Attach calls give.
 func BenchmarkPageReadBesideStream(b *testing.B) {
 	workers := min(max(runtime.GOMAXPROCS(0), 2), 16) // ipc's dispatcher sizing
 	for _, tc := range []struct {

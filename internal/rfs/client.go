@@ -348,7 +348,8 @@ func (c *Client) ReadLarge(file, off uint32, dst []byte) (int, error) {
 }
 
 // WriteLarge writes data to the file at byte offset off; the server pulls
-// it with scatter MoveFrom, one train per 64 KB.
+// it with scatter MoveFrom, one train per 64 KB, the first pushed right
+// behind the Send, not a request away.
 func (c *Client) WriteLarge(file, off uint32, data []byte) error {
 	m := c.request(OpWriteLarge, file, off, uint32(len(data)))
 	return c.exchangeOp(&m, c.segment(data, ipc.SegRead))

@@ -14,7 +14,8 @@
 //   - Reads larger than a page (program loading, §6.3) are streamed as
 //     one packet train and one acknowledgement per 64 KB (maxTrain), the
 //     last train by ReplyWithSegment with the reply right behind it;
-//     large writes are pulled with MoveFrom the same way, and
+//     large writes are taken with MoveFrom a train at a time, the first
+//     out of the push the client's kernel sends behind the Send, and
 //     a page write is served as the one-block large write it is.
 //
 // The server owns a byte-addressed block store (in-memory or file-backed)
@@ -56,7 +57,7 @@ const (
 	OpReadBlock  uint32 = 1 // page-level read: data in the reply packet
 	OpWriteBlock uint32 = 2 // page-level write: data inline with the Send
 	OpReadLarge  uint32 = 3 // multi-block read streamed via MoveTo
-	OpWriteLarge uint32 = 4 // multi-block write pulled via MoveFrom
+	OpWriteLarge uint32 = 4 // multi-block write taken via MoveFrom (its first 64 KB pushed)
 	OpQueryFile  uint32 = 5 // file size lookup
 	OpCreateFile uint32 = 6 // create (or truncate) a file
 	OpSync       uint32 = 7 // drain write-behind blocks to the store (word 2: file id, 0 = whole cache)

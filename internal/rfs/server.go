@@ -246,7 +246,7 @@ func opIndex(op uint32) uint32 {
 type request struct {
 	msg    ipc.Message
 	src    ipc.Pid
-	buf    []byte // staging: holds the inline segment prefix, reused for MoveFrom pulls
+	buf    []byte // staging: holds the inline segment prefix
 	inline int    // bytes of buf filled by the Send's inline prefix
 	trace  uint32 // the request message's 24-bit trace id (0 = untraced)
 	// held, views and parts are the large ops' per-train scratch (the
@@ -1174,8 +1174,9 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 // writeTrain lands the train of m bytes at file position pos, which is
 // byte done of the client's segment, in one pooled buffer of the
 // whole-block images it touches: the train's share of the inline prefix
-// is copied in and the rest pulled with one MoveFromVec, straight off the
-// wire. The train is then staged in one call, head and tail blocks
+// is copied in and the rest taken with one MoveFromVec — for the first
+// train out of the push the kernel landed, later straight off the wire.
+// The train is then staged in one call, head and tail blocks
 // completed from the old image, and logged as one replication record.
 // It returns the record's sequence and the write's status.
 func (s *Server) writeTrain(v *volume, req *request, file, pos, done, m uint32) (uint32, uint32) {

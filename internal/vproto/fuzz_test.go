@@ -21,6 +21,10 @@ func FuzzDecode(f *testing.F) {
 		{Kind: KindGetPid, Flags: FlagScopeRemote, Seq: 3},
 		// A reply held until the MoveTo stream it covers (seq 99) lands.
 		{Kind: KindReply, Flags: FlagStreamed, Seq: 7, Src: 9, Dst: 10, Offset: 99, Count: 65536},
+		// The last packet of a push: 64 KB of a Send's segment streamed
+		// behind the Send whose seq (5) it carries.
+		{Kind: KindMoveFromData, Flags: FlagStreamed | FlagLast, Seq: 5, Src: MakePid(1, 2), Dst: MakePid(3, 4),
+			Offset: 65536 - MaxData, Count: 65536, Data: bytes.Repeat([]byte{0x3C}, MaxData)},
 	}
 	for _, p := range seed {
 		p.Msg.SetWord(1, 42)

@@ -151,7 +151,7 @@ const (
 	FlagScopeLocal  = 1 << 2 // name-service scope bits (GetPid/SetPid)
 	FlagScopeRemote = 1 << 3
 	FlagOverload    = 1 << 4 // on a Nack: receiver shed the message (retryable)
-	FlagStreamed    = 1 << 5 // on a Reply: it covers the MoveTo stream named by Offset; on MoveToData: a streamed Reply follows
+	FlagStreamed    = 1 << 5 // on a Reply: it covers the MoveTo stream named by Offset; on MoveToData: a streamed Reply follows; on MoveFromData: pushed behind the Send whose seq it carries
 )
 
 // HeaderSize is the wire size of the fixed interkernel header. Every packet
@@ -176,7 +176,11 @@ const Version = 2
 //   - MoveToData/MoveFromData: Offset is the byte offset within the
 //     destination (resp. source) segment, Count the total transfer size,
 //     Data the chunk. FlagLast marks the final packet, FlagStreamed the
-//     packets of a stream a FlagStreamed Reply follows.
+//     packets of a stream a FlagStreamed Reply follows. A MoveFromData
+//     with FlagStreamed was pushed: its sender streams the head of a
+//     read-only segment right behind the Send granting it, unasked.
+//     Its Seq is that Send's, Offset is from the segment's start and
+//     Count the pushed span.
 //   - MoveToAck: Offset is the number of contiguous bytes received; a
 //     non-Last ack asks the mover to resume from Offset.
 //   - MoveFromReq: Offset/Count give the requested range of the remote
