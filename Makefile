@@ -28,7 +28,8 @@ race:
 # streamed behind their trains and held until the last byte lands (one
 # overtaking its wedged train, one whose completion ack is lost), writes
 # pushed behind their Sends (served whole, a lost pushed packet, a queued
-# and a shed Send, late pushes), late
+# and a shed Send, late pushes, a Send heading its push's first train
+# frame, a writable segment left unpushed), late
 # move packets, go-back-N under reordering, exactly-once under faults
 # and many receivers on one process, each message to one of them (ipc); concurrent trains,
 # bulk-transfer crossings, replicated read fan-out, caching failover, a
@@ -54,7 +55,7 @@ race:
 # Both halves always run; each one's full output is kept in
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
-STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck|TestPushServesMoveFrom|TestPushLossPulledFromGap|TestPushForBusyReceiver|TestLatePushDropped
+STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck|TestPushServesMoveFrom|TestPushLossPulledFromGap|TestPushForBusyReceiver|TestLatePushDropped|TestPushedSendLeadsItsTrain|TestNoPushForWritableSegment
 STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces|TestExtentRaces
 stress:
 	@s=0; \

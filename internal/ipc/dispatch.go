@@ -92,7 +92,8 @@ func flowOf(pkt []byte) uint32 {
 // rest — the exchange protocol, runts, unknown kinds — is handled where
 // it was read, the paper's "common case at interrupt level": those
 // handlers touch one table, hand over a result or wake a receiver, and
-// send at most one datagram. The lane is a property of the kind.
+// send at most one datagram. The lane is a property of the kind, even
+// for a Send that heads its push's train frame (see addSegments).
 func queued(pkt []byte) bool {
 	if len(pkt) == 0 {
 		return false

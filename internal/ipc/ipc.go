@@ -13,7 +13,8 @@
 // inline prefixes (ReceiveWithSegment / ReplyWithSegment); and MoveTo /
 // MoveFrom bulk transfer with a single completion acknowledgement and
 // resume-from-last-received retransmission, spared by a read-only
-// segment's push right behind its Send (pushMax).
+// segment's push right behind its Send, which heads the push's first
+// train frame (pushMax).
 package ipc
 
 import (
@@ -158,6 +159,9 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // wait is that barrier, bounded by one train send on a worker. A Send's
 // push (pushMax) is move packets of its flow sent right behind it, so
 // handled after it; a pushed packet that overtakes its Send is dropped.
+// The Send may share the push's first train frame (SendTrain): a
+// receiving transport handles it before that frame's moves, on the read
+// loop as any exchange packet, and only then hands them to their worker.
 //
 // Buffer ownership: Send and Broadcast (and the optional SendTrain, see
 // TrainSender) borrow pkt only for the duration of the call — the caller

@@ -256,16 +256,19 @@ func scatterCopy(vec [][]byte, off uint32, src []byte) {
 // of its own: as many equal-size segments as one train frame may hold are
 // laid back to back in one pooled frame and handed to the transport
 // together, so a transport with the TrainSender capability crosses into
-// the kernel once per frame instead of once per packet.
-func (n *Node) streamTrain(pkt vproto.Packet, vec [][]byte, from uint32) {
+// the kernel once per frame instead of once per packet. head, if not
+// empty, is an encoded packet exactly one segment long (a pushing Send,
+// see remoteSend) copied in as the first frame's leading segment.
+func (n *Node) streamTrain(pkt vproto.Packet, vec [][]byte, from uint32, head []byte) {
 	const overhead = vproto.HeaderSize + vproto.MessageSize
 	chunk := uint32(n.cfg.ChunkSize)
 	segSize := overhead + int(chunk)
 	perFrame := uint32(min(trainMaxSegs, trainMaxBytes/segSize))
 	for off := from; off < pkt.Count; {
-		segs := min((pkt.Count-off-1)/chunk+1, perFrame)
-		f := bufpool.Get(int(segs) * segSize)
-		at := 0
+		segs := min((pkt.Count-off-1)/chunk+1, perFrame-uint32(len(head)/segSize))
+		f := bufpool.Get(len(head) + int(segs)*segSize)
+		at := copy(f.Data, head)
+		head = nil
 		for ; segs > 0; segs-- {
 			m := min(chunk, pkt.Count-off)
 			pkt.Offset, pkt.Flags = off, pkt.Flags&^vproto.FlagLast
@@ -300,7 +303,7 @@ func (n *Node) streamMoveTo(op *moveOp, from uint32) {
 	}
 	hdr.Msg.SetWord(wordMoveBase, op.base)
 	hdr.Msg.SetWord(wordMoveSend, op.sendSeq)
-	n.streamTrain(hdr, op.vec, from)
+	n.streamTrain(hdr, op.vec, from, nil)
 }
 
 // sendMoveFromReq requests the remainder of a pull transfer, starting at
@@ -500,7 +503,7 @@ func (n *Node) handleMoveFromReq(pkt *vproto.Packet) {
 		Src:   pkt.Dst,
 		Dst:   pkt.Src,
 		Count: pkt.Count,
-	}, [][]byte{ps.seg.Data[base : base+pkt.Count]}, pkt.Offset)
+	}, [][]byte{ps.seg.Data[base : base+pkt.Count]}, pkt.Offset, nil)
 }
 
 // handleMoveFromData accumulates streamed bytes into the requester's
@@ -567,7 +570,9 @@ func (n *Node) pullRest(op *moveOp, seq uint32, owner Pid, got uint32, resumed b
 // pushMax bounds a push: a remote Send whose segment grants read access
 // only (a writable one may change under the push) streams its first
 // pushMax bytes right behind itself, the train a pull would bring, as
-// MoveFromData marked FlagStreamed with the Send's Seq. The receiver
+// MoveFromData marked FlagStreamed with the Send's Seq; a Send as long as
+// a push packet heads the train's first frame, one kernel crossing
+// instead of two (the receiving read loop handles it first). The receiver
 // lands them in the Send's descriptor (handlePush) for a MoveFrom inside
 // the span (pullPushed): the pull protocol recovers what the push lost.
 const pushMax = 64 << 10

@@ -284,7 +284,9 @@ func (p *Proc) Send(msg *Message, dst Pid, seg *Segment) error {
 // (retransmissions pin it); the inline segment prefix is copied straight
 // from the granted segment into the frame, with no intermediate buffer.
 // A longer read-only segment is pushed once, behind the first transmit
-// (pushMax); a retransmission resends the Send, the receiver pulls the rest.
+// (pushMax), the Send heading the push's first train frame when it is as
+// long as a push packet; a retransmission resends the Send alone, the
+// receiver pulls the rest.
 func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 	n := p.node
 	pkt := &vproto.Packet{
@@ -326,11 +328,17 @@ func (p *Proc) remoteSend(msg *Message, dst Pid, seg *Segment) error {
 	n.stats.remoteSends.Add(1)
 
 	t0 := n.metrics.Start()
-	_ = n.transport.Send(dst.Host(), f.Data)
-	if seg != nil && seg.Access == SegRead && len(seg.Data) > vproto.MaxData {
+	push := seg != nil && seg.Access == SegRead && len(seg.Data) > vproto.MaxData
+	var head []byte // the Send, if it heads its push's first train frame
+	if push && len(f.Data) == vproto.HeaderSize+vproto.MessageSize+n.cfg.ChunkSize {
+		head = f.Data
+	} else {
+		_ = n.transport.Send(dst.Host(), f.Data)
+	}
+	if push {
 		data := seg.Data[:min(len(seg.Data), pushMax)] // see pushMax
 		n.streamTrain(vproto.Packet{Kind: vproto.KindMoveFromData, Flags: vproto.FlagStreamed, Seq: pkt.Seq,
-			Src: p.pid, Dst: dst, Count: uint32(len(data))}, [][]byte{data}, 0)
+			Src: p.pid, Dst: dst, Count: uint32(len(data))}, [][]byte{data}, 0, head)
 	}
 	res := <-ps.replyCh
 	f.Release() // exchange over; in-flight retransmits hold their own refs

@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +142,67 @@ func TestPushServesMoveFrom(t *testing.T) {
 			}
 			if resumes, ooo, retrans := moveCounters(client, server); resumes != 0 || ooo != 0 || retrans != 0 {
 				t.Errorf("move_resumes=%d move_ooo_drops=%d retransmits=%d, want all 0", resumes, ooo, retrans)
+			}
+		})
+	}
+}
+
+// TestPushedSendLeadsItsTrain: over UDP, a Send as long as a push
+// packet heads its push's first train frame, so a 64 KB pushed write
+// costs the client two kernel crossings, one per train frame, and the
+// server two reads: the Send handled on the read loop, then each frame's
+// pushed packets handed to a worker whole. The MoveFromVec taking the
+// Send is served from the push, byte for byte. At a 512-byte ChunkSize
+// the Send is longer than a push packet and goes alone.
+func TestPushedSendLeadsItsTrain(t *testing.T) {
+	for _, tc := range []struct {
+		chunk int
+		sends int64
+	}{{vproto.MaxData, 2}, {512, 3}} {
+		t.Run(fmt.Sprintf("chunk=%d", tc.chunk), func(t *testing.T) {
+			client, server := nodePair(t, "udp", NodeConfig{ChunkSize: tc.chunk, RetransmitTimeout: time.Second})
+			ct, st := client.transport.(*UDPTransport), server.transport.(*UDPTransport)
+			data := trainData()
+			got := [][]byte{make([]byte, 1000), make([]byte, 30000), make([]byte, len(data)-31000)}
+			srv, errs := pushServer(server, func(p *Proc, src Pid, _ Message) error {
+				return p.MoveFromVec(src, 0, got...)
+			})
+			p := mustAttach(client, "client")
+			defer client.Detach(p)
+			sends, recvs, inline, trains := ct.sends.Load(), st.recvs.Load(), st.rxInline.Load(), st.rxTrains.Load()
+			var m Message
+			if err := p.Send(&m, srv, &Segment{Data: data, Access: SegRead}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errs; err != nil {
+				t.Fatalf("MoveFromVec: %v", err)
+			}
+			if !bytes.Equal(bytes.Join(got, nil), data) {
+				t.Fatal("MoveFromVec took wrong bytes")
+			}
+			if hits, drops := counter(server, "ipc.push_hits"), counter(server, "ipc.push_drops"); hits != 1 || drops != 0 {
+				t.Errorf("ipc.push_hits=%d ipc.push_drops=%d, want 1 and 0", hits, drops)
+			}
+			if resumes, _, retrans := moveCounters(client, server); resumes != 0 || retrans != 0 {
+				t.Errorf("move_resumes=%d retransmits=%d, want 0 and 0", resumes, retrans)
+			}
+			// The read loop counts a handed-on train after the worker may
+			// have served it: wait for the second frame's count.
+			for deadline := time.Now().Add(time.Second); st.rxTrains.Load()-trains < 2 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if ct.gsoRefusals.Load() > 0 || st.rxTrains.Load() == trains {
+				t.Logf("net.rx_trains +%d: no segmentation or receive offload here", st.rxTrains.Load()-trains)
+				return
+			}
+			if got := ct.sends.Load() - sends; got != tc.sends {
+				t.Errorf("client net.sends +%d, want +%d", got, tc.sends)
+			}
+			if tc.chunk != vproto.MaxData {
+				return
+			}
+			if r, i, tr := st.recvs.Load()-recvs, st.rxInline.Load()-inline, st.rxTrains.Load()-trains; r != 2 || i != 1 || tr != 2 {
+				t.Errorf("server net.recvs +%d, net.rx_inline +%d, net.rx_trains +%d; want +2, +1 (the Send), +2", r, i, tr)
 			}
 		})
 	}

@@ -160,6 +160,7 @@ type splitHarness struct {
 	trains          *obs.Counter
 	mu              sync.Mutex
 	lanes           map[int64][][]byte
+	first           *int64   // the lane handed the first frame
 	lent            int      // packets handed over as views of a whole datagram
 	put             [][]byte // whole datagrams' buffers given back
 }
@@ -190,6 +191,9 @@ func newSplitHarness(workers int) *splitHarness {
 func (h *splitHarness) record(lane int64, f *bufpool.Buf) {
 	h.mu.Lock()
 	h.lanes[lane] = append(h.lanes[lane], append([]byte(nil), f.Data...))
+	if h.first == nil {
+		h.first = &lane
+	}
 	if f.Refs() == 0 {
 		h.lent++
 	}
@@ -201,9 +205,11 @@ func (h *splitHarness) record(lane int64, f *bufpool.Buf) {
 // packets: each packet exactly once, whole, in its lane — exchange
 // packets inline, move packets queued — and each lane in arrival order.
 // Two or more move packets of one flow must have gone to the worker as
-// one whole-datagram item whose buffer was given back;
-// anything else split into frames, none of them leaked. It returns how
-// many packets addSegments reported.
+// one whole-datagram item whose buffer was given back, and so must such
+// a train led by an exchange packet of its flow, but for that head, which
+// must have been handled inline, first, in a frame of its own; anything
+// else split into frames, none of them leaked. It returns how many
+// packets addSegments reported.
 func (h *splitHarness) split(t *testing.T, dgram []byte, segSize int) int {
 	t.Helper()
 	before := bufpool.Outstanding()
@@ -238,10 +244,14 @@ func (h *splitHarness) split(t *testing.T, dgram []byte, segSize int) int {
 	if n != want {
 		t.Fatalf("addSegments reported %d packets, the datagram holds %d", n, want)
 	}
-	wantWhole := want > 1 && moves == want && len(flows) == 1
+	head := !queued(dgram) && flows[flowOf(dgram)] // an exchange packet leading its flow's moves
+	wantWhole := len(flows) == 1 && (want > 1 && moves == want || head && moves > 1 && moves == want-1)
 	lent, trains := 0, int64(0)
 	if wantWhole {
-		lent, trains = want, 1
+		lent, trains = moves, 1
+		if head && *h.first != inlineLane {
+			t.Fatalf("segSize %d: the head of a %d-packet train went to lane %d first, want inline", segSize, want, *h.first)
+		}
 	}
 	if whole != wantWhole || h.lent != lent || h.trains.Load() != trains {
 		t.Fatalf("segSize %d, %d packets, %d moves of %d flows: whole=%v, %d packets lent, net.rx_trains=%d; want whole=%v, %d, %d",
@@ -358,8 +368,9 @@ func TestSplitSegmentsTwoFlows(t *testing.T) {
 }
 
 // pushedSend encodes a Send granting read access to a segment and the
-// first packets of the push behind it, back to back, all 1,088 bytes.
-func pushedSend(pushed int) []byte {
+// first packets of the push behind it, back to back, all 1,088 bytes;
+// the pushed packets come from pushSrc, the Send's sender or not.
+func pushedSend(pushed int, pushSrc Pid) []byte {
 	src, dst := vproto.MakePid(1, 1), vproto.MakePid(2, 7)
 	data := patterned(pushMax)
 	send := vproto.Packet{Kind: vproto.KindSend, Seq: 5, Src: src, Dst: dst, Count: vproto.MaxData, Data: data[:vproto.MaxData]}
@@ -367,7 +378,7 @@ func pushedSend(pushed int) []byte {
 	dgram, _ := send.Encode()
 	for i := 0; i < pushed; i++ {
 		off := i * vproto.MaxData
-		push := vproto.Packet{Kind: vproto.KindMoveFromData, Flags: vproto.FlagStreamed, Seq: 5, Src: src, Dst: dst,
+		push := vproto.Packet{Kind: vproto.KindMoveFromData, Flags: vproto.FlagStreamed, Seq: 5, Src: pushSrc, Dst: dst,
 			Offset: uint32(off), Count: pushMax, Data: data[off : off+vproto.MaxData]}
 		wire, _ := push.Encode()
 		dgram = append(dgram, wire...)
@@ -393,10 +404,18 @@ func FuzzSplitSegments(f *testing.F) {
 	f.Add(bytes.Repeat(mixed[:20], 5), 20, []byte{})
 	f.Add(append(bytes.Repeat(mixed[:20], 4), mixed[20*5:20*5+10]...), 20, []byte{})
 	// A Send carrying a full inline prefix is as long as the packets of
-	// the push behind it, so receive offload can coalesce the two into
-	// one datagram: the Send must go inline, before its pushed packets
-	// reach their worker.
-	f.Add(pushedSend(4), vproto.HeaderSize+vproto.MessageSize+vproto.MaxData, []byte{})
+	// the push behind it and leads the push's first train frame, so
+	// receive offload hands the two back as one datagram: the Send goes
+	// inline, first, then its pushed packets to their worker whole.
+	const pushSeg = vproto.HeaderSize + vproto.MessageSize + vproto.MaxData
+	sender := vproto.MakePid(1, 1)
+	f.Add(pushedSend(4, sender), pushSeg, []byte{})
+	// The same Send followed by one pushed packet, and followed by moves
+	// of another flow: both split.
+	f.Add(pushedSend(1, sender), pushSeg, []byte{})
+	f.Add(pushedSend(3, vproto.MakePid(1, 2)), pushSeg, []byte{})
+	// A Reply leading a train of its flow: whole but for the Reply.
+	f.Add(append(append([]byte(nil), mixed[20*5:20*6]...), bytes.Repeat(mixed[:20], 3)...), 20, []byte{})
 	f.Fuzz(func(t *testing.T, dgram []byte, segSize int, oob []byte) {
 		for _, seg := range []int{segSize, groSegSize(oob)} {
 			newSplitHarness(2).split(t, dgram, seg)

@@ -29,10 +29,13 @@ const udpSockBuf = 1 << 20
 var errNoGSO = errors.New("ipc: no UDP segmentation offload")
 
 // rxItem is one entry on a UDP dispatch queue: a move packet's pooled
-// frame, or a train (see trainLen), seg bytes a packet, in place.
+// frame, or a train (see trainLen), seg bytes a packet, in place from
+// byte at of its receive buffer (past an exchange packet the read loop
+// handled, see addSegments).
 type rxItem struct {
 	frame *bufpool.Buf
 	train []byte
+	at    int
 	seg   int
 }
 
@@ -45,7 +48,7 @@ func (it *rxItem) deliver(h *atomic.Pointer[func(*bufpool.Buf)], view *bufpool.B
 		it.frame.Release()
 		return
 	}
-	for rest, n := it.train, 0; len(rest) > 0; rest = rest[n:] {
+	for rest, n := it.train[it.at:], 0; len(rest) > 0; rest = rest[n:] {
 		n = min(it.seg, len(rest))
 		view.Data = rest[:n]
 		upcall(h, view)
@@ -110,14 +113,14 @@ func upcall(h *atomic.Pointer[func(*bufpool.Buf)], f *bufpool.Buf) {
 	}
 }
 
-// trainLen returns how many packets a datagram of segSize-byte segments
-// holds if they are two or more move packets of one flow, else 0.
-func trainLen(dgram []byte, segSize int) int {
-	if len(dgram) <= segSize {
+// trainLen returns how many packets pkts, segSize bytes each, holds if
+// they are two or more move packets of flow, else 0.
+func trainLen(pkts []byte, segSize int, flow uint32) int {
+	if len(pkts) <= segSize {
 		return 0
 	}
-	flow, n := flowOf(dgram), 0
-	for rest := dgram; len(rest) > 0; n++ {
+	n := 0
+	for rest := pkts; len(rest) > 0; n++ {
 		seg := rest[:min(segSize, len(rest))]
 		if !queued(seg) || flowOf(seg) != flow {
 			return 0
@@ -133,19 +136,31 @@ func trainLen(dgram []byte, segSize int) int {
 // and possibly of more than one flow, since receive offload merges by
 // socket pair. A train of one flow's moves goes to its worker whole
 // (net.rx_trains; whole: dgram is the worker's until deliver puts it
-// back); anything else is split. The queue bound charges a train for
-// its buffer, not its packets — every segSize bytes of cap(dgram) as one
-// packet — so a queue of short trains holds no more memory than one of
-// pooled frames.
+// back), and so does one led by an exchange packet of its flow (a Send
+// heading its push), which is first handled inline in a frame of its
+// own, as a lone one is; anything else is split. The queue bound charges
+// a train for its buffer, not its packets — every segSize bytes of
+// cap(dgram) as one packet — so a queue of short trains holds no more
+// memory than one of pooled frames.
 func (b *rxBatch) addSegments(dgram []byte, segSize int) (n int, whole bool) {
 	if segSize <= 0 {
 		segSize = len(dgram)
 	}
-	if n := trainLen(dgram, segSize); n > 0 {
-		slots := (cap(dgram) + segSize - 1) / segSize
-		b.rx.enqueue(b.rx.workerOf(dgram), []rxItem{{train: dgram, seg: segSize}}, slots)
-		b.trains.Add(1)
-		return n, true
+	if len(dgram) > segSize {
+		at := 0
+		if !queued(dgram) {
+			at = segSize
+		}
+		if n := trainLen(dgram[at:], segSize, flowOf(dgram)); n > 0 {
+			if at > 0 {
+				b.add(dgram[:at])
+				n++
+			}
+			slots := (cap(dgram) + segSize - 1) / segSize
+			b.rx.enqueue(b.rx.workerOf(dgram), []rxItem{{train: dgram, at: at, seg: segSize}}, slots)
+			b.trains.Add(1)
+			return n, true
+		}
 	}
 	for n := 1; ; n++ {
 		seg := dgram[:min(segSize, len(dgram))]
@@ -192,7 +207,9 @@ type UDPConfig struct {
 //
 // The read loop reads into a 64 KB buffer (rxBufs). A coalesced train of
 // one flow's moves goes to the flow's worker whole, which lends each
-// packet to the handler in place. Anything else is split into pooled
+// packet to the handler in place — past its head if an exchange packet
+// of the flow led it (a Send heading its push), which the read loop
+// handles first, in a frame of its own. Anything else is split into pooled
 // frames sized to each packet, whose reference the read loop holds across
 // an inline upcall or passes to a worker, released when the handler
 // returns: a retained Send or Reply never pins a 64 KB buffer.
