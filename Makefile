@@ -24,7 +24,8 @@ race:
 
 # The concurrency-sensitive tests, 20 times each under the race
 # detector: packet-train ordering, train framing at every size edge,
-# coalesced trains handed to a worker whole and mixed ones split, replies
+# coalesced trains handed to a worker whole, each train frame landed as
+# one run and a run landing as its packets would, and mixed ones split, replies
 # streamed behind their trains and held until the last byte lands (one
 # overtaking its wedged train, one whose completion ack is lost), writes
 # pushed behind their Sends (served whole, a lost pushed packet, a queued
@@ -55,7 +56,7 @@ race:
 # Both halves always run; each one's full output is kept in
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
-STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck|TestPushServesMoveFrom|TestPushLossPulledFromGap|TestPushForBusyReceiver|TestLatePushDropped|TestPushedSendLeadsItsTrain|TestNoPushForWritableSegment
+STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestTrainLandsOneRunPerFrame|TestRunLandsAsItsPackets|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck|TestPushServesMoveFrom|TestPushLossPulledFromGap|TestPushForBusyReceiver|TestLatePushDropped|TestPushedSendLeadsItsTrain|TestNoPushForWritableSegment
 STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces|TestExtentRaces
 stress:
 	@s=0; \
@@ -63,11 +64,12 @@ stress:
 	$(GO) test -race -count=20 -run '$(STRESS_RFS)' ./internal/rfs/ >stress-rfs.log 2>&1 || s=1; cat stress-rfs.log; \
 	exit $$s
 
-# A short fuzzing pass over every wire parser and the cache-invalidation
-# callback, FUZZTIME each (raise it for a real search). go test fuzzes one
+# A short fuzzing pass over every wire parser, the run landing of a
+# received train and the cache-invalidation callback, FUZZTIME each
+# (raise it for a real search). go test fuzzes one
 # target per run, so each is named as package:target.
 FUZZTIME ?= 2s
-FUZZ = ./internal/vproto:FuzzDecode ./internal/ipc:FuzzSplitSegments ./internal/rfs:FuzzDecodeRepRecord ./internal/rfs:FuzzApplyBatch \
+FUZZ = ./internal/vproto:FuzzDecode ./internal/ipc:FuzzSplitSegments ./internal/ipc:FuzzLandRun ./internal/rfs:FuzzDecodeRepRecord ./internal/rfs:FuzzApplyBatch \
 	./internal/rfs:FuzzDecodeIDs ./internal/rfs:FuzzInvalidateCallback ./internal/obs:FuzzParseSnapshot
 fuzz:
 	@for t in $(FUZZ); do \

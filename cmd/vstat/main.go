@@ -181,9 +181,10 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 	// carried: far apart when bulk trains go out segmented. rx_inl is the
 	// share of rx_pkt handled on the read loop (the exchange protocol), the
 	// rest went to the dispatch workers; rx_train of rx_sys went whole.
-	// push_hit/push_drop: MoveFroms a push served, pushed packets dropped.
+	// push_hit/push_drop: MoveFroms a push served, pushed packets dropped;
+	// rx_run: runs of two or more bulk data packets landed under one lookup.
 	ker := stats.Table{ID: "vstat-3", Title: "kernel and transport",
-		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "rx_train", "gso_ref", "replies", "rep_held", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo", "push_hit", "push_drop"}}
+		Columns: []string{"tx_sys", "tx_pkt", "rx_sys", "rx_pkt", "rx_inl", "rx_train", "gso_ref", "replies", "rep_held", "retrans", "dups", "nacks", "sheds", "mv_resume", "mv_ooo", "push_hit", "push_drop", "rx_run"}}
 	for _, s := range snaps {
 		ker.AddRow(s.Node,
 			count(s.Counters["net.sends"]), count(s.Counters["net.tx_packets"]),
@@ -195,7 +196,8 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 			count(s.Counters["ipc.dups_filtered"]), count(s.Counters["ipc.nacks_sent"]),
 			count(s.Counters["ipc.overload_sheds"]),
 			count(s.Counters["ipc.move_resumes"]), count(s.Counters["ipc.move_ooo_drops"]),
-			count(s.Counters["ipc.push_hits"]), count(s.Counters["ipc.push_drops"]))
+			count(s.Counters["ipc.push_hits"]), count(s.Counters["ipc.push_drops"]),
+			count(s.Counters["ipc.rx_runs"]))
 	}
 	b.WriteString(ker.Render())
 	b.WriteString("\n")

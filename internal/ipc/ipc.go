@@ -169,10 +169,10 @@ func (c NodeConfig) withDefaults() NodeConfig {
 // transport owns each frame: it holds one reference across the handler
 // upcall and releases it when the handler returns, so a handler that
 // needs frame bytes past its return (zero-copy dispatch) must Retain the
-// frame and Release it at last use. A move packet's bytes are borrowed
-// for the upcall only: its frame may be a view into a coalesced train's
-// receive buffer, with no references to Retain (the move handlers keep
-// nothing). Only exchange packets are sure of frames of their own.
+// frame and Release it at last use. A worker's upcall may instead carry
+// one flow's move packets back to back, each as long as its header says,
+// in a view with no references: they are lent and never retained (the
+// move handlers keep nothing). Exchange packets get frames of their own.
 type Transport interface {
 	// Send transmits to one node, best effort.
 	Send(to LogicalHost, pkt []byte) error

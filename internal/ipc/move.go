@@ -31,7 +31,8 @@ import (
 // share the outstanding lifecycle with remote Sends; an inbound MoveTo
 // stream reassembles under its exchange's own lock (pendingSend.rx) so
 // transfers from different peers land in their granted segments in
-// parallel.
+// parallel, a push under the alien table's. A train frame's packets of
+// one stream land as one run (walk.more): one lookup, pin and lock hold.
 
 // moveKind is a transfer's direction, spelled as the segment access it
 // needs from the granting process (§2.1).
@@ -121,7 +122,7 @@ func (n *Node) awaitMove(op *moveOp) error {
 // it goes when the exchange does. Once a stream completes, expected stays
 // at its size, which is how a retransmitted last packet (the ack was
 // lost) is recognised and re-acked; a streamed reply's train may outlive
-// the exchange, see handleMoveToData. A reply that overtakes its stream
+// the exchange, see landMoveTo. A reply that overtakes its stream
 // is held here (handleReply).
 type moveRx struct {
 	mu       sync.Mutex
@@ -369,24 +370,83 @@ func (n *Node) moveTargetLocked(pkt *vproto.Packet, access byte) *pendingSend {
 	return ps
 }
 
-// handleMoveToData runs on the node of the process receiving a MoveTo:
-// data lands directly in the granted segment. The packet landing a
-// stream's last byte acks it and then delivers the reply held for it, so
-// the replier, which waits on the ack, is released first.
-func (n *Node) handleMoveToData(pkt *vproto.Packet) {
+// walk hands the handlers an upcall frame's packets, back to back and
+// each as long as its header says, decoded once into pkt: one in a frame
+// of the node's own, one flow's moves in a lent view (see Transport).
+type walk struct {
+	pkt  vproto.Packet
+	cur  []byte // pkt's encoding, nil before the first
+	rest []byte // the frame past it
+	run  bool   // the current run has had more than one packet
+}
+
+// next decodes the packet at the head of rest into pkt and steps past
+// it; one that fails (or past a frame's first is no move packet) is
+// counted in ipc.bad_packets and leaves pkt alone.
+func (w *walk) next(n *Node) bool {
+	b := w.rest[:vproto.WireLen(w.rest)]
+	ok := (w.cur == nil || queued(b)) && vproto.DecodeInto(&w.pkt, b) == nil
+	if w.cur, w.rest = b, w.rest[len(b):]; !ok {
+		n.stats.badPackets.Add(1)
+	}
+	return ok
+}
+
+// more decodes the next packet of pkt's run into pkt, if there is one. A
+// run is packets back to back of one stream (vproto.Continues), up to
+// FlagLast or a packet that fails to decode; pkt then is its last.
+// ipc.rx_runs counts the runs of two or more packets.
+func (w *walk) more(n *Node) bool {
+	ok := w.pkt.Flags&vproto.FlagLast == 0 && vproto.Continues(w.cur, w.rest) && w.next(n)
+	if ok && !w.run {
+		n.stats.rxRuns.Add(1)
+	}
+	w.run = ok
+	return ok
+}
+
+// skip passes over the rest of pkt's run and returns its length.
+func (w *walk) skip(n *Node) int64 {
+	k := int64(1)
+	for ; w.more(n); k++ {
+	}
+	return k
+}
+
+// land copies pkt's run into the scatter list vec, go-back-N: a packet
+// at the offset the stream has reached, *got, lands (within size); any
+// other is dropped (ipc.move_ooo_drops).
+func (w *walk) land(n *Node, vec [][]byte, got *uint32, size uint32) {
+	for ok := true; ok; ok = w.more(n) {
+		if p := &w.pkt; p.Offset != *got {
+			n.stats.moveOOODrops.Add(1)
+		} else if uint64(p.Offset)+uint64(len(p.Data)) <= uint64(size) {
+			scatterCopy(vec, p.Offset, p.Data)
+			*got += uint32(len(p.Data))
+		}
+	}
+}
+
+// landMoveTo lands the run pkt starts, a MoveTo's data, in the granted
+// segment. A run ending the stream acks it and, if it has landed whole,
+// then delivers the reply held for it, so the replier, which waits on
+// the ack, is released first.
+func (n *Node) landMoveTo(w *walk) {
+	pkt := &w.pkt // each packet of the run in turn, alike but for their data
 	pt := &n.pending
 	pt.mu.Lock()
 	ps := n.moveTargetLocked(pkt, SegWrite)
-	if ps == nil || uint64(pkt.Offset)+uint64(len(pkt.Data)) > uint64(pkt.Count) {
+	if ps == nil {
 		pt.mu.Unlock()
+		k := w.skip(n) // late packets of an earlier exchange, forgeries
 		if pkt.Flags&(vproto.FlagLast|vproto.FlagStreamed) == vproto.FlagLast|vproto.FlagStreamed {
 			// A streamed reply's train outlives its exchange: the mover
 			// resends the last packet because the ack was lost after the
 			// reply had ended the exchange (or the Send gave up). Ack it.
 			n.sendMoveAck(pkt, pkt.Count, true)
-		} else {
-			n.stats.badPackets.Add(1) // a late packet of an earlier exchange, a forgery
+			k--
 		}
+		n.stats.badPackets.Add(k)
 		return
 	}
 	ps.retries = 0 // the mover is alive, and a held reply's Send waits on it
@@ -402,14 +462,11 @@ func (n *Node) handleMoveToData(pkt *vproto.Packet) {
 	} else if age < 0 {
 		rx.mu.Unlock()
 		ps.io.RUnlock()
-		return // straggler of a stream the mover has finished with
+		w.skip(n) // stragglers of a stream the mover has finished with
+		return
 	}
-	if pkt.Offset == rx.expected {
-		copy(ps.seg.Data[pkt.Msg.Word(wordMoveBase)+pkt.Offset:], pkt.Data)
-		rx.expected += uint32(len(pkt.Data))
-	} else {
-		n.stats.moveOOODrops.Add(1)
-	}
+	base := pkt.Msg.Word(wordMoveBase)
+	w.land(n, [][]byte{ps.seg.Data[base : base+pkt.Count]}, &rx.expected, pkt.Count)
 	received := rx.expected
 	complete := received >= pkt.Count
 	held := complete && rx.heldSeq == pkt.Seq
@@ -469,15 +526,8 @@ func (n *Node) handleMoveAck(pkt *vproto.Packet) {
 		op.finish(nil)
 		return
 	}
-	op.retries = 0
-	resume := pkt.Offset
-	op.io.RLock()
-	timer := op.timer
 	t.mu.Unlock()
-	n.stats.moveResumes.Add(1)
-	n.streamMoveTo(op, resume)
-	op.io.RUnlock()
-	timer.Reset(n.cfg.RetransmitTimeout)
+	n.resume(op, pkt.Seq, pkt.Dst, pkt.Offset, true)
 }
 
 // handleMoveFromReq streams the requested range back; the data packets
@@ -506,49 +556,53 @@ func (n *Node) handleMoveFromReq(pkt *vproto.Packet) {
 	}, [][]byte{ps.seg.Data[base : base+pkt.Count]}, pkt.Offset, nil)
 }
 
-// handleMoveFromData accumulates streamed bytes into the requester's
-// scatter list. The copy runs under the per-op lock, so chunks of
-// different transfers land concurrently; completion is single-shot under
-// the table lock.
-func (n *Node) handleMoveFromData(pkt *vproto.Packet) {
-	t := &n.moves
-	t.mu.Lock()
-	op, ok := t.liveLocked(pkt.Seq, pkt.Dst)
-	if !ok || op.kind != moveFrom {
-		t.mu.Unlock()
-		return
-	}
-	// Pin the destination slices before the op can complete (see
-	// outstanding.io).
-	op.io.RLock()
-	t.mu.Unlock()
-
-	op.mu.Lock()
-	if pkt.Offset != op.got {
-		n.stats.moveOOODrops.Add(1)
-	} else if uint64(pkt.Offset)+uint64(len(pkt.Data)) <= uint64(op.size) {
-		scatterCopy(op.vec, pkt.Offset, pkt.Data)
-		op.got += uint32(len(pkt.Data))
-	}
-	got, size := op.got, op.size
-	op.mu.Unlock()
-	op.io.RUnlock()
-
-	if got >= size {
-		if _, ok := t.take(pkt.Seq, pkt.Dst); ok {
-			op.finish(nil)
-		}
-		return
-	}
-	if pkt.Flags&vproto.FlagLast != 0 {
-		// Gap at end of stream: re-request from the last received byte.
-		n.pullRest(op, pkt.Seq, pkt.Dst, got, true)
+// landPull lands the run pkt starts, pulled bytes, in the requester's
+// scatter list (fillPull); a gap at the stream's end is pulled again.
+func (n *Node) landPull(w *walk) {
+	pkt := &w.pkt
+	if !n.fillPull(pkt.Seq, pkt.Dst, false, func(op *moveOp) (bool, bool) {
+		w.land(n, op.vec, &op.got, op.size)
+		return pkt.Flags&vproto.FlagLast != 0, true
+	}) {
+		w.skip(n)
 	}
 }
 
-// pullRest asks for live pull op's bytes from got on: a resume when
-// resumed (a gap at a train's end), else the range a push did not cover.
-func (n *Node) pullRest(op *moveOp, seq uint32, owner Pid, got uint32, resumed bool) {
+// fillPull runs fill, which lands bytes in live pull op seq of owner and
+// says whether their stream ended and lost a packet, under the op's lock
+// and io pin. A full op then completes (ipc.push_hits if pushed), else one
+// whose stream ended pulls the rest; false if op seq is not live.
+func (n *Node) fillPull(seq uint32, owner Pid, pushed bool, fill func(op *moveOp) (ended, lost bool)) bool {
+	t := &n.moves
+	t.mu.Lock()
+	op, ok := t.liveLocked(seq, owner)
+	if !ok || op.kind != moveFrom {
+		t.mu.Unlock()
+		return false
+	}
+	op.io.RLock()
+	t.mu.Unlock()
+	op.mu.Lock()
+	ended, lost := fill(op)
+	got, size := op.got, op.size
+	op.mu.Unlock()
+	op.io.RUnlock()
+	if got >= size {
+		if _, ok := t.take(seq, owner); ok {
+			if pushed {
+				n.stats.pushHits.Add(1)
+			}
+			op.finish(nil)
+		}
+	} else if ended {
+		n.resume(op, seq, owner, got, lost)
+	}
+	return true
+}
+
+// resume restarts live transfer op from byte from, a MoveTo's train or a
+// pull's request: after a gap if resumed, else past what a push covered.
+func (n *Node) resume(op *moveOp, seq uint32, owner Pid, from uint32, resumed bool) {
 	t := &n.moves
 	t.mu.Lock()
 	if _, ok := t.liveLocked(seq, owner); !ok {
@@ -562,7 +616,11 @@ func (n *Node) pullRest(op *moveOp, seq uint32, owner Pid, got uint32, resumed b
 	if resumed {
 		n.stats.moveResumes.Add(1)
 	}
-	n.sendMoveFromReq(op, got)
+	if op.kind == moveTo {
+		n.streamMoveTo(op, from)
+	} else {
+		n.sendMoveFromReq(op, from)
+	}
 	op.io.RUnlock()
 	timer.Reset(n.cfg.RetransmitTimeout)
 }
@@ -573,32 +631,35 @@ func (n *Node) pullRest(op *moveOp, seq uint32, owner Pid, got uint32, resumed b
 // MoveFromData marked FlagStreamed with the Send's Seq; a Send as long as
 // a push packet heads the train's first frame, one kernel crossing
 // instead of two (the receiving read loop handles it first). The receiver
-// lands them in the Send's descriptor (handlePush) for a MoveFrom inside
+// lands them in the Send's descriptor (landPush) for a MoveFrom inside
 // the span (pullPushed): the pull protocol recovers what the push lost.
 const pushMax = 64 << 10
 
-// handlePush lands a pushed packet in the descriptor of the Send whose
-// seq it carries, go-back-N from the inline prefix, and feeds a waiting
-// MoveFrom; one for no live, unreplied descriptor of that seq, or past a
-// gap, is dropped. The copy of one packet runs under the table lock; a
-// MoveFrom reads only bytes below pushLen, which nothing writes again.
-func (n *Node) handlePush(pkt *vproto.Packet) {
-	last := pkt.Flags&vproto.FlagLast != 0
+// landPush lands the run pkt starts, pushed packets, in the descriptor
+// of the Send whose seq they carry, go-back-N from the inline prefix, and
+// then feeds a waiting MoveFrom; a packet for no live, unreplied
+// descriptor of that seq, or past a gap, is dropped. A MoveFrom reads
+// only bytes below pushLen, which nothing writes again.
+func (n *Node) landPush(w *walk) {
+	pkt := &w.pkt
 	t := &n.aliens
 	t.mu.Lock()
 	a, ok := t.m[pkt.Src]
 	if !ok || a.seq != pkt.Seq || a.push == nil {
 		t.mu.Unlock()
-		n.stats.pushDrops.Add(1)
+		n.stats.pushDrops.Add(w.skip(n))
 		return
 	}
-	switch from, end := uint64(pkt.Offset), uint64(pkt.Offset)+uint64(len(pkt.Data)); {
-	case from > uint64(a.pushLen) || end > uint64(len(a.push.Data)):
-		n.stats.pushDrops.Add(1) // past a gap: the MoveFrom resumes from it
-	case end > uint64(a.pushLen): // else landed already: the inline prefix, a duplicate
-		copy(a.push.Data[a.pushLen:end], pkt.Data[uint64(a.pushLen)-from:])
-		a.pushLen = uint32(end)
+	for ok := true; ok; ok = w.more(n) {
+		switch from, end := uint64(pkt.Offset), uint64(pkt.Offset)+uint64(len(pkt.Data)); {
+		case from > uint64(a.pushLen) || end > uint64(len(a.push.Data)):
+			n.stats.pushDrops.Add(1) // past a gap: the MoveFrom resumes from it
+		case end > uint64(a.pushLen): // else landed already: the inline prefix, a duplicate
+			copy(a.push.Data[a.pushLen:end], pkt.Data[uint64(a.pushLen)-from:])
+			a.pushLen = uint32(end)
+		}
 	}
+	last := pkt.Flags&vproto.FlagLast != 0
 	a.pushEnd = a.pushEnd || last
 	waiter, landed := a.pushOp, a.pushLen
 	if waiter == 0 {
@@ -612,7 +673,7 @@ func (n *Node) handlePush(pkt *vproto.Packet) {
 }
 
 // pullPushed serves pull op from the push behind a's Send if op starts in
-// the pushed span: op takes what has landed and waits for handlePush to
+// the pushed span: op takes what has landed and waits for landPush to
 // feed it the rest. It reports false when there is no push to serve op.
 func (n *Node) pullPushed(op *moveOp, a *alien) bool {
 	t := &n.aliens
@@ -630,33 +691,15 @@ func (n *Node) pullPushed(op *moveOp, a *alien) bool {
 }
 
 // feedPushed copies what pull op seq lacks of the landed pushed[:landed]
-// into its scatter list, then completes it or, once the push has ended,
-// pulls the rest: a resume if the push lost a packet, else past its span.
+// into its scatter list (fillPull): once the push has ended, what it did
+// not bring is pulled, a resume if it lost a packet.
 func (n *Node) feedPushed(seq uint32, owner Pid, pushed []byte, landed uint32, ended bool) {
-	t := &n.moves
-	t.mu.Lock()
-	op, ok := t.liveLocked(seq, owner) // seq was a pull's, never reused
-	if !ok {
-		t.mu.Unlock()
-		return
-	}
-	op.io.RLock()
-	t.mu.Unlock()
-	op.mu.Lock()
-	if from := op.base + op.got; landed > from {
-		to := min(landed, op.base+op.size)
-		scatterCopy(op.vec, op.got, pushed[from:to])
-		op.got = to - op.base
-	}
-	got, size := op.got, op.size
-	op.mu.Unlock()
-	op.io.RUnlock()
-	if got >= size {
-		if _, ok := t.take(seq, owner); ok {
-			n.stats.pushHits.Add(1)
-			op.finish(nil)
+	n.fillPull(seq, owner, true, func(op *moveOp) (bool, bool) {
+		if from := op.base + op.got; landed > from {
+			to := min(landed, op.base+op.size)
+			scatterCopy(op.vec, op.got, pushed[from:to])
+			op.got = to - op.base
 		}
-	} else if ended {
-		n.pullRest(op, seq, owner, got, landed < uint32(len(pushed)))
-	}
+		return ended, landed < uint32(len(pushed))
+	})
 }

@@ -291,43 +291,42 @@ func (n *Node) sendTrain(to LogicalHost, frame []byte, segSize int) {
 // which the transport recycles when this call returns — handlers that
 // need payload bytes past their return (delivered inline segments, reply
 // data handed to a blocked sender) retain f and release at last use;
-// none of them is a move handler, whose f may be a borrowed view.
+// none of them is a move handler, whose f may be a lent view of several
+// packets (see walk).
 func (n *Node) handlePacket(f *bufpool.Buf) {
-	var pkt vproto.Packet
-	if err := vproto.DecodeInto(&pkt, f.Data); err != nil {
-		n.stats.badPackets.Add(1)
-		return
-	}
-	if pkt.Kind != vproto.KindGetPid && pkt.Dst.Host() != n.host {
-		return // broadcast fallback reached the wrong node
-	}
-	switch pkt.Kind {
-	case vproto.KindSend:
-		n.handleSend(&pkt, f)
-	case vproto.KindReply:
-		n.handleReply(&pkt, f)
-	case vproto.KindReplyPending:
-		n.handleReplyPending(&pkt)
-	case vproto.KindNack:
-		n.handleNack(&pkt)
-	case vproto.KindMoveToData:
-		n.handleMoveToData(&pkt)
-	case vproto.KindMoveToAck:
-		n.handleMoveAck(&pkt)
-	case vproto.KindMoveFromReq:
-		n.handleMoveFromReq(&pkt)
-	case vproto.KindMoveFromData:
-		if pkt.Flags&vproto.FlagStreamed != 0 {
-			n.handlePush(&pkt)
-		} else {
-			n.handleMoveFromData(&pkt)
+	w := walk{rest: f.Data}
+	for pkt, more := &w.pkt, true; more; more = len(w.rest) > 0 {
+		if !w.next(n) || pkt.Kind != vproto.KindGetPid && pkt.Dst.Host() != n.host {
+			continue // undecodable, or the broadcast fallback reached the wrong node
 		}
-	case vproto.KindGetPid:
-		n.handleGetPid(&pkt)
-	case vproto.KindGetPidReply:
-		n.handleGetPidReply(&pkt)
-	default:
-		n.stats.badPackets.Add(1)
+		switch pkt.Kind {
+		case vproto.KindSend:
+			n.handleSend(pkt, f)
+		case vproto.KindReply:
+			n.handleReply(pkt, f)
+		case vproto.KindReplyPending:
+			n.handleReplyPending(pkt)
+		case vproto.KindNack:
+			n.handleNack(pkt)
+		case vproto.KindMoveToData:
+			n.landMoveTo(&w)
+		case vproto.KindMoveToAck:
+			n.handleMoveAck(pkt)
+		case vproto.KindMoveFromReq:
+			n.handleMoveFromReq(pkt)
+		case vproto.KindMoveFromData:
+			if pkt.Flags&vproto.FlagStreamed != 0 {
+				n.landPush(&w)
+			} else {
+				n.landPull(&w)
+			}
+		case vproto.KindGetPid:
+			n.handleGetPid(pkt)
+		case vproto.KindGetPidReply:
+			n.handleGetPidReply(pkt)
+		default:
+			n.stats.badPackets.Add(1)
+		}
 	}
 }
 
@@ -478,7 +477,7 @@ func (n *Node) sendReplyPending(pkt *vproto.Packet) {
 // sender, which copies straight into its granted segment and releases.
 // A streamed reply (vproto.FlagStreamed: stream seq Offset, Count bytes)
 // may overtake its train; it is then held, and the train's last packet
-// delivers it (handleMoveToData). Both decide under the exchange's rx
+// delivers it (landMoveTo). Both decide under the exchange's rx
 // lock, so exactly one of them delivers.
 func (n *Node) handleReply(pkt *vproto.Packet, f *bufpool.Buf) {
 	t := &n.pending

@@ -24,6 +24,7 @@ type nodeCounters struct {
 	repliesHeld       *obs.Counter // replies that arrived before the stream they cover had landed
 	pushHits          *obs.Counter // MoveFroms served wholly from the push behind their Send
 	pushDrops         *obs.Counter // pushed packets discarded: no live descriptor of their Send, or past a gap
+	rxRuns            *obs.Counter // runs of two or more bulk data packets taken under one lookup (see walk.more)
 }
 
 // newNodeCounters registers the node counters under their wire-visible
@@ -46,5 +47,6 @@ func newNodeCounters(r *obs.Registry) nodeCounters {
 		repliesHeld:       r.Counter("ipc.replies_held"),
 		pushHits:          r.Counter("ipc.push_hits"),
 		pushDrops:         r.Counter("ipc.push_drops"),
+		rxRuns:            r.Counter("ipc.rx_runs"),
 	}
 }

@@ -149,15 +149,17 @@ func TestUDPTrainsArriveWhole(t *testing.T) {
 }
 
 // splitHarness is an rxBatch whose two exits — the inline upcall and the
-// dispatcher's workers — record every frame they are handed, per lane
+// dispatcher's workers — record every packet they are handed, per lane
 // (inlineLane, or the move packet's flow), in handling order, and whether
-// it was lent from a whole-datagram item (a borrowed view, no references)
-// or came in a frame of its own.
+// it was lent from a whole-datagram item (a borrowed view, no references,
+// which carries the item's packets back to back and is cut back into
+// them here, seg bytes apiece) or came in a frame of its own.
 type splitHarness struct {
 	batch           *rxBatch
 	rx              *dispatcher[rxItem]
 	handler, worker atomic.Pointer[func(*bufpool.Buf)]
 	trains          *obs.Counter
+	seg             int // the segment size split was given
 	mu              sync.Mutex
 	lanes           map[int64][][]byte
 	first           *int64   // the lane handed the first frame
@@ -190,12 +192,19 @@ func newSplitHarness(workers int) *splitHarness {
 
 func (h *splitHarness) record(lane int64, f *bufpool.Buf) {
 	h.mu.Lock()
-	h.lanes[lane] = append(h.lanes[lane], append([]byte(nil), f.Data...))
-	if h.first == nil {
-		h.first = &lane
-	}
-	if f.Refs() == 0 {
-		h.lent++
+	for rest := f.Data; ; {
+		pkt := rest
+		if f.Refs() == 0 {
+			pkt = rest[:min(h.seg, len(rest))]
+			h.lent++
+		}
+		h.lanes[lane] = append(h.lanes[lane], append([]byte(nil), pkt...))
+		if h.first == nil {
+			h.first = &lane
+		}
+		if rest = rest[len(pkt):]; len(rest) == 0 {
+			break
+		}
 	}
 	h.mu.Unlock()
 }
@@ -213,6 +222,7 @@ func (h *splitHarness) record(lane int64, f *bufpool.Buf) {
 func (h *splitHarness) split(t *testing.T, dgram []byte, segSize int) int {
 	t.Helper()
 	before := bufpool.Outstanding()
+	h.seg = segSize
 	n, whole := h.batch.addSegments(dgram, segSize)
 	h.rx.close()
 	if segSize <= 0 {

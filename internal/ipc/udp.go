@@ -29,30 +29,26 @@ const udpSockBuf = 1 << 20
 var errNoGSO = errors.New("ipc: no UDP segmentation offload")
 
 // rxItem is one entry on a UDP dispatch queue: a move packet's pooled
-// frame, or a train (see trainLen), seg bytes a packet, in place from
-// byte at of its receive buffer (past an exchange packet the read loop
-// handled, see addSegments).
+// frame, or a train (see trainLen) in place from byte at of its receive
+// buffer (past an exchange packet the read loop handled, see
+// addSegments).
 type rxItem struct {
 	frame *bufpool.Buf
 	train []byte
 	at    int
-	seg   int
 }
 
-// deliver hands the item's packets to the handler in order, then returns
-// a frame to the pool or a train's buffer to put. A train's packets are
-// lent in place through view, a frame with no references (see Transport).
+// deliver hands the item's packets to the handler, then returns a frame
+// to the pool or a train's buffer to put. A train's packets are lent back
+// to back in one upcall through view, a frame with no references.
 func (it *rxItem) deliver(h *atomic.Pointer[func(*bufpool.Buf)], view *bufpool.Buf, put func([]byte)) {
 	if it.frame != nil {
 		upcall(h, it.frame)
 		it.frame.Release()
 		return
 	}
-	for rest, n := it.train[it.at:], 0; len(rest) > 0; rest = rest[n:] {
-		n = min(it.seg, len(rest))
-		view.Data = rest[:n]
-		upcall(h, view)
-	}
+	view.Data = it.train[it.at:]
+	upcall(h, view)
 	put(it.train)
 }
 
@@ -157,7 +153,7 @@ func (b *rxBatch) addSegments(dgram []byte, segSize int) (n int, whole bool) {
 				n++
 			}
 			slots := (cap(dgram) + segSize - 1) / segSize
-			b.rx.enqueue(b.rx.workerOf(dgram), []rxItem{{train: dgram, at: at, seg: segSize}}, slots)
+			b.rx.enqueue(b.rx.workerOf(dgram), []rxItem{{train: dgram, at: at}}, slots)
 			b.trains.Add(1)
 			return n, true
 		}
@@ -206,13 +202,13 @@ type UDPConfig struct {
 // Transport contract.
 //
 // The read loop reads into a 64 KB buffer (rxBufs). A coalesced train of
-// one flow's moves goes to the flow's worker whole, which lends each
-// packet to the handler in place — past its head if an exchange packet
-// of the flow led it (a Send heading its push), which the read loop
-// handles first, in a frame of its own. Anything else is split into pooled
-// frames sized to each packet, whose reference the read loop holds across
-// an inline upcall or passes to a worker, released when the handler
-// returns: a retained Send or Reply never pins a 64 KB buffer.
+// one flow's moves goes to the flow's worker whole, which lends the
+// handler its packets in place in one upcall — past its head if an
+// exchange packet of the flow led it (a Send heading its push), which the
+// read loop handles first, in a frame of its own. Anything else is split
+// into pooled frames sized to each packet, whose reference the read loop
+// holds across an inline upcall or passes to a worker, released when the
+// handler returns: a retained Send or Reply never pins a 64 KB buffer.
 //
 // A packet costs one kernel crossing in each direction; a §3.3 train
 // (SendTrain) costs one per train frame where the kernel has UDP generic

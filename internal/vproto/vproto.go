@@ -341,6 +341,27 @@ func DecodeInto(p *Packet, buf []byte) error {
 	return nil
 }
 
+// WireLen returns the length of the packet at the head of buf as its
+// header claims, at most len(buf), without checking it: how packets laid
+// back to back (a coalesced train) are told apart, each then decoded.
+func WireLen(buf []byte) int {
+	if len(buf) < HeaderSize {
+		return len(buf)
+	}
+	return min(len(buf), HeaderSize+MessageSize+int(binary.BigEndian.Uint16(buf[24:26])))
+}
+
+// Continues reports whether the encoded packet at the head of next
+// continues prev's stream in a train: same kind, flags but FlagLast, seq,
+// pids, Count and message. It reads the two headers only; next is still
+// to be decoded, and its checksum checked.
+func Continues(prev, next []byte) bool {
+	const h = HeaderSize + MessageSize
+	return len(prev) >= h && len(next) >= h && prev[0] == next[0] && prev[2] == next[2] &&
+		(prev[3]^next[3])&^FlagLast == 0 && string(prev[4:16]) == string(next[4:16]) &&
+		string(prev[20:24]) == string(next[20:24]) && string(prev[HeaderSize:h]) == string(next[HeaderSize:h])
+}
+
 // checksum is the CRC-32C (Castagnoli) of the packet minus the checksum
 // field itself: the 28 header bytes before it, then everything after it.
 // It lets transports and tests detect corruption — CRC-32C catches every

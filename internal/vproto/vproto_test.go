@@ -266,3 +266,51 @@ func TestKindString(t *testing.T) {
 		t.Fatal("unknown kind has empty name")
 	}
 }
+
+// TestWireLenAndContinues: packets laid back to back are told apart by
+// the length their headers claim, and a packet continues its
+// predecessor's stream exactly when all it shares with it but its offset,
+// data and FlagLast agree.
+func TestWireLenAndContinues(t *testing.T) {
+	first := Packet{Kind: KindMoveToData, Flags: FlagStreamed, Seq: 9, Src: MakePid(1, 1), Dst: MakePid(2, 3), Count: 300, Data: make([]byte, 200)}
+	first.Msg.SetWord(2, 77)
+	a, _ := first.Encode()
+	next := first
+	next.Offset, next.Data, next.Flags = 200, make([]byte, 100), FlagStreamed|FlagLast
+	b, _ := next.Encode()
+	train := append(append([]byte(nil), a...), b...)
+	if got := WireLen(train); got != len(a) {
+		t.Fatalf("WireLen of a train = %d, want its first packet's %d", got, len(a))
+	}
+	if got := WireLen(train[len(a):]); got != len(b) {
+		t.Fatalf("WireLen of the last packet = %d, want %d", got, len(b))
+	}
+	if got := WireLen(a[:40]); got != 40 {
+		t.Fatalf("WireLen of a truncated packet = %d, want the 40 bytes there are", got)
+	}
+	if got := WireLen(a[:10]); got != 10 {
+		t.Fatalf("WireLen of a runt = %d, want 10", got)
+	}
+	if !Continues(a, b) {
+		t.Fatal("the stream's next packet does not continue it")
+	}
+	for name, edit := range map[string]func(p *Packet){
+		"kind":    func(p *Packet) { p.Kind = KindMoveFromData },
+		"flags":   func(p *Packet) { p.Flags &^= FlagStreamed },
+		"seq":     func(p *Packet) { p.Seq++ },
+		"src":     func(p *Packet) { p.Src++ },
+		"dst":     func(p *Packet) { p.Dst++ },
+		"count":   func(p *Packet) { p.Count++ },
+		"message": func(p *Packet) { p.Msg.SetWord(1, 1) },
+	} {
+		other := next
+		edit(&other)
+		c, _ := other.Encode()
+		if Continues(a, c) {
+			t.Errorf("a packet of another %s continues the stream", name)
+		}
+	}
+	if Continues(a, b[:HeaderSize+MessageSize-1]) || Continues(nil, b) {
+		t.Error("a runt continues the stream")
+	}
+}
