@@ -65,12 +65,13 @@ stress:
 	exit $$s
 
 # A short fuzzing pass over every wire parser, the run landing of a
-# received train and the cache-invalidation callback, FUZZTIME each
+# received train, the cache-invalidation callback and the block cache's
+# op loop against its reference model, FUZZTIME each
 # (raise it for a real search). go test fuzzes one
 # target per run, so each is named as package:target.
 FUZZTIME ?= 2s
 FUZZ = ./internal/vproto:FuzzDecode ./internal/ipc:FuzzSplitSegments ./internal/ipc:FuzzLandRun ./internal/rfs:FuzzDecodeRepRecord ./internal/rfs:FuzzApplyBatch \
-	./internal/rfs:FuzzDecodeIDs ./internal/rfs:FuzzInvalidateCallback ./internal/obs:FuzzParseSnapshot
+	./internal/rfs:FuzzDecodeIDs ./internal/rfs:FuzzInvalidateCallback ./internal/rfs:FuzzBlockCache ./internal/obs:FuzzParseSnapshot
 fuzz:
 	@for t in $(FUZZ); do \
 		$(GO) test -run='^$$' -fuzz="^$${t#*:}$$" -fuzztime=$(FUZZTIME) -parallel=2 $${t%%:*} || exit 1; \
