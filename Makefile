@@ -47,9 +47,12 @@ race:
 # under overload while every write lands once, and a caching reader
 # called back while the replica's apply is held at a gate, page reads
 # and syncs racing large writes whose blocks leave the cache as they are
-# written back, and overlapping large writes, page writes and truncates
+# written back, overlapping large writes, page writes and truncates
 # of one file racing page reads, large reads and syncs while write-back
-# is held (rfs).
+# is held, the staging order of overlapping write-backs, syncs that must
+# wait for a re-written block's newer write-back (one file's or all),
+# syncs under a writer that never pauses, a truncate behind an in-flight
+# write-back and write-behind exactly once under faults (rfs).
 # Several minutes, so CI does not run it; run it after touching the
 # exchange, receive, move, dispatch, large-read, large-write or
 # replication paths.
@@ -57,7 +60,7 @@ race:
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
 STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestTrainLandsOneRunPerFrame|TestRunLandsAsItsPackets|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck|TestPushServesMoveFrom|TestPushLossPulledFromGap|TestPushForBusyReceiver|TestLatePushDropped|TestPushedSendLeadsItsTrain|TestNoPushForWritableSegment
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces|TestExtentRaces
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces|TestExtentRaces|TestExtentRules|TestSyncCoversRedirtiedBlock|TestTruncateOrderedAfterInflightFlush|TestSyncTerminatesUnderSustainedWrites|TestPerFileSync|TestWriteBehindExactlyOnceUnderFaults
 stress:
 	@s=0; \
 	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/ >stress-ipc.log 2>&1 || s=1; cat stress-ipc.log; \

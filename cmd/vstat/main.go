@@ -150,7 +150,7 @@ func render(snaps []*obs.Snapshot, vols map[string][]uint32) string {
 	b.WriteString(req.Render())
 	b.WriteString("\n")
 
-	volT := stats.Table{ID: "vstat-2", Title: "volumes: cache and replication", Unit: "hit% of reads; extents = large-write trains not yet written back; wb_drop = blocks dropped once written back; lag in records",
+	volT := stats.Table{ID: "vstat-2", Title: "volumes: cache and replication", Unit: "hit% of reads; extents = staged writes not yet written back; wb_drop = blocks dropped once written back; lag in records",
 		Columns: []string{"role", "hits", "misses", "hit%", "dirty", "extents", "wb_drop", "repl_seq", "insync", "lag"}}
 	for _, s := range snaps {
 		for _, vol := range volKeys(s) {

@@ -28,40 +28,28 @@ type blockID struct {
 	block uint32
 }
 
-// Block states. A clean block is an immutable snapshot of store contents
-// and may be evicted freely. A dirty block is newer than the store and is
-// pinned in the cache until a flusher writes it back (write-behind, §6.2's
-// server-side buffering). A flushing block has been claimed by a flusher;
-// a write that lands while the flush is in flight swaps in a fresh buffer
-// and marks the entry redirty, so the per-block write-back order is always
-// oldest-first and the store converges on the newest bytes.
-const (
-	stateClean = iota
-	stateDirty
-	stateFlushing
-)
-
 // blockCache is the server's in-memory block cache with LRU replacement
-// and write-behind dirty-block tracking.
+// and write-behind (§6.2's server-side buffering).
+//
+// Every write is staged as an extent (stageExtent): one pooled buffer of
+// the whole-block images of consecutive blocks of one file, acknowledged
+// at once, written back later by a flusher with one store write straight
+// from it and then released. A page write (§6.1) is an extent of one
+// block whose cache entry takes the extent's buffer itself, so the page
+// stays cached after its write-back; a large write's train is one
+// extent, which leaves the cache once written back, so a stream neither
+// fills nor evicts the page cache.
 //
 // Entries sit in an lru.List, the allocation-free recency list the
-// client cache shares; the dirty blocks no flusher has claimed form a
-// FIFO linked through the same slots. Slots are reused, so code that
-// drops c.mu and comes back to an entry (a flush completing, a drain
-// waiting) names it by slot and incarnation.
-//
-// The entries are for pages (§6.1): a page write stages one (stage). A
-// large write's train is staged whole as an extent (stageExtent): one
-// pooled buffer of whole-block images, written back with one store write
-// straight from it and then released, so a stream neither fills nor
-// evicts the page cache. Readers find a block's newest bytes in its
-// entry, else in the newest extent covering it, else in the store; an
-// extent staged over cached blocks puts its bytes in their entries, so
-// an entry is never older than an extent over it. Overlapping
-// write-backs reach the store in staging order: nothing is written back
-// while an older overlapping extent is unwritten, and an extent staged
-// over an in-flight block redirties it, so the block's next write-back
-// lands the extent's bytes again after the extent's own.
+// client cache shares, and are images only: a block's bytes not yet on
+// the store are in an extent too, so any entry may be evicted. Readers
+// find a block's newest bytes in its entry, else in the newest extent
+// covering it, else in the store; an extent staged over cached blocks
+// puts its bytes in their entries, so an entry is never older than an
+// extent over it. A pending extent a newer one covers whole is dropped
+// unwritten, and overlapping write-backs reach the store in staging
+// order: an extent is not written back while an older overlapping one
+// is unwritten.
 //
 // Blocks are pooled, reference-counted buffers. The cache holds one
 // reference per entry and extent; get hands the caller another, so a
@@ -89,32 +77,28 @@ type blockCache struct {
 	capacity  int
 	blockSize int
 	budget    int // max non-clean blocks before staging applies backpressure
-	maxRun    int // max blocks coalesced into one flush write
 	lru       *lru.List[blockID, cacheEntry]
 	// fileBlocks counts entries per file; a file with none is absent.
 	fileBlocks map[uint32]int
 
 	// ext holds the unwritten extents, newest first, keyed by their
-	// stamp on the staging clock, which orders queued blocks too.
+	// stamp on the staging clock.
 	ext   *lru.List[uint64, extent]
 	stamp uint64
 
-	// Write-behind state, guarded by mu. qHead and qTail are the oldest
-	// and newest staged blocks no flusher has claimed yet. A block is
-	// non-clean while its entry is dirty or flushing or an unwritten
-	// extent covers it; dirtyCount counts each non-clean block once, the
-	// quantity the budget bounds, and fileDirty is the same count per
-	// file. staged tracks each file's write high-water mark so size
-	// queries and bounds checks see unflushed extensions; once a file has
-	// no non-clean blocks the store covers the mark and the entry is
-	// pruned (the maps stay proportional to in-flight work, not to every
-	// file id ever written) — after a failed write-back, only once a sync
-	// has reported the failure.
-	qHead, qTail int32
-	dirtyCount   int
-	fileDirty    map[uint32]int
-	staged       map[uint32]int64
-	closed       bool
+	// Write-behind state, guarded by mu. A block is non-clean while an
+	// unwritten extent covers it; dirtyCount counts each non-clean block
+	// once, the quantity the budget bounds, and fileDirty is the same
+	// count per file. staged tracks each file's write high-water mark so
+	// size queries and bounds checks see unflushed extensions; once a
+	// file has no non-clean blocks the store covers the mark and the
+	// entry is pruned (the maps stay proportional to in-flight work, not
+	// to every file id ever written) — after a failed write-back, only
+	// once a sync has reported the failure.
+	dirtyCount int
+	fileDirty  map[uint32]int
+	staged     map[uint32]int64
+	closed     bool
 	// flushErrByFile holds the first write-back error per file since that
 	// file's last drain. Per-file, not a single sticky error: a per-file
 	// sync must report — and clear — only its own file's failures, or a
@@ -128,9 +112,9 @@ type blockCache struct {
 	gens [256]atomic.Uint64 // invalidation stamps, sharded by block id
 
 	// ring, when set (the server wires its registry's trace ring in),
-	// receives a span event per flush run that writes back a traced
-	// block — the asynchronous tail of a traced write's timeline. Nil
-	// (standalone cache tests) disables flush tracing.
+	// receives a span event per write-back of a traced write — the
+	// asynchronous tail of a traced write's timeline. Nil (standalone
+	// cache tests) disables flush tracing.
 	ring *obs.TraceRing
 
 	hits          atomic.Int64
@@ -141,25 +125,17 @@ type blockCache struct {
 	wbDrops       atomic.Int64 // extent blocks that left the cache at write-back
 }
 
+// cacheEntry is one cached block image, valid to end.
 type cacheEntry struct {
-	buf     *bufpool.Buf
-	end     int // valid bytes: in-file extent (clean), flush extent (dirty)
-	state   int
-	redirty bool // staged again while its flush was in flight
-	flushes int  // completed write-backs; lets a drain spot "flushed since"
-	// trace is the last staging writer's trace id (0 = untraced); the
-	// flusher that writes the entry back logs the flush under it, so a
-	// traced write's timeline covers its asynchronous write-back too.
-	trace uint32
-	// qprev and qnext link a dirty entry into the unclaimed FIFO, which
-	// it joined at stamp.
-	qprev, qnext int32
-	stamp        uint64
+	buf *bufpool.Buf
+	end int
 }
 
-// extent is one staged large-write train: blocks first..first+n-1 of
-// file, their images back to back from buf.Data[off:], the last one
-// valid to end; flushing once a flusher has claimed it.
+// extent is one staged write: blocks first..first+n-1 of file, their
+// images back to back from buf.Data[off:], the last one valid to end;
+// flushing once a flusher has claimed it. trace is the writer's trace id
+// (0 = untraced): its write-back is logged under it, so a traced write's
+// timeline covers its asynchronous tail.
 type extent struct {
 	buf            *bufpool.Buf
 	off, end       int
@@ -172,18 +148,6 @@ type extent struct {
 // overlaps reports whether x shares a block with blocks [lo, lo+n) of file.
 func (x *extent) overlaps(file, lo, n uint32) bool {
 	return x.file == file && x.first < lo+n && lo < x.first+x.n
-}
-
-// flushItem is one claimed block of a flush run: the entry's slot and
-// incarnation plus a retained snapshot of the buffer and extent being
-// written, so completion can tell whether the entry was re-staged or
-// invalidated meanwhile.
-type flushItem struct {
-	slot  int32
-	inc   uint32
-	buf   *bufpool.Buf
-	end   int
-	trace uint32
 }
 
 // spare is a pre-fetched store image of a block a stage covers only in
@@ -202,12 +166,9 @@ func newBlockCache(capacity, blockSize, budget, flushers int, write func(file ui
 		capacity:       capacity,
 		blockSize:      blockSize,
 		budget:         budget,
-		maxRun:         64 * 1024 / blockSize, // one flush write covers ≤ 64 KB (a pooled staging class)
 		lru:            lru.New[blockID, cacheEntry](),
 		fileBlocks:     make(map[uint32]int),
 		ext:            lru.New[uint64, extent](),
-		qHead:          lru.Nil,
-		qTail:          lru.Nil,
 		fileDirty:      make(map[uint32]int),
 		staged:         make(map[uint32]int64),
 		flushErrByFile: make(map[uint32]error),
@@ -223,10 +184,10 @@ func newBlockCache(capacity, blockSize, budget, flushers int, write func(file ui
 
 // getEnd returns the block's newest staged or cached image with a
 // reference for the caller (Release when done), and its valid-byte
-// extent (the in-file bytes for clean blocks, the staged write extent
-// for dirty ones). Callers must not mutate the block's bytes. An entry
-// is marked most recently used; a block only an extent holds is copied
-// out, and cached as a page for a page read (page).
+// extent (the in-file bytes of a store image, the staged bytes of a
+// write's). Callers must not mutate the block's bytes. An entry is
+// marked most recently used; a block only an extent holds is copied out,
+// and cached as a page for a page read (page).
 func (c *blockCache) getEnd(id blockID, page bool) (*bufpool.Buf, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -339,9 +300,6 @@ func (c *blockCache) put(id blockID, buf *bufpool.Buf, gen uint64, end int) {
 	}
 	if s, ok := c.lru.Find(id); ok {
 		e := c.lru.Val(s)
-		if e.state != stateClean {
-			return // never clobber staged bytes with store bytes
-		}
 		e.buf.Release()
 		e.buf = buf.Retain()
 		e.end = end
@@ -353,66 +311,26 @@ func (c *blockCache) put(id blockID, buf *bufpool.Buf, gen uint64, end int) {
 	c.evictExcessLocked()
 }
 
-// stage installs a page write as the newest contents of block id for
-// write-behind: buf is the block's image, the payload at [payStart,
-// payEnd), completed around it under the lock (completeLocked, from sp).
-// The entry is dirty and pinned until a flusher writes buf.Data[:end]
-// back, end covering the payload and the older valid bytes kept. The
-// caller keeps its reference on buf and must not touch its bytes after
-// stage returns — they now back readers.
+// stageExtent installs a write's train as the newest contents of blocks
+// first..first+n-1 of file for write-behind, their images back to back
+// in buf.Data[off:], the payload from payStart in the head block to
+// payEnd in the tail block. Head and tail are completed around the
+// payload under the lock (completeLocked, from the head and tail spares;
+// the head spare serves a one-block train). Each extent is staged under
+// one lock with one flusher wakeup: cached entries of its blocks take
+// its bytes, a page write (page: one block, buf its image alone) is
+// cached as a page, and a pending extent it covers whole is dropped
+// unwritten. The cache retains buf; the caller must not touch the staged
+// bytes.
 //
 // Staging waits while the dirty budget is exhausted — the write-behind
 // backpressure: writers run ahead of the store by at most budget
 // blocks, then throttle to flush speed. It never waits on a write-back
-// as such.
-func (c *blockCache) stage(id blockID, buf *bufpool.Buf, payStart, payEnd int, sp spare, trace uint32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fresh, err := c.roomLocked(id.file, id.block, 1)
-	if err != nil {
-		return err
-	}
-	end, err := c.completeLocked(id, buf.Data, payStart, payEnd, &sp)
-	if err != nil {
-		return err
-	}
-	c.genOf(id).Add(1)
-	s, ok := c.lru.Find(id)
-	if !ok {
-		s = c.lru.Insert(id, cacheEntry{})
-		c.fileBlocks[id.file]++
-	}
-	e := c.lru.Val(s)
-	e.buf.Release()
-	e.buf, e.end, e.trace = buf.Retain(), end, trace
-	switch e.state {
-	case stateClean:
-		e.state = stateDirty
-		c.enqueueLocked(s)
-	case stateFlushing:
-		e.redirty = true
-	} // a dirty entry is queued already; its flush takes the new buffer
-	c.lru.Touch(s)
-	c.addNonCleanLocked(id.file, fresh, int64(id.block)*int64(c.blockSize)+int64(end))
-	c.evictExcessLocked()
-	c.cond.Broadcast()
-	return nil
-}
-
-// stageExtent installs a large write's train as the newest contents of
-// blocks first..first+n-1 of file, their images back to back in
-// buf.Data[off:], the payload from payStart in the head block to payEnd
-// in the tail block; head and tail are completed as stage's block is
-// (the head spare serves a one-block train). Each extent is staged under
-// one lock with one flusher wakeup: cached entries of its blocks take
-// its bytes and a pending extent it covers whole is dropped unwritten.
-// The cache retains buf; the caller must not touch the staged bytes.
-//
-// A train longer than the dirty budget is staged as consecutive extents
-// of at most budget blocks, each once the budget has room for it. It
-// returns how many blocks it staged; on errStaleSpare the caller
+// as such. A train longer than the budget is staged as consecutive
+// extents of at most budget blocks, each once the budget has room for
+// it. It returns how many blocks it staged; on errStaleSpare the caller
 // refetches and stages the rest.
-func (c *blockCache) stageExtent(file, first uint32, buf *bufpool.Buf, off int, n uint32, payStart, payEnd int, head, tail spare, trace uint32) (done uint32, err error) {
+func (c *blockCache) stageExtent(file, first uint32, buf *bufpool.Buf, off int, n uint32, payStart, payEnd int, head, tail spare, trace uint32, page bool) (done uint32, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	bs := c.blockSize
@@ -444,12 +362,14 @@ func (c *blockCache) stageExtent(file, first uint32, buf *bufpool.Buf, off int, 
 		}
 		c.stamp++
 		e := extent{buf: buf.Retain(), off: at, end: end, file: file, first: lo, n: k, trace: trace, since: c.stamp}
-		if c.fileBlocks[file] > 0 {
+		if page {
+			c.cachePageLocked(&e)
+		} else if c.fileBlocks[file] > 0 {
 			c.coverEntriesLocked(&e)
 		}
-		// A pending extent this one covers whole is dropped unwritten, as
-		// a re-staged dirty block is; this one inherits its oldest bytes,
-		// so a drain waiting for them waits for this one.
+		// A pending extent this one covers whole is dropped unwritten; this
+		// one inherits its oldest bytes, so a drain waiting for them waits
+		// for this one.
 		for y := c.ext.Front(); y != lru.Nil; {
 			old, next := c.ext.Val(y), c.ext.Next(y)
 			if !old.flushing && old.file == file && old.first >= lo && old.first+old.n <= lo+k {
@@ -471,15 +391,13 @@ func (c *blockCache) stageExtent(file, first uint32, buf *bufpool.Buf, off int, 
 
 // roomLocked waits until the budget has room for blocks [lo, lo+n) of
 // file and returns how many of them are clean — no unwritten extent
-// over them, their entry, if any, clean — which staging them adds to
-// dirtyCount. Caller holds c.mu.
+// over them — which staging them adds to dirtyCount. Caller holds c.mu.
 func (c *blockCache) roomLocked(file, lo, n uint32) (int, error) {
 	for !c.closed {
 		fresh := int(n)
-		if c.fileBlocks[file] > 0 || c.coverLocked(file, lo, n) != lru.Nil {
+		if c.fileDirty[file] > 0 {
 			for b := lo; b < lo+n; b++ {
-				s, ok := c.lru.Find(blockID{file: file, block: b})
-				if c.coverLocked(file, b, 1) != lru.Nil || ok && c.lru.Val(s).state != stateClean {
+				if c.coverLocked(file, b, 1) != lru.Nil {
 					fresh--
 				}
 			}
@@ -544,11 +462,27 @@ func fillAround(dst []byte, payStart, payEnd int, old []byte, oldEnd int) {
 	clear(dst[max(payEnd, oldEnd):])
 }
 
+// cachePageLocked makes a newly staged page write's one-block extent x
+// its page's cache entry, inserted if the page has none: the entry takes
+// the extent's buffer itself, so caching the page copies nothing. Caller
+// holds c.mu.
+func (c *blockCache) cachePageLocked(x *extent) {
+	id := blockID{file: x.file, block: x.first}
+	s, ok := c.lru.Find(id)
+	if !ok {
+		s = c.lru.Insert(id, cacheEntry{})
+		c.fileBlocks[id.file]++
+	}
+	e := c.lru.Val(s)
+	e.buf.Release()
+	e.buf, e.end = x.buf.Retain(), x.end
+	c.lru.Touch(s)
+	c.evictExcessLocked()
+}
+
 // coverEntriesLocked puts a newly staged extent's bytes into the cached
 // entries of its blocks (copy-on-write), so a warm page stays cached
-// with them. A dirty entry stays queued and a flushing one is redirtied:
-// its next write-back, after the extent's, writes the same bytes.
-// Caller holds c.mu.
+// with them. Caller holds c.mu.
 func (c *blockCache) coverEntriesLocked(x *extent) {
 	for b, found, entries := x.first, 0, c.fileBlocks[x.file]; b < x.first+x.n && found < entries; b++ {
 		s, ok := c.lru.Find(blockID{file: x.file, block: b})
@@ -561,10 +495,7 @@ func (c *blockCache) coverEntriesLocked(x *extent) {
 		copy(nb.Data, img)
 		e := c.lru.Val(s)
 		e.buf.Release()
-		e.buf, e.end, e.trace = nb, end, x.trace
-		if e.state == stateFlushing {
-			e.redirty = true
-		}
+		e.buf, e.end = nb, end
 		c.lru.Touch(s)
 	}
 }
@@ -597,47 +528,14 @@ func (c *blockCache) dropExtentLocked(x int32) {
 	c.ext.Remove(x)
 }
 
-// evictExcessLocked evicts least-recently-used clean entries until the
-// cache is back within capacity. Dirty and flushing blocks are never
-// evicted — dropping one would lose acknowledged writes — so under a
-// write burst the cache may transiently hold capacity + budget blocks.
+// evictExcessLocked evicts least-recently-used entries until the cache
+// is back within capacity. Any entry may go: a block's bytes not yet
+// written back are in an extent too. A page write's entry shares its
+// extent's buffer, so the cache holds capacity entries plus the buffers
+// of the unwritten extents.
 func (c *blockCache) evictExcessLocked() {
-	for s := c.lru.Back(); s != lru.Nil && c.lru.Len() > c.capacity; {
-		prev := c.lru.Prev(s)
-		if c.lru.Val(s).state == stateClean {
-			c.unlinkLocked(s)
-		}
-		s = prev
-	}
-}
-
-// enqueueLocked appends the entry at s to the unclaimed FIFO. Caller
-// holds c.mu.
-func (c *blockCache) enqueueLocked(s int32) {
-	e := c.lru.Val(s)
-	c.stamp++
-	e.qprev, e.qnext, e.stamp = c.qTail, lru.Nil, c.stamp
-	if c.qTail == lru.Nil {
-		c.qHead = s
-	} else {
-		c.lru.Val(c.qTail).qnext = s
-	}
-	c.qTail = s
-}
-
-// dequeueLocked takes the entry at s out of the unclaimed FIFO. Caller
-// holds c.mu.
-func (c *blockCache) dequeueLocked(s int32) {
-	e := c.lru.Val(s)
-	if e.qprev == lru.Nil {
-		c.qHead = e.qnext
-	} else {
-		c.lru.Val(e.qprev).qnext = e.qnext
-	}
-	if e.qnext == lru.Nil {
-		c.qTail = e.qprev
-	} else {
-		c.lru.Val(e.qnext).qprev = e.qprev
+	for c.lru.Len() > c.capacity {
+		c.unlinkLocked(c.lru.Back())
 	}
 }
 
@@ -654,15 +552,13 @@ func (c *blockCache) unlinkLocked(s int32) {
 // invalidate drops a block (a replica's store-first apply made it stale)
 // and stamps the invalidation so in-flight miss fills cannot resurrect
 // it. Borrowers of the block are unaffected: only the cache's reference
-// is dropped. A staged-but-unflushed block is discarded outright — the
-// caller is declaring the store's (about-to-be) contents authoritative.
-// A replica stages no writes, so no extent covers the block.
+// is dropped. A replica stages no writes, so no extent covers the block.
 func (c *blockCache) invalidate(id blockID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.genOf(id).Add(1)
 	if s, ok := c.lru.Find(id); ok {
-		c.removeLocked(s)
+		c.unlinkLocked(s)
 	}
 }
 
@@ -689,26 +585,12 @@ func (c *blockCache) pruneStagedLocked(file uint32) {
 	}
 }
 
-// removeLocked drops an entry and settles its write-behind accounting.
-// A flushing entry's dirtyCount is left to its flusher's completion,
-// which finds the entry no longer Live and writes the orphaned bytes off.
-func (c *blockCache) removeLocked(s int32) {
-	if c.lru.Val(s).state == stateDirty {
-		c.dequeueLocked(s)
-		if id := c.lru.Key(s); c.coverLocked(id.file, id.block, 1) == lru.Nil {
-			c.dropNonCleanLocked(id.file, 1)
-		}
-		c.cond.Broadcast()
-	}
-	c.unlinkLocked(s)
-}
-
 // truncate drops every cached block and extent of a file — including
 // staged-but-unflushed ones: the truncate supersedes the pending writes
 // — and then runs create (the store truncation) under the cache lock.
-// Blocks and extents of the file already claimed by a flusher are waited
-// out first, so the store write of pre-truncate bytes is strictly
-// ordered before the truncation and can never silently regrow the file
+// Extents of the file already claimed by a flusher are waited out
+// first, so the store write of pre-truncate bytes is strictly ordered
+// before the truncation and can never silently regrow the file
 // afterwards. Holding the lock across create stalls the cache for the
 // duration of one store call, which a rare administrative operation can
 // afford; what it buys is that no stage or claim can slip between the
@@ -717,22 +599,14 @@ func (c *blockCache) truncate(file uint32, create func() error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		inflight := false
 		for s := c.lru.Front(); s != lru.Nil; {
 			next := c.lru.Next(s)
 			if c.lru.Key(s).file == file {
-				switch c.lru.Val(s).state {
-				case stateFlushing:
-					inflight = true
-				case stateDirty:
-					c.dequeueLocked(s)
-					fallthrough
-				default:
-					c.unlinkLocked(s)
-				}
+				c.unlinkLocked(s)
 			}
 			s = next
 		}
+		inflight := false
 		for x := c.ext.Front(); x != lru.Nil; {
 			e, next := c.ext.Val(x), c.ext.Next(x)
 			if e.file == file && e.flushing {
@@ -760,59 +634,32 @@ func (c *blockCache) truncate(file uint32, create func() error) error {
 	return create()
 }
 
-// flusher is one write-behind worker: it claims the oldest staged work
-// it may write back — a pending extent, or a run of consecutive dirty
-// blocks of one file — and writes it back with a single store write.
+// flusher is one write-behind worker: it claims the oldest extent it
+// may write back and writes it back with a single store write.
 func (c *blockCache) flusher() {
 	defer c.flushWG.Done()
-	var items []flushItem
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
-		c.mu.Lock()
-		s, x := c.nextLocked()
-		for !c.closed && s == lru.Nil && x == lru.Nil {
-			c.cond.Wait()
-			s, x = c.nextLocked()
-		}
-		switch {
-		case x != lru.Nil:
+		if x := c.nextLocked(); x != lru.Nil {
 			c.flushExtentLocked(x)
-			c.mu.Unlock()
-		case s != lru.Nil:
-			var file, start uint32
-			file, start, items = c.claimRunFromLocked(s, items[:0])
-			c.mu.Unlock()
-			c.flushRun(file, start, items)
-		default:
-			// Closed with nothing left to drain.
-			c.mu.Unlock()
-			return
+		} else if c.closed {
+			return // nothing left to drain
+		} else {
+			c.cond.Wait()
 		}
 	}
 }
 
-// nextLocked picks a flusher's next claim, the older of the first
-// queued dirty block no unwritten extent covers and the oldest ready
-// extent (lru.Nil for none). Caller holds c.mu.
-func (c *blockCache) nextLocked() (slot, ext int32) {
-	slot, ext = lru.Nil, lru.Nil
-	for s := c.qHead; s != lru.Nil; s = c.lru.Val(s).qnext {
-		if id := c.lru.Key(s); c.coverLocked(id.file, id.block, 1) == lru.Nil {
-			slot = s
-			break
-		}
-	}
+// nextLocked returns the oldest ready extent, or lru.Nil. Caller holds
+// c.mu.
+func (c *blockCache) nextLocked() int32 {
 	for x := c.ext.Back(); x != lru.Nil; x = c.ext.Prev(x) {
 		if c.readyLocked(x) {
-			ext = x
-			break
+			return x
 		}
 	}
-	if slot != lru.Nil && ext != lru.Nil && c.lru.Val(slot).stamp < c.ext.Key(ext) {
-		ext = lru.Nil
-	} else if ext != lru.Nil {
-		slot = lru.Nil
-	}
-	return slot, ext
+	return lru.Nil
 }
 
 // readyLocked reports whether extent x is pending and no older unwritten
@@ -834,7 +681,7 @@ func (c *blockCache) readyLocked(x int32) bool {
 // store write straight from its buffer, dropping c.mu meanwhile, then
 // settles its blocks: one a newer extent also covers is left to that
 // one, one with an entry stays cached as a page, and the rest leave the
-// cache — or, when the write failed, stay readable as clean entries,
+// cache — or, when the write failed, stay readable as cached pages,
 // their bytes being nowhere else. Caller holds c.mu.
 func (c *blockCache) flushExtentLocked(x int32) {
 	bs := c.blockSize
@@ -851,14 +698,11 @@ func (c *blockCache) flushExtentLocked(x int32) {
 			id := blockID{file: e.file, block: b}
 			if c.coverLocked(e.file, b, 1) != lru.Nil {
 				continue // a newer extent settles it
-			} else if s, ok := c.lru.Find(id); ok {
-				if c.lru.Val(s).state == stateClean {
-					settled++
-				} // a non-clean page settles at its own write-back
-				continue
 			}
 			settled++
-			if err == nil {
+			if _, ok := c.lru.Find(id); ok {
+				continue // stays cached as a page
+			} else if err == nil {
 				dropped++
 				continue
 			}
@@ -875,8 +719,8 @@ func (c *blockCache) flushExtentLocked(x int32) {
 }
 
 // writeBack is one flush's store write of p, blocks blocks from block
-// first of file: counted, and timed into the trace ring when a traced
-// write's bytes are in it.
+// first of file: counted, and timed into the trace ring when it carries a
+// traced write.
 func (c *blockCache) writeBack(file, first uint32, p []byte, blocks int, trace uint32) error {
 	var t0 time.Time
 	if trace != 0 && c.ring != nil {
@@ -895,8 +739,8 @@ func (c *blockCache) writeBack(file, first uint32, p []byte, blocks int, trace u
 }
 
 // settleLocked ends a write-back of file: k of its blocks are clean
-// again, and a failure is kept for the next sync of the file. Caller
-// holds c.mu.
+// again, and a failure is kept for the next sync of the file — retrying
+// forever would wedge the budget. Caller holds c.mu.
 func (c *blockCache) settleLocked(file uint32, k int, err error) {
 	if err != nil && c.flushErrByFile[file] == nil {
 		c.flushErrByFile[file] = err
@@ -908,102 +752,9 @@ func (c *blockCache) settleLocked(file uint32, k int, err error) {
 	c.cond.Broadcast()
 }
 
-// claimRunFromLocked extends the dirty entry at seed into the maximal run
-// of consecutive dirty blocks of the same file no unwritten extent
-// covers (capped at maxRun, and a partially valid block can only end a
-// run), appended to items. Every claimed entry leaves the FIFO for
-// stateFlushing with its buffer retained, so the run's bytes stay alive
-// and no other flusher can claim them. Caller holds c.mu.
-func (c *blockCache) claimRunFromLocked(seed int32, items []flushItem) (file uint32, start uint32, _ []flushItem) {
-	id := c.lru.Key(seed)
-	file = id.file
-	// dirtyAt returns block blk's slot and entry if it is dirty and may
-	// be written back.
-	dirtyAt := func(blk uint32) (int32, *cacheEntry) {
-		if s, ok := c.lru.Find(blockID{file: file, block: blk}); ok {
-			if e := c.lru.Val(s); e.state == stateDirty && c.coverLocked(file, blk, 1) == lru.Nil {
-				return s, e
-			}
-		}
-		return lru.Nil, nil
-	}
-	// Walk back to the run's start: every block before the seed becomes
-	// an interior block of the run, so it must be fully valid.
-	first := id.block
-	for steps := 1; steps < c.maxRun && first > 0; steps++ {
-		if _, e := dirtyAt(first - 1); e == nil || e.end != c.blockSize {
-			break
-		}
-		first--
-	}
-	// Collect forward; a partially valid block can only end the run.
-	for blk := first; len(items) < c.maxRun; blk++ {
-		s, e := dirtyAt(blk)
-		if e == nil {
-			break
-		}
-		e.state = stateFlushing
-		c.dequeueLocked(s)
-		items = append(items, flushItem{slot: s, inc: c.lru.Inc(s), buf: e.buf.Retain(), end: e.end, trace: e.trace})
-		if e.end != c.blockSize {
-			break
-		}
-	}
-	return file, first, items
-}
-
-// flushRun writes one claimed run back to the store as a single
-// contiguous write, then settles each block: back to clean normally,
-// back to dirty if it was re-staged while the flush was in flight, or
-// written off if it was invalidated.
-func (c *blockCache) flushRun(file uint32, start uint32, items []flushItem) {
-	last := items[len(items)-1]
-	staging := bufpool.Get((len(items)-1)*c.blockSize + last.end)
-	// A traced block in the run makes the whole run's write-back part of
-	// that trace's timeline.
-	var traced uint32
-	for i, it := range items {
-		copy(staging.Data[i*c.blockSize:], it.buf.Data[:it.end])
-		traced = max(traced, it.trace)
-	}
-	var err error
-	if len(staging.Data) > 0 {
-		err = c.writeBack(file, start, staging.Data, len(items), traced)
-	}
-	staging.Release()
-
-	c.mu.Lock()
-	settled := 0 // blocks no longer non-clean
-	for i, it := range items {
-		if !c.lru.Live(it.slot, it.inc) {
-			// Invalidated while flushing, its slot maybe reused since;
-			// its accounting was deferred to us.
-		} else if e := c.lru.Val(it.slot); e.redirty {
-			e.flushes++
-			e.redirty = false
-			e.state = stateDirty
-			c.enqueueLocked(it.slot)
-			it.buf.Release()
-			continue
-		} else {
-			// On a write error the block still goes clean — retrying
-			// forever would wedge the budget; the error is sticky until
-			// the next Flush reports it and FlushErrors counts it.
-			e.flushes++
-			e.state = stateClean
-		}
-		if c.coverLocked(file, start+uint32(i), 1) == lru.Nil {
-			settled++
-		}
-		it.buf.Release()
-	}
-	c.settleLocked(file, settled, err)
-	c.mu.Unlock()
-}
-
-// flushAll drains the cache, then returns — and clears — the first
-// flush error since the previous flushAll. The server's Flush and OpSync
-// call this.
+// flushAll drains the cache, then clears every file's sticky flush error
+// and returns one of them: whichever failing file the map iteration
+// reaches last. The server's Flush and OpSync call this.
 func (c *blockCache) flushAll() error {
 	c.drain(0)
 	c.mu.Lock()
@@ -1031,22 +782,20 @@ func (c *blockCache) flushFile(file uint32) error {
 	return err
 }
 
-// drain blocks until every block and extent of file (of every file, for
-// 0) staged before the call has been written back (or written off, or
-// discarded by a truncate). Later writes do NOT extend it — a sync
-// promises durability for the writes acknowledged before it, so a drain
+// drain blocks until every extent of file (of every file, for 0) staged
+// before the call has been written back (or written off, or discarded by
+// a truncate). Later writes do NOT extend it — a sync promises
+// durability for the writes acknowledged before it, so a drain
 // terminates even while other clients keep writing — except an extent
-// that supersedes one it waits for. It is self-servicing: work it waits
-// for that no flusher has claimed it writes back itself, so a sync never
-// queues behind flushers parked inside another file's slow store writes.
-// Extents go first, as a dirty block an extent covers waits for it. It
-// leaves the sticky flush errors to the syncs that report them: a
-// replication snapshot drains too.
+// that supersedes one it waits for. It is self-servicing: an extent it
+// waits for that no flusher has claimed it writes back itself, so a sync
+// never queues behind flushers parked inside another file's slow store
+// writes. It leaves the sticky flush errors to the syncs that report
+// them: a replication snapshot drains too.
 func (c *blockCache) drain(file uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	mark := c.stamp
-	snaps := c.drainSnapshotLocked(file)
 	for x := c.ext.Back(); x != lru.Nil; {
 		if e := c.ext.Val(x); e.since > mark || file != 0 && e.file != file {
 			x = c.ext.Prev(x)
@@ -1055,31 +804,6 @@ func (c *blockCache) drain(file uint32) {
 				c.cond.Wait()
 			}
 			x = c.ext.Back()
-		}
-	}
-	var items []flushItem
-	for _, sn := range snaps {
-		// An entry no longer Live was discarded since the snapshot.
-		for c.lru.Live(sn.slot, sn.inc) {
-			e := c.lru.Val(sn.slot)
-			if e.state == stateClean || e.flushes >= sn.need {
-				break // written back since the snapshot
-			}
-			if e.state == stateDirty {
-				id := c.lru.Key(sn.slot)
-				if c.coverLocked(id.file, id.block, 1) == lru.Nil {
-					var f, start uint32
-					f, start, items = c.claimRunFromLocked(sn.slot, items[:0])
-					c.mu.Unlock()
-					c.flushRun(f, start, items)
-					c.mu.Lock()
-					continue
-				}
-				if c.serviceLocked(id.file, c.stamp) {
-					continue
-				}
-			}
-			c.cond.Wait()
 		}
 	}
 }
@@ -1094,35 +818,6 @@ func (c *blockCache) serviceLocked(file uint32, upTo uint64) bool {
 		}
 	}
 	return false
-}
-
-// drainSnap is one entry a drain waits on: need is the flush count at
-// which the snapshot-time bytes are on the store.
-type drainSnap struct {
-	slot int32
-	inc  uint32
-	need int
-}
-
-// drainSnapshotLocked collects the non-clean entries a drain must wait
-// for — all of them, or only one file's (file != 0). Caller holds c.mu.
-func (c *blockCache) drainSnapshotLocked(file uint32) []drainSnap {
-	var snaps []drainSnap
-	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Next(s) {
-		e := c.lru.Val(s)
-		if e.state == stateClean || (file != 0 && c.lru.Key(s).file != file) {
-			continue
-		}
-		need := e.flushes + 1
-		if e.state == stateFlushing && e.redirty {
-			// The in-flight flush carries a superseded buffer; the bytes
-			// acknowledged before this drain are in the entry's current
-			// buffer, which only the NEXT flush writes.
-			need++
-		}
-		snaps = append(snaps, drainSnap{s, c.lru.Inc(s), need})
-	}
-	return snaps
 }
 
 // close drains staged writes, stops the flushers and returns every cached

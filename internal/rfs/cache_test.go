@@ -18,24 +18,16 @@ func newTestCache(capacity, blockSize int) *blockCache {
 	return newBlockCache(capacity, blockSize, 0, 0, func(uint32, int64, []byte) error { return nil })
 }
 
-// flushOne claims and writes back one extent or run of dirty blocks, as
-// a flusher would; it reports whether there was one.
+// flushOne claims and writes back one extent, as a flusher would; it
+// reports whether there was one.
 func flushOne(c *blockCache) bool {
 	c.mu.Lock()
-	s, x := c.nextLocked()
-	switch {
-	case x != lru.Nil:
+	defer c.mu.Unlock()
+	x := c.nextLocked()
+	if x != lru.Nil {
 		c.flushExtentLocked(x)
-		c.mu.Unlock()
-	case s != lru.Nil:
-		file, start, items := c.claimRunFromLocked(s, nil)
-		c.mu.Unlock()
-		c.flushRun(file, start, items)
-	default:
-		c.mu.Unlock()
-		return false
 	}
-	return true
+	return x != lru.Nil
 }
 
 func putBlock(c *blockCache, id blockID) {
@@ -46,7 +38,8 @@ func putBlock(c *blockCache, id blockID) {
 
 // stagePage stages b as a page write of block id, its payload [lo, hi).
 func stagePage(c *blockCache, id blockID, b *bufpool.Buf, lo, hi int, sp spare) error {
-	return c.stage(id, b, lo, hi, sp, 0)
+	_, err := c.stageExtent(id.file, id.block, b, 0, 1, lo, hi, sp, spare{}, 0, true)
+	return err
 }
 
 // stageBlock stages one block as a page write.
@@ -59,25 +52,10 @@ func stageBlock(t *testing.T, c *blockCache, id blockID) {
 	b.Release()
 }
 
-// stageExtentOf stages blocks first..first+n-1 as one large write's
-// extent, every byte of block b set to fill+b.
-func stageExtentOf(t *testing.T, c *blockCache, file, first, n uint32, fill byte) {
-	t.Helper()
-	b := bufpool.Get(int(n) * c.blockSize)
-	for i := range n {
-		clear(b.Data[int(i)*c.blockSize : int(i+1)*c.blockSize])
-		b.Data[int(i)*c.blockSize] = fill + byte(first+i)
-	}
-	if k, err := c.stageExtent(file, first, b, 0, n, 0, c.blockSize, spare{}, spare{}, 0); k != n || err != nil {
-		t.Fatalf("staged %d of %d blocks: %v", k, n, err)
-	}
-	b.Release()
-}
-
 // checkFileBlocks asserts that fileBlocks counts exactly the entries of
 // each file and that the counts add up to the cache's length, and that
-// dirtyCount and fileDirty count each block a non-clean entry or an
-// unwritten extent holds once.
+// dirtyCount and fileDirty count each block an unwritten extent holds
+// once.
 func checkFileBlocks(t testing.TB, c *blockCache, step int, op string) {
 	t.Helper()
 	c.mu.Lock()
@@ -86,9 +64,6 @@ func checkFileBlocks(t testing.TB, c *blockCache, step int, op string) {
 	for s := c.lru.Front(); s != lru.Nil; s = c.lru.Next(s) {
 		want[c.lru.Key(s).file]++
 		lruLen++
-		if c.lru.Val(s).state != stateClean {
-			nonClean[c.lru.Key(s)] = true
-		}
 	}
 	for x := c.ext.Front(); x != lru.Nil; x = c.ext.Next(x) {
 		for e, b := c.ext.Val(x), c.ext.Val(x).first; b < e.first+e.n; b++ {
@@ -152,7 +127,8 @@ type cacheModel struct {
 	err    error // the first staging-order violation the hook saw
 
 	// fail makes the hook fail the write it is handed; hold makes it park
-	// the next write, on a goroutine of its own, until release.
+	// the next write, on a goroutine of its own, until release, and
+	// failHeld says whether that one fails.
 	fail, hold, failHeld bool
 	held                 bool
 	entered              chan bool
@@ -309,7 +285,7 @@ func (m *cacheModel) stage(file, first, n uint32, page bool, step int) {
 		err = stagePage(m.c, blockID{file: file, block: first}, b, lo, hi, head)
 	} else {
 		var k uint32
-		if k, err = m.c.stageExtent(file, first, b, off, n, lo, hi, head, tail, 0); err == nil && k != n {
+		if k, err = m.c.stageExtent(file, first, b, off, n, lo, hi, head, tail, 0, false); err == nil && k != n {
 			err = fmt.Errorf("staged %d of %d blocks", k, n)
 		}
 	}
@@ -580,8 +556,9 @@ func FuzzBlockCache(f *testing.F) {
 }
 
 // TestLendMatchesGetEnd: lending a train's blocks in one call hands out
-// the same buffers, clean, dirty and flushing alike, and counts the same
-// hits and misses as probing each block with getEnd.
+// the same buffers, of clean blocks and of page writes pending and in
+// flight alike, and counts the same hits and misses as probing each
+// block with getEnd.
 func TestLendMatchesGetEnd(t *testing.T) {
 	const file, blocks = 7, 40
 	c := newTestCache(64, 512)
@@ -591,13 +568,19 @@ func TestLendMatchesGetEnd(t *testing.T) {
 	for _, b := range []uint32{3, 17, 18, 39} {
 		stageBlock(t, c, blockID{file: file, block: b})
 	}
-	// Claim 17..18 as an in-flight flush run; 3 and 39 stay dirty.
+	// Claim the extents of 17 and 18 as a flusher would; 3 and 39 stay
+	// pending.
+	var claimed []int32
 	c.mu.Lock()
-	seed, _ := c.lru.Find(blockID{file: file, block: 17})
-	f, start, items := c.claimRunFromLocked(seed, nil)
+	for x := c.ext.Front(); x != lru.Nil; x = c.ext.Next(x) {
+		if e := c.ext.Val(x); e.first == 17 || e.first == 18 {
+			e.flushing = true
+			claimed = append(claimed, x)
+		}
+	}
 	c.mu.Unlock()
-	if len(items) != 2 {
-		t.Fatalf("claimed %d blocks, want 2", len(items))
+	if len(claimed) != 2 {
+		t.Fatalf("claimed %d extents, want 2", len(claimed))
 	}
 	putBlock(c, blockID{file: file + 1, block: 5}) // another file's block is never lent
 
@@ -622,85 +605,19 @@ func TestLendMatchesGetEnd(t *testing.T) {
 			t.Fatalf("range %v: lend counted %d hits %d misses, getEnd %d and %d", r, lendHits, lendMisses, h, m)
 		}
 	}
-	c.flushRun(f, start, items)
+	c.mu.Lock()
+	for _, x := range claimed {
+		c.flushExtentLocked(x)
+	}
+	c.mu.Unlock()
 	for flushOne(c) {
 	}
 	c.close()
 }
 
-// TestFlushCompletionSparesSlotTenant: a block invalidated while its
-// flush is in flight frees its slot, and another block may take the slot
-// before the flush completes. The completion must write the old block
-// off and leave the new tenant, clean or dirty, as it found it — not
-// settle it clean, redirty it or drop its accounting.
-func TestFlushCompletionSparesSlotTenant(t *testing.T) {
-	for _, tc := range []struct {
-		name             string
-		restaged, tDirty bool
-	}{
-		{"clean tenant", false, false},
-		{"dirty tenant", false, true},
-		{"restaged then clean tenant", true, false},
-		{"restaged then dirty tenant", true, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newTestCache(8, 512)
-			t.Cleanup(func() {
-				for flushOne(c) {
-				}
-				c.close()
-			})
-			old, tenant := blockID{file: 1, block: 3}, blockID{file: 2, block: 9}
-			stageBlock(t, c, old)
-			c.mu.Lock()
-			seed, _ := c.lru.Find(old)
-			f, start, items := c.claimRunFromLocked(seed, nil)
-			c.mu.Unlock()
-			if tc.restaged {
-				stageBlock(t, c, old) // redirty: the flush carries a superseded buffer
-			}
-			c.invalidate(old)
-			if tc.tDirty {
-				stageBlock(t, c, tenant)
-			} else {
-				putBlock(c, tenant)
-			}
-			c.mu.Lock()
-			slot, _ := c.lru.Find(tenant)
-			before := *c.lru.Val(slot)
-			c.mu.Unlock()
-			if slot != items[0].slot {
-				t.Fatalf("tenant took slot %d, not the flushing block's %d", slot, items[0].slot)
-			}
-
-			c.flushRun(f, start, items)
-
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			after := *c.lru.Val(slot)
-			if after != before {
-				t.Fatalf("flush completion changed the tenant: %+v -> %+v", before, after)
-			}
-			wantDirty := map[uint32]int{}
-			if tc.tDirty {
-				wantDirty[tenant.file] = 1
-			}
-			if c.dirtyCount != len(wantDirty) || !maps.Equal(c.fileDirty, wantDirty) {
-				t.Fatalf("dirtyCount %d, fileDirty %v; want %v", c.dirtyCount, c.fileDirty, wantDirty)
-			}
-			if queued := c.qHead == slot && c.qTail == slot; queued != tc.tDirty {
-				t.Fatalf("tenant queued for flushing = %v, want %v", queued, tc.tDirty)
-			}
-			if _, ok := c.lru.Find(old); ok {
-				t.Fatal("the invalidated block came back")
-			}
-		})
-	}
-}
-
 // TestCacheChurnAllocatesNothing: once the slabs have grown to the
 // working set, the block cache allocates nothing to insert or evict —
-// clean fills, runs of page writes staged, written back and evicted, and
+// clean fills, page writes staged, written back and evicted, and
 // extents staged and written back, over four times the cache's capacity
 // of distinct blocks alike.
 func TestCacheChurnAllocatesNothing(t *testing.T) {
@@ -726,11 +643,10 @@ func TestCacheChurnAllocatesNothing(t *testing.T) {
 	}
 
 	train := make([]*bufpool.Buf, trainLen)
-	var items []flushItem
 	stage := func() {
 		for i := range train {
 			train[i] = bufpool.Get(512)
-			if err := c.stage(blockID{file: 2, block: next + uint32(i)}, train[i], 0, 512, spare{}, 0); err != nil {
+			if err := stagePage(c, blockID{file: 2, block: next + uint32(i)}, train[i], 0, 512, spare{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -738,24 +654,21 @@ func TestCacheChurnAllocatesNothing(t *testing.T) {
 		for _, b := range train {
 			b.Release()
 		}
-		c.mu.Lock()
-		var f, start uint32
-		f, start, items = c.claimRunFromLocked(c.qHead, items[:0])
-		c.mu.Unlock()
-		if len(items) != trainLen {
-			t.Fatalf("flushed %d blocks of a %d-block train", len(items), trainLen)
+		for range trainLen {
+			if !flushOne(c) {
+				t.Fatal("no page write to write back")
+			}
 		}
-		c.flushRun(f, start, items)
 	}
 	for range 4 * capacity / trainLen {
 		stage()
 	}
 	if n := testing.AllocsPerRun(4*capacity/trainLen, stage); n != 0 {
-		t.Errorf("train stage + flush + evict: %v allocs per train", n)
+		t.Errorf("page writes stage + write-back + evict: %v allocs per %d pages", n, trainLen)
 	}
 	extent := func() {
 		b := bufpool.Get(trainLen * 512)
-		if n, err := c.stageExtent(3, next, b, 0, trainLen, 0, 512, spare{}, spare{}, 0); n != trainLen || err != nil {
+		if n, err := c.stageExtent(3, next, b, 0, trainLen, 0, 512, spare{}, spare{}, 0, false); n != trainLen || err != nil {
 			t.Fatalf("staged %d of %d blocks: %v", n, trainLen, err)
 		}
 		b.Release()

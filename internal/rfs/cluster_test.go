@@ -71,9 +71,7 @@ func tightNode() ipc.NodeConfig {
 // counts: the same user traffic — n cold page reads, n page writes and a
 // sync, spread evenly over four volumes — costs the same device
 // operations in total however many shards host the volumes, and each of
-// K shards does exactly 1/K of them. Written blocks are never adjacent,
-// so no flush run coalesces two of them and a page write is one store
-// write.
+// K shards does exactly 1/K of them. A page write is one store write.
 func TestShardedDeviceWorkDividesByK(t *testing.T) {
 	const n, file = 64, 9
 	vols := []uint32{1, 2, 3, 4}

@@ -49,16 +49,16 @@ type Config struct {
 	// generous 1024; negative disables the bound.
 	ReceiveQueueDepth int
 	// DirtyBudget bounds the staged-but-unflushed blocks the server will
-	// hold: writes are staged as dirty cache blocks, acknowledged at once
-	// and flushed asynchronously (OpSync / Server.Flush force the
+	// hold: writes are staged as extents, acknowledged at once and
+	// written back asynchronously (OpSync / Server.Flush force the
 	// write-back); writers past the bound block until the flushers catch
 	// up (backpressure). 0 → 256, capped at CacheBlocks; negative → 1
 	// (effectively synchronous, but still off the request path: at most
 	// one acknowledged block is ever unflushed).
 	DirtyBudget int
 	// Flushers sizes the write-behind flusher pool (0 → 2). Each flusher
-	// claims a run of consecutive dirty blocks of one file as soon as it
-	// is free and writes the run back with a single store write.
+	// claims the oldest staged write it may write back as soon as it is
+	// free and writes it back with a single store write.
 	Flushers int
 	// CacheLease bounds a client-cache registration (0 → 2s). It is also
 	// the staleness bound of the consistency protocol: a client whose
@@ -963,8 +963,8 @@ func (s *Server) pageWrite(v *volume, req *request, file, block, count uint32) {
 
 // stage stages a write's pulled train b, the images of blocks first,
 // first+1, ... of file back to back, whose payload starts at payStart in
-// the head block and ends at payEnd in the tail block: a page write's one
-// block as a cache entry (page), a large write's train as an extent. A
+// the head block and ends at payEnd in the tail block, as one extent; a
+// page write's block (page) is cached as a page besides. A
 // block the payload does not cover keeps the rest of its old image,
 // fetched here with its generation snapshotted before the fetch; when
 // the cache finds an image stale (errStaleSpare) the rest of the train is
@@ -986,10 +986,8 @@ func (s *Server) stage(v *volume, file, first uint32, b *bufpool.Buf, payStart, 
 			tail, err = s.fetchSpare(v, file, first+n-1)
 		}
 		k := uint32(0)
-		if err == nil && page {
-			err = v.cache.stage(blockID{file: file, block: first}, b, payStart, payEnd, head, trace)
-		} else if err == nil {
-			k, err = v.cache.stageExtent(file, first, b, off, n, payStart, payEnd, head, tail, trace)
+		if err == nil {
+			k, err = v.cache.stageExtent(file, first, b, off, n, payStart, payEnd, head, tail, trace, page)
 		}
 		head.buf.Release()
 		tail.buf.Release()
@@ -1074,8 +1072,8 @@ func (s *Server) largeRead(v *volume, req *request, file, off, count uint32) {
 
 // gather lays out the train of m bytes at file position pos as
 // req.parts, views into the buffers it borrows into req.held for the
-// caller to release. Blocks the cache holds, dirty, flushing and staged
-// extent ones included, are lent as they are, so a streamed read sees
+// caller to release. Blocks the cache holds, cached pages and blocks of
+// staged extents alike, are lent as they are, so a streamed read sees
 // staged writes.
 // Each maximal run of blocks it does not hold is one store read into the
 // train's pooled run buffer, and what that read fetched is not cached: a
@@ -1125,10 +1123,11 @@ func (s *Server) gather(v *volume, req *request, file, pos, m uint32) error {
 // largeWrite serves OpWriteLarge, and OpWriteBlock through pageWrite:
 // count bytes at byte offset off, in trains of up to maxTrain. The first
 // bytes arrived inline with the Send (§3.4); writeTrain pulls the rest.
-// Each train is staged dirty in the cache and logged as one replication
-// record before the next is pulled; the write is acknowledged once the
-// in-sync replicas hold the last record, and the flushers write the
-// blocks back asynchronously (§6.2's server-side write buffering).
+// Each train is staged in the cache as an extent and logged as one
+// replication record before the next is pulled; the write is
+// acknowledged once the in-sync replicas hold the last record, and the
+// flushers write the blocks back asynchronously (§6.2's server-side
+// write buffering).
 func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 	if uint64(off)+uint64(count) > 1<<32 {
 		// Offsets are 32-bit on the wire and in replication records.
@@ -1138,7 +1137,7 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 	var seq uint32
 	if count == 0 {
 		// Nothing to defer: go to the store so the file is created or
-		// extended there — staging an empty dirty block would raise the
+		// extended there — staging an empty block would raise the
 		// staged size only until its (empty) flush pruned it again.
 		if err := v.store.WriteAt(file, nil, int64(off)); err != nil {
 			s.replyStatus(req.src, StatusIOError, 0)

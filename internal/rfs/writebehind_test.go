@@ -480,9 +480,9 @@ func (s *stepStore) WriteAt(file uint32, p []byte, off int64) error {
 }
 
 // TestSyncCoversRedirtiedBlock: a block re-written while its first flush
-// is in flight (redirty) and then synced must not satisfy the sync with
-// the superseded flush — the drain has to wait for the flush that
-// carries the re-written bytes.
+// is in flight and then synced must not satisfy the sync with the
+// superseded flush — the drain has to wait for the flush that carries
+// the re-written bytes.
 func TestSyncCoversRedirtiedBlock(t *testing.T) {
 	mem := NewMemStore()
 	step := &stepStore{Store: mem, tokens: make(chan struct{}, 16)}
@@ -495,8 +495,8 @@ func TestSyncCoversRedirtiedBlock(t *testing.T) {
 	if err := c.WriteBlock(9, 0, v1); err != nil {
 		t.Fatal(err)
 	}
-	// Let a flusher claim v1's buffer and park awaiting a token, then
-	// supersede it: the entry goes redirty with v2's buffer.
+	// Let a flusher claim v1's extent and park awaiting a token, then
+	// supersede it: v2's extent waits behind v1's write-back.
 	time.Sleep(10 * time.Millisecond)
 	if err := c.WriteBlock(9, 0, v2); err != nil {
 		t.Fatal(err)
@@ -518,7 +518,7 @@ func TestSyncCoversRedirtiedBlock(t *testing.T) {
 			t.Fatalf("sync completed on the superseded flush: store holds stale bytes (err=%v)", err)
 		}
 	case <-time.After(200 * time.Millisecond):
-		// Still draining, as it should be; admit the redirty flush.
+		// Still draining, as it should be; admit v2's flush.
 	}
 	closeOnce.Do(func() { close(step.tokens) })
 	if err := <-syncDone; err != nil {
@@ -529,14 +529,14 @@ func TestSyncCoversRedirtiedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, v2) {
-		t.Fatal("synced store lost the re-written (redirtied) bytes")
+		t.Fatal("synced store lost the re-written bytes")
 	}
 }
 
 // TestSyncTerminatesUnderSustainedWrites: a sync only promises
 // durability for writes acknowledged before it, so it must return while
 // another client keeps dirtying blocks faster than the (slow) store
-// drains them — the drain snapshots the pre-sync staged blocks instead
+// drains them — the drain waits for the writes staged before it instead
 // of waiting for a global dirty count of zero.
 func TestSyncTerminatesUnderSustainedWrites(t *testing.T) {
 	slow := &slowStore{Store: NewMemStore(), delay: 2 * time.Millisecond}
@@ -1350,11 +1350,13 @@ func TestExtentRules(t *testing.T) {
 			}
 			claimed(h)
 			within(h, "WriteLarge", func() error { return h.c.WriteLarge(file, 0, img2) })
-			claimed(h)
+			// The extent waits for the page's in-flight write-back, which is
+			// older and overlaps it.
+			if n := volGauge(h.e.srv, "staged_extents"); n != 2 {
+				h.t.Errorf("staged_extents = %d, want 2 (the page write's and the large write's)", n)
+			}
 			readBack(h, img2)
-			// The page's in-flight write-back is older than the extent, so
-			// its block is written again, with the extent's bytes, after it.
-			landed(h, img2, storeWrite{file, 9 * 512, page}, storeWrite{file, 0, img2}, storeWrite{file, 9 * 512, img2[9*512 : 10*512]})
+			landed(h, img2, storeWrite{file, 9 * 512, page}, storeWrite{file, 0, img2})
 		}},
 		{"sync waits for the extent superseding its own", 0, Config{}, false, func(h *harness) {
 			if err := h.c.WriteLarge(file, 0, img1); err != nil {
@@ -1460,6 +1462,67 @@ func TestExtentRules(t *testing.T) {
 				tc.run(&harness{t: t, e: e, c: e.client(t, "app"), store: store, cs: cs})
 			})
 		}
+	}
+}
+
+// TestPageWriteIsOneExtent: a page write is staged as one extent of its
+// block until its write-back, which is exactly one store write of the
+// block; the page stays cached after it, read without a store read, and
+// is not counted among the blocks dropped at write-back.
+func TestPageWriteIsOneExtent(t *testing.T) {
+	const file, block = 3, 5
+	for _, flavor := range []string{"mem", "udp"} {
+		t.Run(flavor, func(t *testing.T) {
+			store := newOrderStore(NewMemStore(), 0)
+			cs := &countStore{Store: store}
+			var e *env
+			if flavor == "mem" {
+				e = memEnvStore(t, cs, ipc.FaultConfig{}, ipc.NodeConfig{}, Config{})
+			} else {
+				e = udpEnvStore(t, cs, Config{})
+			}
+			t.Cleanup(store.open)
+			c := e.client(t, "app")
+			page := pattern(7, 512)
+			if err := c.WriteBlock(file, block, page); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-store.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no flusher claimed the page write")
+			}
+			if n := volGauge(e.srv, "staged_extents"); n != 1 {
+				t.Errorf("staged_extents = %d before the write-back, want 1", n)
+			}
+			if n := volGauge(e.srv, "dirty_blocks"); n != 1 {
+				t.Errorf("dirty_blocks = %d before the write-back, want 1", n)
+			}
+			store.open()
+			if err := e.srv.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got := store.writesTo(file)
+			if len(got) != 1 || got[0].off != block*512 || !bytes.Equal(got[0].data, page) {
+				t.Fatalf("store writes %+v, want one of the page at %d", got, block*512)
+			}
+			for _, g := range []string{"staged_extents", "dirty_blocks", "writeback_drops"} {
+				if n := volGauge(e.srv, g); n != 0 {
+					t.Errorf("%s = %d after the write-back, want 0", g, n)
+				}
+			}
+			if n := resident(e.srv, file); n != 1 {
+				t.Errorf("%d blocks of the file cached after the write-back, want the page", n)
+			}
+			reads := cs.reads.Load()
+			back := make([]byte, 512)
+			if _, err := c.ReadBlock(file, block, back); err != nil || !bytes.Equal(back, page) {
+				t.Fatalf("ReadBlock: err=%v or other bytes than were written", err)
+			}
+			if n := cs.reads.Load() - reads; n != 0 {
+				t.Errorf("reading the written page cost %d store reads, want 0", n)
+			}
+		})
 	}
 }
 
