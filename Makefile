@@ -33,8 +33,8 @@ race:
 # frame, a writable segment left unpushed), late
 # move packets, go-back-N under reordering, exactly-once under faults
 # and many receivers on one process, each message to one of them (ipc); concurrent trains,
-# bulk-transfer crossings, replicated read fan-out, caching failover, a
-# write landing between a large read's store read and its reply, which
+# bulk-transfer crossings, caching readers of a replicated volume,
+# caching failover, a write landing between a large read's store read and its reply, which
 # later reads must see though the large read cached nothing, large
 # writes, which stage each train between pulls on the worker, pulled
 # under loss and replicated train by train, staged as one train each
@@ -44,8 +44,8 @@ race:
 # snapshot on the push stream: after a failover, over many files, killed
 # midway and under a writer that never pauses, and beside a sync error
 # it must not swallow, the workers' shared receive queue shedding
-# under overload while every write lands once, and a caching reader
-# called back while the replica's apply is held at a gate, page reads
+# under overload while every write lands once, and readers after a write
+# acked past a replica whose apply is held at a gate, page reads
 # and syncs racing large writes whose blocks leave the cache as they are
 # written back, overlapping large writes, page writes and truncates
 # of one file racing page reads, large reads and syncs while write-back
@@ -60,7 +60,7 @@ race:
 # stress-<half>.log, so a rare failure can be read after the fact, and the
 # target fails if either half did.
 STRESS_IPC = TestTrainsNeedNoResume|TestLateMovePacketOfEarlierExchange|TestGoBackNUnderReordering|TestExactlyOnceUnderFaults|TestExchangePacketsOvertakeQueuedMoves|TestConcurrentReceivers|TestTrainSizes|TestSplitSegmentsTwoFlows|TestUDPTrainsArriveWhole|TestShortTrainsChargedForTheirBuffer|TestTrainLandsOneRunPerFrame|TestRunLandsAsItsPackets|TestStreamedReplyOvertakesItsTrain|TestReplyWithSegmentSizes|TestStreamedReplyLostCompletionAck|TestPushServesMoveFrom|TestPushLossPulledFromGap|TestPushForBusyReceiver|TestLatePushDropped|TestPushedSendLeadsItsTrain|TestNoPushForWritableSegment
-STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedReadFanOut|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestGatedApplyFencesReplicaFills|TestLargeWriteDropRaces|TestExtentRaces|TestExtentRules|TestSyncCoversRedirtiedBlock|TestTruncateOrderedAfterInflightFlush|TestSyncTerminatesUnderSustainedWrites|TestPerFileSync|TestWriteBehindExactlyOnceUnderFaults
+STRESS_RFS = TestUDPConcurrentTrains|TestBulkTransferCrossings|TestReplicatedCachingReadersSeeAckedWrites|TestRoutedCachingFailoverReadYourWrites|TestLargeReadRacesConcurrentWrite|TestWriteLargeScatterUnderFaults|TestLargeWriteTrainsReplicate|TestReplicaKillDuringCatchUp|TestReplicaCatchUpUnderWrites|TestReplicaFullCycle|TestSnapshotKeepsSyncError|TestSnapshotManyFiles|TestSnapshotUnderWrites|TestOverloadGoodputWithRetry|TestAlignedWriteLargeOneStoreWrite|TestTrainLongerThanBudget|TestDroppedReplicaServesNoStaleReads|TestLargeWriteDropRaces|TestExtentRaces|TestExtentRules|TestSyncCoversRedirtiedBlock|TestTruncateOrderedAfterInflightFlush|TestSyncTerminatesUnderSustainedWrites|TestPerFileSync|TestWriteBehindExactlyOnceUnderFaults
 stress:
 	@s=0; \
 	$(GO) test -race -count=20 -run '$(STRESS_IPC)' ./internal/ipc/ >stress-ipc.log 2>&1 || s=1; cat stress-ipc.log; \
@@ -154,13 +154,14 @@ bench-alloc:
 # The §6.2 client-cache comparison: warm page reads and the write-heavy
 # shared-file mix, client cache on vs. off, 1/4/16 clients, mem + udp.
 # The shared-write mix also runs on a replicated volume (repl-mem,
-# repl-udp: a primary and one in-sync replica, reads spread over both),
+# repl-udp: a primary and one in-sync replica; reads go to the primary),
 # where a write's callbacks overlap its replica push. Reference points at
 # 4 clients, cache on (amd64, 2 shared vCPUs, -benchtime=20000x, median
-# of 3 alternating runs): mem 5.8 µs/op, udp 14.6, repl-mem 7.7, repl-udp
-# 20.6 (noisy: 16.5-22.0), at 2-3 allocs/op unreplicated and 3-4
-# replicated (the wait's timer is made only when callbacks are still
-# out). When each callback ran on a fresh goroutine and attached process
+# of 3 runs): mem 6.1 µs/op, udp 12.0, repl-mem 7.1, repl-udp 17.9
+# (noisy: 14.0-19.3), at 1 alloc/op unreplicated and 2 replicated (the
+# wait's timer is made only when callbacks are still out). Alternating
+# with those runs, reads spread over primary and replica gave 6.4, 12.8,
+# 7.5 and 15.8 (15.2-15.8) at the same allocs. When each callback ran on a fresh goroutine and attached process
 # and the callbacks went out only after the replica's ack, the same runs
 # gave 7.7, 18.0, 9.3 and 19.6 µs/op at 8, 8, 9 and 9 allocs/op.
 bench-ccache:

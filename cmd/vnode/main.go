@@ -64,8 +64,8 @@ func main() {
 		timing      = flag.Bool("timing", false, "enable latency timing (per-op histograms); off by default so the hot paths cost one atomic load")
 		slowOp      = flag.Duration("slowop", 0, "server: auto-capture a trace span for any request slower than this (implies -timing); 0 = off")
 		serve       = flag.Bool("serve", false, "run the file server")
-		volumes     = flag.String("volumes", "", "server: comma-separated volumes to host — 'id' for a primary, 'id:rid' for read replica rid of volume id (empty = the single default volume)")
-		nreplicas   = flag.Int("replicas", 0, "server: read replicas each hosted primary keeps in sync (0 = replication off)")
+		volumes     = flag.String("volumes", "", "server: comma-separated volumes to host — 'id' for a primary, 'id:rid' for replica rid of volume id (empty = the single default volume)")
+		nreplicas   = flag.Int("replicas", 0, "server: replicas each hosted primary keeps in sync (0 = replication off)")
 		rejoin      = flag.Bool("rejoin", false, "server: primaries probe the name service first and demote to replicas if another server already owns the volume (restart after failover)")
 		storeDir    = flag.String("store", "", "server: directory for the file-backed store (empty = in-memory)")
 		cacheBlks   = flag.Int("cache", 1024, "server: block-cache capacity in blocks")
@@ -79,7 +79,6 @@ func main() {
 		clientCache = flag.Bool("clientcache", false, "client: enable the local block cache with server-driven invalidation")
 		ccBlocks    = flag.Int("ccblocks", 0, "client: local cache capacity in blocks (0 = default 256)")
 		volumeID    = flag.Int("volume", -1, "client: route to this volume id via the name service (-1 = legacy single-server discovery)")
-		spreadReads = flag.Bool("spreadreads", false, "client: round-robin reads over the volume's in-sync replica set (requires -volume)")
 	)
 	flag.Var(&peers, "peer", "host=addr peer entry; repeatable, and each may be a comma-separated list")
 	flag.Parse()
@@ -124,7 +123,7 @@ func main() {
 		})
 		return
 	}
-	runClient(node, uint32(*fileID), *reads, *writes, *large, *clientCache, *ccBlocks, *volumeID, *spreadReads)
+	runClient(node, uint32(*fileID), *reads, *writes, *large, *clientCache, *ccBlocks, *volumeID)
 }
 
 // serveMetrics exposes the registry over HTTP: expvar JSON at
@@ -248,7 +247,7 @@ func runServer(node *ipc.Node, volumeSpec, storeDir string, nreplicas int, rejoi
 	fmt.Printf("vnode: shutting down; server metrics: %s\n", metricLine(srv.Metrics(), "rfs."))
 }
 
-func runClient(node *ipc.Node, file uint32, reads, writes, large int, clientCache bool, ccBlocks, volumeID int, spreadReads bool) {
+func runClient(node *ipc.Node, file uint32, reads, writes, large int, clientCache bool, ccBlocks, volumeID int) {
 	proc, err := node.Attach("client")
 	fatalIf(err)
 	defer node.Detach(proc)
@@ -265,15 +264,8 @@ func runClient(node *ipc.Node, file uint32, reads, writes, large int, clientCach
 		server, err := router.Resolve(uint32(volumeID))
 		fatalIf(err)
 		client = rfs.NewVolumeClient(proc, router, uint32(volumeID))
-		if spreadReads {
-			client.SpreadReads(true)
-			fmt.Println("vnode: reads round-robin over the volume's replica set")
-		}
 		fmt.Printf("vnode: routed volume %d -> %v\n", volumeID, server)
 	} else {
-		if spreadReads {
-			fatalIf(fmt.Errorf("-spreadreads requires -volume routing"))
-		}
 		client, err = rfs.Discover(proc)
 		fatalIf(err)
 		fmt.Printf("vnode: resolved file server -> %v\n", client.Server())

@@ -20,8 +20,8 @@ import (
 //     cache's worst case: every write pays an invalidation callback
 //     round to every other registered client before it is acknowledged.
 //     Its repl-mem and repl-udp flavours put the file on a replicated
-//     volume (a primary and one in-sync replica) and spread the reads
-//     over both, so each write's callbacks overlap its replica push.
+//     volume (a primary and one in-sync replica), so each write's
+//     callbacks overlap its replica push.
 //
 // Run: make bench-ccache
 
@@ -47,8 +47,8 @@ func envOpener(b *testing.B, e *env) opener {
 }
 
 // replOpener boots a primary and one in-sync replica of volume 1, each
-// store holding the benchmark file, and opens clients that spread their
-// reads over both.
+// store holding the benchmark file, and opens clients routed to the
+// primary.
 func replOpener(b *testing.B, udp bool) opener {
 	const size = 256 * 1024
 	c := startCluster(b, ClusterConfig{Shards: 2, Volumes: []uint32{1}, Replicas: 1, UDP: udp,
@@ -62,24 +62,21 @@ func replOpener(b *testing.B, udp bool) opener {
 			}
 			return st
 		}})
-	waitUntil(b, 5*time.Second, "the replica serving in-sync", func() bool {
-		return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 1 && c.Servers[1].Srv.volumes[1].rv.serving.Load()
+	waitUntil(b, 5*time.Second, "the replica in-sync", func() bool {
+		return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 1 && c.Servers[1].Srv.volumes[1].rv.eligible.Load()
 	})
 	node := clientNode(b, c)
 	router := newRouter(b, node)
 	return func(name string, cached bool) pageClient {
 		p := attach(b, node, name)
 		if !cached {
-			cl := NewVolumeClient(p, router, 1)
-			cl.SpreadReads(true)
-			return cl
+			return NewVolumeClient(p, router, 1)
 		}
 		cc, err := NewVolumeCachingClient(p, router, 1, CacheClientConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(cc.Close)
-		cc.SpreadReads(true)
 		return cc
 	}
 }

@@ -40,9 +40,7 @@ type CacheClientStats struct {
 //   - On any other client's write the server Sends an OpInvalidate
 //     callback before acknowledging the writer, and the callback process
 //     drops the named blocks — so a read issued after any write's ack
-//     never sees pre-write bytes (read-your-writes across clients). It
-//     may beat the replicas' apply, so a replica's older read of the
-//     blocks is returned but not cached (ccache.InsertApplied).
+//     never sees pre-write bytes (read-your-writes across clients).
 //   - Writes go through to the server; the reply carries the post-write
 //     version, and the local copy is refreshed (full pages) or dropped
 //     (partial and large writes).
@@ -187,7 +185,7 @@ func (c *CachingClient) callback(msg *ipc.Message) ipc.Message {
 	if op != OpInvalidate {
 		return buildReply(StatusBadRequest, 0)
 	}
-	version, vol, seq := parseInvalidate(msg)
+	version, vol := parseInvalidate(msg)
 	if vol != c.vol {
 		// Another volume's callback (a registration left behind on a
 		// server this client failed away from): acknowledge so the
@@ -197,9 +195,9 @@ func (c *CachingClient) callback(msg *ipc.Message) ipc.Message {
 	}
 	c.callbacks.Add(1)
 	if count == InvalidateAll {
-		c.cache.InvalidateFile(file, seq)
+		c.cache.InvalidateFile(file)
 	} else {
-		c.cache.Invalidate(file, first, count, seq)
+		c.cache.Invalidate(file, first, count)
 	}
 	c.mu.Lock()
 	if fs := c.files[file]; fs != nil {
@@ -250,7 +248,7 @@ func (c *CachingClient) ensure(file uint32) bool {
 		// The server counted writes we never heard about: every cached
 		// block of the file is suspect.
 		c.purges.Add(1)
-		c.cache.InvalidateFile(file, 0)
+		c.cache.InvalidateFile(file)
 	}
 	c.advanceVersion(fs, version)
 	fs.registered = true
@@ -280,11 +278,7 @@ func (c *CachingClient) ReadBlock(file, block uint32, dst []byte) (int, error) {
 		return 0, err
 	}
 	_, n := parseReply(&m)
-	if applied, replica := replyVersion(&m); replica {
-		c.cache.InsertApplied(file, block, dst[:n], gen, applied)
-	} else {
-		c.cache.Insert(file, block, dst[:n], gen) // no-op unless a whole page
-	}
+	c.cache.Insert(file, block, dst[:n], gen) // no-op unless a whole page
 	return int(n), nil
 }
 
@@ -305,7 +299,7 @@ func (c *CachingClient) WriteBlock(file, block uint32, data []byte) error {
 	if registered && len(data) == c.cache.BlockSize() {
 		c.cache.Insert(file, block, data, gen)
 	} else {
-		c.cache.Invalidate(file, block, 1, 0)
+		c.cache.Invalidate(file, block, 1)
 	}
 	return nil
 }
@@ -323,7 +317,7 @@ func (c *CachingClient) WriteLarge(file, off uint32, data []byte) error {
 		bs := uint32(c.cache.BlockSize())
 		first := off / bs
 		last := (off + uint32(len(data)) - 1) / bs
-		c.cache.Invalidate(file, first, last-first+1, 0)
+		c.cache.Invalidate(file, first, last-first+1)
 	}
 	return nil
 }
@@ -335,7 +329,7 @@ func (c *CachingClient) CreateFile(file uint32, size uint32) error {
 		return err
 	}
 	c.noteWriteVersion(file, &m)
-	c.cache.InvalidateFile(file, 0)
+	c.cache.InvalidateFile(file)
 	return nil
 }
 
@@ -374,7 +368,7 @@ func (c *CachingClient) noteWriteVersion(file uint32, m *ipc.Message) {
 		fs.version = v
 	default:
 		c.purges.Add(1)
-		c.cache.InvalidateFile(file, 0)
+		c.cache.InvalidateFile(file)
 		fs.version = v
 	}
 }

@@ -73,14 +73,7 @@ type Client struct {
 	// layered state bound to the old server (cache contents, cache
 	// registrations, version baselines) can be discarded.
 	onReroute func(ipc.Pid)
-	// spreadReads load-balances read-class ops (see spreads) over the
-	// volume's read set (primary + in-sync replicas) via
-	// Router.ResolveRead; everything else still pins to the primary.
-	// lastTarget is the pid the current exchange went to (so a failed
-	// read can evict exactly the dead member from the read set).
-	spreadReads bool
-	lastTarget  ipc.Pid
-	retry       RetryPolicy
+	retry     RetryPolicy
 	// trace, when nonzero, stamps every outgoing request with a 24-bit
 	// trace id (SetTrace): the server records spans for the request and
 	// everything it fans out (flushes, replication pushes, invalidation
@@ -164,18 +157,12 @@ func ClusterMap(p *ipc.Proc, window time.Duration) (map[ipc.Pid][]uint32, error)
 	return m, nil
 }
 
-// SpreadReads toggles read fan-out for a routed client: reads go to the
-// volume's primary AND its in-sync replicas, round-robin, which is how
-// a read-heavy workload scales with the replica count. Writes (and
-// everything else) still pin to the primary. A replica answers only
-// while in-sync — it then holds every acked write — so spread reads
-// observe write-behind state exactly as primary reads do. A
-// CachingClient may spread its reads too: its registrations stay on the
-// primary, whose callbacks for a write may reach it before a replica has
-// applied the write, so a replica's page-read reply names the sequence
-// it had applied and the reader caches no read older than the sequence
-// the callback named. No-op for unrouted clients.
-func (c *Client) SpreadReads(on bool) { c.spreadReads = on }
+// SpreadReads does nothing: every operation, reads included, goes to
+// the volume's primary. It exists only because bench/adapter.go
+// compiles against it, and is deleted once ROADMAP item 1 drops the call.
+//
+// Deprecated: replicas serve no reads.
+func (*Client) SpreadReads(bool) {}
 
 // Server returns the bound (fixed-pid) or last-routed server pid.
 func (c *Client) Server() ipc.Pid {
@@ -198,31 +185,12 @@ func (c *Client) request(op, file, blockOrOff, count uint32) ipc.Message {
 	return m
 }
 
-// spreads reports whether request m goes to the volume's read set
-// rather than its primary: on a SpreadReads client, exactly the ops the
-// op table classes as reads.
-func (c *Client) spreads(m *ipc.Message) bool {
-	return c.spreadReads && ops[opIndex(reqOp(m))].class == classRead
-}
-
-// target resolves the pid this operation goes to (the read set when
-// spread). For a routed client a change of serving pid (the volume
-// moved) fires the onReroute hook before any exchange reaches the new
-// server.
-func (c *Client) target(spread bool) (ipc.Pid, error) {
+// target resolves the pid this operation goes to. For a routed client a
+// change of serving pid (the volume moved) fires the onReroute hook
+// before any exchange reaches the new server.
+func (c *Client) target() (ipc.Pid, error) {
 	if c.router == nil {
-		c.lastTarget = c.server
 		return c.server, nil
-	}
-	if spread {
-		pid, err := c.router.ResolveRead(c.vol)
-		if err != nil {
-			return vproto.Nil, err
-		}
-		// Spread reads bypass the onReroute hook on purpose: rotating
-		// over the read set is not the volume moving.
-		c.lastTarget = pid
-		return pid, nil
 	}
 	pid, err := c.router.Resolve(c.vol)
 	if err != nil {
@@ -232,7 +200,6 @@ func (c *Client) target(spread bool) (ipc.Pid, error) {
 		c.onReroute(pid)
 	}
 	c.lastPid = pid
-	c.lastTarget = pid
 	return pid, nil
 }
 
@@ -247,11 +214,10 @@ func (c *Client) target(spread bool) (ipc.Pid, error) {
 // and range writes of this protocol tolerate.
 func (c *Client) exchange(m *ipc.Message, seg *ipc.Segment) error {
 	orig := *m
-	spread := c.spreads(m)
 	delay := c.retry.Delay
 	attempt, reroutes := 0, 0
 	for {
-		pid, err := c.target(spread)
+		pid, err := c.target()
 		if err != nil {
 			return err
 		}
@@ -269,9 +235,6 @@ func (c *Client) exchange(m *ipc.Message, seg *ipc.Segment) error {
 			(errors.Is(err, ipc.ErrTimeout) || errors.Is(err, ipc.ErrNoProcess)):
 			reroutes++
 			c.router.Invalidate(c.vol)
-			if spread {
-				c.router.InvalidateRead(c.vol, pid)
-			}
 		default:
 			return err
 		}
@@ -287,7 +250,6 @@ func (c *Client) exchange(m *ipc.Message, seg *ipc.Segment) error {
 // in *m for callers that read its extra words (counts, versions, lease).
 func (c *Client) exchangeOp(m *ipc.Message, seg *ipc.Segment) error {
 	orig := *m
-	spread := c.spreads(m)
 	for reroutes := 0; ; reroutes++ {
 		if err := c.exchange(m, seg); err != nil {
 			return err
@@ -298,11 +260,6 @@ func (c *Client) exchangeOp(m *ipc.Message, seg *ipc.Segment) error {
 			return nil
 		case status == StatusNoVolume:
 			if c.router != nil && reroutes < c.retry.Reroutes {
-				if spread {
-					// A replica that stopped serving (fell out of sync, or
-					// is mid-promotion): evict it and retry the survivors.
-					c.router.InvalidateRead(c.vol, c.lastTarget)
-				}
 				c.router.Invalidate(c.vol)
 				*m = orig
 				continue
@@ -383,7 +340,7 @@ func (c *Client) QueryVolumes() ([]uint32, error) {
 		return nil, err
 	}
 	_, n := parseReply(&m)
-	vols, ok := decodeIDs[uint32](buf, n)
+	vols, ok := decodeIDs(buf, n)
 	if !ok {
 		return nil, fmt.Errorf("%w: volume count %d", ErrBadStatus, n)
 	}

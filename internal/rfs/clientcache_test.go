@@ -266,7 +266,7 @@ func TestClientCacheWriteRefreshRefused(t *testing.T) {
 	neighbour := uint32(block + 1)
 	for {
 		before := c.cache.Snapshot(file, block)
-		c.cache.Invalidate(file, neighbour, 1, 0)
+		c.cache.Invalidate(file, neighbour, 1)
 		if c.cache.Snapshot(file, block) != before {
 			break
 		}
@@ -282,7 +282,7 @@ func TestClientCacheWriteRefreshRefused(t *testing.T) {
 	// What the callback process does when another client writes the
 	// neighbour, timed to land while our write is at the server.
 	var ran atomic.Bool
-	hookedWatcher(t, e, file, func() { ran.Store(true); c.cache.Invalidate(file, neighbour, 1, 0) })
+	hookedWatcher(t, e, file, func() { ran.Store(true); c.cache.Invalidate(file, neighbour, 1) })
 	if err := c.WriteBlock(file, block, versionedPage(block, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -715,23 +715,20 @@ func TestDiscoverBoundedFailure(t *testing.T) {
 // FuzzInvalidateCallback: a caching client's callback process accepts
 // 32-byte Sends from any peer. With blocks of two files cached, whatever
 // message arrives must not panic, must be answered OK (an OpInvalidate)
-// or BadRequest (anything else), and must change the cache, the file
-// versions and the fences only as an OpInvalidate for the client's own
-// volume says: exactly the named blocks go, the named file's version
-// never moves backward, and the fence of each named block's shard (every
-// shard for a range wider than the cache) moves forward to the
-// message's sequence, wrapping, while no other fence moves. Every cached
-// block is returned to the pool at Close.
+// or BadRequest (anything else), and must change the cache and the file
+// versions only as an OpInvalidate for the client's own volume says:
+// exactly the named blocks go, and the named file's version never moves
+// backward. Every cached block is returned to the pool at Close.
 func FuzzInvalidateCallback(f *testing.F) {
-	const vol, blocks, fenced = 3, 16, 1<<31 + 30
+	const vol, blocks = 3, 16
 	for _, m := range []ipc.Message{
-		buildInvalidate(vol, 7, 1, 2, 6, 0),
-		buildInvalidate(vol, 8, 0, InvalidateAll, 10, 41),
-		buildInvalidate(vol, 7, 0xFFFFFFFF, 3, 4, 7), // wraps past block 2^32-1
-		buildInvalidate(vol, 8, 2, blocks+1, 11, 42), // wider than the cache
-		buildInvalidate(vol, 7, 0, 4, 6, fenced-1),   // behind the fences already up
-		buildInvalidate(vol, 7, 0, 4, 6, 5),          // ahead of them, past the wrap
-		buildInvalidate(vol+1, 7, 0, InvalidateAll, 6, 43),
+		buildInvalidate(vol, 7, 1, 2, 6),
+		buildInvalidate(vol, 8, 0, InvalidateAll, 10),
+		buildInvalidate(vol, 7, 0xFFFFFFFF, 3, 4), // wraps past block 2^32-1
+		buildInvalidate(vol, 8, 2, blocks+1, 11),  // wider than the cache
+		buildInvalidate(vol, 7, 0, 4, 4),          // behind the version held
+		buildInvalidate(vol, 7, 0, 4, 1<<31+6),    // behind it, past the wrap
+		buildInvalidate(vol+1, 7, 0, InvalidateAll, 6),
 		buildRequest(vol, OpReadBlock, 7, 0, 512),
 	} {
 		f.Add(m[:])
@@ -758,8 +755,6 @@ func FuzzInvalidateCallback(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.cache.Invalidate(7, 0, 4, fenced)
-		before := c.cache.Fences()
 		page := make([]byte, c.cache.BlockSize())
 		for file, version := range files {
 			c.files[file] = &cachedFile{version: version, versioned: true}
@@ -772,7 +767,7 @@ func FuzzInvalidateCallback(f *testing.F) {
 		copy(msg[:], data)
 		reply := c.callback(&msg)
 		op, named, first, count := parseRequest(&msg)
-		version, mvol, seq := parseInvalidate(&msg)
+		version, mvol := parseInvalidate(&msg)
 		status, _ := parseReply(&reply)
 		if want := StatusBadRequest; op == OpInvalidate {
 			want = StatusOK
@@ -799,24 +794,6 @@ func FuzzInvalidateCallback(f *testing.F) {
 				if c.cache.Contains(file, b) == gone {
 					t.Fatalf("file %d block %d: cached=%v after %x", file, b, !gone, msg[:])
 				}
-			}
-		}
-		shards := make(map[int]bool) // the shards the message fences
-		for i := uint32(0); applies && seq != 0 && i < ccache.Shards; i++ {
-			if count > blocks {
-				shards[int(i)] = true
-			} else if i < count {
-				shards[ccache.Shard(named, first+i)] = true
-			}
-		}
-		after := c.cache.Fences()
-		for s := range after {
-			want := before[s]
-			if shards[s] && (want == 0 || ccache.Newer(seq, want)) {
-				want = seq
-			}
-			if after[s] != want {
-				t.Fatalf("shard %d fence %d → %d, want %d after %x", s, before[s], after[s], want, msg[:])
 			}
 		}
 		c.Close()

@@ -19,7 +19,7 @@ type ClusterConfig struct {
 	// shards (volume i goes to server i mod Shards). Nil → one volume
 	// per shard, ids 1..Shards.
 	Volumes []uint32
-	// Replicas gives every volume that many read replicas, replica r of
+	// Replicas gives every volume that many replicas, replica r of
 	// volume i hosted on server (i+r) mod Shards with its own store from
 	// NewStore — so killing the primary's shard leaves r live copies.
 	// Capped at Shards-1 (a replica on the primary's own shard would die

@@ -456,7 +456,7 @@ func TestClusterKillRestartLeakUDP(t *testing.T) {
 	}
 	// Volume 1's replica (shard 1) must be enrolled in-sync before the
 	// kills, so the later failover pass has something eligible to promote.
-	waitReplicaServing(t, node, c.Servers[1].Srv.Pid(), 3, 7, pattern(7, 512))
+	waitReplicaHolds(t, c.Servers[1].Srv, 3, 7, pattern(7, 512))
 
 	// Kill every shard. With only idle clients left alive, every pooled
 	// frame the dead servers held — block caches, replication logs'
@@ -502,7 +502,7 @@ func TestClusterKillRestartLeakUDP(t *testing.T) {
 	// Second cycle, this time a failover: kill volume 1's primary under
 	// an established replica and let the replica promote; the teardown
 	// leak check (startCluster) covers this path's frames.
-	waitReplicaServing(t, node, c.Servers[1].Srv.Pid(), 3, 0, pattern(42, 512))
+	waitReplicaHolds(t, c.Servers[1].Srv, 3, 0, pattern(42, 512))
 	c.Kill(0)
 	deadline = time.Now().Add(10 * time.Second)
 	for {

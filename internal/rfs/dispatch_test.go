@@ -20,15 +20,16 @@ import (
 // raw message (file 7, word 3 zero, count zero, no segment), sent in
 // ascending opcode order, so the earlier cells' side effects on the
 // primary (a zero-length write creates file 7) are part of the pin.
-// Opcodes the file server process does not serve — 0, the callback and
-// replica-apply ops 10/17, the retired 13, 14 and 18, and anything past
-// the last — must answer like any unknown word.
+// A replica serves no volume op, reads included. Opcodes the file
+// server process does not serve — 0, the callback and replica-apply ops
+// 10/17, the retired 13, 14, 16 and 18, and anything past the last —
+// must answer like any unknown word.
 func TestDispatchStatusByOp(t *testing.T) {
 	c := startCluster(t, ClusterConfig{Shards: 2, Volumes: []uint32{0, 1}, Replicas: 1})
 	// Volume 0's primary is shard 0, its replica shard 1.
 	primary, replica := c.Servers[0].Srv, c.Servers[1].Srv
-	waitUntil(t, 5*time.Second, "volume 0's replica in-sync and serving", func() bool {
-		return primary.volumes[0].repl.insyncCount() == 1 && replica.volumes[0].readable()
+	waitUntil(t, 5*time.Second, "volume 0's replica in-sync", func() bool {
+		return primary.volumes[0].repl.insyncCount() == 1 && replica.volumes[0].rv.eligible.Load()
 	})
 	p := attach(t, clientNode(t, c), "prober")
 
@@ -41,11 +42,11 @@ func TestDispatchStatusByOp(t *testing.T) {
 	// Columns: unhosted volume, in-sync replica, primary.
 	want := map[uint32][3]uint32{
 		0:               {noVol, noVol, bad},
-		OpReadBlock:     {noVol, noFile, noFile},
+		OpReadBlock:     {noVol, noVol, noFile},
 		OpWriteBlock:    {noVol, noVol, ok},
-		OpReadLarge:     {noVol, noFile, ok},
+		OpReadLarge:     {noVol, noVol, ok},
 		OpWriteLarge:    {noVol, noVol, ok},
-		OpQueryFile:     {noVol, noFile, ok},
+		OpQueryFile:     {noVol, noVol, ok},
 		OpCreateFile:    {noVol, noVol, ok},
 		OpSync:          {noVol, noVol, ok},
 		OpRegisterCache: {noVol, noVol, ok},
@@ -56,7 +57,7 @@ func TestDispatchStatusByOp(t *testing.T) {
 		13:              {noVol, noVol, bad}, // retired: replica-driven pull
 		14:              {noVol, noVol, bad}, // retired: snapshot file catalog
 		OpRepHeartbeat:  {noVol, noVol, ok},
-		OpQueryReplicas: {noVol, noVol, ok},
+		16:              {noVol, noVol, bad}, // retired: read-set query
 		OpReplicate:     {noVol, noVol, bad},
 		18:              {noVol, noVol, bad}, // retired: per-record create push
 		OpQueryStats:    {ok, ok, ok},
@@ -199,8 +200,8 @@ func TestRegistrySchema(t *testing.T) {
 	}
 }
 
-// FuzzDecodeIDs: a client decodes OpQueryVolumes' and OpQueryReplicas'
-// id lists from whatever segment a server wrote. Whatever the bytes and
+// FuzzDecodeIDs: a client decodes OpQueryVolumes' id list from
+// whatever segment a server wrote. Whatever the bytes and
 // count, decodeIDs must not panic, must refuse exactly the counts that
 // overrun the segment, and the ids it accepts must re-encode to the
 // segment's prefix they came from.
@@ -210,7 +211,7 @@ func FuzzDecodeIDs(f *testing.F) {
 	f.Add([]byte{}, uint32(0))
 	f.Add([]byte{1, 2, 3, 4}, uint32(0xFFFFFFFF))
 	f.Fuzz(func(t *testing.T, seg []byte, count uint32) {
-		ids, ok := decodeIDs[uint32](seg, count)
+		ids, ok := decodeIDs(seg, count)
 		if ok != (count <= uint32(len(seg)/4)) {
 			t.Fatalf("count %d over %d bytes: ok = %v", count, len(seg), ok)
 		}

@@ -67,16 +67,15 @@ const (
 	// runs for invalidations; on any write to the file the server Sends
 	// OpInvalidate to every other registered client's callback process
 	// BEFORE acknowledging the write, so a post-ack read on any client
-	// never observes the cache's pre-write bytes (nor caches a replica's:
-	// see stampVersion). Registrations carry a bounded lease and every
-	// file a version counter, so a client whose callbacks are lost
-	// (dead callback process, dropped registration) serves stale bytes
-	// for at most one lease: a cache hit past the lease forces a
-	// re-registration, and a version mismatch on the renewal purges the
-	// file's cached blocks.
+	// never observes the cache's pre-write bytes. Registrations carry a
+	// bounded lease and every file a version counter, so a client whose
+	// callbacks are lost (dead callback process, dropped registration)
+	// serves stale bytes for at most one lease: a cache hit past the
+	// lease forces a re-registration, and a version mismatch on the
+	// renewal purges the file's cached blocks.
 	OpRegisterCache uint32 = 8  // word 2: file id, word 3: callback pid → reply word 2: version, word 3: lease ms
 	OpReleaseCache  uint32 = 9  // word 2: file id, word 3: callback pid
-	OpInvalidate    uint32 = 10 // server→client callback: word 2: file, word 3: first block, word 4: count, word 5: version, word 6: volume, word 7: replication sequence
+	OpInvalidate    uint32 = 10 // server→client callback: word 2: file, word 3: first block, word 4: count, word 5: version, word 6: volume
 
 	// OpQueryVolumes asks a server for the volume set it owns (word 4
 	// bounds the reply bytes; the ids arrive as big-endian uint32s in the
@@ -86,23 +85,25 @@ const (
 	OpQueryVolumes uint32 = 11
 
 	// Volume replication protocol. A volume's primary streams every
-	// acked mutation to its read replicas as a sequenced record stream:
-	// the per-volume sequence counter extends the registry's per-file
-	// version counters to a total order over the volume's writes.
-	// Control ops (join/heartbeat/query) address the primary server
-	// process and carry the volume in word 5 as usual; the one data op,
-	// OpReplicate, addresses the replica's per-volume apply process — the
-	// volume is implied by the destination pid. Opcodes 13, 14 and 18 are
-	// retired (replica-driven pull catch-up, a snapshot file catalog and a
-	// per-record create push); the file server answers them like any
-	// unknown word.
+	// acked mutation to its replicas as a sequenced record stream: the
+	// per-volume sequence counter extends the registry's per-file version
+	// counters to a total order over the volume's writes. Replicas exist
+	// for durability and failover; they serve no reads. Control ops
+	// (join/heartbeat) address the primary server process and carry the
+	// volume in word 5 as usual; the one data op, OpReplicate, addresses
+	// the replica's per-volume apply process — the volume is implied by
+	// the destination pid. Opcodes 13, 14, 16 and 18 are retired
+	// (replica-driven pull catch-up, a snapshot file catalog, a read-set
+	// query and a per-record create push); the file server answers them
+	// like any unknown word.
 
 	// OpRepJoin enrolls a replica with the primary: word 2 = replica id,
 	// word 3 = the replica's last applied sequence, word 4 = segment
 	// length (8: the replica's apply pid and server pid as big-endian
-	// uint32s). Reply word 2 = the primary's current sequence. Every
-	// accepted joiner is pushed what it lacks on OpReplicate: the gap,
-	// when the log covers it, or else a snapshot followed by the log.
+	// uint32s; the primary reads only the apply pid). Reply word 2 = the
+	// primary's current sequence. Every accepted joiner is pushed what it
+	// lacks on OpReplicate: the gap, when the log covers it, or else a
+	// snapshot followed by the log.
 	OpRepJoin uint32 = 12
 	// OpRepHeartbeat is the replica's lease renewal on the primary:
 	// word 2 = replica id, word 3 = last applied sequence. The reply
@@ -110,11 +111,6 @@ const (
 	// promotion candidate (lowest in-sync replica id) and whether the
 	// primary still counts the sender as in-sync.
 	OpRepHeartbeat uint32 = 15
-	// OpQueryReplicas asks the volume's primary for the live read set:
-	// the reply segment holds server pids as big-endian uint32s (primary
-	// first, then in-sync replicas), reply word 2 = count. The Router
-	// spreads reads over this set.
-	OpQueryReplicas uint32 = 16
 
 	// OpReplicate pushes a batch of consecutive records to a replica's
 	// apply process: word 4 = batch bytes, the records (encodeRepRecord)
@@ -152,9 +148,9 @@ const (
 	// StatusNoVolume reports that the server does not host the request's
 	// volume — the signal that makes a routed client drop its cached
 	// route and re-discover (the volume moved, or the route was stale).
-	// Replicas answer every mutating op with it (writes pin to the
-	// primary), and a demoted ex-primary answers replication control ops
-	// with it, so the existing reroute machinery covers failover too.
+	// Replicas answer every volume op with it (reads and writes pin to
+	// the primary), and a demoted ex-primary answers replication control
+	// ops with it, so the existing reroute machinery covers failover too.
 	StatusNoVolume
 	// Status 5 is retired and never sent; its slot keeps StatusRepGap's
 	// value on the wire.
@@ -194,10 +190,8 @@ var (
 // (see proto: OpRegisterCache) when the file is version-tracked, so a
 // caching writer can keep its own version current without a callback.
 // The OpInvalidate callback (a server→client request) already uses word
-// 5 for the version, so it carries its volume in word 6 and the write's
-// replication sequence in word 7 — callbacks grant no segment, leaving
-// the descriptor words free. A replica's page-read reply carries its
-// applied sequence in word 3 with word 4 = 1 (see stampVersion).
+// 5 for the version, so it carries its volume in word 6; word 7 is
+// unused.
 
 // buildRequest assembles a request message addressed to a volume.
 func buildRequest(vol, op, file, blockOrOff, count uint32) ipc.Message {
@@ -234,48 +228,46 @@ func parseReply(m *ipc.Message) (status, count uint32) {
 	return m.Word(1), m.Word(2)
 }
 
-// encodeIDs lays out an id list (OpQueryVolumes' volume ids,
-// OpQueryReplicas' server pids) for a reply segment: big-endian uint32s,
-// capped at the client's grant and at one reply packet.
-func encodeIDs[T ~uint32](ids []T, grant uint32) []byte {
+// encodeIDs lays out OpQueryVolumes' volume ids for a reply segment:
+// big-endian uint32s, capped at the client's grant and at one reply
+// packet.
+func encodeIDs(ids []uint32, grant uint32) []byte {
 	n := min(len(ids), int(grant/4), vproto.MaxData/4)
 	seg := make([]byte, 4*n)
 	for i, id := range ids[:n] {
-		binary.BigEndian.PutUint32(seg[4*i:], uint32(id))
+		binary.BigEndian.PutUint32(seg[4*i:], id)
 	}
 	return seg
 }
 
 // decodeIDs reads the count ids encodeIDs laid out in seg; ok is false
 // when count overruns the segment.
-func decodeIDs[T ~uint32](seg []byte, count uint32) (ids []T, ok bool) {
+func decodeIDs(seg []byte, count uint32) (ids []uint32, ok bool) {
 	if count > uint32(len(seg)/4) {
 		return nil, false
 	}
-	ids = make([]T, count)
+	ids = make([]uint32, count)
 	for i := range ids {
-		ids[i] = T(binary.BigEndian.Uint32(seg[4*i:]))
+		ids[i] = binary.BigEndian.Uint32(seg[4*i:])
 	}
 	return ids, true
 }
 
 // buildInvalidate assembles an OpInvalidate callback. Callbacks reuse
 // the request layout but word 5 carries the file's post-write version,
-// so the volume rides in word 6 and the write's replication sequence
-// (0 when unreplicated) in word 7.
-func buildInvalidate(vol, file, first, count, version, seq uint32) ipc.Message {
+// so the volume rides in word 6.
+func buildInvalidate(vol, file, first, count, version uint32) ipc.Message {
 	m := buildRequest(0, OpInvalidate, file, first, count)
 	m.SetWord(5, version)
 	m.SetWord(6, vol)
-	m.SetWord(7, seq)
 	return m
 }
 
 // parseInvalidate decodes the callback-specific words of an
 // OpInvalidate message (the op/file/block/count words go through
 // parseRequest as usual).
-func parseInvalidate(m *ipc.Message) (version, vol, seq uint32) {
-	return m.Word(5), m.Word(6), m.Word(7)
+func parseInvalidate(m *ipc.Message) (version, vol uint32) {
+	return m.Word(5), m.Word(6)
 }
 
 // stampRegisterLease records the registration lease (milliseconds) in
@@ -286,9 +278,8 @@ func stampRegisterLease(m *ipc.Message, leaseMs uint32) { m.SetWord(3, leaseMs) 
 // reply.
 func registerLease(m *ipc.Message) uint32 { return m.Word(3) }
 
-// stampVersion sets a reply's version: word 3, flagged by word 4 = 1. A
-// write reply carries the file's post-write cache version (if tracked),
-// a replica's page-read reply the sequence it applied before the read.
+// stampVersion sets a write reply's version: word 3, flagged by word
+// 4 = 1. It is the file's post-write cache version (if tracked).
 func stampVersion(m *ipc.Message, version uint32) {
 	m.SetWord(3, version)
 	m.SetWord(4, 1)
@@ -318,8 +309,8 @@ func statsReply(m *ipc.Message) (streamed, total uint32) {
 
 // OpRepHeartbeat reply flags (word 4).
 const (
-	// repHBInSync: the primary counts the sender among the in-sync read
-	// set (it may serve reads).
+	// repHBInSync: the primary counts the sender in-sync (it may
+	// promote).
 	repHBInSync uint32 = 1 << iota
 	// repHBUnknown: the primary has no connection for the sender's
 	// replica id (dropped, or the primary restarted) — rejoin.

@@ -17,12 +17,11 @@ import (
 // after every other registered (and unexpired) client has acknowledged an
 // OpInvalidate callback for the written blocks — so once a writer sees
 // its ack, no client cache anywhere can serve the pre-write bytes. They
-// overlap the replicas' apply: each names the write's sequence, fencing
-// older replica reads, and registerCache waits for that apply. The
-// callbacks are still best-effort: a client whose callback process is
-// unreachable has its registration dropped (never retried forever), and
-// the bounded lease plus the version check on re-registration cap how
-// long such a client can serve stale bytes from cache (one lease).
+// overlap the replicas' apply; replicas serve no reads. The callbacks
+// are still best-effort: a client whose callback process is unreachable
+// has its registration dropped (never retried forever), and the bounded
+// lease plus the version check on re-registration cap how long such a
+// client can serve stale bytes from cache (one lease).
 //
 // Registrations are keyed by callback pid; the owner pid (the client
 // process issuing reads and writes) is recorded so a writer is never
@@ -236,14 +235,13 @@ func (r *cacheRegistry) watcherCount() int {
 	return n
 }
 
-// invalidateStart records a write of [first, first+count) by owner,
-// replicated at sequence seq: it bumps the file's version and Sends
-// every other registered client an OpInvalidate callback naming seq,
-// for wait to collect. It returns the post-write version and whether
+// invalidateStart records a write of [first, first+count) by owner: it
+// bumps the file's version and Sends every other registered client an
+// OpInvalidate callback, for wait to collect. It returns the post-write version and whether
 // the file is version-tracked at all — untracked files (no registration
 // ever) skip the counter so the registry stays empty for cache-less
 // workloads and the write path costs one mutex acquisition.
-func (r *cacheRegistry) invalidateStart(vol, file, first, count, seq uint32, owner ipc.Pid, trace uint32) (f fanout, version uint32, tracked bool) {
+func (r *cacheRegistry) invalidateStart(vol, file, first, count uint32, owner ipc.Pid, trace uint32) (f fanout, version uint32, tracked bool) {
 	f.k = volFile{vol: vol, file: file}
 	r.mu.Lock()
 	fr := r.files[f.k]
@@ -275,7 +273,7 @@ func (r *cacheRegistry) invalidateStart(vol, file, first, count, seq uint32, own
 		return f, version, true
 	}
 	// done holds every result, so a late exchange never blocks on it.
-	req := buildInvalidate(vol, file, first, count, version, seq)
+	req := buildInvalidate(vol, file, first, count, version)
 	req.SetTrace(trace)
 	f.done = make(chan invCall, len(f.targets))
 	f.deadline = time.Now().Add(r.timeout)

@@ -19,13 +19,11 @@ import (
 // promotes the deterministic candidate (lowest in-sync replica id) to
 // primary.
 //
-// A replica serves reads only while its primary counts it in-sync (the
-// last heartbeat reply said so); everything mutating is answered with
-// StatusNoVolume so the existing reroute machinery pins writers to the
-// primary. The staleness bound follows: a replica cut from its primary
-// serves reads for at most one heartbeat lease before it stops
-// answering, and in-sync replicas are never stale at all — the primary
-// acks a write only after they applied it.
+// A replica exists for durability and failover alone: it serves no
+// reads, and answers every volume op with StatusNoVolume, so the
+// existing reroute machinery pins readers and writers alike to the
+// primary. No client can read a replica's copy, stale or not, until the
+// replica promotes.
 
 // replicaVol runs one volume in replica role.
 type replicaVol struct {
@@ -42,9 +40,6 @@ type replicaVol struct {
 	// them.
 	snapshotting bool
 	snapSeq      uint32
-	// serving: the primary's last heartbeat counted us in-sync, so reads
-	// may be answered from the replicated store.
-	serving atomic.Bool
 	// eligible: we were in-sync at last contact — the precondition for
 	// promoting (promoting from behind would lose acked writes).
 	eligible atomic.Bool
@@ -59,7 +54,7 @@ type replicaVol struct {
 
 // startReplica spawns the volume's apply process and control endpoint.
 // The control loop itself starts later (start), once the server process
-// exists — the join message names it as the read-set member.
+// exists — the join message carries its pid.
 func (s *Server) startReplica(v *volume, rid uint32) (*replicaVol, error) {
 	rv := &replicaVol{s: s, v: v, rid: rid, stop: make(chan struct{})}
 	apply, err := s.node.Spawn(fmt.Sprintf("rfs-apply-v%d", v.id), rv.applyLoop)
@@ -241,12 +236,10 @@ func (rv *replicaVol) applyRecord(rec *repRecord) uint32 {
 }
 
 // beginSnapshot starts applying a snapshot at sequence seq: the replica
-// stops serving and claims nothing (lastApplied 0, not eligible to
-// promote) before it truncates every local file, which the snapshot's
-// create records then rebuild, so a file the primary no longer has ends
-// empty.
+// claims nothing (lastApplied 0, not eligible to promote) before it
+// truncates every local file, which the snapshot's create records then
+// rebuild, so a file the primary no longer has ends empty.
 func (rv *replicaVol) beginSnapshot(seq uint32) uint32 {
-	rv.serving.Store(false)
 	rv.eligible.Store(false)
 	rv.lastApplied.Store(0)
 	rv.snapshotting, rv.snapSeq = true, seq
@@ -309,7 +302,7 @@ func (rv *replicaVol) run() {
 // joinPrimary sends OpRepJoin, granting the 8-byte pid pair, and reports
 // whether the primary enrolled us. A replica already at the primary's
 // sequence is in-sync from the start (the primary counts it so at once)
-// and serves straight away; any other waits for a heartbeat to say so.
+// and eligible straight away; any other waits for a heartbeat to say so.
 func (rv *replicaVol) joinPrimary(primary ipc.Pid) bool {
 	last := rv.lastApplied.Load()
 	var pids [8]byte
@@ -325,7 +318,6 @@ func (rv *replicaVol) joinPrimary(primary ipc.Pid) bool {
 		return false
 	}
 	if seq == last {
-		rv.serving.Store(true)
 		rv.eligible.Store(true)
 	}
 	return true
@@ -349,24 +341,18 @@ func (rv *replicaVol) heartbeatLoop(primary ipc.Pid, lastSeen *time.Time, lease,
 				_, cand, flags := repHeartbeatReply(&m)
 				rv.candidate.Store(cand)
 				if flags&repHBUnknown != 0 {
-					rv.serving.Store(false)
 					rv.eligible.Store(false)
 					return true
 				}
-				inSync := flags&repHBInSync != 0
-				rv.serving.Store(inSync)
-				rv.eligible.Store(inSync)
+				rv.eligible.Store(flags&repHBInSync != 0)
 				continue
 			}
 			// StatusNoVolume: the advertiser is no longer this volume's
 			// primary (demoted, or a stale route) — re-resolve.
-			rv.serving.Store(false)
 			return true
 		}
 		if time.Since(*lastSeen) > lease {
-			// Presumed dead. Stop serving reads — from here our copy may
-			// go stale if a peer promotes and takes writes.
-			rv.serving.Store(false)
+			// Presumed dead: the caller's resolve runs the promotion rule.
 			return true
 		}
 	}
@@ -406,7 +392,6 @@ func (rv *replicaVol) promote() {
 	rv.promoted.Store(true)
 	v.repl = newReplState(s, v.id, rv.lastApplied.Load())
 	v.role.Store(rolePrimary)
-	rv.serving.Store(true)
 	s.proc.SetPid(LogicalVolumeBase+v.id, s.proc.Pid(), ipc.ScopeBoth)
 	s.stats.promotions.Add(1)
 }

@@ -85,14 +85,13 @@ func decodeRepRecord(src []byte) (r repRecord, n int, ok bool) {
 
 // replicaConn is the primary's state for one enrolled replica.
 type replicaConn struct {
-	rid    uint32
-	apply  ipc.Pid // the replica's per-volume apply process
-	server ipc.Pid // the replica's server process (read-set member)
+	rid   uint32
+	apply ipc.Pid // the replica's per-volume apply process
 	// acked is the highest sequence the replica has proven applied; only
 	// push acks move it (0 until a snapshot joiner's end record is acked).
 	acked uint32
 	// inSync: the sender has drained the backlog, so the commit path
-	// waits for this replica and it is in the read set.
+	// waits for this replica.
 	inSync bool
 	gone   bool
 	lastHB time.Time
@@ -252,7 +251,7 @@ func (rs *replState) pruneLocked() {
 // first; the replica joins the in-sync set once the sender has drained
 // the backlog. Enrolling before the snapshot keeps every record past it
 // in the log.
-func (rs *replState) join(rid uint32, applyPid, serverPid ipc.Pid, lastApplied uint32) (seq, status uint32) {
+func (rs *replState) join(rid uint32, applyPid ipc.Pid, lastApplied uint32) (seq, status uint32) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.closed {
@@ -264,7 +263,6 @@ func (rs *replState) join(rid uint32, applyPid, serverPid ipc.Pid, lastApplied u
 	conn := &replicaConn{
 		rid:    rid,
 		apply:  applyPid,
-		server: serverPid,
 		lastHB: time.Now(),
 	}
 	rs.replicas[rid] = conn
@@ -312,7 +310,7 @@ func (rs *replState) sender(conn *replicaConn, snapshot bool) {
 		rs.mu.Lock()
 		for !rs.closed && !conn.gone && conn.acked == rs.seq {
 			if !conn.inSync {
-				// Backlog drained: join the in-sync set (and the read set).
+				// Backlog drained: join the in-sync set.
 				conn.inSync = true
 				rs.cond.Broadcast()
 			}
@@ -536,21 +534,6 @@ func (rs *replState) lag() uint32 {
 	return worst
 }
 
-// readSet is the live read fan-out set: the primary's own server pid
-// followed by every in-sync replica's server pid.
-func (rs *replState) readSet(self ipc.Pid) []ipc.Pid {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.pruneLocked()
-	pids := []ipc.Pid{self}
-	for _, conn := range rs.replicas {
-		if conn.inSync {
-			pids = append(pids, conn.server)
-		}
-	}
-	return pids
-}
-
 // close stops the senders and releases any committing writers.
 func (rs *replState) close() {
 	rs.mu.Lock()
@@ -591,7 +574,8 @@ func (s *Server) replicateCommit(v *volume, seq uint32) {
 }
 
 // handleRepJoin serves OpRepJoin (see replState.join). The 8-byte
-// segment names the replica's apply and server pids.
+// segment names the replica's apply and server pids; only the first is
+// used.
 func (s *Server) handleRepJoin(v *volume, req *request, rid, lastApplied, segLen uint32) {
 	if segLen < 8 || len(req.buf) < 8 {
 		s.replyStatus(req.src, StatusBadRequest, 0)
@@ -604,8 +588,7 @@ func (s *Server) handleRepJoin(v *volume, req *request, rid, lastApplied, segLen
 		}
 	}
 	applyPid := ipc.Pid(binary.BigEndian.Uint32(req.buf[0:4]))
-	serverPid := ipc.Pid(binary.BigEndian.Uint32(req.buf[4:8]))
-	seq, status := v.repl.join(rid, applyPid, serverPid, lastApplied)
+	seq, status := v.repl.join(rid, applyPid, lastApplied)
 	m := buildReply(status, seq)
 	_ = s.proc.Reply(&m, req.src)
 }
@@ -616,15 +599,4 @@ func (s *Server) handleRepHeartbeat(v *volume, req *request, rid, _, _ uint32) {
 	m := buildReply(StatusOK, 0)
 	stampRepHeartbeat(&m, seq, candidate, flags)
 	_ = s.proc.Reply(&m, req.src)
-}
-
-// handleQueryReplicas serves OpQueryReplicas: the read set as pids in
-// the reply segment, primary first. An unreplicated primary answers
-// with itself alone, so spread-reads clients work against any cluster.
-func (s *Server) handleQueryReplicas(v *volume, req *request, _, _, grant uint32) {
-	pids := []ipc.Pid{s.proc.Pid()}
-	if rs := v.repl; rs != nil {
-		pids = rs.readSet(s.proc.Pid())
-	}
-	s.replyIDs(req.src, encodeIDs(pids, grant))
 }

@@ -3,6 +3,7 @@ package rfs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -61,124 +62,35 @@ func pageVersion(page []byte) uint32 {
 }
 
 // directClient builds an unrouted client pinned to one server and one
-// volume — the probe the tests use to ask a specific replica what it
-// would serve.
+// volume — the probe the tests use to ask one specific server.
 func directClient(p *ipc.Proc, server ipc.Pid, vol uint32) *Client {
 	return &Client{p: p, server: server, vol: vol, retry: DefaultRetryPolicy, sleep: time.Sleep}
 }
 
-// waitReplicaServing polls a direct (unrouted) read against the replica
-// server until it serves the expected bytes: serving implies the primary
-// counted the replica in-sync on its last heartbeat, and the matching
+// waitReplicaHolds polls volume 1 on a replica server in-process until
+// its store holds want at the block and it counts itself eligible: the
+// primary counted it in-sync on its last heartbeat, and the matching
 // payload implies the record stream caught up through that write.
-var probeSeq atomic.Int32
-
-func waitReplicaServing(t testing.TB, node *ipc.Node, replica ipc.Pid, file, block uint32, want []byte) {
+func waitReplicaHolds(t testing.TB, replica *Server, file, block uint32, want []byte) {
 	t.Helper()
-	p := attach(t, node, fmt.Sprintf("direct-probe-%d", probeSeq.Add(1)))
-	cl := directClient(p, replica, 1)
+	v := replica.volumes[1]
 	page := make([]byte, len(want))
-	waitUntil(t, 5*time.Second, "replica to serve the replicated bytes", func() bool {
-		n, err := cl.ReadBlock(file, block, page)
-		return err == nil && n == len(want) && bytes.Equal(page[:n], want)
+	off := int64(block) * int64(replica.cfg.BlockSize)
+	waitUntil(t, 5*time.Second, "the replica to hold the replicated bytes", func() bool {
+		n, err := v.store.ReadAt(file, page, off)
+		return err == nil && n == len(want) && bytes.Equal(page, want) && v.rv.eligible.Load()
 	})
 }
 
-// TestReplicatedReadFanOut is the replication read-capacity claim as
-// exact counts: acked writes stream to the replicas, and a SpreadReads
-// client round-robins n reads over the primary and its R in-sync
-// replicas — ⌊n/(R+1)⌋ or ⌈n/(R+1)⌉ on each copy — while its writes stay
-// pinned to the primary.
-func TestReplicatedReadFanOut(t *testing.T) {
-	for _, replicas := range []int{1, 2} {
-		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
-			cfg := replConfig(false)
-			cfg.Shards = replicas + 1
-			cfg.Replicas = replicas
-			c := startCluster(t, cfg)
-			node := clientNode(t, c)
-			r := newRouter(t, node)
-			w := NewVolumeClient(attach(t, node, "writer"), r, 1)
-
-			for b := uint32(0); b < 4; b++ {
-				if err := w.WriteBlock(9, b, versionedPage(b, 1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Volume 1's primary is shard 0, replica i shard i.
-			for i, cs := range c.Servers {
-				want := RoleReplica
-				if i == 0 {
-					want = RolePrimary
-				}
-				if role, ok := cs.Srv.Role(1); !ok || role != want {
-					t.Fatalf("shard %d holds volume 1 as %v (hosted=%v), want %v", i, role, ok, want)
-				}
-			}
-			for _, cs := range c.Servers[1:] {
-				waitReplicaServing(t, node, cs.Srv.Pid(), 9, 3, versionedPage(3, 1))
-			}
-			// The router caches the read set it is first told: every
-			// replica must be in it by then.
-			waitUntil(t, 5*time.Second, "every replica in-sync at the primary", func() bool {
-				return c.Servers[0].Srv.volumes[1].repl.insyncCount() == replicas
-			})
-
-			rd := NewVolumeClient(attach(t, node, "reader"), r, 1)
-			rd.SpreadReads(true)
-			before := make([]int64, len(c.Servers))
-			for i, cs := range c.Servers {
-				before[i] = srvCounter(cs.Srv, "rfs.page_reads")
-			}
-			const n = 10
-			page := make([]byte, 512)
-			for i := 0; i < n; i++ {
-				b := uint32(i % 4)
-				if _, err := rd.ReadBlock(9, b, page); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(page, versionedPage(b, 1)) {
-					t.Fatalf("spread read %d returned wrong bytes", i)
-				}
-			}
-			copies := int64(replicas + 1)
-			for i, cs := range c.Servers {
-				got := srvCounter(cs.Srv, "rfs.page_reads") - before[i]
-				if got != n/copies && got != (n+copies-1)/copies {
-					t.Errorf("shard %d served %d of %d spread reads over %d copies", i, got, n, copies)
-				}
-			}
-
-			// Writes from the spreading client still pin to the primary.
-			pWrites := srvCounter(c.Servers[0].Srv, "rfs.page_writes")
-			for v := uint32(2); v <= 4; v++ {
-				if err := rd.WriteBlock(9, 0, versionedPage(0, v)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := srvCounter(c.Servers[0].Srv, "rfs.page_writes") - pWrites; got != 3 {
-				t.Fatalf("primary took %d of 3 writes from a SpreadReads client", got)
-			}
-			for i, cs := range c.Servers[1:] {
-				if got := srvCounter(cs.Srv, "rfs.page_writes"); got != 0 {
-					t.Fatalf("replica %d took %d direct writes", i+1, got)
-				}
-			}
-		})
-	}
-}
-
-// TestCachingSpreadReadsSeeAckedWrites: caching clients that spread their
-// reads over the primary and its in-sync replica, on two client nodes, as
-// the shared-cluster benchmark runs them. The reader reads one page in a
-// loop, mostly from its cache, while the writer overwrites it; a read
-// that starts after a write's ack must never return older bytes, whether
-// its refill goes to the primary or to the replica. The primary calls
-// the reader back while the replica may still be applying the write, so
-// that holds only because the reader does not cache a refill the replica
-// read before applying the sequence the callback named
-// (TestGatedApplyFencesReplicaFills holds that window open).
-func TestCachingSpreadReadsSeeAckedWrites(t *testing.T) {
+// TestReplicatedCachingReadersSeeAckedWrites: caching clients of a
+// replicated volume, on two client nodes, as the shared-cluster
+// benchmark runs them. The reader reads one page in a loop, mostly from
+// its cache, while the writer overwrites it; a read that starts after a
+// write's ack must never return older bytes. The primary calls the
+// reader back while its in-sync replica may still be applying the
+// write, and the reader's refills all go to the primary, which already
+// holds it.
+func TestReplicatedCachingReadersSeeAckedWrites(t *testing.T) {
 	for _, udp := range []bool{false, true} {
 		t.Run(fmt.Sprintf("udp=%v", udp), func(t *testing.T) {
 			c := startCluster(t, replConfig(udp))
@@ -189,7 +101,6 @@ func TestCachingSpreadReadsSeeAckedWrites(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(cc.Close)
-				cc.SpreadReads(true)
 				return cc
 			}
 			w := open(wnode, "writer")
@@ -197,9 +108,7 @@ func TestCachingSpreadReadsSeeAckedWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			replica := c.Servers[1].Srv
-			waitReplicaServing(t, rnode, replica.Pid(), 9, 0, versionedPage(0, 1))
-			// The reader's router caches the first read set it is told,
-			// so the replica must be in it by then.
+			waitReplicaHolds(t, replica, 9, 0, versionedPage(0, 1))
 			waitUntil(t, 5*time.Second, "the replica in-sync at the primary", func() bool {
 				return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 1
 			})
@@ -208,7 +117,6 @@ func TestCachingSpreadReadsSeeAckedWrites(t *testing.T) {
 			if _, err := rd.ReadBlock(9, 0, page); err != nil { // registers and caches v1
 				t.Fatal(err)
 			}
-			replicaReads := srvCounter(replica, "rfs.page_reads")
 
 			var acked atomic.Uint32 // the last version whose write was acked
 			acked.Store(1)
@@ -269,8 +177,8 @@ func TestCachingSpreadReadsSeeAckedWrites(t *testing.T) {
 			if st := rd.Stats(); st.Hits < writes || st.Callbacks < writes {
 				t.Fatalf("reader hits %d, callbacks %d; want ≥ %d each", st.Hits, st.Callbacks, writes)
 			}
-			if got := srvCounter(replica, "rfs.page_reads") - replicaReads; got == 0 {
-				t.Fatal("the replica served none of the reader's refills")
+			if got := srvCounter(replica, "rfs.page_reads"); got != 0 {
+				t.Fatalf("the replica served %d page reads", got)
 			}
 		})
 	}
@@ -307,21 +215,20 @@ func (g *applyGate) WriteAt(file uint32, p []byte, off int64) error {
 	return g.Store.WriteAt(file, p, off)
 }
 
-// TestGatedApplyFencesReplicaFills: the primary calls a write's readers
-// back while its in-sync replica is still applying the write. Here the
-// replica's apply is held at a gate, and a caching SpreadReads reader,
-// whose reads all go to that replica, is called back and reads during
-// the window: it gets the old bytes, which it must not cache, since the
-// replica read them before applying the sequence the callback named. A
-// reader that registers during the window, too late for a callback, must
-// not cache them either. Once the gate opens and the writer's ack
-// arrives, every read returns the new bytes.
-func TestGatedApplyFencesReplicaFills(t *testing.T) {
+// TestDroppedReplicaServesNoStaleReads: a write is acked once
+// ReplicaAckTimeout drops an in-sync replica whose apply is held at a
+// gate, so the replica still holds the old bytes after the ack, and does
+// not yet know it was dropped. It must answer a read NoVolume, not with
+// those bytes, and routed readers, plain and caching (registered before
+// the write, and after its ack), must all read the new bytes. Once the
+// gate opens the replica catches up.
+func TestDroppedReplicaServesNoStaleReads(t *testing.T) {
 	for _, udp := range []bool{false, true} {
 		t.Run(fmt.Sprintf("udp=%v", udp), func(t *testing.T) {
 			cfg := replConfig(udp)
-			// The gate, not the ack timeout, decides when the write ends.
-			cfg.Server.ReplicaAckTimeout = 10 * time.Second
+			// A heartbeat every 500 ms: the replica hears it was dropped
+			// well after the reads below.
+			cfg.Server.ReplicaLease = 2 * time.Second
 			gate := newApplyGate(NewMemStore())
 			stores := 0
 			cfg.NewStore = func(uint32) Store {
@@ -333,89 +240,69 @@ func TestGatedApplyFencesReplicaFills(t *testing.T) {
 			}
 			c := startCluster(t, cfg)
 			t.Cleanup(func() { gate.set(false) })
+			primary, replica := c.Servers[0].Srv, c.Servers[1].Srv
 			wnode, rnode := clientNode(t, c), clientNode(t, c)
 			w := NewVolumeClient(attach(t, wnode, "writer"), newRouter(t, wnode), 1)
 			if err := w.WriteBlock(9, 0, versionedPage(0, 1)); err != nil {
 				t.Fatal(err)
 			}
-			replica := c.Servers[1].Srv
-			waitReplicaServing(t, rnode, replica.Pid(), 9, 0, versionedPage(0, 1))
+			waitReplicaHolds(t, replica, 9, 0, versionedPage(0, 1))
 			waitUntil(t, 5*time.Second, "the replica in-sync at the primary", func() bool {
-				return c.Servers[0].Srv.volumes[1].repl.insyncCount() == 1
+				return primary.volumes[1].repl.insyncCount() == 1
 			})
 			router := newRouter(t, rnode)
-			router.readMu.Lock()
-			router.reads[1] = &readSet{pids: []ipc.Pid{replica.Pid()}, expires: time.Now().Add(time.Hour)}
-			router.readMu.Unlock()
-			open := func(name string) *CachingClient {
+			caching := func(name string) *CachingClient {
 				cc, err := NewVolumeCachingClient(attach(t, rnode, name), router, 1, CacheClientConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(cc.Close)
-				cc.SpreadReads(true)
 				return cc
 			}
-			rd := open("reader")
+			early := caching("early")
 			page := make([]byte, 512)
-			read := func(cc *CachingClient) uint32 {
-				t.Helper()
-				if _, err := cc.ReadBlock(9, 0, page); err != nil {
-					t.Fatal(err)
-				}
-				if err := checkVersionedPage(0, page); err != nil {
-					t.Fatal(err)
-				}
-				return pageVersion(page)
+			if _, err := early.ReadBlock(9, 0, page); err != nil { // registers and caches version 1
+				t.Fatal(err)
 			}
-			read(rd) // registers and caches version 1
 
-			for v := uint32(2); v <= 4; v++ {
-				gate.set(true)
-				callbacks, drops := rd.Stats().Callbacks, rd.cache.Stats().StaleDrops
-				acked := make(chan error, 1)
-				go func() { acked <- w.WriteBlock(9, 0, versionedPage(0, v)) }()
-				waitUntil(t, 5*time.Second, "the reader's callback", func() bool {
-					return rd.Stats().Callbacks > callbacks && !rd.cache.Contains(9, 0)
-				})
-				const windowReads = 3
-				for i := 0; i < windowReads; i++ {
-					if got := read(rd); got != v-1 {
-						t.Fatalf("the gated replica served version %d, want %d", got, v-1)
+			gate.set(true)
+			if err := w.WriteBlock(9, 0, versionedPage(0, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if n := primary.volumes[1].repl.insyncCount(); n != 0 {
+				t.Fatalf("%d replicas in-sync after the gated write's ack, want 0", n)
+			}
+
+			direct := directClient(attach(t, rnode, "direct"), replica.Pid(), 1)
+			if n, err := direct.ReadBlock(9, 0, page); !errors.Is(err, ErrNoVolume) {
+				t.Fatalf("the dropped replica answered a read with %d bytes, version %d (err %v); want ErrNoVolume",
+					n, pageVersion(page), err)
+			}
+
+			readers := []pageClient{NewVolumeClient(attach(t, rnode, "plain"), router, 1), early, caching("late")}
+			stale := 0
+			for i := 0; i < 10; i++ {
+				for _, rd := range readers {
+					if _, err := rd.ReadBlock(9, 0, page); err != nil {
+						t.Fatal(err)
 					}
-				}
-				// A reader that registers now is not called back for the
-				// write, and must not cache the replica's old bytes either.
-				late := open(fmt.Sprintf("late%d", v))
-				lateRead := make(chan error, 1)
-				go func() {
-					_, err := late.ReadBlock(9, 0, make([]byte, 512))
-					lateRead <- err
-				}()
-				select { // time for a read the registration does not hold back
-				case err := <-lateRead:
-					lateRead <- err
-				case <-time.After(50 * time.Millisecond):
-				}
-				gate.set(false)
-				if err := <-acked; err != nil {
-					t.Fatal(err)
-				}
-				if err := <-lateRead; err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 3; i++ {
-					if got := read(rd); got != v {
-						t.Fatalf("read returned version %d after version %d was acked", got, v)
+					if err := checkVersionedPage(0, page); err != nil {
+						t.Fatal(err)
 					}
-					if got := read(late); got != v {
-						t.Fatalf("a reader registered during the write read version %d after version %d was acked", got, v)
+					if pageVersion(page) < 2 {
+						stale++
 					}
-				}
-				if got := rd.cache.Stats().StaleDrops - drops; got != windowReads {
-					t.Fatalf("%d fills refused, want the %d in the window", got, windowReads)
 				}
 			}
+			if stale != 0 {
+				t.Fatalf("%d stale reads after version 2 was acked", stale)
+			}
+			if got := srvCounter(replica, "rfs.page_reads"); got != 0 {
+				t.Fatalf("the replica served %d page reads", got)
+			}
+
+			gate.set(false)
+			waitReplicaHolds(t, replica, 9, 0, versionedPage(0, 2))
 		})
 	}
 }
@@ -585,7 +472,7 @@ func TestReplicaFailoverUDP(t *testing.T) {
 	if err := w.WriteBlock(9, 0, versionedPage(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	waitReplicaServing(t, node, c.Servers[1].Srv.Pid(), 9, 0, versionedPage(0, 1))
+	waitReplicaHolds(t, c.Servers[1].Srv, 9, 0, versionedPage(0, 1))
 
 	c.Kill(0)
 	killed := time.Now()
@@ -659,7 +546,7 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replica 2 lives on shard 2; wait for it to enroll and serve.
-	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, 0, versionedPage(0, 1))
+	waitReplicaHolds(t, c.Servers[2].Srv, 9, 0, versionedPage(0, 1))
 
 	// Crash replica 2 and build a backlog of a few batches. Replica 1
 	// stays enrolled, so every write commits synchronously to it and the
@@ -700,8 +587,8 @@ func TestReplicaKillDuringCatchUp(t *testing.T) {
 	if err := c.Restart(2); err != nil {
 		t.Fatal(err)
 	}
-	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, backlog, versionedPage(backlog, 1))
-	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, 5, versionedPage(5, 2))
+	waitReplicaHolds(t, c.Servers[2].Srv, 9, backlog, versionedPage(backlog, 1))
+	waitReplicaHolds(t, c.Servers[2].Srv, 9, 5, versionedPage(5, 2))
 }
 
 // TestReplicaCatchUpUnderWrites: a restarted replica catches up from
@@ -775,7 +662,7 @@ func TestReplicaCatchUpUnderWrites(t *testing.T) {
 	stopWriter()
 	t.Logf("in-sync after %d writes past the backlog", last.Load()+1-backlog)
 	b := last.Load()
-	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, b, versionedPage(b, 1))
+	waitReplicaHolds(t, c.Servers[2].Srv, 9, b, versionedPage(b, 1))
 	if n := srvCounter(c.Servers[2].Srv, "rfs.repl_resyncs"); n != 0 {
 		t.Fatalf("replica 2 resynced from a snapshot %d times; want a catch-up from the log alone", n)
 	}
@@ -851,7 +738,7 @@ func TestReplicaFullCycle(t *testing.T) {
 	if err := w.WriteLarge(10, 0, pattern(10, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	waitReplicaServing(t, node, c.Servers[1].Srv.Pid(), 9, 0, versionedPage(0, 1))
+	waitReplicaHolds(t, c.Servers[1].Srv, 9, 0, versionedPage(0, 1))
 
 	c.Kill(0)
 	deadline := time.Now().Add(10 * time.Second)
@@ -882,11 +769,9 @@ func TestReplicaFullCycle(t *testing.T) {
 
 	// The demoted rejoiner resyncs and serves the post-crash write it
 	// slept through — plus the large file from before the crash.
-	waitReplicaServing(t, node, c.Servers[0].Srv.Pid(), 9, 0, versionedPage(0, 2))
-	p := attach(t, node, "cycle-probe")
-	direct := directClient(p, c.Servers[0].Srv.Pid(), 1)
+	waitReplicaHolds(t, c.Servers[0].Srv, 9, 0, versionedPage(0, 2))
 	got := make([]byte, 4096)
-	if _, err := direct.ReadLarge(10, 0, got); err != nil {
+	if _, err := c.Servers[0].Srv.volumes[1].store.ReadAt(10, got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, pattern(10, 4096)) {
@@ -898,7 +783,7 @@ func TestReplicaFullCycle(t *testing.T) {
 	if err := w.WriteBlock(9, 0, versionedPage(0, 3)); err != nil {
 		t.Fatal(err)
 	}
-	waitReplicaServing(t, node, c.Servers[0].Srv.Pid(), 9, 0, versionedPage(0, 3))
+	waitReplicaHolds(t, c.Servers[0].Srv, 9, 0, versionedPage(0, 3))
 }
 
 // TestReplicaFailoverCachingReadYourWrites: promotion-flavored twin of
@@ -939,7 +824,7 @@ func TestReplicaFailoverCachingReadYourWrites(t *testing.T) {
 	if !bytes.Equal(read(b), versionedPage(0, 1)) {
 		t.Fatal("reader missed v1 before the crash")
 	}
-	waitReplicaServing(t, node, c.Servers[1].Srv.Pid(), 9, 0, versionedPage(0, 1))
+	waitReplicaHolds(t, c.Servers[1].Srv, 9, 0, versionedPage(0, 1))
 
 	c.Kill(0)
 

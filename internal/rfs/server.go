@@ -179,13 +179,10 @@ const (
 	// classGlobal ops are volume-agnostic: a server answers for itself,
 	// whatever the request's volume word says.
 	classGlobal opClass = iota
-	// classRead ops are served by a primary, and by a replica while its
-	// primary counts it in-sync (its copy then holds every acked write).
-	// A SpreadReads client sends exactly these to the read set.
-	classRead
-	// classWrite ops pin to the volume's primary: mutations, cache
-	// registrations, the read-set query and every unknown opcode.
-	classWrite
+	// classPrimary ops are served by the volume's primary alone: reads,
+	// mutations, cache registrations and every unknown opcode. A replica
+	// exists for durability and failover, and serves none of them.
+	classPrimary
 	// classControl ops are the replication control protocol, served only
 	// by a primary that has replication state.
 	classControl
@@ -204,29 +201,22 @@ type opRow struct {
 // classGlobal, the admitted volume. Row 0 is the sentinel every other
 // word lands on (opcode 0, the callback and replica-apply ops other
 // processes serve, anything past the end): a replica or an unhosted
-// volume answers it NoVolume, a primary BadRequest. The table is filled
-// in init because a write's handler reaches the client stubs' exchange
-// (its invalidation callbacks), which reads it.
-var ops [numOps]opRow
-
-func init() {
-	ops = [numOps]opRow{
-		0:               {"other", "", classWrite, (*Server).badRequest},
-		OpReadBlock:     {"read_block", "rfs.page_reads", classRead, (*Server).pageRead},
-		OpWriteBlock:    {"write_block", "rfs.page_writes", classWrite, (*Server).pageWrite},
-		OpReadLarge:     {"read_large", "rfs.large_reads", classRead, (*Server).largeRead},
-		OpWriteLarge:    {"write_large", "rfs.large_writes", classWrite, (*Server).largeWrite},
-		OpQueryFile:     {"query_file", "rfs.queries", classRead, (*Server).queryFile},
-		OpCreateFile:    {"create_file", "rfs.creates", classWrite, (*Server).createFile},
-		OpSync:          {"sync", "rfs.syncs", classWrite, (*Server).syncFiles},
-		OpRegisterCache: {"register_cache", "", classWrite, (*Server).registerCache},
-		OpReleaseCache:  {"release_cache", "", classWrite, (*Server).releaseCache},
-		OpQueryVolumes:  {"query_volumes", "", classGlobal, (*Server).queryVolumes},
-		OpRepJoin:       {"repl_control", "", classControl, (*Server).handleRepJoin},
-		OpRepHeartbeat:  {"repl_control", "", classControl, (*Server).handleRepHeartbeat},
-		OpQueryReplicas: {"repl_control", "", classWrite, (*Server).handleQueryReplicas},
-		OpQueryStats:    {"query_stats", "rfs.stat_scrapes", classGlobal, (*Server).queryStats},
-	}
+// volume answers it NoVolume, a primary BadRequest.
+var ops = [numOps]opRow{
+	0:               {"other", "", classPrimary, (*Server).badRequest},
+	OpReadBlock:     {"read_block", "rfs.page_reads", classPrimary, (*Server).pageRead},
+	OpWriteBlock:    {"write_block", "rfs.page_writes", classPrimary, (*Server).pageWrite},
+	OpReadLarge:     {"read_large", "rfs.large_reads", classPrimary, (*Server).largeRead},
+	OpWriteLarge:    {"write_large", "rfs.large_writes", classPrimary, (*Server).largeWrite},
+	OpQueryFile:     {"query_file", "rfs.queries", classPrimary, (*Server).queryFile},
+	OpCreateFile:    {"create_file", "rfs.creates", classPrimary, (*Server).createFile},
+	OpSync:          {"sync", "rfs.syncs", classPrimary, (*Server).syncFiles},
+	OpRegisterCache: {"register_cache", "", classPrimary, (*Server).registerCache},
+	OpReleaseCache:  {"release_cache", "", classPrimary, (*Server).releaseCache},
+	OpQueryVolumes:  {"query_volumes", "", classGlobal, (*Server).queryVolumes},
+	OpRepJoin:       {"repl_control", "", classControl, (*Server).handleRepJoin},
+	OpRepHeartbeat:  {"repl_control", "", classControl, (*Server).handleRepHeartbeat},
+	OpQueryStats:    {"query_stats", "rfs.stat_scrapes", classGlobal, (*Server).queryStats},
 }
 
 // numOps sizes the ops table: one row per opcode up to the last.
@@ -266,8 +256,8 @@ const (
 	// writes and fans acked mutations out to its replicas.
 	RolePrimary VolumeRole = iota
 	// RoleReplica mirrors a primary: it applies the primary's record
-	// stream, serves reads while in-sync, and promotes itself if the
-	// primary dies (see replica.go).
+	// stream, serves no reads, and promotes itself if the primary dies
+	// (see replica.go).
 	RoleReplica
 )
 
@@ -288,7 +278,7 @@ type VolumeSpec struct {
 	Store Store
 	// Role picks primary (default) or replica; StartCluster assigns it.
 	Role VolumeRole
-	// Replicas is the read-replica count a primary expects; > 0 enables
+	// Replicas is the replica count a primary expects; > 0 enables
 	// the replication engine for the volume (zero keeps the pre-
 	// replication single-copy behavior, with no write-path overhead).
 	Replicas int
@@ -323,15 +313,6 @@ type volume struct {
 	// rv is the replica-side machinery (nil on primaries; it survives a
 	// promotion with its run loop stopped).
 	rv *replicaVol
-}
-
-// readable reports whether the volume may answer reads: a primary
-// always may; a replica only while its primary counts it in-sync.
-func (v *volume) readable() bool {
-	if v.role.Load() == rolePrimary {
-		return true
-	}
-	return v.rv != nil && v.rv.serving.Load()
 }
 
 // Server is a real networked V file server: one V process serving the
@@ -704,10 +685,7 @@ func (s *Server) dispatch(req *request) uint32 {
 // promotion publishes repl before it stores the role, so the role load
 // orders the repl read here and in the handlers behind the gate.
 func (v *volume) admits(c opClass) bool {
-	switch c {
-	case classRead:
-		return v.readable()
-	case classControl:
+	if c == classControl {
 		return v.role.Load() == rolePrimary && v.repl != nil
 	}
 	return v.role.Load() == rolePrimary
@@ -739,7 +717,7 @@ func (s *Server) createFile(v *volume, req *request, file, size, _ uint32) {
 		return
 	}
 	seq := s.replicateAppend(v, repKindCreate, file, size, req.trace)
-	fan, ver, tracked := s.registry.invalidateStart(v.id, file, 0, InvalidateAll, seq, req.src, req.trace)
+	fan, ver, tracked := s.registry.invalidateStart(v.id, file, 0, InvalidateAll, req.src, req.trace)
 	s.replicateCommit(v, seq)
 	s.registry.wait(&fan)
 	s.replyWritten(req.src, 0, ver, tracked)
@@ -766,11 +744,6 @@ func (s *Server) syncFiles(v *volume, req *request, file, _, _ uint32) {
 // lease in milliseconds.
 func (s *Server) registerCache(v *volume, req *request, file, cb, _ uint32) {
 	version := s.registry.register(v.id, file, req.src, ipc.Pid(cb))
-	if v.repl != nil {
-		// A write past its callbacks may be applying on the replicas still:
-		// answer once they hold it, or the new watcher could cache old bytes.
-		s.replicateCommit(v, v.repl.current())
-	}
 	m := buildReply(StatusOK, version)
 	stampRegisterLease(&m, uint32(s.cfg.CacheLease/time.Millisecond))
 	_ = s.proc.Reply(&m, req.src)
@@ -925,16 +898,11 @@ func (s *Server) sizeOf(v *volume, file uint32) (int64, error) {
 // pageRead serves OpReadBlock: the page travels in the reply packet
 // (ReplyWithSegment), one Send/Reply exchange total. The cache block is
 // lent for the reply encode — the page is copied exactly once, from
-// cache memory into the pooled wire frame. A replica's reply carries the
-// sequence it had applied before the read (see ccache.InsertApplied).
+// cache memory into the pooled wire frame.
 func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 	if count > uint32(s.cfg.BlockSize) {
 		s.replyStatus(req.src, StatusBadRequest, 0)
 		return
-	}
-	reply := buildReply(StatusOK, count)
-	if v.role.Load() != rolePrimary {
-		stampVersion(&reply, v.rv.lastApplied.Load())
 	}
 	b, _, err := s.getBlock(v, file, block, true)
 	if err != nil {
@@ -942,6 +910,7 @@ func (s *Server) pageRead(v *volume, req *request, file, block, count uint32) {
 		return
 	}
 	s.stats.bytesRead.Add(int64(count))
+	reply := buildReply(StatusOK, count)
 	err = s.proc.ReplyWithSegment(&reply, req.src, 0, b.Data[:count])
 	b.Release()
 	if err != nil {
@@ -1164,7 +1133,7 @@ func (s *Server) largeWrite(v *volume, req *request, file, off, count uint32) {
 	// other clients' cached copies go stale NOW: call them back while the
 	// replicas apply the write, and wait for both before the writer learns
 	// its write completed.
-	fan, ver, tracked := s.registry.invalidateStart(v.id, file, first, nblocks, seq, req.src, req.trace)
+	fan, ver, tracked := s.registry.invalidateStart(v.id, file, first, nblocks, req.src, req.trace)
 	s.replicateCommit(v, seq)
 	s.registry.wait(&fan)
 	s.replyWritten(req.src, count, ver, tracked)

@@ -69,7 +69,7 @@ func TestSnapshotKeepsSyncError(t *testing.T) {
 	if err := c.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	waitReplicaServing(t, node, c.Servers[1].Srv.Pid(), 9, 0, pattern(9, 512))
+	waitReplicaHolds(t, c.Servers[1].Srv, 9, 0, pattern(9, 512))
 	if n := srvCounter(c.Servers[1].Srv, "rfs.repl_resyncs"); n != 1 {
 		t.Fatalf("replica resynced %d times, want one snapshot", n)
 	}
@@ -104,7 +104,7 @@ func TestSnapshotManyFiles(t *testing.T) {
 	if err := c.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	waitReplicaServing(t, node, c.Servers[1].Srv.Pid(), 9, 0, versionedPage(0, 2))
+	waitReplicaHolds(t, c.Servers[1].Srv, 9, 0, versionedPage(0, 2))
 	if n := srvCounter(c.Servers[1].Srv, "rfs.repl_resyncs"); n != 1 {
 		t.Fatalf("replica resynced %d times, want one snapshot", n)
 	}
@@ -232,8 +232,8 @@ func TestSnapshotUnderWrites(t *testing.T) {
 	i := last.Load()
 	t.Logf("in-sync after %d writes", i+1)
 	b, ver := uint32(i%blocks), uint32(i/blocks)+1
-	waitReplicaServing(t, node, replica.Pid(), 9, b, versionedPage(b, ver))
-	waitReplicaServing(t, node, replica.Pid(), 50, 0, pattern(50, 512))
+	waitReplicaHolds(t, replica, 9, b, versionedPage(b, ver))
+	waitReplicaHolds(t, replica, 50, 0, pattern(50, 512))
 	if size, err := replicaStore.Size(77); err != nil || size != 0 {
 		t.Fatalf("replica-only file 77: size=%d err=%v, want empty", size, err)
 	}
@@ -254,9 +254,9 @@ func TestSnapshotUnderWrites(t *testing.T) {
 		waitUntil(t, 10*time.Second, "the snapshot to begin", func() bool {
 			return srvCounter(srv, "rfs.repl_resyncs") == 1
 		})
-		if rv.lastApplied.Load() != 0 || rv.eligible.Load() || rv.serving.Load() {
-			t.Fatalf("mid-snapshot replica claims lastApplied=%d eligible=%v serving=%v",
-				rv.lastApplied.Load(), rv.eligible.Load(), rv.serving.Load())
+		if rv.lastApplied.Load() != 0 || rv.eligible.Load() {
+			t.Fatalf("mid-snapshot replica claims lastApplied=%d eligible=%v",
+				rv.lastApplied.Load(), rv.eligible.Load())
 		}
 		return rv
 	}
@@ -272,7 +272,7 @@ func TestSnapshotUnderWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitInSync(t, primary, 2)
-	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, b, versionedPage(b, ver))
+	waitReplicaHolds(t, c.Servers[2].Srv, 9, b, versionedPage(b, ver))
 
 	// Kill the primary while replica 2 is mid-snapshot: replica 1, in
 	// sync, promotes; replica 2 never does, and converges from the new
@@ -284,7 +284,7 @@ func TestSnapshotUnderWrites(t *testing.T) {
 		role, _ := c.Servers[1].Srv.Role(1)
 		return role == RolePrimary
 	})
-	waitReplicaServing(t, node, c.Servers[2].Srv.Pid(), 9, b, versionedPage(b, ver))
+	waitReplicaHolds(t, c.Servers[2].Srv, 9, b, versionedPage(b, ver))
 	if n := srvCounter(c.Servers[2].Srv, "rfs.promotions"); n != 0 || rv.promoted.Load() {
 		t.Fatalf("the replica that held a partial snapshot promoted (%d promotions)", n)
 	}
